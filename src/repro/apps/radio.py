@@ -295,9 +295,9 @@ def compute_listening_rates(
     )
     worker_minutes = []
     for index in range(workers.thread_count):
-        controller = engine.controllers[workers.node_of(index)]
-        ts = controller._threads.get((id(workers), index))
-        worker_minutes.append(ts.thread.matched_minutes if ts else 0)
+        thread = engine.controllers[workers.node_of(index)].thread(workers,
+                                                                   index)
+        worker_minutes.append(thread.matched_minutes if thread else 0)
     return RadioRun(
         counts=result.token.counts.array,
         total_minutes=result.token.total_minutes,

@@ -26,6 +26,7 @@ C++ library does at compile time:
 
 from __future__ import annotations
 
+import inspect
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from ..serial.token import Token
@@ -65,6 +66,9 @@ class FlowgraphNode:
         self.collection = collection
         self.route_class = route_class
         self.name = name or op_class.__name__
+        #: execute() is a generator yielding effect requests (vs a plain
+        #: function run atomically); fixed per class, read per token.
+        self.generator_body = inspect.isgeneratorfunction(op_class.execute)
 
     @property
     def kind(self) -> str:

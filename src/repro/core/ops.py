@@ -67,8 +67,8 @@ class PostRequest(_Request):
         if not isinstance(token, Token):
             raise TypeError(f"post() takes a Token, got {type(token).__name__}")
         self.token = token
-        #: Set by the engine when the token is queued behind flow control;
-        #: yielding the request waits for this event.
+        #: The scheduler's admit gate while the token is queued behind
+        #: flow control (yielding the request waits at it), else ``None``.
         self._admit_event = None
 
 

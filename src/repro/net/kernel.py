@@ -4,23 +4,25 @@ One :class:`DistributedKernel` runs in each OS process and hosts the DPS
 threads whose collections are mapped onto its node name (kernel names
 *are* logical node names, matching the paper's "kernels are named so that
 applications do not need to be aware of the machines they are running
-on").  It reuses the entire controller/operation dispatch machinery of
-:class:`~repro.runtime.threaded_engine.ThreadedEngine` and overrides only
-the points where the single-process engine assumes shared memory:
+on").  It is the OS-thread scheduler substrate of
+:class:`~repro.runtime.threaded_engine.ThreadedEngine` with the transport
+hooks of the substrate interface (:mod:`repro.runtime.scheduler`)
+overridden where the single-process engine assumes shared memory:
 
 ====================  =================================================
 hook                  distributed behaviour
 ====================  =================================================
-``_deliver``          envelopes for instances on another kernel are
+``transmit``          envelopes for instances on another kernel are
                       protocol-encoded and queued on that peer's lazy
                       TCP connection (scatter-gather, zero-copy)
-``_send_ack``         merge→split acks travel to the group frame's
+``send_ack``          merge→split acks travel to the group frame's
                       ``origin_node`` kernel
-``_announce_group_total``  totals are broadcast to every kernel hosting
+``send_group_total``  totals are broadcast to every kernel hosting
                       instances of the matching merge collection
-``_final_result`` / ``_scatter_result`` / ``_announce_scatter_total``
-                      depth-0 results and scatter outputs are routed to
-                      the activation's ``ctx_origin`` kernel
+``deliver_result`` / ``scatter_total``
+                      depth-0 results, scatter outputs and scatter group
+                      sizes are routed to the activation's
+                      ``ctx_origin`` kernel
 ``_propagate_failure``  local worker exceptions are broadcast so every
                       kernel's callers fail fast instead of hanging
 ====================  =================================================
@@ -42,9 +44,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..core.flowcontrol import FlowControlPolicy, StreamPolicy
 from ..core.graph import Flowgraph
 from ..core.routing import RoutingPolicy
-from ..runtime.controller import KernelFailure
-from ..runtime.threaded_engine import ThreadedEngine, _Body
-from ..runtime.base import DataEnvelope
+from ..runtime.base import DataEnvelope, GroupFrame, KernelFailure
+from ..runtime.threaded_engine import ThreadedEngine
 from ..serial import fastpath
 from ..serial.token import Token
 from ..serial.wire import WireError
@@ -139,7 +140,7 @@ class DistributedKernel(ThreadedEngine):
         # ack aggregation: per-peer buckets of pending merge→split acks,
         # flushed by a timer thread, on batch fill, or piggybacked ahead
         # of any data message to the same peer.  _ack_lock is leaf-level:
-        # it is taken with the engine lock held (from _send_ack) but
+        # it is taken with the engine lock held (from send_ack) but
         # never the other way around.
         self._ack_lock = threading.Lock()
         self._ack_pending: Dict[
@@ -155,8 +156,8 @@ class DistributedKernel(ThreadedEngine):
         self.recover = recover
         self.heartbeat_interval = heartbeat_interval
         if recover:
-            self._journal = TokenJournal()
-            self._dedup = ReplayDedup()
+            self.scheduler.journal = TokenJournal()
+            self.scheduler.dedup = ReplayDedup()
         self._recovery_lock = threading.Lock()
         self._dead_kernels: set = set()
         self._recovered = False
@@ -265,8 +266,7 @@ class DistributedKernel(ThreadedEngine):
 
     def _local_queue_depth(self) -> int:
         """Total pending tokens across this kernel's thread inboxes."""
-        with self._lock:
-            depth = sum(w.inbox.qsize() for w in self._workers.values())
+        depth = self.queue_depth()
         if self.metrics is not None:
             self.metrics.gauge("queue_depth_total").set(depth)
         return depth
@@ -304,14 +304,14 @@ class DistributedKernel(ThreadedEngine):
 
     def _resend_loop(self) -> None:
         while not self._shutdown_requested.wait(RESEND_AFTER / 2):
-            journal = self._journal
+            journal = self.scheduler.journal
             if journal is None or not len(journal):
                 continue
             now = time.monotonic()
-            with self._lock:
+            with self.lock:
                 stale = journal.stale(RESEND_AFTER, now)
             for env in stale:
-                self._deliver(env)
+                self.transmit(env)
 
     def wait_for_shutdown(self) -> None:
         """Block until a peer (normally the console) orders shutdown."""
@@ -403,7 +403,7 @@ class DistributedKernel(ThreadedEngine):
         super().shutdown()
 
     # ------------------------------------------------------------------
-    # sending side: the ThreadedEngine distribution hooks
+    # sending side: the substrate's transport hooks
     # ------------------------------------------------------------------
     def _remote_send(self, target: str, segments) -> None:
         """Ship a data-path message, piggybacking any buffered acks.
@@ -416,7 +416,7 @@ class DistributedKernel(ThreadedEngine):
             self._flush_acks(target)
         self._pool.send(target, segments)
 
-    def _deliver(self, env: DataEnvelope) -> None:
+    def transmit(self, env: DataEnvelope) -> None:
         node = env.graph.node(env.node_id)
         target = node.collection.node_of(env.instance)
         if target == self.name:
@@ -439,25 +439,21 @@ class DistributedKernel(ThreadedEngine):
                 self.metrics.histogram("serialize_seconds").observe(seconds)
             self._remote_send(target, segments)
 
-    def _send_ack(self, graph_name: str, opener: int, opener_instance: int,
-                  origin_node: str, routed_instance: int,
-                  group_id: int = 0, index: int = 0) -> None:
+    def send_ack(self, graph_name: str, frame: GroupFrame) -> None:
+        origin_node = frame.origin_node
         if origin_node == self.name:
-            self._apply_ack(graph_name, opener, opener_instance,
-                            routed_instance, group_id, index)
+            super().send_ack(graph_name, frame)
             return
+        key = (graph_name, frame.opener, frame.opener_instance,
+               frame.routed_instance, frame.group_id, frame.index)
         if not self.transport.ack_aggregation:
             # Queue append only — the caller holds the engine lock.
-            self._pool.send(origin_node, P.encode_ack(
-                graph_name, opener, opener_instance, routed_instance,
-                group_id, index))
+            self._pool.send(origin_node, P.encode_ack(*key))
             return
         # Buffer the ack; it leaves on the next timed flush, when the
         # batch fills, or piggybacked ahead of a data message.  Delay is
         # bounded by the flush window, so flow-control slack at the
         # opener arrives a little late but never stalls forever.
-        key = (graph_name, opener, opener_instance, routed_instance,
-               group_id, index)
         with self._ack_lock:
             bucket = self._ack_pending.setdefault(origin_node, {})
             bucket[key] = bucket.get(key, 0) + 1
@@ -501,45 +497,39 @@ class DistributedKernel(ThreadedEngine):
             self._flush_all_acks()
         self._flush_all_acks()
 
-    def _announce_group_total(self, body: _Body, merge_id: int) -> None:
+    def send_group_total(self, graph: Flowgraph, merge_id: int,
+                         group_id: int, total: int) -> None:
         # The opener cannot know which merge instance the group landed on,
         # so the total goes to every kernel hosting instances of the merge
         # collection; kernels that never see the group keep a placeholder
-        # group record (bounded by group count, reclaimed at shutdown).
-        merge_nodes = set(body.graph.node(merge_id).collection.placements)
-        total = body.posted - body.shed
+        # the scheduler prunes past MAX_STALE_GROUPS.
         message = None
-        for kernel in merge_nodes:
+        for kernel in set(graph.node(merge_id).collection.placements):
             if kernel == self.name:
-                self._apply_group_total(body.out_group_id, total)
+                super().send_group_total(graph, merge_id, group_id, total)
             else:
                 if message is None:
-                    message = P.encode_group_total(body.out_group_id, total)
+                    message = P.encode_group_total(group_id, total)
                 self._pool.send(kernel, message)
 
-    def _final_result(self, body: _Body, token: Token) -> None:
+    def deliver_result(self, body, token: Token, frame,
+                       needs_ack: bool) -> None:
         origin = body.ctx_origin
         if origin is None or origin == self.name:
-            super()._final_result(body, token)
-        else:
-            self._pool.send(origin, P.encode_result(
-                P.MSG_RESULT, body.ctx_id, token))
+            super().deliver_result(body, token, frame, needs_ack)
+            return
+        if needs_ack:
+            self.send_ack(body.graph.name, frame)
+        kind = P.MSG_SCATTER_RESULT if body.graph.scatter else P.MSG_RESULT
+        self._pool.send(origin, P.encode_result(kind, body.ctx_id, token))
 
-    def _scatter_result(self, body: _Body, token: Token) -> None:
+    def scatter_total(self, body, total: int) -> None:
         origin = body.ctx_origin
         if origin is None or origin == self.name:
-            super()._scatter_result(body, token)
+            super().scatter_total(body, total)
         else:
-            self._pool.send(origin, P.encode_result(
-                P.MSG_SCATTER_RESULT, body.ctx_id, token))
-
-    def _announce_scatter_total(self, body: _Body) -> None:
-        origin = body.ctx_origin
-        if origin is None or origin == self.name:
-            super()._announce_scatter_total(body)
-        else:
-            self._pool.send(origin, P.encode_scatter_total(
-                body.ctx_id, body.posted - body.shed))
+            self._pool.send(origin,
+                            P.encode_scatter_total(body.ctx_id, total))
 
     def _propagate_failure(self, exc: BaseException) -> None:
         message = P.encode_failure(exc)
@@ -625,7 +615,7 @@ class DistributedKernel(ThreadedEngine):
                              if p != dead and p not in self._dead_kernels]
                 self._recovery_epoch += 1
                 epoch = self._recovery_epoch
-            with self._lock:
+            with self.lock:
                 graphs = list(self._graphs.values())
                 mapping = plan_remap(graphs, dead, survivors)
                 apply_remap(graphs, mapping)
@@ -680,7 +670,7 @@ class DistributedKernel(ThreadedEngine):
                             dead: str) -> None:
         with self._recovery_lock:
             self._dead_kernels.add(dead)
-        with self._lock:
+        with self.lock:
             apply_remap(self._graphs.values(), mapping)
         try:
             self._pool.send(CONSOLE_KERNEL,
@@ -690,15 +680,15 @@ class DistributedKernel(ThreadedEngine):
 
     def _replay_local(self) -> int:
         """Re-deliver every journaled (un-acked) emission; routing is
-        recomputed from the post-remap placements in ``_deliver``."""
-        journal = self._journal
+        recomputed from the post-remap placements in ``transmit``."""
+        journal = self.scheduler.journal
         if journal is None:
             return 0
         now = time.monotonic()
-        with self._lock:
+        with self.lock:
             envs = journal.replay_all(now)
         for env in envs:
-            self._deliver(env)
+            self.transmit(env)
         return len(envs)
 
     def recovery_snapshot(self) -> Tuple[bool, int]:
@@ -750,7 +740,7 @@ class DistributedKernel(ThreadedEngine):
             if not members:
                 raise KernelFailure(
                     "rebalance would leave no execution kernels")
-            with self._lock:
+            with self.lock:
                 graphs = list(self._graphs.values())
                 old_map = {coll.name: list(coll.placements)
                            for coll in _unique_collections(graphs)}
@@ -771,7 +761,7 @@ class DistributedKernel(ThreadedEngine):
                 "member", epoch, barrier_peers,
                 P.encode_member(epoch, old_map, new_map, joined, retired),
                 timeout=timeout)
-            with self._lock:
+            with self.lock:
                 apply_remap(graphs, mapping)
             with self._recovery_lock:
                 self._peer_names = list(members)
@@ -813,12 +803,12 @@ class DistributedKernel(ThreadedEngine):
         """
         try:
             self._flush_all_acks()
-            journal = self._journal
+            journal = self.scheduler.journal
             deadline = time.monotonic() + 5.0
             while journal is not None and len(journal) \
                     and time.monotonic() < deadline:
                 time.sleep(0.02)
-            with self._lock:
+            with self.lock:
                 colls = {coll.name: coll for coll in
                          _unique_collections(self._graphs.values())}
             losses: List[Tuple[str, int, str]] = []
@@ -843,7 +833,7 @@ class DistributedKernel(ThreadedEngine):
                     if coll is not None else None
                 self._pool.send(target, P.encode_thread_state(
                     name, index, epoch, thread))
-            with self._lock:
+            with self.lock:
                 apply_remap(self._graphs.values(), new_map)
             if gains:
                 with self._state_cond:
@@ -989,35 +979,26 @@ class DistributedKernel(ThreadedEngine):
             node = env.graph.node(env.node_id)
             self._worker_for(node.collection, env.instance).inbox.put(env)
         elif kind == P.MSG_ACK:
-            with self._lock:
-                self._apply_ack(value.graph_name, value.opener,
-                                value.opener_instance, value.routed_instance,
-                                value.group_id, value.index)
+            self.scheduler.apply_ack(
+                value.graph_name, value.opener, value.opener_instance,
+                value.routed_instance, value.group_id, value.index)
         elif kind == P.MSG_ACK_BATCH:
             # One lock acquisition for the whole batch — the receive-side
             # half of the aggregation win.
-            with self._lock:
+            with self.lock:
                 for ack, count in value:
                     for _ in range(count):
-                        self._apply_ack(ack.graph_name, ack.opener,
-                                        ack.opener_instance,
-                                        ack.routed_instance,
-                                        ack.group_id, ack.index)
+                        self.scheduler.apply_ack(
+                            ack.graph_name, ack.opener, ack.opener_instance,
+                            ack.routed_instance, ack.group_id, ack.index)
         elif kind == P.MSG_GROUP_TOTAL:
             group_id, total = value
-            self._apply_group_total(group_id, total)
-        elif kind == P.MSG_RESULT:
-            ctx_id, token = value
-            with self._lock:
-                result_q = self._results.get(ctx_id)
-            if result_q is not None:
-                result_q.put(token)
-        elif kind == P.MSG_SCATTER_RESULT:
-            ctx_id, token = value
-            self._scatter_token(ctx_id, token)
-        elif kind == P.MSG_SCATTER_TOTAL:
-            ctx_id, total = value
-            self.scatter_total(ctx_id, total)
+            self.scheduler.apply_group_total(group_id, total)
+        elif kind in (P.MSG_RESULT, P.MSG_SCATTER_RESULT,
+                      P.MSG_SCATTER_TOTAL):
+            # A caller that gave up (timeout, failure) has left no
+            # queue; its late arrivals are dropped, not an error here.
+            self._result_arrived(*value, late_ok=True)
         elif kind == P.MSG_FAILURE:
             self._record_failure(value, propagate=False)
         elif kind == P.MSG_TRACE_FLUSH:

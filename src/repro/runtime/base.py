@@ -42,6 +42,8 @@ __all__ = [
     "GroupTotalMessage",
     "Application",
     "RunResult",
+    "ScheduleError",
+    "KernelFailure",
     "DATA_HEADER_BYTES",
     "ACK_BYTES",
     "GROUP_TOTAL_BYTES",
@@ -54,6 +56,22 @@ DATA_HEADER_BYTES = 128
 ACK_BYTES = 32
 #: Wire size of a group-total announcement.
 GROUP_TOTAL_BYTES = 48
+
+
+class ScheduleError(RuntimeError):
+    """Raised for runtime schedule violations (routing, group misuse)."""
+
+
+class KernelFailure(ScheduleError, ConnectionError):
+    """A kernel process (or simulated node) died and the run cannot finish.
+
+    The one failure type every engine raises when an execution node is
+    lost: the multiprocess runtime raises it for dead kernel processes
+    and lost peer connections, the simulated engine for node failures
+    past the recovery contract.  It multiply-inherits
+    :class:`ScheduleError` and :class:`ConnectionError` so callers that
+    caught either of the historical ad-hoc types keep working.
+    """
 
 
 @dataclass(frozen=True)
@@ -259,6 +277,30 @@ class Engine:
             raise KeyError(
                 f"unknown graph {name!r}; registered: {sorted(self._graphs)}"
             ) from None
+
+    def _resolve_entry(self, graph, token: Token,
+                       scatter: bool = False) -> Flowgraph:
+        """Look up / register *graph* and check *token* may start it."""
+        if isinstance(graph, str):
+            graph = self.graph(graph)
+        elif graph.name not in self._graphs:
+            self.register_graph(graph)
+        if graph.scatter and not scatter:
+            raise ScheduleError(
+                f"scatter graph {graph.name!r} must be invoked through "
+                f"call_scatter() from a split/stream operation"
+            )
+        if not isinstance(token, Token):
+            raise TypeError(
+                f"graph input must be a Token, got {type(token).__name__}")
+        entry = graph.node(graph.entry).op_class
+        if not entry.accepts(type(token)):
+            raise ScheduleError(
+                f"graph {graph.name!r} entry accepts "
+                f"{[t.__name__ for t in entry.in_types]}, "
+                f"got {type(token).__name__}"
+            )
+        return graph
 
     # ------------------------------------------------------------------
     # lifecycle

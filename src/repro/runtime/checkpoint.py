@@ -118,14 +118,14 @@ class CheckpointManager:
         for collection in collections:
             for index in range(collection.thread_count):
                 node = collection.node_of(index)
-                controller = self.engine.controllers[node]
-                ts = controller._threads.get((id(collection), index))
-                if ts is None:
+                thread = self.engine.controllers[node].thread(collection,
+                                                              index)
+                if thread is None:
                     continue  # never instantiated: nothing to save
-                state = copy.deepcopy(ts.thread.__dict__)
-                nbytes = ts.thread.state_nbytes() + DATA_HEADER_BYTES
+                state = copy.deepcopy(thread.__dict__)
+                nbytes = thread.state_nbytes() + DATA_HEADER_BYTES
                 snap = _ThreadSnapshot(
-                    collection, index, type(ts.thread), state, nbytes,
+                    collection, index, type(thread), state, nbytes,
                     next(storage_cycle),
                 )
                 plan.append((node, snap))
@@ -176,12 +176,7 @@ class CheckpointManager:
                 )
                 controller = self.engine.controllers[target]
                 # discard whatever lives there now (stale or lazily created)
-                existing = controller._threads.pop(
-                    (id(snap.collection), snap.index), None
-                )
-                if existing is not None and existing.proc is not None \
-                        and existing.proc.is_alive:
-                    existing.proc.interrupt("restore")
+                controller.discard_thread(snap.collection, snap.index)
                 thread: DpsThread = snap.thread_class.__new__(snap.thread_class)
                 thread.__dict__.update(copy.deepcopy(snap.state))
                 thread.index = snap.index

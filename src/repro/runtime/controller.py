@@ -1,216 +1,90 @@
-"""Per-node controller for the simulated-cluster engine.
+"""The simulated-cluster substrate: one :class:`SimController` per node.
 
-The paper (§3): *"At the heart of the DPS library is the Controller
-object, instantiated in each node and responsible for sequencing within
-each node the program execution according to the flow graphs and thread
-collections instantiated by the application."*
-
-Each controller owns the DPS thread instances mapped to its node.  A DPS
+Each controller hosts the DPS thread instances mapped to its node and
+one :class:`~repro.runtime.scheduler.Scheduler` sequencing them.  A DPS
 thread is a sequential event loop (one simulated process) draining an
-inbox of envelopes:
-
-- envelopes for leaf/split operations start an operation body and drive it
-  to completion;
-- envelopes for merge/stream operations feed per-group state: the first
-  token starts the body, later tokens resume it when it is parked on
-  ``next_token()``.
-
-Operation bodies are generators yielding effect requests
-(:mod:`repro.core.ops`); the driver interprets them against the node's CPU
-resource, the network, and the flow-control windows.
+inbox; the scheduler decides what each envelope means, this module says
+what waiting costs in virtual time: compute charges occupy the node's
+CPU resource, sleeps and stalled posts are simulation events, messages
+cross the modelled network.  No locking is needed — the simulation
+kernel runs one process at a time.
 """
 
 from __future__ import annotations
 
-import inspect
-from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..cluster.costs import dps_wire_overhead_seconds
-from ..core.flowcontrol import CreditWindow, SplitWindow
-from ..core.graph import Flowgraph, FlowgraphNode
 from ..core.ops import (
     CallGraphRequest,
     ChargeRequest,
-    NextTokenRequest,
-    Operation,
-    OpKind,
     PostRequest,
-    ScatterCallRequest,
     SleepRequest,
 )
-from ..core.streams import is_streaming_opener
-from ..core.routing import Route, RoutingContext
-from ..core.threads import ThreadCollection
-from ..serial.token import Token
-from ..simkernel import Event, Store
+from ..core.threads import DpsThread, ThreadCollection
+from ..simkernel import Event, Interrupt, Store
 from .base import (
     ACK_BYTES,
-    DATA_HEADER_BYTES,
     GROUP_TOTAL_BYTES,
     AckMessage,
     DataEnvelope,
-    GroupFrame,
     GroupTotalMessage,
+    KernelFailure,
+    ScheduleError,
 )
+from .scheduler import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim_engine import SimEngine
 
 __all__ = ["SimController", "ScheduleError", "KernelFailure"]
 
-#: Bound on remembered group totals for groups this instance never saw
-#: (stale broadcast entries); oldest entries are pruned beyond this.
-MAX_STALE_GROUPS = 10_000
-
-_genfunc_cache: Dict[Any, bool] = {}
-
-
-def _is_generator_body(op) -> bool:
-    """Cached inspect.isgeneratorfunction(op.execute) (hot per-token path)."""
-    fn = op.execute
-    key = getattr(fn, "__func__", fn)
-    flag = _genfunc_cache.get(key)
-    if flag is None:
-        flag = inspect.isgeneratorfunction(fn)
-        _genfunc_cache[key] = flag
-    return flag
-
-
-class ScheduleError(RuntimeError):
-    """Raised for runtime schedule violations (routing, group misuse)."""
-
-
-class KernelFailure(ScheduleError, ConnectionError):
-    """A kernel process (or simulated node) died and the run cannot finish.
-
-    The one failure type every engine raises when an execution node is
-    lost: the multiprocess runtime raises it for dead kernel processes
-    and lost peer connections, the simulated engine for node failures
-    past the recovery contract.  It multiply-inherits
-    :class:`ScheduleError` and :class:`ConnectionError` so callers that
-    caught either of the historical ad-hoc types keep working.
-    """
-
 
 class _ThreadState:
     """One DPS thread instance living on this controller's node."""
 
-    __slots__ = ("collection", "index", "thread", "inbox", "started", "proc")
+    __slots__ = ("collection", "index", "thread", "node_name", "inbox",
+                 "proc")
 
-    def __init__(self, controller: "SimController", collection: ThreadCollection,
-                 index: int, thread=None):
+    def __init__(self, controller: "SimController",
+                 collection: ThreadCollection, index: int,
+                 thread: Optional[DpsThread] = None):
         self.collection = collection
         self.index = index
-        self.thread = thread if thread is not None else collection.make_thread(index)
+        self.thread = thread if thread is not None \
+            else collection.make_thread(index)
+        self.node_name = controller.node_name
         self.inbox: Store = Store(controller.engine.sim,
                                   name=f"{collection.name}[{index}]")
-        self.started = False
-        self.proc = None
-
-
-class _GroupState:
-    """Arrival bookkeeping for one merge/stream input group."""
-
-    __slots__ = (
-        "group_id", "buffer", "received", "consumed", "total",
-        "instance", "node_id", "parent_frames", "body", "body_gen",
-        "parked", "completed",
-    )
-
-    def __init__(self, group_id: int):
-        self.group_id = group_id
-        self.buffer: Deque[DataEnvelope] = deque()
-        self.received = 0
-        self.consumed = 0
-        self.total: Optional[int] = None
-        self.instance: Optional[int] = None
-        self.node_id: Optional[int] = None
-        self.parent_frames: Optional[Tuple[GroupFrame, ...]] = None
-        self.body: Optional["_BodyState"] = None
-        self.body_gen: Any = None
-        self.parked = False
-        self.completed = False
-
-    @property
-    def drained(self) -> bool:
-        return self.total is not None and self.consumed == self.total
-
-
-class _BodyState:
-    """One executing operation body (an activation of execute())."""
-
-    __slots__ = (
-        "op", "graph", "node_id", "thread_state", "ctx_id",
-        "base_frames", "out_group_id", "posted", "shed", "group",
-        "started_at",
-    )
-
-    def __init__(
-        self,
-        op: Operation,
-        graph: Flowgraph,
-        node_id: int,
-        thread_state: _ThreadState,
-        ctx_id: int,
-        base_frames: Tuple[GroupFrame, ...],
-        group: Optional[_GroupState] = None,
-    ):
-        self.op = op
-        self.graph = graph
-        self.node_id = node_id
-        self.thread_state = thread_state
-        self.ctx_id = ctx_id
-        #: frames attached to outputs (before the opener's own frame).
-        self.base_frames = base_frames
-        self.out_group_id: Optional[int] = None
-        self.posted = 0
-        #: posts dropped by a lossy credit window; excluded from the
-        #: announced group total so the merge still terminates exactly.
-        self.shed = 0
-        self.group = group
-        self.started_at = 0.0
-
-    @property
-    def kind(self) -> str:
-        return self.graph.node(self.node_id).kind
-
-    @property
-    def opens_group(self) -> bool:
-        return self.kind in (OpKind.SPLIT, OpKind.STREAM)
-
-
-class _ResumeGroup:
-    """Internal inbox marker: re-examine a parked group's state."""
-
-    __slots__ = ("group_id",)
-
-    def __init__(self, group_id: int):
-        self.group_id = group_id
+        self.proc = controller.engine.sim.spawn(
+            controller._thread_loop(self),
+            name=f"{controller.node_name}:{collection.name}[{index}]",
+        )
 
 
 class SimController:
-    """Controller for one node of the simulated cluster."""
+    """Scheduler substrate for one node of the simulated cluster."""
+
+    #: the simulation kernel runs one process at a time
+    lock = nullcontext()
 
     def __init__(self, engine: "SimEngine", node_name: str):
         self.engine = engine
         self.node_name = node_name
         self.node = engine.cluster.node(node_name)
+        self.scheduler = Scheduler(engine, self)
+        # group ids and admit gates come straight from the engine
+        self.next_group_id = engine.next_group_id
+        self.new_gate = engine.sim.event
         self._threads: Dict[Tuple[int, int], _ThreadState] = {}
-        self._groups: Dict[int, _GroupState] = {}
-        self._stale_totals: "deque[int]" = deque()
-        self._windows: Dict[Tuple[str, int, int], SplitWindow] = {}
-        #: tokens awaiting window admission: (body, token, succ, seq, admit)
-        self._pending: Dict[Tuple[str, int, int], Deque[tuple]] = {}
-        self._routes: Dict[Tuple[str, int], Route] = {}
-        self._route_window_cell: List[Optional[SplitWindow]] = [None]
         self._launched: set = set()
         self._launching: Dict[str, List[Any]] = {}
 
     # ------------------------------------------------------------------
     # thread management
     # ------------------------------------------------------------------
-    def thread_state(self, collection: ThreadCollection, index: int) -> _ThreadState:
+    def thread_state(self, collection: ThreadCollection,
+                     index: int) -> _ThreadState:
         key = (id(collection), index)
         ts = self._threads.get(key)
         if ts is None:
@@ -219,30 +93,50 @@ class SimController:
                     f"thread {collection.name}[{index}] is mapped to "
                     f"{collection.node_of(index)}, not {self.node_name}"
                 )
-            ts = _ThreadState(self, collection, index)
-            self._threads[key] = ts
-        if not ts.started:
-            ts.started = True
-            ts.proc = self.engine.sim.spawn(
-                self._thread_loop(ts),
-                name=f"{self.node_name}:{collection.name}[{index}]",
-            )
+            ts = self._threads[key] = _ThreadState(self, collection, index)
         return ts
 
-    def _thread_loop(self, ts: _ThreadState):
-        from ..simkernel import Interrupt
+    def thread(self, collection: ThreadCollection,
+               index: int) -> Optional[DpsThread]:
+        """The thread object of instance *index*, if it ever ran here."""
+        ts = self._threads.get((id(collection), index))
+        return ts.thread if ts is not None else None
 
+    def _thread_loop(self, ts: _ThreadState):
+        scheduler = self.scheduler
         while True:
             try:
                 item = yield ts.inbox.get()
             except Interrupt:
                 return  # thread evicted (collection remapped)
-            if isinstance(item, DataEnvelope):
-                yield from self._handle_data(ts, item)
-            elif isinstance(item, _ResumeGroup):
-                yield from self._poke_group(ts, item.group_id)
-            else:  # pragma: no cover - defensive
-                raise ScheduleError(f"unexpected inbox item {item!r}")
+            steps = scheduler.handle(ts, item)
+            outcome = None
+            while True:
+                try:
+                    body, step = steps.send(outcome)
+                except StopIteration:
+                    break
+                outcome = yield from self.perform(body, step)
+
+    def perform(self, body, step):
+        """Wait out one scheduler step in virtual time."""
+        if isinstance(step, ChargeRequest):
+            seconds = step.seconds + (
+                step.flops / self.node.spec.flops if step.flops else 0.0)
+            if seconds > 0:
+                yield from self.node.compute_seconds(seconds)
+        elif isinstance(step, Event):
+            yield step  # the admit gate of a stalled post
+        elif isinstance(step, SleepRequest):
+            yield self.engine.sim.timeout(step.seconds)
+        elif isinstance(step, CallGraphRequest):
+            return (yield self.engine.start_call(
+                step.graph_name, step.token, self.node_name))
+        else:  # ScatterCallRequest
+            return (yield self.engine.start_scatter(
+                step.graph_name, step.token, self.node_name,
+                on_token=lambda tok: self.scheduler.emit(
+                    body, PostRequest(tok))))
 
     # ------------------------------------------------------------------
     # dynamic remapping (runtime reshaping, paper §2/§6)
@@ -250,8 +144,7 @@ class SimController:
     def evict_thread(self, collection: ThreadCollection, index: int):
         """Detach a quiescent thread for migration; returns the thread
         object, or None if it never ran here."""
-        key = (id(collection), index)
-        ts = self._threads.pop(key, None)
+        ts = self._threads.get((id(collection), index))
         if ts is None:
             return None
         if len(ts.inbox) or ts.inbox.waiting_putters:
@@ -259,9 +152,18 @@ class SimController:
                 f"cannot migrate {collection.name}[{index}]: envelopes "
                 f"still queued; remap only quiescent schedules"
             )
-        if ts.proc is not None and ts.proc.is_alive:
-            ts.proc.interrupt("remap")
+        self.discard_thread(collection, index)
         return ts.thread
+
+    def discard_thread(self, collection: ThreadCollection,
+                       index: int) -> bool:
+        """Drop instance *index* and whatever state it holds."""
+        ts = self._threads.pop((id(collection), index), None)
+        if ts is None:
+            return False
+        if ts.proc.is_alive:
+            ts.proc.interrupt("discarded")
+        return True
 
     def adopt_thread(self, collection: ThreadCollection, index: int,
                      thread) -> None:
@@ -272,17 +174,23 @@ class SimController:
                 f"{collection.name}[{index}] already lives on {self.node_name}"
             )
         thread.node_name = self.node_name
-        ts = _ThreadState(self, collection, index, thread=thread)
-        ts.started = True
-        ts.proc = self.engine.sim.spawn(
-            self._thread_loop(ts),
-            name=f"{self.node_name}:{collection.name}[{index}]",
-        )
-        self._threads[key] = ts
+        self._threads[key] = _ThreadState(self, collection, index, thread)
+
+    def fail(self) -> int:
+        """Node crash: lose every thread and the launched applications."""
+        lost = list(self._threads.values())
+        for ts in lost:
+            self.discard_thread(ts.collection, ts.index)
+        self._launched.clear()
+        return len(lost)
 
     # ------------------------------------------------------------------
     # inbound paths (called by the engine at message delivery time)
     # ------------------------------------------------------------------
+    def prelaunch(self, apps) -> None:
+        """Mark *apps* as already running here (no lazy-launch delay)."""
+        self._launched.update(apps)
+
     def receive(self, message: Any) -> None:
         """Entry point for delivered messages (post-launch gate)."""
         app = self.engine.app_of(message) if isinstance(message, DataEnvelope) else None
@@ -308,572 +216,80 @@ class SimController:
     def _dispatch(self, message: Any) -> None:
         if isinstance(message, DataEnvelope):
             node = message.graph.node(message.node_id)
-            ts = self.thread_state(node.collection, message.instance)
-            ts.inbox.put(message)
+            self.enqueue(self.thread_state(node.collection, message.instance),
+                         message)
         elif isinstance(message, AckMessage):
-            self._on_ack(message)
+            self.scheduler.apply_ack(message.graph_name, message.opener,
+                                     message.opener_instance,
+                                     message.routed_instance)
         elif isinstance(message, GroupTotalMessage):
-            self._on_group_total(message)
+            self.scheduler.apply_group_total(message.group_id, message.total)
         else:  # pragma: no cover - defensive
             raise ScheduleError(f"unknown message {message!r}")
 
-    def _on_ack(self, ack: AckMessage) -> None:
-        key = (ack.graph_name, ack.opener, ack.opener_instance)
-        window = self._windows.get(key)
-        if window is None:
-            raise ScheduleError(f"ack for unknown split window {key}")
-        window.on_ack(ack.routed_instance)
-        self._pump_window(key)
-
-    def _on_group_total(self, msg: GroupTotalMessage) -> None:
-        group = self._groups.get(msg.group_id)
-        if group is None:
-            group = _GroupState(msg.group_id)
-            self._groups[msg.group_id] = group
-            self._stale_totals.append(msg.group_id)
-            while len(self._stale_totals) > MAX_STALE_GROUPS:
-                old = self._stale_totals.popleft()
-                stale = self._groups.get(old)
-                if stale is not None and stale.received == 0:
-                    del self._groups[old]
-        group.total = msg.total
-        if group.body is not None and group.parked:
-            # Wake the owning thread to re-check drain status.
-            group.body.thread_state.inbox.put(_ResumeGroup(msg.group_id))
-
     # ------------------------------------------------------------------
-    # envelope handling inside the thread loop
+    # the rest of the substrate interface (see repro.runtime.scheduler)
     # ------------------------------------------------------------------
-    def _handle_data(self, ts: _ThreadState, env: DataEnvelope):
-        node = env.graph.node(env.node_id)
-        kind = node.kind
-        engine = self.engine
-        if engine.tracer is not None:
-            engine.trace("token_recv", node=self.node_name,
-                         op=node.name, graph=env.graph.name,
-                         depth=len(ts.inbox))
-        if engine.metrics is not None:
-            engine.metrics.gauge("queue_depth").set(len(ts.inbox))
-        if kind in (OpKind.LEAF, OpKind.SPLIT):
-            body = self._make_body(env, ts)
-            yield from self._drive(body, env.token)
-            return
-        # merge / stream: group bookkeeping
-        frame = env.top_frame()
-        group = self._groups.get(frame.group_id)
-        if group is None:
-            group = _GroupState(frame.group_id)
-            self._groups[frame.group_id] = group
-        if group.instance is None:
-            group.instance = env.instance
-            group.node_id = env.node_id
-            group.parent_frames = env.frames[:-1]
-        else:
-            if group.instance != env.instance or group.node_id != env.node_id:
-                raise ScheduleError(
-                    f"group {frame.group_id} routed to multiple merge "
-                    f"instances ({group.node_id}/{group.instance} and "
-                    f"{env.node_id}/{env.instance}); routing functions must "
-                    f"send all tokens of one group to the same thread"
-                )
-            if group.parent_frames != env.frames[:-1]:
-                raise ScheduleError(
-                    f"group {frame.group_id} tokens carry inconsistent "
-                    f"enclosing frames"
-                )
-        group.received += 1
-        if group.body is None:
-            # First token starts the merge/stream body.
-            group.consumed += 1
-            self._send_ack(env)
-            body = self._make_body(env, ts, group=group)
-            group.body = body
-            yield from self._drive(body, env.token)
-        elif group.parked:
-            group.buffer.append(env)
-            yield from self._poke_group(ts, frame.group_id)
-        else:
-            group.buffer.append(env)
+    def now(self) -> float:
+        return self.engine.sim.now
 
-    def _poke_group(self, ts: _ThreadState, group_id: int):
-        """Resume a parked merge/stream body if it can make progress."""
-        group = self._groups.get(group_id)
-        if group is None or group.body is None or not group.parked:
-            return
-        if group.buffer:
-            env = group.buffer.popleft()
-            group.consumed += 1
-            group.parked = False
-            self._send_ack(env)
-            self._check_in_type(group.body, env.token)
-            yield from self._drive(group.body, env.token, resume=True)
-        elif group.drained:
-            group.parked = False
-            group.completed = True
-            yield from self._drive(group.body, None, resume=True)
+    open_gate = staticmethod(Event.succeed)
 
-    def _make_body(
-        self, env: DataEnvelope, ts: _ThreadState, group: Optional[_GroupState] = None
-    ) -> _BodyState:
-        node = env.graph.node(env.node_id)
-        op: Operation = node.op_class()
-        if not isinstance(ts.thread, node.op_class.thread_type):
-            raise ScheduleError(
-                f"{node.op_class.__name__} requires thread type "
-                f"{node.op_class.thread_type.__name__}, got "
-                f"{type(ts.thread).__name__}"
-            )
-        if node.kind in (OpKind.LEAF, OpKind.SPLIT):
-            base = env.frames
-        else:  # merge and stream outputs sit outside the consumed group
-            base = env.frames[:-1]
-        body = _BodyState(op, env.graph, env.node_id, ts, env.ctx_id, base, group)
-        body.started_at = self.engine.sim.now
-        if self.engine.tracer is not None:
-            self.engine.trace("op_start", node=self.node_name,
-                              op=node.name, graph=env.graph.name)
-        op.bind(
-            ts.thread,
-            lambda req, b=body: self._emit(b, req),
-            now=lambda: self.engine.sim.now,
-        )
-        return body
+    def enqueue(self, ts: _ThreadState, item: Any) -> None:
+        ts.inbox.put(item)
 
-    # ------------------------------------------------------------------
-    # body driver
-    # ------------------------------------------------------------------
-    def _drive(self, body: _BodyState, first_value: Any, resume: bool = False):
-        """Run an operation body, interpreting effect requests.
-
-        This generator executes inside the owning thread's loop, so the
-        DPS thread is busy for the duration (sequential thread semantics).
-        """
-        op = body.op
-        if not resume:
-            if not isinstance(first_value, Token):
-                raise ScheduleError("operation started without a token")
-            self._check_in_type(body, first_value)
-            if not _is_generator_body(op):
-                if body.kind in (OpKind.MERGE, OpKind.STREAM):
-                    raise ScheduleError(
-                        f"{type(op).__name__}.execute must be a generator "
-                        f"(it needs `tok = yield self.next_token()` to "
-                        f"consume its group)"
-                    )
-                # Plain body: charge the declared cost, then run atomically
-                # (compute first, outputs leave when ready).
-                charge = op.cost(first_value)
-                if charge.seconds or charge.flops:
-                    yield from self._charge(charge)
-                op.execute(first_value)
-                self._finish_body(body)
-                return
-            body_gen = op.execute(first_value)
-            to_send: Any = None
-            throw: Optional[BaseException] = None
-        else:
-            assert body.group is not None
-            body_gen = body.group.body_gen
-            to_send = first_value
-            throw = None
-
-        while True:
-            try:
-                if throw is not None:
-                    request = body_gen.throw(throw)
-                    throw = None
-                else:
-                    request = body_gen.send(to_send)
-            except StopIteration:
-                self._finish_body(body)
-                return
-            to_send = None
-            if isinstance(request, PostRequest):
-                # Already emitted via the bare-call hook; yielding means
-                # "wait until flow control admits it".
-                admit = getattr(request, "_admit_event", None)
-                if admit is not None and not admit.triggered:
-                    window = self._body_window(body)
-                    if window is not None:
-                        window.on_stall()
-                    engine = self.engine
-                    stalled_at = engine.sim.now
-                    if engine.tracer is not None:
-                        engine.trace("stall", node=self.node_name,
-                                     graph=body.graph.name)
-                    if engine.metrics is not None:
-                        engine.metrics.counter("stalls").inc()
-                    yield admit
-                    waited = engine.sim.now - stalled_at
-                    if engine.tracer is not None:
-                        engine.trace("admit", node=self.node_name,
-                                     graph=body.graph.name, waited=waited)
-                    if engine.metrics is not None:
-                        engine.metrics.histogram("stall_seconds").observe(waited)
-            elif isinstance(request, ChargeRequest):
-                yield from self._charge(request)
-            elif isinstance(request, SleepRequest):
-                # Pacing delay (stream sources): pure virtual-time wait,
-                # no compute charged against the node.
-                if request.seconds > 0:
-                    yield self.engine.sim.timeout(request.seconds)
-            elif isinstance(request, NextTokenRequest):
-                group = body.group
-                if group is None:
-                    raise ScheduleError("next_token() outside a merge/stream body")
-                if group.buffer:
-                    env = group.buffer.popleft()
-                    group.consumed += 1
-                    self._send_ack(env)
-                    self._check_in_type(body, env.token)
-                    to_send = env.token
-                elif group.drained:
-                    group.completed = True
-                    to_send = None
-                else:
-                    group.parked = True
-                    group.body_gen = body_gen
-                    return  # thread loop regains control
-            elif isinstance(request, CallGraphRequest):
-                call_event = self.engine.start_call(
-                    request.graph_name, request.token, self.node_name
-                )
-                outcome = yield call_event
-                to_send = outcome
-            elif isinstance(request, ScatterCallRequest):
-                if not body.opens_group:
-                    raise ScheduleError(
-                        "call_scatter() outside a split/stream body"
-                    )
-                scatter_event = self.engine.start_scatter(
-                    request.graph_name,
-                    request.token,
-                    self.node_name,
-                    on_token=lambda tok, b=body: self._emit(b, PostRequest(tok)),
-                )
-                outcome = yield scatter_event
-                to_send = outcome
-            else:
-                raise ScheduleError(
-                    f"{type(op).__name__} yielded {request!r}; operation "
-                    f"bodies may yield post/charge/sleep/next_token/"
-                    f"call_graph requests only"
-                )
-        # not reached
-
-    def _charge(self, charge: ChargeRequest):
-        seconds = charge.seconds + (
-            charge.flops / self.node.spec.flops if charge.flops else 0.0
-        )
-        if seconds > 0:
-            yield from self.node.compute_seconds(seconds)
-
-    def _check_in_type(self, body: _BodyState, token: Token) -> None:
-        if not body.op.accepts(type(token)):
-            raise ScheduleError(
-                f"{type(body.op).__name__} received "
-                f"{type(token).__name__}, accepts "
-                f"{[t.__name__ for t in body.op.in_types]}"
-            )
-
-    def _finish_body(self, body: _BodyState) -> None:
-        if self.engine.tracer is not None:
-            self.engine.trace(
-                "op_end",
-                node=self.node_name,
-                op=body.graph.node(body.node_id).name,
-                graph=body.graph.name,
-                duration=self.engine.sim.now - body.started_at,
-                posted=body.posted,
-            )
-        group = body.group
-        if group is not None:
-            if not group.completed:
-                raise ScheduleError(
-                    f"{type(body.op).__name__} returned before consuming its "
-                    f"whole group (consumed {group.consumed} of "
-                    f"{group.total if group.total is not None else 'unknown'})"
-                )
-            del self._groups[group.group_id]
-        if body.opens_group:
-            if body.posted == 0:
-                raise ScheduleError(
-                    f"{type(body.op).__name__} ({body.kind}) posted no "
-                    f"tokens; a split/stream group must contain at least one"
-                )
-            if body.posted - body.shed == 0:
-                raise ScheduleError(
-                    f"{type(body.op).__name__} ({body.kind}): the credit "
-                    f"window shed every posted token ({body.shed}); the "
-                    f"group would announce total 0 and hang its merge"
-                )
-            self._close_group(body)
-
-    # ------------------------------------------------------------------
-    # posting path
-    # ------------------------------------------------------------------
-    def _emit(self, body: _BodyState, req: PostRequest) -> None:
-        token = req.token
-        node = body.graph.node(body.node_id)
-        if self.engine.metrics is not None:
-            self.engine.metrics.counter("tokens_posted").inc()
-        if not isinstance(token, node.op_class.out_types):
-            raise ScheduleError(
-                f"{node.op_class.__name__} posted {type(token).__name__}, "
-                f"declares out_types "
-                f"{[t.__name__ for t in node.op_class.out_types]}"
-            )
-        succ = body.graph.dispatch(body.node_id, type(token))
-        if succ is None:
-            if body.graph.scatter:
-                # scatter-graph exit: each token leaves towards the
-                # calling application, carrying its group frame so the
-                # caller can acknowledge it for flow control
-                frame = None
-                if body.opens_group:
-                    if body.out_group_id is None:
-                        body.out_group_id = self.engine.next_group_id()
-                    frame = GroupFrame(
-                        group_id=body.out_group_id,
-                        index=body.posted,
-                        opener=body.node_id,
-                        opener_instance=body.thread_state.index,
-                        origin_node=self.node_name,
-                        routed_instance=0,
-                    )
-                elif body.base_frames:
-                    frame = body.base_frames[-1]
-                body.posted += 1
-                # acks apply only when the token went through an upstream
-                # opener's flow-control window (leaf exit); a split exit
-                # emits directly and is throttled by the caller instead
-                self.engine.complete_activation(
-                    body.ctx_id, token, self.node_name, frame=frame,
-                    needs_ack=not body.opens_group,
-                )
-                return
-            # Graph result: leaves through the exit at group depth 0.
-            if body.base_frames and not body.opens_group:
-                raise ScheduleError(
-                    "graph result posted from inside an open split-merge group"
-                )
-            body.posted += 1
-            self.engine.complete_activation(body.ctx_id, token, self.node_name)
-            return
-        window: Optional[SplitWindow] = None
-        if body.opens_group:
-            if body.out_group_id is None:
-                body.out_group_id = self.engine.next_group_id()
-            window = self._window_for(body)
-        seq = body.posted
-        body.posted += 1
-        if window is not None:
-            key = (body.graph.name, body.node_id, body.thread_state.index)
-            if not window.can_send or self._pending.get(key):
-                # Routing is deferred until the window admits the token,
-                # so feedback-driven routes see up-to-date counters — the
-                # paper routes "to those processing nodes which have
-                # previously posted data objects to the merge operation".
-                shedding = getattr(window, "shedding", "block")
-                if shedding == "block":
-                    admit = self.engine.sim.event()
-                    req._admit_event = admit  # type: ignore[attr-defined]
-                    self._pending.setdefault(key, deque()).append(
-                        (body, token, succ, seq, admit)
-                    )
-                    return
-                # Lossy modes never stall the poster: queued entries carry
-                # admit=None and the queue is capped at the window size.
-                queue = self._pending.setdefault(key, deque())
-                if len(queue) >= (window.window or 1):
-                    if shedding == "drop-oldest":
-                        for i, entry in enumerate(queue):
-                            if entry[0] is body:
-                                del queue[i]
-                                self._record_shed(body, window)
-                                break
-                        else:
-                            # No queued entry of the live poster — dropping
-                            # another body's token would corrupt its
-                            # announced total; shed the incoming instead.
-                            self._record_shed(body, window)
-                            return
-                    else:  # "shed": drop the incoming token
-                        self._record_shed(body, window)
-                        return
-                queue.append((body, token, succ, seq, None))
-                return
-        self._send_routed(body, token, succ, seq, window)
-
-    def _record_shed(self, body: _BodyState, window: SplitWindow) -> None:
-        if isinstance(window, CreditWindow):
-            window.on_shed()
-        body.shed += 1
-        if self.engine.tracer is not None:
-            self.engine.trace("shed", node=self.node_name,
-                              graph=body.graph.name)
-        if self.engine.metrics is not None:
-            self.engine.metrics.counter("tokens_shed").inc()
-
-    def _send_routed(self, body: _BodyState, token: Token, succ: int,
-                     seq: int, window: Optional[SplitWindow]) -> None:
-        """Route *token* to a thread instance and transmit it."""
-        succ_node = body.graph.node(succ)
-        route = self._route_for(body.graph, succ, succ_node, window)
-        instance = route(token)
-        dest = succ_node.collection.node_of(instance)
-        frames = body.base_frames
-        if body.opens_group:
-            frames = frames + (
-                GroupFrame(
-                    group_id=body.out_group_id,
-                    index=seq,
-                    opener=body.node_id,
-                    opener_instance=body.thread_state.index,
-                    origin_node=self.node_name,
-                    routed_instance=instance,
-                ),
-            )
-        env = DataEnvelope(
-            token=token,
-            graph=body.graph,
-            node_id=succ,
-            instance=instance,
-            ctx_id=body.ctx_id,
-            frames=frames,
-        )
-        if window is not None:
-            window.on_post(instance)
-        self._transmit(env, dest)
-
-    def _window_for(self, body: _BodyState) -> SplitWindow:
-        key = (body.graph.name, body.node_id, body.thread_state.index)
-        window = self._windows.get(key)
-        if window is None:
-            node = body.graph.node(body.node_id)
-            streaming = is_streaming_opener(node)
-            stream = self.engine.stream
-            window = CreditWindow(
-                stream.window_for(node.name, streaming,
-                                  self.engine.policy.window),
-                shedding=stream.shedding_for(streaming),
-            )
-            self._windows[key] = window
-        return window
-
-    def _body_window(self, body: _BodyState) -> Optional[SplitWindow]:
-        if not body.opens_group:
-            return None
-        return self._windows.get(
-            (body.graph.name, body.node_id, body.thread_state.index)
-        )
-
-    def _pump_window(self, key: Tuple[str, int, int]) -> None:
-        window = self._windows[key]
-        queue = self._pending.get(key)
-        while queue and window.can_send:
-            body, token, succ, seq, admit = queue.popleft()
-            self._send_routed(body, token, succ, seq, window)
-            if admit is not None:
-                admit.succeed()
-        if queue is not None and not queue:
-            del self._pending[key]
-
-    def _route_for(
-        self,
-        graph: Flowgraph,
-        node_id: int,
-        node: FlowgraphNode,
-        window: Optional[SplitWindow],
-    ) -> Route:
-        key = (graph.name, node_id)
-        route = self._routes.get(key)
-        if route is None:
-            cell = self._route_window_cell
-            engine = self.engine
-            collection = node.collection
-
-            def outstanding(i: int) -> int:
-                return cell[0].outstanding(i) if cell[0] is not None else 0
-
-            def depth(i: int) -> int:
-                # Observed queue depth of instance *i*, wherever it
-                # lives: the simulator plays the role of the
-                # heartbeat-fed gauge the real runtime consults.
-                host = engine.controllers.get(collection.node_of(i))
-                if host is None:
-                    return 0
-                ts = host._threads.get((id(collection), i))
-                return len(ts.inbox) if ts is not None else 0
-
-            route = engine.routing.route_class_for(node.route_class)()
-            route.bind(RoutingContext(collection, outstanding, depth))
-            self._routes[key] = route
-        self._route_window_cell[0] = window
-        return route
-
-    # ------------------------------------------------------------------
-    # transport
-    # ------------------------------------------------------------------
-    def _send_ack(self, env: DataEnvelope) -> None:
-        frame = env.top_frame()
-        ack = AckMessage(
-            graph_name=env.graph.name,
-            opener=frame.opener,
-            opener_instance=frame.opener_instance,
-            group_id=frame.group_id,
-            routed_instance=frame.routed_instance,
-        )
-        engine = self.engine
-        if engine.tracer is not None:
-            engine.trace("ack", node=self.node_name, graph=env.graph.name,
-                         opener=frame.opener, group=frame.group_id)
-        if engine.metrics is not None:
-            engine.metrics.counter("acks").inc()
-        engine.send_control(self.node_name, frame.origin_node, ACK_BYTES, ack)
-
-    def _close_group(self, body: _BodyState) -> None:
-        graph = body.graph
-        if graph.scatter and body.node_id == graph.scatter_opener:
-            # the group is merged by the calling application: report the
-            # total to the activation instead of broadcasting to merges
-            self.engine.scatter_total(body.ctx_id, body.posted - body.shed)
-            return
-        merge_id = graph.matching_merge(body.node_id)
-        merge_node = graph.node(merge_id)
-        total = body.posted - body.shed
-        for instance in range(merge_node.collection.thread_count):
-            msg = GroupTotalMessage(
-                graph_name=graph.name,
-                merge_node=merge_id,
-                instance=instance,
-                group_id=body.out_group_id,  # type: ignore[arg-type]
-                total=total,
-            )
-            dest = merge_node.collection.node_of(instance)
-            self.engine.send_control(self.node_name, dest, GROUP_TOTAL_BYTES, msg)
-
-    def _transmit(self, env: DataEnvelope, dest: str) -> None:
+    def transmit(self, env: DataEnvelope) -> None:
+        dest = env.graph.node(env.node_id).collection.node_of(env.instance)
         self.engine.transmit(env, self.node_name, dest)
+
+    def send_ack(self, graph_name: str, frame) -> None:
+        ack = AckMessage(graph_name, frame.opener, frame.opener_instance,
+                         frame.group_id, frame.routed_instance)
+        self.engine.send_control(self.node_name, frame.origin_node,
+                                 ACK_BYTES, ack)
+
+    def send_group_total(self, graph, merge_id: int, group_id: int,
+                         total: int) -> None:
+        # The opener cannot know which merge instance the group landed
+        # on: one message per instance, as the C++ runtime sends them.
+        collection = graph.node(merge_id).collection
+        for instance in range(collection.thread_count):
+            msg = GroupTotalMessage(graph.name, merge_id, instance,
+                                    group_id, total)
+            self.engine.send_control(self.node_name,
+                                     collection.node_of(instance),
+                                     GROUP_TOTAL_BYTES, msg)
+
+    def deliver_result(self, body, token, frame, needs_ack: bool) -> None:
+        self.engine.complete_activation(body.ctx_id, token, self.node_name,
+                                        frame=frame, needs_ack=needs_ack)
+
+    def scatter_total(self, body, total: int) -> None:
+        self.engine.scatter_total(body.ctx_id, total)
+
+    def queue_depth(self, collection: ThreadCollection, index: int) -> int:
+        # Observed queue depth of the instance wherever it lives: the
+        # simulator plays the role of the heartbeat-fed gauge the real
+        # runtime consults.
+        host = self.engine.controllers.get(collection.node_of(index))
+        ts = host._threads.get((id(collection), index)) \
+            if host is not None else None
+        return len(ts.inbox) if ts is not None else 0
 
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
     def open_groups(self) -> List[str]:
         """Human-readable descriptions of unfinished merge groups."""
-        out = []
-        for gid, group in self._groups.items():
-            if group.received == 0:
-                continue  # stale broadcast entry
-            out.append(
-                f"group {gid} at node {self.node_name}: received "
-                f"{group.received}, consumed {group.consumed}, total "
-                f"{group.total}"
-            )
-        return out
+        return [
+            f"group {group.group_id} at node {self.node_name}: received "
+            f"{group.received}, consumed {group.consumed}, total "
+            f"{group.total}"
+            for group in self.scheduler.open_groups()
+        ]
 
     def pending_posts(self) -> int:
-        return sum(len(q) for q in self._pending.values())
+        return self.scheduler.pending_posts()
 
-    def window_stats(self) -> Dict[Tuple[str, int, int], SplitWindow]:
-        return dict(self._windows)
+    def window_stats(self):
+        return self.scheduler.window_stats()

@@ -39,9 +39,7 @@ from ..serial.token import Token
 from ..serial.wire import decode, encode_segments, gather, measure
 from ..simkernel import Event, Process, Simulator
 from .base import (
-    ACK_BYTES,
     DATA_HEADER_BYTES,
-    AckMessage,
     DataEnvelope,
     Engine,
     RunResult,
@@ -167,7 +165,7 @@ class SimEngine(Engine):
         apps = set(self._graph_app.values())
         names = list(self.controllers)
         for controller in self.controllers.values():
-            controller._launched.update(apps)
+            controller.prelaunch(apps)
         for app in apps:
             for src in names:
                 for dst in names:
@@ -229,24 +227,8 @@ class SimEngine(Engine):
         scatter: bool = False,
         on_token=None,
     ) -> Event:
-        if isinstance(graph, str):
-            graph = self.graph(graph)
-        elif graph.name not in self._graphs:
-            self.register_graph(graph)
-        if graph.scatter and not scatter:
-            raise ScheduleError(
-                f"scatter graph {graph.name!r} must be invoked through "
-                f"call_scatter() from a split/stream operation"
-            )
-        if not isinstance(token, Token):
-            raise TypeError(f"graph input must be a Token, got {type(token).__name__}")
+        graph = self._resolve_entry(graph, token, scatter=scatter)
         entry_node = graph.node(graph.entry)
-        if not entry_node.op_class.accepts(type(token)):
-            raise ScheduleError(
-                f"graph {graph.name!r} entry accepts "
-                f"{[t.__name__ for t in entry_node.op_class.in_types]}, "
-                f"got {type(token).__name__}"
-            )
         driver = driver_node or entry_node.collection.node_of(0)
         if driver not in self.controllers:
             raise ScheduleError(f"driver node {driver!r} not in cluster")
@@ -256,9 +238,7 @@ class SimEngine(Engine):
             ctx_id, driver, event, wrap_result, self.sim.now,
             scatter=scatter, on_token=on_token, graph_name=graph.name,
         )
-        controller = self.controllers[driver]
-        route = controller._route_for(graph, graph.entry, entry_node, None)
-        instance = route(token)
+        instance = self.controllers[driver].scheduler.entry_route(graph)(token)
         env = DataEnvelope(
             token=token,
             graph=graph,
@@ -296,16 +276,10 @@ class SimEngine(Engine):
                         self.cluster.node(act.driver_node),
                         nbytes,
                     )
-                if needs_ack and frame is not None:
-                    ack = AckMessage(
-                        graph_name=act.graph_name,
-                        opener=frame.opener,
-                        opener_instance=frame.opener_instance,
-                        group_id=frame.group_id,
-                        routed_instance=frame.routed_instance,
-                    )
-                    self.send_control(act.driver_node, frame.origin_node,
-                                      ACK_BYTES, ack)
+                if needs_ack:
+                    # consumed at the caller: return the opener's credit
+                    self.controllers[act.driver_node].send_ack(
+                        act.graph_name, frame)
                 act.on_token(token)
                 act.delivered += 1
                 self._maybe_finish_scatter(act)
@@ -467,9 +441,9 @@ class SimEngine(Engine):
         group_nodes: Dict[int, list] = {}
         for controller in self.controllers.values():
             details.extend(controller.open_groups())
-            for gid, group in controller._groups.items():
-                if group.received > 0:
-                    group_nodes.setdefault(gid, []).append(controller.node_name)
+            for group in controller.scheduler.open_groups():
+                group_nodes.setdefault(group.group_id, []).append(
+                    controller.node_name)
             pending = controller.pending_posts()
             if pending:
                 details.append(
@@ -515,14 +489,7 @@ class SimEngine(Engine):
         MultiprocessEngine with ``recover=True`` for that).
         """
         self.check_quiescent()
-        controller = self.controllers[node_name]
-        lost = 0
-        for key in list(controller._threads):
-            ts = controller._threads.pop(key)
-            if ts.proc is not None and ts.proc.is_alive:
-                ts.proc.interrupt("node failure")
-            lost += 1
-        controller._launched.clear()
+        lost = self.controllers[node_name].fail()
         self.trace("node_failed", node=node_name, lost_threads=lost)
         return lost
 

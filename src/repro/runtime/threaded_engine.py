@@ -23,35 +23,22 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
-from ..core.flowcontrol import (
-    CreditWindow,
-    FlowControlPolicy,
-    SplitWindow,
-    StreamPolicy,
-)
+from ..core.flowcontrol import FlowControlPolicy, StreamPolicy
 from ..core.graph import Flowgraph
 from ..core.ops import (
     CallGraphRequest,
-    ChargeRequest,
-    NextTokenRequest,
-    Operation,
-    OpKind,
     PostRequest,
     ScatterCallRequest,
     SleepRequest,
 )
-from ..core.streams import is_streaming_opener
-from ..core.routing import Route, RoutingContext, RoutingPolicy
+from ..core.routing import RoutingPolicy
 from ..core.threads import DpsThread, ThreadCollection
 from ..serial.token import Token
 from ..serial.wire import decode, encode_segments, gather
-from .base import DataEnvelope, Engine, GroupFrame, RunResult
-from .controller import ScheduleError
-
-import inspect
+from .base import DataEnvelope, Engine, RunResult, ScheduleError
+from .scheduler import Scheduler
 
 __all__ = ["ThreadedEngine"]
 
@@ -62,14 +49,17 @@ class _ThreadWorker:
     """One DPS thread: an OS thread draining an envelope queue."""
 
     def __init__(self, engine: "ThreadedEngine", collection: ThreadCollection,
-                 index: int, thread_obj: Optional[DpsThread] = None):
+                 index: int, thread: Optional[DpsThread] = None):
         self.engine = engine
         self.collection = collection
         self.index = index
         # An adopted thread object (live state migrated from another
         # kernel) replaces the freshly constructed one.
-        self.thread_obj = (thread_obj if thread_obj is not None
-                           else collection.make_thread(index))
+        self.thread = (thread if thread is not None
+                       else collection.make_thread(index))
+        #: Placement label, fixed for the worker's life (migration evicts
+        #: the worker and adopts the thread object into a new one).
+        self.node_name = collection.node_of(index)
         self.inbox: "queue.Queue" = queue.Queue()
         self.os_thread = threading.Thread(
             target=self._loop,
@@ -79,82 +69,34 @@ class _ThreadWorker:
         self.os_thread.start()
 
     def _loop(self) -> None:
+        engine = self.engine
+        scheduler = engine.scheduler
+        engine._here.node_name = self.node_name
         while True:
             item = self.inbox.get()
             if item is _STOP:
                 return
             try:
-                if isinstance(item, DataEnvelope):
-                    self.engine._handle_data(self, item)
-                elif isinstance(item, tuple) and item[0] == "resume":
-                    self.engine._poke_group(self, item[1])
+                steps = scheduler.handle(self, item)
+                outcome = None
+                while True:
+                    try:
+                        body, step = steps.send(outcome)
+                    except StopIteration:
+                        break
+                    outcome = engine.perform(body, step)
             except BaseException as exc:  # surface to the caller of run()
-                self.engine._record_failure(exc)
+                engine._record_failure(exc)
                 return
 
 
-class _Group:
-    __slots__ = (
-        "group_id", "buffer", "received", "consumed", "total", "instance",
-        "node_id", "parent_frames", "body", "body_gen", "parked", "completed",
-        "worker",
-    )
-
-    def __init__(self, group_id: int):
-        self.group_id = group_id
-        self.buffer: Deque[DataEnvelope] = deque()
-        self.received = 0
-        self.consumed = 0
-        self.total: Optional[int] = None
-        self.instance: Optional[int] = None
-        self.node_id: Optional[int] = None
-        self.parent_frames: Optional[Tuple[GroupFrame, ...]] = None
-        self.body = None
-        self.body_gen = None
-        self.parked = False
-        self.completed = False
-        self.worker: Optional[_ThreadWorker] = None
-
-    @property
-    def drained(self) -> bool:
-        return self.total is not None and self.consumed == self.total
-
-
-class _Body:
-    __slots__ = ("op", "graph", "node_id", "worker", "ctx_id", "base_frames",
-                 "out_group_id", "posted", "shed", "group", "ctx_origin",
-                 "started_at")
-
-    def __init__(self, op, graph, node_id, worker, ctx_id, base_frames,
-                 group=None, ctx_origin=None):
-        self.op = op
-        self.graph = graph
-        self.node_id = node_id
-        self.worker = worker
-        self.ctx_id = ctx_id
-        self.base_frames = base_frames
-        self.out_group_id: Optional[int] = None
-        self.posted = 0
-        #: posts dropped by a lossy credit window; excluded from the
-        #: announced group total so the merge still terminates exactly.
-        self.shed = 0
-        self.group = group
-        #: Kernel owning the activation's result queue (multiprocess
-        #: runtime); ``None`` on the single-process engines.
-        self.ctx_origin = ctx_origin
-        self.started_at = 0.0
-
-    @property
-    def kind(self):
-        return self.graph.node(self.node_id).kind
-
-    @property
-    def opens_group(self):
-        return self.kind in (OpKind.SPLIT, OpKind.STREAM)
-
-
 class ThreadedEngine(Engine):
-    """Execute DPS schedules on real OS threads with blocking queues."""
+    """Execute DPS schedules on real OS threads with blocking queues.
+
+    The scheduler substrate for OS threads: steps that must wait block
+    the worker's OS thread, and an ``RLock`` guards the scheduler's
+    tables against the other workers.
+    """
 
     def __init__(self, policy: Optional[FlowControlPolicy] = None,
                  serialize_transfers: bool = True,
@@ -171,39 +113,31 @@ class ThreadedEngine(Engine):
         #: Serialize tokens crossing logical node boundaries (wire-format
         #: round trip), as the DPS debugging kernels do.
         self.serialize_transfers = serialize_transfers
-        self._lock = threading.RLock()
+        #: Guards the scheduler's tables and the engine's own.
+        self.lock = threading.RLock()
+        self.scheduler = Scheduler(self, self)
         self._workers: Dict[Tuple[int, int], _ThreadWorker] = {}
-        self._groups: Dict[int, _Group] = {}
-        self._windows: Dict[Tuple[str, int, int], SplitWindow] = {}
-        self._pending: Dict[Tuple[str, int, int],
-                            Deque[Tuple[DataEnvelope, Optional[threading.Event]]]] = {}
-        self._routes: Dict[Tuple[str, int], Route] = {}
+        #: ``node_name`` of the worker running on the current OS thread
+        #: (unset on driver and I/O threads).
+        self._here = threading.local()
         self._group_counter = 0
         self._ctx_counter = 0
+        #: ctx_id -> queue the activation's caller waits on: the result
+        #: token of a graph call; every output token, then the group
+        #: total, of a scatter call; an exception if the engine fails
         self._results: Dict[int, "queue.Queue"] = {}
-        #: ctx_id -> [on_token, delivered, total, done_event] for scatter calls
-        self._scatters: Dict[int, list] = {}
         self._failure: Optional[BaseException] = None
         self._closed = False
         #: Kernel name stamped on activations this engine starts; ``None``
         #: keeps results local (the multiprocess kernel overrides it).
         self._origin_name: Optional[str] = None
-        #: Split-boundary replay hooks, populated only by the
-        #: recovery-enabled distributed kernel: a
-        #: :class:`~repro.net.recovery.TokenJournal` of un-acked emitted
-        #: tokens and a :class:`~repro.net.recovery.ReplayDedup`
-        #: admitting each (group, index) frame at non-leaf inputs once.
-        self._journal = None
-        self._dedup = None
 
     # ------------------------------------------------------------------
-    # lifecycle (registration comes from the shared Engine base; the old
-    # per-engine register_graph spelling with its "accepted for SimEngine
-    # parity" app_name shim is deprecated in favour of the base method)
+    # lifecycle (registration comes from the shared Engine base)
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
         """Stop all worker threads (idempotent)."""
-        with self._lock:
+        with self.lock:
             if self._closed:
                 return
             self._closed = True
@@ -216,24 +150,26 @@ class ThreadedEngine(Engine):
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
+    def _activate(self, graph: Flowgraph, token: Token,
+                  result_q: "queue.Queue") -> int:
+        """Register an activation and send its input token to the entry."""
+        with self.lock:
+            self._ctx_counter += 1
+            ctx_id = self._ctx_counter
+            self._results[ctx_id] = result_q
+            instance = self.scheduler.entry_route(graph)(token)
+        if self.tracer is not None:
+            self.trace("activation_start", graph=graph.name,
+                       driver=graph.node(graph.entry).collection
+                       .node_of(instance))
+        self.transmit(DataEnvelope(token, graph, graph.entry, instance,
+                                   ctx_id, (), ctx_origin=self._origin_name))
+        return ctx_id
+
     def run(self, graph: Union[Flowgraph, str], token: Token,
             timeout: float = 60.0) -> Token:
         """Run one activation to completion; returns the result token."""
-        if isinstance(graph, str):
-            graph = self.graph(graph)
-        elif graph.name not in self._graphs:
-            self.register_graph(graph)
-        entry = graph.node(graph.entry)
-        if graph.scatter:
-            raise ScheduleError(
-                f"scatter graph {graph.name!r} must be invoked through "
-                f"call_scatter() from a split/stream operation"
-            )
-        if not entry.op_class.accepts(type(token)):
-            raise ScheduleError(
-                f"graph {graph.name!r} entry does not accept "
-                f"{type(token).__name__}"
-            )
+        graph = self._resolve_entry(graph, token)
         failure = self._failure
         if failure is not None:
             # A worker (or remote kernel) already died; every subsequent
@@ -241,20 +177,9 @@ class ThreadedEngine(Engine):
             raise ScheduleError(
                 "engine has failed; shut it down and create a new one"
             ) from failure
-        with self._lock:
-            self._ctx_counter += 1
-            ctx_id = self._ctx_counter
-            result_q: "queue.Queue" = queue.Queue()
-            self._results[ctx_id] = result_q
-            route = self._route_for(graph, graph.entry, entry, None)
-            instance = route(token)
-        if self.tracer is not None:
-            self.trace("activation_start", graph=graph.name,
-                       driver=entry.collection.node_of(instance))
-        env = DataEnvelope(token, graph, graph.entry, instance, ctx_id, (),
-                           ctx_origin=self._origin_name)
+        result_q: "queue.Queue" = queue.Queue()
         started_at = time.monotonic()
-        self._deliver(env)
+        ctx_id = self._activate(graph, token, result_q)
         try:
             outcome = result_q.get(timeout=timeout)
         except queue.Empty:
@@ -266,7 +191,7 @@ class ThreadedEngine(Engine):
                 f"likely a routing bug or flow-control deadlock"
             ) from None
         finally:
-            with self._lock:
+            with self.lock:
                 self._results.pop(ctx_id, None)
         if isinstance(outcome, BaseException):
             raise outcome
@@ -275,77 +200,56 @@ class ThreadedEngine(Engine):
         self.last_result = RunResult(outcome, started_at, time.monotonic())
         return outcome
 
-    def _run_scatter(self, request: ScatterCallRequest, body: _Body) -> int:
+    def _run_scatter(self, request: ScatterCallRequest, body) -> int:
         """Run a remote scatter graph; its outputs become *body*'s posts."""
         graph = self.graph(request.graph_name)
         if not graph.scatter:
             raise ScheduleError(
                 f"graph {request.graph_name!r} is not a scatter graph"
             )
-        entry = graph.node(graph.entry)
-        done = threading.Event()
-        with self._lock:
-            self._ctx_counter += 1
-            ctx_id = self._ctx_counter
-            self._scatters[ctx_id] = [
-                lambda tok, b=body: self._emit(b, PostRequest(tok)),
-                0, None, done,
-            ]
-            route = self._route_for(graph, graph.entry, entry, None)
-            instance = route(request.token)
-        if self.tracer is not None:
-            self.trace("activation_start", graph=graph.name,
-                       driver=entry.collection.node_of(instance))
-        env = DataEnvelope(request.token, graph, graph.entry, instance,
-                           ctx_id, (), ctx_origin=self._origin_name)
-        self._deliver(env)
-        completed = done.wait(timeout=60)
-        failure = self._failure
-        if failure is not None:
-            raise failure
-        if not completed:
+        arrivals: "queue.Queue" = queue.Queue()
+        ctx_id = self._activate(graph, request.token, arrivals)
+        delivered, total = 0, None
+        try:
+            while total is None or delivered < total:
+                item = arrivals.get(timeout=60)
+                if isinstance(item, BaseException):
+                    raise item
+                if isinstance(item, Token):
+                    self.scheduler.emit(body, PostRequest(item))
+                    delivered += 1
+                else:
+                    total = item
+        except queue.Empty:
             raise ScheduleError(
                 f"scatter call {request.graph_name!r} did not complete"
-            )
-        with self._lock:
-            state = self._scatters.pop(ctx_id)
+            ) from None
+        finally:
+            with self.lock:
+                self._results.pop(ctx_id, None)
         if self.tracer is not None:
             self.trace("activation_done", ctx=ctx_id, scatter=True)
-        return state[2]
+        return total
 
-    def _scatter_token(self, ctx_id: int, token: Token) -> None:
-        with self._lock:
-            state = self._scatters.get(ctx_id)
-            if state is None:
-                raise ScheduleError(f"scatter result for unknown ctx {ctx_id}")
-        state[0](token)
-        with self._lock:
-            state[1] += 1
-            if state[2] is not None and state[1] >= state[2]:
-                state[3].set()
-
-    def scatter_total(self, ctx_id: int, total: int) -> None:
-        with self._lock:
-            state = self._scatters.get(ctx_id)
-            if state is None:
-                raise ScheduleError(f"scatter total for unknown ctx {ctx_id}")
-            state[2] = total
-            if state[1] >= total:
-                state[3].set()
+    def _result_arrived(self, ctx_id: int, item: Any,
+                        late_ok: bool = False) -> None:
+        """Hand a result token, scatter output or scatter total to the
+        activation's waiting caller."""
+        with self.lock:
+            result_q = self._results.get(ctx_id)
+        if result_q is not None:
+            result_q.put(item)
+        elif not late_ok:
+            raise ScheduleError(f"result for unknown activation {ctx_id}")
 
     def _record_failure(self, exc: BaseException,
                         propagate: bool = True) -> None:
-        with self._lock:
+        with self.lock:
             if self._failure is None:
                 self._failure = exc
             queues = list(self._results.values())
-            scatter_events = [state[3] for state in self._scatters.values()]
         for q in queues:
             q.put(exc)
-        # Wake scatter callers parked on their done events; they re-check
-        # self._failure after the wait and re-raise.
-        for event in scatter_events:
-            event.set()
         if propagate:
             self._propagate_failure(exc)
 
@@ -353,16 +257,23 @@ class ThreadedEngine(Engine):
         """Hook: forward a local failure to remote kernels (no-op here)."""
 
     # ------------------------------------------------------------------
-    # transport
+    # thread instances
     # ------------------------------------------------------------------
     def _worker_for(self, collection: ThreadCollection, index: int) -> _ThreadWorker:
-        with self._lock:
+        with self.lock:
             key = (id(collection), index)
             worker = self._workers.get(key)
             if worker is None:
                 worker = _ThreadWorker(self, collection, index)
                 self._workers[key] = worker
             return worker
+
+    def thread(self, collection: ThreadCollection,
+               index: int) -> Optional[DpsThread]:
+        """The thread object of instance *index*, if it ever ran here."""
+        with self.lock:
+            worker = self._workers.get((id(collection), index))
+        return worker.thread if worker is not None else None
 
     def _evict_thread(self, collection: ThreadCollection,
                       index: int) -> Optional[DpsThread]:
@@ -373,58 +284,85 @@ class ThreadedEngine(Engine):
         nothing may be routing new tokens at it.  Returns ``None`` when
         the instance was never activated here (no state to migrate).
         """
-        with self._lock:
+        with self.lock:
             worker = self._workers.pop((id(collection), index), None)
         if worker is None:
             return None
         worker.inbox.put(_STOP)
         worker.os_thread.join(timeout=10)
-        return worker.thread_obj
+        return worker.thread
 
     def _adopt_thread(self, collection: ThreadCollection, index: int,
-                      thread_obj: Optional[DpsThread]) -> None:
+                      thread: Optional[DpsThread]) -> None:
         """Install a migrated thread object as instance *index*.
 
         ``None`` means the donor never activated the instance; the worker
         is then created lazily with fresh state on first delivery, as
         usual.
         """
-        if thread_obj is None:
+        if thread is None:
             return
-        thread_obj.node_name = collection.node_of(index)
-        with self._lock:
+        thread.node_name = collection.node_of(index)
+        with self.lock:
             key = (id(collection), index)
             if key in self._workers:
                 raise ScheduleError(
                     f"instance {collection.name}[{index}] is already "
                     f"hosted here; cannot adopt migrated state")
             self._workers[key] = _ThreadWorker(self, collection, index,
-                                               thread_obj=thread_obj)
+                                               thread=thread)
 
-    def _deliver(self, env: DataEnvelope) -> None:
+    # ------------------------------------------------------------------
+    # scheduler substrate (see repro.runtime.scheduler); the distributed
+    # kernel overrides the transport hooks — transmit, send_ack,
+    # send_group_total, deliver_result, scatter_total
+    # ------------------------------------------------------------------
+    now = staticmethod(time.monotonic)
+    #: the admit gate of a stalled post is a plain event
+    new_gate = staticmethod(threading.Event)
+    open_gate = staticmethod(threading.Event.set)
+
+    def next_group_id(self) -> int:
+        with self.lock:
+            self._group_counter += 1
+            return self._group_counter
+
+    def enqueue(self, worker: _ThreadWorker, item: Any) -> None:
+        worker.inbox.put(item)
+
+    def perform(self, body, step) -> Any:
+        """Wait out one scheduler step by blocking the worker thread."""
+        if isinstance(step, threading.Event):
+            step.wait()  # the admit gate of a stalled post
+        elif isinstance(step, SleepRequest):
+            time.sleep(step.seconds)  # pacing delay: real wall-clock wait
+        elif isinstance(step, CallGraphRequest):
+            return self.run(step.graph_name, step.token)
+        elif isinstance(step, ScatterCallRequest):
+            return self._run_scatter(step, body)
+        # ChargeRequest: virtual cost, meaningless on real threads
+        return None
+
+    def transmit(self, env: DataEnvelope) -> None:
         node = env.graph.node(env.node_id)
         worker = self._worker_for(node.collection, env.instance)
-        if self.serialize_transfers and node.collection.node_of(env.instance) != \
-                self._placement_of_current_thread():
+        src = getattr(self._here, "node_name", None)
+        if self.serialize_transfers and worker.node_name != src:
             # Single-buffer wire round-trip: scatter-gather encode into
             # one owned buffer and let the receiving thread borrow
             # payloads from it (the buffer is owned solely by the
             # decoded token, so no defensive copy is needed).
-            if self.tracer is None and self.metrics is None:
-                wire = gather(encode_segments(env.token))
-                env.token = decode(wire, copy=False)
-            else:
-                t0 = time.monotonic()
-                wire = gather(encode_segments(env.token))
-                env.token = decode(wire, copy=False)
+            observed = self.tracer is not None or self.metrics is not None
+            t0 = time.monotonic() if observed else 0.0
+            wire = gather(encode_segments(env.token))
+            env.token = decode(wire, copy=False)
+            if observed:
                 seconds = time.monotonic() - t0
-                src = self._placement_of_current_thread()
-                dest = node.collection.node_of(env.instance)
                 if self.tracer is not None:
                     self.trace("serialize", node=src or "driver",
                                seconds=seconds, nbytes=len(wire))
-                    self.trace("token_send", src=src or "driver", dest=dest,
-                               nbytes=len(wire))
+                    self.trace("token_send", src=src or "driver",
+                               dest=worker.node_name, nbytes=len(wire))
                 if self.metrics is not None:
                     self.metrics.counter("wire_messages").inc()
                     self.metrics.counter("wire_bytes").inc(len(wire))
@@ -432,487 +370,33 @@ class ThreadedEngine(Engine):
             env.wire_nbytes = None
         worker.inbox.put(env)
 
-    def _placement_of_current_thread(self) -> Optional[str]:
-        name = threading.current_thread().name
-        if name.startswith("dps:"):
-            with self._lock:
-                for (cid, idx), worker in self._workers.items():
-                    if worker.os_thread is threading.current_thread():
-                        return worker.collection.node_of(idx)
-        return None
+    def send_ack(self, graph_name: str, frame) -> None:
+        self.scheduler.apply_ack(graph_name, frame.opener,
+                                 frame.opener_instance, frame.routed_instance,
+                                 frame.group_id, frame.index)
 
-    # ------------------------------------------------------------------
-    # envelope handling (runs on worker threads)
-    # ------------------------------------------------------------------
-    def _handle_data(self, worker: _ThreadWorker, env: DataEnvelope) -> None:
-        node = env.graph.node(env.node_id)
-        if self.tracer is not None:
-            self.trace("token_recv", node=node.collection.node_of(env.instance),
-                       op=node.name, graph=env.graph.name,
-                       depth=worker.inbox.qsize())
-        if self.metrics is not None:
-            self.metrics.gauge("queue_depth").set(worker.inbox.qsize())
-        if node.kind in (OpKind.LEAF, OpKind.SPLIT):
-            if node.kind is OpKind.SPLIT and env.frames \
-                    and self._dedup is not None:
-                # Replay dedup at the split's input: re-executing an
-                # already-processed token here would mint a fresh inner
-                # group and re-drive stateful merges downstream.  Leaf
-                # inputs deliberately re-execute — they are stateless
-                # and their outputs carry the same frame, so duplicates
-                # die at the next non-leaf hop.
-                frame = env.top_frame()
-                with self._lock:
-                    if not self._dedup.fresh(
-                            (env.graph.name, env.node_id),
-                            frame.group_id, frame.index):
-                        return
-            body = self._make_body(env, worker)
-            self._drive(body, env.token)
-            return
-        frame = env.top_frame()
-        with self._lock:
-            if self._dedup is not None \
-                    and not self._dedup.fresh(
-                        (env.graph.name, env.node_id),
-                        frame.group_id, frame.index):
-                return  # replayed duplicate; the original was acked
-            group = self._groups.get(frame.group_id)
-            if group is None:
-                group = _Group(frame.group_id)
-                self._groups[frame.group_id] = group
-            if group.instance is None:
-                group.instance = env.instance
-                group.node_id = env.node_id
-                group.parent_frames = env.frames[:-1]
-                group.worker = worker
-            elif group.instance != env.instance or group.node_id != env.node_id:
-                raise ScheduleError(
-                    f"group {frame.group_id} routed to multiple merge instances"
-                )
-            group.received += 1
-            start_body = group.body is None
-            if start_body:
-                group.consumed += 1
-                self._ack(env)
-        if start_body:
-            body = self._make_body(env, worker, group=group)
-            with self._lock:
-                group.body = body
-            self._drive(body, env.token)
-        else:
-            with self._lock:
-                group.buffer.append(env)
-                parked = group.parked
-            if parked:
-                self._poke_group(worker, frame.group_id)
+    def send_group_total(self, graph: Flowgraph, merge_id: int,
+                         group_id: int, total: int) -> None:
+        self.scheduler.apply_group_total(group_id, total)
 
-    def _poke_group(self, worker: _ThreadWorker, group_id: int) -> None:
-        while True:
-            with self._lock:
-                group = self._groups.get(group_id)
-                if group is None or group.body is None or not group.parked:
-                    return
-                if group.buffer:
-                    env = group.buffer.popleft()
-                    group.consumed += 1
-                    group.parked = False
-                    self._ack(env)
-                    value = env.token
-                elif group.drained:
-                    group.parked = False
-                    group.completed = True
-                    value = None
-                else:
-                    return
-            self._drive(group.body, value, resume=True)
-            return
+    def deliver_result(self, body, token: Token, frame,
+                       needs_ack: bool) -> None:
+        """Hand an exit token to the activation's caller."""
+        if needs_ack:
+            # The caller consumes scatter outputs as they arrive; return
+            # the upstream window's credit at the exit.
+            self.send_ack(body.graph.name, frame)
+        self._result_arrived(body.ctx_id, token)
 
-    def _make_body(self, env: DataEnvelope, worker: _ThreadWorker,
-                   group: Optional[_Group] = None) -> _Body:
-        node = env.graph.node(env.node_id)
-        op: Operation = node.op_class()
-        if not isinstance(worker.thread_obj, node.op_class.thread_type):
-            raise ScheduleError(
-                f"{node.op_class.__name__} requires "
-                f"{node.op_class.thread_type.__name__}"
-            )
-        base = env.frames if node.kind in (OpKind.LEAF, OpKind.SPLIT) \
-            else env.frames[:-1]
-        body = _Body(op, env.graph, env.node_id, worker, env.ctx_id, base,
-                     group, env.ctx_origin)
-        if self.tracer is not None:
-            body.started_at = time.monotonic()
-            self.trace("op_start",
-                       node=node.collection.node_of(env.instance),
-                       op=node.name, graph=env.graph.name)
-        op.bind(worker.thread_obj, lambda req, b=body: self._emit(b, req),
-                now=time.monotonic)
-        return body
+    def scatter_total(self, body, total: int) -> None:
+        self._result_arrived(body.ctx_id, total)
 
-    # ------------------------------------------------------------------
-    # body driver (blocking flavour)
-    # ------------------------------------------------------------------
-    def _drive(self, body: _Body, first_value: Any, resume: bool = False) -> None:
-        op = body.op
-        if not resume:
-            if not inspect.isgeneratorfunction(op.execute):
-                if body.kind in (OpKind.MERGE, OpKind.STREAM):
-                    raise ScheduleError(
-                        f"{type(op).__name__}.execute must be a generator"
-                    )
-                op.execute(first_value)
-                self._finish_body(body)
-                return
-            gen = op.execute(first_value)
-            to_send: Any = None
-        else:
-            gen = body.group.body_gen
-            to_send = first_value
-
-        while True:
-            try:
-                request = gen.send(to_send)
-            except StopIteration:
-                self._finish_body(body)
-                return
-            to_send = None
-            if isinstance(request, PostRequest):
-                admit = request._admit_event
-                if admit is not None:
-                    if self.tracer is None and self.metrics is None:
-                        admit.wait()  # blocking split stall
-                    else:
-                        t0 = time.monotonic()
-                        admit.wait()  # blocking split stall
-                        waited = time.monotonic() - t0
-                        node = body.graph.node(body.node_id)
-                        if self.tracer is not None:
-                            self.trace("admit",
-                                       node=node.collection.node_of(
-                                           body.worker.index),
-                                       graph=body.graph.name, waited=waited)
-                        if self.metrics is not None:
-                            self.metrics.histogram(
-                                "stall_seconds").observe(waited)
-            elif isinstance(request, ChargeRequest):
-                pass  # virtual cost: meaningless on the real-thread engine
-            elif isinstance(request, SleepRequest):
-                # Pacing delay (stream sources): real wall-clock wait.
-                if request.seconds > 0:
-                    time.sleep(request.seconds)
-            elif isinstance(request, NextTokenRequest):
-                group = body.group
-                if group is None:
-                    raise ScheduleError("next_token() outside merge/stream")
-                with self._lock:
-                    if group.buffer:
-                        env = group.buffer.popleft()
-                        group.consumed += 1
-                        self._ack(env)
-                        to_send = env.token
-                        continue
-                    if group.drained:
-                        group.completed = True
-                        to_send = None
-                        continue
-                    group.parked = True
-                    group.body_gen = gen
-                return
-            elif isinstance(request, CallGraphRequest):
-                to_send = self.run(request.graph_name, request.token)
-            elif isinstance(request, ScatterCallRequest):
-                if not body.opens_group:
-                    raise ScheduleError(
-                        "call_scatter() outside a split/stream body"
-                    )
-                to_send = self._run_scatter(request, body)
-            else:
-                raise ScheduleError(f"bad yield {request!r} from {type(op).__name__}")
-
-    def _finish_body(self, body: _Body) -> None:
-        if self.tracer is not None:
-            node = body.graph.node(body.node_id)
-            self.trace(
-                "op_end",
-                node=node.collection.node_of(body.worker.index),
-                op=node.name,
-                graph=body.graph.name,
-                duration=time.monotonic() - body.started_at,
-                posted=body.posted,
-            )
-        group = body.group
-        if group is not None:
-            with self._lock:
-                if not group.completed:
-                    raise ScheduleError(
-                        f"{type(body.op).__name__} returned before consuming "
-                        f"its whole group"
-                    )
-                del self._groups[group.group_id]
-        if body.opens_group:
-            if body.posted == 0:
-                raise ScheduleError(
-                    f"{type(body.op).__name__} posted no tokens"
-                )
-            if body.posted - body.shed == 0:
-                raise ScheduleError(
-                    f"{type(body.op).__name__}: the credit window shed "
-                    f"every posted token ({body.shed}); the group would "
-                    f"announce total 0 and hang its merge"
-                )
-            self._close_group(body)
-
-    # ------------------------------------------------------------------
-    # posting path
-    # ------------------------------------------------------------------
-    def _emit(self, body: _Body, req: PostRequest) -> None:
-        token = req.token
-        node = body.graph.node(body.node_id)
-        if self.metrics is not None:
-            self.metrics.counter("tokens_posted").inc()
-        if not any(isinstance(token, t) for t in node.op_class.out_types):
-            raise ScheduleError(
-                f"{node.op_class.__name__} posted undeclared "
-                f"{type(token).__name__}"
-            )
-        succ = body.graph.dispatch(body.node_id, type(token))
-        if succ is None:
-            body.posted += 1
-            if body.graph.scatter:
-                self._scatter_result(body, token)
-                return
-            self._final_result(body, token)
-            return
-        with self._lock:
-            window = self._window_for(body) if body.opens_group else None
-            if window is not None and body.out_group_id is None:
-                self._group_counter += 1
-                body.out_group_id = self._group_counter
-            seq = body.posted
-            body.posted += 1
-            if window is not None:
-                key = (body.graph.name, body.node_id, body.worker.index)
-                if not window.can_send or self._pending.get(key):
-                    shedding = getattr(window, "shedding", "block")
-                    if shedding == "block":
-                        # defer routing until the window admits the token
-                        admit = threading.Event()
-                        req._admit_event = admit
-                        self._pending.setdefault(key, deque()).append(
-                            (body, token, succ, seq, admit)
-                        )
-                        window.on_stall()
-                        if self.tracer is not None:
-                            self.trace("stall",
-                                       node=node.collection.node_of(
-                                           body.worker.index),
-                                       graph=body.graph.name)
-                        if self.metrics is not None:
-                            self.metrics.counter("stalls").inc()
-                        return
-                    # Lossy modes never stall the poster: queued entries
-                    # carry admit=None, queue capped at the window size.
-                    pending = self._pending.setdefault(key, deque())
-                    if len(pending) >= (window.window or 1):
-                        if shedding == "drop-oldest":
-                            for i, entry in enumerate(pending):
-                                if entry[0] is body:
-                                    del pending[i]
-                                    self._record_shed(body, window)
-                                    break
-                            else:
-                                # No queued entry of the live poster —
-                                # dropping another body's token would
-                                # corrupt its announced total; shed the
-                                # incoming instead.
-                                self._record_shed(body, window)
-                                return
-                        else:  # "shed": drop the incoming token
-                            self._record_shed(body, window)
-                            return
-                    pending.append((body, token, succ, seq, None))
-                    return
-            env = self._route_env(body, token, succ, seq, window)
-        self._deliver(env)
-
-    def _record_shed(self, body: _Body, window: SplitWindow) -> None:
-        """Count one shed post (caller holds the lock)."""
-        if isinstance(window, CreditWindow):
-            window.on_shed()
-        body.shed += 1
-        if self.tracer is not None:
-            node = body.graph.node(body.node_id)
-            self.trace("shed",
-                       node=node.collection.node_of(body.worker.index),
-                       graph=body.graph.name)
-        if self.metrics is not None:
-            self.metrics.counter("tokens_shed").inc()
-
-    def _route_env(self, body: _Body, token: Token, succ: int, seq: int,
-                   window) -> DataEnvelope:
-        """Route and wrap a token (caller holds the lock)."""
-        node = body.graph.node(body.node_id)
-        succ_node = body.graph.node(succ)
-        route = self._route_for(body.graph, succ, succ_node, window)
-        instance = route(token)
-        frames = body.base_frames
-        if body.opens_group:
-            frames = frames + (GroupFrame(
-                group_id=body.out_group_id,
-                index=seq,
-                opener=body.node_id,
-                opener_instance=body.worker.index,
-                origin_node=node.collection.node_of(body.worker.index),
-                routed_instance=instance,
-            ),)
-        if window is not None:
-            window.on_post(instance)
-        env = DataEnvelope(token, body.graph, succ, instance,
-                           body.ctx_id, frames,
-                           ctx_origin=body.ctx_origin)
-        if window is not None and self._journal is not None:
-            # Journal every windowed emission for split-boundary replay;
-            # pruned when the merge's ack arrives, so the journal is
-            # bounded by the flow-control window (tokens in flight).
-            self._journal.record(env, time.monotonic())
-        return env
-
-    def _window_for(self, body: _Body) -> SplitWindow:
-        key = (body.graph.name, body.node_id, body.worker.index)
-        window = self._windows.get(key)
-        if window is None:
-            node = body.graph.node(body.node_id)
-            streaming = is_streaming_opener(node)
-            window = CreditWindow(
-                self.stream.window_for(node.name, streaming,
-                                       self.policy.window),
-                shedding=self.stream.shedding_for(streaming),
-            )
-            self._windows[key] = window
-        return window
-
-    def _route_for(self, graph: Flowgraph, node_id: int, node, window) -> Route:
-        key = (graph.name, node_id)
-        route = self._routes.get(key)
-        if route is None:
-            route = self.routing.route_class_for(node.route_class)()
-            holder = {"window": None}
-
-            def outstanding(i: int) -> int:
-                w = holder["window"]
-                return w.outstanding(i) if w is not None else 0
-
-            collection = node.collection
-
-            def depth(i: int) -> int:
-                # Caller holds the engine lock; locally hosted instances
-                # expose their exact inbox depth, never-activated ones
-                # count as empty.
-                worker = self._workers.get((id(collection), i))
-                return worker.inbox.qsize() if worker is not None else 0
-
-            route.bind(RoutingContext(collection, outstanding, depth))
-            route._dps_holder = holder  # type: ignore[attr-defined]
-            self._routes[key] = route
-        route._dps_holder["window"] = window  # type: ignore[attr-defined]
-        return route
-
-    # ------------------------------------------------------------------
-    # results (hooks the multiprocess kernel overrides for remote ctxs)
-    # ------------------------------------------------------------------
-    def _final_result(self, body: _Body, token: Token) -> None:
-        """Deliver a depth-0 result token to its activation's caller."""
-        with self._lock:
-            result_q = self._results.get(body.ctx_id)
-        if result_q is None:
-            raise ScheduleError(f"result for unknown activation {body.ctx_id}")
-        result_q.put(token)
-
-    def _scatter_result(self, body: _Body, token: Token) -> None:
-        """Deliver a scatter-graph output token to the calling split."""
-        self._scatter_token(body.ctx_id, token)
-
-    def _announce_scatter_total(self, body: _Body) -> None:
-        """Tell the scatter caller how many tokens its group contains."""
-        self.scatter_total(body.ctx_id, body.posted - body.shed)
-
-    # ------------------------------------------------------------------
-    # feedback
-    # ------------------------------------------------------------------
-    def _ack(self, env: DataEnvelope) -> None:
-        """Consume-side ack (caller holds the lock)."""
-        frame = env.top_frame()
-        if self.tracer is not None:
-            node = env.graph.node(env.node_id)
-            self.trace("ack", node=node.collection.node_of(env.instance),
-                       graph=env.graph.name, opener=frame.opener,
-                       group=frame.group_id)
-        if self.metrics is not None:
-            self.metrics.counter("acks").inc()
-        self._send_ack(env.graph.name, frame.opener, frame.opener_instance,
-                       frame.origin_node, frame.routed_instance,
-                       frame.group_id, frame.index)
-
-    def _send_ack(self, graph_name: str, opener: int, opener_instance: int,
-                  origin_node: str, routed_instance: int,
-                  group_id: int = 0, index: int = 0) -> None:
-        """Hook: route the ack to the opener's window (local here)."""
-        self._apply_ack(graph_name, opener, opener_instance, routed_instance,
-                        group_id, index)
-
-    def _apply_ack(self, graph_name: str, opener: int, opener_instance: int,
-                   routed_instance: int, group_id: int = 0,
-                   index: int = 0) -> None:
-        """Feed an ack into the opener's window; release stalled posts.
-
-        Caller must hold the lock.
-        """
-        if self._journal is not None and group_id:
-            self._journal.prune(group_id, index)
-        key = (graph_name, opener, opener_instance)
-        window = self._windows.get(key)
-        if window is None:
-            return  # opener used no window (policy None at post time)
-        window.on_ack(routed_instance)
-        pending = self._pending.get(key)
-        to_deliver = []
-        while pending and window.can_send:
-            qbody, qtoken, qsucc, qseq, admit = pending.popleft()
-            queued_env = self._route_env(qbody, qtoken, qsucc, qseq, window)
-            to_deliver.append((queued_env, admit))
-        if pending is not None and not pending:
-            self._pending.pop(key, None)
-        for queued_env, admit in to_deliver:
-            self._deliver(queued_env)
-            if admit is not None:
-                admit.set()
-
-    def _close_group(self, body: _Body) -> None:
-        graph = body.graph
-        if graph.scatter and body.node_id == graph.scatter_opener:
-            self._announce_scatter_total(body)
-            return
-        merge_id = graph.matching_merge(body.node_id)
-        self._announce_group_total(body, merge_id)
-
-    def _announce_group_total(self, body: _Body, merge_id: int) -> None:
-        """Hook: tell the merge's kernel(s) the group's token count."""
-        self._apply_group_total(body.out_group_id, body.posted - body.shed)
-
-    def _apply_group_total(self, group_id: int, total: int) -> None:
-        """Record a group's total; resume its merge body if parked."""
-        with self._lock:
-            group = self._groups.get(group_id)
-            if group is None:
-                group = _Group(group_id)
-                self._groups[group_id] = group
-            group.total = total
-            worker = group.worker
-            parked = group.parked
-        if worker is not None and parked:
-            worker.inbox.put(("resume", group_id))
-        elif worker is None:
-            # no token has arrived yet; the total will be found when the
-            # first token creates the body
-            pass
+    def queue_depth(self, collection: Optional[ThreadCollection] = None,
+                    index: int = 0) -> int:
+        """Inbox depth of one locally hosted instance (never-activated
+        ones count as empty), or of all of them without arguments."""
+        with self.lock:
+            if collection is None:
+                return sum(w.inbox.qsize() for w in self._workers.values())
+            worker = self._workers.get((id(collection), index))
+        return worker.inbox.qsize() if worker is not None else 0

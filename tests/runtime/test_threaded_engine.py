@@ -111,11 +111,9 @@ def test_sequential_runs_and_thread_state_persist():
     with engine:
         engine.run(g, TJob(4))
         engine.run(g, TJob(4))
-        worker = next(
-            w for w in engine._workers.values() if isinstance(w.thread_obj, TWork)
-        )
+        workers = next(c for c in g.collections() if c.name == "twork")
         # thread-local state persists across runs (distributed data idiom)
-        assert worker.thread_obj.seen == 8
+        assert engine.thread(workers, 0).seen == 8
 
 
 def test_flow_control_window_one_completes():
