@@ -1,7 +1,6 @@
 """Elasticity benchmarks: adaptive routing A/B and live rescale cost.
 
-Two publishable measurements (both feed the ``elastic`` section of the
-committed ``BENCH_*.json`` via ``emit_bench.py``):
+Two measurements:
 
 - :func:`run_routing_ab` — a **deterministic** A/B of round-robin vs
   queue-depth adaptive split routing on the simulated engine.  The
@@ -38,7 +37,7 @@ from repro.runtime import MultiprocessEngine, SimEngine
 from repro.serial import SimpleToken
 
 # ---------------------------------------------------------------------------
-# skewed-load sim workload (shared with emit_bench.py)
+# skewed-load sim workload
 # ---------------------------------------------------------------------------
 
 #: One fast and one 8x slower node: the round-robin worst case.
@@ -149,7 +148,7 @@ def run_routing_ab(tokens: int = SKEW_TOKENS) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# multiprocess elastic load harness (shared with emit_bench.py)
+# multiprocess elastic load harness
 # ---------------------------------------------------------------------------
 
 def _gol_world():

@@ -11,10 +11,8 @@ its own :class:`~repro.service.ServiceClient` session over TCP):
 - phase B, throughput: each client issues ``n_calls`` sequential reads.
 
 Every reply is verified bit-for-bit against the fork-inherited world,
-so the published numbers certify *correct* requests per second, not
-just bytes moved.  ``emit_bench.py`` imports ``run_load`` to publish a
-``service_tier`` section (p50/p99 latency, requests/sec, shed count)
-into the committed ``BENCH_*.json``.
+so the reported numbers certify *correct* requests per second, not
+just bytes moved.
 
 The pytest wrapper keeps the default load small enough for the tier-1
 suite on a shared box; rates are reported, only correctness and the

@@ -16,9 +16,8 @@
    window (``shedding="shed"``), publishing how many tokens the window
    shed under a burst the pipeline cannot absorb.
 
-``emit_bench.py`` imports ``run_soak`` to publish a ``streaming``
-section into the committed ``BENCH_*.json``; the pytest wrapper keeps a
-small but complete version of the same protocol in the tier-1 suite.
+The pytest wrapper keeps a small but complete version of the same
+protocol in the tier-1 suite.
 
 Run the minutes-scale soak directly::
 

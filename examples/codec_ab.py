@@ -1,27 +1,17 @@
 #!/usr/bin/env python
-"""A/B the wire-codec fast path and the event-loop flush window.
+"""A/B the wire-codec fast path against the pure reference codec.
 
-ISSUE 9 adds two transport knobs, both reachable from the CLI surface
-(``repro-cli run --codec ... --flush-delay-us ...``) and from
-:class:`~repro.net.TransportPolicy`:
+``TransportPolicy(codec=...)`` (CLI ``--codec``, env ``REPRO_CODEC``)
+takes ``pure``, which forces the reference pure-Python visitor, or
+``auto``, which takes per-token-type plans plus the optional compiled
+``_wirec`` extension.  Wire bytes are bit-identical either way — the
+fast path is purely a CPU saving.
 
-- ``codec``: ``pure`` forces the reference pure-Python visitor;
-  ``fast``/``auto`` take per-token-type plans plus the optional
-  compiled ``_wirec`` extension.  Wire bytes are bit-identical either
-  way — the fast path is purely a CPU saving.
-- ``flush_delay_us``: ``0`` (default) coalesces frames only at the
-  event loop's quiescent points (free); ``> 0`` additionally arms a
-  Nagle-style timer window that trades round-trip latency for fewer,
-  fuller syscalls.  Control frames always bypass it.
+This example runs the same small-token ring under both and prints
+throughput plus the transport's own evidence: the ``codec_fast_path``
+counter and the ``frames_per_syscall`` histogram.
 
-This example runs the same small-token ring under each configuration
-and prints throughput plus the transport's own evidence: the
-``codec_fast_path`` counter and the ``frames_per_syscall`` histogram.
-On flow-control-bound traffic expect the fast codec to win and the
-timer window to *lose* — which is exactly why its default is 0; see
-DESIGN.md §5h for the measured discussion.
-
-Run:  python examples/codec_ab.py [--blocks N] [--flush-delay-us US]
+Run:  python examples/codec_ab.py [--blocks N]
 """
 
 import argparse
@@ -50,9 +40,8 @@ def run_config(label: str, policy: TransportPolicy, *,
         engine.collect_traces()
     counters = metrics.snapshot().get("counters", {})
     fps = metrics.histogram("frames_per_syscall")
-    print(f"  {label:<28} {blocks / wall:7.0f} tok/s   "
+    print(f"  {label:<12} {blocks / wall:7.0f} tok/s   "
           f"codec_fast_path={counters.get('codec_fast_path', 0):<6} "
-          f"flush_window_hits={counters.get('flush_window_hits', 0):<4} "
           f"frames/syscall="
           f"{fps.total / fps.count if fps.count else 0.0:.2f}")
 
@@ -61,8 +50,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--blocks", type=int, default=200)
     parser.add_argument("--block-bytes", type=int, default=512)
-    parser.add_argument("--flush-delay-us", type=int, default=200,
-                        help="timer window for the windowed configuration")
     args = parser.parse_args()
 
     print(f"compiled codec available: {fastpath.compiled_available()} "
@@ -70,18 +57,9 @@ def main() -> None:
     print(f"ring: {args.blocks} x {args.block_bytes} B over "
           f"{len(NODES)} kernel processes\n")
 
-    configs = [
-        ("codec=pure, no window",
-         TransportPolicy(codec="pure", flush_delay_us=0)),
-        ("codec=fast, no window",
-         TransportPolicy(codec="fast", flush_delay_us=0)),
-        (f"codec=fast, {args.flush_delay_us} us window",
-         TransportPolicy(codec="fast",
-                         flush_delay_us=args.flush_delay_us)),
-    ]
-    for label, policy in configs:
-        run_config(label, policy, blocks=args.blocks,
-                   block_bytes=args.block_bytes)
+    for codec in ("pure", "auto"):
+        run_config(f"codec={codec}", TransportPolicy(codec=codec),
+                   blocks=args.blocks, block_bytes=args.block_bytes)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ import time
 from typing import List, Optional
 
 from .experiments import ALL
+from .serial import fastpath
 
 __all__ = ["main"]
 
@@ -342,25 +343,11 @@ def main(argv: Optional[List[str]] = None) -> int:
              "between co-located kernels (sets REPRO_SHM=0)",
     )
     parser.add_argument(
-        "--io-mode", choices=["eventloop", "threads"], default=None,
-        help="multiprocess engine: socket I/O core — one selectors event "
-             "loop per kernel (default) or the per-peer writer / "
-             "per-connection reader threads (sets REPRO_IO_MODE)",
-    )
-    parser.add_argument(
-        "--codec", choices=["auto", "fast", "pure"], default=None,
+        "--codec", choices=fastpath.CODEC_MODES, default=None,
         help="wire codec selection: 'auto' (default) uses the compiled/"
-             "plan fast path when available, 'fast' insists on it, "
-             "'pure' forces the pure-Python reference codec — bytes are "
-             "bit-identical either way (sets REPRO_CODEC)",
-    )
-    parser.add_argument(
-        "--flush-delay-us", type=int, metavar="US", default=None,
-        help="eventloop I/O core: timer flush window in microseconds — "
-             "data frames queued within the window share one vectored "
-             "write; acks/control frames always flush immediately; 0 "
-             "(default) keeps only the free quiescent-point coalescing "
-             "(sets REPRO_FLUSH_DELAY_US)",
+             "plan fast path when available, 'pure' forces the "
+             "pure-Python reference codec — bytes are bit-identical "
+             "either way (sets REPRO_CODEC)",
     )
     parser.add_argument(
         "--routing", choices=["round_robin", "queue_depth"], default=None,
@@ -482,14 +469,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_TRANSPORT_BATCH"] = "0"
     if args.no_shm:
         os.environ["REPRO_SHM"] = "0"
-    if args.io_mode is not None:
-        os.environ["REPRO_IO_MODE"] = args.io_mode
     if args.codec is not None:
         os.environ["REPRO_CODEC"] = args.codec
-        from .serial import fastpath
         fastpath.set_codec(args.codec)  # this process, not just children
-    if args.flush_delay_us is not None:
-        os.environ["REPRO_FLUSH_DELAY_US"] = str(args.flush_delay_us)
     # Routing/scaling policies, resolved by RoutingPolicy.from_env() /
     # ScalingPolicy.from_env() in whichever engine the command builds.
     if args.routing is not None:

@@ -11,16 +11,10 @@ distributed kernel itself (:mod:`~repro.net.kernel`).
 from .connections import (
     ConnectionPool,
     DialError,
-    PeerConnection,
     TransportPolicy,
     dial_kernel,
 )
-from .eventloop import (
-    EventLoopPeer,
-    IOLoop,
-    VectoredSender,
-    eventloop_supported,
-)
+from .eventloop import EventLoopPeer, IOLoop, VectoredSender
 from .framing import (
     MAX_SENDMSG_SEGMENTS,
     FrameReader,
@@ -66,7 +60,6 @@ __all__ = [
     "NameServer",
     "NameServerClient",
     "NameServerError",
-    "PeerConnection",
     "ReplayDedup",
     "ShmReceiver",
     "ShmSender",
@@ -76,7 +69,6 @@ __all__ = [
     "VectoredSender",
     "apply_remap",
     "dial_kernel",
-    "eventloop_supported",
     "host_fingerprint",
     "plan_remap",
     "recv_message",

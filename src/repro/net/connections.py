@@ -9,42 +9,33 @@ registered yet) and the TCP connect (connection refused — the peer
 registered between listen() and our connect losing a race, or the
 directory is briefly stale).
 
-Each peer gets one unidirectional send channel: an outbox queue drained
-by a writer thread that owns all blocking socket I/O, so posting a token
-to a remote kernel is a queue append — never a network wait under the
-engine lock — and per-peer FIFO ordering is preserved (acks must not
-overtake the data tokens they answer).
-
-The writer drains the *whole* outbox each wakeup and flushes the batch
-with a single vectored :func:`~repro.net.framing.send_messages` call
-(chunked below IOV_MAX and a byte budget), so a burst of small tokens
-costs one syscall instead of one per frame.  When the peer's HELLO-time
-host fingerprint matches ours, payload segments above a size threshold
-take the :mod:`~repro.net.shm` shared-memory lane and only descriptor
-frames hit the TCP stack.  Everything is tuned through a
+Each peer gets one unidirectional send channel, an
+:class:`~repro.net.eventloop.EventLoopPeer`: posting a token to a remote
+kernel is a queue append — never a network wait under the engine lock —
+and per-peer FIFO ordering is preserved (acks must not overtake the data
+tokens they answer).  The owner's single :class:`~repro.net.eventloop.IOLoop`
+drains every outbox with vectored writes; :class:`ConnectionPool` is the
+name → channel map.  Everything is tuned through a
 :class:`TransportPolicy`.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import socket
 import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..serial.fastpath import CODEC_MODES
 from ..serial.wire import Segment
-from .framing import send_message, send_messages
-from .nameserver import NameServerClient, NameServerError, UnknownKernel
-from .protocol import encode_hello, encode_shm_attach
-from .shm import ShmSender, host_fingerprint
+from .eventloop import EventLoopPeer, IOLoop
+from .framing import send_message
+from .nameserver import NameServerClient, UnknownKernel
+from .protocol import encode_hello
 
-__all__ = ["dial_kernel", "PeerConnection", "ConnectionPool", "DialError",
-           "TransportPolicy"]
-
-_CLOSE = object()
+__all__ = ["dial_kernel", "ConnectionPool", "DialError", "TransportPolicy"]
 
 
 @dataclass(frozen=True)
@@ -59,8 +50,8 @@ class TransportPolicy:
     A/B benchmarking.
     """
 
-    #: Drain the whole outbox per writer wakeup and flush it with
-    #: vectored multi-frame sends.
+    #: Drain the whole outbox per pump and flush it with vectored
+    #: multi-frame sends.
     coalescing: bool = True
     #: Byte budget per ``sendmsg`` when coalescing (segments are never
     #: split; one oversized segment still goes out whole).
@@ -81,47 +72,16 @@ class TransportPolicy:
     shm_arena_bytes: int = 1 << 24
     #: ``recv`` size of the batch-aware frame reader.
     recv_buffer_bytes: int = 1 << 18
-    #: I/O core for the kernel wire path: ``"eventloop"`` multiplexes
-    #: every peer socket on one selectors loop thread per kernel;
-    #: ``"threads"`` keeps the per-peer writer / per-connection reader
-    #: threads (the PR 4 shape) for A/B runs and as the fallback on
-    #: platforms without a working selector.
-    io_mode: str = "eventloop"
     #: Wire codec selection: ``"auto"`` uses per-token-type plans plus
     #: the compiled visitor when the optional ``_wirec`` extension built
-    #: (pure-Python fallback otherwise), ``"fast"`` is the same
-    #: selection named explicitly for A/B runs, ``"pure"`` forces the
-    #: generic visitor.  Wire bytes are identical across all three.
+    #: (pure-Python fallback otherwise), ``"pure"`` forces the generic
+    #: visitor.  Wire bytes are identical across both.
     codec: str = "auto"
-    #: Nagle-style flush window for the eventloop sender: delay-eligible
-    #: data frames may wait up to this long (microseconds) for the
-    #: outbox to accumulate before a flush.  Control frames (acks,
-    #: results, totals, shutdown — everything that is not ``MSG_DATA``)
-    #: bypass the window and flush everything queued before them.  ``0``
-    #: (the default) disables the *timer* window; coalescing still
-    #: happens at the loop's quiescent points, which is free — a timer
-    #: delay additionally taxes every flow-control round trip (select
-    #: oversleep can stretch a 200 us window past 1 ms on a contended
-    #: host), so reserve ``> 0`` for syscall-bound pipelined workloads
-    #: where RTT does not gate throughput.
-    flush_delay_us: int = 0
 
     def __post_init__(self) -> None:
-        if self.io_mode not in ("eventloop", "threads"):
+        if self.codec not in CODEC_MODES:
             raise ValueError(
-                f"io_mode must be 'eventloop' or 'threads', "
-                f"got {self.io_mode!r}"
-            )
-        if self.codec not in ("auto", "fast", "pure"):
-            raise ValueError(
-                f"codec must be 'auto', 'fast' or 'pure', "
-                f"got {self.codec!r}"
-            )
-        if not 0 <= self.flush_delay_us <= 1_000_000:
-            raise ValueError(
-                f"flush_delay_us must be in [0, 1000000], "
-                f"got {self.flush_delay_us!r}"
-            )
+                f"codec must be one of {CODEC_MODES}, got {self.codec!r}")
 
     @property
     def ack_aggregation(self) -> bool:
@@ -132,7 +92,7 @@ class TransportPolicy:
         """The PR 2 wire path: one syscall per frame, one frame per ack,
         every payload through TCP.  Kept for A/B benchmarks."""
         return cls(coalescing=False, ack_flush_window=0.0, ack_batch_limit=1,
-                   shm_enabled=False, flush_delay_us=0)
+                   shm_enabled=False)
 
     @classmethod
     def from_env(cls, env=None) -> "TransportPolicy":
@@ -142,9 +102,7 @@ class TransportPolicy:
           aggregation (the frame-at-a-time path);
         - ``REPRO_SHM=0`` / ``REPRO_SHM=1`` — force the shm lane off/on;
         - ``REPRO_SHM_THRESHOLD=<bytes>`` — shm size threshold;
-        - ``REPRO_IO_MODE=eventloop|threads`` — pick the I/O core;
-        - ``REPRO_CODEC=auto|fast|pure`` — wire codec selection;
-        - ``REPRO_FLUSH_DELAY_US=<us>`` — eventloop flush window.
+        - ``REPRO_CODEC=auto|pure`` — wire codec selection.
         """
         env = os.environ if env is None else env
         policy = cls()
@@ -156,13 +114,8 @@ class TransportPolicy:
         if "REPRO_SHM_THRESHOLD" in env:
             policy = replace(policy,
                              shm_threshold=int(env["REPRO_SHM_THRESHOLD"]))
-        if "REPRO_IO_MODE" in env:
-            policy = replace(policy, io_mode=env["REPRO_IO_MODE"])
         if "REPRO_CODEC" in env:
             policy = replace(policy, codec=env["REPRO_CODEC"])
-        if "REPRO_FLUSH_DELAY_US" in env:
-            policy = replace(policy,
-                             flush_delay_us=int(env["REPRO_FLUSH_DELAY_US"]))
         return policy
 
 
@@ -212,191 +165,45 @@ def dial_kernel(ns: NameServerClient, name: str, *,
     return (sock, meta) if return_meta else sock
 
 
-class PeerConnection:
-    """Send-only channel to one peer kernel.
+class ConnectionPool:
+    """All of one owner's outgoing peer channels, drained by its *loop*.
 
-    Messages are segment lists queued by any thread; a dedicated writer
-    thread dials the peer lazily on the first message and then drains the
-    outbox with vectored sends — the whole backlog per wakeup when the
-    transport policy enables coalescing.  Transport errors are reported
-    once through *on_error*; messages queued after a failure are dropped,
-    but the drops are *counted* (``token_drops`` metric, one
-    ``token_drop`` trace event per drained batch) so a peer loss shows up
-    in the run's observability instead of as a silent hang.
+    The hot path — :meth:`send` to an already-dialed peer — is a single
+    lock-free dict probe (GIL-atomic; connections are only ever added,
+    under the lock, and cleared at close).  The lock is taken only to
+    create a connection on first use.
     """
 
-    def __init__(self, peer_name: str, ns: NameServerClient, *,
+    def __init__(self, ns: NameServerClient, *, loop: IOLoop,
                  hello_from: str,
                  on_error: Callable[[str, Exception], None],
                  dial_deadline: float = 15.0,
                  transport: Optional[TransportPolicy] = None,
                  metrics=None,
                  trace: Optional[Callable] = None):
-        self.peer_name = peer_name
         self._ns = ns
-        self._hello_from = hello_from
-        self._on_error = on_error
-        self._dial_deadline = dial_deadline
-        self._transport = transport if transport is not None \
-            else TransportPolicy()
-        self._metrics = metrics
-        self._trace = trace
-        self._outbox: "queue.Queue" = queue.Queue()
-        self._sock: Optional[socket.socket] = None
-        self._shm: Optional[ShmSender] = None
-        self._failed = False
-        self._writer = threading.Thread(
-            target=self._drain, name=f"dps-send:{peer_name}", daemon=True)
-        self._writer.start()
-
-    def send(self, segments: List[Segment]) -> None:
-        self._outbox.put(segments)
-
-    def close(self, flush_timeout: float = 5.0) -> None:
-        self._outbox.put(_CLOSE)
-        self._writer.join(timeout=flush_timeout)
-        sock = self._sock
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        shm, self._shm = self._shm, None
-        if shm is not None:
-            shm.destroy()
-
-    # -- writer thread ---------------------------------------------------
-    def _drain(self) -> None:
-        max_frames = self._transport.max_batch_frames \
-            if self._transport.coalescing else 1
-        while True:
-            item = self._outbox.get()
-            batch = [item]
-            try:
-                while len(batch) < max_frames:
-                    batch.append(self._outbox.get_nowait())
-            except queue.Empty:
-                pass
-            closing = False
-            if any(item is _CLOSE for item in batch):
-                batch = batch[:batch.index(_CLOSE)]
-                closing = True
-            if batch:
-                if self._failed:
-                    self._count_drops(len(batch))
-                else:
-                    try:
-                        self._flush(batch)
-                    except (OSError, NameServerError, DialError) as exc:
-                        self._failed = True
-                        if self._shm is not None:
-                            # The peer is gone: blocks it never consumed
-                            # would pin the ring tail forever (reclaim is
-                            # FIFO).  Safe here — this writer thread is
-                            # the arena's only producer, and no further
-                            # descriptors will be flushed.
-                            self._shm.reclaim_all()
-                        self._on_error(self.peer_name, exc)
-            if closing:
-                return
-
-    def _flush(self, batch: List[List[Segment]]) -> None:
-        if self._sock is None:
-            self._connect()
-        if self._shm is not None:
-            batch = [self._shm.rewrite(message) for message in batch]
-        if self._transport.coalescing:
-            _, syscalls = send_messages(
-                self._sock, batch,
-                max_batch_bytes=self._transport.max_batch_bytes)
-        else:
-            for message in batch:
-                send_message(self._sock, message)
-            syscalls = len(batch)
-        if self._metrics is not None:
-            self._metrics.histogram("frames_per_syscall").observe(
-                len(batch) / max(1, syscalls))
-
-    def _connect(self) -> None:
-        sock, meta = dial_kernel(
-            self._ns, self.peer_name, hello_from=self._hello_from,
-            deadline=self._dial_deadline, return_meta=True)
-        self._sock = sock
-        policy = self._transport
-        if (policy.shm_enabled
-                and meta.get("fingerprint") == host_fingerprint()):
-            try:
-                shm = ShmSender(policy.shm_arena_bytes, policy.shm_threshold,
-                                metrics=self._metrics)
-            except (OSError, ValueError):
-                return  # no shm on this platform; TCP lane still works
-            # The attach must reach the peer before the first descriptor
-            # frame; same socket, same writer thread, so FIFO guarantees it.
-            send_message(sock, encode_shm_attach(shm.name, shm.size))
-            self._shm = shm
-
-    def _count_drops(self, n: int) -> None:
-        if self._metrics is not None:
-            self._metrics.counter("token_drops").inc(n)
-        if self._trace is not None:
-            self._trace("token_drop", peer=self.peer_name, dropped=n)
-
-
-class ConnectionPool:
-    """All of one kernel's outgoing peer connections.
-
-    The hot path — :meth:`send` to an already-dialed peer — is a single
-    lock-free dict probe (GIL-atomic; connections are only ever added,
-    under the lock, and cleared at close).  The lock is taken only to
-    create a connection on first use.
-
-    When an *io_loop* is attached, new peers are
-    :class:`~repro.net.eventloop.EventLoopPeer` channels drained by that
-    loop; otherwise each peer gets a :class:`PeerConnection` writer
-    thread.
-    """
-
-    def __init__(self, ns: NameServerClient, *, hello_from: str,
-                 on_error: Callable[[str, Exception], None],
-                 dial_deadline: float = 15.0,
-                 transport: Optional[TransportPolicy] = None,
-                 metrics=None,
-                 trace: Optional[Callable] = None,
-                 io_loop=None):
-        self._ns = ns
+        self._loop = loop
         self._hello_from = hello_from
         self._on_error = on_error
         self._dial_deadline = dial_deadline
         self._transport = transport
         self._metrics = metrics
         self._trace = trace
-        self._io_loop = io_loop
         self._lock = threading.Lock()
-        self._peers: Dict[str, PeerConnection] = {}
+        self._peers: Dict[str, EventLoopPeer] = {}
 
-    def peer(self, name: str) -> PeerConnection:
+    def peer(self, name: str) -> EventLoopPeer:
         with self._lock:
             conn = self._peers.get(name)
             if conn is None:
-                if self._io_loop is not None:
-                    from .eventloop import EventLoopPeer  # avoid cycle
-                    conn = EventLoopPeer(
-                        name, self._ns, loop=self._io_loop,
-                        hello_from=self._hello_from,
-                        on_error=self._on_error,
-                        dial_deadline=self._dial_deadline,
-                        transport=self._transport,
-                        metrics=self._metrics,
-                        trace=self._trace)
-                else:
-                    conn = PeerConnection(
-                        name, self._ns, hello_from=self._hello_from,
-                        on_error=self._on_error,
-                        dial_deadline=self._dial_deadline,
-                        transport=self._transport,
-                        metrics=self._metrics,
-                        trace=self._trace)
-                self._peers[name] = conn
+                conn = self._peers[name] = EventLoopPeer(
+                    name, self._ns, loop=self._loop,
+                    hello_from=self._hello_from,
+                    on_error=self._on_error,
+                    dial_deadline=self._dial_deadline,
+                    transport=self._transport,
+                    metrics=self._metrics,
+                    trace=self._trace)
             return conn
 
     def send(self, name: str, segments: List[Segment]) -> None:

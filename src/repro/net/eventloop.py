@@ -1,100 +1,58 @@
-"""Single-threaded I/O core for the distributed kernel (ISSUE 6).
+"""Single-threaded I/O core: one selectors loop owns every socket.
 
-PR 4's transport batched the syscalls but kept the PR 2 threading shape:
-one writer thread per peer plus one reader thread per inbound
-connection.  On an N-kernel cluster that is O(N) blocking threads per
-process fighting the GIL for work that is almost never CPU-bound —
-every token pays queue handoffs, lock wakeups and context switches
-before a single byte moves.  This module replaces all of them with one
-:class:`IOLoop` per kernel: a single thread owning a
-``selectors.DefaultSelector`` (epoll on Linux, kqueue on BSD/macOS)
-that multiplexes *every* peer socket, both directions.
+Each kernel — and each :class:`~repro.service.client.ServiceClient` —
+runs exactly one :class:`IOLoop`: a single thread owning a
+``selectors.DefaultSelector`` (epoll on Linux, kqueue on BSD/macOS) that
+multiplexes the listener and *every* peer socket, both directions.
+Nothing else in :mod:`repro.net` or :mod:`repro.service` accepts, reads
+or writes a peer socket (the name-server client and the one-shot HELLO
+of the dial path keep their blocking calls).
 
+- **Accepts**: :meth:`IOLoop.add_listener` registers a listening socket;
+  every connection it yields is handed to a callback on the loop thread,
+  which normally adopts it with :meth:`IOLoop.add_connection`.
 - **Writes** drain per-peer outboxes with non-blocking vectored
   ``sendmsg`` (:class:`VectoredSender`), resuming partial writes with
   sliced ``memoryview``\\ s and registering for ``EVENT_WRITE`` only
   while the kernel socket buffer is full — natural backpressure that is
   *observable*: a blocked peer's queued frames show up in the
   ``outbox_depth`` gauge, and every short write increments
-  ``partial_writes``.
-- **Reads** are readiness-driven: accepted connections register for
+  ``partial_writes``.  Flushes run at the loop's quiescent point
+  (:meth:`IOLoop.at_pass_end`), so frames produced anywhere in a burst
+  share one vectored write.
+- **Reads** are readiness-driven: adopted connections register for
   ``EVENT_READ`` and feed :meth:`~repro.net.framing.FrameReader.recv_ready`
-  batches straight into the kernel's dispatch path.
+  batches straight into the owner's dispatch path.
 - **Wakeups** use a ``socketpair`` self-pipe: posting a token from any
   engine thread is a lock-free ``deque.append`` plus (at most) one
   one-byte ``send`` — :meth:`IOLoop.call` never blocks and never takes
   a lock, so ``ConnectionPool.send`` stays safe under the engine lock.
   ``io_loop_wakeups`` counts loop iterations.
 
-The per-peer writer threads and per-connection reader threads are gone
-in this mode (accept/heartbeat/resend/ack-flush threads remain); the
-threads flavour survives behind ``TransportPolicy(io_mode="threads")``
-for A/B benchmarking and for platforms where
-:func:`eventloop_supported` fails.  Wire bytes are bit-identical across
-modes — an eventloop sender interoperates with a threads receiver and
-vice versa.
+A platform without a working selector or ``socketpair`` cannot run
+CPython's own asyncio either; :class:`IOLoop` simply raises there.
 """
 
 from __future__ import annotations
 
-import heapq
 import selectors
 import socket
 import sys
 import threading
-import time
 import traceback
 from collections import deque
 from typing import Callable, List, Optional
 
 from ..serial.wire import Segment, frame
-from .framing import MAX_SENDMSG_SEGMENTS, _as_byte_views
+from .framing import MAX_SENDMSG_SEGMENTS, FrameReader, _as_byte_views, \
+    send_message
 from .nameserver import NameServerError
-from .protocol import MSG_DATA
+from .protocol import encode_shm_attach
 from .shm import ShmSender, host_fingerprint
 
-__all__ = ["IOLoop", "VectoredSender", "EventLoopPeer",
-           "eventloop_supported"]
+__all__ = ["IOLoop", "VectoredSender", "EventLoopPeer"]
 
 _WAKE = b"\x00"
-
-#: Consecutive single-frame window expiries before the adaptive flush
-#: window turns itself off (the delay bought no coalescing, only
-#: latency).  It re-arms as soon as a pump observes a multi-frame
-#: backlog — pipelined traffic where holding the flush pays off.
-_WINDOW_MISS_LIMIT = 3
-
-
-class _Timer:
-    """Cancelable one-shot deadline scheduled on the loop thread."""
-
-    __slots__ = ("deadline", "fn", "cancelled")
-
-    def __init__(self, deadline: float, fn: Callable[[], None]):
-        self.deadline = deadline
-        self.fn = fn
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-def eventloop_supported() -> bool:
-    """Whether this platform can run the selectors I/O core.
-
-    ``DefaultSelector`` and ``socketpair`` exist on every platform
-    CPython supports, but both can fail in exotic sandboxes (no epoll
-    device, no AF_UNIX); the threads transport remains as the fallback.
-    """
-    try:
-        sel = selectors.DefaultSelector()
-        sel.close()
-        r, w = socket.socketpair()
-        r.close()
-        w.close()
-        return True
-    except (AttributeError, OSError):  # pragma: no cover - exotic platforms
-        return False
 
 
 class VectoredSender:
@@ -218,9 +176,10 @@ class IOLoop:
 
     Everything that touches the selector or per-peer write state runs on
     the loop thread; other threads hand work over with :meth:`call`
-    (lock-free append + self-pipe wakeup).  Readers are registered with
-    :meth:`add_connection`; writers are :class:`EventLoopPeer` objects
-    that register themselves for ``EVENT_WRITE`` only while blocked.
+    (lock-free append + self-pipe wakeup).  Listeners are registered
+    with :meth:`add_listener`, readers with :meth:`add_connection`;
+    writers are :class:`EventLoopPeer` objects that register themselves
+    for ``EVENT_WRITE`` only while blocked.
     """
 
     def __init__(self, name: str, metrics=None):
@@ -233,8 +192,6 @@ class IOLoop:
         self._wake_r, self._wake_w = r, w
         self._selector.register(r, selectors.EVENT_READ, self._on_wake)
         self._pending: deque = deque()
-        self._timers: list = []  # heap of (deadline, seq, _Timer)
-        self._timer_seq = 0
         # key -> fn, run once at the end of the current loop pass (the
         # flush-coalescing point: see at_pass_end)
         self._pass_end: dict = {}
@@ -300,6 +257,32 @@ class IOLoop:
         self._wake_w.close()
 
     # -- reading side ---------------------------------------------------
+    def add_listener(self, sock: socket.socket,
+                     on_accept: Callable[[socket.socket], None]) -> None:
+        """Adopt a listening socket: readiness-driven accepts.
+
+        *on_accept* receives each accepted connection on the loop
+        thread (``TCP_NODELAY`` already set) and normally hands it to
+        :meth:`add_connection`.  The listener belongs to the loop from
+        here on and is closed by :meth:`close`; if something else closes
+        it first, accepting just stops.
+        """
+        sock.setblocking(False)
+
+        def on_readable(_mask: int) -> None:
+            while True:  # drain the backlog: dials arrive back to back
+                try:
+                    conn, _ = sock.accept()
+                except (BlockingIOError, InterruptedError):
+                    return
+                except OSError:  # listener closed under us
+                    self._unregister(sock)
+                    return
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                on_accept(conn)
+
+        self._register(sock, on_readable)
+
     def add_connection(self, sock: socket.socket, *, recv_bytes: int,
                        on_frames: Callable[[list], None],
                        on_close: Callable[[Optional[Exception]], None],
@@ -311,7 +294,6 @@ class IOLoop:
         clean EOF or the exception that broke the connection.  The
         socket is closed by the loop in either case.
         """
-        from .framing import FrameReader  # late: framing imports nothing back
         sock.setblocking(False)
         reader = FrameReader(sock, recv_bytes=recv_bytes)
         done = [False]
@@ -320,10 +302,7 @@ class IOLoop:
             if done[0]:
                 return
             done[0] = True
-            try:
-                self._selector.unregister(sock)
-            except (KeyError, ValueError, OSError):
-                pass
+            self._unregister(sock)
             try:
                 sock.close()
             except OSError:
@@ -347,6 +326,11 @@ class IOLoop:
             if eof:
                 finish(None)
 
+        self._register(sock, on_readable)
+
+    def _register(self, sock: socket.socket,
+                  on_readable: Callable[[int], None]) -> None:
+        """Register *sock* for reads on the loop thread (any thread)."""
         def register() -> None:
             if self._closed:
                 try:
@@ -357,6 +341,12 @@ class IOLoop:
             self._selector.register(sock, selectors.EVENT_READ, on_readable)
 
         self.call(register)
+
+    def _unregister(self, sock: socket.socket) -> None:
+        try:
+            self._selector.unregister(sock)
+        except (KeyError, ValueError, OSError):
+            pass
 
     # -- pass-end hooks (loop thread only) -------------------------------
     def at_pass_end(self, key, fn: Callable[[], None]) -> None:
@@ -373,46 +363,6 @@ class IOLoop:
         here ever strands.  Loop-thread only.
         """
         self._pass_end[key] = fn
-
-    # -- timers (loop thread only) --------------------------------------
-    def call_later(self, delay: float, fn: Callable[[], None]) -> _Timer:
-        """Schedule *fn* on the loop thread after *delay* seconds.
-
-        Loop-thread only (no locking on the timer heap); returns a
-        handle whose :meth:`_Timer.cancel` unschedules it.  Fired and
-        cancelled timers leave the heap lazily.
-        """
-        timer = _Timer(time.monotonic() + delay, fn)
-        self._timer_seq += 1
-        heapq.heappush(self._timers, (timer.deadline, self._timer_seq,
-                                      timer))
-        return timer
-
-    def _next_timeout(self) -> Optional[float]:
-        """Select timeout honouring queued work and the timer heap."""
-        timers = self._timers
-        while timers and timers[0][2].cancelled:
-            heapq.heappop(timers)
-        if self._pending:
-            return 0
-        if not timers:
-            return None
-        return max(0.0, timers[0][0] - time.monotonic())
-
-    def _fire_timers(self) -> None:
-        timers = self._timers
-        if not timers:
-            return
-        now = time.monotonic()
-        while timers and (timers[0][2].cancelled
-                          or timers[0][0] <= now):
-            _, _, timer = heapq.heappop(timers)
-            if timer.cancelled:
-                continue
-            try:
-                timer.fn()
-            except Exception:
-                traceback.print_exc(file=sys.stderr)
 
     # -- loop internals -------------------------------------------------
     def _on_wake(self, _mask: int) -> None:
@@ -438,12 +388,11 @@ class IOLoop:
             # Never block while work is queued: a call() racing the
             # flag/byte handoff above can leave pending non-empty with
             # no wake byte in flight for at most one pass.  _in_select
-            # must go up BEFORE the timeout check: a producer that reads
+            # must go up BEFORE the pending check: a producer that reads
             # it as False appended earlier, so this check sees its work;
             # one that reads True sends a (possibly spurious) wake byte.
             self._in_select = True
-            timeout = self._next_timeout()
-            if timeout != 0 and self._pass_end:
+            if not pending and self._pass_end:
                 # About to block: quiescence is the flush point.  While
                 # back-to-back zero-timeout passes chain (a burst), the
                 # registered flushes keep carrying forward and frames
@@ -458,8 +407,7 @@ class IOLoop:
                     except Exception:
                         traceback.print_exc(file=sys.stderr)
                 self._in_select = True
-                timeout = self._next_timeout()
-            events = selector.select(timeout)
+            events = selector.select(0 if pending else None)
             self._in_select = False
             if self._closed:
                 return
@@ -479,22 +427,25 @@ class IOLoop:
                     fn()
                 except Exception:
                     traceback.print_exc(file=sys.stderr)
-            self._fire_timers()
 
 
 class EventLoopPeer:
     """Send-only channel to one peer kernel, drained by the
-    :class:`IOLoop` instead of a dedicated writer thread.
+    :class:`IOLoop`.
 
-    Drop-in for :class:`~repro.net.connections.PeerConnection`:
     :meth:`send` is a lock-free queue append from any thread; the peer
     is dialed lazily (a transient ``dps-dial`` thread owns the blocking
     resolve/connect/backoff, then hands the non-blocking socket to the
-    loop), the shm lane attaches exactly as in threads mode, transport
-    errors are reported once through *on_error*, and messages queued
-    after a failure are counted as ``token_drops``.  Per-peer FIFO
-    order is preserved end to end: the outbox is drained in order onto
-    the :class:`VectoredSender`, which never reorders frames.
+    loop).  When the peer's HELLO-time host fingerprint matches ours,
+    payload segments above a size threshold take the
+    :mod:`~repro.net.shm` shared-memory lane and only descriptor frames
+    hit the TCP stack.  Transport errors are reported once through
+    *on_error*; messages queued after a failure are dropped, but the
+    drops are *counted* (``token_drops`` metric, ``token_drop`` trace
+    event) so a peer loss shows up in the run's observability instead
+    of as a silent hang.  Per-peer FIFO order is preserved end to end:
+    the outbox is drained in order onto the :class:`VectoredSender`,
+    which never reorders frames.
     """
 
     def __init__(self, peer_name: str, ns, *, loop: IOLoop,
@@ -528,12 +479,6 @@ class EventLoopPeer:
         self._closing = False
         self._write_registered = False
         self._flushed = threading.Event()
-        # Adaptive Nagle-style flush window (loop-thread state only;
-        # urgency is classified per-frame during the outbox drain).
-        self._flush_delay = max(0, self._transport.flush_delay_us) / 1e6
-        self._window_active = self._flush_delay > 0
-        self._window_misses = 0
-        self._flush_timer = None
 
     # -- any-thread interface ------------------------------------------
     def send(self, segments: List[Segment]) -> None:
@@ -568,68 +513,36 @@ class EventLoopPeer:
                     target=self._dial,
                     name=f"dps-dial:{self.peer_name}", daemon=True).start()
             return  # _attach re-pumps once the dial lands
-        urgent = self._drain_outbox()
+        self._drain_outbox()
         if self._write_registered:
             # Socket buffer full: frames queue in the sender and
-            # _on_writable resumes the flush; a timer adds nothing.
+            # _on_writable resumes the flush.
             return
         sender = self._sender
-        if (urgent or self._closing or not self._window_active
-                or sender.pending_bytes >= self._transport.max_batch_bytes
+        if (sender.pending_bytes >= self._transport.max_batch_bytes
                 or sender.pending_frames >= self._transport.max_batch_frames):
-            if sender.pending_frames >= 2 and self._flush_delay > 0:
-                # A multi-frame backlog means pipelined traffic: the
-                # window pays for itself again, so (re-)arm it for
-                # subsequent passes.
-                self._window_active = True
-                self._window_misses = 0
-            self._cancel_window()
-            if (sender.pending_bytes >= self._transport.max_batch_bytes
-                    or sender.pending_frames
-                    >= self._transport.max_batch_frames):
-                # Budget hit: flush inline to bound queued memory.
-                self._flush()
-            else:
-                # Flush at the loop's next quiescent point, not inline:
-                # the rest of the burst (reads handing tokens to worker
-                # threads, later pumps, timers) runs first, and frames
-                # those produce ride the same vectored write.  Latency
-                # cost is the burst remainder — the loop was busy anyway
-                # — against one syscall per wakeup; this is where the
-                # event loop recovers the natural backpressure batching
-                # a blocking writer thread gets for free.
-                self._loop.at_pass_end(self, self._flush)
-        elif self._flush_timer is None and sender.pending_frames:
-            self._flush_timer = self._loop.call_later(
-                self._flush_delay, self._window_fire)
-            if self._metrics is not None:
-                # Held frames are visible backlog while the window is
-                # open (the loop-health series the window adapts on).
-                self._metrics.gauge("outbox_depth").set(
-                    sender.pending_frames)
+            # Budget hit: flush inline to bound queued memory.
+            self._flush()
+        else:
+            # Flush at the loop's next quiescent point, not inline: the
+            # rest of the burst (reads handing tokens to worker threads,
+            # later pumps) runs first, and frames those produce ride the
+            # same vectored write.  Latency cost is the burst remainder
+            # — the loop was busy anyway — against one syscall per
+            # wakeup; this is where the event loop gets the natural
+            # backpressure batching of a blocking writer.
+            self._loop.at_pass_end(self, self._flush)
 
-    def _drain_outbox(self) -> bool:
-        """Move queued messages into the sender; report frame urgency.
-
-        Returns ``True`` when any drained frame is *not* delay-eligible
-        (its protocol kind byte is not ``MSG_DATA``): control traffic —
-        acks, heartbeat-class frames, totals, results, barriers — must
-        bypass the flush window, and FIFO ordering means everything
-        queued before it flushes along with it.
-        """
+    def _drain_outbox(self) -> None:
+        """Move queued messages into the sender, in order."""
         sender = self._sender
         outbox = self._outbox
         shm = self._shm
-        urgent = False
         while outbox:
             message = outbox.popleft()
-            head = message[0]
-            if not len(head) or head[0] != MSG_DATA:
-                urgent = True
             if shm is not None:
                 message = shm.rewrite(message)
             sender.push(message)
-        return urgent
 
     def _flush(self) -> None:
         """Push the sender's queued frames to the socket (loop thread)."""
@@ -652,35 +565,6 @@ class EventLoopPeer:
                 self._metrics.gauge("outbox_depth").set(
                     self._sender.pending_frames + len(self._outbox))
 
-    def _window_fire(self) -> None:
-        """The flush window elapsed: flush whatever accumulated."""
-        self._flush_timer = None
-        if self._failed or self._sock is None or self._write_registered:
-            return
-        self._drain_outbox()  # late arrivals ride the same flush
-        frames = self._sender.pending_frames
-        if not frames:
-            return
-        if frames <= 1:
-            # The delay bought no coalescing; after a few such misses
-            # stop paying latency until a multi-frame backlog re-arms.
-            self._window_misses += 1
-            if self._window_misses >= _WINDOW_MISS_LIMIT:
-                self._window_active = False
-        else:
-            self._window_misses = 0
-        if self._metrics is not None:
-            self._metrics.counter("flush_window_hits").inc()
-        if self._trace is not None:
-            self._trace("flush_window", peer=self.peer_name, frames=frames)
-        self._flush()
-
-    def _cancel_window(self) -> None:
-        timer = self._flush_timer
-        if timer is not None:
-            timer.cancel()
-            self._flush_timer = None
-
     def _note_drained(self) -> None:
         """Post-flush bookkeeping once everything queued hit the socket."""
         self._report_partials()
@@ -694,8 +578,6 @@ class EventLoopPeer:
             self._flushed.set()
 
     def _on_writable(self, _mask: int) -> None:
-        # Resuming a blocked write: the window never delays here — the
-        # socket buffer just drained and frames are already overdue.
         self._drain_outbox()
         self._set_write_interest(False)
         self._flush()
@@ -715,9 +597,7 @@ class EventLoopPeer:
 
     def _dial(self) -> None:
         """Transient thread: blocking resolve + connect + handshakes."""
-        from .connections import DialError, dial_kernel
-        from .framing import send_message
-        from .protocol import encode_shm_attach
+        from .connections import DialError, dial_kernel  # late: cycle
         try:
             sock, meta = dial_kernel(
                 self._ns, self.peer_name, hello_from=self._hello_from,
@@ -767,7 +647,6 @@ class EventLoopPeer:
         if self._failed:
             return
         self._failed = True
-        self._cancel_window()
         self._count_drops(self._drop_queued())
         if self._shm is not None:
             # The peer is gone: blocks it never consumed would pin the
@@ -794,7 +673,6 @@ class EventLoopPeer:
     def _teardown(self) -> None:
         self._closing = True
         self._failed = True  # late sends become counted drops
-        self._cancel_window()
         self._set_write_interest(False)
         sock, self._sock = self._sock, None
         if sock is not None:

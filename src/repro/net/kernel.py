@@ -50,8 +50,7 @@ from ..serial import fastpath
 from ..serial.token import Token
 from ..serial.wire import WireError
 from .connections import ConnectionPool, TransportPolicy
-from .eventloop import IOLoop, eventloop_supported
-from .framing import FrameReader
+from .eventloop import IOLoop
 from .nameserver import NameServerClient
 from .recovery import FaultPolicy, ReplayDedup, TokenJournal, apply_remap, \
     plan_rebalance, plan_remap
@@ -75,12 +74,7 @@ RESEND_AFTER = 1.0
 
 
 class _ConnState:
-    """Per-inbound-connection decode state (the peer's shm attachment).
-
-    Shared by both receive paths: the per-connection reader thread in
-    ``io_mode="threads"`` and the loop-registered readiness callback in
-    ``io_mode="eventloop"``.
-    """
+    """Per-inbound-connection decode state (the peer's shm attachment)."""
 
     __slots__ = ("shm_rx",)
 
@@ -210,25 +204,16 @@ class DistributedKernel(ThreadedEngine):
         self._listener.listen(64)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
 
-        # I/O core: one selectors loop thread multiplexing every peer
-        # socket, unless the policy (or a platform without a working
-        # selector) picks the per-peer/per-connection thread flavour.
-        io_mode = self.transport.io_mode
-        if io_mode == "eventloop" and not eventloop_supported():
-            io_mode = "threads"
-        #: Resolved I/O mode ("eventloop" or "threads") for this kernel.
-        self.io_mode = io_mode
-        self._io_loop: Optional[IOLoop] = \
-            IOLoop(name, metrics=metrics) if io_mode == "eventloop" else None
+        # I/O core: one selectors loop thread accepting on the listener
+        # and multiplexing every peer socket, both directions.
+        self._io_loop = IOLoop(name, metrics=metrics)
 
         self._ns = NameServerClient(ns_address)
         self._pool = ConnectionPool(
-            self._ns, hello_from=name, on_error=self._on_peer_error,
+            self._ns, loop=self._io_loop, hello_from=name,
+            on_error=self._on_peer_error,
             dial_deadline=dial_deadline, transport=self.transport,
-            metrics=metrics, trace=self.trace if tracer is not None else None,
-            io_loop=self._io_loop)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"dps-accept:{name}", daemon=True)
+            metrics=metrics, trace=self.trace if tracer is not None else None)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -238,9 +223,8 @@ class DistributedKernel(ThreadedEngine):
         self._ns.register(self.name, *self.address,
                           meta={"fingerprint": host_fingerprint(),
                                 "kernel": True})
-        if self._io_loop is not None:
-            self._io_loop.start()
-        self._accept_thread.start()
+        self._io_loop.start()
+        self._io_loop.add_listener(self._listener, self._on_accept)
         if self.transport.ack_aggregation:
             self._ack_flusher = threading.Thread(
                 target=self._ack_flush_loop,
@@ -392,13 +376,11 @@ class DistributedKernel(ThreadedEngine):
             # Wakes immediately on the event; its final pass drains any
             # buffered acks through the pool before we close it.
             flusher.join(timeout=1.0)
-        try:
-            self._listener.close()
-        except OSError:
-            pass
         self._pool.close_all()  # flush needs the loop still running
-        if self._io_loop is not None:
-            self._io_loop.close()
+        self._io_loop.close()
+        # The loop closed the listener it adopted in start(); this
+        # covers a kernel that was never started.
+        self._listener.close()
         self._ns.close()
         super().shutdown()
 
@@ -409,8 +391,8 @@ class DistributedKernel(ThreadedEngine):
         """Ship a data-path message, piggybacking any buffered acks.
 
         Pending acks for *target* are flushed onto its outbox *first*;
-        both land in the same writer-thread drain, so the ack batch and
-        the data frame usually share one vectored syscall.
+        both land in the same loop-side drain, so the ack batch and the
+        data frame usually share one vectored syscall.
         """
         if self._ack_pending and target in self._ack_pending:
             self._flush_acks(target)
@@ -546,9 +528,9 @@ class DistributedKernel(ThreadedEngine):
             if peer in self._retired_peers:
                 return  # a graceful leaver's connection breaking is expected
         if self.recover:
-            # Dead-connection detection: the writer thread is the first
-            # to see a broken pipe to a dead peer.  Declare the peer
-            # down instead of poisoning the run.
+            # Dead-connection detection: the write side is the first to
+            # see a broken pipe to a dead peer.  Declare the peer down
+            # instead of poisoning the run.
             self.handle_kernel_down(peer, f"peer connection failed: {exc}")
             return
         self._record_failure(
@@ -587,9 +569,9 @@ class DistributedKernel(ThreadedEngine):
                 propagate=propagate)
             return
         if self.name == CONSOLE_KERNEL:
-            # Orchestrate off the calling thread: this may be a
-            # connection writer thread or the engine's child monitor,
-            # and recovery blocks on cluster-wide barriers.
+            # Orchestrate off the calling thread: this may be the I/O
+            # loop or the engine's child monitor, and recovery blocks
+            # on cluster-wide barriers.
             threading.Thread(target=self._recover_from_failure,
                              args=(name,),
                              name=f"dps-recover:{self.name}",
@@ -877,25 +859,12 @@ class DistributedKernel(ThreadedEngine):
     # ------------------------------------------------------------------
     # receiving side
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed during shutdown
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if self._io_loop is not None:
-                state = _ConnState()
-                self._io_loop.add_connection(
-                    conn, recv_bytes=self.transport.recv_buffer_bytes,
-                    on_frames=lambda frames, s=state:
-                        self._process_frames(s, frames),
-                    on_close=lambda exc, s=state:
-                        self._on_conn_close(s, exc))
-            else:
-                threading.Thread(target=self._reader_loop, args=(conn,),
-                                 name=f"dps-recv:{self.name}",
-                                 daemon=True).start()
+    def _on_accept(self, conn: socket.socket) -> None:
+        state = _ConnState()
+        self._io_loop.add_connection(
+            conn, recv_bytes=self.transport.recv_buffer_bytes,
+            on_frames=lambda frames: self._process_frames(state, frames),
+            on_close=lambda exc: self._on_conn_close(state, exc))
 
     def _process_frames(self, state: _ConnState, frames) -> None:
         for payload in frames:
@@ -914,44 +883,16 @@ class DistributedKernel(ThreadedEngine):
 
     def _on_conn_close(self, state: _ConnState,
                        exc: Optional[Exception]) -> None:
-        """Loop-side mirror of the reader thread's failure handling."""
         state.close()
         if exc is None or self._shutdown_requested.is_set():
             return
         if self.recover:
             # A broken inbound connection is anonymous (no peer name
             # here); liveness is owned by the heartbeat/sentinel
-            # machinery and the named writer-side _on_peer_error.
+            # machinery and the named write-side _on_peer_error.
             return
         self._record_failure(KernelFailure(
             f"kernel {self.name!r} receive path failed: {exc}"))
-
-    def _reader_loop(self, conn: socket.socket) -> None:
-        reader = FrameReader(conn,
-                             recv_bytes=self.transport.recv_buffer_bytes)
-        state = _ConnState()
-        try:
-            while True:
-                frames = reader.recv_batch()
-                if frames is None:
-                    return  # peer closed cleanly
-                self._process_frames(state, frames)
-        except (OSError, WireError) as exc:
-            if self._shutdown_requested.is_set():
-                pass
-            elif self.recover:
-                # See _on_conn_close: anonymous inbound failures defer
-                # to heartbeats and the writer-side _on_peer_error.
-                pass
-            else:
-                self._record_failure(KernelFailure(
-                    f"kernel {self.name!r} receive path failed: {exc}"))
-        finally:
-            state.close()
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _dispatch_message(self, kind: int, value) -> None:
         if kind == P.MSG_DATA:
@@ -1033,7 +974,7 @@ class DistributedKernel(ThreadedEngine):
             self._barrier_done(name, epoch)
         elif kind == P.MSG_MEMBER:
             epoch, old_map, new_map, joined, retired = value
-            # Off the reader thread: applying a membership change blocks
+            # Off the I/O loop: applying a membership change blocks
             # on journal drain and on migrated state from other kernels.
             threading.Thread(target=self._apply_membership,
                              args=(epoch, old_map, new_map, joined, retired),

@@ -19,8 +19,8 @@ across paths in both directions (pinned by the parity property suite).
 
 The mode knob (``TransportPolicy.codec`` / ``REPRO_CODEC`` / CLI
 ``--codec``) takes ``"auto"`` (plans plus the compiled visitor when its
-import succeeds — the default), ``"fast"`` (same selection, named
-explicitly for A/B runs) or ``"pure"`` (generic visitor only).
+import succeeds — the default) or ``"pure"`` (generic visitor only, the
+reference the parity tests compare against).
 
 Counters (:func:`take_counters`) feed the ``codec_fast_path`` /
 ``codec_fallbacks`` metrics folded into each kernel's metrics registry.
@@ -50,7 +50,7 @@ __all__ = [
     "reset_plans",
 ]
 
-CODEC_MODES = ("auto", "fast", "pure")
+CODEC_MODES = ("auto", "pure")
 
 
 class _Unsupported(Exception):
@@ -146,7 +146,7 @@ enabled = True
 
 
 def set_codec(mode: str) -> None:
-    """Select the process-wide codec mode (``auto`` | ``fast`` | ``pure``)."""
+    """Select the process-wide codec mode (``auto`` | ``pure``)."""
     global _mode, enabled
     if mode not in CODEC_MODES:
         raise ValueError(

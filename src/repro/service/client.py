@@ -41,13 +41,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..net import protocol as P
 from ..net.connections import ConnectionPool, TransportPolicy
-from ..serial import fastpath
-from ..net.framing import FrameReader
+from ..net.eventloop import IOLoop
+from ..net.framing import DEFAULT_RECV_BYTES
 from ..net.kernel import CONSOLE_KERNEL
 from ..net.nameserver import NameServerClient
 from ..runtime.controller import KernelFailure
+from ..serial import fastpath
 from ..serial.token import Token
-from ..serial.wire import WireError
 
 __all__ = ["ServiceBusy", "ServiceCall", "ServiceClient", "ServiceError",
            "ServiceTimeout"]
@@ -66,7 +66,7 @@ class ServiceTimeout(ServiceError):
 
 
 class ServiceCall:
-    """One in-flight graph call; settled by the reader thread."""
+    """One in-flight graph call; settled on the client's I/O loop."""
 
     def __init__(self, client: "ServiceClient", request_id: int,
                  service: str, token: Token):
@@ -156,15 +156,15 @@ class ServiceClient:
         # back over plain TCP (no shared-memory lane handshake with a
         # non-kernel process).
         self._ns.register(self.name, *self.address)
-        # The client is a leaf talker, not a kernel: plain per-peer
-        # writer threads, no shm lane.
+        # One I/O loop accepts the console's dial-back, reads replies
+        # and drains the send side.  The client is a leaf talker, not a
+        # kernel: no shm lane.
+        self._io_loop = IOLoop(self.name).start()
+        self._io_loop.add_listener(self._listener, self._on_accept)
         self._pool = ConnectionPool(
-            self._ns, hello_from=self.name, on_error=self._on_pool_error,
-            dial_deadline=dial_deadline,
-            transport=TransportPolicy(shm_enabled=False, io_mode="threads"))
-        threading.Thread(target=self._accept_loop,
-                         name=f"svc-accept:{self.name}",
-                         daemon=True).start()
+            self._ns, loop=self._io_loop, hello_from=self.name,
+            on_error=self._on_pool_error, dial_deadline=dial_deadline,
+            transport=TransportPolicy(shm_enabled=False))
 
     # ------------------------------------------------------------------
     # session
@@ -266,36 +266,19 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(target=self._reader_loop, args=(conn,),
-                             name=f"svc-recv:{self.name}",
-                             daemon=True).start()
+    def _on_accept(self, conn: socket.socket) -> None:
+        self._io_loop.add_connection(
+            conn, recv_bytes=DEFAULT_RECV_BYTES,
+            on_frames=self._on_frames, on_close=self._on_conn_close)
 
-    def _reader_loop(self, conn: socket.socket) -> None:
-        reader = FrameReader(conn)
-        try:
-            while True:
-                frames = reader.recv_batch()
-                if frames is None:
-                    return
-                for payload in frames:
-                    kind, value = P.decode_message(payload, {})
-                    self._dispatch(kind, value)
-        except (OSError, WireError) as exc:
-            if not self._closed:
-                self._fail(KernelFailure(
-                    f"service reply connection failed: {exc}"))
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+    def _on_frames(self, frames) -> None:
+        for payload in frames:
+            self._dispatch(*P.decode_message(payload, {}))
+
+    def _on_conn_close(self, exc: Optional[Exception]) -> None:
+        if exc is not None and not self._closed:
+            self._fail(KernelFailure(
+                f"service reply connection failed: {exc}"))
 
     def _dispatch(self, kind: int, value) -> None:
         if kind == P.MSG_SVC_OPEN_OK:
@@ -344,13 +327,10 @@ class ServiceClient:
         except Exception:
             pass  # console already gone
         try:
-            self._pool.close_all()
+            self._pool.close_all()  # flush needs the loop still running
         except Exception:
             pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self._io_loop.close()  # closes the listener it adopted
         self._ns.close()
 
     def __enter__(self) -> "ServiceClient":

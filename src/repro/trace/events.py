@@ -39,9 +39,6 @@ SVC_REPLY           ``client``, ``request``, ``service``, ``seconds``
 SVC_SHED            ``client``, ``request``, ``service``, ``reason`` —
                     admission control answered MSG_SVC_BUSY
 SVC_CLOSE           ``client`` — a service session ended
-FLUSH_WINDOW        ``peer``, ``frames`` — an adaptive flush window
-                    expired and flushed the frames it coalesced
-                    (eventloop transport only)
 ==================  =====================================================
 
 Events recorded in a kernel process additionally carry ``pid`` (the
@@ -69,7 +66,6 @@ __all__ = [
     "SVC_REPLY",
     "SVC_SHED",
     "SVC_CLOSE",
-    "FLUSH_WINDOW",
     "EVENT_KINDS",
     "DETERMINISTIC_KINDS",
 ]
@@ -92,7 +88,6 @@ SVC_CALL = "svc_call"
 SVC_REPLY = "svc_reply"
 SVC_SHED = "svc_shed"
 SVC_CLOSE = "svc_close"
-FLUSH_WINDOW = "flush_window"
 
 #: Every kind an engine may emit (open set: engines may add kinds such as
 #: ``thread_migrated``; the unified vocabulary above is the guaranteed
@@ -102,7 +97,6 @@ EVENT_KINDS = frozenset({
     TOKEN_SEND, TOKEN_RECV, SERIALIZE, STALL, ADMIT, ACK, TOKEN_DROP,
     KERNEL_DOWN, REMAP, REPLAY,
     SVC_CALL, SVC_REPLY, SVC_SHED, SVC_CLOSE,
-    FLUSH_WINDOW,
 })
 
 #: Kinds whose *counts* are determined by the schedule alone (not by

@@ -28,9 +28,8 @@ amortizing syscalls), ``acks_coalesced`` (acks that rode in a batch
 frame instead of paying for their own), ``shm_bytes_bypassed`` (payload
 bytes that took the shared-memory lane instead of TCP) and
 ``token_drops`` (messages discarded after a peer kernel failed).  The
-event-loop I/O core (``TransportPolicy(io_mode="eventloop")``, the
-default) adds ``io_loop_wakeups`` (counter — selector passes; zero in
-threads mode), ``partial_writes`` (counter — short ``sendmsg`` calls,
+I/O loop adds ``io_loop_wakeups`` (counter — selector passes),
+``partial_writes`` (counter — short ``sendmsg`` calls,
 i.e. EAGAIN or fewer bytes accepted than offered) and ``outbox_depth``
 (gauge — frames queued behind a write-blocked peer socket; its peak is
 the high-water backpressure mark).  The resident service tier
@@ -168,9 +167,18 @@ class MetricsRegistry:
                     h.max = mx
 
     def clear(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
+        """Zero every series in place.
+
+        Instrument objects survive, so a handle looked up once (the I/O
+        loop keeps its ``io_loop_wakeups`` counter) keeps feeding the
+        registry after a trace flush cleared it.
+        """
+        for c in self._counters.values():
+            c.value = 0
+        for g in self._gauges.values():
+            g.value = g.peak = 0.0
+        for h in self._histograms.values():
+            h.count, h.total, h.min, h.max = 0, 0.0, float("inf"), 0.0
 
     # -- reporting ------------------------------------------------------
     def report(self) -> str:

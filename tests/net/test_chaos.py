@@ -18,11 +18,9 @@ leaf instances (the documented recovery contract):
 """
 
 import numpy as np
-import pytest
 
 from repro.apps.gameoflife import DistributedGameOfLife, life_step
 from repro.apps.ring import RingJobToken, build_ring_graph
-from repro.net.connections import TransportPolicy
 from repro.net.recovery import FaultPolicy
 from repro.runtime import MultiprocessEngine
 
@@ -31,12 +29,10 @@ BLOCK_BYTES = 2048
 N_BLOCKS = 24
 
 
-def _run_ring(faults=None, recover=False, io_mode="eventloop"):
+def _run_ring(faults=None, recover=False):
     """One complete ring run on a fresh engine; returns (done, result)."""
     graph = build_ring_graph(RING_NODES)
-    transport = TransportPolicy(io_mode=io_mode)
-    with MultiprocessEngine(recover=recover, faults=faults,
-                            transport=transport) as engine:
+    with MultiprocessEngine(recover=recover, faults=faults) as engine:
         engine.register_graph(graph)
         done = engine.run(graph, RingJobToken(BLOCK_BYTES, N_BLOCKS),
                           timeout=120)
@@ -44,22 +40,17 @@ def _run_ring(faults=None, recover=False, io_mode="eventloop"):
     return done, result
 
 
-@pytest.mark.parametrize("io_mode", ["eventloop", "threads"])
-def test_ring_survives_kernel_kill_bit_identical(io_mode):
+def test_ring_survives_kernel_kill_bit_identical():
     """Kill the node03 hop before its 5th block: the journal at the
     node01 split must replay the lost blocks onto the remapped hop and
     the sink must still count each block exactly once.
-
-    Runs in both I/O modes: the split-boundary replay guarantee must
-    hold whether the broken pipe to the dead kernel is first seen by a
-    writer thread or by the event loop's non-blocking pump.
     """
-    baseline, base_result = _run_ring(io_mode=io_mode)
+    baseline, base_result = _run_ring()
     assert base_result.recovered is False
     assert base_result.replayed_tokens == 0
 
     faults = FaultPolicy(kill_kernel="node03", kill_after_messages=5)
-    done, result = _run_ring(faults=faults, recover=True, io_mode=io_mode)
+    done, result = _run_ring(faults=faults, recover=True)
 
     assert (done.blocks, done.received_bytes) == \
         (baseline.blocks, baseline.received_bytes)

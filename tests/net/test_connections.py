@@ -1,24 +1,17 @@
-"""Peer-connection transport behaviour: coalesced flushes, counted drops
-after a peer failure, the lock-free pool hot path, and TransportPolicy
-resolution."""
+"""The lock-free pool hot path and TransportPolicy resolution (the
+peer channel itself is covered in ``test_eventloop.py``)."""
 
-import socket
 import threading
-import time
 
 import pytest
 
 from repro.net import (
     ConnectionPool,
-    FrameReader,
+    IOLoop,
     NameServer,
     NameServerClient,
-    PeerConnection,
     TransportPolicy,
-    recv_message,
 )
-from repro.net.protocol import MSG_HELLO, decode_message
-from repro.trace import MetricsRegistry
 
 
 @pytest.fixture
@@ -28,15 +21,15 @@ def ns():
     server.stop()
 
 
+@pytest.fixture
+def loop():
+    loop = IOLoop("pool-test").start()
+    yield loop
+    loop.close()
+
+
 def client(server):
     return NameServerClient(server.address)
-
-
-def _wait_for(predicate, timeout=5.0, what="condition"):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, f"timed out waiting for {what}"
-        time.sleep(0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -74,77 +67,19 @@ def test_policy_from_env():
     assert tuned.shm_enabled and tuned.shm_threshold == 4096
 
 
-# ---------------------------------------------------------------------------
-# PeerConnection
-# ---------------------------------------------------------------------------
-
-def test_peer_connection_coalesces_queued_messages(ns):
-    """Messages queued before the writer connects arrive in order through
-    one vectored flush, and the frames-per-syscall histogram records the
-    amortization."""
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    metrics = MetricsRegistry()
-    errors = []
-    with client(ns) as owner, client(ns) as c:
-        owner.register("sink", *listener.getsockname()[:2])
-        conn = PeerConnection(
-            "sink", c, hello_from="src",
-            on_error=lambda peer, exc: errors.append((peer, exc)),
-            transport=TransportPolicy(shm_enabled=False),
-            metrics=metrics)
-        payloads = [b"%03d" % i * 10 for i in range(20)]
-        for p in payloads:
-            conn.send([bytearray(p)])
-        accepted, _ = listener.accept()
-        kind, name = decode_message(recv_message(accepted), {})
-        assert (kind, name) == (MSG_HELLO, "src")
-        reader = FrameReader(accepted)
-        received = []
-        while len(received) < len(payloads):
-            batch = reader.recv_batch()
-            assert batch is not None
-            received.extend(bytes(b) for b in batch)
-        assert received == payloads
-        conn.close()
-        accepted.close()
-    listener.close()
-    assert not errors
-    hist = metrics.histogram("frames_per_syscall")
-    assert hist.count >= 1 and hist.max > 1.0  # at least one real batch
+@pytest.mark.parametrize("removed", [
+    {"io_mode": "threads"}, {"io_mode": "eventloop"}, {"flush_delay_us": 0}])
+def test_policy_rejects_removed_knobs(removed):
+    """One I/O core, no timer flush window: the fields are gone, not
+    ignored."""
+    with pytest.raises(TypeError):
+        TransportPolicy(**removed)
 
 
-def test_failed_peer_drops_are_counted_and_traced(ns):
-    """After a peer becomes unreachable the connection keeps accepting
-    messages (the engine must not block) but every dropped message is
-    counted and traced — ISSUE 4's silent-drop fix."""
-    metrics = MetricsRegistry()
-    events = []
-    errors = []
-    failed = threading.Event()
-
-    def on_error(peer, exc):
-        errors.append((peer, exc))
-        failed.set()
-
-    with client(ns) as c:
-        conn = PeerConnection(
-            "ghost", c, hello_from="src", on_error=on_error,
-            dial_deadline=0.2, metrics=metrics,
-            trace=lambda kind, **fields: events.append((kind, fields)))
-        conn.send([bytearray(b"first")])  # triggers the failing dial
-        assert failed.wait(timeout=10)
-        for _ in range(3):
-            conn.send([bytearray(b"late")])
-        _wait_for(lambda: metrics.counter("token_drops").value >= 3,
-                  what="token_drops")
-        conn.close()
-    assert len(errors) == 1 and errors[0][0] == "ghost"
-    assert metrics.counter("token_drops").value == 3
-    drop_events = [f for kind, f in events if kind == "token_drop"]
-    assert drop_events and sum(f["dropped"] for f in drop_events) == 3
-    assert all(f["peer"] == "ghost" for f in drop_events)
+def test_policy_codec_modes():
+    assert TransportPolicy(codec="pure").codec == "pure"
+    with pytest.raises(ValueError, match="codec"):
+        TransportPolicy(codec="fast")  # was an alias of "auto"
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +97,12 @@ class _StubConn:
         pass
 
 
-def test_pool_send_hot_path_does_not_take_the_lock(ns):
+def test_pool_send_hot_path_does_not_take_the_lock(ns, loop):
     """Once a peer connection exists, ``send`` must not touch the pool
     lock — the engine calls it with its own lock held, and PR 2 paid a
     lock acquire per token here."""
     with client(ns) as c:
-        pool = ConnectionPool(c, hello_from="src",
+        pool = ConnectionPool(c, loop=loop, hello_from="src",
                               on_error=lambda peer, exc: None)
         stub = _StubConn()
         pool._peers["peer"] = stub
@@ -186,9 +121,9 @@ def test_pool_send_hot_path_does_not_take_the_lock(ns):
         assert stub.sent == [[bytearray(b"x")]]
 
 
-def test_pool_creates_peer_once_then_caches(ns):
+def test_pool_creates_peer_once_then_caches(ns, loop):
     with client(ns) as c:
-        pool = ConnectionPool(c, hello_from="src",
+        pool = ConnectionPool(c, loop=loop, hello_from="src",
                               on_error=lambda peer, exc: None,
                               dial_deadline=0.1)
         stub = _StubConn()

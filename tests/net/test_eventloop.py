@@ -1,6 +1,6 @@
 """The selectors I/O core: vectored partial-write resumption, loop
-wakeups, readiness-driven reads, event-loop peers, and the thread-census
-reduction that motivates the whole module (ISSUE 6).
+wakeups, readiness-driven accepts and reads, pass-end flush coalescing
+and event-loop peers.
 
 The hypothesis suite drives :class:`~repro.net.eventloop.VectoredSender`
 against a mock socket whose ``sendmsg`` accepts an arbitrary byte count
@@ -26,11 +26,10 @@ from repro.net import (
     NameServerClient,
     TransportPolicy,
     VectoredSender,
-    eventloop_supported,
     recv_message,
     send_message,
 )
-from repro.net.protocol import MSG_HELLO, decode_message
+from repro.net.protocol import MSG_ACK, MSG_DATA, MSG_HELLO, decode_message
 from repro.serial import WireError, frame, gather
 from repro.trace import MetricsRegistry
 
@@ -51,12 +50,6 @@ def _wait_for(predicate, timeout=5.0, what="condition"):
     while not predicate():
         assert time.monotonic() < deadline, f"timed out waiting for {what}"
         time.sleep(0.01)
-
-
-def test_eventloop_supported_on_this_platform():
-    # CI and every dev box we target have epoll/kqueue + socketpair; the
-    # fallback exists for platforms we cannot test here.
-    assert eventloop_supported()
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +334,188 @@ def test_ioloop_add_connection_reports_broken_stream():
     loop.close()
 
 
+def test_ioloop_add_listener_accepts_back_to_back_dials():
+    """The loop is the acceptor: N dials landing in one backlog are all
+    accepted and adopted, and closing the listener from outside neither
+    stops the loop nor disturbs the connections it already serves."""
+    n = 8
+    loop = IOLoop("accept").start()
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(n)
+    got = []
+
+    def adopt(conn):
+        assert loop.on_loop_thread()
+        loop.add_connection(
+            conn, recv_bytes=256,
+            on_frames=lambda frames: got.extend(bytes(f) for f in frames),
+            on_close=lambda exc: None)
+
+    dialed = [socket.create_connection(listener.getsockname())
+              for _ in range(n)]  # all queued before the loop looks
+    loop.add_listener(listener, adopt)
+    try:
+        for i, sock in enumerate(dialed):
+            send_message(sock, [bytearray(b"dial-%d" % i)])
+        _wait_for(lambda: len(got) == n, what="a frame from every dial")
+        assert sorted(got) == [b"dial-%d" % i for i in range(n)]
+        listener.close()
+        send_message(dialed[0], [bytearray(b"after")])
+        _wait_for(lambda: b"after" in got, what="frame after listener close")
+        ran = threading.Event()
+        loop.call(ran.set)
+        assert ran.wait(timeout=5), "loop died with its listener"
+    finally:
+        for sock in dialed:
+            sock.close()
+        loop.close()
+
+
+def test_at_pass_end_runs_after_burst_and_dedups():
+    """Pass-end hooks are carried across back-to-back zero-timeout
+    passes and run once, last registration per key winning, right
+    before the loop blocks."""
+    loop = IOLoop("passend").start()
+    order = []
+    done = threading.Event()
+    try:
+        def chain(i):
+            order.append(f"c{i}")
+            loop.at_pass_end("k", lambda: order.append("stale"))
+            loop.at_pass_end("k", lambda: (order.append("flush"),
+                                           done.set()))
+            if i < 2:
+                loop.call(lambda: chain(i + 1))
+
+        loop.call(lambda: chain(0))
+        assert done.wait(timeout=5)
+        assert order == ["c0", "c1", "c2", "flush"]
+    finally:
+        loop.close()
+
+
 # ---------------------------------------------------------------------------
 # EventLoopPeer
 # ---------------------------------------------------------------------------
 
+class _Sink:
+    """An accepting endpoint that records the frames it receives."""
+
+    def __init__(self):
+        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.listener.bind(("127.0.0.1", 0))
+        self.listener.listen(1)
+        self.address = self.listener.getsockname()[:2]
+        self.frames = []
+        self._accepted = None
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        self._accepted, _ = self.listener.accept()
+        assert recv_message(self._accepted) is not None  # HELLO
+        reader = FrameReader(self._accepted)
+        while True:
+            batch = reader.recv_batch()
+            if batch is None:
+                return
+            self.frames.extend(bytes(f) for f in batch)
+
+    def close(self):
+        if self._accepted is not None:
+            self._accepted.close()
+        self.listener.close()
+        self._thread.join(timeout=5)
+
+
+def _data_frame(i):
+    return [bytearray([MSG_DATA]) + b"payload-%03d" % i]
+
+
+def _control_frame():
+    return [bytearray([MSG_ACK]) + b"ack"]
+
+
+def _peer(ns, sink, name, metrics=None):
+    """A dialed-and-idle peer towards *sink*: ``(owner, loop, conn)``."""
+    owner = NameServerClient(ns.address)
+    owner.register(name, *sink.address)
+    loop = IOLoop(f"peer-{name}", metrics=metrics).start()
+    conn = EventLoopPeer(
+        name, NameServerClient(ns.address), loop=loop, hello_from="src",
+        on_error=lambda peer, exc: None,
+        transport=TransportPolicy(shm_enabled=False), metrics=metrics)
+    conn.send(_data_frame(0))
+    _wait_for(lambda: len(sink.frames) >= 1, what="dial + first frame")
+    return owner, loop, conn
+
+
+def test_eventloop_peer_coalesces_at_quiescence(ns):
+    """Frames queued within one loop burst share a flush at the
+    quiescent point, so a burst of sends lands as one multi-frame
+    syscall episode — with no timer involved."""
+    metrics = MetricsRegistry()
+    sink = _Sink()
+    owner, loop, conn = _peer(ns, sink, "quiesce", metrics=metrics)
+    try:
+        n = 8
+        # All sends happen inside one loop callback, so their pumps
+        # drain in the same burst and the pass-end flush sees them all.
+        loop.call(lambda: [conn.send(_data_frame(i))
+                           for i in range(1, n + 1)])
+        _wait_for(lambda: len(sink.frames) >= n + 1, what="burst frames")
+        assert sink.frames == [bytes(_data_frame(i)[0])
+                               for i in range(n + 1)]
+        fps = metrics.histogram("frames_per_syscall")
+        assert fps.count and fps.total / fps.count > 1.0, (
+            "a same-burst send batch should share a vectored flush")
+    finally:
+        conn.close()
+        loop.close()
+        sink.close()
+        owner.close()
+
+
+def test_eventloop_peer_control_frame_keeps_fifo_behind_data(ns):
+    """Acks must not overtake the data they answer: a control frame
+    sent after data frames arrives after them, promptly."""
+    sink = _Sink()
+    owner, loop, conn = _peer(ns, sink, "fifo")
+    try:
+        conn.send(_data_frame(1))
+        conn.send(_data_frame(2))
+        conn.send(_control_frame())
+        _wait_for(lambda: len(sink.frames) >= 4, what="data then control")
+        assert sink.frames[1:] == [bytes(_data_frame(1)[0]),
+                                   bytes(_data_frame(2)[0]),
+                                   bytes(_control_frame()[0])]
+    finally:
+        conn.close()
+        loop.close()
+        sink.close()
+        owner.close()
+
+
+def test_eventloop_peer_close_flushes_queued_frame(ns):
+    """close() right behind a send still delivers the frame: the flush
+    is waited for before the socket goes away."""
+    sink = _Sink()
+    owner, loop, conn = _peer(ns, sink, "closer")
+    try:
+        conn.send(_data_frame(1))
+        conn.close(flush_timeout=5.0)
+        _wait_for(lambda: len(sink.frames) >= 2, what="flush on close")
+        assert sink.frames[1] == bytes(_data_frame(1)[0])
+    finally:
+        loop.close()
+        sink.close()
+        owner.close()
+
+
 def test_eventloop_peer_coalesces_queued_messages(ns):
-    """Mirror of the PeerConnection coalescing test: messages queued
-    before the dial lands arrive in order, amortized over few syscalls."""
+    """Messages queued before the dial lands arrive in order, amortized
+    over few syscalls."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)

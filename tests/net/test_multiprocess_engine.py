@@ -20,7 +20,6 @@ from repro.core import (
     SplitOperation,
     ThreadCollection,
 )
-from repro.net.connections import TransportPolicy
 from repro.runtime import MultiprocessEngine, ScheduleError
 from repro.serial import SimpleToken
 
@@ -132,30 +131,17 @@ def counting_graph(name, worker_mapping="node02"):
 
 
 def test_eventloop_mode_thread_census():
-    """The point of the I/O core: after a run in the default eventloop
-    mode, the console kernel owns one ``dps-io:`` loop thread and zero
-    per-peer ``dps-send:`` / per-connection ``dps-recv:`` threads."""
+    """The point of the I/O core: after a run the console kernel owns
+    exactly one ``dps-io:`` loop thread and no accept, per-peer
+    ``dps-send:`` or per-connection ``dps-recv:`` thread."""
     g = counting_graph("census-ev")
     with MultiprocessEngine() as engine:
         engine.register_graph(g)
         assert engine.run(g, MpJob(2), timeout=60).total == 1 + 2
         names = [t.name for t in threading.enumerate()]
-        assert any(n.startswith("dps-io:") for n in names)
-        assert not any(n.startswith("dps-send:") for n in names)
-        assert not any(n.startswith("dps-recv:") for n in names)
-
-
-def test_threads_mode_thread_census():
-    """The PR 4 fallback shape survives behind io_mode="threads": writer
-    threads per peer, no loop thread."""
-    g = counting_graph("census-th")
-    transport = TransportPolicy(io_mode="threads")
-    with MultiprocessEngine(transport=transport) as engine:
-        engine.register_graph(g)
-        assert engine.run(g, MpJob(2), timeout=60).total == 1 + 2
-        names = [t.name for t in threading.enumerate()]
-        assert any(n.startswith("dps-send:") for n in names)
-        assert not any(n.startswith("dps-io:") for n in names)
+        assert sum(n.startswith("dps-io:") for n in names) == 1
+        for prefix in ("dps-accept:", "dps-send:", "dps-recv:"):
+            assert not any(n.startswith(prefix) for n in names), prefix
 
 
 def test_thread_state_persists_across_runs():

@@ -103,7 +103,7 @@ def _pure_encode(tok):
 
 def _fast_encode(tok):
     mode = fastpath.get_codec()
-    fastpath.set_codec("fast")
+    fastpath.set_codec("auto")
     try:
         return encode(tok)
     finally:
@@ -121,7 +121,7 @@ def _pure_decode(data):
 
 def _fast_decode(data):
     mode = fastpath.get_codec()
-    fastpath.set_codec("fast")
+    fastpath.set_codec("auto")
     try:
         return decode(data)
     finally:

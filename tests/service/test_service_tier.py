@@ -173,6 +173,27 @@ def test_two_clients_get_distinct_sessions(tier):
         assert b.result(30).text == "FROM TWO"
 
 
+def test_client_runs_exactly_one_io_thread(tier):
+    """The client's whole wire side — accepting the console's dial-back,
+    reading replies, sending calls — is one ``dps-io:`` loop thread,
+    gone again after ``close()``."""
+    _, address, _ = tier
+
+    def census():
+        return sorted(t.name for t in threading.enumerate()
+                      if not t.name.startswith("dps-dial:"))  # transient
+
+    before = census()
+    with ServiceClient(address, name="census-client") as client:
+        assert client.call("echo", TierJob("census"), timeout=30).text \
+            == "CENSUS"
+        gained = census()
+        for name in before:
+            gained.remove(name)
+        assert gained == ["dps-io:census-client"]
+    assert census() == before
+
+
 def test_overload_sheds_with_busy(tier):
     """More in-flight calls than capacity: the excess is answered
     MSG_SVC_BUSY immediately, the admitted ones all complete."""

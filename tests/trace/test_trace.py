@@ -3,7 +3,13 @@
 from repro.apps.strings import StringToken, build_uppercase_graph
 from repro.cluster import paper_cluster
 from repro.runtime import SimEngine
-from repro.trace import Tracer, activity_timeline, message_summary, op_summary
+from repro.trace import (
+    MetricsRegistry,
+    Tracer,
+    activity_timeline,
+    message_summary,
+    op_summary,
+)
 
 
 def traced_run():
@@ -82,6 +88,31 @@ def test_clear():
     tracer = traced_run()
     tracer.clear()
     assert len(tracer) == 0
+
+
+def test_metrics_clear_keeps_handles_valid():
+    """A kernel's trace flush clears its registry; instruments looked up
+    once (the I/O loop's ``io_loop_wakeups`` counter) must keep feeding
+    it afterwards instead of counting into an orphan."""
+    metrics = MetricsRegistry()
+    wakeups = metrics.counter("io_loop_wakeups")
+    depth = metrics.gauge("outbox_depth")
+    fps = metrics.histogram("frames_per_syscall")
+    wakeups.inc(7)
+    depth.set(5)
+    fps.observe(3.0)
+    metrics.clear()
+    snap = metrics.snapshot()
+    assert snap["counters"]["io_loop_wakeups"] == 0
+    assert snap["gauges"]["outbox_depth"] == (0.0, 0.0)
+    assert snap["histograms"]["frames_per_syscall"][0] == 0
+    wakeups.inc()
+    depth.set(2)
+    fps.observe(4.0)
+    snap = metrics.snapshot()
+    assert snap["counters"]["io_loop_wakeups"] == 1
+    assert snap["gauges"]["outbox_depth"] == (2, 2)
+    assert snap["histograms"]["frames_per_syscall"] == (1, 4.0, 4.0, 4.0)
 
 
 def test_op_durations_report():
