@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.apps.strings import StringToken, build_uppercase_graph
 from repro.cluster import paper_cluster
-from repro.net import ConnectionPool
+from repro.net import ConnectionPool, IOLoop
 from repro.runtime import SimEngine
 from repro.serial import Buffer, ComplexToken, decode, encode
 from repro.simkernel import Simulator
@@ -113,7 +113,8 @@ def test_pool_send_hot_path_rate(benchmark):
         def close(self, flush_timeout=5.0):
             pass
 
-    pool = ConnectionPool(None, hello_from="bench",
+    loop = IOLoop("bench").start()
+    pool = ConnectionPool(None, loop=loop, hello_from="bench",
                           on_error=lambda peer, exc: None)
     pool._peers["peer"] = NullConn()
     payload = [bytearray(b"x" * 64)]
@@ -123,6 +124,9 @@ def test_pool_send_hot_path_rate(benchmark):
         for _ in range(10_000):
             send("peer", payload)
 
-    benchmark(burst)
+    try:
+        benchmark(burst)
+    finally:
+        loop.close()
     assert NullConn.sent >= 10_000
     assert _best_seconds(benchmark) < CEILING_POOL_SEND_BURST

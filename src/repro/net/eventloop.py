@@ -275,8 +275,11 @@ class IOLoop:
                     conn, _ = sock.accept()
                 except (BlockingIOError, InterruptedError):
                     return
-                except OSError:  # listener closed under us
-                    self._unregister(sock)
+                except OSError:
+                    # closed under us: stop.  Anything else (ECONNABORTED,
+                    # EMFILE) is transient: retry at the next readiness.
+                    if sock.fileno() == -1:
+                        self._unregister(sock)
                     return
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 on_accept(conn)

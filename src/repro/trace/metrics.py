@@ -136,13 +136,22 @@ class MetricsRegistry:
 
     # -- aggregation ----------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """A picklable plain-dict view (for the wire / for reports)."""
+        """A picklable plain-dict view (for the wire / for reports).
+
+        Series at their zero state (never touched, or untouched since
+        :meth:`clear`) are left out: ``clear`` keeps the instruments, and
+        merging an idle ``(0, 0)`` gauge would reset the receiver's last
+        value.  ``list(...)`` because other threads may add series.
+        """
         return {
-            "counters": {k: c.value for k, c in self._counters.items()},
-            "gauges": {k: (g.value, g.peak) for k, g in self._gauges.items()},
+            "counters": {k: c.value for k, c in list(self._counters.items())
+                         if c.value},
+            "gauges": {k: (g.value, g.peak)
+                       for k, g in list(self._gauges.items())
+                       if g.value or g.peak},
             "histograms": {
                 k: (h.count, h.total, h.min, h.max)
-                for k, h in self._histograms.items()
+                for k, h in list(self._histograms.items()) if h.count
             },
         }
 
@@ -173,28 +182,27 @@ class MetricsRegistry:
         loop keeps its ``io_loop_wakeups`` counter) keeps feeding the
         registry after a trace flush cleared it.
         """
-        for c in self._counters.values():
+        for c in list(self._counters.values()):
             c.value = 0
-        for g in self._gauges.values():
+        for g in list(self._gauges.values()):
             g.value = g.peak = 0.0
-        for h in self._histograms.values():
+        for h in list(self._histograms.values()):
             h.count, h.total, h.min, h.max = 0, 0.0, float("inf"), 0.0
 
     # -- reporting ------------------------------------------------------
     def report(self) -> str:
-        """Human-readable dump of every series."""
+        """Human-readable dump of every series :meth:`snapshot` holds."""
+        snap = self.snapshot()
         lines = []
-        for name in sorted(self._counters):
-            lines.append(f"counter   {name:<24} {self._counters[name].value}")
-        for name in sorted(self._gauges):
-            g = self._gauges[name]
-            lines.append(f"gauge     {name:<24} {g.value:g} (peak {g.peak:g})")
-        for name in sorted(self._histograms):
-            h = self._histograms[name]
-            mn = 0.0 if h.count == 0 else h.min
+        for name, value in sorted(snap["counters"].items()):
+            lines.append(f"counter   {name:<24} {value}")
+        for name, (value, peak) in sorted(snap["gauges"].items()):
+            lines.append(f"gauge     {name:<24} {value:g} (peak {peak:g})")
+        for name, (count, total, mn, mx) in sorted(
+                snap["histograms"].items()):
             lines.append(
-                f"histogram {name:<24} n={h.count} mean={h.mean:.6g} "
-                f"min={mn:.6g} max={h.max:.6g}"
+                f"histogram {name:<24} n={count} mean={total / count:.6g} "
+                f"min={mn:.6g} max={mx:.6g}"
             )
         return "\n".join(lines) if lines else "(no metrics recorded)"
 

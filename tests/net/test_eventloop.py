@@ -372,6 +372,36 @@ def test_ioloop_add_listener_accepts_back_to_back_dials():
         loop.close()
 
 
+def test_ioloop_add_listener_survives_transient_accept_error():
+    """An ``accept`` error on a still-open listener (ECONNABORTED, EMFILE)
+    is retried at the next readiness event, not taken as 'closed'."""
+
+    class FlakyListener(socket.socket):
+        failures = 1
+
+        def accept(self):
+            if self.failures:
+                self.failures -= 1
+                raise ConnectionAbortedError("peer reset in the backlog")
+            return super().accept()
+
+    loop = IOLoop("flaky").start()
+    listener = FlakyListener(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    accepted = []
+    loop.add_listener(listener, accepted.append)
+    dialed = socket.create_connection(listener.getsockname())
+    try:
+        _wait_for(lambda: accepted, what="accept after a transient error")
+        assert listener.failures == 0
+    finally:
+        dialed.close()
+        for conn in accepted:
+            conn.close()
+        loop.close()
+
+
 def test_at_pass_end_runs_after_burst_and_dedups():
     """Pass-end hooks are carried across back-to-back zero-timeout
     passes and run once, last registration per key winning, right
