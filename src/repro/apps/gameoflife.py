@@ -212,6 +212,13 @@ class GolExchangeThread(DpsThread):
         self.row_start = 0
         self.ghost_top: Optional[np.ndarray] = None
         self.ghost_bottom: Optional[np.ndarray] = None
+        # Bookkeeping of the improved graph, which has no barrier between
+        # exchange and commit (underscored: not priced as migrating
+        # state).  Border rows of the current generation served so far,
+        # and the next generation ``(band, neighbours)`` while it waits
+        # for the last neighbour to fetch the current one's border.
+        self._served = 0
+        self._held: Optional[tuple] = None
 
 
 class GolComputeThread(DpsThread):
@@ -255,6 +262,7 @@ class GolLoadBand(LeafOperation):
         t.row_start = tok.row_start
         t.ghost_top = np.zeros(t.band.shape[1], dtype=np.uint8)
         t.ghost_bottom = np.zeros(t.band.shape[1], dtype=np.uint8)
+        t._served, t._held = 0, None
         self.post(GolAckToken(tok.worker))
 
 
@@ -327,6 +335,9 @@ class GolSendBorder(LeafOperation):
         # direction -1: requester is below us and wants our last row.
         row = t.band[0] if tok.direction == +1 else t.band[-1]
         self.post(GolBorderData(tok.requester, tok.direction, row.copy()))
+        t._served += 1
+        if t._held is not None and t._served >= t._held[1]:
+            _commit(t, t._held[0])  # the last neighbour has its row
 
 
 def _post_border_requests(op, worker: int, n_workers: int) -> None:
@@ -343,6 +354,12 @@ def _post_border_requests(op, worker: int, n_workers: int) -> None:
         op.post(GolBorderRequest(worker, worker - 1, -1))
     else:
         op.post(GolBorderRequest(worker, worker, 0))
+
+
+def _commit(thread: GolExchangeThread, band: np.ndarray) -> None:
+    """Make *band* the current generation."""
+    thread.band = band
+    thread._served, thread._held = 0, None
 
 
 def _store_ghost(thread: GolExchangeThread, tok: GolBorderData) -> None:
@@ -446,7 +463,7 @@ class GolCommitBand(LeafOperation):
     out_types = (GolAckToken,)
 
     def execute(self, tok: GolBandResult):
-        self.thread.band = tok.band.array
+        _commit(self.thread, tok.band.array)
         self.post(GolAckToken(tok.worker))
 
 
@@ -511,9 +528,11 @@ class GolImpCollect(MergeOperation):
     def execute(self, tok):
         me = self.thread
         interior = None
+        neighbours = 0
         while tok is not None:
             if isinstance(tok, GolBorderData):
                 _store_ghost(me, tok)
+                neighbours += tok.direction != 0
             else:
                 interior = tok.interior.array
             tok = yield self.next_token()
@@ -529,7 +548,15 @@ class GolImpCollect(MergeOperation):
             new[-1] = _step_band(bot_ext[1:2], bot_ext[0], bot_ext[2])[0]
         else:
             new[:] = _step_band(band, me.ghost_top, me.ghost_bottom)
-        me.band = new
+        if me._served < neighbours:
+            # Nothing orders a neighbour's request before this point: on
+            # real threads it may still be on its way, and it must be
+            # answered from this generation.  GolSendBorder commits once
+            # it has served it (before the iteration's final merge, which
+            # waits for that neighbour's ack).
+            me._held = (new, neighbours)
+        else:
+            _commit(me, new)
         yield self.post(GolAckToken(me.index))
 
 

@@ -546,10 +546,13 @@ class LUNext(_LUOp, StreamOperation):
                 pivots = _do_factor(self, t, k_next)
                 yield self.charge_flops(_factor_flops(self, k_next))
                 _post_stage_requests(self, t, k_next, pivots, waiting)
+                # Snapshot for stragglers: the row flips of later stages
+                # permute this column in place, and a request posted
+                # after them must still carry the panel as factored.
+                panel = t.cols[k_next][k_next * self.r :, :].copy()
                 waiting = []
                 factored = True
             elif factored:
-                panel = t.cols[k_next][k_next * self.r :, :]
                 self.post(self.scaled(
                     LUTrsmRequest(k_next, j, panel.copy(),
                                   t.pivots[k_next].copy())

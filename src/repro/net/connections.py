@@ -11,7 +11,8 @@ directory is briefly stale).
 
 Each peer gets one unidirectional send channel, an
 :class:`~repro.net.eventloop.EventLoopPeer`: posting a token to a remote
-kernel is a queue append — never a network wait under the engine lock —
+kernel is one non-blocking ``sendmsg`` when the channel is idle and a
+queue append otherwise — never a network wait under the engine lock —
 and per-peer FIFO ordering is preserved (acks must not overtake the data
 tokens they answer).  The owner's single :class:`~repro.net.eventloop.IOLoop`
 drains every outbox with vectored writes; :class:`ConnectionPool` is the
@@ -206,11 +207,16 @@ class ConnectionPool:
                     trace=self._trace)
             return conn
 
-    def send(self, name: str, segments: List[Segment]) -> None:
+    def send(self, name: str, segments: List[Segment],
+             more: bool = False) -> None:
+        """Send to peer *name*; *more* as in :meth:`EventLoopPeer.send`."""
         conn = self._peers.get(name)
         if conn is None:
             conn = self.peer(name)
-        conn.send(segments)
+        if more:
+            conn.send(segments, True)
+        else:
+            conn.send(segments)  # one-argument stand-ins stay valid
 
     def peer_names(self) -> List[str]:
         with self._lock:

@@ -11,22 +11,26 @@ of the dial path keep their blocking calls).
 - **Accepts**: :meth:`IOLoop.add_listener` registers a listening socket;
   every connection it yields is handed to a callback on the loop thread,
   which normally adopts it with :meth:`IOLoop.add_connection`.
-- **Writes** drain per-peer outboxes with non-blocking vectored
-  ``sendmsg`` (:class:`VectoredSender`), resuming partial writes with
-  sliced ``memoryview``\\ s and registering for ``EVENT_WRITE`` only
-  while the kernel socket buffer is full — natural backpressure that is
+- **Writes** are non-blocking vectored ``sendmsg`` calls
+  (:class:`VectoredSender`), resuming partial writes with sliced
+  ``memoryview``\\ s and registering for ``EVENT_WRITE`` only while the
+  kernel socket buffer is full — natural backpressure that is
   *observable*: a blocked peer's queued frames show up in the
   ``outbox_depth`` gauge, and every short write increments
-  ``partial_writes``.  Flushes run at the loop's quiescent point
-  (:meth:`IOLoop.at_pass_end`), so frames produced anywhere in a burst
-  share one vectored write.
+  ``partial_writes``.  One rule picks the writing thread
+  (:meth:`EventLoopPeer.send`): a message with nothing queued ahead of
+  it and no further input waiting behind it is written by the thread
+  that produced it; anything else queues on the peer's outbox and the
+  loop flushes it at its quiescent point (:meth:`IOLoop.at_pass_end`),
+  so frames produced anywhere in a burst share one vectored write.
 - **Reads** are readiness-driven: adopted connections register for
   ``EVENT_READ`` and feed :meth:`~repro.net.framing.FrameReader.recv_ready`
   batches straight into the owner's dispatch path.
-- **Wakeups** use a ``socketpair`` self-pipe: posting a token from any
-  engine thread is a lock-free ``deque.append`` plus (at most) one
+- **Wakeups** use a ``socketpair`` self-pipe: handing work to the loop
+  from any engine thread is a ``deque.append`` plus (at most) one
   one-byte ``send`` — :meth:`IOLoop.call` never blocks and never takes
-  a lock, so ``ConnectionPool.send`` stays safe under the engine lock.
+  a lock, and a sending thread only ever *tries* the per-peer write
+  lock, so ``ConnectionPool.send`` stays safe under the engine lock.
   ``io_loop_wakeups`` counts loop iterations.
 
 A platform without a working selector or ``socketpair`` cannot run
@@ -47,7 +51,7 @@ from ..serial.wire import Segment, frame
 from .framing import MAX_SENDMSG_SEGMENTS, FrameReader, _as_byte_views, \
     send_message
 from .nameserver import NameServerError
-from .protocol import encode_shm_attach
+from .protocol import _segment_nbytes, encode_shm_attach
 from .shm import ShmSender, host_fingerprint
 
 __all__ = ["IOLoop", "VectoredSender", "EventLoopPeer"]
@@ -68,9 +72,10 @@ class VectoredSender:
     the wire are identical to the blocking
     :func:`~repro.net.framing.send_messages` path.
 
-    Single-consumer: only the loop thread pumps.  The class itself owns
-    no socket, which keeps it drivable by property tests with a mock
-    whose ``sendmsg`` accepts arbitrary byte counts.
+    Single-writer: whoever pushes or pumps holds the owning peer's
+    write lock.  The class itself owns no socket, which keeps it
+    drivable by property tests with a mock whose ``sendmsg`` accepts
+    arbitrary byte counts.
     """
 
     def __init__(self, *, coalescing: bool = True,
@@ -174,9 +179,9 @@ class VectoredSender:
 class IOLoop:
     """One ``selectors`` event loop owning all of a kernel's socket I/O.
 
-    Everything that touches the selector or per-peer write state runs on
-    the loop thread; other threads hand work over with :meth:`call`
-    (lock-free append + self-pipe wakeup).  Listeners are registered
+    Everything that touches the selector runs on the loop thread; other
+    threads hand work over with :meth:`call` (queue append + self-pipe
+    wakeup).  Listeners are registered
     with :meth:`add_listener`, readers with :meth:`add_connection`;
     writers are :class:`EventLoopPeer` objects that register themselves
     for ``EVENT_WRITE`` only while blocked.
@@ -433,22 +438,24 @@ class IOLoop:
 
 
 class EventLoopPeer:
-    """Send-only channel to one peer kernel, drained by the
-    :class:`IOLoop`.
+    """Send-only channel to one peer kernel.
 
-    :meth:`send` is a lock-free queue append from any thread; the peer
-    is dialed lazily (a transient ``dps-dial`` thread owns the blocking
-    resolve/connect/backoff, then hands the non-blocking socket to the
-    loop).  When the peer's HELLO-time host fingerprint matches ours,
-    payload segments above a size threshold take the
-    :mod:`~repro.net.shm` shared-memory lane and only descriptor frames
-    hit the TCP stack.  Transport errors are reported once through
-    *on_error*; messages queued after a failure are dropped, but the
-    drops are *counted* (``token_drops`` metric, ``token_drop`` trace
-    event) so a peer loss shows up in the run's observability instead
-    of as a silent hang.  Per-peer FIFO order is preserved end to end:
-    the outbox is drained in order onto the :class:`VectoredSender`,
-    which never reorders frames.
+    :meth:`send` never blocks, from any thread: the message is either
+    written to the socket right there or appended to the outbox for the
+    :class:`IOLoop` to flush.  The peer is dialed lazily (a transient
+    ``dps-dial`` thread owns the blocking resolve/connect/backoff, then
+    hands the non-blocking socket to the loop).  When the peer's
+    HELLO-time host fingerprint matches ours, payload segments above a
+    size threshold take the :mod:`~repro.net.shm` shared-memory lane and
+    only descriptor frames hit the TCP stack.  Transport errors are
+    reported once through *on_error*, always on the loop thread;
+    messages queued after a failure are dropped, but the drops are
+    *counted* (``token_drops`` metric, ``token_drop`` trace event) so a
+    peer loss shows up in the run's observability instead of as a silent
+    hang.  Per-peer FIFO order is preserved end to end: a message is
+    written directly only when nothing is queued ahead of it, the outbox
+    is drained in order onto the :class:`VectoredSender`, and the sender
+    never reorders frames.
     """
 
     def __init__(self, peer_name: str, ns, *, loop: IOLoop,
@@ -474,6 +481,12 @@ class EventLoopPeer:
         self._sender = VectoredSender(
             coalescing=self._transport.coalescing,
             max_batch_bytes=self._transport.max_batch_bytes)
+        # Single-writer guard for the sender, the shm arena and the
+        # socket's write side.  The loop thread takes it blockingly;
+        # sending threads only ever *try* it and never wait for the loop
+        # while holding it, so it cannot deadlock.  Re-entrant because
+        # the loop-side steps nest (_on_writable -> _flush -> _fail).
+        self._write_lock = threading.RLock()
         self._partial_writes_reported = 0
         self._sock: Optional[socket.socket] = None
         self._shm: Optional[ShmSender] = None
@@ -484,14 +497,38 @@ class EventLoopPeer:
         self._flushed = threading.Event()
 
     # -- any-thread interface ------------------------------------------
-    def send(self, segments: List[Segment]) -> None:
-        # Deliberately no caller-thread "inline write when idle" fast
-        # path: measurement showed it serializes the post-sendmsg
-        # reschedule penalty into the producing thread and defeats
-        # outbox coalescing under pipelined load (one frame per syscall
-        # instead of a batch per loop pass).  The append is lock-free
-        # and the wake byte is elided whenever the loop is mid-pass, so
-        # the handoff is already a deque.append most of the time.
+    def send(self, segments: List[Segment], more: bool = False) -> None:
+        """Send one message; *more* says the caller has further input
+        already waiting, i.e. further sends are likely right behind.
+
+        One rule picks the thread that writes.  A small message with
+        nothing queued ahead of it on an attached, unblocked socket,
+        from a caller that is not the loop and has nothing more to send,
+        goes out on the calling thread: handing it to the loop would add
+        a thread hand-off (self-pipe wake, GIL switch) to every hop of
+        an unloaded pipeline and buy nothing, since there is no second
+        frame to share the syscall with.  Everything else — a backlog,
+        a blocked or not-yet-dialed socket, a caller with more input,
+        a message with a segment of shm-lane size (the copy into the
+        arena is the loop's work; ``ring_large`` read 4 % more CPU per
+        token with it on the worker), the loop thread itself (acks and
+        posts released while it dispatches a read batch) — queues on
+        the outbox, and the loop flushes at its quiescent point so the
+        burst shares one vectored write.  (PR 6 measured the direct
+        write as a loss on one core, where writer and loop could never
+        overlap anyway; with two the hand-off is the dominant cost of an
+        idle hop — bench ``ring_call``.)
+        """
+        if not more and self._idle() \
+                and not self._loop.on_loop_thread() \
+                and not self._bulk(segments) \
+                and self._write_lock.acquire(blocking=False):
+            try:
+                if self._idle():  # still true now that we own the writer
+                    self._write_now(segments)
+                    return
+            finally:
+                self._write_lock.release()
         self._outbox.append(segments)
         if not self._scheduled:
             self._scheduled = True
@@ -503,41 +540,79 @@ class EventLoopPeer:
         self._flushed.wait(timeout=flush_timeout)
         self._loop.call(self._teardown)
 
+    def _bulk(self, segments: List[Segment]) -> bool:
+        """Whether a segment is large enough for the shm lane."""
+        threshold = self._transport.shm_threshold
+        return any(_segment_nbytes(seg) >= threshold for seg in segments)
+
+    def _idle(self) -> bool:
+        """Attached, healthy, and nothing queued ahead of a new message."""
+        return (self._sock is not None and not self._outbox
+                and not self._sender.pending_frames
+                and not self._write_registered
+                and not self._failed and not self._closing)
+
+    def _write_now(self, segments: List[Segment]) -> None:
+        """Write one message on the calling thread (write lock held).
+
+        No segment is of shm-lane size (:meth:`send` checked), so there
+        is nothing to divert through the arena.
+        """
+        self._sender.push(segments)
+        try:
+            drained = self._sender.pump(self._sock)
+        except OSError as exc:
+            # The frame stays queued; _fail (selector, on_error: loop
+            # thread only) drops and counts it.
+            self._loop.call(lambda err=exc: self._fail(err))
+            return
+        if drained:
+            self._note_drained()
+        else:
+            # Short write: the loop retries and, if the socket is still
+            # full, waits for EVENT_WRITE.  Until then the queued
+            # remainder keeps later sends behind it on the outbox.
+            self._loop.call(self._flush)
+
     # -- loop-thread internals -----------------------------------------
     def _pump(self) -> None:
         self._scheduled = False
-        if self._failed or (self._closing and self._flushed.is_set()):
-            self._count_drops(self._drop_queued())
-            return
-        if self._sock is None:
-            if not self._dialing:
-                self._dialing = True
-                threading.Thread(
-                    target=self._dial,
-                    name=f"dps-dial:{self.peer_name}", daemon=True).start()
-            return  # _attach re-pumps once the dial lands
-        self._drain_outbox()
-        if self._write_registered:
-            # Socket buffer full: frames queue in the sender and
-            # _on_writable resumes the flush.
-            return
-        sender = self._sender
-        if (sender.pending_bytes >= self._transport.max_batch_bytes
-                or sender.pending_frames >= self._transport.max_batch_frames):
-            # Budget hit: flush inline to bound queued memory.
-            self._flush()
-        else:
-            # Flush at the loop's next quiescent point, not inline: the
-            # rest of the burst (reads handing tokens to worker threads,
-            # later pumps) runs first, and frames those produce ride the
-            # same vectored write.  Latency cost is the burst remainder
-            # — the loop was busy anyway — against one syscall per
-            # wakeup; this is where the event loop gets the natural
-            # backpressure batching of a blocking writer.
-            self._loop.at_pass_end(self, self._flush)
+        with self._write_lock:
+            if self._failed or (self._closing and self._flushed.is_set()):
+                self._count_drops(self._drop_queued())
+                return
+            if self._sock is None:
+                if not self._dialing:
+                    self._dialing = True
+                    threading.Thread(
+                        target=self._dial,
+                        name=f"dps-dial:{self.peer_name}",
+                        daemon=True).start()
+                return  # _attach re-pumps once the dial lands
+            self._drain_outbox()
+            if self._write_registered:
+                # Socket buffer full: frames queue in the sender and
+                # _on_writable resumes the flush.
+                return
+            sender = self._sender
+            if (sender.pending_bytes >= self._transport.max_batch_bytes
+                    or sender.pending_frames
+                    >= self._transport.max_batch_frames):
+                # Budget hit: flush inline to bound queued memory.
+                self._flush()
+            else:
+                # Flush at the loop's next quiescent point, not inline:
+                # the rest of the burst (reads handing tokens to worker
+                # threads, later pumps) runs first, and frames those
+                # produce ride the same vectored write.  Latency cost is
+                # the burst remainder — the loop was busy anyway —
+                # against one syscall per wakeup; this is where the
+                # event loop gets the natural backpressure batching of a
+                # blocking writer.
+                self._loop.at_pass_end(self, self._flush)
 
     def _drain_outbox(self) -> None:
-        """Move queued messages into the sender, in order."""
+        """Move queued messages into the sender, in order (lock held)."""
         sender = self._sender
         outbox = self._outbox
         shm = self._shm
@@ -549,24 +624,25 @@ class EventLoopPeer:
 
     def _flush(self) -> None:
         """Push the sender's queued frames to the socket (loop thread)."""
-        if self._failed or self._sock is None or self._write_registered:
-            return  # a pass-end hook may outlive a same-pass fail/detach
-        try:
-            drained = self._sender.pump(self._sock)
-        except OSError as exc:
-            self._fail(exc)
-            return
-        if drained:
-            self._set_write_interest(False)
-            self._note_drained()
-        else:
-            self._set_write_interest(True)
-            self._report_partials()
-            if self._metrics is not None:
-                # Write-blocked: surface the backlog as backpressure so
-                # queue-depth dashboards see the stalled peer.
-                self._metrics.gauge("outbox_depth").set(
-                    self._sender.pending_frames + len(self._outbox))
+        with self._write_lock:
+            if self._failed or self._sock is None or self._write_registered:
+                return  # a pass-end hook may outlive a same-pass fail/detach
+            try:
+                drained = self._sender.pump(self._sock)
+            except OSError as exc:
+                self._fail(exc)
+                return
+            if drained:
+                self._set_write_interest(False)
+                self._note_drained()
+            else:
+                self._set_write_interest(True)
+                self._report_partials()
+                if self._metrics is not None:
+                    # Write-blocked: surface the backlog as backpressure
+                    # so queue-depth dashboards see the stalled peer.
+                    self._metrics.gauge("outbox_depth").set(
+                        self._sender.pending_frames + len(self._outbox))
 
     def _note_drained(self) -> None:
         """Post-flush bookkeeping once everything queued hit the socket."""
@@ -581,9 +657,10 @@ class EventLoopPeer:
             self._flushed.set()
 
     def _on_writable(self, _mask: int) -> None:
-        self._drain_outbox()
-        self._set_write_interest(False)
-        self._flush()
+        with self._write_lock:
+            self._drain_outbox()
+            self._set_write_interest(False)
+            self._flush()
 
     def _set_write_interest(self, on: bool) -> None:
         if on == self._write_registered or self._sock is None:
@@ -640,50 +717,54 @@ class EventLoopPeer:
                 if shm is not None:
                     shm.destroy()
                 return
-            self._sock = sock
-            self._shm = shm
-            self._pump()
+            with self._write_lock:
+                self._sock = sock
+                self._shm = shm
+                self._pump()
 
         self._loop.call(attach)
 
     def _fail(self, exc: Exception) -> None:
-        if self._failed:
-            return
-        self._failed = True
-        self._count_drops(self._drop_queued())
-        if self._shm is not None:
-            # The peer is gone: blocks it never consumed would pin the
-            # FIFO ring tail forever.  Safe here — the loop thread is
-            # the arena's only producer and no more descriptors follow.
-            self._shm.reclaim_all()
-        self._set_write_interest(False)
-        self._flushed.set()
+        with self._write_lock:
+            if self._failed:
+                return
+            self._failed = True
+            self._count_drops(self._drop_queued())
+            if self._shm is not None:
+                # The peer is gone: blocks it never consumed would pin
+                # the FIFO ring tail forever.  Safe here — we hold the
+                # arena's write lock and no more descriptors follow.
+                self._shm.reclaim_all()
+            self._set_write_interest(False)
+            self._flushed.set()
         if not self._closing:
             self._on_error(self.peer_name, exc)
 
     def _begin_close(self) -> None:
-        self._closing = True
-        if self._failed or (self._sock is not None and not self._outbox
-                            and not self._sender.pending_frames):
-            self._flushed.set()
-            return
-        if self._sock is None and not self._dialing:
-            # Never dialed and nothing forced it: nothing to flush.
-            self._flushed.set()
-            return
-        self._pump()  # flush sets _flushed on drain (or _fail does)
+        with self._write_lock:
+            self._closing = True
+            if self._failed or (self._sock is not None and not self._outbox
+                                and not self._sender.pending_frames):
+                self._flushed.set()
+                return
+            if self._sock is None and not self._dialing:
+                # Never dialed and nothing forced it: nothing to flush.
+                self._flushed.set()
+                return
+            self._pump()  # flush sets _flushed on drain (or _fail does)
 
     def _teardown(self) -> None:
-        self._closing = True
-        self._failed = True  # late sends become counted drops
-        self._set_write_interest(False)
-        sock, self._sock = self._sock, None
+        with self._write_lock:
+            self._closing = True
+            self._failed = True  # late sends become counted drops
+            self._set_write_interest(False)
+            sock, self._sock = self._sock, None
+            shm, self._shm = self._shm, None
         if sock is not None:
             try:
                 sock.close()
             except OSError:
                 pass
-        shm, self._shm = self._shm, None
         if shm is not None:
             shm.destroy()
 

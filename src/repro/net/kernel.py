@@ -271,7 +271,7 @@ class DistributedKernel(ThreadedEngine):
         # activation is already counted, and parking the inner call
         # would deadlock the drain.
         nested = (getattr(self._run_tls, "depth", 0) > 0
-                  or threading.current_thread().name.startswith("dps:"))
+                  or getattr(self._here, "node_name", None) is not None)
         if not nested:
             with self._run_gate:
                 self._run_gate.wait_for(lambda: not self._rebalancing)
@@ -373,8 +373,9 @@ class DistributedKernel(ThreadedEngine):
         self._shutdown_requested.set()
         flusher = self._ack_flusher
         if flusher is not None:
-            # Wakes immediately on the event; its final pass drains any
+            # Wake it out of its idle wait; its final pass drains any
             # buffered acks through the pool before we close it.
+            self._ack_event.set()
             flusher.join(timeout=1.0)
         self._pool.close_all()  # flush needs the loop still running
         self._io_loop.close()
@@ -390,13 +391,24 @@ class DistributedKernel(ThreadedEngine):
     def _remote_send(self, target: str, segments) -> None:
         """Ship a data-path message, piggybacking any buffered acks.
 
-        Pending acks for *target* are flushed onto its outbox *first*;
-        both land in the same loop-side drain, so the ack batch and the
-        data frame usually share one vectored syscall.
+        Pending acks for *target* go first, so per-peer FIFO puts them
+        ahead of the data frame.
         """
         if self._ack_pending and target in self._ack_pending:
             self._flush_acks(target)
-        self._pool.send(target, segments)
+        self._pool.send(target, segments, self._more_input())
+
+    def _more_input(self) -> bool:
+        """Whether the calling thread already has further input queued.
+
+        More sends are then right behind the current one, and the
+        channel leaves the write to the loop's coalescing flush instead
+        of paying a syscall per frame (``more`` of
+        :meth:`EventLoopPeer.send`).  Threads that drain no inbox —
+        driver, dial, timers — never have.
+        """
+        inbox = getattr(self._here, "inbox", None)
+        return inbox is not None and inbox.qsize() > 0
 
     def transmit(self, env: DataEnvelope) -> None:
         node = env.graph.node(env.node_id)
@@ -429,7 +441,7 @@ class DistributedKernel(ThreadedEngine):
         key = (graph_name, frame.opener, frame.opener_instance,
                frame.routed_instance, frame.group_id, frame.index)
         if not self.transport.ack_aggregation:
-            # Queue append only — the caller holds the engine lock.
+            # Never blocks — the caller holds the engine lock.
             self._pool.send(origin_node, P.encode_ack(*key))
             return
         # Buffer the ack; it leaves on the next timed flush, when the

@@ -75,8 +75,8 @@ class ShmSender:
     are allocated at the head, outstanding blocks form a FIFO (the
     receiver consumes frames in order), and consumed blocks are
     reclaimed from the tail before each allocation.  Single-producer
-    (the sending kernel's I/O loop) / single-consumer (the peer's I/O
-    loop), so no locking is needed.
+    (whoever holds the owning peer's write lock) / single-consumer (the
+    peer's I/O loop), so no locking is needed in here.
     """
 
     def __init__(self, arena_bytes: int, threshold: int, metrics=None):

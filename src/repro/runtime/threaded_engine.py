@@ -60,7 +60,7 @@ class _ThreadWorker:
         #: Placement label, fixed for the worker's life (migration evicts
         #: the worker and adopts the thread object into a new one).
         self.node_name = collection.node_of(index)
-        self.inbox: "queue.Queue" = queue.Queue()
+        self.inbox: "queue.SimpleQueue" = queue.SimpleQueue()
         self.os_thread = threading.Thread(
             target=self._loop,
             name=f"dps:{collection.name}[{index}]",
@@ -72,6 +72,7 @@ class _ThreadWorker:
         engine = self.engine
         scheduler = engine.scheduler
         engine._here.node_name = self.node_name
+        engine._here.inbox = self.inbox
         while True:
             item = self.inbox.get()
             if item is _STOP:
@@ -117,15 +118,16 @@ class ThreadedEngine(Engine):
         self.lock = threading.RLock()
         self.scheduler = Scheduler(self, self)
         self._workers: Dict[Tuple[int, int], _ThreadWorker] = {}
-        #: ``node_name`` of the worker running on the current OS thread
-        #: (unset on driver and I/O threads).
+        #: ``node_name`` of the DPS worker running on the current OS
+        #: thread (unset on every other thread), and ``inbox``, the queue
+        #: the current thread takes its input from, if it has one.
         self._here = threading.local()
         self._group_counter = 0
         self._ctx_counter = 0
         #: ctx_id -> queue the activation's caller waits on: the result
         #: token of a graph call; every output token, then the group
         #: total, of a scatter call; an exception if the engine fails
-        self._results: Dict[int, "queue.Queue"] = {}
+        self._results: Dict[int, "queue.SimpleQueue"] = {}
         self._failure: Optional[BaseException] = None
         self._closed = False
         #: Kernel name stamped on activations this engine starts; ``None``
@@ -151,7 +153,7 @@ class ThreadedEngine(Engine):
     # running
     # ------------------------------------------------------------------
     def _activate(self, graph: Flowgraph, token: Token,
-                  result_q: "queue.Queue") -> int:
+                  result_q: "queue.SimpleQueue") -> int:
         """Register an activation and send its input token to the entry."""
         with self.lock:
             self._ctx_counter += 1
@@ -177,7 +179,7 @@ class ThreadedEngine(Engine):
             raise ScheduleError(
                 "engine has failed; shut it down and create a new one"
             ) from failure
-        result_q: "queue.Queue" = queue.Queue()
+        result_q: "queue.SimpleQueue" = queue.SimpleQueue()
         started_at = time.monotonic()
         ctx_id = self._activate(graph, token, result_q)
         try:
@@ -207,7 +209,7 @@ class ThreadedEngine(Engine):
             raise ScheduleError(
                 f"graph {request.graph_name!r} is not a scatter graph"
             )
-        arrivals: "queue.Queue" = queue.Queue()
+        arrivals: "queue.SimpleQueue" = queue.SimpleQueue()
         ctx_id = self._activate(graph, request.token, arrivals)
         delivered, total = 0, None
         try:

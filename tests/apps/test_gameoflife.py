@@ -1,11 +1,14 @@
 """Tests for the distributed Game of Life (Fig. 7–9 application)."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.apps import gameoflife as gol_module
 from repro.apps.gameoflife import DistributedGameOfLife, life_step
 from repro.cluster import paper_cluster
-from repro.runtime import SimEngine
+from repro.runtime import SimEngine, ThreadedEngine
 
 
 def random_world(rows, cols, seed=3, density=0.35):
@@ -95,6 +98,40 @@ def test_variants_agree_with_each_other():
         gol1.step(improved=False)
         gol2.step(improved=True)
     assert np.array_equal(gol1.gather(), gol2.gather())
+
+
+def test_improved_graph_serves_a_late_neighbour_the_old_border(monkeypatch):
+    """The improved graph has no barrier between exchange and commit, so
+    on real threads a band can finish its iteration before a neighbour
+    has even asked for its border.  The late request must still be
+    answered from the generation being stepped, not the committed next
+    one (seen as wrong border rows in 1 of 10 two-step runs on the
+    multiprocess engine, 4 of 10 once idle-peer sends got faster)."""
+    split = gol_module.GolStdIterSplit.execute
+    collect = gol_module.GolImpCollect.execute
+    collected = threading.Event()
+
+    def staggered_split(self, tok):
+        # band 1 starts only after band 0 has finished the iteration
+        self.post(gol_module.GolExchangeCmd(0))
+        assert collected.wait(timeout=30)
+        self.post(gol_module.GolExchangeCmd(1))
+
+    def noting_collect(self, tok):
+        yield from collect(self, tok)
+        if self.thread.index == 0:
+            collected.set()
+
+    monkeypatch.setattr(gol_module.GolStdIterSplit, "execute",
+                        staggered_split)
+    monkeypatch.setattr(gol_module.GolImpCollect, "execute", noting_collect)
+    world = random_world(8, 12)
+    with ThreadedEngine() as engine:
+        gol = DistributedGameOfLife(engine, world, ["node01", "node02"])
+        gol.load()
+        gol.step(improved=True)
+        assert collected.is_set()
+        assert np.array_equal(gol.gather(), life_step(world))
 
 
 # ---------------------------------------------------------------------------

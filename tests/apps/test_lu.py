@@ -1,12 +1,15 @@
 """Tests for the distributed block LU factorization (Fig. 11–15)."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from repro.apps import lu as lu_module
 from repro.apps.lu import DistributedLU, factor_panel
 from repro.cluster import paper_cluster
-from repro.runtime import SimEngine
+from repro.runtime import SimEngine, ThreadedEngine
 
 
 def rand_matrix(n, seed=17):
@@ -106,6 +109,38 @@ def test_lu_more_workers_than_columns():
     # p > s: extra workers stay idle but everything still works
     lu, _ = run_lu(32, 2, 4)
     assert lu.check()
+
+
+def test_lu_straggler_column_gets_the_panel_as_factored(monkeypatch):
+    """On real threads a column may fall stages behind the others.  Its
+    late trsm request must carry the stage's panel as it was factored,
+    not the live column, which the row flips of later stages have since
+    permuted in place (seen as a ~3 % flake of the cross-engine LU test
+    whenever worker 3's first trsm was slow)."""
+    trsm, flip = lu_module.LUTrsm.execute, lu_module.LURowFlip.execute
+    flipped = threading.Event()
+
+    def slow_trsm(self, tok):
+        if (tok.k, tok.j) == (0, 3):
+            # hold column 3 at stage 0 until stage 2 has flipped column 1
+            assert flipped.wait(timeout=30)
+        return (yield from trsm(self, tok))
+
+    def noting_flip(self, tok):
+        yield from flip(self, tok)
+        if (tok.k, tok.j) == (2, 1):
+            flipped.set()
+
+    monkeypatch.setattr(lu_module.LUTrsm, "execute", slow_trsm)
+    monkeypatch.setattr(lu_module.LURowFlip, "execute", noting_flip)
+    a = np.random.default_rng(5).standard_normal((16, 16))
+    with ThreadedEngine() as engine:
+        lu = DistributedLU(engine, a, 4,
+                           ["node01", "node02", "node03", "node04"])
+        lu.load()
+        lu.run()
+        assert flipped.is_set()
+        assert lu.check()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The selectors I/O core: vectored partial-write resumption, loop
 wakeups, readiness-driven accepts and reads, pass-end flush coalescing
-and event-loop peers.
+and event-loop peers — including the one rule that picks which thread
+writes a message (the caller when the peer is idle, the loop otherwise).
 
 The hypothesis suite drives :class:`~repro.net.eventloop.VectoredSender`
 against a mock socket whose ``sendmsg`` accepts an arbitrary byte count
@@ -9,7 +10,9 @@ the byte stream must stay bit-identical to the blocking sender's — frame
 boundaries, FIFO order and payload bytes all survive.
 """
 
+import itertools
 import socket
+import sys
 import threading
 import time
 import tracemalloc
@@ -24,12 +27,15 @@ from repro.net import (
     IOLoop,
     NameServer,
     NameServerClient,
+    ShmReceiver,
     TransportPolicy,
     VectoredSender,
+    host_fingerprint,
     recv_message,
     send_message,
 )
-from repro.net.protocol import MSG_ACK, MSG_DATA, MSG_HELLO, decode_message
+from repro.net.protocol import MSG_ACK, MSG_DATA, MSG_HELLO, MSG_SHM, \
+    MSG_SHM_ATTACH, decode_message
 from repro.serial import WireError, frame, gather
 from repro.trace import MetricsRegistry
 
@@ -454,6 +460,11 @@ class _Sink:
 
     def close(self):
         if self._accepted is not None:
+            try:
+                # close() alone does not wake a reader blocked in recv()
+                self._accepted.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._accepted.close()
         self.listener.close()
         self._thread.join(timeout=5)
@@ -467,17 +478,25 @@ def _control_frame():
     return [bytearray([MSG_ACK]) + b"ack"]
 
 
-def _peer(ns, sink, name, metrics=None):
-    """A dialed-and-idle peer towards *sink*: ``(owner, loop, conn)``."""
+def _peer(ns, sink, name, metrics=None, transport=None, meta=None):
+    """A dialed-and-idle peer towards *sink*: ``(owner, loop, conn)``.
+
+    Data frame 0 has arrived when this returns (behind the shm attach
+    frame when *meta* and *transport* put the sink on the shm lane), and
+    the loop is back in ``select``.
+    """
     owner = NameServerClient(ns.address)
-    owner.register(name, *sink.address)
+    owner.register(name, *sink.address, meta=meta)
     loop = IOLoop(f"peer-{name}", metrics=metrics).start()
+    if transport is None:
+        transport = TransportPolicy(shm_enabled=False)
     conn = EventLoopPeer(
         name, NameServerClient(ns.address), loop=loop, hello_from="src",
         on_error=lambda peer, exc: None,
-        transport=TransportPolicy(shm_enabled=False), metrics=metrics)
+        transport=transport, metrics=metrics)
     conn.send(_data_frame(0))
-    _wait_for(lambda: len(sink.frames) >= 1, what="dial + first frame")
+    _wait_for(lambda: bytes(_data_frame(0)[0]) in sink.frames,
+              what="dial + first frame")
     return owner, loop, conn
 
 
@@ -521,6 +540,179 @@ def test_eventloop_peer_control_frame_keeps_fifo_behind_data(ns):
                                    bytes(_data_frame(2)[0]),
                                    bytes(_control_frame()[0])]
     finally:
+        conn.close()
+        loop.close()
+        sink.close()
+        owner.close()
+
+
+def test_eventloop_peer_idle_sends_are_written_by_the_caller(ns):
+    """Back-to-back sends from a non-loop thread on an idle peer go out
+    on that thread: they arrive in order and the loop never wakes."""
+    metrics = MetricsRegistry()
+    sink = _Sink()
+    owner, loop, conn = _peer(ns, sink, "direct", metrics=metrics)
+    try:
+        wakeups = metrics.counter("io_loop_wakeups")
+        before = wakeups.value
+        n = 50
+        for i in range(1, n + 1):
+            conn.send(_data_frame(i))
+        _wait_for(lambda: len(sink.frames) >= n + 1, what="direct frames")
+        assert sink.frames == [bytes(_data_frame(i)[0])
+                               for i in range(n + 1)]
+        assert wakeups.value == before, "an idle send woke the loop"
+    finally:
+        conn.close()
+        loop.close()
+        sink.close()
+        owner.close()
+
+
+def test_eventloop_peer_caller_short_write_resumes_on_the_loop(ns):
+    """A caller-thread write the socket only partly accepts hands its
+    remainder to the loop (``EVENT_WRITE``); the remainder and every
+    later send arrive bit-identical and in order."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    metrics = MetricsRegistry()
+    errors = []
+    loop = IOLoop("short-write", metrics=metrics).start()
+    with client(ns) as owner, client(ns) as c:
+        owner.register("slow", *listener.getsockname()[:2])
+        conn = EventLoopPeer(
+            "slow", c, loop=loop, hello_from="src",
+            on_error=lambda peer, exc: errors.append((peer, exc)),
+            # no message counts as bulk: the big one below is the caller's
+            transport=TransportPolicy(shm_enabled=False,
+                                      shm_threshold=1 << 30),
+            metrics=metrics)
+        conn.send(_data_frame(0))
+        accepted, _ = listener.accept()
+        assert recv_message(accepted) is not None  # HELLO
+        assert bytes(recv_message(accepted)) == bytes(_data_frame(0)[0])
+        _wait_for(conn._idle, what="dialed and idle")
+        conn._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        # Nobody is reading: far more than both socket buffers hold.
+        big = bytes(range(256)) * 4096
+        conn.send([bytearray([MSG_DATA]), memoryview(big)])
+        _wait_for(lambda: conn._write_registered, what="EVENT_WRITE")
+        assert metrics.counter("partial_writes").value >= 1
+        later = [_data_frame(i) for i in range(1, 6)]
+        for message in later:
+            conn.send(message)  # queued behind the blocked remainder
+        reader = FrameReader(accepted)
+        received = []
+        while len(received) < 1 + len(later):
+            batch = reader.recv_batch()
+            assert batch is not None
+            received.extend(bytes(b) for b in batch)
+        assert received[0] == bytes([MSG_DATA]) + big
+        assert received[1:] == [bytes(m[0]) for m in later]
+        _wait_for(conn._idle, what="drained and idle again")
+        conn.close()
+        accepted.close()
+    listener.close()
+    loop.close()
+    assert not errors
+
+
+def test_eventloop_peer_keeps_each_producers_order(ns):
+    """Four producer threads mixing ``more=True/False`` plus the loop
+    thread, all sending to one peer at once: whichever thread ends up
+    writing, every producer's frames arrive in its own order, none lost
+    and none duplicated."""
+    producers, per_producer = 4, 200
+    sink = _Sink()
+    owner, loop, conn = _peer(ns, sink, "mixed")
+    rounds = itertools.count()
+
+    def tagged(round_no, producer, seq):
+        return [bytearray([MSG_DATA])
+                + b"%d:%d:%d" % (round_no, producer, seq)]
+
+    @settings(deadline=None, max_examples=8)
+    @given(st.lists(st.booleans(), min_size=1, max_size=16))
+    def run(pattern):
+        round_no = next(rounds)
+        base = len(sink.frames)
+
+        def produce(producer):
+            for seq in range(per_producer):
+                conn.send(tagged(round_no, producer, seq),
+                          pattern[(producer + seq) % len(pattern)])
+
+        def produce_on_loop(seq=0):
+            conn.send(tagged(round_no, producers, seq))
+            if seq + 1 < per_producer:
+                loop.call(lambda: produce_on_loop(seq + 1))
+
+        threads = [threading.Thread(target=produce, args=(p,))
+                   for p in range(producers)]
+        loop.call(produce_on_loop)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        total = (producers + 1) * per_producer
+        _wait_for(lambda: len(sink.frames) >= base + total,
+                  timeout=30, what="every tagged frame")
+        seen = {}
+        for payload in sink.frames[base:]:
+            r, producer, seq = map(int, payload[1:].split(b":"))
+            assert r == round_no
+            seen.setdefault(producer, []).append(seq)
+        assert seen == {p: list(range(per_producer))
+                        for p in range(producers + 1)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force interleavings inside send()
+    try:
+        run()
+    finally:
+        sys.setswitchinterval(interval)
+        conn.close()
+        loop.close()
+        sink.close()
+        owner.close()
+
+
+def test_eventloop_peer_bulk_send_goes_through_the_loop(ns):
+    """A message with a segment of ``shm_threshold`` size is left to
+    the loop even on an idle peer; it travels as a descriptor frame into
+    the arena announced by ``MSG_SHM_ATTACH``, and a small send right
+    behind it does not overtake it."""
+    metrics = MetricsRegistry()
+    sink = _Sink()
+    owner, loop, conn = _peer(
+        ns, sink, "shm-direct", metrics=metrics,
+        transport=TransportPolicy(shm_threshold=1024,
+                                  shm_arena_bytes=1 << 16),
+        meta={"fingerprint": host_fingerprint()})
+    receiver = None
+    try:
+        kind, (arena, size) = decode_message(bytearray(sink.frames[0]), {})
+        assert kind == MSG_SHM_ATTACH
+        receiver = ShmReceiver(arena, size)
+        before = metrics.counter("io_loop_wakeups").value
+        payload = bytes(range(256)) * 16
+        conn.send([bytearray([MSG_DATA]), memoryview(payload)])
+        conn.send(_data_frame(1))
+        _wait_for(lambda: len(sink.frames) >= 4, what="descriptor frame")
+        assert metrics.counter("io_loop_wakeups").value > before
+        assert sink.frames[3] == bytes(_data_frame(1)[0])
+        kind, parts = decode_message(bytearray(sink.frames[2]), {})
+        assert kind == MSG_SHM
+        assert [part[0] for part in parts] == ["inline", "shm"]
+        assert bytes(receiver.reassemble(parts)) == \
+            bytes([MSG_DATA]) + payload
+        assert metrics.counter("shm_bytes_bypassed").value == len(payload)
+    finally:
+        if receiver is not None:
+            receiver.close()
         conn.close()
         loop.close()
         sink.close()
@@ -621,7 +813,11 @@ def test_eventloop_peer_failure_counts_drops_and_reports_once(ns):
 
 def test_eventloop_peer_broken_pipe_reaches_on_error(ns):
     """Writer-side BrokenPipeError propagates through on_error — the
-    hook DistributedKernel routes into idempotent handle_kernel_down."""
+    hook DistributedKernel routes into idempotent handle_kernel_down.
+    The sends below find the peer idle, so it is the *calling* thread's
+    write that first sees the broken pipe: on_error must still fire
+    exactly once and on the loop thread, and later sends are counted
+    drops."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -633,8 +829,9 @@ def test_eventloop_peer_broken_pipe_reaches_on_error(ns):
         owner.register("dying", *listener.getsockname()[:2])
         conn = EventLoopPeer(
             "dying", c, loop=loop, hello_from="src",
-            on_error=lambda peer, exc: (errors.append((peer, exc)),
-                                        failed.set()),
+            on_error=lambda peer, exc: (
+                errors.append((peer, exc, threading.current_thread().name)),
+                failed.set()),
             transport=TransportPolicy(shm_enabled=False), metrics=metrics)
         conn.send([bytearray(b"hello")])
         accepted, _ = listener.accept()
@@ -650,6 +847,18 @@ def test_eventloop_peer_broken_pipe_reaches_on_error(ns):
         assert failed.wait(timeout=1)
         assert errors and errors[0][0] == "dying"
         assert isinstance(errors[0][1], OSError)
+        assert errors[0][2] == "dps-io:pipe-test"
+        settled = threading.Event()
+        loop.call(settled.set)  # behind any pump a racing send queued
+        assert settled.wait(timeout=5)
+        drops = metrics.counter("token_drops")
+        assert drops.value >= 1  # the frame whose write broke the pipe
+        already = drops.value
+        for _ in range(3):
+            conn.send([bytearray(b"late")])
+        _wait_for(lambda: drops.value >= already + 3, what="token_drops")
+        assert drops.value == already + 3
+        assert len(errors) == 1
         conn.close()
     listener.close()
     loop.close()

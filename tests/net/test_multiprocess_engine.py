@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.apps.ring import RingJobToken, build_ring_graph
 from repro.core import (
     ConstantRoute,
     DpsThread,
@@ -22,6 +23,7 @@ from repro.core import (
 )
 from repro.runtime import MultiprocessEngine, ScheduleError
 from repro.serial import SimpleToken
+from repro.trace import MetricsRegistry
 
 from tests.runtime.test_scatter_calls import (
     ClientMerge,
@@ -142,6 +144,29 @@ def test_eventloop_mode_thread_census():
         assert sum(n.startswith("dps-io:") for n in names) == 1
         for prefix in ("dps-accept:", "dps-send:", "dps-recv:"):
             assert not any(n.startswith(prefix) for n in names), prefix
+
+
+def test_unloaded_ring_hop_costs_one_loop_wakeup():
+    """One activation in flight: every kernel's send finds its peer idle
+    and is written by the worker that produced it, so a wire message
+    wakes one I/O loop (the receiver's), not two.  A 1-block ring call
+    is 6 wire messages; with the sender-side hand-off it was 12.02
+    wakeups per call."""
+    calls = 50
+    metrics = MetricsRegistry()
+    graph = build_ring_graph(["node01", "node02", "node03", "node04"])
+    with MultiprocessEngine(metrics=metrics) as engine:
+        engine.register_graph(graph)
+        engine.run(graph, RingJobToken(512, 1), timeout=60)  # dials
+        engine.collect_traces()
+        wakeups = metrics.counter("io_loop_wakeups")
+        before = wakeups.value
+        for _ in range(calls):
+            done = engine.run(graph, RingJobToken(512, 1), timeout=60)
+            assert done.blocks == 1
+        engine.collect_traces()
+        per_call = (wakeups.value - before) / calls
+    assert per_call <= 8, f"{per_call:.2f} loop wakeups per ring call"
 
 
 def test_thread_state_persists_across_runs():
