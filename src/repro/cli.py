@@ -332,12 +332,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "JSON to FILE (view at https://ui.perfetto.dev)",
     )
     parser.add_argument(
-        "--unbatched", action="store_true",
-        help="multiprocess engine: disable outbox coalescing and ack "
-             "aggregation (sets REPRO_TRANSPORT_BATCH=0; the frame-at-a-"
-             "time wire path, for A/B comparison)",
-    )
-    parser.add_argument(
         "--no-shm", action="store_true",
         help="multiprocess engine: disable the shared-memory payload lane "
              "between co-located kernels (sets REPRO_SHM=0)",
@@ -465,8 +459,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # Resolved by TransportPolicy.from_env() in the engine and inherited
     # by every forked kernel; harmless on the sim/threaded engines.
-    if args.unbatched:
-        os.environ["REPRO_TRANSPORT_BATCH"] = "0"
     if args.no_shm:
         os.environ["REPRO_SHM"] = "0"
     if args.codec is not None:

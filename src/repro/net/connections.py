@@ -16,8 +16,8 @@ queue append otherwise — never a network wait under the engine lock —
 and per-peer FIFO ordering is preserved (acks must not overtake the data
 tokens they answer).  The owner's single :class:`~repro.net.eventloop.IOLoop`
 drains every outbox with vectored writes; :class:`ConnectionPool` is the
-name → channel map.  Everything is tuned through a
-:class:`TransportPolicy`.
+name → channel map.  :class:`TransportPolicy` holds the two choices the
+path leaves open (shm lane, codec).
 """
 
 from __future__ import annotations
@@ -41,38 +41,21 @@ __all__ = ["dial_kernel", "ConnectionPool", "DialError", "TransportPolicy"]
 
 @dataclass(frozen=True)
 class TransportPolicy:
-    """Tuning knobs for the kernel-to-kernel wire path.
+    """What the kernel-to-kernel wire path lets a caller choose.
 
-    The defaults enable everything: outbox coalescing, ack aggregation
-    and the shared-memory lane for co-located kernels.  Pass an instance
-    to ``MultiprocessEngine(transport=...)`` (or export the environment
-    variables read by :meth:`from_env`) to tune or disable parts of it;
-    :meth:`unbatched` reproduces the frame-at-a-time PR 2 behaviour for
-    A/B benchmarking.
+    The shared-memory lane for co-located kernels and the wire codec;
+    everything else about the path (vectored multi-frame writes, one
+    ``MSG_ACK`` per token) is fixed.  Pass an instance to
+    ``MultiprocessEngine(transport=...)`` or export the environment
+    variables read by :meth:`from_env`.
     """
 
-    #: Drain the whole outbox per pump and flush it with vectored
-    #: multi-frame sends.
-    coalescing: bool = True
-    #: Byte budget per ``sendmsg`` when coalescing (segments are never
-    #: split; one oversized segment still goes out whole).
-    max_batch_bytes: int = 1 << 20
-    #: Frames drained from the outbox per flush.
-    max_batch_frames: int = 256
-    #: Seconds buffered acks may wait before a timed flush; ``0``
-    #: disables aggregation entirely.
-    ack_flush_window: float = 0.001
-    #: Buffered acks per peer that force an immediate flush; ``<= 1``
-    #: disables aggregation entirely.
-    ack_batch_limit: int = 128
     #: Use a shared-memory arena towards same-host peers.
     shm_enabled: bool = True
     #: Segments at or above this size take the shm lane.
     shm_threshold: int = 1 << 14
     #: Arena size per peer connection.
     shm_arena_bytes: int = 1 << 24
-    #: ``recv`` size of the batch-aware frame reader.
-    recv_buffer_bytes: int = 1 << 18
     #: Wire codec selection: ``"auto"`` uses per-token-type plans plus
     #: the compiled visitor when the optional ``_wirec`` extension built
     #: (pure-Python fallback otherwise), ``"pure"`` forces the generic
@@ -84,32 +67,16 @@ class TransportPolicy:
             raise ValueError(
                 f"codec must be one of {CODEC_MODES}, got {self.codec!r}")
 
-    @property
-    def ack_aggregation(self) -> bool:
-        return self.ack_batch_limit > 1 and self.ack_flush_window > 0
-
-    @classmethod
-    def unbatched(cls) -> "TransportPolicy":
-        """The PR 2 wire path: one syscall per frame, one frame per ack,
-        every payload through TCP.  Kept for A/B benchmarks."""
-        return cls(coalescing=False, ack_flush_window=0.0, ack_batch_limit=1,
-                   shm_enabled=False)
-
     @classmethod
     def from_env(cls, env=None) -> "TransportPolicy":
         """Defaults overridden by environment variables:
 
-        - ``REPRO_TRANSPORT_BATCH=0`` — disable coalescing *and* ack
-          aggregation (the frame-at-a-time path);
         - ``REPRO_SHM=0`` / ``REPRO_SHM=1`` — force the shm lane off/on;
         - ``REPRO_SHM_THRESHOLD=<bytes>`` — shm size threshold;
         - ``REPRO_CODEC=auto|pure`` — wire codec selection.
         """
         env = os.environ if env is None else env
         policy = cls()
-        if env.get("REPRO_TRANSPORT_BATCH", "1") == "0":
-            policy = replace(policy, coalescing=False,
-                             ack_flush_window=0.0, ack_batch_limit=1)
         if "REPRO_SHM" in env:
             policy = replace(policy, shm_enabled=env["REPRO_SHM"] != "0")
         if "REPRO_SHM_THRESHOLD" in env:
@@ -170,9 +137,9 @@ class ConnectionPool:
     """All of one owner's outgoing peer channels, drained by its *loop*.
 
     The hot path — :meth:`send` to an already-dialed peer — is a single
-    lock-free dict probe (GIL-atomic; connections are only ever added,
-    under the lock, and cleared at close).  The lock is taken only to
-    create a connection on first use.
+    lock-free dict probe (GIL-atomic; the map itself changes only under
+    the lock).  The lock is taken only to create a connection on first
+    use, to :meth:`forget` one and at close.
     """
 
     def __init__(self, ns: NameServerClient, *, loop: IOLoop,
@@ -217,6 +184,19 @@ class ConnectionPool:
             conn.send(segments, True)
         else:
             conn.send(segments)  # one-argument stand-ins stay valid
+
+    def forget(self, name: str) -> None:
+        """Drop the channel to *name*; the next send resolves it afresh.
+
+        For a peer that is gone while its name may come back at another
+        address (a re-opened service client): the cached channel stays
+        bound to the old listener.  Nothing is flushed, so this never
+        blocks and is safe on the loop thread.
+        """
+        with self._lock:
+            conn = self._peers.pop(name, None)
+        if conn is not None:
+            conn.close(flush_timeout=0)
 
     def peer_names(self) -> List[str]:
         with self._lock:

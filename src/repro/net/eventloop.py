@@ -48,8 +48,8 @@ from collections import deque
 from typing import Callable, List, Optional
 
 from ..serial.wire import Segment, frame
-from .framing import MAX_SENDMSG_SEGMENTS, FrameReader, _as_byte_views, \
-    send_message
+from .framing import DEFAULT_MAX_BATCH_BYTES, MAX_SENDMSG_SEGMENTS, \
+    FrameReader, _as_byte_views, send_message
 from .nameserver import NameServerError
 from .protocol import _segment_nbytes, encode_shm_attach
 from .shm import ShmSender, host_fingerprint
@@ -58,15 +58,19 @@ __all__ = ["IOLoop", "VectoredSender", "EventLoopPeer"]
 
 _WAKE = b"\x00"
 
+#: Frames a peer may hold in its sender before ``_pump`` flushes inline
+#: instead of waiting for the loop's quiescent point (with the byte
+#: budget, this bounds queued memory).
+_MAX_BATCH_FRAMES = 256
+
 
 class VectoredSender:
     """Non-blocking vectored frame writer with partial-write resumption.
 
     Framed messages are queued whole (:meth:`push`); :meth:`pump` then
     flushes them through as few ``sendmsg`` calls as the socket buffer
-    allows — chunked under ``MAX_SENDMSG_SEGMENTS`` and a byte budget
-    when *coalescing*, exactly one frame per syscall otherwise (the A/B
-    baseline).  A short write (``EAGAIN`` or fewer bytes accepted than
+    allows — chunked under ``MAX_SENDMSG_SEGMENTS`` and a byte
+    budget.  A short write (``EAGAIN`` or fewer bytes accepted than
     offered) leaves the remainder queued with the partially-sent view
     sliced, so the next :meth:`pump` resumes mid-frame; frame bytes on
     the wire are identical to the blocking
@@ -78,10 +82,8 @@ class VectoredSender:
     arbitrary byte counts.
     """
 
-    def __init__(self, *, coalescing: bool = True,
-                 max_batch_bytes: int = 1 << 20,
+    def __init__(self, *, max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
                  max_batch_segments: int = MAX_SENDMSG_SEGMENTS):
-        self._coalescing = coalescing
         self._max_batch_bytes = max_batch_bytes
         self._max_batch_segments = max_batch_segments
         #: queued frames, each a list of byte views (header first)
@@ -121,22 +123,18 @@ class VectoredSender:
         while frames:
             iov: List[memoryview] = []
             nbytes = 0
-            if self._coalescing:
-                for views in frames:
-                    take = len(views)
-                    for i, v in enumerate(views):
-                        if iov and (
-                                len(iov) >= self._max_batch_segments
-                                or nbytes + v.nbytes > self._max_batch_bytes):
-                            take = i
-                            break
-                        iov.append(v)
-                        nbytes += v.nbytes
-                    if take < len(views):
+            for views in frames:
+                take = len(views)
+                for i, v in enumerate(views):
+                    if iov and (
+                            len(iov) >= self._max_batch_segments
+                            or nbytes + v.nbytes > self._max_batch_bytes):
+                        take = i
                         break
-            else:
-                iov = list(frames[0])
-                nbytes = sum(v.nbytes for v in iov)
+                    iov.append(v)
+                    nbytes += v.nbytes
+                if take < len(views):
+                    break
             try:
                 sent = sock.sendmsg(iov)
             except InterruptedError:  # pragma: no cover - signal race
@@ -478,9 +476,7 @@ class EventLoopPeer:
         self._trace = trace
         self._outbox: deque = deque()
         self._scheduled = False
-        self._sender = VectoredSender(
-            coalescing=self._transport.coalescing,
-            max_batch_bytes=self._transport.max_batch_bytes)
+        self._sender = VectoredSender()
         # Single-writer guard for the sender, the shm arena and the
         # socket's write side.  The loop thread takes it blockingly;
         # sending threads only ever *try* it and never wait for the loop
@@ -595,9 +591,8 @@ class EventLoopPeer:
                 # _on_writable resumes the flush.
                 return
             sender = self._sender
-            if (sender.pending_bytes >= self._transport.max_batch_bytes
-                    or sender.pending_frames
-                    >= self._transport.max_batch_frames):
+            if (sender.pending_bytes >= DEFAULT_MAX_BATCH_BYTES
+                    or sender.pending_frames >= _MAX_BATCH_FRAMES):
                 # Budget hit: flush inline to bound queued memory.
                 self._flush()
             else:

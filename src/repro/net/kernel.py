@@ -51,6 +51,7 @@ from ..serial.token import Token
 from ..serial.wire import WireError
 from .connections import ConnectionPool, TransportPolicy
 from .eventloop import IOLoop
+from .framing import DEFAULT_RECV_BYTES
 from .nameserver import NameServerClient
 from .recovery import FaultPolicy, ReplayDedup, TokenJournal, apply_remap, \
     plan_rebalance, plan_remap
@@ -131,17 +132,6 @@ class DistributedKernel(ThreadedEngine):
         # polled peer has answered with its MSG_TRACE reply
         self._trace_cond = threading.Condition()
         self._trace_pending: set = set()
-        # ack aggregation: per-peer buckets of pending merge→split acks,
-        # flushed by a timer thread, on batch fill, or piggybacked ahead
-        # of any data message to the same peer.  _ack_lock is leaf-level:
-        # it is taken with the engine lock held (from send_ack) but
-        # never the other way around.
-        self._ack_lock = threading.Lock()
-        self._ack_pending: Dict[
-            str, Dict[Tuple[str, int, int, int, int, int], int]] = {}
-        self._ack_counts: Dict[str, int] = {}
-        self._ack_event = threading.Event()  # acks buffered, flusher needed
-        self._ack_flusher: Optional[threading.Thread] = None
 
         # -- fault tolerance ------------------------------------------
         #: With recovery on, this kernel journals its windowed emissions
@@ -225,11 +215,6 @@ class DistributedKernel(ThreadedEngine):
                                 "kernel": True})
         self._io_loop.start()
         self._io_loop.add_listener(self._listener, self._on_accept)
-        if self.transport.ack_aggregation:
-            self._ack_flusher = threading.Thread(
-                target=self._ack_flush_loop,
-                name=f"dps-ackflush:{self.name}", daemon=True)
-            self._ack_flusher.start()
         if self.heartbeat_interval > 0:
             threading.Thread(target=self._heartbeat_loop,
                              name=f"dps-heartbeat:{self.name}",
@@ -371,12 +356,6 @@ class DistributedKernel(ThreadedEngine):
 
     def shutdown(self) -> None:
         self._shutdown_requested.set()
-        flusher = self._ack_flusher
-        if flusher is not None:
-            # Wake it out of its idle wait; its final pass drains any
-            # buffered acks through the pool before we close it.
-            self._ack_event.set()
-            flusher.join(timeout=1.0)
         self._pool.close_all()  # flush needs the loop still running
         self._io_loop.close()
         # The loop closed the listener it adopted in start(); this
@@ -388,16 +367,6 @@ class DistributedKernel(ThreadedEngine):
     # ------------------------------------------------------------------
     # sending side: the substrate's transport hooks
     # ------------------------------------------------------------------
-    def _remote_send(self, target: str, segments) -> None:
-        """Ship a data-path message, piggybacking any buffered acks.
-
-        Pending acks for *target* go first, so per-peer FIFO puts them
-        ahead of the data frame.
-        """
-        if self._ack_pending and target in self._ack_pending:
-            self._flush_acks(target)
-        self._pool.send(target, segments, self._more_input())
-
     def _more_input(self) -> bool:
         """Whether the calling thread already has further input queued.
 
@@ -415,8 +384,9 @@ class DistributedKernel(ThreadedEngine):
         target = node.collection.node_of(env.instance)
         if target == self.name:
             self._worker_for(node.collection, env.instance).inbox.put(env)
-        elif self.tracer is None and self.metrics is None:
-            self._remote_send(target, P.encode_data(env))
+            return
+        if self.tracer is None and self.metrics is None:
+            segments = P.encode_data(env)
         else:
             t0 = time.monotonic()
             segments = P.encode_data(env)
@@ -431,65 +401,17 @@ class DistributedKernel(ThreadedEngine):
                 self.metrics.counter("wire_messages").inc()
                 self.metrics.counter("wire_bytes").inc(nbytes)
                 self.metrics.histogram("serialize_seconds").observe(seconds)
-            self._remote_send(target, segments)
+        self._pool.send(target, segments, self._more_input())
 
     def send_ack(self, graph_name: str, frame: GroupFrame) -> None:
         origin_node = frame.origin_node
         if origin_node == self.name:
             super().send_ack(graph_name, frame)
             return
-        key = (graph_name, frame.opener, frame.opener_instance,
-               frame.routed_instance, frame.group_id, frame.index)
-        if not self.transport.ack_aggregation:
-            # Never blocks — the caller holds the engine lock.
-            self._pool.send(origin_node, P.encode_ack(*key))
-            return
-        # Buffer the ack; it leaves on the next timed flush, when the
-        # batch fills, or piggybacked ahead of a data message.  Delay is
-        # bounded by the flush window, so flow-control slack at the
-        # opener arrives a little late but never stalls forever.
-        with self._ack_lock:
-            bucket = self._ack_pending.setdefault(origin_node, {})
-            bucket[key] = bucket.get(key, 0) + 1
-            count = self._ack_counts.get(origin_node, 0) + 1
-            self._ack_counts[origin_node] = count
-        if count >= self.transport.ack_batch_limit:
-            self._flush_acks(origin_node)
-        elif not self._ack_event.is_set():
-            self._ack_event.set()
-
-    def _flush_acks(self, peer: str) -> None:
-        with self._ack_lock:
-            bucket = self._ack_pending.pop(peer, None)
-            self._ack_counts.pop(peer, None)
-        if not bucket:
-            return
-        runs = [(P.AckWire(*key), count) for key, count in bucket.items()]
-        n_acks = sum(count for _, count in runs)
-        if self.metrics is not None and n_acks > 1:
-            # Acks that rode along instead of paying for their own frame.
-            self.metrics.counter("acks_coalesced").inc(n_acks - 1)
-        self._pool.send(peer, P.encode_ack_batch(runs))
-
-    def _flush_all_acks(self) -> None:
-        for peer in list(self._ack_pending):
-            self._flush_acks(peer)
-
-    def _ack_flush_loop(self) -> None:
-        # Event-driven, not a periodic tick: an idle kernel must not pay
-        # 1/window wakeups per second (measurable on small machines).
-        # The first buffered ack sets the event; the flusher then lets a
-        # window's worth accumulate and drains everything.
-        window = self.transport.ack_flush_window
-        shutdown = self._shutdown_requested
-        while not shutdown.is_set():
-            if not self._ack_event.wait(timeout=0.5):
-                continue
-            if shutdown.wait(window):
-                break
-            self._ack_event.clear()
-            self._flush_all_acks()
-        self._flush_all_acks()
+        # Never blocks — the caller holds the engine lock.
+        self._pool.send(origin_node, P.encode_ack(
+            graph_name, frame.opener, frame.opener_instance,
+            frame.routed_instance, frame.group_id, frame.index))
 
     def send_group_total(self, graph: Flowgraph, merge_id: int,
                          group_id: int, total: int) -> None:
@@ -796,7 +718,6 @@ class DistributedKernel(ThreadedEngine):
         gained ones, and only then acknowledges the barrier.
         """
         try:
-            self._flush_all_acks()
             journal = self.scheduler.journal
             deadline = time.monotonic() + 5.0
             while journal is not None and len(journal) \
@@ -874,7 +795,7 @@ class DistributedKernel(ThreadedEngine):
     def _on_accept(self, conn: socket.socket) -> None:
         state = _ConnState()
         self._io_loop.add_connection(
-            conn, recv_bytes=self.transport.recv_buffer_bytes,
+            conn, recv_bytes=DEFAULT_RECV_BYTES,
             on_frames=lambda frames: self._process_frames(state, frames),
             on_close=lambda exc: self._on_conn_close(state, exc))
 
@@ -935,15 +856,6 @@ class DistributedKernel(ThreadedEngine):
             self.scheduler.apply_ack(
                 value.graph_name, value.opener, value.opener_instance,
                 value.routed_instance, value.group_id, value.index)
-        elif kind == P.MSG_ACK_BATCH:
-            # One lock acquisition for the whole batch — the receive-side
-            # half of the aggregation win.
-            with self.lock:
-                for ack, count in value:
-                    for _ in range(count):
-                        self.scheduler.apply_ack(
-                            ack.graph_name, ack.opener, ack.opener_instance,
-                            ack.routed_instance, ack.group_id, ack.index)
         elif kind == P.MSG_GROUP_TOTAL:
             group_id, total = value
             self.scheduler.apply_group_total(group_id, total)

@@ -172,6 +172,13 @@ class NameServer:
                 self._registry[name] = (host, port, conn, dict(meta))
                 self._beats[name] = time.monotonic()
             return {"ok": True}
+        if op == "unregister":
+            name = request["name"]
+            with self._lock:
+                existing = self._registry.get(name)
+                if existing is not None and existing[2] is conn:
+                    self._release(name)
+            return {"ok": True}
         if op == "heartbeat":
             name = request["name"]
             load = request.get("load")
@@ -256,14 +263,18 @@ class NameServer:
             return {"ok": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
+    def _release(self, name: str) -> None:
+        """Forget *name* and its lease (lock held)."""
+        del self._registry[name]
+        self._beats.pop(name, None)
+        self._loads.pop(name, None)
+
     def _drop_owner(self, conn: socket.socket) -> None:
         with self._lock:
             dead = [name for name, entry in self._registry.items()
                     if entry[2] is conn]
             for name in dead:
-                del self._registry[name]
-                self._beats.pop(name, None)
-                self._loads.pop(name, None)
+                self._release(name)
             dead_services = [name for name, entry in self._services.items()
                              if entry[3] is conn]
             for name in dead_services:
@@ -317,6 +328,11 @@ class NameServerClient:
         if meta:
             request["meta"] = meta
         self._call(request)
+
+    def unregister(self, name: str) -> None:
+        """Release a name this connection registered, now rather than
+        when the server notices the connection drop."""
+        self._call({"op": "unregister", "name": name})
 
     def lookup(self, name: str) -> Tuple[str, int]:
         reply = self._call({"op": "lookup", "name": name})

@@ -39,7 +39,6 @@ __all__ = [
     "MSG_SHUTDOWN",
     "MSG_TRACE_FLUSH",
     "MSG_TRACE",
-    "MSG_ACK_BATCH",
     "MSG_SHM_ATTACH",
     "MSG_SHM",
     "MSG_KERNEL_DOWN",
@@ -57,14 +56,10 @@ __all__ = [
     "MSG_SVC_CLOSE",
     "MSG_MEMBER",
     "MSG_THREAD_STATE",
-    "MSG_CREDIT",
-    "MSG_CREDIT_BATCH",
     "AckWire",
     "encode_hello",
     "encode_data",
     "encode_ack",
-    "encode_ack_batch",
-    "encode_credit_grant",
     "encode_group_total",
     "encode_result",
     "encode_scatter_total",
@@ -106,9 +101,7 @@ MSG_SHUTDOWN = 8
 MSG_TRACE_FLUSH = 9
 #: Kernel → console: one kernel's buffered trace events and metrics.
 MSG_TRACE = 10
-#: Aggregated merge→split acknowledgements: runs of identical acks with
-#: a repeat count, flushed per origin kernel on a short window.
-MSG_ACK_BATCH = 11
+# 11 is unassigned; decode_message rejects it as an unknown kind.
 #: Sender → receiver: a shared-memory arena (name, size) now carries this
 #: connection's large payloads; sent once, before the first MSG_SHM.
 MSG_SHM_ATTACH = 12
@@ -164,25 +157,12 @@ MSG_THREAD_STATE = 27
 #: message of the resident service tier).
 MSG_SERVICE_BUSY = MSG_SVC_BUSY
 
-#: Spec aliases for the streaming credit protocol: credit grants ARE
-#: acks.  A merge/stream consumer granting one credit back to the
-#: opener's :class:`~repro.core.flowcontrol.CreditWindow` sends exactly
-#: the wire ack for the consumed token — ``(group_id, index)`` keyed so
-#: the opener's replay journal prunes per-token — and a batched grant of
-#: N credits is an ack-batch run with ``count=N``.  Reusing the ack kind
-#: keeps the grant on the aggregated/piggybacked ack fast path (flushed
-#: ahead of data, batched under ``TransportPolicy.ack_batch``) with zero
-#: extra wire kinds or header bytes.
-MSG_CREDIT = MSG_ACK
-MSG_CREDIT_BATCH = MSG_ACK_BATCH
-
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
 _FRAME_FIELDS = struct.Struct("<QIIII")  # group_id, index, opener, opener_instance, routed_instance
-_ACK_RUN = struct.Struct("<QIIIII")  # group_id, index, opener, opener_instance, routed_instance, count
 _SHM_PART = struct.Struct("<QI")   # arena block offset, payload length
 _DATA_IDS = struct.Struct("<IIQ")  # node_id, instance, ctx_id
 _ACK_IDS = struct.Struct("<IIIQI")  # opener, opener_instance, routed_instance, group_id, index
@@ -252,35 +232,6 @@ def encode_ack(graph_name: str, opener: int, opener_instance: int,
     head += _U64.pack(group_id)
     head += _U32.pack(index)
     return [head]
-
-
-def encode_ack_batch(runs: List[Tuple["AckWire", int]]) -> List[Segment]:
-    """Aggregated acks: ``(ack, count)`` runs in one control frame."""
-    head = bytearray(_U8.pack(MSG_ACK_BATCH))
-    head += _U16.pack(len(runs))
-    for ack, count in runs:
-        _pack_str(head, ack.graph_name)
-        head += _ACK_RUN.pack(ack.group_id, ack.index, ack.opener,
-                              ack.opener_instance, ack.routed_instance,
-                              count)
-    return [head]
-
-
-def encode_credit_grant(ack: "AckWire", credits: int = 1) -> List[Segment]:
-    """Encode a credit grant for the streaming flow-control protocol.
-
-    Credits ride the ack path (:data:`MSG_CREDIT` *is* :data:`MSG_ACK`):
-    a single credit is the plain wire ack for the consumed token, and a
-    multi-credit grant is a one-run ack batch with ``count=credits``.
-    Decoders therefore need no streaming-specific handling — the
-    existing ack dispatch applies the grant to the opener's window.
-    """
-    if credits < 1:
-        raise ValueError("a credit grant must carry >= 1 credits")
-    if credits == 1:
-        return encode_ack(ack.graph_name, ack.opener, ack.opener_instance,
-                          ack.routed_instance, ack.group_id, ack.index)
-    return encode_ack_batch([(ack, credits)])
 
 
 def encode_shm_attach(arena_name: str, size: int) -> List[Segment]:
@@ -553,18 +504,6 @@ def decode_message(payload: "bytes | bytearray | memoryview",
             _ACK_IDS.unpack_from(view, offset)
         return MSG_ACK, AckWire(graph_name, opener, opener_instance,
                                 routed_instance, group_id, index)
-    if kind == MSG_ACK_BATCH:
-        (n_runs,) = _U16.unpack_from(view, offset)
-        offset += 2
-        runs = []
-        for _ in range(n_runs):
-            graph_name, offset = _unpack_str(view, offset)
-            group_id, index, opener, opener_instance, routed_instance, \
-                count = _ACK_RUN.unpack_from(view, offset)
-            offset += _ACK_RUN.size
-            runs.append((AckWire(graph_name, opener, opener_instance,
-                                 routed_instance, group_id, index), count))
-        return MSG_ACK_BATCH, runs
     if kind == MSG_SHM_ATTACH:
         arena_name, offset = _unpack_str(view, offset)
         (size,) = _U64.unpack_from(view, offset)

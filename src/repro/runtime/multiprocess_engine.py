@@ -104,10 +104,10 @@ class MultiprocessEngine(Engine):
             ) from exc
         super().__init__(policy=policy, tracer=tracer, metrics=metrics,
                          stream=stream)
-        #: Wire-path tuning (outbox coalescing, ack aggregation, the
-        #: shared-memory lane).  Defaults honour the REPRO_SHM /
-        #: REPRO_TRANSPORT_BATCH environment opt-outs; every forked
-        #: kernel inherits the same resolved policy.
+        #: Shared-memory lane and codec choice.  Defaults honour the
+        #: REPRO_SHM / REPRO_SHM_THRESHOLD / REPRO_CODEC environment
+        #: overrides; every forked kernel inherits the same resolved
+        #: policy.
         self.transport = transport if transport is not None \
             else TransportPolicy.from_env()
         #: Failure recovery (split-boundary replay) is opt-in: the

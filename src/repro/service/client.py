@@ -44,7 +44,7 @@ from ..net.connections import ConnectionPool, TransportPolicy
 from ..net.eventloop import IOLoop
 from ..net.framing import DEFAULT_RECV_BYTES
 from ..net.kernel import CONSOLE_KERNEL
-from ..net.nameserver import NameServerClient
+from ..net.nameserver import NameServerClient, NameServerError
 from ..runtime.controller import KernelFailure
 from ..serial import fastpath
 from ..serial.token import Token
@@ -331,10 +331,21 @@ class ServiceClient:
         except Exception:
             pass
         self._io_loop.close()  # closes the listener it adopted
+        try:
+            # Dropping the connection frees the name too, but only once
+            # the server gets to the EOF — too late for an immediate
+            # re-open under the same name.
+            self._ns.unregister(self.name)
+        except NameServerError:
+            pass  # name server already gone
         self._ns.close()
 
     def __enter__(self) -> "ServiceClient":
-        self.open()
+        try:
+            self.open()
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def __exit__(self, *exc) -> None:

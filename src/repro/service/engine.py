@@ -276,7 +276,10 @@ class ServiceKernel(DistributedKernel):
                 reply = P.encode_svc_reply(request_id, result)
             except BaseException as exc:
                 reply = P.encode_svc_error(request_id, exc)
-            self._svc_send(client, reply)
+            if self._sessions.get(client) is session:
+                # Not to a session closed meanwhile: its request ids
+                # mean something else to a successor of the same name.
+                self._svc_send(client, reply)
             elapsed = time.monotonic() - t0
             if self.metrics is not None:
                 self.metrics.histogram(
@@ -304,6 +307,9 @@ class ServiceKernel(DistributedKernel):
             dropped = self._sessions.pop(client, None)
             if self.metrics is not None:
                 self.metrics.gauge("svc_sessions").set(len(self._sessions))
+        # The channel is bound to this session's listener; a later
+        # session under the same name listens somewhere else.
+        self._pool.forget(client)
         if dropped is not None and self.tracer is not None:
             self.trace("svc_close", client=client)
 

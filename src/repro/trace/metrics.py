@@ -23,10 +23,9 @@ Engines populate a common set of series when a registry is attached:
 ``stalls`` (counters), ``queue_depth`` (gauge, peak inbox depth),
 ``stall_seconds`` and ``serialize_seconds`` (histograms).  Token rate is
 derived: ``tokens_posted / elapsed``.  The multiprocess transport adds
-``frames_per_syscall`` (histogram — mean > 1 means outbox coalescing is
-amortizing syscalls), ``acks_coalesced`` (acks that rode in a batch
-frame instead of paying for their own), ``shm_bytes_bypassed`` (payload
-bytes that took the shared-memory lane instead of TCP) and
+``frames_per_syscall`` (histogram — mean > 1 means frames are sharing
+vectored writes), ``shm_bytes_bypassed`` (payload bytes that took the
+shared-memory lane instead of TCP) and
 ``token_drops`` (messages discarded after a peer kernel failed).  The
 I/O loop adds ``io_loop_wakeups`` (counter — selector passes),
 ``partial_writes`` (counter — short ``sendmsg`` calls,

@@ -1,6 +1,7 @@
 """The lock-free pool hot path and TransportPolicy resolution (the
 peer channel itself is covered in ``test_eventloop.py``)."""
 
+import dataclasses
 import threading
 
 import pytest
@@ -37,41 +38,35 @@ def client(server):
 # ---------------------------------------------------------------------------
 
 def test_policy_defaults_enable_everything():
+    assert [f.name for f in dataclasses.fields(TransportPolicy)] == [
+        "shm_enabled", "shm_threshold", "shm_arena_bytes", "codec"]
     policy = TransportPolicy()
-    assert policy.coalescing and policy.ack_aggregation and policy.shm_enabled
-
-
-def test_policy_unbatched_disables_everything():
-    policy = TransportPolicy.unbatched()
-    assert not policy.coalescing
-    assert not policy.ack_aggregation
-    assert not policy.shm_enabled
-
-
-def test_policy_ack_aggregation_requires_limit_and_window():
-    assert not TransportPolicy(ack_batch_limit=1).ack_aggregation
-    assert not TransportPolicy(ack_flush_window=0.0).ack_aggregation
-    assert TransportPolicy(ack_batch_limit=2,
-                           ack_flush_window=0.01).ack_aggregation
+    assert policy.shm_enabled and policy.codec == "auto"
+    assert not hasattr(TransportPolicy, "unbatched")
+    assert not hasattr(policy, "ack_aggregation")
 
 
 def test_policy_from_env():
     assert TransportPolicy.from_env({}) == TransportPolicy()
-    off = TransportPolicy.from_env({"REPRO_TRANSPORT_BATCH": "0"})
-    assert not off.coalescing and not off.ack_aggregation
-    assert off.shm_enabled  # shm is a separate knob
+    # the frame-at-a-time switch is gone: the variable selects nothing
+    assert TransportPolicy.from_env({"REPRO_TRANSPORT_BATCH": "0"}) \
+        == TransportPolicy()
     no_shm = TransportPolicy.from_env({"REPRO_SHM": "0"})
-    assert no_shm.coalescing and not no_shm.shm_enabled
+    assert no_shm == TransportPolicy(shm_enabled=False)
     tuned = TransportPolicy.from_env({"REPRO_SHM": "1",
-                                      "REPRO_SHM_THRESHOLD": "4096"})
-    assert tuned.shm_enabled and tuned.shm_threshold == 4096
+                                      "REPRO_SHM_THRESHOLD": "4096",
+                                      "REPRO_CODEC": "pure"})
+    assert tuned == TransportPolicy(shm_threshold=4096, codec="pure")
 
 
 @pytest.mark.parametrize("removed", [
-    {"io_mode": "threads"}, {"io_mode": "eventloop"}, {"flush_delay_us": 0}])
+    {"io_mode": "threads"}, {"io_mode": "eventloop"}, {"flush_delay_us": 0},
+    {"coalescing": False}, {"max_batch_bytes": 1 << 20},
+    {"max_batch_frames": 256}, {"ack_flush_window": 0.0},
+    {"ack_batch_limit": 1}, {"recv_buffer_bytes": 1 << 18}])
 def test_policy_rejects_removed_knobs(removed):
-    """One I/O core, no timer flush window: the fields are gone, not
-    ignored."""
+    """One I/O core, one wire path, no timer flush window, no ack
+    buffer: the fields are gone, not ignored."""
     with pytest.raises(TypeError):
         TransportPolicy(**removed)
 
@@ -94,7 +89,7 @@ class _StubConn:
         self.sent.append(segments)
 
     def close(self, flush_timeout=5.0):
-        pass
+        self.closed_with = flush_timeout
 
 
 def test_pool_send_hot_path_does_not_take_the_lock(ns, loop):
@@ -135,3 +130,19 @@ def test_pool_creates_peer_once_then_caches(ns, loop):
         assert pool.peer_names() == ["peer"]
         pool.close_all()
         assert pool.peer_names() == []
+
+
+def test_pool_forget_drops_the_channel_without_flushing(ns, loop):
+    """A forgotten peer is closed without a flush wait (the caller may be
+    the loop thread) and the next send builds a fresh channel."""
+    with client(ns) as c:
+        pool = ConnectionPool(c, loop=loop, hello_from="src",
+                              on_error=lambda peer, exc: None,
+                              dial_deadline=0.1)
+        stub = pool._peers["peer"] = _StubConn()
+        pool.forget("peer")
+        pool.forget("never-dialed")
+        assert stub.closed_with == 0
+        assert pool.peer_names() == []
+        assert pool.peer("peer") is not stub
+        pool.close_all()

@@ -101,15 +101,14 @@ _decisions = st.lists(st.integers(min_value=0, max_value=300), max_size=60)
 
 @settings(deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.data_too_large])
-@given(st.lists(_message, min_size=1, max_size=10), _decisions,
-       st.booleans())
+@given(st.lists(_message, min_size=1, max_size=10), _decisions)
 def test_vectored_sender_stream_is_bit_identical_under_partial_writes(
-        messages, decisions, coalescing):
+        messages, decisions):
     """Random short writes and EAGAINs never corrupt or reorder the
     frame stream: the accepted bytes equal the blocking sender's output
     byte for byte."""
     expected = bytearray()
-    sender = VectoredSender(coalescing=coalescing, max_batch_bytes=512)
+    sender = VectoredSender(max_batch_bytes=512)
     for message in messages:
         expected += gather(frame([bytearray(s) for s in message]))
         sender.push([bytearray(s) for s in message])
@@ -130,7 +129,7 @@ def test_vectored_sender_stream_is_bit_identical_under_partial_writes(
 def test_vectored_sender_frames_survive_reframing(messages, decisions):
     """The accepted stream re-parses into the original payloads in FIFO
     order (frame-boundary integrity, not just byte equality)."""
-    sender = VectoredSender(coalescing=True)
+    sender = VectoredSender()
     for message in messages:
         sender.push([bytearray(s) for s in message])
     sock = _FlakySocket(decisions)
@@ -151,19 +150,8 @@ def test_vectored_sender_frames_survive_reframing(messages, decisions):
         [b"".join(message) for message in messages]
 
 
-def test_vectored_sender_unbatched_mode_is_frame_per_syscall():
-    sender = VectoredSender(coalescing=False)
-    for i in range(5):
-        sender.push([bytearray(b"%d" % i * 10)])
-    sock = _FlakySocket([])
-    assert sender.pump(sock)
-    assert sock.syscalls == 5
-    frames, syscalls = sender.take_episode()
-    assert (frames, syscalls) == (5, 5)
-
-
 def test_vectored_sender_coalesces_into_one_syscall():
-    sender = VectoredSender(coalescing=True)
+    sender = VectoredSender()
     for i in range(20):
         sender.push([bytearray(b"%02d" % i * 8)])
     sock = _FlakySocket([])

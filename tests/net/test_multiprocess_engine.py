@@ -21,6 +21,7 @@ from repro.core import (
     SplitOperation,
     ThreadCollection,
 )
+from repro.net import DistributedKernel, NameServer
 from repro.runtime import MultiprocessEngine, ScheduleError
 from repro.serial import SimpleToken
 from repro.trace import MetricsRegistry
@@ -135,15 +136,57 @@ def counting_graph(name, worker_mapping="node02"):
 def test_eventloop_mode_thread_census():
     """The point of the I/O core: after a run the console kernel owns
     exactly one ``dps-io:`` loop thread and no accept, per-peer
-    ``dps-send:`` or per-connection ``dps-recv:`` thread."""
+    ``dps-send:``, per-connection ``dps-recv:`` or ack-flush timer
+    thread."""
     g = counting_graph("census-ev")
     with MultiprocessEngine() as engine:
         engine.register_graph(g)
         assert engine.run(g, MpJob(2), timeout=60).total == 1 + 2
         names = [t.name for t in threading.enumerate()]
         assert sum(n.startswith("dps-io:") for n in names) == 1
-        for prefix in ("dps-accept:", "dps-send:", "dps-recv:"):
+        for prefix in ("dps-accept:", "dps-send:", "dps-recv:",
+                       "dps-ackflush:"):
             assert not any(n.startswith(prefix) for n in names), prefix
+
+
+def test_remote_merge_acks_each_token_exactly_once():
+    """The paper's flow control over the wire, nothing in between: a
+    merge on another kernel sends one ``MSG_ACK`` per token it consumes
+    and the split's window applies exactly that many, ending empty."""
+    tokens, window = 40, 4
+    graph = Flowgraph(
+        FlowgraphNode(MpFan, ThreadCollection(MpMain, "ack-split")
+                      .map("node01"))
+        >> FlowgraphNode(MpCount, ThreadCollection(MpWork, "ack-work")
+                         .map("node02"), ConstantRoute)
+        >> FlowgraphNode(MpCollect, ThreadCollection(MpMain, "ack-merge")
+                         .map("node02")),
+        "ack-once",
+    )
+    names = ["node01", "node02"]
+    with NameServer() as ns:
+        split_side, merge_side = kernels = [
+            DistributedKernel(name, ordinal, ns.address, names,
+                              policy=FlowControlPolicy(window),
+                              metrics=MetricsRegistry())
+            for ordinal, name in enumerate(names, start=1)]
+        try:
+            for kernel in kernels:
+                kernel.register_graph(graph)
+                kernel.start()
+            applied = []
+            apply_ack = split_side.scheduler.apply_ack
+            split_side.scheduler.apply_ack = \
+                lambda *ack: (applied.append(ack), apply_ack(*ack))[1]
+            total = split_side.run(graph, MpJob(tokens), timeout=60).total
+        finally:
+            for kernel in kernels:
+                kernel.shutdown()
+    assert total == sum(range(1, tokens + 1))
+    assert len(applied) == len(set(applied)) == tokens
+    assert merge_side.metrics.counter("acks").value == tokens
+    (credit,) = split_side.scheduler.window_stats().values()
+    assert credit.total_posted == tokens and credit.in_flight == 0
 
 
 def test_unloaded_ring_hop_costs_one_loop_wakeup():

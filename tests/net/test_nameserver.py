@@ -60,6 +60,20 @@ def test_own_reregistration_updates_address(ns):
         assert c.lookup("kernelA") == ("127.0.0.1", 7005)
 
 
+def test_unregister_frees_the_name_at_once(ns):
+    """An owner can give its name back without dropping the connection
+    (whose EOF the server only notices later); nobody else can."""
+    with client(ns) as c1, client(ns) as c2:
+        c1.register("kernelA", "127.0.0.1", 7001)
+        c2.unregister("kernelA")  # not the owner: no-op
+        assert c2.lookup("kernelA") == ("127.0.0.1", 7001)
+        c1.unregister("kernelA")
+        with pytest.raises(UnknownKernel):
+            c2.lookup("kernelA")
+        c2.register("kernelA", "127.0.0.1", 7002)
+        assert c1.lookup("kernelA") == ("127.0.0.1", 7002)
+
+
 def test_reregistration_after_restart(ns):
     """A crashed kernel's name is freed when its connection drops, so a
     restarted kernel can register again under the same name."""

@@ -190,21 +190,13 @@ def test_data_token_borrows_from_payload(graph):
     assert base is buf or (isinstance(base, memoryview) and base.obj is buf)
 
 
-def test_ack_batch_roundtrip():
-    runs = [
-        (P.AckWire("g", 3, 1, 2), 17),
-        (P.AckWire("other-graph", 0, 0, 5), 1),
-        (P.AckWire("g", 3, 1, 4), 128),
-    ]
-    kind, out = roundtrip(P.encode_ack_batch(runs), {})
-    assert kind == P.MSG_ACK_BATCH
-    assert out == runs
-
-
-def test_ack_batch_empty():
-    kind, out = roundtrip(P.encode_ack_batch([]), {})
-    assert kind == P.MSG_ACK_BATCH
-    assert out == []
+def test_kind_11_is_unassigned():
+    """There is no batched ack frame: one ``MSG_ACK`` per token is the
+    whole ack protocol, and kind 11 was not handed to anything else."""
+    assert 11 not in {value for name, value in vars(P).items()
+                      if name.startswith("MSG_")}
+    with pytest.raises(WireError, match="unknown protocol message kind 11"):
+        P.decode_message(bytes([11, 0, 0]), {})
 
 
 def test_shm_attach_roundtrip():

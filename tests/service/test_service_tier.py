@@ -6,6 +6,7 @@ sessions over TCP.  Admission numbers are deliberately tiny
 (2 executing + 2 queued) so overload is easy to provoke.
 """
 
+import socket
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.core import (
     SplitOperation,
     ThreadCollection,
 )
+from repro.net import NameServerClient, UnknownKernel
 from repro.runtime import ScheduleError
 from repro.serial import SimpleToken
 from repro.service import (
@@ -28,6 +30,7 @@ from repro.service import (
     ServiceBusy,
     ServiceClient,
     ServiceEngine,
+    ServiceTimeout,
 )
 from repro.trace import MetricsRegistry
 
@@ -192,6 +195,54 @@ def test_client_runs_exactly_one_io_thread(tier):
             gained.remove(name)
         assert gained == ["dps-io:census-client"]
     assert census() == before
+
+
+def test_same_name_reopens_back_to_back(tier):
+    """A client name is reusable as soon as its session is closed: the
+    console answers each OPEN through a fresh dial to the new listener,
+    not the channel cached for the previous session."""
+    _, address, _ = tier
+    sessions = []
+    for i in range(3):
+        with ServiceClient(address, name="same-name") as client:
+            assert client.window == ADMISSION.session_window
+            sessions.append(client.session_id)
+            assert client.call("echo", TierJob(f"round {i}"),
+                               timeout=30).text == f"ROUND {i}"
+    assert len(set(sessions)) == 3
+
+
+def test_reply_to_a_closed_session_is_not_delivered_to_its_successor(tier):
+    """Request ids restart with every client object, so a reply that
+    outlives its session must not settle the same id of the next one."""
+    _, address, _ = tier
+    with ServiceClient(address, name="hasty") as first:
+        orphan = first.call_async("echo", TierJob("slow orphan"))
+    with ServiceClient(address, name="hasty") as second:
+        call = second.call_async("echo", TierJob("slow heir"))
+        assert call.request_id == orphan.request_id
+        assert call.result(30).text == "SLOW HEIR"
+
+
+def test_failed_open_leaves_nothing_behind(tier):
+    """``with ServiceClient(...)`` whose OPEN is never answered raises
+    and releases what the constructor took: loop thread, listener, name."""
+    _, address, _ = tier
+
+    class Impatient(ServiceClient):
+        def open(self, timeout=0.2):
+            return super().open(timeout)
+
+    with socket.socket() as mute, NameServerClient(address) as ns:
+        mute.bind(("127.0.0.1", 0))
+        mute.listen(1)  # connects succeed; nothing ever reads or answers
+        ns.register("mute-console", *mute.getsockname()[:2])
+        with pytest.raises(ServiceTimeout):
+            with Impatient(address, name="jilted", server="mute-console"):
+                pass
+        assert "dps-io:jilted" not in {t.name for t in threading.enumerate()}
+        with pytest.raises(UnknownKernel):
+            ns.lookup("jilted")
 
 
 def test_overload_sheds_with_busy(tier):
