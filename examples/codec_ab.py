@@ -3,13 +3,15 @@
 
 ``TransportPolicy(codec=...)`` (CLI ``--codec``, env ``REPRO_CODEC``)
 takes ``pure``, which forces the reference pure-Python visitor, or
-``auto``, which takes per-token-type plans plus the optional compiled
-``_wirec`` extension.  Wire bytes are bit-identical either way — the
-fast path is purely a CPU saving.
+``auto``, which takes the compiled ``_wirec`` extension when it is
+built (``python setup.py build_ext --inplace``).  Wire bytes are
+bit-identical either way — the fast path is purely a CPU saving.
+Without the extension ``auto`` *is* the pure visitor: both rows then
+run the same code and differ only by run-to-run noise.
 
 This example runs the same small-token ring under both and prints
-throughput plus the transport's own evidence: the ``codec_fast_path``
-counter and the ``frames_per_syscall`` histogram.
+throughput plus the transport's own evidence: the
+``codec_compiled_hits`` counter and the ``frames_per_syscall`` histogram.
 
 Run:  python examples/codec_ab.py [--blocks N]
 """
@@ -41,7 +43,7 @@ def run_config(label: str, policy: TransportPolicy, *,
     counters = metrics.snapshot().get("counters", {})
     fps = metrics.histogram("frames_per_syscall")
     print(f"  {label:<12} {blocks / wall:7.0f} tok/s   "
-          f"codec_fast_path={counters.get('codec_fast_path', 0):<6} "
+          f"codec_compiled_hits={counters.get('codec_compiled_hits', 0):<6} "
           f"frames/syscall="
           f"{fps.total / fps.count if fps.count else 0.0:.2f}")
 
@@ -54,6 +56,8 @@ def main() -> None:
 
     print(f"compiled codec available: {fastpath.compiled_available()} "
           f"(in use: {fastpath.codec_in_use()})")
+    if not fastpath.compiled_available():
+        print("no extension built: both rows below run the pure visitor")
     print(f"ring: {args.blocks} x {args.block_bytes} B over "
           f"{len(NODES)} kernel processes\n")
 

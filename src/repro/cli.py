@@ -338,8 +338,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--codec", choices=fastpath.CODEC_MODES, default=None,
-        help="wire codec selection: 'auto' (default) uses the compiled/"
-             "plan fast path when available, 'pure' forces the "
+        help="wire codec selection: 'auto' (default) uses the compiled "
+             "visitor when the extension is built, 'pure' forces the "
              "pure-Python reference codec — bytes are bit-identical "
              "either way (sets REPRO_CODEC)",
     )

@@ -56,10 +56,10 @@ class TransportPolicy:
     shm_threshold: int = 1 << 14
     #: Arena size per peer connection.
     shm_arena_bytes: int = 1 << 24
-    #: Wire codec selection: ``"auto"`` uses per-token-type plans plus
-    #: the compiled visitor when the optional ``_wirec`` extension built
-    #: (pure-Python fallback otherwise), ``"pure"`` forces the generic
-    #: visitor.  Wire bytes are identical across both.
+    #: Wire codec selection: ``"auto"`` uses the compiled visitor when
+    #: the optional ``_wirec`` extension built (the pure-Python visitor
+    #: otherwise), ``"pure"`` forces the pure visitor.  Wire bytes are
+    #: identical across both.
     codec: str = "auto"
 
     def __post_init__(self) -> None:

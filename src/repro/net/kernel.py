@@ -105,9 +105,8 @@ class DistributedKernel(ThreadedEngine):
                  heartbeat_interval: float = 0.0,
                  routing: Optional[RoutingPolicy] = None,
                  stream: Optional[StreamPolicy] = None):
-        super().__init__(policy=policy, serialize_transfers=False,
-                         tracer=tracer, metrics=metrics, routing=routing,
-                         stream=stream)
+        super().__init__(policy=policy, tracer=tracer, metrics=metrics,
+                         routing=routing, stream=stream)
         self.transport = transport if transport is not None \
             else TransportPolicy()
         # Codec selection is process-wide (the wire module is shared by
@@ -328,8 +327,9 @@ class DistributedKernel(ThreadedEngine):
 
         The fastpath module keeps module-level counters (it sits below
         the metrics layer); draining them here, right before a snapshot
-        leaves the process, surfaces ``codec_fast_path`` and friends in
-        the merged console registry without a hot-path callback.
+        leaves the process, surfaces ``codec_compiled_hits`` and
+        ``codec_fallbacks`` in the merged console registry without a
+        hot-path callback.
         """
         if self.metrics is None:
             return

@@ -51,7 +51,6 @@ __all__ = [
     "MSG_SVC_CALL",
     "MSG_SVC_REPLY",
     "MSG_SVC_BUSY",
-    "MSG_SERVICE_BUSY",
     "MSG_SVC_ERROR",
     "MSG_SVC_CLOSE",
     "MSG_MEMBER",
@@ -152,10 +151,6 @@ MSG_MEMBER = 26
 #: state, engine-reference-free by the DPS execution model) or ``None``
 #: when the instance was never activated on the donor.
 MSG_THREAD_STATE = 27
-
-#: Spec alias for :data:`MSG_SVC_BUSY` (the admission-control shed
-#: message of the resident service tier).
-MSG_SERVICE_BUSY = MSG_SVC_BUSY
 
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")

@@ -17,7 +17,7 @@ from .base import (
     RunResult,
     coerce_run_result,
 )
-from .checkpoint import Checkpoint, CheckpointManager, fail_node
+from .checkpoint import Checkpoint, CheckpointManager
 from .controller import KernelFailure, ScheduleError, SimController
 from .kernel import KernelEnvironment, KernelSpec, NameServer
 from .multiprocess_engine import MultiprocessEngine
@@ -37,7 +37,6 @@ __all__ = [
     "KernelFailure",
     "KernelSpec",
     "NameServer",
-    "fail_node",
     "DATA_HEADER_BYTES",
     "DataEnvelope",
     "ENGINE_KINDS",
@@ -74,7 +73,6 @@ _COMMON_OPTS = frozenset({
 _ENGINE_OPTS = {
     "sim": frozenset({"cluster", "serialize_payloads",
                       "charge_serialization"}),
-    "threaded": frozenset({"serialize_transfers"}),
     "multiprocess": frozenset({"dial_deadline", "startup_timeout",
                                "recover", "heartbeat_interval",
                                "heartbeat_miss_limit", "ns_port",
@@ -87,7 +85,7 @@ _MP_ONLY = frozenset({"transport", "faults"})
 
 
 def _check_opts(kind: str, opts: dict) -> None:
-    allowed = _COMMON_OPTS | _ENGINE_OPTS[kind]
+    allowed = _COMMON_OPTS | _ENGINE_OPTS.get(kind, frozenset())
     unknown = sorted(set(opts) - allowed)
     if unknown:
         hints = []

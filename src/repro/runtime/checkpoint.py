@@ -12,8 +12,7 @@ cluster:
   checkpoint shards are written round-robin across the storage nodes,
   charging disk and network time;
 - :meth:`SimEngine.fail_node <repro.runtime.sim_engine.SimEngine.fail_node>`
-  discards every thread living on a node (its state is gone); the
-  module-level :func:`fail_node` remains as a deprecated alias;
+  discards every thread living on a node (its state is gone);
 - :meth:`CheckpointManager.restore` re-creates the threads from the last
   snapshot on the collection's *current* mapping, so recovery is:
   fail → remap the collections away from the dead node → restore →
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -37,26 +35,12 @@ from .base import DATA_HEADER_BYTES
 from .controller import ScheduleError
 from .sim_engine import SimEngine
 
-__all__ = ["CheckpointManager", "Checkpoint", "fail_node"]
+__all__ = ["CheckpointManager", "Checkpoint"]
 
 #: sustained write/read bandwidth of the striped file service per node
 CHECKPOINT_DISK_BYTES_PER_SECOND = 30e6
 
 _checkpoint_ids = itertools.count(1)
-
-
-def fail_node(engine: SimEngine, node_name: str) -> int:
-    """Deprecated alias for :meth:`Engine.fail_node`.
-
-    Failure injection is part of the engine API now (it exists on the
-    multiprocess engine too, where it kills a kernel process); call
-    ``engine.fail_node(node_name)`` directly.
-    """
-    warnings.warn(
-        "repro.runtime.checkpoint.fail_node(engine, node) is deprecated; "
-        "call engine.fail_node(node) instead",
-        DeprecationWarning, stacklevel=2)
-    return engine.fail_node(node_name)
 
 
 @dataclass

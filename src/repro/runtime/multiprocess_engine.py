@@ -44,7 +44,6 @@ from ..net.connections import TransportPolicy
 from ..net.kernel import CONSOLE_KERNEL, DistributedKernel, run_kernel_process
 from ..net.nameserver import run_name_server
 from ..net.recovery import FaultPolicy
-from ..serial import fastpath
 from ..serial.token import Token
 from .base import Engine, RunResult
 from .controller import ScheduleError
@@ -554,7 +553,14 @@ class MultiprocessEngine(Engine):
         console = self._console
         if console is None:
             return []
-        return console.collect_traces(self._kernel_procs, timeout=timeout)
+        return console.collect_traces(self._proc_names(), timeout=timeout)
+
+    def _proc_names(self) -> List[str]:
+        """Names in the kernel table, copied under ``_proc_lock``: the
+        autoscaler thread's ``add_kernel`` / ``retire_kernel`` resize
+        the table while a caller would still be iterating it."""
+        with self._proc_lock:
+            return list(self._kernel_procs)
 
     def shutdown(self) -> None:
         """Tear the cluster down: shutdown barrier, then the processes."""
@@ -567,7 +573,7 @@ class MultiprocessEngine(Engine):
             # Pull per-kernel trace buffers into the engine tracer BEFORE
             # ordering shutdown, while every peer still answers.
             try:
-                console.collect_traces(self._kernel_procs)
+                console.collect_traces(self._proc_names())
             except Exception:
                 pass  # observability must never block teardown
         self._closing.set()
@@ -644,9 +650,6 @@ class MultiprocessEngine(Engine):
             graph = self.graph(graph)
         elif graph.name not in self._graphs:
             self.register_graph(graph)
-        # Precompile the wire plan for the activation's token type before
-        # the hot path — repeat activations reuse the cached plan.
-        fastpath.warm(token)
         console = self._ensure_started()
         started = time.monotonic()
         result = console.run(graph, token, timeout=timeout)

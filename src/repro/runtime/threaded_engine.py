@@ -100,7 +100,6 @@ class ThreadedEngine(Engine):
     """
 
     def __init__(self, policy: Optional[FlowControlPolicy] = None,
-                 serialize_transfers: bool = True,
                  tracer: Optional[Any] = None,
                  metrics: Optional[Any] = None,
                  routing: Optional[RoutingPolicy] = None,
@@ -111,9 +110,6 @@ class ThreadedEngine(Engine):
         #: adaptive :class:`~repro.core.routing.QueueDepthRoute` for
         #: declared round-robin/load-balanced routing sites.
         self.routing = routing if routing is not None else RoutingPolicy()
-        #: Serialize tokens crossing logical node boundaries (wire-format
-        #: round trip), as the DPS debugging kernels do.
-        self.serialize_transfers = serialize_transfers
         #: Guards the scheduler's tables and the engine's own.
         self.lock = threading.RLock()
         self.scheduler = Scheduler(self, self)
@@ -349,11 +345,14 @@ class ThreadedEngine(Engine):
         node = env.graph.node(env.node_id)
         worker = self._worker_for(node.collection, env.instance)
         src = getattr(self._here, "node_name", None)
-        if self.serialize_transfers and worker.node_name != src:
-            # Single-buffer wire round-trip: scatter-gather encode into
-            # one owned buffer and let the receiving thread borrow
-            # payloads from it (the buffer is owned solely by the
-            # decoded token, so no defensive copy is needed).
+        if worker.node_name != src:
+            # Tokens crossing logical node boundaries always take the
+            # wire format, as the DPS debugging kernels do ("enforces
+            # the use of the networking code").  Single-buffer round
+            # trip: scatter-gather encode into one owned buffer and let
+            # the receiving thread borrow payloads from it (the buffer
+            # is owned solely by the decoded token, so no defensive copy
+            # is needed).
             observed = self.tracer is not None or self.metrics is not None
             t0 = time.monotonic() if observed else 0.0
             wire = gather(encode_segments(env.token))

@@ -170,7 +170,7 @@ def encode_segments(token: Token, reg: TokenRegistry = registry) -> List[Segment
         raise WireError(f"can only encode Token instances, got {type(token).__name__}")
     name = reg.name_bytes_of(type(token))
     if _fastpath.enabled:
-        fast = _fastpath.try_encode(token, name, reg is registry)
+        fast = _fastpath.try_encode(token, name)
         if fast is not None:
             return [fast]
     head = bytearray(MAGIC)
@@ -308,8 +308,7 @@ def decode(
     borrowed from a read-only source (e.g. ``bytes``) are read-only;
     borrowing from a ``bytearray`` yields writable aliasing arrays.
     """
-    fast_eligible = _fastpath.enabled
-    if fast_eligible:
+    if _fastpath.enabled:
         token = _fastpath.try_decode(data, reg, copy)
         if token is not None:
             return token
@@ -318,8 +317,7 @@ def decode(
         raise WireError("bad magic; not a DPS wire message")
     (name_len,) = _U16.unpack_from(view, 4)
     offset = 6
-    name_raw = bytes(view[offset : offset + name_len])
-    name = str(name_raw, "utf-8")
+    name = str(view[offset : offset + name_len], "utf-8")
     offset += name_len
     cls = reg.lookup(name)
     fields, offset = _decode_value(view, offset, copy)
@@ -328,9 +326,6 @@ def decode(
     obj = cls.__new__(cls)
     # The fields dict is freshly built by the decoder — adopt it outright.
     obj.__dict__ = fields
-    if fast_eligible and reg is registry:
-        # Learn a per-type plan from this sample (once per name).
-        _fastpath.note_decoded(name_raw, obj)
     return obj
 
 

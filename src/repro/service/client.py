@@ -46,7 +46,6 @@ from ..net.framing import DEFAULT_RECV_BYTES
 from ..net.kernel import CONSOLE_KERNEL
 from ..net.nameserver import NameServerClient, NameServerError
 from ..runtime.controller import KernelFailure
-from ..serial import fastpath
 from ..serial.token import Token
 
 __all__ = ["ServiceBusy", "ServiceCall", "ServiceClient", "ServiceError",
@@ -196,9 +195,6 @@ class ServiceClient:
         """Issue one call; blocks only for session-window space."""
         if self._closed:
             raise ServiceError("client is closed")
-        # Precompile the per-token-type wire plan outside the lock; the
-        # common service pattern sends many tokens of one type.
-        fastpath.warm(token)
         self.open()
         failure = self._failure
         if failure is not None:

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.gameoflife import DistributedGameOfLife, life_step
 from repro.cluster import paper_cluster
 from repro.runtime import ScheduleError, SimEngine
-from repro.runtime.checkpoint import CheckpointManager, fail_node
+from repro.runtime.checkpoint import CheckpointManager
 
 
 def make_gol(n_workers=2, rows=24, cols=16, seed=8, n_nodes=4):
@@ -85,13 +85,6 @@ def test_fail_node_requires_quiescence_and_traces():
     assert lost >= 1
     # failing an empty node is fine (0 threads lost)
     assert engine.fail_node("node04") == 0
-
-
-def test_fail_node_module_shim_warns_and_delegates():
-    engine, gol, world = make_gol()
-    with pytest.warns(DeprecationWarning, match="engine.fail_node"):
-        lost = fail_node(engine, "node01")
-    assert lost >= 1
 
 
 def test_checkpoint_requires_collections():

@@ -35,7 +35,7 @@ def test_unknown_option_names_owning_engines():
     # The message teaches where the option belongs...
     assert "'recover' is a multiprocess option" in str(exc.value)
     # ...and lists what this kind does accept.
-    assert "serialize_transfers" in str(exc.value)
+    assert "routing" in str(exc.value)
 
 
 def test_option_that_no_engine_accepts():

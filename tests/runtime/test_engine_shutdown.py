@@ -8,6 +8,7 @@ that was never shut down has a ``weakref.finalize`` backstop.
 """
 
 import multiprocessing
+import threading
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from repro.apps.ring import RingJobToken, build_ring_graph
 from repro.apps.strings import StringToken, build_uppercase_graph
 from repro.runtime import MultiprocessEngine, create_engine
 from repro.runtime.multiprocess_engine import _reap_processes
+from repro.trace import MetricsRegistry
 
 
 def _graph(name):
@@ -151,5 +153,65 @@ def test_ns_address_resolves_on_start():
                           StringToken("hi")).text == "HI"
         host, port = engine.ns_address
         assert host == "127.0.0.1" and port > 0
+    finally:
+        engine.shutdown()
+
+
+class _ExitedProc:
+    """Process handle of a kernel that has already exited."""
+
+    def join(self, timeout=None):
+        pass
+
+    def is_alive(self):
+        return False
+
+
+class _ResizingConsole:
+    """Console stand-in whose trace pull walks its peers while a second
+    thread grows the engine's kernel table under ``_proc_lock`` — what
+    the autoscaler thread's ``add_kernel`` does mid-run."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.pulls = []
+        self._shutdown_requested = threading.Event()
+
+    def collect_traces(self, peers, timeout=5.0):
+        seen = []
+        for peer in peers:
+            if not seen:
+                grower = threading.Thread(target=self._grow)
+                grower.start()
+                grower.join(timeout=10)
+                assert not grower.is_alive(), "pull held _proc_lock"
+            seen.append(peer)
+        self.pulls.append(seen)
+        return []
+
+    def _grow(self):
+        with self.engine._proc_lock:
+            self.engine._kernel_procs["late"] = _ExitedProc()
+
+    def request_shutdown(self, name):
+        pass
+
+    def shutdown(self):
+        pass
+
+
+@pytest.mark.parametrize("pull", ["collect_traces", "shutdown"])
+def test_trace_pull_survives_kernel_table_resize(pull):
+    """Both trace pulls hand the console a snapshot of the kernel names,
+    not the live table another thread may resize ("dictionary changed
+    size during iteration", which shutdown() swallowed along with the
+    traces)."""
+    engine = MultiprocessEngine(metrics=MetricsRegistry())
+    engine._kernel_procs.update(k1=_ExitedProc(), k2=_ExitedProc())
+    console = engine._console = _ResizingConsole(engine)
+    try:
+        getattr(engine, pull)()
+        assert console.pulls[0] == ["k1", "k2"]
+        assert "late" in engine._kernel_procs
     finally:
         engine.shutdown()

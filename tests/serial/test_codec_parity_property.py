@@ -1,16 +1,20 @@
 """Property suite pinning fast/pure codec byte-identity.
 
-The fast paths (per-token-type plans and the optional compiled visitor,
+The fast path (the optional compiled visitor, selected by
 :mod:`repro.serial.fastpath`) must be invisible on the wire: for every
-payload the bytes they emit equal the pure visitor's bytes, and a
+payload the bytes it emits equal the pure visitor's bytes, and a
 message encoded by either side decodes identically on the other.  These
 tests drive both directions over arbitrary payload trees — including
-the kinds the fast paths cannot handle, where the total-fallback rule
-must kick in rather than diverge.
+the kinds the compiled visitor cannot handle, where the total-fallback
+rule must kick in rather than diverge.
 
 Run twice by the codec-parity CI job: once with the compiled extension
-built, once without (plans only); the properties hold either way.
+built, once without (``auto`` is then the pure visitor and the parity
+properties reduce to pure round trips); they hold either way.  The
+hex-literal pins at the bottom hold the wire format itself still.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -18,9 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
-from repro.serial import Buffer, ComplexToken, SimpleToken, Vector, decode, encode
+from repro.apps.gol_service import GolReadRequest
+from repro.apps.ring import RingJobToken
+from repro.apps.stream_pipeline import StreamItemToken
+from repro.serial import (Buffer, ComplexToken, SimpleToken, Vector, WireError,
+                          decode, encode)
 from repro.serial import fastpath
-from repro.serial.plans import PlanMiss, build_decode_plan, build_encode_plan
 from repro.serial.wire import _SEGMENT_THRESHOLD
 
 
@@ -32,7 +39,7 @@ class ParityToken(ComplexToken):
 
 
 class ScalarToken(SimpleToken):
-    """Scalar-heavy layout (str field keeps it off the plan path)."""
+    """Scalar-heavy layout with a variable-width (str) field."""
 
     def __init__(self, seq=0, value=0.0, flag=False, note="", tag=None):
         self.seq = seq
@@ -42,8 +49,9 @@ class ScalarToken(SimpleToken):
         self.tag = tag
 
 
-class PlanToken(SimpleToken):
-    """Fixed-width scalars only: the plan path's home turf."""
+class AllScalarToken(SimpleToken):
+    """Fixed-width scalars only: the shape of the control tokens that
+    dominate kernel-to-kernel traffic."""
 
     def __init__(self, seq=0, value=0.0, flag=False, tag=None):
         self.seq = seq
@@ -160,8 +168,8 @@ def test_cross_decode_both_directions(payload):
     st.one_of(st.none(), st.integers(min_value=0, max_value=10)),
 )
 def test_scalar_token_parity(seq, value, flag, note, tag):
-    """The plan-specialized layout: every scalar kind and the None/bigint
-    edges (ints beyond int64 must fall back identically)."""
+    """Every scalar kind and the None/bigint edges (ints beyond int64
+    take the BIGINT tag identically on both paths)."""
     tok = ScalarToken(seq, value, flag, note, tag)
     wire = _fast_encode(tok)
     assert wire == _pure_encode(tok)
@@ -193,51 +201,118 @@ def test_int64_boundary_parity():
         assert _fast_decode(_pure_encode(tok)).seq == n
 
 
-def test_plan_miss_falls_back_not_raises():
-    """A built plan whose guards miss must fall back, never corrupt."""
-    fastpath.warm(PlanToken())
-    shifted = PlanToken(seq="now a string", value=[1, 2], tag={"k": 1})
-    assert _fast_encode(shifted) == _pure_encode(shifted)
+def test_int64_bigint_boundary_on_the_wire():
+    """int64 range is tag 3 + 8 bytes LE; one past either end is tag 7
+    (BIGINT) + u32 length + ascii decimal."""
+    for n, field in (
+        (2**63 - 1, "03" + "ffffffffffffff7f"),
+        (-(2**63), "03" + "0000000000000080"),
+        (2**63, "07" + "13000000" + b"9223372036854775808".hex()),
+        (-(2**63) - 1, "07" + "14000000" + b"-9223372036854775809".hex()),
+    ):
+        for enc in (_fast_encode, _pure_encode):
+            wire = enc(AllScalarToken(seq=n)).hex()
+            assert wire.split(b"seq".hex(), 1)[1].startswith(field)
 
 
-def test_plan_field_order_identity():
-    """Plans embed the sample's field order; a token whose dict order
-    differs must miss the plan and still produce identical bytes."""
-    fastpath.warm(PlanToken())
-    tok = PlanToken(1, 2.0, True, None)
-    reordered = PlanToken.__new__(PlanToken)
+def test_none_and_bool_tag_bytes():
+    """None is tag 0, False tag 1, True tag 2, each with no payload."""
+    expected = ("445053320e00416c6c5363616c6172546f6b656e0d04000000"
+                "0300736571" "03" "0700000000000000"
+                "050076616c7565" "04" "000000000000f83f"
+                "0400666c6167" "{flag}"
+                "0300746167" "00")
+    for flag, tag in ((True, "02"), (False, "01")):
+        tok = AllScalarToken(7, 1.5, flag, None)
+        for enc in (_fast_encode, _pure_encode):
+            assert enc(tok).hex() == expected.format(flag=tag)
+        for dec in (_fast_decode, _pure_decode):
+            back = dec(bytes.fromhex(expected.format(flag=tag)))
+            assert back.flag is flag and back.tag is None
+
+
+def test_field_order_is_wire_order():
+    """Fields go out in ``__dict__`` order and come back in wire order:
+    a token whose dict order differs encodes to different bytes, the same
+    on both paths, and a decode → re-encode reproduces them."""
+    tok = AllScalarToken(1, 2.0, True, None)
+    reordered = AllScalarToken.__new__(AllScalarToken)
     reordered.__dict__ = dict(reversed(list(tok.fields().items())))
-    assert _fast_encode(reordered) == _pure_encode(reordered)
-    assert _fast_encode(tok) == _pure_encode(tok)
+    wire = _fast_encode(reordered)
+    assert wire == _pure_encode(reordered)
+    assert wire != _fast_encode(tok) == _pure_encode(tok)
+    for dec in (_fast_decode, _pure_decode):
+        back = dec(wire)
+        assert list(back.fields()) == ["tag", "flag", "value", "seq"]
+        assert _pure_encode(back) == wire
 
 
-def test_decode_plan_rejects_wrong_length():
-    tok = PlanToken(7, 1.5, True, None)
-    name = b"PlanToken"
-    plan = build_decode_plan(PlanToken, name, tok.fields())
-    assert plan is not None
-    wire = bytes(_pure_encode(tok))
-    with pytest.raises(PlanMiss):
-        plan(memoryview(wire + b"\x00"))
-    with pytest.raises(PlanMiss):
-        plan(memoryview(wire[:-1]))
-
-
-def test_encode_plan_unplannable_layouts():
-    name = b"ParityToken"
-    assert build_encode_plan(name, {"payload": [1, 2]}) is None
-    assert build_encode_plan(name, {"payload": b"raw"}) is None
-    assert build_encode_plan(name, {"payload": "strings vary"}) is None
-    # all-scalar layouts plan fine
-    assert build_encode_plan(name, {"a": 1, "b": 2.0, "c": None}) is not None
+def test_wrong_length_rejected_on_both_paths():
+    """A message one byte long or short never decodes: the compiled
+    visitor misses and the pure visitor raises the canonical error."""
+    wire = _pure_encode(AllScalarToken(7, 1.5, True, None))
+    for dec in (_fast_decode, _pure_decode):
+        with pytest.raises(WireError, match="trailing"):
+            dec(wire + b"\x00")
+        with pytest.raises((WireError, struct.error, IndexError)):
+            dec(wire[:-1])
 
 
 def test_fast_output_is_writable_tail():
     """encode_segments documents a writable whole-message tail; the fast
-    paths must preserve that (gather() hands it over as-is)."""
+    path must preserve that (gather() hands it over as-is)."""
     from repro.serial import encode_segments, gather
 
-    fastpath.warm(PlanToken())
-    segs = encode_segments(PlanToken(3, 4.0, False, None))
+    segs = encode_segments(AllScalarToken(3, 4.0, False, None))
     assert len(segs) == 1 and type(segs[0]) is bytearray
     assert gather(segs) is segs[0]
+
+
+def test_selection_is_compiled_or_pure():
+    """``auto`` probes the compiled visitor only when it is bound; with
+    no extension it is the pure visitor and nothing is counted."""
+    compiled = fastpath.compiled_available()
+    tok = AllScalarToken(3, 4.0, False, None)
+    fastpath.take_counters()
+    _fast_decode(_fast_encode(tok))
+    _fast_encode(ParityToken(np.zeros(_SEGMENT_THRESHOLD, dtype=np.uint8)))
+    assert fastpath.take_counters() == {
+        "codec_compiled_hits": 2 if compiled else 0,
+        "codec_fallbacks": 1 if compiled else 0}
+    _pure_decode(_pure_encode(tok))
+    assert not any(fastpath.take_counters().values())
+    mode = fastpath.get_codec()
+    try:
+        fastpath.set_codec("auto")
+        assert fastpath.codec_in_use() == ("compiled" if compiled else "pure")
+        fastpath.set_codec("pure")
+        assert fastpath.codec_in_use() == "pure"
+    finally:
+        fastpath.set_codec(mode)
+
+
+# Captured at the commit before the struct-plan tier was deleted (where
+# these three were plan-encoded under ``auto``): the bytes did not move.
+WIRE_PINS = [
+    (RingJobToken(512, 2000),
+     "445053320c0052696e674a6f62546f6b656e0d020000000b00626c6f636b5f6279"
+     "74657303000200000000000008006e5f626c6f636b7303d007000000000000"),
+    (GolReadRequest(3, 5, 8, 8),
+     "445053320e00476f6c52656164526571756573740d040000000300726f77030300"
+     "0000000000000300636f6c03050000000000000006006865696768740308000000"
+     "0000000005007769647468030800000000000000"),
+    (StreamItemToken(seq=7, value=-3, window=8, slide=0, work=0.25),
+     "445053320f0053747265616d4974656d546f6b656e0d0500000003007365710307"
+     "00000000000000050076616c756503fdffffffffffffff060077696e646f770308"
+     "000000000000000500736c6964650300000000000000000400776f726b04000000"
+     "000000d03f"),
+]
+
+
+@pytest.mark.parametrize("tok,pinned", WIRE_PINS,
+                         ids=[type(t).__name__ for t, _ in WIRE_PINS])
+def test_workload_token_wire_pins(tok, pinned):
+    for enc in (_fast_encode, _pure_encode):
+        assert enc(tok).hex() == pinned
+    for dec in (_fast_decode, _pure_decode):
+        assert dec(bytes.fromhex(pinned)).fields() == tok.fields()

@@ -43,7 +43,8 @@ def test_exact_public_surface():
 
     Additions are deliberate API decisions: extend this list *and* the
     docs in the same change.  Removals must go through a deprecation
-    shim first (see ``repro.runtime.checkpoint.fail_node``).
+    shim first, deleted once nothing imports it (as the module-level
+    ``checkpoint.fail_node`` was, for ``engine.fail_node(node)``).
     """
     assert list(repro.__all__) == [
         "AdmissionPolicy", "Application", "ArrivalProcess", "Buffer",
