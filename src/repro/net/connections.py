@@ -52,7 +52,7 @@ class TransportPolicy:
 
     #: Use a shared-memory arena towards same-host peers.
     shm_enabled: bool = True
-    #: Segments at or above this size take the shm lane.
+    #: A message with a segment at or above this size takes the shm lane.
     shm_threshold: int = 1 << 14
     #: Arena size per peer connection.
     shm_arena_bytes: int = 1 << 24

@@ -51,7 +51,7 @@ from ..serial.wire import Segment, frame
 from .framing import DEFAULT_MAX_BATCH_BYTES, MAX_SENDMSG_SEGMENTS, \
     FrameReader, _as_byte_views, send_message
 from .nameserver import NameServerError
-from .protocol import _segment_nbytes, encode_shm_attach
+from .protocol import encode_shm_attach
 from .shm import ShmSender, host_fingerprint
 
 __all__ = ["IOLoop", "VectoredSender", "EventLoopPeer"]
@@ -248,6 +248,14 @@ class IOLoop:
             pass
         if self._thread.is_alive() and not self.on_loop_thread():
             self._thread.join(timeout=2.0)
+        # The loop returns as soon as it sees _closed, so calls queued
+        # just before (a peer's _teardown, which unlinks its shm arena)
+        # would never run: finish them here, as call() does from now on.
+        while self._pending:
+            try:
+                self._pending.popleft()()
+            except Exception:
+                traceback.print_exc(file=sys.stderr)
         for key in list(self._selector.get_map().values()):
             if key.fileobj is self._wake_r:
                 continue
@@ -443,10 +451,10 @@ class EventLoopPeer:
     :class:`IOLoop` to flush.  The peer is dialed lazily (a transient
     ``dps-dial`` thread owns the blocking resolve/connect/backoff, then
     hands the non-blocking socket to the loop).  When the peer's
-    HELLO-time host fingerprint matches ours, payload segments above a
-    size threshold take the :mod:`~repro.net.shm` shared-memory lane and
-    only descriptor frames hit the TCP stack.  Transport errors are
-    reported once through *on_error*, always on the loop thread;
+    HELLO-time host fingerprint matches ours, messages with a segment of
+    threshold size take the :mod:`~repro.net.shm` shared-memory lane
+    whole and only their descriptor frames hit the TCP stack.  Transport
+    errors are reported once through *on_error*, always on the loop thread;
     messages queued after a failure are dropped, but the drops are
     *counted* (``token_drops`` metric, ``token_drop`` trace event) so a
     peer loss shows up in the run's observability instead of as a silent
@@ -539,7 +547,9 @@ class EventLoopPeer:
     def _bulk(self, segments: List[Segment]) -> bool:
         """Whether a segment is large enough for the shm lane."""
         threshold = self._transport.shm_threshold
-        return any(_segment_nbytes(seg) >= threshold for seg in segments)
+        return any(
+            (seg.nbytes if isinstance(seg, memoryview) else len(seg))
+            >= threshold for seg in segments)
 
     def _idle(self) -> bool:
         """Attached, healthy, and nothing queued ahead of a new message."""
@@ -726,9 +736,10 @@ class EventLoopPeer:
             self._failed = True
             self._count_drops(self._drop_queued())
             if self._shm is not None:
-                # The peer is gone: blocks it never consumed would pin
-                # the FIFO ring tail forever.  Safe here — we hold the
-                # arena's write lock and no more descriptors follow.
+                # The peer is gone, or will never see the descriptors
+                # just dropped: take every block back.  Safe here — we
+                # hold the arena's write lock and nothing is placed or
+                # announced after a failure.
                 self._shm.reclaim_all()
             self._set_write_interest(False)
             self._flushed.set()

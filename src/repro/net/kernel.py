@@ -810,8 +810,10 @@ class DistributedKernel(ThreadedEngine):
                 if state.shm_rx is None:
                     raise WireError(
                         "shm descriptor frame before MSG_SHM_ATTACH")
-                raw = state.shm_rx.reassemble(value)
-                kind, value = P.decode_message(raw, self._graphs)
+                # Decoded in place: the token's arrays alias the arena
+                # block, which goes back to the sender when they die.
+                kind, value = P.decode_message(
+                    state.shm_rx.borrow(*value), self._graphs)
             self._dispatch_message(kind, value)
 
     def _on_conn_close(self, state: _ConnState,

@@ -104,8 +104,8 @@ MSG_TRACE = 10
 #: Sender → receiver: a shared-memory arena (name, size) now carries this
 #: connection's large payloads; sent once, before the first MSG_SHM.
 MSG_SHM_ATTACH = 12
-#: A message whose large segments live in the peer's shm arena; the frame
-#: carries only small inline segments and (offset, length) descriptors.
+#: A message that lives whole in one block of the sender's shm arena;
+#: the frame carries only its ``(block_offset, length)`` descriptor.
 MSG_SHM = 13
 #: Worker → console: a peer connection broke; ``(kernel_name, reason)``.
 MSG_KERNEL_DOWN = 14
@@ -158,7 +158,7 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
 _FRAME_FIELDS = struct.Struct("<QIIII")  # group_id, index, opener, opener_instance, routed_instance
-_SHM_PART = struct.Struct("<QI")   # arena block offset, payload length
+_SHM_BLOCK = struct.Struct("<QI")  # arena block offset, message length
 _DATA_IDS = struct.Struct("<IIQ")  # node_id, instance, ctx_id
 _ACK_IDS = struct.Struct("<IIIQI")  # opener, opener_instance, routed_instance, group_id, index
 _U64_PAIR = struct.Struct("<QQ")   # (group_id|ctx_id, total)
@@ -236,36 +236,12 @@ def encode_shm_attach(arena_name: str, size: int) -> List[Segment]:
     return [head]
 
 
-def _segment_nbytes(seg: Segment) -> int:
-    return seg.nbytes if isinstance(seg, memoryview) else len(seg)
-
-
-def encode_shm_data(parts: List[tuple]) -> List[Segment]:
-    """A message whose large segments were parked in the shm arena.
-
-    *parts* reproduce the original segment list in order; each entry is
-    ``("inline", segment)`` for a small segment that still travels over
-    TCP, or ``("shm", block_offset, length)`` for a payload placed in the
-    arena.  Inline segments are emitted as separate scatter-gather
-    segments, so the zero-copy send path is preserved.
-    """
-    segs: List[Segment] = []
-    cur = bytearray(_U8.pack(MSG_SHM))
-    cur += _U16.pack(len(parts))
-    for part in parts:
-        if part[0] == "shm":
-            cur += _U8.pack(1)
-            cur += _SHM_PART.pack(part[1], part[2])
-        else:
-            seg = part[1]
-            cur += _U8.pack(0)
-            cur += _U32.pack(_segment_nbytes(seg))
-            segs.append(cur)
-            segs.append(seg)
-            cur = bytearray()
-    if cur:
-        segs.append(cur)
-    return segs
+def encode_shm_data(block: int, length: int) -> List[Segment]:
+    """A message parked whole in the sender's shm arena: its *length*
+    bytes follow the state byte of the block at offset *block*."""
+    head = bytearray(_U8.pack(MSG_SHM))
+    head += _SHM_BLOCK.pack(block, length)
+    return [head]
 
 
 def encode_group_total(group_id: int, total: int) -> List[Segment]:
@@ -504,24 +480,7 @@ def decode_message(payload: "bytes | bytearray | memoryview",
         (size,) = _U64.unpack_from(view, offset)
         return MSG_SHM_ATTACH, (arena_name, size)
     if kind == MSG_SHM:
-        (n_parts,) = _U16.unpack_from(view, offset)
-        offset += 2
-        parts = []
-        for _ in range(n_parts):
-            tag = view[offset]
-            offset += 1
-            if tag == 1:
-                block, length = _SHM_PART.unpack_from(view, offset)
-                offset += _SHM_PART.size
-                parts.append(("shm", block, length))
-            elif tag == 0:
-                (length,) = _U32.unpack_from(view, offset)
-                offset += 4
-                parts.append(("inline", view[offset:offset + length]))
-                offset += length
-            else:
-                raise WireError(f"unknown shm part tag {tag}")
-        return MSG_SHM, parts
+        return MSG_SHM, _SHM_BLOCK.unpack_from(view, offset)
     if kind == MSG_GROUP_TOTAL:
         group_id, total = _U64_PAIR.unpack_from(view, offset)
         return MSG_GROUP_TOTAL, (group_id, total)

@@ -1,44 +1,63 @@
 """Shared-memory payload lane for co-located kernels.
 
 ``MultiprocessEngine`` forks every kernel onto the local machine, yet
-PR 2's transport round-trips each payload through the TCP stack — two
-copies through kernel socket buffers that a same-host peer does not
-need.  This module gives each peer connection an optional
-``multiprocessing.shared_memory`` arena: token segments above a size
-threshold are copied once into the arena and only a small
-``(offset, length)`` descriptor travels over TCP (``MSG_SHM``);
-everything below the threshold stays inline on the existing zero-copy
-path.
-
-Co-location is detected at HELLO time by comparing
+the TCP lane round-trips each payload through the socket buffers — two
+copies that a same-host peer does not need.  This module gives each
+peer connection an optional ``multiprocessing.shared_memory`` arena: a
+message with any segment at or above a size threshold is copied once,
+whole (header and payloads, contiguous), into one arena block, and only
+a ``(block_offset, length)`` descriptor travels over TCP (``MSG_SHM``).
+Messages below the threshold stay inline on the existing zero-copy
+path.  Co-location is detected at HELLO time by comparing
 :func:`host_fingerprint` values published through the name server, so a
 genuinely distributed deployment silently keeps the plain TCP lane.
 
-Reclamation is a one-byte state flag per block, no reverse messages:
-the sender writes ``1`` before publishing a block, the receiver clears
-it to ``0`` after copying the payload out, and the sender lazily
-reclaims cleared blocks (in FIFO ring order) the next time it
-allocates.  The TCP descriptor frame orders the sender's arena writes
-before the receiver's reads (a syscall on each side), and a stale flag
-read can only *delay* reclamation, never corrupt a live block.  When
-the arena is full the sender simply falls back to inline TCP for that
-segment — the lane is an optimization, never a correctness dependency.
+**Ownership.**  A block belongs to exactly one side at a time, and one
+state byte in front of it says which: the sender writes ``1`` before
+the descriptor leaves, and from then on the block is the receiver's.
+The receiver does not copy it out.  :meth:`ShmReceiver.borrow` returns
+a view of the block itself, the message is decoded with
+``decode(copy=False)``, and the token's arrays alias the arena.
+Whoever holds such an array — an operation still running, thread
+state, a merge buffering its group, the recovery journal of the next
+hop — holds the block; nobody else may.  The state byte goes back to
+``0`` when the last of those references dies (a ``weakref.finalize``
+on the array that owns the view), and only then may the sender write
+there again.  There are no reverse messages: the TCP descriptor frame
+orders the sender's arena writes before the receiver's reads (a
+syscall on each side), and a stale flag read can only *delay* reuse,
+never corrupt a live block.
+
+Blocks therefore come back in the application's order, not FIFO.  The
+sender's allocator (:meth:`ShmSender.place`) drops every block whose
+flag has cleared, wherever it sits, and puts the next one in the first
+gap that fits, so a long-lived holder costs the arena its own bytes
+(plus whatever a gap beside it is too small to take) and never blocks
+the lane behind it.  When no gap fits, the message goes inline over
+TCP — the lane is an optimization, never a correctness dependency.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import socket as _socket
-from collections import deque
-from multiprocessing import resource_tracker, shared_memory
-from typing import Deque, List, Optional, Tuple
+import weakref
+from multiprocessing import shared_memory
+from typing import List, Optional, Tuple
 
-from ..serial.wire import Segment
+import numpy as np
+
+try:  # the receiver maps the arena itself, see ShmReceiver
+    import _posixshmem
+except ImportError:  # pragma: no cover - non-POSIX: the lane stays off
+    _posixshmem = None
+
+from ..serial.wire import Segment, WireError
 from . import protocol as P
+from .framing import _as_byte_views
 
 __all__ = ["host_fingerprint", "ShmSender", "ShmReceiver"]
-
-#: One state byte per block: 1 = in flight, 0 = consumed (reclaimable).
-_BLOCK_HEADER = 1
 
 _fingerprint: Optional[str] = None
 
@@ -61,123 +80,87 @@ def host_fingerprint() -> str:
     return _fingerprint
 
 
-def _as_byte_view(seg: Segment) -> memoryview:
-    view = seg if type(seg) is memoryview else memoryview(seg)
-    if view.format != "B" or view.ndim != 1:
-        view = view.cast("B")
-    return view
-
-
 class ShmSender:
     """The sending half of one connection's shared-memory arena.
 
-    A ring ("bump") allocator over one ``SharedMemory`` block.  Blocks
-    are allocated at the head, outstanding blocks form a FIFO (the
-    receiver consumes frames in order), and consumed blocks are
-    reclaimed from the tail before each allocation.  Single-producer
-    (whoever holds the owning peer's write lock) / single-consumer (the
-    peer's I/O loop), so no locking is needed in here.
+    A first-fit allocator over one ``SharedMemory`` block: ``_live``
+    lists the blocks not yet seen released, sorted by offset, and every
+    allocation first forgets the ones whose flag has cleared — in
+    whatever order the receiver let go of them.  Single-producer
+    (whoever holds the owning peer's write lock); the receiver only
+    ever clears flags, so no locking is needed in here.
     """
 
     def __init__(self, arena_bytes: int, threshold: int, metrics=None):
+        if _posixshmem is None:  # pragma: no cover - non-POSIX
+            raise OSError("no POSIX shared memory on this platform")
         self._shm = shared_memory.SharedMemory(create=True, size=arena_bytes)
         self.name = self._shm.name
         self.size = self._shm.size  # may be page-rounded above arena_bytes
         self.threshold = threshold
         self._buf = self._shm.buf
-        self._head = 0
-        #: (block_offset, total_len) of in-flight blocks, ring order.
-        self._pending: Deque[Tuple[int, int]] = deque()
+        #: (start, end) of the blocks still out, sorted by start.
+        self._live: List[Tuple[int, int]] = []
         self._metrics = metrics
 
-    # -- allocation ------------------------------------------------------
-    def _reclaim(self) -> None:
-        buf = self._buf
-        pending = self._pending
-        while pending and buf[pending[0][0]] == 0:
-            pending.popleft()
+    def place(self, views: List[memoryview]) -> Optional[Tuple[int, int]]:
+        """Copy *views*, end to end, into one block.
 
-    def _fit(self, total: int) -> Optional[int]:
-        """Offset for a *total*-byte block, or ``None`` when full.
-
-        Strict inequalities keep the head from ever catching the tail
-        while blocks are outstanding, so "full" and "empty" stay
-        distinguishable without a fill counter.
+        Returns ``(block_offset, nbytes)``, or ``None`` when no gap
+        between the blocks still out is large enough.
         """
-        if not self._pending:
-            self._head = 0
-            return 0 if total <= self.size else None
-        tail = self._pending[0][0]
-        head = self._head
-        if head >= tail:
-            if self.size - head >= total:
-                return head
-            if tail > total:
-                return 0  # wrap; the gap at the end is reclaimed with the tail
-            return None
-        if tail - head > total:
-            return head
-        return None
-
-    def place(self, view: memoryview) -> Optional[Tuple[int, int]]:
-        """Copy *view* into the arena; ``(block_offset, nbytes)`` or ``None``."""
-        n = view.nbytes
-        total = n + _BLOCK_HEADER
-        self._reclaim()
-        offset = self._fit(total)
-        if offset is None:
-            return None
+        length = sum(view.nbytes for view in views)
+        total = length + 1  # the state byte
         buf = self._buf
-        buf[offset] = 1
-        buf[offset + 1:offset + 1 + n] = view
-        self._pending.append((offset, total))
-        self._head = offset + total
-        return offset, n
+        live = self._live = [blk for blk in self._live if buf[blk[0]]]
+        block = 0
+        for at, (start, end) in enumerate(live):
+            if start - block >= total:
+                break
+            block = end
+        else:
+            at = len(live)
+            if self.size - block < total:
+                return None
+        live.insert(at, (block, block + total))
+        buf[block] = 1
+        pos = block + 1
+        for view in views:
+            buf[pos:pos + view.nbytes] = view
+            pos += view.nbytes
+        return block, length
 
-    # -- message rewriting -----------------------------------------------
     def rewrite(self, segments: List[Segment]) -> List[Segment]:
-        """Divert a message's large segments through the arena.
+        """Divert a message with a large segment through the arena.
 
-        Returns *segments* unchanged when nothing crosses the threshold
-        (or the arena is full), else an ``MSG_SHM`` descriptor message
-        wrapping the original payload.
+        Returns *segments* unchanged when nothing reaches the threshold
+        (or the arena has no room), else the ``MSG_SHM`` descriptor of
+        the block that now holds the whole message.
         """
-        parts: Optional[List[tuple]] = None
-        for i, seg in enumerate(segments):
-            view = _as_byte_view(seg)
-            if view.nbytes >= self.threshold:
-                placed = self.place(view)
-                if placed is not None:
-                    if parts is None:
-                        parts = [("inline", s) for s in segments[:i]]
-                    parts.append(("shm",) + placed)
-                    if self._metrics is not None:
-                        self._metrics.counter("shm_bytes_bypassed").inc(
-                            placed[1])
-                    continue
-            if parts is not None:
-                parts.append(("inline", seg))
-        if parts is None:
+        views = _as_byte_views(segments)
+        threshold = self.threshold
+        if not any(view.nbytes >= threshold for view in views):
             return segments
-        return P.encode_shm_data(parts)
+        placed = self.place(views)
+        if placed is None:
+            return segments
+        if self._metrics is not None:
+            self._metrics.counter("shm_bytes_bypassed").inc(placed[1])
+        return P.encode_shm_data(*placed)
 
     # -- lifecycle -------------------------------------------------------
     def reclaim_all(self) -> None:
-        """Forcibly reclaim every in-flight block.
+        """Forcibly take back every block still out.
 
-        A peer that dies mid-``MSG_SHM`` handoff never clears the state
-        flags of the blocks whose descriptors it did not consume, and
-        because reclamation is FIFO from the ring tail, one such block
-        pins *everything* allocated after it — the arena silently shrinks
-        to nothing and every send falls back to inline TCP.  Call only
-        when the peer connection is torn down (the peer must never read
-        the arena again).
+        A peer that dies never clears the flags of the blocks it held or
+        had not yet been told about, and each would cost the arena its
+        bytes for good.  Call only when the peer connection is torn down
+        (the peer must never read the arena again).
         """
         buf = self._buf
-        for offset, _ in self._pending:
-            buf[offset] = 0
-        self._pending.clear()
-        self._head = 0
+        for start, _ in self._live:
+            buf[start] = 0
+        self._live.clear()
 
     def destroy(self) -> None:
         """Close and unlink the arena (creator owns the name)."""
@@ -190,69 +173,56 @@ class ShmSender:
         except (OSError, BufferError):
             pass
         try:
-            # When sender and receiver share one resource tracker (fork
-            # start method: the engine's own mp primitives start it
-            # before the kernels fork), the receiver's attach-time
-            # unregister also removed *this* registration; re-register so
-            # unlink()'s unregister always finds an entry.  Registering
-            # twice is a no-op, so the separate-tracker case is unharmed.
-            resource_tracker.register(self._shm._name, "shared_memory")
             self._shm.unlink()
-        except (OSError, FileNotFoundError):
+        except OSError:
             pass
 
 
 class ShmReceiver:
-    """The receiving half: attach to a peer's arena and copy blocks out."""
+    """The receiving half: map a peer's arena and lend its blocks out.
+
+    The arena is mapped directly (``shm_open`` + ``mmap``), not through
+    ``SharedMemory``: an attachment must not register with the resource
+    tracker (cleanup belongs to the creator alone), and the mapping has
+    to outlive :meth:`close` for as long as a borrowed block is in use,
+    which ``SharedMemory.close`` / ``__del__`` would refuse with a
+    ``BufferError``.  Every borrowed view keeps the ``mmap`` object
+    alive; it is unmapped when the last reference to it goes.
+    """
 
     def __init__(self, name: str, size: int):
-        self._shm = shared_memory.SharedMemory(name=name)
-        # Python 3.11 registers *attachments* with the resource tracker
-        # too (no track= parameter until 3.13), so this process would try
-        # to unlink the arena at exit and race the creator; undo the
-        # spurious registration — cleanup belongs to the creator alone.
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
         try:
-            resource_tracker.unregister(self._shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-        if self._shm.size < size:
+            self._arena: Optional[mmap.mmap] = mmap.mmap(fd, 0)
+        finally:
+            os.close(fd)
+        if len(self._arena) < size:
             raise ValueError(
                 f"shm arena {name!r} smaller than announced: "
-                f"{self._shm.size} < {size}")
-        self._buf = self._shm.buf
+                f"{len(self._arena)} < {size}")
 
-    def reassemble(self, parts: List[tuple]) -> bytearray:
-        """Rebuild the original message payload from an MSG_SHM part list.
+    def borrow(self, block: int, length: int) -> memoryview:
+        """The *length* message bytes of the block at *block*, in place.
 
-        Arena blocks are released (state flag cleared) as soon as their
-        bytes are copied out; the returned ``bytearray`` is owned by the
-        caller and safe for ``decode(copy=False)``.
+        The block is released (state flag cleared) when the returned
+        view and everything decoded out of it with ``copy=False`` are
+        gone.  A descriptor that does not name a published block inside
+        the arena is a :class:`WireError`.
         """
-        total = 0
-        for part in parts:
-            total += part[2] if part[0] == "shm" else part[1].nbytes
-        out = bytearray(total)
-        dest = memoryview(out)
-        buf = self._buf
-        pos = 0
-        for part in parts:
-            if part[0] == "shm":
-                _, block, n = part
-                dest[pos:pos + n] = buf[block + 1:block + 1 + n]
-                buf[block] = 0  # hand the block back to the sender
-            else:
-                seg = part[1]
-                n = seg.nbytes
-                dest[pos:pos + n] = seg
-            pos += n
-        return out
+        arena = self._arena
+        if block < 0 or length < 1 or block + 1 + length > len(arena):
+            raise WireError(
+                f"shm descriptor ({block}, {length}) outside the "
+                f"{len(arena)}-byte arena")
+        if arena[block] != 1:
+            raise WireError(f"shm block at {block} was not published")
+        owner = np.frombuffer(arena, np.uint8, length, block + 1)
+        # Last reference gone: flag back to 0, the block is the sender's.
+        weakref.finalize(owner, arena.__setitem__, block, 0).atexit = False
+        return memoryview(owner)
 
     def close(self) -> None:
-        try:
-            self._buf.release()
-        except BufferError:  # pragma: no cover
-            pass
-        try:
-            self._shm.close()
-        except (OSError, BufferError):
-            pass
+        """Stop lending.  Blocks already borrowed stay valid (and still
+        clear their flags); the arena is unmapped when the last is
+        released — at once when none is out."""
+        self._arena = None

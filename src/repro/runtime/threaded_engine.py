@@ -89,6 +89,9 @@ class _ThreadWorker:
             except BaseException as exc:  # surface to the caller of run()
                 engine._record_failure(exc)
                 return
+            # An idle worker must not keep its last token: arrays decoded
+            # in place hold a block of the sender's shm arena.
+            item = steps = body = step = outcome = None
 
 
 class ThreadedEngine(Engine):

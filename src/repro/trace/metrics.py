@@ -24,7 +24,7 @@ Engines populate a common set of series when a registry is attached:
 ``stall_seconds`` and ``serialize_seconds`` (histograms).  Token rate is
 derived: ``tokens_posted / elapsed``.  The multiprocess transport adds
 ``frames_per_syscall`` (histogram — mean > 1 means frames are sharing
-vectored writes), ``shm_bytes_bypassed`` (payload bytes that took the
+vectored writes), ``shm_bytes_bypassed`` (message bytes that took the
 shared-memory lane instead of TCP) and
 ``token_drops`` (messages discarded after a peer kernel failed).  The
 I/O loop adds ``io_loop_wakeups`` (counter — selector passes),

@@ -692,12 +692,13 @@ def test_eventloop_peer_bulk_send_goes_through_the_loop(ns):
         _wait_for(lambda: len(sink.frames) >= 4, what="descriptor frame")
         assert metrics.counter("io_loop_wakeups").value > before
         assert sink.frames[3] == bytes(_data_frame(1)[0])
-        kind, parts = decode_message(bytearray(sink.frames[2]), {})
+        kind, (block, length) = decode_message(
+            bytearray(sink.frames[2]), {})
         assert kind == MSG_SHM
-        assert [part[0] for part in parts] == ["inline", "shm"]
-        assert bytes(receiver.reassemble(parts)) == \
+        assert length == 1 + len(payload)  # header and payload, one block
+        assert bytes(receiver.borrow(block, length)) == \
             bytes([MSG_DATA]) + payload
-        assert metrics.counter("shm_bytes_bypassed").value == len(payload)
+        assert metrics.counter("shm_bytes_bypassed").value == length
     finally:
         if receiver is not None:
             receiver.close()

@@ -206,37 +206,8 @@ def test_shm_attach_roundtrip():
 
 
 def test_shm_data_roundtrip():
-    inline_a = bytearray(b"small-head")
-    inline_b = memoryview(b"tail")
-    parts = [
-        ("inline", inline_a),
-        ("shm", 4096, 65536),
-        ("inline", inline_b),
-        ("shm", 0, 123),
-    ]
-    kind, out = roundtrip(P.encode_shm_data(parts), {})
-    assert kind == P.MSG_SHM
-    assert len(out) == 4
-    assert out[0][0] == "inline" and bytes(out[0][1]) == b"small-head"
-    assert out[1] == ("shm", 4096, 65536)
-    assert out[2][0] == "inline" and bytes(out[2][1]) == b"tail"
-    assert out[3] == ("shm", 0, 123)
-
-
-def test_shm_data_preserves_inline_segments_zero_copy():
-    """Inline parts ride as separate scatter-gather segments (the payload
-    buffer itself, not a copy) and decode as borrowed views."""
-    payload = bytearray(b"z" * 64)
-    segs = P.encode_shm_data([("inline", payload), ("shm", 8, 9)])
-    assert any(s is payload for s in segs)
-    wire = bytearray(gather(segs))
-    _, parts = P.decode_message(wire, {})
-    view = parts[0][1]
-    assert isinstance(view, memoryview) and view.obj is wire
-
-
-def test_shm_data_rejects_unknown_tag():
-    wire = bytearray(gather(P.encode_shm_data([("shm", 0, 1)])))
-    wire[3] = 7  # kind | u16 n | tag byte
-    with pytest.raises(WireError, match="shm part tag"):
-        P.decode_message(wire, {})
+    """One descriptor form: the whole message sits in one arena block."""
+    segs = P.encode_shm_data(4096, 65536)
+    assert len(segs) == 1 and len(segs[0]) == 1 + 8 + 4
+    assert roundtrip(segs, {}) == (P.MSG_SHM, (4096, 65536))
+    assert roundtrip(P.encode_shm_data(0, 1), {}) == (P.MSG_SHM, (0, 1))

@@ -10,6 +10,7 @@ that was never shut down has a ``weakref.finalize`` backstop.
 import multiprocessing
 import threading
 import time
+from multiprocessing import resource_tracker
 
 import pytest
 
@@ -215,3 +216,30 @@ def test_trace_pull_survives_kernel_table_resize(pull):
         assert "late" in engine._kernel_procs
     finally:
         engine.shutdown()
+
+
+def test_ten_lifetimes_leave_no_arena_and_no_process():
+    """bench/README hazard (e): every engine lifetime from the second on
+    left its ``psm_*`` arenas in /dev/shm (the peers' teardown was queued
+    on an I/O loop that closed before running it)."""
+    measure = pytest.importorskip("bench.measure")
+    nodes = ["node01", "node02", "node03", "node04"]
+    before = measure.shm_segments()
+    for life in range(10):
+        graph = build_ring_graph(nodes)
+        engine = MultiprocessEngine()
+        engine.register_graph(graph)
+        try:
+            # 64 KiB blocks cross shm_threshold: every hop uses the lane.
+            done = engine.run(graph, RingJobToken(1 << 16, 8), timeout=60)
+            assert done.blocks == 8
+        finally:
+            engine.shutdown()
+        leaked = {name for name in measure.shm_segments() - before
+                  if name.startswith("psm_")}
+        assert not leaked, f"lifetime {life + 1} left {sorted(leaked)}"
+    assert measure.sweep_shm(before) == 0
+    assert not multiprocessing.active_children()
+    # This process's own resource tracker lives until interpreter exit.
+    tracker = getattr(resource_tracker._resource_tracker, "_pid", None)
+    assert set(measure._child_states()) - {tracker} == set()

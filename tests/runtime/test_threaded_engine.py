@@ -1,6 +1,8 @@
 """Tests for the real-thread engine: same programming model, real blocking."""
 
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -270,3 +272,33 @@ def test_failed_engine_fails_fast_on_next_run():
             engine.run(g, TJob(2), timeout=30)
         # fail-fast: no waiting on the 30s timeout
         assert time.monotonic() - t0 < 5
+
+
+def test_idle_worker_lets_go_of_its_last_token():
+    """A worker blocked on its inbox must not keep the token it last
+    ran: on the multiprocess engine that token's arrays are borrowed
+    from the sender's shm arena, and the block would stay out until the
+    next message happened to arrive."""
+    refs = []
+
+    class Remember(TSquare):
+        def execute(self, tok):
+            refs.append(weakref.ref(tok))
+            super().execute(tok)
+
+    engine = ThreadedEngine()
+    main = ThreadCollection(TMain, "idle-main").map("hostA")
+    worker = ThreadCollection(TWork, "idle-work").map("hostB")
+    g = Flowgraph(
+        FlowgraphNode(TFan, main)
+        >> FlowgraphNode(Remember, worker, ConstantRoute)
+        >> FlowgraphNode(TCollect, main),
+        "idle",
+    )
+    with engine:
+        assert engine.run(g, TJob(3)).total == 5
+        deadline = time.monotonic() + 5
+        while any(ref() is not None for ref in refs):
+            assert time.monotonic() < deadline, "the idle worker kept a token"
+            time.sleep(0.001)
+    assert len(refs) == 3
