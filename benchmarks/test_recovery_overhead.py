@@ -5,8 +5,8 @@ non-leaf input consults the dedup table, and acks carry the journal key
 — bookkeeping that must be invisible when nothing fails.  The budget is
 5%: ring tokens/sec with recovery armed must stay within 95% of the
 recovery-off throughput on the same engine build.  A second check
-verifies the heartbeat threads alone (on by default) cost nothing
-measurable.
+verifies the heartbeat timers alone (on by default, one per kernel's
+I/O loop) cost nothing measurable.
 
 Both comparisons need real parallelism (four kernel processes plus a
 console), so they are skipped below 4 usable cores.

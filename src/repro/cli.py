@@ -219,7 +219,7 @@ def _join(args) -> int:
     Rebuilds the serving application's graphs locally (the same
     parameters the ``serve`` command used, so graph and collection names
     line up), registers with the cluster's name server, and serves: the
-    resident engine's liveness loop spots the new lease, runs a
+    resident engine's liveness tick spots the new lease, runs a
     voluntary rebalance onto this kernel, and starts shipping it work.
     Blocks until the cluster orders shutdown (Ctrl-C to leave early —
     the cluster then treats it as a failure and recovers).

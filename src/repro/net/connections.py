@@ -203,8 +203,13 @@ class ConnectionPool:
             return list(self._peers)
 
     def close_all(self) -> None:
+        """Flush and close every channel under one shared deadline: N
+        unreachable peers cost one flush timeout, not N."""
         with self._lock:
             peers = list(self._peers.values())
             self._peers.clear()
         for conn in peers:
-            conn.close()
+            conn.begin_close()
+        deadline = time.monotonic() + 5.0
+        for conn in peers:
+            conn.finish_close(max(0.0, deadline - time.monotonic()))

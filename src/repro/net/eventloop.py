@@ -32,6 +32,11 @@ of the dial path keep their blocking calls).
   a lock, and a sending thread only ever *tries* the per-peer write
   lock, so ``ConnectionPool.send`` stays safe under the engine lock.
   ``io_loop_wakeups`` counts loop iterations.
+- **Timers**: :meth:`IOLoop.call_later` is the owner's one timer queue
+  (a heap whose earliest deadline bounds the ``select`` timeout, read
+  from an injected clock).  Whatever an owner does "every so often" —
+  heartbeat, resend aging, liveness and autoscale ticks — is a timer
+  here, not a thread; a callback must never wait on another process.
 
 A platform without a working selector or ``socketpair`` cannot run
 CPython's own asyncio either; :class:`IOLoop` simply raises there.
@@ -39,10 +44,13 @@ CPython's own asyncio either; :class:`IOLoop` simply raises there.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import selectors
 import socket
 import sys
 import threading
+import time
 import traceback
 from collections import deque
 from typing import Callable, List, Optional
@@ -174,6 +182,30 @@ class VectoredSender:
         return dropped
 
 
+def _guarded(fn: Callable[[], None]) -> None:
+    """Run one loop callback; a raising one is reported, not fatal."""
+    try:
+        fn()
+    except Exception:
+        traceback.print_exc(file=sys.stderr)
+
+
+class _Timer:
+    """Handle of one :meth:`IOLoop.call_later`; :meth:`cancel` it before
+    it fires and it never will."""
+
+    __slots__ = ("when", "seq", "fn")
+
+    def __init__(self, when: float, seq: int, fn: Callable[[], None]):
+        self.when, self.seq, self.fn = when, seq, fn
+
+    def __lt__(self, other: "_Timer") -> bool:
+        return (self.when, self.seq) < (other.when, other.seq)
+
+    def cancel(self) -> None:
+        self.fn = None
+
+
 class IOLoop:
     """One ``selectors`` event loop owning all of a kernel's socket I/O.
 
@@ -182,12 +214,19 @@ class IOLoop:
     wakeup).  Listeners are registered
     with :meth:`add_listener`, readers with :meth:`add_connection`;
     writers are :class:`EventLoopPeer` objects that register themselves
-    for ``EVENT_WRITE`` only while blocked.
+    for ``EVENT_WRITE`` only while blocked.  Timers (:meth:`call_later`)
+    read their deadlines from *clock*; a test that injects one wakes the
+    loop with :meth:`call` after moving it.
     """
 
-    def __init__(self, name: str, metrics=None):
+    def __init__(self, name: str, metrics=None,
+                 clock: Callable[[], float] = time.monotonic):
         self.name = name
         self._metrics = metrics
+        self._clock = clock
+        #: heap of armed timers, touched on the loop thread only
+        self._timers: List[_Timer] = []
+        self._timer_seq = itertools.count()
         self._selector = selectors.DefaultSelector()
         r, w = socket.socketpair()
         r.setblocking(False)
@@ -252,12 +291,11 @@ class IOLoop:
         # just before (a peer's _teardown, which unlinks its shm arena)
         # would never run: finish them here, as call() does from now on.
         while self._pending:
-            try:
-                self._pending.popleft()()
-            except Exception:
-                traceback.print_exc(file=sys.stderr)
+            _guarded(self._pending.popleft())
+        self._timers.clear()
         for key in list(self._selector.get_map().values()):
-            if key.fileobj is self._wake_r:
+            # A reader's descriptor (an int) stays its caller's.
+            if key.fileobj is self._wake_r or isinstance(key.fileobj, int):
                 continue
             try:
                 key.fileobj.close()
@@ -266,6 +304,35 @@ class IOLoop:
         self._selector.close()
         self._wake_r.close()
         self._wake_w.close()
+
+    # -- timers ---------------------------------------------------------
+    def call_later(self, delay: float, fn: Callable[[], None]) -> _Timer:
+        """Run *fn* on the loop thread once the clock has advanced by
+        *delay*; any thread.  Timers fire in deadline order (ties in
+        call order); a periodic job re-arms itself from its callback.
+        Timers still armed at :meth:`close` are dropped.
+        """
+        timer = _Timer(self._clock() + delay, next(self._timer_seq), fn)
+        if not self._closed:
+            # Through the queue even on the loop thread: the wakeup makes
+            # the loop recompute its select timeout, and a zero-delay
+            # re-arm cannot starve the selector.
+            self.call(lambda: heapq.heappush(self._timers, timer))
+        return timer
+
+    def _run_timers(self) -> Optional[float]:
+        """Fire what is due; seconds until the next deadline, if any."""
+        timers = self._timers
+        now = self._clock()
+        while timers:
+            timer = timers[0]
+            if timer.fn is not None and timer.when > now:
+                return timer.when - now
+            heapq.heappop(timers)
+            fn, timer.fn = timer.fn, None
+            if fn is not None:  # else cancelled
+                _guarded(fn)
+        return None
 
     # -- reading side ---------------------------------------------------
     def add_listener(self, sock: socket.socket,
@@ -280,7 +347,7 @@ class IOLoop:
         """
         sock.setblocking(False)
 
-        def on_readable(_mask: int) -> None:
+        def on_readable() -> None:
             while True:  # drain the backlog: dials arrive back to back
                 try:
                     conn, _ = sock.accept()
@@ -295,7 +362,7 @@ class IOLoop:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 on_accept(conn)
 
-        self._register(sock, on_readable)
+        self.add_reader(sock, on_readable)
 
     def add_connection(self, sock: socket.socket, *, recv_bytes: int,
                        on_frames: Callable[[list], None],
@@ -323,7 +390,7 @@ class IOLoop:
                 pass
             on_close(exc)
 
-        def on_readable(_mask: int) -> None:
+        def on_readable() -> None:
             if done[0]:
                 return
             try:
@@ -340,23 +407,29 @@ class IOLoop:
             if eof:
                 finish(None)
 
-        self._register(sock, on_readable)
+        self.add_reader(sock, on_readable)
 
-    def _register(self, sock: socket.socket,
-                  on_readable: Callable[[int], None]) -> None:
-        """Register *sock* for reads on the loop thread (any thread)."""
+    def add_reader(self, fileobj, fn: Callable[[], None]) -> None:
+        """Call *fn* on the loop thread whenever *fileobj* is readable,
+        until :meth:`remove_reader`; any thread.  A socket becomes the
+        loop's and is closed by :meth:`close`; a bare descriptor (an
+        ``int`` — a child process's sentinel) stays its caller's, who
+        removes it before closing it."""
         def register() -> None:
-            if self._closed:
+            if not self._closed:
+                self._selector.register(fileobj, selectors.EVENT_READ, fn)
+            elif not isinstance(fileobj, int):
                 try:
-                    sock.close()
+                    fileobj.close()
                 except OSError:
                     pass
-                return
-            self._selector.register(sock, selectors.EVENT_READ, on_readable)
 
         self.call(register)
 
-    def _unregister(self, sock: socket.socket) -> None:
+    def remove_reader(self, fileobj) -> None:
+        self.call(lambda: self._unregister(fileobj))
+
+    def _unregister(self, sock) -> None:
         try:
             self._selector.unregister(sock)
         except (KeyError, ValueError, OSError):
@@ -379,7 +452,7 @@ class IOLoop:
         self._pass_end[key] = fn
 
     # -- loop internals -------------------------------------------------
-    def _on_wake(self, _mask: int) -> None:
+    def _on_wake(self) -> None:
         try:
             self._wake_r.recv(4096)
         except (BlockingIOError, OSError):
@@ -399,6 +472,7 @@ class IOLoop:
         if self._metrics is not None:
             counter = self._metrics.counter("io_loop_wakeups")
         while True:
+            timeout = self._run_timers() if self._timers else None
             # Never block while work is queued: a call() racing the
             # flag/byte handoff above can leave pending non-empty with
             # no wake byte in flight for at most one pass.  _in_select
@@ -416,31 +490,22 @@ class IOLoop:
                 hooks = list(self._pass_end.values())
                 self._pass_end.clear()
                 for fn in hooks:
-                    try:
-                        fn()
-                    except Exception:
-                        traceback.print_exc(file=sys.stderr)
+                    _guarded(fn)
                 self._in_select = True
-            events = selector.select(0 if pending else None)
+            events = selector.select(0 if pending else timeout)
             self._in_select = False
             if self._closed:
                 return
             if counter is not None:
                 counter.inc()
-            for key, mask in events:
-                try:
-                    key.data(mask)
-                except Exception:
-                    traceback.print_exc(file=sys.stderr)
+            for key, _mask in events:
+                _guarded(key.data)
             while pending:
                 try:
                     fn = pending.popleft()
                 except IndexError:  # pragma: no cover - producer race
                     break
-                try:
-                    fn()
-                except Exception:
-                    traceback.print_exc(file=sys.stderr)
+                _guarded(fn)
 
 
 class EventLoopPeer:
@@ -540,7 +605,15 @@ class EventLoopPeer:
 
     def close(self, flush_timeout: float = 5.0) -> None:
         """Flush what the loop can within *flush_timeout*, then close."""
+        self.begin_close()
+        self.finish_close(flush_timeout)
+
+    def begin_close(self) -> None:
+        """Start flushing; an owner closing many peers starts them all
+        before it waits on any (:meth:`ConnectionPool.close_all`)."""
         self._loop.call(self._begin_close)
+
+    def finish_close(self, flush_timeout: float) -> None:
         self._flushed.wait(timeout=flush_timeout)
         self._loop.call(self._teardown)
 
@@ -661,7 +734,7 @@ class EventLoopPeer:
         if self._closing:
             self._flushed.set()
 
-    def _on_writable(self, _mask: int) -> None:
+    def _on_writable(self) -> None:
         with self._write_lock:
             self._drain_outbox()
             self._set_write_interest(False)

@@ -39,7 +39,7 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.flowcontrol import FlowControlPolicy, StreamPolicy
 from ..core.graph import Flowgraph
@@ -104,9 +104,14 @@ class DistributedKernel(ThreadedEngine):
                  faults: Optional[FaultPolicy] = None,
                  heartbeat_interval: float = 0.0,
                  routing: Optional[RoutingPolicy] = None,
-                 stream: Optional[StreamPolicy] = None):
+                 stream: Optional[StreamPolicy] = None,
+                 clock: Optional[Callable[[], float]] = None):
         super().__init__(policy=policy, tracer=tracer, metrics=metrics,
                          routing=routing, stream=stream)
+        if clock is not None:
+            #: Test seam: the substrate's ``now`` — journal ages and the
+            #: I/O loop's timer deadlines all read this one clock.
+            self.now = clock
         self.transport = transport if transport is not None \
             else TransportPolicy()
         # Codec selection is process-wide (the wire module is shared by
@@ -194,8 +199,9 @@ class DistributedKernel(ThreadedEngine):
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
 
         # I/O core: one selectors loop thread accepting on the listener
-        # and multiplexing every peer socket, both directions.
-        self._io_loop = IOLoop(name, metrics=metrics)
+        # and multiplexing every peer socket, both directions; its timer
+        # queue runs everything this kernel does "every so often".
+        self._io_loop = IOLoop(name, metrics=metrics, clock=self.now)
 
         self._ns = NameServerClient(ns_address)
         self._pool = ConnectionPool(
@@ -215,36 +221,29 @@ class DistributedKernel(ThreadedEngine):
         self._io_loop.start()
         self._io_loop.add_listener(self._listener, self._on_accept)
         if self.heartbeat_interval > 0:
-            threading.Thread(target=self._heartbeat_loop,
-                             name=f"dps-heartbeat:{self.name}",
-                             daemon=True).start()
+            self._io_loop.call_later(self.heartbeat_interval, self._beat)
         if self.recover:
-            threading.Thread(target=self._resend_loop,
-                             name=f"dps-resend:{self.name}",
-                             daemon=True).start()
+            self._io_loop.call_later(RESEND_AFTER / 2, self._resend_stale)
         if self.faults.kills(self.name) and self.faults.kill_after is not None:
             # Wall-clock kill; the message-count flavour lives in
             # _dispatch_message.  os._exit skips every finally/atexit —
             # as close to SIGKILL as the process can do to itself.
-            timer = threading.Timer(self.faults.kill_after, os._exit,
-                                    args=(137,))
-            timer.daemon = True
-            timer.start()
+            self._io_loop.call_later(self.faults.kill_after,
+                                     lambda: os._exit(137))
         return self
 
-    def _local_queue_depth(self) -> int:
-        """Total pending tokens across this kernel's thread inboxes."""
+    def _beat(self) -> None:
+        """Loop timer: renew the lease, reporting the tokens pending
+        across this kernel's inboxes, then re-arm.  The beat is a
+        one-way write: a wedged name server cannot stall this loop."""
         depth = self.queue_depth()
         if self.metrics is not None:
             self.metrics.gauge("queue_depth_total").set(depth)
-        return depth
-
-    def _heartbeat_loop(self) -> None:
-        while not self._shutdown_requested.wait(self.heartbeat_interval):
-            try:
-                self._ns.heartbeat(self.name, load=self._local_queue_depth())
-            except Exception:
-                return  # name server gone: the cluster is tearing down
+        try:
+            self._ns.heartbeat(self.name, load=depth)
+        except Exception:
+            return  # name server gone: the cluster is tearing down
+        self._io_loop.call_later(self.heartbeat_interval, self._beat)
 
     # ------------------------------------------------------------------
     # run gate (quiesce point for voluntary rebalances)
@@ -270,16 +269,16 @@ class DistributedKernel(ThreadedEngine):
                     self._active_runs -= 1
                     self._run_gate.notify_all()
 
-    def _resend_loop(self) -> None:
-        while not self._shutdown_requested.wait(RESEND_AFTER / 2):
-            journal = self.scheduler.journal
-            if journal is None or not len(journal):
-                continue
-            now = time.monotonic()
+    def _resend_stale(self) -> None:
+        """Loop timer: re-deliver journal entries un-acked for
+        ``RESEND_AFTER``, then re-arm."""
+        journal = self.scheduler.journal
+        if len(journal):
             with self.lock:
-                stale = journal.stale(RESEND_AFTER, now)
+                stale = journal.stale(RESEND_AFTER, self.now())
             for env in stale:
                 self.transmit(env)
+        self._io_loop.call_later(RESEND_AFTER / 2, self._resend_stale)
 
     def wait_for_shutdown(self) -> None:
         """Block until a peer (normally the console) orders shutdown."""
@@ -503,9 +502,9 @@ class DistributedKernel(ThreadedEngine):
                 propagate=propagate)
             return
         if self.name == CONSOLE_KERNEL:
-            # Orchestrate off the calling thread: this may be the I/O
-            # loop or the engine's child monitor, and recovery blocks
-            # on cluster-wide barriers.
+            # Orchestrate off the calling thread: normally the I/O loop
+            # (a peer error, a process sentinel, a liveness tick), and
+            # recovery blocks on cluster-wide barriers.
             threading.Thread(target=self._recover_from_failure,
                              args=(name,),
                              name=f"dps-recover:{self.name}",
@@ -600,9 +599,8 @@ class DistributedKernel(ThreadedEngine):
         journal = self.scheduler.journal
         if journal is None:
             return 0
-        now = time.monotonic()
         with self.lock:
-            envs = journal.replay_all(now)
+            envs = journal.replay_all(self.now())
         for env in envs:
             self.transmit(env)
         return len(envs)

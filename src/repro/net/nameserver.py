@@ -12,7 +12,9 @@ module provides both halves:
   kernel that crashes therefore frees its name automatically, and a
   restarted kernel may re-register; a second registration while the first
   owner is still alive is refused.  Registrations double as *heartbeat
-  leases*: kernels beat periodically (``op=heartbeat``) and the console
+  leases*: kernels beat periodically (``op=heartbeat``, the one request
+  that gets no reply — a kernel beats from its I/O loop, which must
+  never wait on this server) and the console
   asks for lease-expired kernels (``op=expired``) — a hung process keeps
   its TCP connection alive but stops beating, which connection-drop
   detection alone would miss.  Beyond kernel addresses the directory also
@@ -144,7 +146,8 @@ class NameServer:
                     reply = self._handle(conn, request)
                 except Exception as exc:
                     reply = {"ok": False, "error": f"bad request: {exc}"}
-                conn.sendall((json.dumps(reply) + "\n").encode("utf-8"))
+                if reply is not None:
+                    conn.sendall((json.dumps(reply) + "\n").encode("utf-8"))
         except OSError:
             pass
         finally:
@@ -158,7 +161,8 @@ class NameServer:
             except OSError:
                 pass
 
-    def _handle(self, conn: socket.socket, request: dict) -> dict:
+    def _handle(self, conn: socket.socket,
+                request: dict) -> Optional[dict]:
         op = request.get("op")
         if op == "register":
             name = request["name"]
@@ -180,16 +184,16 @@ class NameServer:
                     self._release(name)
             return {"ok": True}
         if op == "heartbeat":
+            # One-way: the sender does not read a reply (see the module
+            # docstring), so none is sent, not even for an unknown name.
             name = request["name"]
             load = request.get("load")
             with self._lock:
-                if name not in self._registry:
-                    return {"ok": False, "error": "unknown",
-                            "detail": f"no kernel registered as {name!r}"}
-                self._beats[name] = time.monotonic()
-                if load is not None:
-                    self._loads[name] = int(load)
-            return {"ok": True}
+                if name in self._registry:
+                    self._beats[name] = time.monotonic()
+                    if load is not None:
+                        self._loads[name] = int(load)
+            return None
         if op == "loads":
             # Kernels only: service clients also hold registrations (for
             # reply routing) but are not cluster members — they must not
@@ -373,11 +377,27 @@ class NameServerClient:
     def heartbeat(self, name: str, load: Optional[int] = None) -> None:
         """Renew *name*'s liveness lease, optionally reporting its
         current queue depth (total pending tokens across local thread
-        inboxes) for adaptive routing/scaling decisions."""
+        inboxes) for adaptive routing/scaling decisions.
+
+        One-way and non-blocking — a kernel calls this from its I/O
+        loop: the line is written and nothing is read back.  A beat that
+        finds another request in flight on this connection is skipped
+        (the lease outlives several missed beats); a server that has
+        stopped reading raises once the socket buffer is full.
+        """
         request: dict = {"op": "heartbeat", "name": name}
         if load is not None:
             request["load"] = int(load)
-        self._call(request)
+        line = (json.dumps(request) + "\n").encode("utf-8")
+        if not self._lock.acquire(blocking=False):
+            return
+        try:
+            if self._sock.send(line, socket.MSG_DONTWAIT) != len(line):
+                raise BlockingIOError("send buffer full")
+        except OSError as exc:
+            raise NameServerError(f"name server unreachable: {exc}") from exc
+        finally:
+            self._lock.release()
 
     def loads(self) -> Dict[str, int]:
         """Last heartbeat-reported queue depth per registered kernel

@@ -24,13 +24,14 @@ graphs, operation classes and thread classes defined anywhere (including
 test function scopes) are inherited without pickling; the engine
 therefore requires a platform with ``fork`` (Linux, macOS under the fork
 method) and must fork the kernels *before* the console kernel starts its
-service threads.
+I/O loop.  The engine itself starts no standing thread: child exits
+(process sentinels), lease expiry and autoscale decisions are readers
+and timers on that loop.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import os
 import threading
 import time
@@ -59,7 +60,8 @@ __all__ = ["MultiprocessEngine"]
 
 
 def _reap_processes(procs: List[multiprocessing.process.BaseProcess]) -> None:
-    """Terminate any forked child still alive in *procs*.
+    """Kill any forked child still alive in *procs* (SIGKILL: a stopped
+    process never acts on SIGTERM).
 
     Module-level (no reference back to the engine) so it can serve as a
     :func:`weakref.finalize` callback: it fires when the engine is
@@ -71,7 +73,7 @@ def _reap_processes(procs: List[multiprocessing.process.BaseProcess]) -> None:
     for proc in procs:
         try:
             if proc.is_alive():
-                proc.terminate()
+                proc.kill()
                 proc.join(timeout=2)
         except Exception:
             pass  # best-effort: reaping must never raise during teardown
@@ -137,8 +139,11 @@ class MultiprocessEngine(Engine):
             scaling = ScalingPolicy.from_env()
         self.scaling = scaling
         # elastic membership bookkeeping, guarded by _proc_lock (the
-        # autoscaler thread and user calls race on these)
+        # console's loop, membership threads and user calls race on these)
         self._proc_lock = threading.Lock()
+        #: one-shot thread of the membership operation a tick started
+        self._member_op: Optional[threading.Thread] = None
+        self._last_scale_change = 0.0
         self._next_ordinal = 1
         self._retired: set = set()
         #: Kernels the autoscaler added — the only ones it may retire
@@ -155,7 +160,6 @@ class MultiprocessEngine(Engine):
         self._console: Optional[DistributedKernel] = None
         self._kernel_procs: Dict[str, multiprocessing.process.BaseProcess] = {}
         self._ns_proc: Optional[multiprocessing.process.BaseProcess] = None
-        self._closing = threading.Event()
         self._closed = False
         # Every forked child is appended here; the finalizer reaps
         # whatever shutdown() did not get to (GC after an exception,
@@ -220,28 +224,14 @@ class MultiprocessEngine(Engine):
         try:
             graphs = list(self._graphs.values())
             peers = [CONSOLE_KERNEL, *kernels]
-            ready_events = []
             # Fork the kernels BEFORE the console kernel spins up its
-            # service threads — forking a multi-threaded parent is where
-            # the dragons live.  Ordinal 0 is the console; workers start
+            # I/O loop — forking a multi-threaded parent is where the
+            # dragons live.  Ordinal 0 is the console; workers start
             # at 1.
-            trace_children = (self.tracer is not None
-                              or self.metrics is not None)
-            for ordinal, name in enumerate(kernels, start=1):
-                ready = self._mp.Event()
-                proc = self._mp.Process(
-                    target=run_kernel_process,
-                    args=(name, ordinal, ns_address, peers, graphs,
-                          self.policy, ready, trace_children, self.transport,
-                          self.recover, self.faults, self.heartbeat_interval,
-                          self.routing, self.stream),
-                    name=f"dps-kernel:{name}", daemon=True)
-                proc.start()
-                self._kernel_procs[name] = proc
-                self._orphans.append(proc)
-                ready_events.append((name, ready))
             self._next_ordinal = len(kernels) + 1
-            for name, ready in ready_events:
+            forked = [(name, self._fork_kernel(name, ordinal, peers))
+                      for ordinal, name in enumerate(kernels, start=1)]
+            for name, (_, ready) in forked:
                 if not ready.wait(timeout=self.startup_timeout):
                     raise ScheduleError(
                         f"kernel process {name!r} failed to start within "
@@ -256,15 +246,35 @@ class MultiprocessEngine(Engine):
             self.shutdown()
             raise
 
-        threading.Thread(target=self._monitor_children,
-                         name="dps-kernel-monitor", daemon=True).start()
+        # No standing engine thread: process exits, lease expiry and
+        # scaling decisions are readers and timers on the console's loop.
+        for name, proc in self._kernel_procs.items():
+            self._watch(console, name, proc)
         if self.heartbeat_interval > 0:
-            threading.Thread(target=self._liveness_loop,
-                             name="dps-liveness", daemon=True).start()
+            console._io_loop.call_later(self.heartbeat_interval,
+                                        self._liveness_tick)
         if self.scaling is not None:
-            threading.Thread(target=self._autoscale_loop,
-                             name="dps-autoscaler", daemon=True).start()
+            self._last_scale_change = time.monotonic()
+            console._io_loop.call_later(max(self.heartbeat_interval, 0.05),
+                                        self._autoscale_tick)
         return console
+
+    def _fork_kernel(self, name: str, ordinal: int, peers: List[str]):
+        """Fork one kernel process; returns it with its ready event."""
+        ready = self._mp.Event()
+        proc = self._mp.Process(
+            target=run_kernel_process,
+            args=(name, ordinal, self.ns_address, peers,
+                  list(self._graphs.values()), self.policy, ready,
+                  self.tracer is not None or self.metrics is not None,
+                  self.transport, self.recover, self.faults,
+                  self.heartbeat_interval, self.routing, self.stream),
+            name=f"dps-kernel:{name}", daemon=True)
+        proc.start()
+        with self._proc_lock:
+            self._kernel_procs[name] = proc
+            self._orphans.append(proc)
+        return proc, ready
 
     def _make_console(self, ns_address, peers) -> DistributedKernel:
         """Build the driver-side console kernel (ServiceEngine overrides
@@ -281,78 +291,53 @@ class MultiprocessEngine(Engine):
             transport=self.transport, recover=self.recover,
             routing=self.routing, stream=self.stream)
 
-    def _monitor_children(self) -> None:
-        # The sentinel map is rebuilt every iteration rather than
-        # snapshotted once: add_kernel() grows the process table mid-run
-        # and retire_kernel() shrinks it, and both must be reflected
-        # without restarting the monitor.
-        reported: set = set()
-        while not self._closing.is_set():
-            with self._proc_lock:
-                sentinels = {proc.sentinel: name
-                             for name, proc in self._kernel_procs.items()
-                             if name not in reported
-                             and name not in self._retired}
-            if not sentinels:
-                if self._closing.wait(0.5):
-                    return
-                continue
-            ready = multiprocessing.connection.wait(
-                list(sentinels), timeout=0.5)
-            if self._closing.is_set():
-                return
-            for sentinel in ready:
-                name = sentinels[sentinel]
-                with self._proc_lock:
-                    proc = self._kernel_procs.get(name)
-                    retired = name in self._retired
-                if proc is None or retired:
-                    continue  # retired between snapshot and wakeup
-                proc.join(timeout=1)
-                reported.add(name)
-                console = self._console
-                if console is not None:
-                    console.handle_kernel_down(
-                        name, f"exitcode {proc.exitcode}", propagate=False)
+    def _watch(self, console: DistributedKernel, name: str, proc) -> None:
+        """Report *proc*'s exit to the console: the process sentinel is
+        a reader on the console's loop."""
+        loop = console._io_loop
 
-    def _liveness_loop(self) -> None:
-        """Poll the name server's heartbeat leases.
+        def exited() -> None:
+            loop.remove_reader(proc.sentinel)
+            if name not in self._retired and not self._closed:
+                console.handle_kernel_down(
+                    name, f"exitcode {proc.exitcode}", propagate=False)
 
-        Process-exit sentinels catch dead kernels; this catches *hung*
+        loop.add_reader(proc.sentinel, exited)
+
+    def _liveness_tick(self) -> None:
+        """Console-loop timer: poll the name server's heartbeat leases.
+
+        Process sentinels catch dead kernels; this catches *hung*
         ones — a wedged process keeps its TCP registration alive but
         stops beating, which connection-drop detection cannot see.
+        The poll is a loopback request/reply that depends on no kernel's
+        loop; when it fails the tick does not re-arm.
         """
-        max_age = self.heartbeat_interval * self.heartbeat_miss_limit
-        while not self._closing.wait(self.heartbeat_interval):
-            console = self._console
-            if console is None:
-                return
-            try:
-                expired = console._ns.expired(max_age)
-            except Exception:
-                return  # name server is gone: teardown in progress
-            self._admit_external(console)
-            for entry in expired:
-                name = entry["name"]
-                # The console registers but never beats (it cannot miss
-                # its own heartbeats — it is the observer).
-                with self._proc_lock:
-                    known = (name in self._kernel_procs
-                             or name in self._external_kernels)
-                    retired = name in self._retired
-                if name == CONSOLE_KERNEL or not known or retired:
-                    continue
-                with console._recovery_lock:
-                    already_dead = name in console._dead_kernels
-                if already_dead:
-                    continue
-                if self.metrics is not None:
-                    self.metrics.counter("heartbeats_missed").inc(
-                        max(1, int(entry["age"] / self.heartbeat_interval)))
-                console.handle_kernel_down(
-                    name, f"heartbeat lease expired "
-                          f"({entry['age']:.2f}s since last beat)",
-                    propagate=False)
+        console = self._console
+        if console is None or self._closed:
+            return
+        try:
+            expired = console._ns.expired(
+                self.heartbeat_interval * self.heartbeat_miss_limit)
+        except Exception:
+            return  # name server is gone: teardown in progress
+        self._admit_external(console)
+        members = self.members()
+        for entry in expired:
+            name = entry["name"]
+            # Leases of non-members expire too: the console registers
+            # but never beats (it is the observer), nor do retirees.
+            if name not in members or name in console._dead_kernels:
+                continue
+            if self.metrics is not None:
+                self.metrics.counter("heartbeats_missed").inc(
+                    max(1, int(entry["age"] / self.heartbeat_interval)))
+            console.handle_kernel_down(
+                name, f"heartbeat lease expired "
+                      f"({entry['age']:.2f}s since last beat)",
+                propagate=False)
+        console._io_loop.call_later(self.heartbeat_interval,
+                                    self._liveness_tick)
 
     # ------------------------------------------------------------------
     # elastic membership
@@ -371,6 +356,17 @@ class MultiprocessEngine(Engine):
         depths.pop(CONSOLE_KERNEL, None)
         return depths
 
+    def _start_membership(self, op, *args) -> None:
+        """Run what a tick decided on — :meth:`add_kernel`,
+        :meth:`retire_kernel`, admitting a CLI joiner — on a one-shot
+        thread: each waits on a cluster barrier, which a timer callback
+        must never do.  One at a time; while one is in flight, ticks
+        start nothing."""
+        if self._member_op is None or not self._member_op.is_alive():
+            self._member_op = threading.Thread(
+                target=op, args=args, name="dps-membership", daemon=True)
+            self._member_op.start()
+
     def _admit_external(self, console: DistributedKernel) -> None:
         """Admit CLI joiners: any kernel registered with our name server
         that this engine did not fork (``repro.cli join --ns ...``).
@@ -381,20 +377,15 @@ class MultiprocessEngine(Engine):
         tick — a kernel registering mid-barrier simply waits one lease
         period for membership.
         """
-        try:
-            registered = set(console._ns.loads())
-        except Exception:
-            return
+        registered = set(self._poll_depths() or ())
         with self._proc_lock:
-            strangers = sorted(
-                registered - set(self._kernel_procs)
-                - self._external_kernels - self._retired - {CONSOLE_KERNEL})
-        if not strangers:
-            return
-        with console._recovery_lock:
-            recovering = bool(console._dead_kernels)
-        if console._rebalancing or recovering:
-            return  # barrier in flight: admit on a later tick
+            strangers = sorted(registered - set(self._kernel_procs)
+                               - self._external_kernels - self._retired)
+        if strangers and not (console._rebalancing or console._dead_kernels):
+            self._start_membership(self._admit, console, strangers)
+
+    def _admit(self, console: DistributedKernel,
+               strangers: List[str]) -> None:
         for name in strangers:
             try:
                 console.rebalance(joined=[name], depths=self._poll_depths())
@@ -436,29 +427,16 @@ class MultiprocessEngine(Engine):
                 raise ValueError(f"kernel {node_name!r} is already a member")
             ordinal = self._next_ordinal
             self._next_ordinal += 1
-        graphs = list(self._graphs.values())
-        peers = [CONSOLE_KERNEL, *self.members(), node_name]
-        trace_children = (self.tracer is not None or self.metrics is not None)
-        ready = self._mp.Event()
-        proc = self._mp.Process(
-            target=run_kernel_process,
-            args=(node_name, ordinal, self.ns_address, peers, graphs,
-                  self.policy, ready, trace_children, self.transport,
-                  self.recover, self.faults, self.heartbeat_interval,
-                  self.routing, self.stream),
-            name=f"dps-kernel:{node_name}", daemon=True)
-        proc.start()
-        with self._proc_lock:
-            self._kernel_procs[node_name] = proc
-            self._orphans.append(proc)
+        proc, ready = self._fork_kernel(
+            node_name, ordinal, [CONSOLE_KERNEL, *self.members(), node_name])
         if not ready.wait(timeout=self.startup_timeout):
-            proc.terminate()
-            proc.join(timeout=2)
+            _reap_processes([proc])
             with self._proc_lock:
                 self._kernel_procs.pop(node_name, None)
             raise ScheduleError(
                 f"joining kernel {node_name!r} failed to start within "
                 f"{self.startup_timeout}s")
+        self._watch(console, node_name, proc)
         console.rebalance(joined=[node_name], depths=self._poll_depths())
         return node_name
 
@@ -480,8 +458,8 @@ class MultiprocessEngine(Engine):
                 f"{list(self.members())}")
         moved = console.rebalance(retired=[node_name],
                                   depths=self._poll_depths())
-        # Mark retired BEFORE ordering shutdown so the child monitor and
-        # the liveness loop treat the exit as voluntary, not a failure.
+        # Mark retired BEFORE ordering shutdown so the exit sentinel and
+        # the liveness tick treat the exit as voluntary, not a failure.
         with self._proc_lock:
             self._retired.add(node_name)
             self._external_kernels.discard(node_name)
@@ -491,57 +469,60 @@ class MultiprocessEngine(Engine):
             pass  # already gone; the rebalance has moved everything off
         if proc is not None:
             proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2)
+            _reap_processes([proc])
             with self._proc_lock:
                 self._kernel_procs.pop(node_name, None)
         return moved
 
-    def _autoscale_loop(self) -> None:
-        """Drive :class:`ScalingPolicy` from heartbeat queue depths.
+    def _autoscale_tick(self) -> None:
+        """Console-loop timer: drive :class:`ScalingPolicy` from
+        heartbeat queue depths.
 
-        Growth forks fresh kernels; shrink retires only kernels this
-        loop added (never seed kernels or explicit :meth:`add_kernel`
-        joins), so autoscaling can always fall back to the user's
-        topology.
+        Growth forks fresh kernels; shrink retires only kernels the
+        autoscaler added (never seed kernels or explicit
+        :meth:`add_kernel` joins), so autoscaling can always fall back
+        to the user's topology.  Does not re-arm once the name server
+        stops answering.
         """
-        policy = self.scaling
-        assert policy is not None
-        interval = max(self.heartbeat_interval, 0.05)
-        last_change = time.monotonic()
-        while not self._closing.wait(interval):
-            console = self._console
-            if console is None:
-                return
-            depths = self._poll_depths()
-            if depths is None:
-                continue
-            with self._proc_lock:
-                n_kernels = len((set(self._kernel_procs)
-                                 | self._external_kernels) - self._retired)
-                shrink_candidates = [k for k in self._elastic_kernels
-                                     if k in self._kernel_procs
-                                     and k not in self._retired]
-            decision = policy.decide(n_kernels, depths,
-                                     last_change, time.monotonic())
-            if decision == "grow":
-                try:
-                    name = self.add_kernel()
-                except Exception:
-                    continue  # mid-recovery or teardown; retry next tick
-                with self._proc_lock:
-                    self._elastic_kernels.append(name)
-                last_change = time.monotonic()
-            elif decision == "shrink" and shrink_candidates:
-                try:
-                    self.retire_kernel(shrink_candidates[-1])
-                except Exception:
-                    continue
-                with self._proc_lock:
-                    if shrink_candidates[-1] in self._elastic_kernels:
-                        self._elastic_kernels.remove(shrink_candidates[-1])
-                last_change = time.monotonic()
+        console = self._console
+        if console is None or self._closed:
+            return
+        depths = self._poll_depths()
+        if depths is None:
+            return
+        with self._proc_lock:
+            shrink_candidates = [k for k in self._elastic_kernels
+                                 if k in self._kernel_procs
+                                 and k not in self._retired]
+        decision = self.scaling.decide(len(self.members()), depths,
+                                       self._last_scale_change,
+                                       time.monotonic())
+        # (a no-op while an earlier operation is still in flight)
+        if decision == "grow":
+            self._start_membership(self._grow)
+        elif decision == "shrink" and shrink_candidates:
+            self._start_membership(self._shrink, shrink_candidates[-1])
+        console._io_loop.call_later(max(self.heartbeat_interval, 0.05),
+                                    self._autoscale_tick)
+
+    def _grow(self) -> None:
+        try:
+            name = self.add_kernel()
+        except Exception:
+            return  # mid-recovery or teardown; a later tick decides again
+        with self._proc_lock:
+            self._elastic_kernels.append(name)
+        self._last_scale_change = time.monotonic()
+
+    def _shrink(self, name: str) -> None:
+        try:
+            self.retire_kernel(name)
+        except Exception:
+            return
+        with self._proc_lock:
+            if name in self._elastic_kernels:
+                self._elastic_kernels.remove(name)
+        self._last_scale_change = time.monotonic()
 
     def collect_traces(self, timeout: float = 5.0) -> List[str]:
         """Merge every kernel's trace buffer/metrics into this engine's.
@@ -553,14 +534,18 @@ class MultiprocessEngine(Engine):
         console = self._console
         if console is None:
             return []
-        return console.collect_traces(self._proc_names(), timeout=timeout)
+        return console.collect_traces(list(self._answering(console)),
+                                      timeout=timeout)
 
-    def _proc_names(self) -> List[str]:
-        """Names in the kernel table, copied under ``_proc_lock``: the
-        autoscaler thread's ``add_kernel`` / ``retire_kernel`` resize
-        the table while a caller would still be iterating it."""
+    def _answering(self, console: DistributedKernel) -> Dict[str, Any]:
+        """Kernels that can still answer the console: running and not
+        declared down.  Asking one that exited or hangs makes the
+        console dial a name nobody holds and wait out a timeout.  A copy
+        made under ``_proc_lock``: membership threads resize the table."""
         with self._proc_lock:
-            return list(self._kernel_procs)
+            procs = dict(self._kernel_procs)
+        return {name: proc for name, proc in procs.items()
+                if proc.is_alive() and name not in console._dead_kernels}
 
     def shutdown(self) -> None:
         """Tear the cluster down: shutdown barrier, then the processes."""
@@ -568,37 +553,36 @@ class MultiprocessEngine(Engine):
             return
         self._closed = True
         console = self._console
-        if console is not None and (
-                self.tracer is not None or self.metrics is not None):
-            # Pull per-kernel trace buffers into the engine tracer BEFORE
-            # ordering shutdown, while every peer still answers.
-            try:
-                console.collect_traces(self._proc_names())
-            except Exception:
-                pass  # observability must never block teardown
-        self._closing.set()
-        with self._proc_lock:
-            procs = dict(self._kernel_procs)
+        asked = {}
         if console is not None:
+            asked = self._answering(console)
+            if self.tracer is not None or self.metrics is not None:
+                # Pull per-kernel trace buffers into the engine tracer
+                # BEFORE ordering shutdown, while every peer still answers.
+                try:
+                    console.collect_traces(list(asked))
+                except Exception:
+                    pass  # observability must never block teardown
             # Stop treating peer errors as failures; we are leaving anyway.
             console._shutdown_requested.set()
-            for name in procs:
+            for name in asked:
                 try:
                     console.request_shutdown(name)
                 except Exception:
                     pass
-        for name, proc in procs.items():
-            proc.join(timeout=5)
-        for name, proc in procs.items():
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2)
+        deadline = time.monotonic() + 5.0
+        for proc in asked.values():
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        # Whoever is left was never asked (no console; exited or hung)
+        # or is deaf to it.
+        with self._proc_lock:
+            leftover = list(self._kernel_procs.values())
+        _reap_processes(leftover)
         if console is not None:
             console.shutdown()
             self._console = None
         if self._ns_proc is not None:
-            self._ns_proc.terminate()
-            self._ns_proc.join(timeout=2)
+            _reap_processes([self._ns_proc])
             self._ns_proc = None
         # Everything is reaped; the GC/exit finalizer has nothing to do.
         self._orphans.clear()

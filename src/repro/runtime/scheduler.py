@@ -606,6 +606,15 @@ class Scheduler:
             if queue is not None and not queue:
                 del self._pending[key]
 
+    def release_stalled(self) -> None:
+        """Open the gate of every stalled post: the substrate has failed
+        or is shutting down, and no ack will ever admit them."""
+        with self.sub.lock:
+            for queue in self._pending.values():
+                for _, req, _, _ in queue:
+                    if req._admit_event is not None:
+                        self.sub.open_gate(req._admit_event)
+
     def close_group(self, body: _Body) -> None:
         """Announce how many tokens the group *body* opened contains."""
         graph = body.graph

@@ -45,6 +45,11 @@ __all__ = ["ThreadedEngine"]
 _STOP = object()
 
 
+class _Released(BaseException):
+    """Unwinds a worker whose stalled post was released, not admitted:
+    the engine failed or shut down and the body is abandoned."""
+
+
 class _ThreadWorker:
     """One DPS thread: an OS thread draining an envelope queue."""
 
@@ -86,6 +91,8 @@ class _ThreadWorker:
                     except StopIteration:
                         break
                     outcome = engine.perform(body, step)
+            except _Released:
+                return
             except BaseException as exc:  # surface to the caller of run()
                 engine._record_failure(exc)
                 return
@@ -143,6 +150,7 @@ class ThreadedEngine(Engine):
                 return
             self._closed = True
             workers = list(self._workers.values())
+        self.scheduler.release_stalled()
         for w in workers:
             w.inbox.put(_STOP)
         for w in workers:
@@ -249,6 +257,9 @@ class ThreadedEngine(Engine):
             if self._failure is None:
                 self._failure = exc
             queues = list(self._results.values())
+        # A worker parked on an admit gate would wait for an ack the
+        # failed run may never send: let it go (see perform).
+        self.scheduler.release_stalled()
         for q in queues:
             q.put(exc)
         if propagate:
@@ -334,7 +345,13 @@ class ThreadedEngine(Engine):
     def perform(self, body, step) -> Any:
         """Wait out one scheduler step by blocking the worker thread."""
         if isinstance(step, threading.Event):
-            step.wait()  # the admit gate of a stalled post
+            # The admit gate of a stalled post.  _failure / _closed are
+            # set before release_stalled opens the gates, so a post that
+            # stalls on either side of that release sees one of the two.
+            if self._failure is None and not self._closed:
+                step.wait()
+            if self._failure is not None or self._closed:
+                raise _Released
         elif isinstance(step, SleepRequest):
             time.sleep(step.seconds)  # pacing delay: real wall-clock wait
         elif isinstance(step, CallGraphRequest):

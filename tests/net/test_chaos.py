@@ -17,12 +17,16 @@ leaf instances (the documented recovery contract):
   exchange threads stay on the surviving workers.
 """
 
+import os
+import signal
+
 import numpy as np
 
 from repro.apps.gameoflife import DistributedGameOfLife, life_step
 from repro.apps.ring import RingJobToken, build_ring_graph
 from repro.net.recovery import FaultPolicy
-from repro.runtime import MultiprocessEngine
+from repro.runtime import MultiprocessEngine, create_engine
+from repro.trace import MetricsRegistry
 
 RING_NODES = ["node01", "node02", "node03", "node04"]
 BLOCK_BYTES = 2048
@@ -67,6 +71,37 @@ def test_ring_fault_free_run_reports_no_recovery():
     assert done.blocks == N_BLOCKS
     assert result.recovered is False
     assert result.replayed_tokens == 0
+
+
+def test_hung_kernel_is_declared_down_by_lease_expiry():
+    """SIGSTOP node03: the process keeps its sockets and its name-server
+    registration, so neither a broken connection nor an exit sentinel
+    reports it — only its heartbeat lease running out does.  The run
+    recovers to the oracle's result and shutdown() reaps the stopped
+    process (SIGKILL; it would never act on a SIGTERM)."""
+    oracle = create_engine("sim", nodes=4).run(
+        build_ring_graph(RING_NODES),
+        RingJobToken(BLOCK_BYTES, N_BLOCKS)).token
+    metrics = MetricsRegistry()
+    graph = build_ring_graph(RING_NODES)
+    engine = MultiprocessEngine(recover=True, heartbeat_interval=0.05,
+                                metrics=metrics)
+    engine.register_graph(graph)
+    try:
+        engine.run(graph, RingJobToken(BLOCK_BYTES, 2), timeout=60)
+        hung = engine._kernel_procs["node03"]
+        os.kill(hung.pid, signal.SIGSTOP)
+        done = engine.run(graph, RingJobToken(BLOCK_BYTES, N_BLOCKS),
+                          timeout=120)
+        result = engine.last_result
+    finally:
+        engine.shutdown()
+    assert (done.blocks, done.received_bytes) == \
+        (oracle.blocks, oracle.received_bytes) == \
+        (N_BLOCKS, N_BLOCKS * BLOCK_BYTES)
+    assert result.recovered is True
+    assert metrics.counter("heartbeats_missed").value > 0
+    assert not hung.is_alive()
 
 
 GOL_STEPS = 4

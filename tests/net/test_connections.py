@@ -82,13 +82,21 @@ def test_policy_codec_modes():
 # ---------------------------------------------------------------------------
 
 class _StubConn:
-    def __init__(self):
+    def __init__(self, log=None):
         self.sent = []
+        self.log = [] if log is None else log
 
     def send(self, segments):
         self.sent.append(segments)
 
     def close(self, flush_timeout=5.0):
+        self.closed_with = flush_timeout
+
+    def begin_close(self):
+        self.log.append("begin")
+
+    def finish_close(self, flush_timeout):
+        self.log.append("finish")
         self.closed_with = flush_timeout
 
 
@@ -130,6 +138,22 @@ def test_pool_creates_peer_once_then_caches(ns, loop):
         assert pool.peer_names() == ["peer"]
         pool.close_all()
         assert pool.peer_names() == []
+
+
+def test_close_all_begins_every_close_before_waiting_on_any(ns, loop):
+    """N unreachable peers must cost one flush timeout, not N: every
+    peer starts flushing first, then all are waited on under one
+    deadline."""
+    with client(ns) as c:
+        pool = ConnectionPool(c, loop=loop, hello_from="src",
+                              on_error=lambda peer, exc: None)
+        log = []
+        stubs = [_StubConn(log) for _ in range(3)]
+        pool._peers.update(zip("abc", stubs))
+        pool.close_all()
+    assert log == ["begin"] * 3 + ["finish"] * 3
+    waits = [stub.closed_with for stub in stubs]
+    assert 0 < waits[2] <= waits[1] <= waits[0] <= 5.0
 
 
 def test_pool_forget_drops_the_channel_without_flushing(ns, loop):

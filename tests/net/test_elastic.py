@@ -164,7 +164,7 @@ def test_admission_deferred_while_barrier_in_flight():
     in flight must not be admitted on that tick — admission retries on
     the next liveness pass once the barrier clears."""
     graph = build_ring_graph(["node01", "node02"])
-    # heartbeat_interval=0: no liveness thread, the test drives
+    # heartbeat_interval=0: no liveness tick, the test drives
     # _admit_external by hand with a recorded rebalance.
     with MultiprocessEngine(heartbeat_interval=0) as engine:
         engine.register_graph(graph)
@@ -177,11 +177,14 @@ def test_admission_deferred_while_barrier_in_flight():
 
             console._rebalancing = True
             engine._admit_external(console)
-            assert calls == []
+            assert engine._member_op is None  # deferred: nothing started
             assert ghost.name not in engine._external_kernels
 
+            # The tick only decides; the barrier runs on a one-shot thread.
             console._rebalancing = False
             engine._admit_external(console)
+            engine._member_op.join(timeout=10)
+            assert not engine._member_op.is_alive()
             assert [c["joined"] for c in calls] == [[ghost.name]]
             assert ghost.name in engine._external_kernels
 

@@ -134,19 +134,29 @@ def counting_graph(name, worker_mapping="node02"):
 
 
 def test_eventloop_mode_thread_census():
-    """The point of the I/O core: after a run the console kernel owns
-    exactly one ``dps-io:`` loop thread and no accept, per-peer
-    ``dps-send:``, per-connection ``dps-recv:`` or ack-flush timer
-    thread."""
-    g = counting_graph("census-ev")
+    """The point of the I/O core and its timer queue: after a ring run
+    the console kernel owns exactly one ``dps-io:`` loop thread — no
+    accept, per-peer ``dps-send:``, per-connection ``dps-recv:`` or
+    ack-flush thread, and no engine thread polling children, leases or
+    queue depths — and each worker kernel process is main + ``dps-io`` +
+    its one DPS worker."""
+    g = build_ring_graph(["node01", "node02", "node03", "node04"])
     with MultiprocessEngine() as engine:
         engine.register_graph(g)
-        assert engine.run(g, MpJob(2), timeout=60).total == 1 + 2
+        for _ in range(3):  # the first run's one-shot dial threads end
+            assert engine.run(g, RingJobToken(512, 4), timeout=60).blocks == 4
         names = [t.name for t in threading.enumerate()]
         assert sum(n.startswith("dps-io:") for n in names) == 1
         for prefix in ("dps-accept:", "dps-send:", "dps-recv:",
-                       "dps-ackflush:"):
+                       "dps-ackflush:", "dps-heartbeat", "dps-resend",
+                       "dps-liveness", "dps-autoscaler",
+                       "dps-kernel-monitor"):
             assert not any(n.startswith(prefix) for n in names), prefix
+        for name, proc in engine._kernel_procs.items():
+            with open(f"/proc/{proc.pid}/status") as status:
+                threads = int(next(line.split()[1] for line in status
+                                   if line.startswith("Threads:")))
+            assert threads <= 3, f"{name} runs {threads} threads"
 
 
 def test_remote_merge_acks_each_token_exactly_once():

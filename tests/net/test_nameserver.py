@@ -1,6 +1,7 @@
 """Name-server edge cases: duplicate registration, unknown lookup,
 re-registration after a kernel restart, and lazy-dial retry/backoff."""
 
+import json
 import socket
 import threading
 import time
@@ -360,3 +361,41 @@ def test_loads_lease_drops_with_connection(ns):
         while "kernelA" in c2.loads() and time.time() < deadline:
             time.sleep(0.02)
         assert c2.loads() == {"kernelB": 3}
+
+
+def test_heartbeat_is_one_way_against_a_listener_that_never_answers():
+    """A kernel beats from its I/O loop, so the beat must not wait on
+    the server: it writes its line and reads nothing back."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    # Short timeout: a heartbeat that read a reply would raise after it.
+    c = NameServerClient(listener.getsockname()[:2], timeout=0.5)
+    conn, _ = listener.accept()
+    try:
+        c.heartbeat("kernelA", load=3)
+        line = conn.makefile("r", encoding="utf-8").readline()
+        assert json.loads(line) == {"op": "heartbeat", "name": "kernelA",
+                                    "load": 3}
+        # A beat that finds a request in flight on the connection is
+        # skipped, not queued behind it.
+        conn.setblocking(False)
+        with c._lock:
+            c.heartbeat("kernelA")
+        with pytest.raises(BlockingIOError):
+            conn.recv(1)
+    finally:
+        c.close()
+        conn.close()
+        listener.close()
+
+
+def test_server_sends_no_reply_to_a_heartbeat(ns):
+    """Not even for a name it does not know: the next request on the
+    connection must read its own reply, not a stale one."""
+    with client(ns) as c:
+        c.register("kernelA", "127.0.0.1", 7001, meta={"kernel": True})
+        c.heartbeat("nosuch", load=1)
+        c.heartbeat("kernelA", load=5)
+        assert c.lookup("kernelA") == ("127.0.0.1", 7001)
+        assert c.loads() == {"kernelA": 5}

@@ -1,0 +1,305 @@
+"""One clock, one timer queue: ``IOLoop.call_later`` under an injected
+clock, and the kernel jobs that run on it.
+
+Everything here is driven by a clock that moves only when the test
+moves it — no test waits out a real interval.  After moving the clock a
+test wakes the loop (:func:`_settle`), as arming any timer would.
+"""
+
+import os
+import threading
+
+from repro.core import ConstantRoute, FlowControlPolicy, Flowgraph, \
+    FlowgraphNode, ThreadCollection
+from repro.net import DistributedKernel, IOLoop, NameServer
+from repro.net import protocol as P
+from repro.net.kernel import RESEND_AFTER
+from repro.trace import MetricsRegistry
+
+from tests.net.test_multiprocess_engine import MpCollect, MpCount, MpFan, \
+    MpJob, MpMain, MpWork
+
+
+class FakeClock:
+    """Seconds that pass only in :meth:`advance`."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, seconds, *loops):
+        self.now += seconds
+        for loop in loops:
+            _settle(loop)
+
+
+def _settle(loop):
+    """Wake *loop* and return once it has fired every timer now due (a
+    zero-delay timer sorts behind them all)."""
+    passed = threading.Event()
+    loop.call_later(0, passed.set)
+    assert passed.wait(timeout=5), "the loop is stuck in a callback"
+
+
+# ---------------------------------------------------------------------------
+# IOLoop.call_later
+# ---------------------------------------------------------------------------
+
+def test_timers_fire_in_deadline_order_ties_in_call_order():
+    clock = FakeClock()
+    loop = IOLoop("order", clock=clock).start()
+    fired = []
+    try:
+        loop.call_later(3, lambda: fired.append("c"))
+        loop.call_later(1, lambda: fired.append("a"))
+        loop.call_later(2, lambda: fired.append("b1"))
+        loop.call_later(2, lambda: fired.append("b2"))
+        _settle(loop)
+        assert fired == []  # armed, nothing due
+        clock.advance(1, loop)
+        assert fired == ["a"]
+        clock.advance(5, loop)
+        assert fired == ["a", "b1", "b2", "c"]
+        clock.advance(5, loop)
+        assert fired == ["a", "b1", "b2", "c"]  # each fires once
+    finally:
+        loop.close()
+
+
+def test_cancelled_timer_never_fires_and_does_not_block_later_ones():
+    clock = FakeClock()
+    loop = IOLoop("cancel", clock=clock).start()
+    fired = []
+    try:
+        first = loop.call_later(1, lambda: fired.append("cancelled"))
+        loop.call_later(2, lambda: fired.append("kept"))
+        first.cancel()
+        clock.advance(3, loop)
+        assert fired == ["kept"]
+    finally:
+        loop.close()
+
+
+def test_timer_rearms_from_inside_its_callback():
+    """The shape of every periodic job: the callback arms the next."""
+    clock = FakeClock()
+    loop = IOLoop("rearm", clock=clock).start()
+    ticks = []
+    try:
+        def tick():
+            ticks.append(clock.now)
+            loop.call_later(1, tick)
+
+        loop.call_later(1, tick)
+        for _ in range(3):
+            clock.advance(1, loop)
+        assert ticks == [1.0, 2.0, 3.0]
+        # A late loop catches up one period at a time, not in a burst
+        # inside one pass: the re-arm is queued behind the pass.
+        clock.advance(10, loop)
+        assert ticks == [1.0, 2.0, 3.0, 13.0]
+    finally:
+        loop.close()
+
+
+def test_exception_in_one_timer_stops_neither_the_loop_nor_the_others(capsys):
+    clock = FakeClock()
+    loop = IOLoop("boom", clock=clock).start()
+    fired = []
+    try:
+        loop.call_later(1, lambda: 1 / 0)
+        loop.call_later(1, lambda: fired.append("same pass"))
+        loop.call_later(2, lambda: fired.append("later"))
+        clock.advance(1, loop)
+        assert fired == ["same pass"]
+        clock.advance(1, loop)
+        assert fired == ["same pass", "later"]
+    finally:
+        loop.close()
+    assert "ZeroDivisionError" in capsys.readouterr().err
+
+
+def test_timers_are_dropped_at_close():
+    clock = FakeClock()
+    loop = IOLoop("drop", clock=clock).start()
+    fired = []
+    loop.call_later(1, lambda: fired.append("armed before close"))
+    _settle(loop)
+    loop.close()
+    loop.call_later(0, lambda: fired.append("armed after close"))
+    clock.now += 5
+    loop.call(lambda: None)  # inline after close: must not fire timers
+    assert fired == []
+    assert not loop._timers
+
+
+def test_idle_loop_with_a_far_timer_does_not_spin():
+    """The earliest deadline is the select timeout, not a poll period."""
+    metrics = MetricsRegistry()
+    loop = IOLoop("idle", metrics=metrics).start()
+    fired = threading.Event()
+    try:
+        loop.call_later(3600, fired.set)
+        _settle(loop)
+        wakeups = metrics.counter("io_loop_wakeups")
+        before = wakeups.value
+        assert not fired.wait(timeout=0.2)
+        assert wakeups.value == before
+    finally:
+        loop.close()
+
+
+def test_reader_fires_until_removed_and_its_descriptor_stays_open():
+    loop = IOLoop("reader").start()
+    r, w = os.pipe()
+    seen = threading.Semaphore(0)
+    try:
+        def readable():
+            os.read(r, 1)
+            seen.release()
+
+        loop.add_reader(r, readable)
+        for _ in range(2):
+            os.write(w, b"x")
+            assert seen.acquire(timeout=5)
+        loop.remove_reader(r)
+        _settle(loop)
+        os.write(w, b"x")
+        _settle(loop)
+        assert not seen.acquire(blocking=False)
+        assert os.read(r, 1) == b"x"  # nobody took it
+        loop.add_reader(r, readable)  # still registered at close()
+        _settle(loop)
+    finally:
+        loop.close()
+    os.close(r)  # raises if the loop had closed it
+    os.close(w)
+
+
+# ---------------------------------------------------------------------------
+# two in-process kernels on one fake clock
+# ---------------------------------------------------------------------------
+
+def _kernel_pair(ns, clock, name, window, **kwargs):
+    """node01 splits and collects the result; node02 counts and merges."""
+    graph = Flowgraph(
+        FlowgraphNode(MpFan, ThreadCollection(MpMain, f"{name}-split")
+                      .map("node01"))
+        >> FlowgraphNode(MpCount, ThreadCollection(MpWork, f"{name}-work")
+                         .map("node02"), ConstantRoute)
+        >> FlowgraphNode(MpCollect, ThreadCollection(MpMain, f"{name}-merge")
+                         .map("node02")),
+        name,
+    )
+    names = ["node01", "node02"]
+    kernels = [
+        DistributedKernel(kernel, ordinal, ns.address, names,
+                          policy=FlowControlPolicy(window), recover=True,
+                          clock=clock, **kwargs)
+        for ordinal, kernel in enumerate(names, start=1)]
+    for kernel in kernels:
+        kernel.register_graph(graph)
+        kernel.start()
+    return graph, kernels
+
+
+def test_resend_ager_redelivers_a_dropped_frame_exactly_once():
+    """One data frame is lost on the wire.  Nothing happens until the
+    clock says ``RESEND_AFTER`` has passed; then the split's journal
+    re-delivers that frame — once — and the run completes."""
+    tokens = 4
+    clock = FakeClock()
+    with NameServer() as ns:
+        graph, kernels = _kernel_pair(ns, clock, "resend", window=tokens)
+        split_side, merge_side = kernels
+        try:
+            arrivals = []
+            dispatch = merge_side._dispatch_message
+
+            def lossy_dispatch(kind, value):
+                if kind == P.MSG_DATA:
+                    index = value.frames[-1].index
+                    arrivals.append(index)
+                    if index == 1 and arrivals.count(1) == 1:
+                        return  # lost
+                dispatch(kind, value)
+
+            merge_side._dispatch_message = lossy_dispatch
+
+            acked = threading.Semaphore(0)
+            apply_ack = split_side.scheduler.apply_ack
+            split_side.scheduler.apply_ack = \
+                lambda *ack: (apply_ack(*ack), acked.release())[0]
+
+            result = []
+            caller = threading.Thread(target=lambda: result.append(
+                split_side.run(graph, MpJob(tokens), timeout=30).total))
+            caller.start()
+            for _ in range(tokens - 1):
+                assert acked.acquire(timeout=10)
+            # Everything but the lost frame is acknowledged, and without
+            # the clock moving that is how it stays.
+            _settle(split_side._io_loop)
+            assert sorted(arrivals) == [0, 1, 2, 3]
+            assert len(split_side.scheduler.journal) == 1
+
+            clock.advance(RESEND_AFTER, split_side._io_loop)
+            caller.join(timeout=30)
+            assert not caller.is_alive()
+            assert result == [1 + 2 + 3 + 4]
+            assert sorted(arrivals) == [0, 1, 1, 2, 3]
+            assert len(split_side.scheduler.journal) == 0
+
+            clock.advance(3 * RESEND_AFTER, split_side._io_loop)
+            assert sorted(arrivals) == [0, 1, 1, 2, 3]
+        finally:
+            for kernel in kernels:
+                kernel.shutdown()
+
+
+class _WedgeableNameServer(NameServer):
+    """Reads requests but answers none while ``wedged`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.wedged = threading.Event()
+        self.unwedge = threading.Event()
+
+    def _handle(self, conn, request):
+        if self.wedged.is_set():
+            self.unwedge.wait(timeout=60)
+        return super()._handle(conn, request)
+
+
+def test_wedged_name_server_does_not_stall_kernel_io():
+    """Rule one of the loop: a worker kernel's loop never waits on the
+    name server.  The heartbeat is a one-way write, so with every reply
+    withheld the beats still go out and a windowed run over
+    already-dialed peers still finishes."""
+    clock = FakeClock()
+    interval = 0.25
+    with _WedgeableNameServer() as ns:
+        graph, kernels = _kernel_pair(ns, clock, "wedged", window=2,
+                                      heartbeat_interval=interval)
+        split_side = kernels[0]
+        beats = []
+        for kernel in kernels:
+            kernel._ns.heartbeat = (
+                lambda *a, _beat=kernel._ns.heartbeat, **kw:
+                (beats.append(a[0]), _beat(*a, **kw))[1])
+        try:
+            assert split_side.run(graph, MpJob(3), timeout=30).total == 6
+            ns.wedged.set()
+            for beat in (1, 2):
+                # _settle fails if a beat waits for the withheld reply
+                clock.advance(interval, *(k._io_loop for k in kernels))
+                assert sorted(beats) == sorted(["node01", "node02"] * beat)
+            # 5 s: under the name-server client's 10 s socket timeout
+            total = split_side.run(graph, MpJob(8), timeout=5).total
+            assert total == sum(range(4, 12))
+        finally:
+            ns.unwedge.set()
+            for kernel in kernels:
+                kernel.shutdown()

@@ -115,6 +115,26 @@ def test_shutdown_after_a_ring_run_does_not_sleep():
     assert elapsed < 0.25, f"shutdown took {elapsed:.3f}s"
 
 
+@pytest.mark.parametrize("recover", [False, True])
+def test_shutdown_after_a_kernel_kill_does_not_wait_for_the_dead(recover):
+    """Only kernels that can still hear it are asked to stop.  Asking a
+    dead one made the console dial a name nobody holds and then sit out
+    a 5 s flush timeout (eight tier-1 tests each paid it)."""
+    nodes = ["node01", "node02", "node03", "node04"]
+    graph = build_ring_graph(nodes)
+    engine = MultiprocessEngine(recover=recover)
+    engine.register_graph(graph)
+    try:
+        assert engine.run(graph, RingJobToken(512, 4), timeout=60).blocks == 4
+        engine.fail_node("node03")
+    finally:
+        t0 = time.monotonic()
+        engine.shutdown()
+        elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"shutdown took {elapsed:.3f}s"
+    assert not multiprocessing.active_children()
+
+
 def _sleep_forever():
     time.sleep(3600)
 
@@ -158,25 +178,32 @@ def test_ns_address_resolves_on_start():
         engine.shutdown()
 
 
-class _ExitedProc:
-    """Process handle of a kernel that has already exited."""
+class _ExitingProc:
+    """Process handle of a kernel that exits as soon as it is joined
+    (it had been asked to stop) or killed."""
+
+    def __init__(self):
+        self.alive = True
 
     def join(self, timeout=None):
-        pass
+        self.alive = False
+
+    kill = join
 
     def is_alive(self):
-        return False
+        return self.alive
 
 
 class _ResizingConsole:
     """Console stand-in whose trace pull walks its peers while a second
     thread grows the engine's kernel table under ``_proc_lock`` — what
-    the autoscaler thread's ``add_kernel`` does mid-run."""
+    a membership thread's ``add_kernel`` does mid-run."""
 
     def __init__(self, engine):
         self.engine = engine
         self.pulls = []
         self._shutdown_requested = threading.Event()
+        self._dead_kernels = set()
 
     def collect_traces(self, peers, timeout=5.0):
         seen = []
@@ -192,7 +219,7 @@ class _ResizingConsole:
 
     def _grow(self):
         with self.engine._proc_lock:
-            self.engine._kernel_procs["late"] = _ExitedProc()
+            self.engine._kernel_procs["late"] = _ExitingProc()
 
     def request_shutdown(self, name):
         pass
@@ -208,7 +235,7 @@ def test_trace_pull_survives_kernel_table_resize(pull):
     size during iteration", which shutdown() swallowed along with the
     traces)."""
     engine = MultiprocessEngine(metrics=MetricsRegistry())
-    engine._kernel_procs.update(k1=_ExitedProc(), k2=_ExitedProc())
+    engine._kernel_procs.update(k1=_ExitingProc(), k2=_ExitingProc())
     console = engine._console = _ResizingConsole(engine)
     try:
         getattr(engine, pull)()

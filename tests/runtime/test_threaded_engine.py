@@ -274,6 +274,45 @@ def test_failed_engine_fails_fast_on_next_run():
         assert time.monotonic() - t0 < 5
 
 
+def test_failed_run_does_not_strand_a_stalled_worker():
+    """The split is parked on an admit gate when the leaf fails; no ack
+    will ever open it.  The failure releases it, so shutdown() joins
+    every worker instead of timing out on one and leaking its thread."""
+    class TGatedFan(SplitOperation):
+        in_types = (TJob,)
+        out_types = (TItem,)
+
+        def execute(self, tok):
+            for i in range(tok.n):
+                yield self.post(TItem(i))  # waits for the window
+
+    class TBoom3(LeafOperation):
+        in_types = (TItem,)
+        out_types = (TItem,)
+
+        def execute(self, tok):
+            raise ValueError("leaf failed")
+
+    engine = ThreadedEngine(policy=FlowControlPolicy(window=1))
+    main = ThreadCollection(TMain, "stmain").map("hostA")
+    work = ThreadCollection(TWork, "stwork").map("hostB")
+    g = Flowgraph(
+        FlowgraphNode(TGatedFan, main)
+        >> FlowgraphNode(TBoom3, work, ConstantRoute)
+        >> FlowgraphNode(TCollect, main),
+        "tstranded",
+    )
+    with pytest.raises(ValueError, match="leaf failed"):
+        engine.run(g, TJob(5), timeout=10)
+    threads = [w.os_thread for w in engine._workers.values()]
+    assert len(threads) == 2
+    t0 = time.monotonic()
+    engine.shutdown()
+    elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"shutdown took {elapsed:.3f}s"
+    assert not any(t.is_alive() for t in threads)
+
+
 def test_idle_worker_lets_go_of_its_last_token():
     """A worker blocked on its inbox must not keep the token it last
     ran: on the multiprocess engine that token's arrays are borrowed
