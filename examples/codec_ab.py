@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """A/B the wire-codec fast path against the pure reference codec.
 
-``TransportPolicy(codec=...)`` (CLI ``--codec``, env ``REPRO_CODEC``)
-takes ``pure``, which forces the reference pure-Python visitor, or
-``auto``, which takes the compiled ``_wirec`` extension when it is
-built (``python setup.py build_ext --inplace``).  Wire bytes are
-bit-identical either way — the fast path is purely a CPU saving.
-Without the extension ``auto`` *is* the pure visitor: both rows then
-run the same code and differ only by run-to-run noise.
+The codec tier is not an option: messages take the compiled ``_wirec``
+extension when it is built (``python setup.py build_ext --inplace``)
+and the pure-Python visitor otherwise.  ``fastpath.set_codec("pure")``
+is the seam the parity suite uses to reach the reference visitor with
+the extension present; set *before* the engine forks, every kernel
+inherits it, which is what this example does to get its A side.  Wire
+bytes are bit-identical either way — the fast path is purely a CPU
+saving.  Without the extension ``auto`` *is* the pure visitor: both
+rows then run the same code and differ only by run-to-run noise.
 
 This example runs the same small-token ring under both and prints
 throughput plus the transport's own evidence: the
@@ -20,7 +22,6 @@ import argparse
 import time
 
 from repro.apps.ring import RingJobToken, build_ring_graph
-from repro.net import TransportPolicy
 from repro.runtime import MultiprocessEngine
 from repro.serial import fastpath
 from repro.trace import MetricsRegistry
@@ -28,11 +29,11 @@ from repro.trace import MetricsRegistry
 NODES = ["node01", "node02", "node03", "node04"]
 
 
-def run_config(label: str, policy: TransportPolicy, *,
-               blocks: int, block_bytes: int) -> None:
+def run_config(codec: str, *, blocks: int, block_bytes: int) -> None:
+    fastpath.set_codec(codec)  # before the fork: the kernels inherit it
     metrics = MetricsRegistry()
     graph = build_ring_graph(NODES)
-    with MultiprocessEngine(transport=policy, metrics=metrics) as engine:
+    with MultiprocessEngine(metrics=metrics) as engine:
         engine.register_graph(graph)
         engine.run(graph, RingJobToken(block_bytes, 4))  # warm-up
         t0 = time.perf_counter()
@@ -42,7 +43,7 @@ def run_config(label: str, policy: TransportPolicy, *,
         engine.collect_traces()
     counters = metrics.snapshot().get("counters", {})
     fps = metrics.histogram("frames_per_syscall")
-    print(f"  {label:<12} {blocks / wall:7.0f} tok/s   "
+    print(f"  {'codec=' + codec:<12} {blocks / wall:7.0f} tok/s   "
           f"codec_compiled_hits={counters.get('codec_compiled_hits', 0):<6} "
           f"frames/syscall="
           f"{fps.total / fps.count if fps.count else 0.0:.2f}")
@@ -62,8 +63,7 @@ def main() -> None:
           f"{len(NODES)} kernel processes\n")
 
     for codec in ("pure", "auto"):
-        run_config(f"codec={codec}", TransportPolicy(codec=codec),
-                   blocks=args.blocks, block_bytes=args.block_bytes)
+        run_config(codec, blocks=args.blocks, block_bytes=args.block_bytes)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ Usage::
     python -m repro.cli ring --engine threaded --trace ring.json
     python -m repro.cli ring --engine multiprocess --kill-kernel node03@#5
     python -m repro.cli stream --engine sim --items 512
-    python -m repro.cli stream --engine multiprocess --kill-kernel node02@#40
+    python -m repro.cli stream --engine multiprocess --items 256 \
+        --kill-kernel node02@#40
     python -m repro.cli stream --credit-window 8 --shedding shed
     python -m repro.cli serve --ns-port 7780      # resident GoL service
     python -m repro.cli call --ns-port 7780 --discover
@@ -34,7 +35,6 @@ import time
 from typing import List, Optional
 
 from .experiments import ALL
-from .serial import fastpath
 
 __all__ = ["main"]
 
@@ -66,10 +66,58 @@ def _run_experiment(name: str, fast: bool,
     print()
 
 
-def _demo(engine_kind: str = "sim",
+#: Commands that build an engine from the command line; every other
+#: one (experiment ids pin the paper's parameters inside their runners,
+#: ``list`` / ``call`` / ``join`` build no engine) refuses engine flags.
+_ENGINE_COMMANDS = ("demo", "ring", "stream", "serve")
+
+#: The engine flags, by argparse dest.
+_ENGINE_FLAGS = ("no_shm", "routing", "min_kernels", "max_kernels",
+                 "kill_kernel", "drop_rate", "delay_ms", "fault_seed")
+
+
+def _engine_opts(args) -> dict:
+    """The engine flags as ``create_engine`` keyword arguments.
+
+    A flag that was not given contributes nothing, so an engine built
+    without flags is built from its own defaults.  Raises ``ValueError``
+    from the policy constructors on an out-of-range value.
+    """
+    from .core.routing import RoutingPolicy
+    from .net.connections import TransportPolicy
+    from .net.recovery import FaultPolicy
+    from .runtime.scaling import ScalingPolicy
+
+    def given(**fields):
+        return {k: v for k, v in fields.items() if v is not None}
+
+    opts: dict = {}
+    if args.no_shm:
+        opts["transport"] = TransportPolicy(shm_enabled=False)
+    if args.routing is not None:
+        opts["routing"] = RoutingPolicy(kind=args.routing)
+    scaling = given(min_kernels=args.min_kernels,
+                    max_kernels=args.max_kernels)
+    if scaling:
+        opts["scaling"] = ScalingPolicy(**scaling)
+    faults = given(drop_rate=args.drop_rate, delay_ms=args.delay_ms,
+                   seed=args.fault_seed)
+    if args.kill_kernel is not None:
+        (faults["kill_kernel"], faults["kill_after"],
+         faults["kill_after_messages"]) = FaultPolicy.parse_kill(
+            args.kill_kernel)
+    if faults:
+        opts["faults"] = FaultPolicy(**faults)
+        # A kill without recovery just fails the run and a dropped
+        # frame stalls it, so those two also opt into recovery.
+        if args.kill_kernel is not None or args.drop_rate is not None:
+            opts["recover"] = True
+    return opts
+
+
+def _demo(make_engine, engine_kind: str,
           trace_path: Optional[str] = None) -> None:
     from .apps.strings import StringToken, build_uppercase_graph
-    from .runtime import create_engine
     from .trace import Tracer, activity_timeline, op_summary
 
     text = "dynamic parallel schedules"
@@ -78,7 +126,7 @@ def _demo(engine_kind: str = "sim",
         else None
 
     t0 = time.perf_counter()
-    with create_engine(engine_kind, nodes=4, tracer=tracer) as engine:
+    with make_engine(tracer=tracer) as engine:
         if engine_kind == "multiprocess":
             engine.register_graph(graph)
         out = engine.run(graph, StringToken(text))
@@ -103,12 +151,11 @@ def _demo(engine_kind: str = "sim",
         _export_trace(tracer, trace_path)
 
 
-def _ring(engine_kind: str = "threaded",
+def _ring(make_engine, engine_kind: str,
           trace_path: Optional[str] = None,
           block_bytes: int = 4096, blocks: int = 32) -> None:
     """Push *blocks* blocks around a 4-node ring on any engine."""
     from .apps.ring import RingJobToken, build_ring_graph
-    from .runtime import create_engine
 
     tracer = None
     if trace_path is not None:
@@ -118,7 +165,7 @@ def _ring(engine_kind: str = "threaded",
     nodes = ["node01", "node02", "node03", "node04"]
     graph = build_ring_graph(nodes)
     t0 = time.perf_counter()
-    with create_engine(engine_kind, nodes=4, tracer=tracer) as engine:
+    with make_engine(tracer=tracer) as engine:
         engine.register_graph(graph)
         out = engine.run(graph, RingJobToken(block_bytes, blocks))
         wall = time.perf_counter() - t0
@@ -130,7 +177,7 @@ def _ring(engine_kind: str = "threaded",
         _export_trace(tracer, trace_path)
 
 
-def _stream(args) -> int:
+def _stream(make_engine, args) -> int:
     """Run the bursty windowed streaming pipeline on any engine."""
     from .apps.stream_pipeline import (
         StreamJob,
@@ -138,7 +185,6 @@ def _stream(args) -> int:
         run_stream_pipeline,
     )
     from .core import StreamPolicy
-    from .runtime import create_engine
     from .trace import MetricsRegistry
 
     job = StreamJob(items=args.items)
@@ -148,8 +194,7 @@ def _stream(args) -> int:
                               shedding=args.shedding)
     metrics = MetricsRegistry()
     t0 = time.perf_counter()
-    with create_engine(args.engine, nodes=4, stream=stream,
-                       metrics=metrics) as engine:
+    with make_engine(stream=stream, metrics=metrics) as engine:
         stats = run_stream_pipeline(
             engine, job, "node01", ["node02", "node03"], "node04",
             name="cli-stream")
@@ -178,7 +223,7 @@ def _stream(args) -> int:
     return 0
 
 
-def _serve(args) -> int:
+def _serve(args, engine_opts: dict) -> int:
     """Boot a resident GoL service and serve until interrupted."""
     import numpy as np
 
@@ -193,7 +238,7 @@ def _serve(args) -> int:
         admission=AdmissionPolicy(max_concurrent=args.max_concurrent,
                                   max_queue=args.max_queue,
                                   session_window=args.session_window),
-        ns_port=args.ns_port)
+        ns_port=args.ns_port, **engine_opts)
     gol = GameOfLifeService(engine, world, worker_nodes)
     engine.expose(gol.read_graph, "gol.read")
     host, port = engine.serve()
@@ -323,65 +368,64 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--engine", choices=["sim", "threaded", "multiprocess"],
         default="sim",
-        help="engine for 'demo'/'ring': simulated cluster (default), OS "
-             "threads, or one OS process per node over TCP",
+        help="engine for 'demo'/'ring'/'stream': simulated cluster "
+             "(default), OS threads, or one OS process per node over TCP",
     )
     parser.add_argument(
         "--trace", metavar="FILE", default=None,
         help="record a unified event timeline and write Chrome trace-event "
              "JSON to FILE (view at https://ui.perfetto.dev)",
     )
-    parser.add_argument(
-        "--no-shm", action="store_true",
-        help="multiprocess engine: disable the shared-memory payload lane "
-             "between co-located kernels (sets REPRO_SHM=0)",
+    eng = parser.add_argument_group(
+        "engine flags ('demo' / 'ring' / 'stream' / 'serve')",
+        "each becomes the named create_engine() argument; an engine that "
+        "cannot honour one refuses it")
+    eng.add_argument(
+        "--no-shm", action="store_true", default=None,
+        help="transport=TransportPolicy(shm_enabled=False): disable the "
+             "shared-memory payload lane between co-located kernels "
+             "(multiprocess engine)",
     )
-    parser.add_argument(
-        "--codec", choices=fastpath.CODEC_MODES, default=None,
-        help="wire codec selection: 'auto' (default) uses the compiled "
-             "visitor when the extension is built, 'pure' forces the "
-             "pure-Python reference codec — bytes are bit-identical "
-             "either way (sets REPRO_CODEC)",
-    )
-    parser.add_argument(
+    eng.add_argument(
         "--routing", choices=["round_robin", "queue_depth"], default=None,
-        help="split routing policy: as declared by the graph (default) or "
-             "queue-depth adaptive — round-robin routes pick the instance "
-             "with the shortest observed queue instead (sets "
-             "REPRO_ROUTING)",
+        help="routing=RoutingPolicy(kind): as declared by the graph "
+             "(default) or queue-depth adaptive — round-robin routes pick "
+             "the instance with the shortest observed queue instead "
+             "(any engine)",
     )
-    parser.add_argument(
+    eng.add_argument(
         "--min-kernels", type=int, metavar="N", default=None,
-        help="multiprocess engine autoscaling floor (sets "
-             "REPRO_SCALING_MIN and switches the autoscaler on)",
+        help="scaling=ScalingPolicy(min_kernels=N): autoscaling floor; "
+             "switches the autoscaler on (multiprocess engine)",
     )
-    parser.add_argument(
+    eng.add_argument(
         "--max-kernels", type=int, metavar="N", default=None,
-        help="multiprocess engine autoscaling ceiling (sets "
-             "REPRO_SCALING_MAX and switches the autoscaler on)",
+        help="scaling=ScalingPolicy(max_kernels=N): autoscaling ceiling; "
+             "switches the autoscaler on (multiprocess engine)",
     )
-    parser.add_argument(
+    eng.add_argument(
         "--kill-kernel", metavar="NODE@WHEN", default=None,
-        help="multiprocess engine chaos: kill the named kernel process, "
-             "e.g. 'node03@0.5' (seconds after start) or 'node03@#5' "
-             "(before its 5th data message).  Sets REPRO_FAULT_KILL and "
-             "turns recovery on (REPRO_RECOVER=1) unless already set",
+        help="faults=FaultPolicy(kill_kernel=...) with recover=True: kill "
+             "the named kernel process, e.g. 'node03@0.5' (seconds after "
+             "start) or 'node03@#5' (before its 5th data message) "
+             "(multiprocess engine)",
     )
-    parser.add_argument(
+    eng.add_argument(
         "--drop-rate", type=float, metavar="P", default=None,
-        help="multiprocess engine chaos: drop each received data frame "
-             "with probability P in [0,1); deterministic per kernel from "
-             "--fault-seed (sets REPRO_FAULT_DROP)",
+        help="faults=FaultPolicy(drop_rate=P) with recover=True: drop each "
+             "received data frame with probability P in [0,1); "
+             "deterministic per kernel from --fault-seed (multiprocess "
+             "engine)",
     )
-    parser.add_argument(
+    eng.add_argument(
         "--delay-ms", type=float, metavar="MS", default=None,
-        help="multiprocess engine chaos: delay each received data frame "
-             "by up to MS milliseconds (sets REPRO_FAULT_DELAY_MS)",
+        help="faults=FaultPolicy(delay_ms=MS): delay each received data "
+             "frame by up to MS milliseconds (multiprocess engine)",
     )
-    parser.add_argument(
+    eng.add_argument(
         "--fault-seed", type=int, metavar="N", default=None,
-        help="seed for the deterministic chaos schedule "
-             "(sets REPRO_FAULT_SEED)",
+        help="faults=FaultPolicy(seed=N): seed for the deterministic "
+             "chaos schedule (multiprocess engine)",
     )
     stm = parser.add_argument_group("streaming ('stream')")
     stm.add_argument(
@@ -457,57 +501,50 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Resolved by TransportPolicy.from_env() in the engine and inherited
-    # by every forked kernel; harmless on the sim/threaded engines.
-    if args.no_shm:
-        os.environ["REPRO_SHM"] = "0"
-    if args.codec is not None:
-        os.environ["REPRO_CODEC"] = args.codec
-        fastpath.set_codec(args.codec)  # this process, not just children
-    # Routing/scaling policies, resolved by RoutingPolicy.from_env() /
-    # ScalingPolicy.from_env() in whichever engine the command builds.
-    if args.routing is not None:
-        os.environ["REPRO_ROUTING"] = args.routing
-    if args.min_kernels is not None:
-        os.environ["REPRO_SCALING_MIN"] = str(args.min_kernels)
-    if args.max_kernels is not None:
-        os.environ["REPRO_SCALING_MAX"] = str(args.max_kernels)
-    # Chaos flags, resolved by FaultPolicy.from_env() in the engine.  A
-    # kill without recovery would just fail the run, so --kill-kernel
-    # also opts into recovery unless the caller chose explicitly.
-    if args.kill_kernel is not None:
-        from .net.recovery import FaultPolicy
-        FaultPolicy.parse_kill(args.kill_kernel)  # fail fast on bad spec
-        os.environ["REPRO_FAULT_KILL"] = args.kill_kernel
-        os.environ.setdefault("REPRO_RECOVER", "1")
-    if args.drop_rate is not None:
-        os.environ["REPRO_FAULT_DROP"] = str(args.drop_rate)
-        os.environ.setdefault("REPRO_RECOVER", "1")
-    if args.delay_ms is not None:
-        os.environ["REPRO_FAULT_DELAY_MS"] = str(args.delay_ms)
-    if args.fault_seed is not None:
-        os.environ["REPRO_FAULT_SEED"] = str(args.fault_seed)
+    command = args.experiment
+    flags = " ".join("--" + dest.replace("_", "-") for dest in _ENGINE_FLAGS
+                     if getattr(args, dest) is not None)
+    engine_opts: dict = {}
+    if flags:
+        if command not in _ENGINE_COMMANDS:
+            parser.error(
+                f"{flags}: {command!r} takes no engine flags (experiments "
+                f"build their engines with the paper's pinned parameters); "
+                f"they apply to {', '.join(_ENGINE_COMMANDS)}")
+        try:
+            engine_opts = _engine_opts(args)
+        except ValueError as exc:
+            parser.error(f"{flags}: {exc}")
 
-    if args.experiment == "list":
+    def make_engine(**extra):
+        """``create_engine`` with the engine flags' options; what the
+        chosen engine refuses is a usage error, not a traceback."""
+        from .runtime import create_engine
+        try:
+            return create_engine(args.engine, nodes=4, **engine_opts, **extra)
+        except ValueError as exc:
+            parser.error(f"{flags} with --engine {args.engine}: {exc}")
+
+    if command == "list":
         for name, runner in sorted(ALL.items()):
             doc = (runner.__module__ or "").rsplit(".", 1)[-1]
             print(f"{name:8} {doc}")
         return 0
-    if args.experiment == "demo":
-        _demo(args.engine, args.trace)
+    if command == "demo":
+        _demo(make_engine, args.engine, args.trace)
         return 0
-    if args.experiment == "ring":
-        _ring(args.engine, args.trace)
+    if command == "ring":
+        _ring(make_engine, args.engine, args.trace)
         return 0
-    if args.experiment == "stream":
-        return _stream(args)
-    if args.experiment == "serve":
-        return _serve(args)
-    if args.experiment == "call":
+    if command == "stream":
+        return _stream(make_engine, args)
+    if command == "serve":
+        return _serve(args, engine_opts)
+    if command == "call":
         return _call(args)
-    if args.experiment == "join":
+    if command == "join":
         return _join(args)
-    names = sorted(ALL) if args.experiment == "all" else [args.experiment]
+    names = sorted(ALL) if command == "all" else [command]
     for name in names:
         _run_experiment(name, args.fast, args.trace)
     return 0

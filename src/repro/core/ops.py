@@ -20,9 +20,8 @@ unmodified on the simulated cluster and on the real-thread engine.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
-from typing import Any, ClassVar, Deque, Optional, Set, Tuple, Type
+from typing import Any, ClassVar, Deque, Optional, Tuple, Type
 
 from ..serial.token import Token
 from .threads import DpsThread
@@ -307,24 +306,19 @@ class MergeOperation(Operation):
     kind = OpKind.MERGE
 
 
-#: Stream classes that override ``execute`` directly (the pre-streaming
-#: generator contract); each warns once per class, per process.
-_LEGACY_STREAM_CLASSES: Set[type] = set()
-
-
-def reset_legacy_stream_warnings() -> None:
-    """Forget which legacy stream classes already warned (test helper)."""
-    _LEGACY_STREAM_CLASSES.clear()
-
-
 class StreamOperation(Operation):
     """A first-class stream stage: 0..N outputs per input, at any time.
 
     Consumes an input group like a merge while opening an output group
     like a split, enabling pipelining between successive parallel phases
-    (paper §3, "Stream operations"; the LU factorization of §5).  Since
-    the streaming redesign (DESIGN §5i) the contract is callback-based
-    with *dynamic data rates*:
+    (paper §3, "Stream operations"; the LU factorization of §5).  The
+    body is the same generator contract merges use — ``tok = yield
+    self.next_token()`` to pull input, ``yield self.post(...)`` to
+    produce output — and a stage that charges cost mid-body or posts
+    without blocking (``apps/lu.py``) overrides :meth:`execute` with
+    exactly that.  For the common stage that only maps input tokens to
+    0..N outputs, the base :meth:`execute` is that generator written
+    once, driving three callbacks (DESIGN §5i):
 
     - implement :meth:`on_token`, called once per input token in arrival
       order; call :meth:`emit` zero or more times per input to produce
@@ -336,13 +330,8 @@ class StreamOperation(Operation):
       remaining group tokens are still consumed (the group contract
       requires it) but no longer reach :meth:`on_token`.
 
-    The base :meth:`execute` drives the callbacks and yields the posts,
-    so stream stages respect per-edge credits exactly like splits.
-
-    **Deprecated**: subclasses may still override :meth:`execute` with
-    the old ``tok = yield self.next_token()`` generator body.  They run
-    unmodified — the engines drive the generator directly — but emit a
-    :class:`DeprecationWarning` once per class.
+    The base :meth:`execute` yields every emitted post, so such stages
+    respect per-edge credits exactly like splits.
     """
 
     kind = OpKind.STREAM
@@ -357,18 +346,8 @@ class StreamOperation(Operation):
         #: Input tokens consumed after :meth:`end_of_stream` (visible to
         #: subclasses that want to account for skipped work).
         self.input_discarded = 0
-        cls = type(self)
-        if cls.execute is not StreamOperation.execute \
-                and cls not in _LEGACY_STREAM_CLASSES:
-            _LEGACY_STREAM_CLASSES.add(cls)
-            warnings.warn(
-                f"{cls.__name__} overrides StreamOperation.execute() — the "
-                f"generator stream contract is deprecated; implement "
-                f"on_token()/on_close() and produce outputs with emit() "
-                f"instead (see DESIGN.md §5i)",
-                DeprecationWarning, stacklevel=3)
 
-    # -- new streaming contract ---------------------------------------------
+    # -- callback sugar over the generator contract --------------------------
     def emit(self, token: Token) -> None:
         """Queue *token* for posting downstream.
 
@@ -393,8 +372,8 @@ class StreamOperation(Operation):
     def on_token(self, token: Token) -> None:
         """Process one input token; call :meth:`emit` 0..N times."""
         raise NotImplementedError(
-            f"{type(self).__name__} must implement on_token() (or the "
-            f"deprecated generator execute())")
+            f"{type(self).__name__} must implement on_token() (or a "
+            f"generator execute())")
 
     def on_close(self) -> None:
         """Input group fully consumed; emit any trailing output here."""

@@ -11,7 +11,6 @@ node), and injects a :class:`RoutingContext` before the first call.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Type
 
@@ -212,14 +211,6 @@ class RoutingPolicy:
                                                        LoadBalancedRoute):
             return QueueDepthRoute
         return declared
-
-    @classmethod
-    def from_env(cls, env=None) -> "RoutingPolicy":
-        """Build from ``REPRO_ROUTING`` (``round_robin``/``queue_depth``)."""
-        if env is None:
-            env = os.environ
-        return cls(kind=env.get("REPRO_ROUTING", "round_robin")
-                   or "round_robin")
 
 
 def route_fn(

@@ -16,20 +16,18 @@ queue append otherwise — never a network wait under the engine lock —
 and per-peer FIFO ordering is preserved (acks must not overtake the data
 tokens they answer).  The owner's single :class:`~repro.net.eventloop.IOLoop`
 drains every outbox with vectored writes; :class:`ConnectionPool` is the
-name → channel map.  :class:`TransportPolicy` holds the two choices the
-path leaves open (shm lane, codec).
+name → channel map.  :class:`TransportPolicy` holds the one choice the
+path leaves open (the shm lane).
 """
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..serial.fastpath import CODEC_MODES
 from ..serial.wire import Segment
 from .eventloop import EventLoopPeer, IOLoop
 from .framing import send_message
@@ -43,11 +41,10 @@ __all__ = ["dial_kernel", "ConnectionPool", "DialError", "TransportPolicy"]
 class TransportPolicy:
     """What the kernel-to-kernel wire path lets a caller choose.
 
-    The shared-memory lane for co-located kernels and the wire codec;
-    everything else about the path (vectored multi-frame writes, one
-    ``MSG_ACK`` per token) is fixed.  Pass an instance to
-    ``MultiprocessEngine(transport=...)`` or export the environment
-    variables read by :meth:`from_env`.
+    The shared-memory lane for co-located kernels; everything else
+    about the path (vectored multi-frame writes, one ``MSG_ACK`` per
+    token, the codec tier) is fixed.  Pass an instance to
+    ``MultiprocessEngine(transport=...)``.
     """
 
     #: Use a shared-memory arena towards same-host peers.
@@ -56,35 +53,6 @@ class TransportPolicy:
     shm_threshold: int = 1 << 14
     #: Arena size per peer connection.
     shm_arena_bytes: int = 1 << 24
-    #: Wire codec selection: ``"auto"`` uses the compiled visitor when
-    #: the optional ``_wirec`` extension built (the pure-Python visitor
-    #: otherwise), ``"pure"`` forces the pure visitor.  Wire bytes are
-    #: identical across both.
-    codec: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.codec not in CODEC_MODES:
-            raise ValueError(
-                f"codec must be one of {CODEC_MODES}, got {self.codec!r}")
-
-    @classmethod
-    def from_env(cls, env=None) -> "TransportPolicy":
-        """Defaults overridden by environment variables:
-
-        - ``REPRO_SHM=0`` / ``REPRO_SHM=1`` — force the shm lane off/on;
-        - ``REPRO_SHM_THRESHOLD=<bytes>`` — shm size threshold;
-        - ``REPRO_CODEC=auto|pure`` — wire codec selection.
-        """
-        env = os.environ if env is None else env
-        policy = cls()
-        if "REPRO_SHM" in env:
-            policy = replace(policy, shm_enabled=env["REPRO_SHM"] != "0")
-        if "REPRO_SHM_THRESHOLD" in env:
-            policy = replace(policy,
-                             shm_threshold=int(env["REPRO_SHM_THRESHOLD"]))
-        if "REPRO_CODEC" in env:
-            policy = replace(policy, codec=env["REPRO_CODEC"])
-        return policy
 
 
 class DialError(ConnectionError):

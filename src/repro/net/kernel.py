@@ -114,9 +114,6 @@ class DistributedKernel(ThreadedEngine):
             self.now = clock
         self.transport = transport if transport is not None \
             else TransportPolicy()
-        # Codec selection is process-wide (the wire module is shared by
-        # every connection), so the kernel's policy sets it once here.
-        fastpath.set_codec(self.transport.codec)
         if ordinal < 0:
             raise ValueError("kernel ordinal must be >= 0")
         self.name = name
@@ -945,11 +942,8 @@ def run_kernel_process(name: str, ordinal: int,
         name, ordinal, ns_address, peers,
         policy=policy if policy is not None else FlowControlPolicy(),
         tracer=tracer, metrics=metrics,
-        transport=transport if transport is not None
-        else TransportPolicy.from_env(),
-        recover=recover, faults=faults,
-        heartbeat_interval=heartbeat_interval,
-        routing=routing if routing is not None else RoutingPolicy.from_env(),
+        transport=transport, recover=recover, faults=faults,
+        heartbeat_interval=heartbeat_interval, routing=routing,
         stream=stream)
     for graph in graphs:
         kernel.register_graph(graph)

@@ -40,7 +40,6 @@ run fails with :class:`~repro.runtime.controller.KernelFailure`.
 
 from __future__ import annotations
 
-import os
 import random
 import zlib
 from collections import deque
@@ -122,29 +121,6 @@ class FaultPolicy:
         if when.startswith("#"):
             return name, None, int(when[1:])
         return name, float(when), None
-
-    @classmethod
-    def from_env(cls, env=None) -> "FaultPolicy":
-        """Build from ``REPRO_FAULT_*`` variables (all optional).
-
-        ``REPRO_FAULT_KILL=node03@0.5`` (seconds) or ``node03@#5``
-        (data messages), ``REPRO_FAULT_DROP=0.01``,
-        ``REPRO_FAULT_DELAY_MS=2``, ``REPRO_FAULT_SEED=7``.
-        """
-        if env is None:
-            env = os.environ
-        kill_kernel = kill_after = kill_after_messages = None
-        spec = env.get("REPRO_FAULT_KILL")
-        if spec:
-            kill_kernel, kill_after, kill_after_messages = cls.parse_kill(spec)
-        return cls(
-            kill_kernel=kill_kernel,
-            kill_after=kill_after,
-            kill_after_messages=kill_after_messages,
-            drop_rate=float(env.get("REPRO_FAULT_DROP", "0") or 0),
-            delay_ms=float(env.get("REPRO_FAULT_DELAY_MS", "0") or 0),
-            seed=int(env.get("REPRO_FAULT_SEED", "0") or 0),
-        )
 
 
 # ----------------------------------------------------------------------

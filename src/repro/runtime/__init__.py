@@ -85,6 +85,15 @@ _MP_ONLY = frozenset({"transport", "faults"})
 
 
 def _check_opts(kind: str, opts: dict) -> None:
+    if kind != "multiprocess":
+        for name in sorted(_MP_ONLY):
+            if opts.get(name) is not None:
+                raise ValueError(
+                    f"{name}= is only honoured by the multiprocess engine "
+                    f"(the {kind!r} engine has no "
+                    f"{'wire' if name == 'transport' else 'kernel processes'}"
+                    f"); pass {name}=None or use "
+                    f"create_engine('multiprocess')")
     allowed = _COMMON_OPTS | _ENGINE_OPTS.get(kind, frozenset())
     unknown = sorted(set(opts) - allowed)
     if unknown:
@@ -99,15 +108,6 @@ def _check_opts(kind: str, opts: dict) -> None:
         raise ValueError(
             f"unknown option(s) for create_engine({kind!r}): "
             f"{', '.join(hints)}; {kind!r} accepts {sorted(allowed)}")
-    if kind != "multiprocess":
-        for name in _MP_ONLY:
-            if opts.get(name) is not None:
-                raise ValueError(
-                    f"{name}= is only honoured by the multiprocess engine "
-                    f"(the {kind!r} engine has no "
-                    f"{'wire' if name == 'transport' else 'kernel processes'}"
-                    f"); pass {name}=None or use "
-                    f"create_engine('multiprocess')")
 
 
 def create_engine(kind: str, **opts) -> Union[SimEngine, ThreadedEngine,

@@ -32,7 +32,6 @@ and timers on that loop.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 import weakref
@@ -49,12 +48,6 @@ from ..serial.token import Token
 from .base import Engine, RunResult
 from .controller import ScheduleError
 from .scaling import ScalingPolicy
-
-#: Any of these present in the environment switches autoscaling on when
-#: no explicit ``scaling=`` policy was given.
-_SCALING_ENV_VARS = ("REPRO_SCALING_MIN", "REPRO_SCALING_MAX",
-                     "REPRO_SCALING_HIGH", "REPRO_SCALING_LOW",
-                     "REPRO_SCALING_COOLDOWN")
 
 __all__ = ["MultiprocessEngine"]
 
@@ -88,7 +81,7 @@ class MultiprocessEngine(Engine):
                  tracer: Optional[Any] = None,
                  metrics: Optional[Any] = None,
                  transport: Optional[TransportPolicy] = None,
-                 recover: Optional[bool] = None,
+                 recover: bool = False,
                  faults: Optional[FaultPolicy] = None,
                  heartbeat_interval: float = 0.25,
                  heartbeat_miss_limit: int = 4,
@@ -105,38 +98,27 @@ class MultiprocessEngine(Engine):
             ) from exc
         super().__init__(policy=policy, tracer=tracer, metrics=metrics,
                          stream=stream)
-        #: Shared-memory lane and codec choice.  Defaults honour the
-        #: REPRO_SHM / REPRO_SHM_THRESHOLD / REPRO_CODEC environment
-        #: overrides; every forked kernel inherits the same resolved
+        #: Shared-memory lane tuning; every forked kernel gets the same
         #: policy.
         self.transport = transport if transport is not None \
-            else TransportPolicy.from_env()
+            else TransportPolicy()
         #: Failure recovery (split-boundary replay) is opt-in: the
         #: default preserves fail-fast semantics — a dead kernel fails
         #: the caller with KernelFailure instead of being masked.
-        #: ``recover=None`` defers to ``REPRO_RECOVER=1``.
-        self.recover = (os.environ.get("REPRO_RECOVER") == "1"
-                        if recover is None else bool(recover))
-        #: Deterministic chaos injection, shipped to every forked kernel;
-        #: ``faults=None`` defers to the ``REPRO_FAULT_*`` variables.
-        self.faults = faults if faults is not None else FaultPolicy.from_env()
+        self.recover = bool(recover)
+        #: Deterministic chaos injection, shipped to every forked kernel.
+        self.faults = faults if faults is not None else FaultPolicy()
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_miss_limit = heartbeat_miss_limit
         self.dial_deadline = dial_deadline
         self.startup_timeout = startup_timeout
         #: Engine-wide routing policy (``round_robin``/``queue_depth``),
-        #: shipped to every forked kernel; ``routing=None`` defers to
-        #: ``REPRO_ROUTING``.
-        self.routing = routing if routing is not None \
-            else RoutingPolicy.from_env()
+        #: shipped to every forked kernel.
+        self.routing = routing if routing is not None else RoutingPolicy()
         #: Autoscaling policy driving spawn/retire decisions from the
-        #: heartbeat-reported queue depths.  ``scaling=None`` defers to
-        #: the ``REPRO_SCALING_*`` variables; with none of them set,
+        #: heartbeat-reported queue depths.  With ``scaling=None``
         #: autoscaling stays off and membership changes only happen
         #: through explicit :meth:`add_kernel`/:meth:`retire_kernel`.
-        if scaling is None and any(v in os.environ
-                                   for v in _SCALING_ENV_VARS):
-            scaling = ScalingPolicy.from_env()
         self.scaling = scaling
         # elastic membership bookkeeping, guarded by _proc_lock (the
         # console's loop, membership threads and user calls race on these)

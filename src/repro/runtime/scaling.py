@@ -17,7 +17,6 @@ thread and sim-engine harnesses both consume it through
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -29,7 +28,7 @@ class ScalingPolicy:
     """When to grow or shrink the kernel cluster.
 
     Frozen (shareable across forked kernels) with validation in
-    ``__post_init__`` and ``from_env``, following the
+    ``__post_init__``, following the
     :class:`~repro.net.connections.TransportPolicy` /
     :class:`~repro.net.recovery.FaultPolicy` pattern.
     """
@@ -82,21 +81,3 @@ class ScalingPolicy:
         if peak <= self.queue_low and n_kernels > self.min_kernels:
             return "shrink"
         return None
-
-    @classmethod
-    def from_env(cls, env=None) -> "ScalingPolicy":
-        """Build from ``REPRO_SCALING_*`` variables (all optional).
-
-        ``REPRO_SCALING_MIN``, ``REPRO_SCALING_MAX``,
-        ``REPRO_SCALING_HIGH``, ``REPRO_SCALING_LOW``,
-        ``REPRO_SCALING_COOLDOWN``.
-        """
-        if env is None:
-            env = os.environ
-        return cls(
-            min_kernels=int(env.get("REPRO_SCALING_MIN", "1") or 1),
-            max_kernels=int(env.get("REPRO_SCALING_MAX", "8") or 8),
-            queue_high=int(env.get("REPRO_SCALING_HIGH", "8") or 8),
-            queue_low=int(env.get("REPRO_SCALING_LOW", "1") or 1),
-            cooldown=float(env.get("REPRO_SCALING_COOLDOWN", "2.0") or 2.0),
-        )

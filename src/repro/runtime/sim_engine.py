@@ -112,9 +112,8 @@ class SimEngine(Engine):
                          stream=stream)
         #: Routing policy consulted when controllers build split routes;
         #: ``queue_depth`` substitutes adaptive routing for declared
-        #: round-robin routes.  ``routing=None`` defers to REPRO_ROUTING.
-        self.routing = routing if routing is not None \
-            else RoutingPolicy.from_env()
+        #: round-robin routes.
+        self.routing = routing if routing is not None else RoutingPolicy()
         self.sim = Simulator()
         self.cluster = (
             cluster if isinstance(cluster, Cluster) else Cluster(self.sim, cluster)

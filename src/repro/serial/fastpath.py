@@ -13,12 +13,13 @@ handle bit-identically makes the whole message take the pure visitor, so
 wire bytes are identical across paths in both directions (pinned by the
 parity property suite).
 
-The mode knob (``TransportPolicy.codec`` / ``REPRO_CODEC`` / CLI
-``--codec``) takes ``"auto"`` (the compiled visitor when its import
-succeeds — the default) or ``"pure"`` (generic visitor only, the
-reference the parity tests compare against).  Without the extension
-``auto`` *is* the pure visitor: :data:`enabled` stays false and
-``wire.py`` never calls in here.
+The tier is not an option: it follows from whether the extension
+imported and bound.  :func:`set_codec` is the seam the parity suite and
+``examples/codec_ab.py`` use to reach the reference visitor — ``"auto"``
+(the compiled visitor when bound, the state at import) or ``"pure"``
+(generic visitor only).  Without the extension ``auto`` *is* the pure
+visitor: :data:`enabled` stays false and ``wire.py`` never calls in
+here.
 
 Counters (:func:`take_counters`) feed the ``codec_compiled_hits`` /
 ``codec_fallbacks`` metrics folded into each kernel's metrics registry.
@@ -30,7 +31,6 @@ helpers the array paths delegate to; nothing here imports ``wire``.
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Any, Callable, Dict, Optional
 
@@ -137,8 +137,7 @@ def _bind(wire_ns: Dict[str, Any]) -> None:
 
 # -- mode -------------------------------------------------------------------
 
-_env_mode = os.environ.get("REPRO_CODEC")
-_mode = _env_mode if _env_mode in CODEC_MODES else "auto"
+_mode = "auto"
 #: Whether ``wire.py`` should probe this module at all: ``auto`` mode with
 #: the extension bound.  False means every message takes the pure visitor.
 enabled = False

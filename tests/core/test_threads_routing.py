@@ -192,12 +192,3 @@ def test_routing_policy_substitutes_only_load_spreading_routes():
     assert adaptive.route_class_for(ModRoute) is ModRoute
     default = RoutingPolicy()
     assert default.route_class_for(RoundRobinRoute) is RoundRobinRoute
-
-
-def test_routing_policy_from_env():
-    from repro.core import RoutingPolicy
-    assert RoutingPolicy.from_env({}).kind == "round_robin"
-    assert RoutingPolicy.from_env(
-        {"REPRO_ROUTING": "queue_depth"}).adaptive is True
-    with pytest.raises(ValueError, match="kind"):
-        RoutingPolicy.from_env({"REPRO_ROUTING": "bogus"})

@@ -39,42 +39,24 @@ def client(server):
 
 def test_policy_defaults_enable_everything():
     assert [f.name for f in dataclasses.fields(TransportPolicy)] == [
-        "shm_enabled", "shm_threshold", "shm_arena_bytes", "codec"]
+        "shm_enabled", "shm_threshold", "shm_arena_bytes"]
     policy = TransportPolicy()
-    assert policy.shm_enabled and policy.codec == "auto"
+    assert policy.shm_enabled
     assert not hasattr(TransportPolicy, "unbatched")
     assert not hasattr(policy, "ack_aggregation")
-
-
-def test_policy_from_env():
-    assert TransportPolicy.from_env({}) == TransportPolicy()
-    # the frame-at-a-time switch is gone: the variable selects nothing
-    assert TransportPolicy.from_env({"REPRO_TRANSPORT_BATCH": "0"}) \
-        == TransportPolicy()
-    no_shm = TransportPolicy.from_env({"REPRO_SHM": "0"})
-    assert no_shm == TransportPolicy(shm_enabled=False)
-    tuned = TransportPolicy.from_env({"REPRO_SHM": "1",
-                                      "REPRO_SHM_THRESHOLD": "4096",
-                                      "REPRO_CODEC": "pure"})
-    assert tuned == TransportPolicy(shm_threshold=4096, codec="pure")
 
 
 @pytest.mark.parametrize("removed", [
     {"io_mode": "threads"}, {"io_mode": "eventloop"}, {"flush_delay_us": 0},
     {"coalescing": False}, {"max_batch_bytes": 1 << 20},
     {"max_batch_frames": 256}, {"ack_flush_window": 0.0},
-    {"ack_batch_limit": 1}, {"recv_buffer_bytes": 1 << 18}])
+    {"ack_batch_limit": 1}, {"recv_buffer_bytes": 1 << 18},
+    {"codec": "pure"}])
 def test_policy_rejects_removed_knobs(removed):
     """One I/O core, one wire path, no timer flush window, no ack
-    buffer: the fields are gone, not ignored."""
+    buffer, no codec choice: the fields are gone, not ignored."""
     with pytest.raises(TypeError):
         TransportPolicy(**removed)
-
-
-def test_policy_codec_modes():
-    assert TransportPolicy(codec="pure").codec == "pure"
-    with pytest.raises(ValueError, match="codec"):
-        TransportPolicy(codec="fast")  # was an alias of "auto"
 
 
 # ---------------------------------------------------------------------------

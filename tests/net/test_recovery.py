@@ -179,17 +179,6 @@ def test_fault_policy_rng_deterministic_per_kernel():
     assert a != c
 
 
-def test_fault_policy_from_env_roundtrip():
-    env = {"REPRO_FAULT_KILL": "node02@#9", "REPRO_FAULT_DROP": "0.25",
-           "REPRO_FAULT_SEED": "3"}
-    p = FaultPolicy.from_env(env)
-    assert p.kill_kernel == "node02"
-    assert p.kill_after_messages == 9
-    assert p.drop_rate == 0.25
-    assert p.seed == 3
-    assert p.enabled
-
-
 def test_plan_remap_round_robin_and_no_survivors():
     coll = SimpleNamespace(name="c", placements=["n1", "dead", "dead", "n2"])
     graph = SimpleNamespace(collections=lambda: [coll])

@@ -1,8 +1,11 @@
 """create_engine(): uniform options, helpful rejection of the rest."""
 
+import subprocess
+import sys
+
 import pytest
 
-from repro.core import FlowControlPolicy
+from repro.core import FlowControlPolicy, RoutingPolicy
 from repro.net import TransportPolicy
 from repro.net.recovery import FaultPolicy
 from repro.runtime import (
@@ -97,27 +100,38 @@ def test_scaling_is_multiprocess_only():
         engine.shutdown()
 
 
-def test_routing_defaults_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_ROUTING", "queue_depth")
-    engine = create_engine("sim")
-    assert engine.routing.adaptive is True
-    monkeypatch.delenv("REPRO_ROUTING")
-    engine = create_engine("sim")
-    assert engine.routing.adaptive is False
+#: Every runtime variable the engines used to read.  None selects
+#: anything now: an engine is configured by its arguments alone.
+RETIRED_ENV = {
+    "REPRO_SHM": "0", "REPRO_SHM_THRESHOLD": "1", "REPRO_CODEC": "pure",
+    "REPRO_ROUTING": "queue_depth", "REPRO_RECOVER": "1",
+    "REPRO_FAULT_KILL": "node01@#1", "REPRO_FAULT_DROP": "0.9",
+    "REPRO_FAULT_DELAY_MS": "500", "REPRO_FAULT_SEED": "13",
+    "REPRO_SCALING_MIN": "7", "REPRO_SCALING_MAX": "9",
+    "REPRO_SCALING_HIGH": "2", "REPRO_SCALING_LOW": "1",
+    "REPRO_SCALING_COOLDOWN": "0",
+}
 
 
-def test_scaling_defaults_from_env(monkeypatch):
-    """The autoscaler only arms itself when REPRO_SCALING_* is present —
-    an unconfigured engine must not fork kernels on its own."""
-    engine = create_engine("multiprocess")
-    try:
-        assert engine.scaling is None
-    finally:
-        engine.shutdown()
-    monkeypatch.setenv("REPRO_SCALING_MAX", "4")
-    engine = create_engine("multiprocess")
-    try:
-        assert engine.scaling is not None
-        assert engine.scaling.max_kernels == 4
-    finally:
-        engine.shutdown()
+def test_retired_env_names_are_inert(monkeypatch):
+    """Hostile values in all 14 retired variables change no engine: a
+    ``None`` policy is the dataclass default on every kind, and an
+    unconfigured engine must not fork kernels on its own."""
+    for name, value in RETIRED_ENV.items():
+        monkeypatch.setenv(name, value)
+    for kind in ("sim", "threaded", "multiprocess"):
+        engine = create_engine(kind)
+        try:
+            assert engine.routing == RoutingPolicy(), kind
+        finally:
+            engine.shutdown()
+    assert engine.transport == TransportPolicy()
+    assert engine.faults == FaultPolicy()
+    assert engine.recover is False
+    assert engine.scaling is None
+    # the codec tier follows from what imported, not from a variable
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.serial import fastpath; print(fastpath.get_codec())"],
+        capture_output=True, text=True, check=True)
+    assert fresh.stdout.strip() == "auto"

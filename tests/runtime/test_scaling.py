@@ -58,16 +58,6 @@ def test_validation():
         ScalingPolicy(cooldown=-1)
 
 
-def test_from_env():
-    env = {"REPRO_SCALING_MIN": "2", "REPRO_SCALING_MAX": "5",
-           "REPRO_SCALING_HIGH": "16", "REPRO_SCALING_LOW": "2",
-           "REPRO_SCALING_COOLDOWN": "0.5"}
-    p = ScalingPolicy.from_env(env)
-    assert p == ScalingPolicy(min_kernels=2, max_kernels=5, queue_high=16,
-                              queue_low=2, cooldown=0.5)
-    assert ScalingPolicy.from_env({}) == ScalingPolicy()
-
-
 # ---------------------------------------------------------------------------
 # the multiprocess autoscaler thread
 # ---------------------------------------------------------------------------

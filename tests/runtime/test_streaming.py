@@ -4,8 +4,8 @@ Covers the callback contract (``on_token``/``on_close``/``emit``/
 ``end_of_stream``) on the simulated and real-thread engines, pacing via
 ``sleep()``, per-edge credit resolution (window=1 lock-step), the two
 lossy shedding modes and their opposite starvation patterns, the
-deprecated generator contract (result-identical, warns once per class),
-and a hypothesis sweep checking windowed aggregation is bit-identical
+generator body the callbacks are sugar for (result-identical), and a
+hypothesis sweep checking windowed aggregation is bit-identical
 across engines.
 """
 
@@ -31,7 +31,6 @@ from repro.core import (
     WindowSpec,
     WindowedStream,
 )
-from repro.core.ops import reset_legacy_stream_warnings
 from repro.core.windows import checksum_mix
 from repro.runtime import SimEngine
 from repro.runtime.threaded_engine import ThreadedEngine
@@ -313,13 +312,11 @@ def test_block_mode_loses_nothing():
 
 
 # ---------------------------------------------------------------------------
-# deprecation shim: old generator bodies run unmodified, warn once
+# one contract: a generator body and the callbacks are the same stage
 # ---------------------------------------------------------------------------
 
-def test_legacy_generator_contract_is_result_identical_and_warns_once():
-    reset_legacy_stream_warnings()
-
-    class LegacyInc(StreamOperation):
+def test_generator_body_and_callbacks_are_result_identical():
+    class GeneratorInc(StreamOperation):
         in_types = (StrmItem,)
         out_types = (StrmItem,)
 
@@ -328,7 +325,7 @@ def test_legacy_generator_contract_is_result_identical_and_warns_once():
                 yield self.post(StrmItem(seq=tok.seq, value=tok.value + 1))
                 tok = yield self.next_token()
 
-    class NewInc(StreamOperation):
+    class CallbackInc(StreamOperation):
         in_types = (StrmItem,)
         out_types = (StrmItem,)
 
@@ -336,31 +333,11 @@ def test_legacy_generator_contract_is_result_identical_and_warns_once():
             self.emit(StrmItem(seq=tok.seq, value=tok.value + 1))
 
     job = StrmJob(n=9, seed=3)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _, legacy = _run_sim(_graph(LegacyInc, name="strm-old"), job)
-        LegacyInc()  # a second construction does not warn again
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "generator stream contract" in str(w.message)]
-    assert len(deprecations) == 1
-    assert "LegacyInc" in str(deprecations[0].message)
-    assert "on_token" in str(deprecations[0].message)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _, new = _run_sim(_graph(NewInc, name="strm-new"), job)
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-
-    assert legacy.token.text == new.token.text
-
-    # forgetting the class makes the next construction warn again
-    reset_legacy_stream_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        LegacyInc()
-    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither spelling is second-class
+        _, generator = _run_sim(_graph(GeneratorInc, name="strm-gen"), job)
+        _, callbacks = _run_sim(_graph(CallbackInc, name="strm-cb"), job)
+    assert generator.token.text == callbacks.token.text
 
 
 # ---------------------------------------------------------------------------
