@@ -142,16 +142,12 @@ class ConnectionPool:
                     trace=self._trace)
             return conn
 
-    def send(self, name: str, segments: List[Segment],
-             more: bool = False) -> None:
-        """Send to peer *name*; *more* as in :meth:`EventLoopPeer.send`."""
+    def send(self, name: str, segments: List[Segment]) -> None:
+        """Send to peer *name* (:meth:`EventLoopPeer.send`)."""
         conn = self._peers.get(name)
         if conn is None:
             conn = self.peer(name)
-        if more:
-            conn.send(segments, True)
-        else:
-            conn.send(segments)  # one-argument stand-ins stay valid
+        conn.send(segments)
 
     def forget(self, name: str) -> None:
         """Drop the channel to *name*; the next send resolves it afresh.

@@ -19,10 +19,10 @@ of the dial path keep their blocking calls).
   ``outbox_depth`` gauge, and every short write increments
   ``partial_writes``.  One rule picks the writing thread
   (:meth:`EventLoopPeer.send`): a message with nothing queued ahead of
-  it and no further input waiting behind it is written by the thread
-  that produced it; anything else queues on the peer's outbox and the
-  loop flushes it at its quiescent point (:meth:`IOLoop.at_pass_end`),
-  so frames produced anywhere in a burst share one vectored write.
+  it leaves when it is made, one ``sendmsg`` on the thread that made
+  it; a backlog, a bulk message and what the loop itself sends queue on
+  the peer's outbox, flushed as one vectored write at the loop's
+  quiescent point (:meth:`IOLoop.at_pass_end`).
 - **Reads** are readiness-driven: adopted connections register for
   ``EVENT_READ`` and feed :meth:`~repro.net.framing.FrameReader.recv_ready`
   batches straight into the owner's dispatch path.
@@ -55,7 +55,8 @@ import traceback
 from collections import deque
 from typing import Callable, List, Optional
 
-from ..serial.wire import Segment, frame
+from ..serial.wire import FRAME_HEADER_BYTES, Segment, frame
+from ..serial.wire import _FRAME_HEADER  # shared header layout
 from .framing import DEFAULT_MAX_BATCH_BYTES, MAX_SENDMSG_SEGMENTS, \
     FrameReader, _as_byte_views, send_message
 from .nameserver import NameServerError
@@ -75,14 +76,14 @@ _MAX_BATCH_FRAMES = 256
 class VectoredSender:
     """Non-blocking vectored frame writer with partial-write resumption.
 
-    Framed messages are queued whole (:meth:`push`); :meth:`pump` then
-    flushes them through as few ``sendmsg`` calls as the socket buffer
-    allows — chunked under ``MAX_SENDMSG_SEGMENTS`` and a byte
-    budget.  A short write (``EAGAIN`` or fewer bytes accepted than
-    offered) leaves the remainder queued with the partially-sent view
-    sliced, so the next :meth:`pump` resumes mid-frame; frame bytes on
-    the wire are identical to the blocking
-    :func:`~repro.net.framing.send_messages` path.
+    Framed messages are queued (:meth:`push`: whole, or from the byte
+    offset a direct write reached); :meth:`pump` flushes them through as
+    few ``sendmsg`` calls as the socket buffer allows — chunked under
+    ``MAX_SENDMSG_SEGMENTS`` and a byte budget.  A short write
+    (``EAGAIN`` or fewer bytes accepted than offered) leaves the
+    remainder queued with the partially-sent view sliced, so the next
+    :meth:`pump` resumes mid-frame; frame bytes on the wire are
+    identical to the blocking :func:`~repro.net.framing.send_messages`.
 
     Single-writer: whoever pushes or pumps holds the owning peer's
     write lock.  The class itself owns no socket, which keeps it
@@ -111,11 +112,21 @@ class VectoredSender:
     def pending_bytes(self) -> int:
         return self._pending_bytes
 
-    def push(self, message: List[Segment]) -> None:
-        """Queue one message (an unframed segment list) for sending."""
-        # Empty views carry no wire bytes but would wedge the
-        # consume-by-sent-bytes walk below; drop them up front.
-        views = [v for v in _as_byte_views(frame(message)) if v.nbytes]
+    def push(self, message: List[Segment], sent: int = 0) -> None:
+        """Queue one message (an unframed segment list) for sending; the
+        first *sent* bytes of its frame went out in one direct write."""
+        if sent:
+            self._episode_syscalls += 1
+        views = []
+        for view in _as_byte_views(frame(message)):
+            # Empty views carry no wire bytes but would wedge the
+            # consume-by-sent-bytes walk in pump: skipped, like the
+            # bytes already sent.
+            if sent >= view.nbytes:
+                sent -= view.nbytes
+            else:
+                views.append(view[sent:] if sent else view)
+                sent = 0
         self._frames.append(views)
         self._pending_bytes += sum(v.nbytes for v in views)
         self._episode_frames += 1
@@ -566,29 +577,24 @@ class EventLoopPeer:
         self._flushed = threading.Event()
 
     # -- any-thread interface ------------------------------------------
-    def send(self, segments: List[Segment], more: bool = False) -> None:
-        """Send one message; *more* says the caller has further input
-        already waiting, i.e. further sends are likely right behind.
+    def send(self, segments: List[Segment]) -> None:
+        """Send one message.
 
         One rule picks the thread that writes.  A small message with
         nothing queued ahead of it on an attached, unblocked socket,
-        from a caller that is not the loop and has nothing more to send,
-        goes out on the calling thread: handing it to the loop would add
-        a thread hand-off (self-pipe wake, GIL switch) to every hop of
-        an unloaded pipeline and buy nothing, since there is no second
-        frame to share the syscall with.  Everything else — a backlog,
-        a blocked or not-yet-dialed socket, a caller with more input,
-        a message with a segment of shm-lane size (the copy into the
-        arena is the loop's work; ``ring_large`` read 4 % more CPU per
-        token with it on the worker), the loop thread itself (acks and
-        posts released while it dispatches a read batch) — queues on
-        the outbox, and the loop flushes at its quiescent point so the
-        burst shares one vectored write.  (PR 6 measured the direct
-        write as a loss on one core, where writer and loop could never
-        overlap anyway; with two the hand-off is the dominant cost of an
-        idle hop — bench ``ring_call``.)
+        from a caller that is not the loop, leaves when it is made: one
+        ``sendmsg`` on the calling thread (:meth:`_write_now`).  Handing
+        it to the loop adds a thread hand-off to the hop; holding it
+        back for frames that may follow makes the next kernel wait for
+        the batch, so a window of tokens moves down a pipeline as one
+        convoy instead of overlapping the hops.  Everything else — a
+        backlog, a blocked or undialed socket, a segment of shm-lane
+        size (the arena copy is the loop's work; ``ring_large`` read
+        4 % more CPU per token with it on the worker), whatever the
+        loop thread sends — queues on the outbox, and the loop flushes
+        it at its quiescent point as one vectored write.
         """
-        if not more and self._idle() \
+        if self._idle() \
                 and not self._loop.on_loop_thread() \
                 and not self._bulk(segments) \
                 and self._write_lock.acquire(blocking=False):
@@ -632,26 +638,34 @@ class EventLoopPeer:
                 and not self._failed and not self._closing)
 
     def _write_now(self, segments: List[Segment]) -> None:
-        """Write one message on the calling thread (write lock held).
-
-        No segment is of shm-lane size (:meth:`send` checked), so there
-        is nothing to divert through the arena.
+        """Write one message on the calling thread (write lock held):
+        one ``sendmsg`` of the frame header and the segments as given.
+        What the socket does not take — a short write, ``EAGAIN``, or a
+        message with more segments than one call may carry — goes to
+        the sender with its byte offset and the loop finishes it; the
+        queued remainder keeps later sends behind it.
         """
-        self._sender.push(segments)
-        try:
-            drained = self._sender.pump(self._sock)
-        except OSError as exc:
-            # The frame stays queued; _fail (selector, on_error: loop
-            # thread only) drops and counts it.
-            self._loop.call(lambda err=exc: self._fail(err))
-            return
-        if drained:
-            self._note_drained()
-        else:
-            # Short write: the loop retries and, if the socket is still
-            # full, waits for EVENT_WRITE.  Until then the queued
-            # remainder keeps later sends behind it on the outbox.
-            self._loop.call(self._flush)
+        iov = frame(segments)
+        sent = 0
+        if len(iov) <= MAX_SENDMSG_SEGMENTS:
+            try:
+                sent = self._sock.sendmsg(iov)
+            except BlockingIOError:
+                pass
+            except OSError as exc:
+                # Queued whole; _fail (selector, on_error: loop thread
+                # only) drops and counts it.
+                self._sender.push(segments)
+                self._loop.call(lambda err=exc: self._fail(err))
+                return
+            if sent == FRAME_HEADER_BYTES + _FRAME_HEADER.unpack_from(
+                    iov[0])[0]:
+                if self._metrics is not None:
+                    self._metrics.histogram("frames_per_syscall").observe(1)
+                return
+            self._sender.partial_writes += 1
+        self._sender.push(segments, sent)
+        self._loop.call(self._flush)
 
     # -- loop-thread internals -----------------------------------------
     def _pump(self) -> None:
@@ -712,7 +726,15 @@ class EventLoopPeer:
                 return
             if drained:
                 self._set_write_interest(False)
-                self._note_drained()
+                self._report_partials()
+                frames, syscalls = self._sender.take_episode()
+                if self._metrics is not None:
+                    if frames:
+                        self._metrics.histogram("frames_per_syscall") \
+                            .observe(frames / max(1, syscalls))
+                    self._metrics.gauge("outbox_depth").set(0)
+                if self._closing:
+                    self._flushed.set()
             else:
                 self._set_write_interest(True)
                 self._report_partials()
@@ -721,18 +743,6 @@ class EventLoopPeer:
                     # so queue-depth dashboards see the stalled peer.
                     self._metrics.gauge("outbox_depth").set(
                         self._sender.pending_frames + len(self._outbox))
-
-    def _note_drained(self) -> None:
-        """Post-flush bookkeeping once everything queued hit the socket."""
-        self._report_partials()
-        frames, syscalls = self._sender.take_episode()
-        if self._metrics is not None:
-            if frames:
-                self._metrics.histogram("frames_per_syscall").observe(
-                    frames / max(1, syscalls))
-            self._metrics.gauge("outbox_depth").set(0)
-        if self._closing:
-            self._flushed.set()
 
     def _on_writable(self) -> None:
         with self._write_lock:

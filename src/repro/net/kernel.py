@@ -140,8 +140,12 @@ class DistributedKernel(ThreadedEngine):
         #: non-leaf inputs; see :mod:`repro.net.recovery`.
         self.recover = recover
         self.heartbeat_interval = heartbeat_interval
+        # the member barrier's wait for the journal to drain (prune
+        # notifies it under the engine lock it already holds)
+        self._journal_drained = threading.Condition(self.lock)
         if recover:
-            self.scheduler.journal = TokenJournal()
+            self.scheduler.journal = TokenJournal(
+                on_drained=self._journal_drained.notify_all)
             self.scheduler.dedup = ReplayDedup()
         self._recovery_lock = threading.Lock()
         self._dead_kernels: set = set()
@@ -363,18 +367,6 @@ class DistributedKernel(ThreadedEngine):
     # ------------------------------------------------------------------
     # sending side: the substrate's transport hooks
     # ------------------------------------------------------------------
-    def _more_input(self) -> bool:
-        """Whether the calling thread already has further input queued.
-
-        More sends are then right behind the current one, and the
-        channel leaves the write to the loop's coalescing flush instead
-        of paying a syscall per frame (``more`` of
-        :meth:`EventLoopPeer.send`).  Threads that drain no inbox —
-        driver, dial, timers — never have.
-        """
-        inbox = getattr(self._here, "inbox", None)
-        return inbox is not None and inbox.qsize() > 0
-
     def transmit(self, env: DataEnvelope) -> None:
         node = env.graph.node(env.node_id)
         target = node.collection.node_of(env.instance)
@@ -397,7 +389,7 @@ class DistributedKernel(ThreadedEngine):
                 self.metrics.counter("wire_messages").inc()
                 self.metrics.counter("wire_bytes").inc(nbytes)
                 self.metrics.histogram("serialize_seconds").observe(seconds)
-        self._pool.send(target, segments, self._more_input())
+        self._pool.send(target, segments)
 
     def send_ack(self, graph_name: str, frame: GroupFrame) -> None:
         origin_node = frame.origin_node
@@ -714,10 +706,10 @@ class DistributedKernel(ThreadedEngine):
         """
         try:
             journal = self.scheduler.journal
-            deadline = time.monotonic() + 5.0
-            while journal is not None and len(journal) \
-                    and time.monotonic() < deadline:
-                time.sleep(0.02)
+            if journal is not None:
+                with self._journal_drained:
+                    self._journal_drained.wait_for(lambda: not len(journal),
+                                                   timeout=5.0)
             with self.lock:
                 colls = {coll.name: coll for coll in
                          _unique_collections(self._graphs.values())}

@@ -44,7 +44,7 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "FaultPolicy",
@@ -133,13 +133,15 @@ class TokenJournal:
     Insertion-ordered, so scanning for stale entries stops at the first
     fresh one.  Not thread-safe on its own — callers hold the engine
     lock (recording happens next to ``SplitWindow.on_post``, pruning
-    next to ``on_ack``, both already serialized).
+    next to ``on_ack``, both already serialized).  *on_drained* is
+    called, under that lock, by the prune that removes the last entry.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_on_drained")
 
-    def __init__(self):
+    def __init__(self, on_drained: Optional[Callable[[], None]] = None):
         self._entries: Dict[Tuple[int, int], List] = {}
+        self._on_drained = on_drained
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -153,7 +155,9 @@ class TokenJournal:
 
     def prune(self, group_id: int, index: int) -> None:
         """Forget an acked token (no-op when already pruned/replayed)."""
-        self._entries.pop((group_id, index), None)
+        if self._entries.pop((group_id, index), None) is not None \
+                and not self._entries and self._on_drained is not None:
+            self._on_drained()
 
     def replay_all(self, now: float) -> List:
         """Every journaled envelope, oldest first; timestamps refreshed

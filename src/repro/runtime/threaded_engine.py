@@ -77,7 +77,6 @@ class _ThreadWorker:
         engine = self.engine
         scheduler = engine.scheduler
         engine._here.node_name = self.node_name
-        engine._here.inbox = self.inbox
         while True:
             item = self.inbox.get()
             if item is _STOP:
@@ -125,8 +124,7 @@ class ThreadedEngine(Engine):
         self.scheduler = Scheduler(self, self)
         self._workers: Dict[Tuple[int, int], _ThreadWorker] = {}
         #: ``node_name`` of the DPS worker running on the current OS
-        #: thread (unset on every other thread), and ``inbox``, the queue
-        #: the current thread takes its input from, if it has one.
+        #: thread (unset on every other thread).
         self._here = threading.local()
         self._group_counter = 0
         self._ctx_counter = 0

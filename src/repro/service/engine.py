@@ -167,7 +167,7 @@ class ServiceKernel(DistributedKernel):
 
     def _svc_send(self, client: str, segments) -> None:
         try:
-            self._pool.send(client, segments, self._more_input())
+            self._pool.send(client, segments)
         except Exception:
             # The client vanished between admit and reply; its session
             # is torn down by the writer-side _on_peer_error.
@@ -263,9 +263,6 @@ class ServiceKernel(DistributedKernel):
                              token, time.monotonic()))
 
     def _svc_worker_loop(self) -> None:
-        # the queue _more_input() looks at: with admitted calls waiting,
-        # this worker's sends leave through the loop's coalescing flush
-        self._here.inbox = self._svc_queue
         while True:
             item = self._svc_queue.get()
             if item is _SVC_STOP:

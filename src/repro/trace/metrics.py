@@ -23,10 +23,11 @@ Engines populate a common set of series when a registry is attached:
 ``stalls`` (counters), ``queue_depth`` (gauge, peak inbox depth),
 ``stall_seconds`` and ``serialize_seconds`` (histograms).  Token rate is
 derived: ``tokens_posted / elapsed``.  The multiprocess transport adds
-``frames_per_syscall`` (histogram — mean > 1 means frames are sharing
-vectored writes), ``shm_bytes_bypassed`` (message bytes that took the
-shared-memory lane instead of TCP) and
-``token_drops`` (messages discarded after a peer kernel failed).  The
+``frames_per_syscall`` (histogram — a frame written when it is made
+counts 1, a loop flush its batch: ≈ 1 while frames flow, above 1 when
+they wait behind a backlog), ``shm_bytes_bypassed`` (message bytes
+that took the shared-memory lane instead of TCP) and ``token_drops``
+(messages discarded after a peer kernel failed).  The
 I/O loop adds ``io_loop_wakeups`` (counter — selector passes),
 ``partial_writes`` (counter — short ``sendmsg`` calls,
 i.e. EAGAIN or fewer bytes accepted than offered) and ``outbox_depth``

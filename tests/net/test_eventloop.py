@@ -3,13 +3,15 @@ wakeups, readiness-driven accepts and reads, pass-end flush coalescing
 and event-loop peers — including the one rule that picks which thread
 writes a message (the caller when the peer is idle, the loop otherwise).
 
-The hypothesis suite drives :class:`~repro.net.eventloop.VectoredSender`
+The hypothesis suites drive :class:`~repro.net.eventloop.VectoredSender`
+and the caller-thread write of :class:`~repro.net.eventloop.EventLoopPeer`
 against a mock socket whose ``sendmsg`` accepts an arbitrary byte count
 per call (or raises ``EAGAIN``): whatever the kernel does to our writes,
 the byte stream must stay bit-identical to the blocking sender's — frame
 boundaries, FIFO order and payload bytes all survive.
 """
 
+import contextlib
 import itertools
 import socket
 import sys
@@ -17,11 +19,13 @@ import threading
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
+    MAX_SENDMSG_SEGMENTS,
     EventLoopPeer,
     FrameReader,
     IOLoop,
@@ -33,10 +37,11 @@ from repro.net import (
     host_fingerprint,
     recv_message,
     send_message,
+    send_messages,
 )
 from repro.net.protocol import MSG_ACK, MSG_DATA, MSG_HELLO, MSG_SHM, \
     MSG_SHM_ATTACH, decode_message
-from repro.serial import WireError, frame, gather
+from repro.serial import FRAME_HEADER_BYTES, WireError, frame, gather
 from repro.trace import MetricsRegistry
 
 
@@ -66,9 +71,12 @@ class _FlakySocket:
     """A ``sendmsg`` that accepts an arbitrary byte count per call.
 
     Each entry of *decisions* scripts one call: ``0`` raises
-    ``BlockingIOError`` (EAGAIN), ``n > 0`` accepts at most ``n`` bytes.
-    Once the script runs out the socket accepts everything, so a pump
-    loop always terminates.
+    ``BlockingIOError`` (EAGAIN), ``n > 0`` accepts at most ``n`` bytes,
+    ``None`` accepts everything.  Once the script runs out the socket
+    accepts everything, so a pump loop always terminates.  Like a real
+    socket it takes any buffer (a header ``bytearray``, a memoryview of
+    any format), and asked for a descriptor it opens a real one, so a
+    selector can watch it for ``EVENT_WRITE`` (then :meth:`close` it).
     """
 
     def __init__(self, decisions):
@@ -76,15 +84,31 @@ class _FlakySocket:
         self._decisions = list(decisions)
         self.syscalls = 0
         self.eagains = 0
+        #: EAGAINs plus calls that took fewer bytes than offered
+        self.short_writes = 0
+        self._pair = ()
+
+    def fileno(self):
+        if not self._pair:
+            self._pair = socket.socketpair()
+        return self._pair[0].fileno()
+
+    def close(self):
+        for end in self._pair:
+            end.close()
 
     def sendmsg(self, iov):
         self.syscalls += 1
         cap = self._decisions.pop(0) if self._decisions else None
         if cap == 0:
             self.eagains += 1
+            self.short_writes += 1
             raise BlockingIOError
+        iov = [memoryview(v).cast("B") for v in iov]
         total = sum(v.nbytes for v in iov)
         take = total if cap is None else min(cap, total)
+        if take < total:
+            self.short_writes += 1
         left = take
         for v in iov:
             if left <= 0:
@@ -557,32 +581,51 @@ def test_eventloop_peer_idle_sends_are_written_by_the_caller(ns):
         owner.close()
 
 
-def test_eventloop_peer_caller_short_write_resumes_on_the_loop(ns):
-    """A caller-thread write the socket only partly accepts hands its
-    remainder to the loop (``EVENT_WRITE``); the remainder and every
-    later send arrive bit-identical and in order."""
+@contextlib.contextmanager
+def _small_buffer_peer(ns, name, metrics=None):
+    """A dialed, idle peer with 4 KiB socket buffers each way whose
+    receiving end nobody reads but the test: ``(loop, conn, accepted)``.
+    No message counts as bulk, so every idle send is the caller's."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
-    metrics = MetricsRegistry()
     errors = []
-    loop = IOLoop("short-write", metrics=metrics).start()
-    with client(ns) as owner, client(ns) as c:
-        owner.register("slow", *listener.getsockname()[:2])
-        conn = EventLoopPeer(
-            "slow", c, loop=loop, hello_from="src",
-            on_error=lambda peer, exc: errors.append((peer, exc)),
-            # no message counts as bulk: the big one below is the caller's
-            transport=TransportPolicy(shm_enabled=False,
-                                      shm_threshold=1 << 30),
-            metrics=metrics)
-        conn.send(_data_frame(0))
-        accepted, _ = listener.accept()
-        assert recv_message(accepted) is not None  # HELLO
-        assert bytes(recv_message(accepted)) == bytes(_data_frame(0)[0])
-        _wait_for(conn._idle, what="dialed and idle")
-        conn._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    loop = IOLoop(name, metrics=metrics).start()
+    try:
+        with client(ns) as owner, client(ns) as c:
+            owner.register(name, *listener.getsockname()[:2])
+            conn = EventLoopPeer(
+                name, c, loop=loop, hello_from="src",
+                on_error=lambda peer, exc: errors.append((peer, exc)),
+                transport=TransportPolicy(shm_enabled=False,
+                                          shm_threshold=1 << 30),
+                metrics=metrics)
+            conn.send(_data_frame(0))
+            accepted, _ = listener.accept()
+            try:
+                assert recv_message(accepted) is not None  # HELLO
+                assert bytes(recv_message(accepted)) == \
+                    bytes(_data_frame(0)[0])
+                _wait_for(conn._idle, what="dialed and idle")
+                conn._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                      4096)
+                yield loop, conn, accepted
+            finally:
+                conn.close()
+                accepted.close()
+    finally:
+        listener.close()
+        loop.close()
+    assert not errors
+
+
+def test_eventloop_peer_caller_short_write_resumes_on_the_loop(ns):
+    """A caller-thread write the socket only partly accepts hands its
+    remainder to the loop (``EVENT_WRITE``); the remainder and every
+    later send arrive bit-identical and in order."""
+    metrics = MetricsRegistry()
+    with _small_buffer_peer(ns, "slow", metrics) as (loop, conn, accepted):
         # Nobody is reading: far more than both socket buffers hold.
         big = bytes(range(256)) * 4096
         conn.send([bytearray([MSG_DATA]), memoryview(big)])
@@ -600,72 +643,180 @@ def test_eventloop_peer_caller_short_write_resumes_on_the_loop(ns):
         assert received[0] == bytes([MSG_DATA]) + big
         assert received[1:] == [bytes(m[0]) for m in later]
         _wait_for(conn._idle, what="drained and idle again")
-        conn.close()
-        accepted.close()
-    listener.close()
-    loop.close()
-    assert not errors
+
+
+def _loop_step(loop, conn):
+    """One step of the loop thread, taken by hand on a loop that was
+    never started: a queued call, else the pass-end flushes, else the
+    peer's write readiness.  False once there is nothing left to do."""
+    if loop._pending:
+        loop._pending.popleft()()
+    elif loop._pass_end:
+        hooks = list(loop._pass_end.values())
+        loop._pass_end.clear()
+        for fn in hooks:
+            fn()
+    elif conn._write_registered:
+        conn._on_writable()
+    else:
+        return False
+    return True
+
+
+_segment = st.one_of(
+    st.binary(max_size=200).map(bytearray),
+    # a view that is not "B": its bytes are nbytes, not len()
+    st.lists(st.floats(), max_size=20).map(
+        lambda xs: memoryview(np.array(xs, dtype=np.float64))),
+)
+_any_message = st.one_of(
+    st.lists(_segment, max_size=3),
+    # more segments than one sendmsg may carry
+    st.integers(0, 3).map(lambda extra: [
+        bytearray([i % 251]) for i in range(MAX_SENDMSG_SEGMENTS + extra)]),
+)
+_write_decisions = st.lists(st.one_of(
+    st.just(0),                                  # EAGAIN
+    st.just(1),                                  # one byte
+    st.integers(2, FRAME_HEADER_BYTES - 1),      # a cut inside the header
+    st.integers(FRAME_HEADER_BYTES, 400),
+    st.none(),                                   # a full write
+), max_size=40)
+
+
+@settings(deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.data_too_large,
+                                 HealthCheck.too_slow])
+@given(st.lists(st.tuples(_any_message, st.integers(0, 3)),
+                min_size=1, max_size=8),
+       _write_decisions)
+def test_caller_write_is_one_sendmsg_and_exact(sends, decisions):
+    """The caller-thread write is one ``sendmsg`` of header + segments;
+    whatever the socket makes of it — EAGAIN, one byte, a cut inside the
+    header, a message with more segments than one call may carry — the
+    bytes the socket takes equal ``send_messages``' for the same
+    messages, so later sends stay behind a remainder, and each short
+    write counts once in ``partial_writes``.  Each send is followed by
+    0–3 steps of the loop, so direct and queued writes interleave."""
+    expected = _FlakySocket([])
+    send_messages(expected, [message for message, _ in sends])
+    metrics = MetricsRegistry()
+    errors = []
+    loop = IOLoop("by-hand", metrics=metrics)  # this test is its thread
+    sock = _FlakySocket(decisions)
+    conn = EventLoopPeer(
+        "mock", None, loop=loop, hello_from="src",
+        on_error=lambda peer, exc: errors.append(exc),
+        transport=TransportPolicy(shm_enabled=False, shm_threshold=1 << 30),
+        metrics=metrics)
+    conn._sock = sock
+    try:
+        for message, steps in sends:
+            conn.send(message)
+            for _ in range(steps):
+                _loop_step(loop, conn)
+        for _ in range(10_000):
+            if not _loop_step(loop, conn):
+                break
+        assert bytes(sock.received) == bytes(expected.received)
+        assert conn._idle() and not errors
+        assert metrics.counter("partial_writes").value == sock.short_writes
+    finally:
+        loop.close()
+        sock.close()
 
 
 def test_eventloop_peer_keeps_each_producers_order(ns):
-    """Four producer threads mixing ``more=True/False`` plus the loop
-    thread, all sending to one peer at once: whichever thread ends up
+    """Four producer threads plus the loop thread, all sending to one
+    peer at once, those the pattern picks starting while the peer is
+    write-blocked: their first frames queue behind the backlog, the
+    others start while it drains and go out directly once it has, so the
+    direct and the queued path interleave.  Whichever thread ends up
     writing, every producer's frames arrive in its own order, none lost
     and none duplicated."""
     producers, per_producer = 4, 200
-    sink = _Sink()
-    owner, loop, conn = _peer(ns, sink, "mixed")
+    filler = [bytearray([MSG_ACK]), memoryview(bytes(1 << 20))]
     rounds = itertools.count()
 
     def tagged(round_no, producer, seq):
         return [bytearray([MSG_DATA])
                 + b"%d:%d:%d" % (round_no, producer, seq)]
 
-    @settings(deadline=None, max_examples=8)
-    @given(st.lists(st.booleans(), min_size=1, max_size=16))
-    def run(pattern):
-        round_no = next(rounds)
-        base = len(sink.frames)
+    def check(loop, conn, reader):
+        @settings(deadline=None, max_examples=8)
+        @given(st.lists(st.booleans(), min_size=producers + 1,
+                        max_size=producers + 1))
+        def run(blocked):
+            # blocked[p]: producer p (the last is the loop thread) starts
+            # while the peer is write-blocked
+            round_no = next(rounds)
+            halfway = [threading.Event() for _ in range(producers + 1)]
 
-        def produce(producer):
-            for seq in range(per_producer):
-                conn.send(tagged(round_no, producer, seq),
-                          pattern[(producer + seq) % len(pattern)])
+            def produce(producer):
+                for seq in range(per_producer):
+                    conn.send(tagged(round_no, producer, seq))
+                    if seq == per_producer // 2:
+                        halfway[producer].set()
 
-        def produce_on_loop(seq=0):
-            conn.send(tagged(round_no, producers, seq))
-            if seq + 1 < per_producer:
-                loop.call(lambda: produce_on_loop(seq + 1))
+            def produce_on_loop(seq=0):
+                conn.send(tagged(round_no, producers, seq))
+                if seq == per_producer // 2:
+                    halfway[producers].set()
+                if seq + 1 < per_producer:
+                    loop.call(lambda: produce_on_loop(seq + 1))
 
-        threads = [threading.Thread(target=produce, args=(p,))
-                   for p in range(producers)]
-        loop.call(produce_on_loop)
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-            assert not t.is_alive()
-        total = (producers + 1) * per_producer
-        _wait_for(lambda: len(sink.frames) >= base + total,
-                  timeout=30, what="every tagged frame")
-        seen = {}
-        for payload in sink.frames[base:]:
-            r, producer, seq = map(int, payload[1:].split(b":"))
-            assert r == round_no
-            seen.setdefault(producer, []).append(seq)
-        assert seen == {p: list(range(per_producer))
-                        for p in range(producers + 1)}
+            def start(producer):
+                if producer == producers:
+                    loop.call(produce_on_loop)
+                    return None
+                thread = threading.Thread(target=produce, args=(producer,))
+                thread.start()
+                return thread
+
+            conn.send(filler)  # nobody reads: both socket buffers fill
+            _wait_for(lambda: conn._write_registered, what="EVENT_WRITE")
+            threads = [start(p) for p in range(producers + 1) if blocked[p]]
+            for p in range(producers + 1):
+                assert not blocked[p] or halfway[p].wait(timeout=30)
+            assert conn._write_registered  # all of that queued
+
+            received = []
+            total = 1 + (producers + 1) * per_producer
+
+            def read():
+                while len(received) < total:
+                    batch = reader.recv_batch()
+                    if batch is None:
+                        return
+                    received.extend(bytes(b) for b in batch)
+
+            collector = threading.Thread(target=read)
+            collector.start()
+            threads += [start(p) for p in range(producers + 1)
+                        if not blocked[p]]
+            for thread in threads + [collector]:
+                if thread is not None:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+            assert len(received) == total
+            assert received[0] == b"".join(bytes(s) for s in filler)
+            seen = {}
+            for payload in received[1:]:
+                r, producer, seq = map(int, payload[1:].split(b":"))
+                assert r == round_no
+                seen.setdefault(producer, []).append(seq)
+            assert seen == {p: list(range(per_producer))
+                            for p in range(producers + 1)}
+
+        run()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # force interleavings inside send()
     try:
-        run()
+        with _small_buffer_peer(ns, "mixed") as (loop, conn, accepted):
+            check(loop, conn, FrameReader(accepted))
     finally:
         sys.setswitchinterval(interval)
-        conn.close()
-        loop.close()
-        sink.close()
-        owner.close()
 
 
 def test_eventloop_peer_bulk_send_goes_through_the_loop(ns):

@@ -222,6 +222,25 @@ def test_unloaded_ring_hop_costs_one_loop_wakeup():
     assert per_call <= 8, f"{per_call:.2f} loop wakeups per ring call"
 
 
+def test_a_window_of_tokens_does_not_travel_as_one_convoy():
+    """A token leaves the kernel that made it when it is made: with the
+    default window of tokens in flight around a 4-kernel ring, a frame
+    is written on its own, not held back with the rest of a batch until
+    the worker's inbox runs dry — which moved the window round the ring
+    as one convoy, one kernel at a time (≈ 7.7 frames per syscall)."""
+    blocks = 256
+    metrics = MetricsRegistry()
+    graph = build_ring_graph(["node01", "node02", "node03", "node04"])
+    with MultiprocessEngine(metrics=metrics) as engine:
+        engine.register_graph(graph)
+        done = engine.run(graph, RingJobToken(512, blocks), timeout=60)
+        engine.collect_traces()
+    assert done.blocks == blocks
+    fps = metrics.histogram("frames_per_syscall")
+    assert fps.count and fps.total / fps.count <= 2.0, \
+        f"{fps.total / max(1, fps.count):.2f} frames per syscall"
+
+
 def test_thread_state_persists_across_runs():
     """DPS thread state lives in the kernel process and must survive
     successive activations (distributed data structures, paper §2)."""

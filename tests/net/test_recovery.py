@@ -45,6 +45,25 @@ def test_journal_record_prune_roundtrip():
     assert [e.frames[-1].index for e in j.replay_all(10.0)] == [0, 2]
 
 
+def test_journal_on_drained_fires_once_on_the_last_prune():
+    """The member barrier's wakeup: the prune that removes the last
+    entry calls ``on_drained``, and nothing else does — not a prune
+    that leaves entries, not a no-op prune of an empty journal."""
+    drained = []
+    j = TokenJournal(on_drained=lambda: drained.append(len(j)))
+    for i in range(3):
+        j.record(_env(7, i), now=0.0)
+    j.prune(7, 0)
+    j.prune(7, 99)  # unknown: no-op
+    j.prune(7, 2)
+    assert drained == []
+    j.prune(7, 1)
+    assert drained == [0]
+    j.prune(7, 1)  # already pruned
+    j.prune(8, 0)
+    assert drained == [0]
+
+
 def test_journal_stale_scan_stops_at_first_fresh_entry():
     j = TokenJournal()
     j.record(_env(1, 0), now=0.0)
