@@ -20,9 +20,10 @@ of the dial path keep their blocking calls).
   ``partial_writes``.  One rule picks the writing thread
   (:meth:`EventLoopPeer.send`): a message with nothing queued ahead of
   it leaves when it is made, one ``sendmsg`` on the thread that made
-  it; a backlog, a bulk message and what the loop itself sends queue on
-  the peer's outbox, flushed as one vectored write at the loop's
-  quiescent point (:meth:`IOLoop.at_pass_end`).
+  it — the loop thread included, where a kernel's operation bodies
+  run; a backlog, a bulk message and a blocked socket queue on the
+  peer's outbox, flushed as one vectored write at the loop's quiescent
+  point (:meth:`IOLoop.at_pass_end`).
 - **Reads** are readiness-driven: adopted connections register for
   ``EVENT_READ`` and feed :meth:`~repro.net.framing.FrameReader.recv_ready`
   batches straight into the owner's dispatch path.
@@ -34,9 +35,14 @@ of the dial path keep their blocking calls).
   ``io_loop_wakeups`` counts loop iterations.
 - **Timers**: :meth:`IOLoop.call_later` is the owner's one timer queue
   (a heap whose earliest deadline bounds the ``select`` timeout, read
-  from an injected clock).  Whatever an owner does "every so often" —
-  heartbeat, resend aging, liveness and autoscale ticks — is a timer
-  here, not a thread; a callback must never wait on another process.
+  from an injected clock; a deadline under a millisecond away is polled
+  for, since epoll would round it up to one).  Whatever an owner does
+  "every so often" — heartbeat, resend aging, liveness and autoscale
+  ticks, a body's ``sleep`` — is a timer here, not a thread; a callback
+  must never wait on another process.
+- **Queued calls** run one pass's worth at a time: what a call queues in
+  turn waits for the next pass, so timers and reads interleave with a
+  chain of calls (a DPS thread working through its inbox).
 
 A platform without a working selector or ``socketpair`` cannot run
 CPython's own asyncio either; :class:`IOLoop` simply raises there.
@@ -71,6 +77,10 @@ _WAKE = b"\x00"
 #: instead of waiting for the loop's quiescent point (with the byte
 #: budget, this bounds queued memory).
 _MAX_BATCH_FRAMES = 256
+
+#: The shortest ``select`` timeout the loop passes in; epoll counts in
+#: whole milliseconds and rounds up.
+_SELECT_RESOLUTION = 1e-3
 
 
 class VectoredSender:
@@ -205,16 +215,19 @@ class _Timer:
     """Handle of one :meth:`IOLoop.call_later`; :meth:`cancel` it before
     it fires and it never will."""
 
-    __slots__ = ("when", "seq", "fn")
+    __slots__ = ("when", "seq", "fn", "loop")
 
-    def __init__(self, when: float, seq: int, fn: Callable[[], None]):
-        self.when, self.seq, self.fn = when, seq, fn
+    def __init__(self, when: float, seq: int, fn: Callable[[], None],
+                 loop: "IOLoop"):
+        self.when, self.seq, self.fn, self.loop = when, seq, fn, loop
 
     def __lt__(self, other: "_Timer") -> bool:
         return (self.when, self.seq) < (other.when, other.seq)
 
     def cancel(self) -> None:
-        self.fn = None
+        if self.fn is not None:
+            self.fn = None
+            self.loop._cancelled += 1
 
 
 class IOLoop:
@@ -237,6 +250,8 @@ class IOLoop:
         self._clock = clock
         #: heap of armed timers, touched on the loop thread only
         self._timers: List[_Timer] = []
+        #: timers cancelled since the heap was last rid of them
+        self._cancelled = 0
         self._timer_seq = itertools.count()
         self._selector = selectors.DefaultSelector()
         r, w = socket.socketpair()
@@ -323,7 +338,8 @@ class IOLoop:
         call order); a periodic job re-arms itself from its callback.
         Timers still armed at :meth:`close` are dropped.
         """
-        timer = _Timer(self._clock() + delay, next(self._timer_seq), fn)
+        timer = _Timer(self._clock() + delay, next(self._timer_seq), fn,
+                       self)
         if not self._closed:
             # Through the queue even on the loop thread: the wakeup makes
             # the loop recompute its select timeout, and a zero-delay
@@ -334,6 +350,12 @@ class IOLoop:
     def _run_timers(self) -> Optional[float]:
         """Fire what is due; seconds until the next deadline, if any."""
         timers = self._timers
+        if self._cancelled > max(64, len(timers) // 2):
+            # A cancelled timer stays in the heap until its deadline; one
+            # per call (a service call's timeout) would pile up.
+            timers[:] = [t for t in timers if t.fn is not None]
+            heapq.heapify(timers)
+            self._cancelled = 0
         now = self._clock()
         while timers:
             timer = timers[0]
@@ -453,7 +475,7 @@ class IOLoop:
         The flush-coalescing point: hooks are carried across
         back-to-back zero-timeout passes (a burst of queued work) and
         run only when the loop is about to block in ``select`` — so
-        frames produced anywhere in the burst (including by worker
+        frames queued anywhere in the burst (including by other
         threads that got the GIL during its syscalls) share one flush
         instead of one syscall per wakeup.  Keyed registration dedups —
         a second ``at_pass_end`` for the same *key* replaces the first.
@@ -484,6 +506,11 @@ class IOLoop:
             counter = self._metrics.counter("io_loop_wakeups")
         while True:
             timeout = self._run_timers() if self._timers else None
+            if timeout is not None and timeout < _SELECT_RESOLUTION:
+                # epoll rounds a timeout up to whole milliseconds: a timer
+                # due sooner is polled for (serving I/O meanwhile), never
+                # slept for a millisecond.
+                timeout = 0
             # Never block while work is queued: a call() racing the
             # flag/byte handoff above can leave pending non-empty with
             # no wake byte in flight for at most one pass.  _in_select
@@ -511,10 +538,13 @@ class IOLoop:
                 counter.inc()
             for key, _mask in events:
                 _guarded(key.data)
-            while pending:
+            # What is queued now, not what these calls queue in turn: a
+            # DPS thread advanced one inbox item per call lets timers and
+            # I/O run between its items.
+            for _ in range(len(pending)):
                 try:
                     fn = pending.popleft()
-                except IndexError:  # pragma: no cover - producer race
+                except IndexError:  # pragma: no cover - closed mid-pass
                     break
                 _guarded(fn)
 
@@ -580,22 +610,21 @@ class EventLoopPeer:
     def send(self, segments: List[Segment]) -> None:
         """Send one message.
 
-        One rule picks the thread that writes.  A small message with
-        nothing queued ahead of it on an attached, unblocked socket,
-        from a caller that is not the loop, leaves when it is made: one
-        ``sendmsg`` on the calling thread (:meth:`_write_now`).  Handing
-        it to the loop adds a thread hand-off to the hop; holding it
-        back for frames that may follow makes the next kernel wait for
-        the batch, so a window of tokens moves down a pipeline as one
-        convoy instead of overlapping the hops.  Everything else — a
-        backlog, a blocked or undialed socket, a segment of shm-lane
-        size (the arena copy is the loop's work; ``ring_large`` read
-        4 % more CPU per token with it on the worker), whatever the
-        loop thread sends — queues on the outbox, and the loop flushes
-        it at its quiescent point as one vectored write.
+        One rule, whichever thread calls: a small message with nothing
+        queued ahead of it on an attached, unblocked socket leaves when
+        it is made, one ``sendmsg`` on the calling thread
+        (:meth:`_write_now`) — an operation body's output on the loop
+        thread, an activation's entry token on its caller's.  Holding
+        it back for frames that may follow makes the next kernel wait
+        for the batch, so a window of tokens moves down a pipeline as
+        one convoy instead of overlapping the hops; handing it to the
+        loop from another thread adds a thread hand-off to the hop.
+        Everything else — a backlog, a blocked or undialed socket, a
+        segment of shm-lane size (the arena copy is made where the
+        outbox drains) — queues on the outbox, and the loop flushes it
+        at its quiescent point as one vectored write.
         """
         if self._idle() \
-                and not self._loop.on_loop_thread() \
                 and not self._bulk(segments) \
                 and self._write_lock.acquire(blocking=False):
             try:
@@ -694,9 +723,9 @@ class EventLoopPeer:
                 self._flush()
             else:
                 # Flush at the loop's next quiescent point, not inline:
-                # the rest of the burst (reads handing tokens to worker
-                # threads, later pumps) runs first, and frames those
-                # produce ride the same vectored write.  Latency cost is
+                # the rest of the burst (reads, operation bodies, later
+                # pumps) runs first, and frames those queue ride the
+                # same vectored write.  Latency cost is
                 # the burst remainder — the loop was busy anyway —
                 # against one syscall per wakeup; this is where the
                 # event loop gets the natural backpressure batching of a

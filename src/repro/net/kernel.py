@@ -1,13 +1,21 @@
-"""Distributed DPS kernel: the ThreadedEngine dispatch loop over TCP.
+"""Distributed DPS kernel: the scheduler core on an I/O loop, over TCP.
 
 One :class:`DistributedKernel` runs in each OS process and hosts the DPS
 threads whose collections are mapped onto its node name (kernel names
 *are* logical node names, matching the paper's "kernels are named so that
 applications do not need to be aware of the machines they are running
-on").  It is the OS-thread scheduler substrate of
-:class:`~repro.runtime.threaded_engine.ThreadedEngine` with the transport
-hooks of the substrate interface (:mod:`repro.runtime.scheduler`)
-overridden where the single-process engine assumes shared memory:
+on").  It is the third scheduler substrate (:mod:`repro.runtime.scheduler`),
+built the way :class:`~repro.runtime.controller.SimController` is: a
+hosted DPS thread is a handle — an inbox deque and the
+``Scheduler.handle()`` generator of the item in progress — that the
+kernel's :class:`~repro.net.eventloop.IOLoop` advances one inbox item at
+a time up to the item's next wait, and a wait is resumed from a loop
+callback (an admit gate opening, a ``call_later`` timer, a nested
+activation's result).  No OS thread per DPS thread: a worker kernel is
+its main thread and its loop.  Activations, result routing and failure
+surfacing come from :class:`~repro.runtime.threaded_engine.ThreadedEngine`,
+with the transport hooks overridden where the single-process engine
+assumes shared memory:
 
 ====================  =================================================
 hook                  distributed behaviour
@@ -23,7 +31,7 @@ hook                  distributed behaviour
                       depth-0 results, scatter outputs and scatter group
                       sizes are routed to the activation's
                       ``ctx_origin`` kernel
-``_propagate_failure``  local worker exceptions are broadcast so every
+``_propagate_failure``  local body exceptions are broadcast so every
                       kernel's callers fail fast instead of hanging
 ====================  =================================================
 
@@ -39,12 +47,18 @@ import os
 import socket
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, \
+    Tuple
 
 from ..core.flowcontrol import FlowControlPolicy, StreamPolicy
 from ..core.graph import Flowgraph
+from ..core.ops import CallGraphRequest, ChargeRequest, PostRequest, \
+    ScatterCallRequest, SleepRequest
 from ..core.routing import RoutingPolicy
-from ..runtime.base import DataEnvelope, GroupFrame, KernelFailure
+from ..core.threads import DpsThread, ThreadCollection
+from ..runtime.base import DataEnvelope, GroupFrame, KernelFailure, \
+    ScheduleError
 from ..runtime.threaded_engine import ThreadedEngine
 from ..serial import fastpath
 from ..serial.token import Token
@@ -88,8 +102,62 @@ class _ConnState:
             shm_rx.close()
 
 
+class _LoopThread:
+    """One hosted DPS thread: an inbox and the inbox item in progress,
+    touched by the kernel's loop thread only."""
+
+    __slots__ = ("collection", "index", "thread", "node_name", "inbox",
+                 "steps", "scheduled")
+
+    def __init__(self, collection: ThreadCollection, index: int,
+                 thread: Optional[DpsThread] = None):
+        self.collection = collection
+        self.index = index
+        self.thread = (thread if thread is not None
+                       else collection.make_thread(index))
+        self.node_name = collection.node_of(index)
+        self.inbox: Deque[Any] = deque()
+        #: ``Scheduler.handle()`` of the item in progress, running or
+        #: parked at a wait; ``None`` while the thread is idle
+        self.steps = None
+        #: an ``_advance`` of this thread is queued on the loop
+        self.scheduled = False
+
+    def depth(self) -> int:
+        return len(self.inbox)
+
+
+class _Gate:
+    """The admit gate of a stalled post, on the loop.
+
+    As with ``threading.Event``, an opening that comes before the wait
+    is not lost.  Both happen on the loop thread (``open_gate`` hands an
+    opening over with ``IOLoop.call``); the waiter is the parked body's
+    resume callback.
+    """
+
+    __slots__ = ("opened", "waiter")
+
+    def __init__(self) -> None:
+        self.opened = False
+        self.waiter: Optional[Callable[[], None]] = None
+
+    def open(self) -> None:
+        self.opened = True
+        waiter, self.waiter = self.waiter, None
+        if waiter is not None:
+            waiter()
+
+
 class DistributedKernel(ThreadedEngine):
-    """A ThreadedEngine whose peers live in other processes."""
+    """A kernel process's share of the schedule, run on its I/O loop.
+
+    On a multiprocess kernel a body waits only through the requests it
+    yields — a stalled post, ``sleep``, ``call_graph``, ``call_scatter``.
+    Anything else it waits for (a blocking call, a long computation)
+    holds the loop, and with it every socket and timer of the kernel:
+    the heartbeat that renews the kernel's lease included.
+    """
 
     def __init__(self, name: str, ordinal: int,
                  ns_address: Tuple[str, int],
@@ -163,13 +231,12 @@ class DistributedKernel(ThreadedEngine):
         # Voluntary rebalances quiesce the console first: new
         # activations park on this gate while a membership barrier is in
         # flight, and the rebalance waits for in-flight activations to
-        # drain.  Nested graph calls (CallGraphRequest re-entering run()
-        # on a worker thread of an active run) bypass the gate via the
-        # per-thread depth, or the drain could never reach zero.
+        # drain.  A body's graph call starts its activation on the loop
+        # and never passes the gate: the enclosing activation is already
+        # counted.
         self._run_gate = threading.Condition()
         self._active_runs = 0
         self._rebalancing = False
-        self._run_tls = threading.local()
         #: Peers that retired gracefully; their connections breaking is
         #: expected, not a failure (and not a kernel-down event).
         self._retired_peers: set = set()
@@ -250,25 +317,15 @@ class DistributedKernel(ThreadedEngine):
     # run gate (quiesce point for voluntary rebalances)
     # ------------------------------------------------------------------
     def run(self, graph, token: Token, timeout: float = 60.0) -> Token:
-        # Nested activations (CallGraphRequest bodies) arrive on dps
-        # worker threads and must bypass the gate: the enclosing
-        # activation is already counted, and parking the inner call
-        # would deadlock the drain.
-        nested = (getattr(self._run_tls, "depth", 0) > 0
-                  or getattr(self._here, "node_name", None) is not None)
-        if not nested:
-            with self._run_gate:
-                self._run_gate.wait_for(lambda: not self._rebalancing)
-                self._active_runs += 1
-        self._run_tls.depth = getattr(self._run_tls, "depth", 0) + 1
+        with self._run_gate:
+            self._run_gate.wait_for(lambda: not self._rebalancing)
+            self._active_runs += 1
         try:
             return super().run(graph, token, timeout=timeout)
         finally:
-            self._run_tls.depth -= 1
-            if not nested:
-                with self._run_gate:
-                    self._active_runs -= 1
-                    self._run_gate.notify_all()
+            with self._run_gate:
+                self._active_runs -= 1
+                self._run_gate.notify_all()
 
     def _resend_stale(self) -> None:
         """Loop timer: re-deliver journal entries un-acked for
@@ -355,6 +412,10 @@ class DistributedKernel(ThreadedEngine):
             self.metrics.clear()
 
     def shutdown(self) -> None:
+        with self.lock:
+            if self._closed:
+                return
+            self._closed = True  # from here on no body starts or resumes
         self._shutdown_requested.set()
         self._pool.close_all()  # flush needs the loop still running
         self._io_loop.close()
@@ -362,7 +423,171 @@ class DistributedKernel(ThreadedEngine):
         # covers a kernel that was never started.
         self._listener.close()
         self._ns.close()
-        super().shutdown()
+        self.scheduler.release_stalled()
+
+    # ------------------------------------------------------------------
+    # the loop substrate: hosted DPS threads run on the I/O loop
+    # ------------------------------------------------------------------
+    def _new_worker(self, collection: ThreadCollection, index: int,
+                    thread: Optional[DpsThread] = None) -> _LoopThread:
+        return _LoopThread(collection, index, thread)
+
+    new_gate = _Gate
+
+    def open_gate(self, gate: _Gate) -> None:
+        # Any thread: release_stalled runs wherever a failure lands.
+        self._io_loop.call(gate.open)
+
+    def enqueue(self, handle: _LoopThread, item: Any) -> None:
+        """Queue *item* for *handle*, any thread: a handle is the loop's
+        alone, so another thread hands the item over with ``call``."""
+        if not self._io_loop.on_loop_thread():
+            if not self._io_loop.closed:
+                self._io_loop.call(lambda: self.enqueue(handle, item))
+            return
+        handle.inbox.append(item)
+        self._schedule(handle)
+
+    def _schedule(self, handle: _LoopThread) -> None:
+        """Queue an ``_advance`` for an idle handle with input."""
+        if handle.inbox and handle.steps is None and not handle.scheduled:
+            handle.scheduled = True
+            self._io_loop.call(lambda: self._advance(handle))
+
+    def _advance(self, handle: _LoopThread) -> None:
+        """Loop callback: start *handle*'s next inbox item if it is idle."""
+        handle.scheduled = False
+        if handle.steps is not None or not handle.inbox or self._closed:
+            return
+        item = handle.inbox.popleft()
+        if isinstance(item, threading.Event):  # _evict_thread's marker
+            with self.lock:
+                self._workers.pop((id(handle.collection), handle.index), None)
+            item.set()
+            return
+        handle.steps = self.scheduler.handle(handle, item)
+        self._step(handle, None)
+
+    def _step(self, handle: _LoopThread, outcome: Any) -> None:
+        """Run *handle*'s item in progress up to its next wait or its end
+        (loop thread).  A wait is resumed by a callback; a raising body
+        fails the engine."""
+        steps = handle.steps
+        try:
+            while True:
+                try:
+                    body, step = steps.send(outcome)
+                except StopIteration:
+                    break
+                outcome = None
+                if isinstance(step, ChargeRequest):
+                    continue  # virtual cost, meaningless on real threads
+                resume = lambda value=None: self._resume(handle, value)
+                if isinstance(step, _Gate):
+                    if self._failure is not None or self._closed:
+                        # released, not admitted: no ack is coming
+                        handle.steps = None
+                        return
+                    if step.opened:
+                        continue
+                    step.waiter = resume
+                elif isinstance(step, SleepRequest):
+                    self._io_loop.call_later(step.seconds, resume)
+                elif isinstance(step, CallGraphRequest):
+                    self._call_graph(step, resume)
+                else:
+                    self._call_scatter(step, body, resume)
+                return
+        except BaseException as exc:
+            handle.steps = None
+            self._record_failure(exc)
+            return
+        # Done: an idle handle must not keep its last token (arrays
+        # decoded in place hold a block of the sender's shm arena).
+        handle.steps = None
+        self._schedule(handle)
+
+    def _resume(self, handle: _LoopThread, outcome: Any) -> None:
+        """Continue *handle*'s parked item with *outcome* (loop thread).
+        A body parked when the engine failed or shut down is dropped."""
+        if self._failure is not None or self._closed:
+            handle.steps = None
+            return
+        self._step(handle, outcome)
+
+    def _on_loop(self, fn: Callable[[Any], None]) -> Callable[[Any], None]:
+        """A result callback for any thread that runs *fn* on the loop."""
+        return lambda item: self._io_loop.call(lambda: fn(item))
+
+    def _retire(self, ctx_id: int, **fields: Any) -> None:
+        """Forget a body's nested activation: what it still hands back
+        (a duplicate queued behind its last item) is dropped."""
+        with self.lock:
+            self._results.pop(ctx_id, None)
+        if self.tracer is not None:
+            self.trace("activation_done", ctx=ctx_id, **fields)
+
+    def _call_graph(self, step: CallGraphRequest,
+                    resume: Callable[[Any], None]) -> None:
+        """Start the activation a body's ``call_graph`` asks for; *resume*
+        gets its result token (or the engine's failure)."""
+        graph = self._resolve_entry(step.graph_name, step.token)
+
+        def arrived(item: Any) -> None:
+            if ctx_id in self._results:
+                self._retire(ctx_id)
+                resume(item)
+
+        ctx_id = self._activate(graph, step.token, self._on_loop(arrived))
+
+    def _call_scatter(self, step: ScatterCallRequest, body,
+                      resume: Callable[[Any], None]) -> None:
+        """Start a body's ``call_scatter``: each output is posted as
+        *body*'s own as it arrives, and *resume* gets the group total
+        once every output is in."""
+        graph = self.graph(step.graph_name)
+        if not graph.scatter:
+            raise ScheduleError(
+                f"graph {step.graph_name!r} is not a scatter graph")
+        posted, total = 0, None
+
+        def arrived(item: Any) -> None:
+            nonlocal posted, total
+            if ctx_id not in self._results:
+                return
+            if isinstance(item, BaseException):
+                self._retire(ctx_id)
+                resume(item)  # the engine failed: the body is dropped
+                return
+            if isinstance(item, Token):
+                try:
+                    self.scheduler.emit(body, PostRequest(item))
+                except BaseException as exc:  # the body's post raised
+                    self._retire(ctx_id)
+                    self._record_failure(exc)
+                    return
+                posted += 1
+            else:
+                total = item
+            if total is not None and posted >= total:
+                self._retire(ctx_id, scatter=True)
+                resume(total)
+
+        ctx_id = self._activate(graph, step.token, self._on_loop(arrived))
+
+    def _evict_thread(self, collection: ThreadCollection,
+                      index: int) -> Optional[DpsThread]:
+        """Detach instance *index* once what is queued for it has run;
+        returns its thread object (``None`` if it never ran here).  Only
+        valid while the cluster is quiesced."""
+        with self.lock:
+            handle = self._workers.get((id(collection), index))
+        if handle is None:
+            return None
+        evicted = threading.Event()
+        self.enqueue(handle, evicted)
+        evicted.wait(timeout=10)
+        return handle.thread
 
     # ------------------------------------------------------------------
     # sending side: the substrate's transport hooks
@@ -371,7 +596,7 @@ class DistributedKernel(ThreadedEngine):
         node = env.graph.node(env.node_id)
         target = node.collection.node_of(env.instance)
         if target == self.name:
-            self._worker_for(node.collection, env.instance).inbox.put(env)
+            self.enqueue(self._worker_for(node.collection, env.instance), env)
             return
         if self.tracer is None and self.metrics is None:
             segments = P.encode_data(env)
@@ -840,7 +1065,7 @@ class DistributedKernel(ThreadedEngine):
                     time.sleep(rng.random() * self.faults.delay_ms / 1000.0)
             env: DataEnvelope = value
             node = env.graph.node(env.node_id)
-            self._worker_for(node.collection, env.instance).inbox.put(env)
+            self.enqueue(self._worker_for(node.collection, env.instance), env)
         elif kind == P.MSG_ACK:
             self.scheduler.apply_ack(
                 value.graph_name, value.opener, value.opener_instance,

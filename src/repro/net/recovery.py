@@ -207,7 +207,9 @@ class ReplayDedup:
     __slots__ = ("_groups", "_order", "_cap")
 
     def __init__(self, cap: int = 1 << 16):
-        self._groups: Dict[Tuple, Set[int]] = {}
+        #: key -> (the key as first stored, indexes seen): entries of a
+        #: group share that key object, not one decoded copy each
+        self._groups: Dict[Tuple, Tuple[Tuple, Set[int]]] = {}
         self._order: Deque[Tuple] = deque()
         self._cap = cap
 
@@ -217,11 +219,12 @@ class ReplayDedup:
     def fresh(self, consumer, group_id: int, index: int) -> bool:
         """Record and admit the first sighting; reject duplicates."""
         key = (consumer, group_id)
-        seen = self._groups.get(key)
-        if seen is None:
-            seen = self._groups[key] = set()
-        elif index in seen:
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = (key, set())
+        elif index in group[1]:
             return False
+        key, seen = group
         seen.add(index)
         order = self._order
         order.append((key, index))
@@ -229,8 +232,8 @@ class ReplayDedup:
             old_key, old_idx = order.popleft()
             old = self._groups.get(old_key)
             if old is not None:
-                old.discard(old_idx)
-                if not old:
+                old[1].discard(old_idx)
+                if not old[1]:
                     del self._groups[old_key]
         return True
 

@@ -28,7 +28,8 @@ generator yielding ``(body, step)`` only where a body must *wait* — for
 the gate of a stalled post, a ``ChargeRequest``, a ``SleepRequest``, a
 graph call or a scatter call — and taking the step's outcome back.  The
 substrate alone decides how waiting happens (a simulation event, a
-blocking call) and who runs next.
+blocking call, a loop callback that resumes the generator) and who runs
+next.
 """
 
 from __future__ import annotations

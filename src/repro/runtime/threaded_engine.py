@@ -23,7 +23,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..core.flowcontrol import FlowControlPolicy, StreamPolicy
 from ..core.graph import Flowgraph
@@ -99,6 +99,9 @@ class _ThreadWorker:
             # in place hold a block of the sender's shm arena.
             item = steps = body = step = outcome = None
 
+    def depth(self) -> int:
+        return self.inbox.qsize()
+
 
 class ThreadedEngine(Engine):
     """Execute DPS schedules on real OS threads with blocking queues.
@@ -128,10 +131,11 @@ class ThreadedEngine(Engine):
         self._here = threading.local()
         self._group_counter = 0
         self._ctx_counter = 0
-        #: ctx_id -> queue the activation's caller waits on: the result
-        #: token of a graph call; every output token, then the group
-        #: total, of a scatter call; an exception if the engine fails
-        self._results: Dict[int, "queue.SimpleQueue"] = {}
+        #: ctx_id -> callable taking what the activation hands its caller:
+        #: the result token of a graph call; every output token, then the
+        #: group total, of a scatter call; an exception if the engine
+        #: fails.  For a caller blocked on a queue it is ``queue.put``.
+        self._results: Dict[int, Callable[[Any], None]] = {}
         self._failure: Optional[BaseException] = None
         self._closed = False
         #: Kernel name stamped on activations this engine starts; ``None``
@@ -158,12 +162,12 @@ class ThreadedEngine(Engine):
     # running
     # ------------------------------------------------------------------
     def _activate(self, graph: Flowgraph, token: Token,
-                  result_q: "queue.SimpleQueue") -> int:
+                  on_result: Callable[[Any], None]) -> int:
         """Register an activation and send its input token to the entry."""
         with self.lock:
             self._ctx_counter += 1
             ctx_id = self._ctx_counter
-            self._results[ctx_id] = result_q
+            self._results[ctx_id] = on_result
             instance = self.scheduler.entry_route(graph)(token)
         if self.tracer is not None:
             self.trace("activation_start", graph=graph.name,
@@ -186,7 +190,7 @@ class ThreadedEngine(Engine):
             ) from failure
         result_q: "queue.SimpleQueue" = queue.SimpleQueue()
         started_at = time.monotonic()
-        ctx_id = self._activate(graph, token, result_q)
+        ctx_id = self._activate(graph, token, result_q.put)
         try:
             outcome = result_q.get(timeout=timeout)
         except queue.Empty:
@@ -215,7 +219,7 @@ class ThreadedEngine(Engine):
                 f"graph {request.graph_name!r} is not a scatter graph"
             )
         arrivals: "queue.SimpleQueue" = queue.SimpleQueue()
-        ctx_id = self._activate(graph, request.token, arrivals)
+        ctx_id = self._activate(graph, request.token, arrivals.put)
         delivered, total = 0, None
         try:
             while total is None or delivered < total:
@@ -243,9 +247,9 @@ class ThreadedEngine(Engine):
         """Hand a result token, scatter output or scatter total to the
         activation's waiting caller."""
         with self.lock:
-            result_q = self._results.get(ctx_id)
-        if result_q is not None:
-            result_q.put(item)
+            on_result = self._results.get(ctx_id)
+        if on_result is not None:
+            on_result(item)
         elif not late_ok:
             raise ScheduleError(f"result for unknown activation {ctx_id}")
 
@@ -254,12 +258,12 @@ class ThreadedEngine(Engine):
         with self.lock:
             if self._failure is None:
                 self._failure = exc
-            queues = list(self._results.values())
+            callers = list(self._results.values())
         # A worker parked on an admit gate would wait for an ack the
         # failed run may never send: let it go (see perform).
         self.scheduler.release_stalled()
-        for q in queues:
-            q.put(exc)
+        for on_result in callers:
+            on_result(exc)
         if propagate:
             self._propagate_failure(exc)
 
@@ -274,9 +278,14 @@ class ThreadedEngine(Engine):
             key = (id(collection), index)
             worker = self._workers.get(key)
             if worker is None:
-                worker = _ThreadWorker(self, collection, index)
-                self._workers[key] = worker
+                worker = self._workers[key] = self._new_worker(collection,
+                                                               index)
             return worker
+
+    def _new_worker(self, collection: ThreadCollection, index: int,
+                    thread: Optional[DpsThread] = None) -> _ThreadWorker:
+        """A handle for hosted instance *index* (the substrate's kind)."""
+        return _ThreadWorker(self, collection, index, thread)
 
     def thread(self, collection: ThreadCollection,
                index: int) -> Optional[DpsThread]:
@@ -319,8 +328,7 @@ class ThreadedEngine(Engine):
                 raise ScheduleError(
                     f"instance {collection.name}[{index}] is already "
                     f"hosted here; cannot adopt migrated state")
-            self._workers[key] = _ThreadWorker(self, collection, index,
-                                               thread=thread)
+            self._workers[key] = self._new_worker(collection, index, thread)
 
     # ------------------------------------------------------------------
     # scheduler substrate (see repro.runtime.scheduler); the distributed
@@ -416,6 +424,6 @@ class ThreadedEngine(Engine):
         ones count as empty), or of all of them without arguments."""
         with self.lock:
             if collection is None:
-                return sum(w.inbox.qsize() for w in self._workers.values())
+                return sum(w.depth() for w in self._workers.values())
             worker = self._workers.get((id(collection), index))
-        return worker.inbox.qsize() if worker is not None else 0
+        return worker.depth() if worker is not None else 0

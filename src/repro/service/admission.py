@@ -4,8 +4,8 @@ One frozen policy object answers the three questions a multi-tenant
 service console has to settle before it touches a request:
 
 - how many graph calls may *execute* concurrently (``max_concurrent`` —
-  one worker thread each, so this also bounds scheduler pressure on the
-  kernel cluster),
+  activations in flight on the console's loop, so this also bounds
+  scheduler pressure on the kernel cluster),
 - how many admitted calls may *wait* behind them (``max_queue`` —
   bounded queueing converts overload into fast ``MSG_SVC_BUSY`` sheds
   instead of unbounded latency), and
@@ -33,7 +33,7 @@ __all__ = ["AdmissionPolicy"]
 class AdmissionPolicy:
     """Knobs for the service console's admission decisions."""
 
-    #: Graph calls executing at once (service worker threads).
+    #: Graph calls executing at once (activations in flight).
     max_concurrent: int = 4
     #: Admitted calls allowed to queue behind the executing ones.
     max_queue: int = 16

@@ -23,12 +23,14 @@ The console-side protocol, implemented by :class:`ServiceKernel`:
    ``MSG_SVC_BUSY`` when the console is draining, the session window is
    full, or the bounded queue is at capacity — a shed burns the id, so
    busy retries arrive under a new one.
-3. Admitted calls queue for a fixed pool of service workers; each
-   worker drives one activation through the ordinary
-   ``DistributedKernel.run`` path (so the fault-tolerance machinery —
+3. An admitted call is started as an activation on the console's I/O
+   loop — at most ``max_concurrent`` in flight, later ones waiting in
+   admission order — through the same activation path as
+   ``DistributedKernel.run`` (so the fault-tolerance machinery —
    heartbeats, remap, split-boundary replay — applies to service
-   traffic unchanged) and answers ``MSG_SVC_REPLY`` on success or
-   ``MSG_SVC_ERROR`` with the pickled exception on failure.
+   traffic unchanged).  Its result callback answers ``MSG_SVC_REPLY``
+   on success or ``MSG_SVC_ERROR`` with the pickled exception on
+   failure or timeout.
 4. ``drain_and_shutdown`` unpublishes the records, stops admitting
    (``draining`` sheds), waits for in-flight calls to finish, then
    tears the cluster down.
@@ -43,10 +45,10 @@ timeline.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..core.flowcontrol import SplitWindow
 from ..core.graph import Flowgraph
@@ -59,9 +61,6 @@ from .admission import AdmissionPolicy
 from .records import graph_signature
 
 __all__ = ["ServiceEngine", "ServiceKernel"]
-
-#: Worker-queue sentinel ordering a service worker to exit.
-_SVC_STOP = object()
 
 
 class _Session:
@@ -95,8 +94,11 @@ class ServiceKernel(DistributedKernel):
         #: Exactly-once admission keyed by (client, session, request id):
         #: the same machinery the data plane uses for replay dedup.
         self._svc_dedup = ReplayDedup()
-        self._svc_queue: "queue.Queue" = queue.Queue()
-        self._svc_workers: List[threading.Thread] = []
+        #: admitted calls not started yet, in admission order (loop thread)
+        self._svc_waiting: Deque[tuple] = deque()
+        #: activations in flight, at most ``admission.max_concurrent``
+        self._svc_running = 0
+        #: admitted and not yet answered: waiting + running
         self._svc_outstanding = 0
         self._svc_draining = False
 
@@ -111,16 +113,6 @@ class ServiceKernel(DistributedKernel):
         self._ns.register_service(public_name, self.name,
                                   in_types, out_types)
 
-    def start_service_workers(self) -> None:
-        if self._svc_workers:
-            return
-        for i in range(self.admission.max_concurrent):
-            worker = threading.Thread(
-                target=self._svc_worker_loop,
-                name=f"dps-svc-worker-{i}", daemon=True)
-            worker.start()
-            self._svc_workers.append(worker)
-
     def svc_drain(self, timeout: float = 30.0) -> bool:
         """Stop admitting, let in-flight calls finish; True when empty."""
         with self._svc_lock:
@@ -132,14 +124,8 @@ class ServiceKernel(DistributedKernel):
             except Exception:
                 pass  # name server already gone: nothing left to unpublish
         with self._svc_idle:
-            drained = self._svc_idle.wait_for(
+            return self._svc_idle.wait_for(
                 lambda: self._svc_outstanding == 0, timeout=timeout)
-        workers, self._svc_workers = self._svc_workers, []
-        for _ in workers:
-            self._svc_queue.put(_SVC_STOP)
-        for worker in workers:
-            worker.join(timeout=2.0)
-        return drained
 
     def svc_stats(self) -> Dict[str, object]:
         with self._svc_lock:
@@ -240,12 +226,7 @@ class ServiceKernel(DistributedKernel):
                 self._svc_outstanding += 1
                 if self.metrics is not None:
                     self.metrics.counter("svc_calls").inc()
-                    self.metrics.gauge("svc_inflight").set(
-                        min(self._svc_outstanding,
-                            self.admission.max_concurrent))
-                    self.metrics.gauge("svc_queue_depth").set(max(
-                        0, self._svc_outstanding
-                        - self.admission.max_concurrent))
+                self._svc_gauges()
             else:
                 session.window.on_stall()
                 if self.metrics is not None:
@@ -259,24 +240,57 @@ class ServiceKernel(DistributedKernel):
         if self.tracer is not None:
             self.trace("svc_call", client=client, request=request_id,
                        service=service)
-        self._svc_queue.put((client, session, request_id, service, graph,
-                             token, time.monotonic()))
+        self._svc_waiting.append((client, session, request_id, service, graph,
+                                  token, time.monotonic()))
+        self._svc_start()
 
-    def _svc_worker_loop(self) -> None:
-        while True:
-            item = self._svc_queue.get()
-            if item is _SVC_STOP:
+    def _svc_gauges(self) -> None:
+        if self.metrics is not None:
+            limit = self.admission.max_concurrent
+            self.metrics.gauge("svc_inflight").set(
+                min(self._svc_outstanding, limit))
+            self.metrics.gauge("svc_queue_depth").set(
+                max(0, self._svc_outstanding - limit))
+
+    def _svc_start(self) -> None:
+        """Start waiting calls while fewer than ``max_concurrent`` run
+        (loop thread).  While a rebalance holds the run gate they keep
+        waiting here; :meth:`rebalance` starts them when it lets go."""
+        while self._svc_waiting \
+                and self._svc_running < self.admission.max_concurrent:
+            with self._run_gate:
+                if self._rebalancing:
+                    return
+                self._active_runs += 1
+            self._svc_running += 1
+            self._svc_run(*self._svc_waiting.popleft())
+
+    def _svc_run(self, client: str, session: _Session, request_id: int,
+                 service: str, graph: Flowgraph, token, t0: float) -> None:
+        """Start one admitted call's activation (loop thread).  The first
+        of its result, the engine's failure and ``call_timeout`` is the
+        reply; then the next waiting call starts."""
+        ctx_id = None
+        replied = False
+
+        def finish(outcome: Any) -> None:
+            nonlocal replied
+            if replied:
                 return
-            client, session, request_id, service, graph, token, t0 = item
-            try:
-                result = self.run(graph, token, timeout=self.call_timeout)
-                reply = P.encode_svc_reply(request_id, result)
-            except BaseException as exc:
-                reply = P.encode_svc_error(request_id, exc)
-            if self._sessions.get(client) is session:
-                # Not to a session closed meanwhile: its request ids
-                # mean something else to a successor of the same name.
-                self._svc_send(client, reply)
+            replied = True
+            timer.cancel()
+            with self.lock:
+                self._results.pop(ctx_id, None)
+            with self._run_gate:
+                self._active_runs -= 1
+                self._run_gate.notify_all()
+            if isinstance(outcome, BaseException):
+                reply = P.encode_svc_error(request_id, outcome)
+            else:
+                try:
+                    reply = P.encode_svc_reply(request_id, outcome)
+                except Exception as exc:
+                    reply = P.encode_svc_error(request_id, exc)
             elapsed = time.monotonic() - t0
             if self.metrics is not None:
                 self.metrics.histogram(
@@ -284,20 +298,41 @@ class ServiceKernel(DistributedKernel):
             if self.tracer is not None:
                 self.trace("svc_reply", client=client, request=request_id,
                            service=service, seconds=elapsed)
+            # The books are closed before the reply leaves: a client that
+            # has its answer finds the call gone from the console's stats.
             with self._svc_idle:
                 self._svc_outstanding -= 1
                 try:
                     session.window.on_ack(0)
                 except (RuntimeError, ValueError):
                     pass  # session was dropped and replaced mid-call
-                if self.metrics is not None:
-                    self.metrics.gauge("svc_inflight").set(
-                        min(self._svc_outstanding,
-                            self.admission.max_concurrent))
-                    self.metrics.gauge("svc_queue_depth").set(max(
-                        0, self._svc_outstanding
-                        - self.admission.max_concurrent))
+                self._svc_gauges()
                 self._svc_idle.notify_all()
+            if self._sessions.get(client) is session:
+                # Not to a session closed meanwhile: its request ids
+                # mean something else to a successor of the same name.
+                self._svc_send(client, reply)
+            self._svc_running -= 1
+            self._svc_start()
+
+        timer = self._io_loop.call_later(self.call_timeout, lambda: finish(
+            ScheduleError(f"service {service!r} did not complete within "
+                          f"{self.call_timeout}s")))
+        if self._failure is not None:
+            finish(ScheduleError(
+                "engine has failed; shut it down and create a new one"))
+            return
+        try:
+            ctx_id = self._activate(graph, token, self._on_loop(finish))
+        except Exception as exc:  # the caller's answer, not a loop error
+            finish(exc)
+
+    def rebalance(self, *args, **kwargs) -> int:
+        try:
+            return super().rebalance(*args, **kwargs)
+        finally:
+            # calls admitted meanwhile waited for the run gate
+            self._io_loop.call(self._svc_start)
 
     def _svc_close(self, client: str) -> None:
         with self._svc_lock:
@@ -374,7 +409,7 @@ class ServiceEngine(MultiprocessEngine):
         return public
 
     def serve(self) -> Tuple[str, int]:
-        """Boot the cluster, publish every exposed graph, start workers.
+        """Boot the cluster and publish every exposed graph.
 
         Returns the name-server ``(host, port)`` clients connect to
         (fix it across restarts with the ``ns_port`` constructor
@@ -386,7 +421,6 @@ class ServiceEngine(MultiprocessEngine):
         if not self._serving:
             for public, graph in self._exposed.items():
                 console.expose_service(public, graph)
-            console.start_service_workers()
             self._serving = True
         assert self.ns_address is not None
         return self.ns_address

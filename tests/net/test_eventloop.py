@@ -515,19 +515,23 @@ def _peer(ns, sink, name, metrics=None, transport=None, meta=None):
 def test_eventloop_peer_coalesces_at_quiescence(ns):
     """Frames queued within one loop burst share a flush at the
     quiescent point, so a burst of sends lands as one multi-frame
-    syscall episode — with no timer involved."""
+    syscall episode — with no timer involved.  A send on an idle peer
+    leaves at once, from the loop thread too; here the burst queues
+    behind a message of shm-lane size, which the outbox always takes."""
     metrics = MetricsRegistry()
     sink = _Sink()
     owner, loop, conn = _peer(ns, sink, "quiesce", metrics=metrics)
     try:
         n = 8
+        bulk = [bytearray([MSG_DATA])
+                + bytes(TransportPolicy().shm_threshold)]
         # All sends happen inside one loop callback, so their pumps
         # drain in the same burst and the pass-end flush sees them all.
-        loop.call(lambda: [conn.send(_data_frame(i))
-                           for i in range(1, n + 1)])
-        _wait_for(lambda: len(sink.frames) >= n + 1, what="burst frames")
-        assert sink.frames == [bytes(_data_frame(i)[0])
-                               for i in range(n + 1)]
+        burst = [bulk] + [_data_frame(i) for i in range(1, n + 1)]
+        loop.call(lambda: [conn.send(m) for m in burst])
+        _wait_for(lambda: len(sink.frames) >= n + 2, what="burst frames")
+        assert sink.frames == [bytes(_data_frame(0)[0]), bytes(bulk[0])] + [
+            bytes(_data_frame(i)[0]) for i in range(1, n + 1)]
         fps = metrics.histogram("frames_per_syscall")
         assert fps.count and fps.total / fps.count > 1.0, (
             "a same-burst send batch should share a vectored flush")

@@ -3,6 +3,7 @@ scatter calls between applications in different processes, dead-kernel
 detection, lifecycle rules and thread-state persistence."""
 
 import os
+import sys
 import threading
 import time
 
@@ -61,6 +62,33 @@ def test_scatter_call_across_processes():
     # shards 0..2 produce values 100..102, client multiplies by 10
     assert answer.items == 3
     assert answer.total == (1000 + 1010 + 1020)
+
+
+def test_graph_call_across_processes():
+    """A body's ``call_graph`` on a worker kernel waits for a split-merge
+    service spread over other kernels (the ``tsum`` shape of the threaded
+    engine's graph-call test).  The caller's collection has an instance
+    on a kernel the service does not touch and one on the kernel hosting
+    the service's split and merge, so one result comes back over the
+    wire and one is delivered locally."""
+    main = ThreadCollection(MpMain, "mp-tsum-main").map("node01")
+    work = ThreadCollection(MpWork, "mp-tsum-work").map("node02 node03")
+    service = Flowgraph(
+        FlowgraphNode(MpFan, main)
+        >> FlowgraphNode(MpSquare, work, RoundRobinRoute)
+        >> FlowgraphNode(MpCollect, main),
+        "mp-tsum",
+    )
+    askers = ThreadCollection(MpMain, "mp-tclient").map("node04 node01")
+    client = Flowgraph(
+        FlowgraphNode(MpAsk, askers, RoundRobinRoute).as_builder(),
+        "mp-tclient")
+    with MultiprocessEngine() as engine:
+        engine.register_graph(service)
+        engine.register_graph(client)
+        for n in (7, 5, 9):  # round robin: node04, node01, node04
+            total = engine.run(client, MpJob(n), timeout=60).total
+            assert total == sum(i * i for i in range(n))
 
 
 class MpJob(SimpleToken):
@@ -122,6 +150,27 @@ class MpCollect(MergeOperation):
         yield self.post(MpSum(total))
 
 
+class MpSquare(LeafOperation):
+    thread_type = MpWork
+    in_types = (MpItem,)
+    out_types = (MpItem,)
+
+    def execute(self, tok):
+        self.post(MpItem(tok.value ** 2))
+
+
+class MpAsk(LeafOperation):
+    """Calls the ``mp-tsum`` service graph from inside a body."""
+
+    thread_type = MpMain
+    in_types = (MpJob,)
+    out_types = (MpSum,)
+
+    def execute(self, tok):
+        res = yield self.call_graph("mp-tsum", MpJob(tok.n))
+        yield self.post(MpSum(res.total))
+
+
 def counting_graph(name, worker_mapping="node02"):
     main = ThreadCollection(MpMain, f"{name}-main").map("node01")
     work = ThreadCollection(MpWork, f"{name}-work").map(worker_mapping)
@@ -138,8 +187,8 @@ def test_eventloop_mode_thread_census():
     the console kernel owns exactly one ``dps-io:`` loop thread — no
     accept, per-peer ``dps-send:``, per-connection ``dps-recv:`` or
     ack-flush thread, and no engine thread polling children, leases or
-    queue depths — and each worker kernel process is main + ``dps-io`` +
-    its one DPS worker."""
+    queue depths — and each worker kernel process is main + ``dps-io``:
+    its DPS threads run on the loop, not on threads of their own."""
     g = build_ring_graph(["node01", "node02", "node03", "node04"])
     with MultiprocessEngine() as engine:
         engine.register_graph(g)
@@ -156,7 +205,7 @@ def test_eventloop_mode_thread_census():
             with open(f"/proc/{proc.pid}/status") as status:
                 threads = int(next(line.split()[1] for line in status
                                    if line.startswith("Threads:")))
-            assert threads <= 3, f"{name} runs {threads} threads"
+            assert threads <= 2, f"{name} runs {threads} threads"
 
 
 def test_remote_merge_acks_each_token_exactly_once():
@@ -197,6 +246,58 @@ def test_remote_merge_acks_each_token_exactly_once():
     assert merge_side.metrics.counter("acks").value == tokens
     (credit,) = split_side.scheduler.window_stats().values()
     assert credit.total_posted == tokens and credit.in_flight == 0
+
+
+def test_caller_threads_and_the_loop_share_an_inbox():
+    """Caller threads enqueue entry tokens on a DPS thread while the
+    kernel's loop advances it; the thread's inbox is the loop's, and a
+    caller hands its token over with ``IOLoop.call``.  With thread
+    switches forced inside every step every run completes — a token
+    stranded in an inbox would hang its run until the timeout."""
+    callers, runs = 4, 15
+    graph = Flowgraph(
+        FlowgraphNode(MpFan, ThreadCollection(MpMain, "inbox-split")
+                      .map("node01"))
+        >> FlowgraphNode(MpSquare, ThreadCollection(MpWork, "inbox-work")
+                         .map("node02"), ConstantRoute)
+        >> FlowgraphNode(MpCollect, ThreadCollection(MpMain, "inbox-merge")
+                         .map("node02")),
+        "inbox",
+    )
+    names = ["node01", "node02"]
+    totals, errors = [], []
+
+    def call(n):
+        try:
+            for _ in range(runs):
+                totals.append((n, kernels[0].run(graph, MpJob(n),
+                                                 timeout=30).total))
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    with NameServer() as ns:
+        kernels = [DistributedKernel(name, ordinal, ns.address, names)
+                   for ordinal, name in enumerate(names, start=1)]
+        threads = [threading.Thread(target=call, args=(n,))
+                   for n in range(1, callers + 1)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for kernel in kernels:
+                kernel.register_graph(graph)
+                kernel.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            for kernel in kernels:
+                kernel.shutdown()
+    assert not errors
+    assert len(totals) == callers * runs
+    assert all(total == sum(i * i for i in range(n)) for n, total in totals)
 
 
 def test_unloaded_ring_hop_costs_one_loop_wakeup():

@@ -9,15 +9,17 @@ test wakes the loop (:func:`_settle`), as arming any timer would.
 import os
 import threading
 
+import pytest
+
 from repro.core import ConstantRoute, FlowControlPolicy, Flowgraph, \
-    FlowgraphNode, ThreadCollection
+    FlowgraphNode, LeafOperation, ThreadCollection
 from repro.net import DistributedKernel, IOLoop, NameServer
 from repro.net import protocol as P
 from repro.net.kernel import RESEND_AFTER
 from repro.trace import MetricsRegistry
 
 from tests.net.test_multiprocess_engine import MpCollect, MpCount, MpFan, \
-    MpJob, MpMain, MpWork
+    MpJob, MpMain, MpSum, MpWork
 
 
 class FakeClock:
@@ -78,6 +80,27 @@ def test_cancelled_timer_never_fires_and_does_not_block_later_ones():
         first.cancel()
         clock.advance(3, loop)
         assert fired == ["kept"]
+    finally:
+        loop.close()
+
+
+def test_cancelled_timers_do_not_pile_up():
+    """A cancelled timer would wait in the heap for its deadline; once
+    cancelled ones make up most of the heap it is rebuilt without them,
+    so a timer per call (a service call's timeout) does not grow the
+    heap with the call rate."""
+    clock = FakeClock()
+    loop = IOLoop("pile", clock=clock).start()
+    fired = []
+    try:
+        loop.call_later(60, lambda: fired.append("live"))
+        for _ in range(1000):
+            loop.call_later(60, lambda: fired.append("cancelled")).cancel()
+        _settle(loop)
+        _settle(loop)
+        assert len(loop._timers) < 10
+        clock.advance(60, loop)
+        assert fired == ["live"]
     finally:
         loop.close()
 
@@ -149,6 +172,49 @@ def test_idle_loop_with_a_far_timer_does_not_spin():
         assert wakeups.value == before
     finally:
         loop.close()
+
+
+class _RecordingSelector:
+    """A real selector that records the timeout of every ``select``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.timeouts = []
+
+    def select(self, timeout=None):
+        self.timeouts.append(timeout)
+        return self._inner.select(timeout)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_sub_millisecond_timer_is_polled_for_not_slept_for():
+    """epoll rounds a ``select`` timeout up to whole milliseconds, so a
+    timer due in under 1 ms is waited out with ``select(0)`` — I/O and
+    queued calls still served — and no timeout in (0, 1 ms) is ever
+    passed in.  A deadline a millisecond or more away is slept for."""
+    clock = FakeClock()
+    loop = IOLoop("submilli", clock=clock)
+    selector = loop._selector = _RecordingSelector(loop._selector)
+    loop.start()
+    fired = []
+    try:
+        loop.call_later(5e-4, lambda: fired.append("soon"))
+        _settle(loop)
+        _settle(loop)  # a pass after the one that saw the timer armed
+        assert fired == [] and selector.timeouts[-1] == 0
+        clock.advance(5e-4, loop)
+        assert fired == ["soon"]
+        loop.call_later(2e-3, lambda: fired.append("later"))
+        _settle(loop)
+        _settle(loop)
+        assert selector.timeouts[-1] == pytest.approx(2e-3)
+        clock.advance(2e-3, loop)
+        assert fired == ["soon", "later"]
+    finally:
+        loop.close()
+    assert not [t for t in selector.timeouts if t and t < 1e-3]
 
 
 def test_reader_fires_until_removed_and_its_descriptor_stays_open():
@@ -303,3 +369,57 @@ def test_wedged_name_server_does_not_stall_kernel_io():
             ns.unwedge.set()
             for kernel in kernels:
                 kernel.shutdown()
+
+
+#: set by :class:`Nap` right before it parks
+_napping = threading.Event()
+
+
+class Nap(LeafOperation):
+    """Sleeps ``n`` seconds of its kernel's clock, then answers ``n``."""
+
+    thread_type = MpMain
+    in_types = (MpJob,)
+    out_types = (MpSum,)
+
+    def execute(self, tok):
+        _napping.set()
+        yield self.sleep(tok.n)
+        yield self.post(MpSum(tok.n))
+
+
+def test_a_parked_body_does_not_hold_its_kernel():
+    """A DPS thread parked in a ``sleep`` leaves its kernel free: while
+    it sleeps, another DPS thread of the same kernel completes a run and
+    the heartbeat fires.  The sleep ends when the kernel's clock says so,
+    not the wall clock."""
+    clock = FakeClock()
+    interval = 0.25
+    nap = Flowgraph(FlowgraphNode(
+        Nap, ThreadCollection(MpMain, "nap").map("node01")).as_builder(),
+        "nap")
+    with NameServer() as ns:
+        graph, kernels = _kernel_pair(ns, clock, "parked", window=2,
+                                      heartbeat_interval=interval)
+        kernel = kernels[0]
+        kernel.register_graph(nap)
+        beats = []
+        kernel._ns.heartbeat = (
+            lambda *a, _beat=kernel._ns.heartbeat, **kw:
+            (beats.append(a[0]), _beat(*a, **kw))[1])
+        napped = []
+        sleeper = threading.Thread(target=lambda: napped.append(
+            kernel.run(nap, MpJob(30), timeout=60).total))
+        try:
+            sleeper.start()
+            assert _napping.wait(timeout=10)
+            assert kernel.run(graph, MpJob(3), timeout=30).total == 6
+            clock.advance(interval, kernel._io_loop)
+            assert beats == ["node01"]
+            assert napped == [] and sleeper.is_alive()
+            clock.advance(30, kernel._io_loop)
+            sleeper.join(timeout=10)
+            assert napped == [30]
+        finally:
+            for k in kernels:
+                k.shutdown()

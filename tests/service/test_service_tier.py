@@ -122,6 +122,19 @@ def test_basic_call(tier):
         assert result.text == "HELLO SERVICE"
 
 
+def test_calls_run_on_the_console_loop_not_on_worker_threads(tier):
+    """An admitted call is an activation started on the console's I/O
+    loop: serving starts no service worker thread."""
+    _, address, _ = tier
+    with ServiceClient(address) as client:
+        calls = [client.call_async("echo", TierJob(f"loop {i}"))
+                 for i in range(ADMISSION.max_concurrent + 1)]
+        assert [c.result(30).text for c in calls] == [
+            f"LOOP {i}" for i in range(ADMISSION.max_concurrent + 1)]
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("dps-svc-worker")]
+
+
 def test_out_of_order_correlation(tier):
     """Replies correlate by request id even when they finish out of
     order (a slow call issued first must not steal a fast reply)."""
