@@ -12,14 +12,11 @@ from .connections import (
     ConnectionPool,
     DialError,
     TransportPolicy,
-    dial_kernel,
 )
 from .eventloop import EventLoopPeer, IOLoop, VectoredSender
 from .framing import (
     MAX_SENDMSG_SEGMENTS,
     FrameReader,
-    recv_message,
-    send_message,
     send_messages,
 )
 from .kernel import (
@@ -68,12 +65,9 @@ __all__ = [
     "UnknownKernel",
     "VectoredSender",
     "apply_remap",
-    "dial_kernel",
     "host_fingerprint",
     "plan_remap",
-    "recv_message",
     "run_kernel_process",
     "run_name_server",
-    "send_message",
     "send_messages",
 ]

@@ -2,12 +2,13 @@
 
 "Connections between kernels are established lazily": a kernel does not
 dial a peer until the first token routed to it, and the peer may not even
-be listening yet when the cluster is still starting up.  The dial path
-therefore resolves the peer through the name server and retries with
-exponential backoff both the lookup (``UnknownKernel`` — the peer has not
-registered yet) and the TCP connect (connection refused — the peer
-registered between listen() and our connect losing a race, or the
-directory is briefly stale).
+be listening yet when the cluster is still starting up.  The dial, a
+state machine on the owner's loop, therefore resolves the peer through
+the name server and retries with exponential backoff both the lookup
+(``UnknownKernel`` — the peer has not registered yet) and the TCP connect
+(connection refused — the peer registered between listen() and our
+connect losing a race, or the directory is briefly stale), until the
+dial deadline.
 
 Each peer gets one unidirectional send channel, an
 :class:`~repro.net.eventloop.EventLoopPeer`: posting a token to a remote
@@ -22,19 +23,18 @@ path leaves open (the shm lane).
 
 from __future__ import annotations
 
-import socket
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional
 
 from ..serial.wire import Segment
-from .eventloop import EventLoopPeer, IOLoop
-from .framing import send_message
-from .nameserver import NameServerClient, UnknownKernel
-from .protocol import encode_hello
+from .eventloop import DialError, EventLoopPeer, IOLoop
+from .nameserver import NameServerClient
 
-__all__ = ["dial_kernel", "ConnectionPool", "DialError", "TransportPolicy"]
+__all__ = ["ConnectionPool", "DialError", "TransportPolicy"]
+
+#: One flush deadline for every channel of a closing owner.
+CLOSE_DEADLINE = 5.0
 
 
 @dataclass(frozen=True)
@@ -53,52 +53,6 @@ class TransportPolicy:
     shm_threshold: int = 1 << 14
     #: Arena size per peer connection.
     shm_arena_bytes: int = 1 << 24
-
-
-class DialError(ConnectionError):
-    """A peer kernel could not be reached before the deadline."""
-
-
-def dial_kernel(ns: NameServerClient, name: str, *,
-                hello_from: Optional[str] = None,
-                deadline: float = 15.0,
-                base_delay: float = 0.02,
-                max_delay: float = 0.5,
-                return_meta: bool = False,
-                ) -> Union[socket.socket, Tuple[socket.socket, dict]]:
-    """Resolve *name* through the name server and connect to it.
-
-    Retries lookup failures (peer not yet registered) and refused
-    connections with exponential backoff until *deadline* seconds have
-    elapsed.  When *hello_from* is given, a HELLO message identifying the
-    dialing kernel is sent before the socket is returned.  With
-    *return_meta* the peer's registration metadata (e.g. its host
-    fingerprint) comes back alongside the socket.
-    """
-    give_up_at = time.monotonic() + deadline
-    delay = base_delay
-    last_error: Optional[Exception] = None
-    while True:
-        try:
-            host, port, meta = ns.lookup_entry(name)
-            sock = socket.create_connection(
-                (host, port), timeout=max(0.1, give_up_at - time.monotonic()))
-            break
-        except UnknownKernel as exc:
-            last_error = exc
-        except OSError as exc:
-            last_error = exc
-        if time.monotonic() + delay > give_up_at:
-            raise DialError(
-                f"could not reach kernel {name!r} within {deadline}s"
-            ) from last_error
-        time.sleep(delay)
-        delay = min(delay * 2, max_delay)
-    sock.settimeout(None)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    if hello_from is not None:
-        send_message(sock, encode_hello(hello_from))
-    return (sock, meta) if return_meta else sock
 
 
 class ConnectionPool:
@@ -154,26 +108,54 @@ class ConnectionPool:
 
         For a peer that is gone while its name may come back at another
         address (a re-opened service client): the cached channel stays
-        bound to the old listener.  Nothing is flushed, so this never
-        blocks and is safe on the loop thread.
+        bound to the old listener.  Nothing is flushed (loop thread).
         """
         with self._lock:
             conn = self._peers.pop(name, None)
         if conn is not None:
-            conn.close(flush_timeout=0)
+            conn.close()
 
     def peer_names(self) -> List[str]:
         with self._lock:
             return list(self._peers)
 
     def close_all(self) -> None:
-        """Flush and close every channel under one shared deadline: N
-        unreachable peers cost one flush timeout, not N."""
+        """Flush every channel, then close them all and stop the loop.
+
+        Every channel flushes at once, and all close when each has
+        reported flushed or at :data:`CLOSE_DEADLINE` (N unreachable
+        peers cost one deadline, not N).  Called off the loop thread it
+        waits for that; a loop that no longer turns gets one write
+        attempt per channel.
+        """
+        loop = self._loop
+        if loop.running and not loop.on_loop_thread():
+            loop.call(self.close_all)
+            loop.join(timeout=CLOSE_DEADLINE + 1.0)
+            return
         with self._lock:
             peers = list(self._peers.values())
             self._peers.clear()
+        left = len(peers)
+        done = False
+
+        def finish() -> None:
+            nonlocal done
+            if not done:
+                done = True
+                deadline.cancel()
+                for conn in peers:
+                    conn.close()
+                loop.stop()
+
+        def flushed() -> None:
+            nonlocal left
+            left -= 1
+            if not left:
+                finish()
+
+        deadline = loop.call_later(CLOSE_DEADLINE, finish)
         for conn in peers:
-            conn.begin_close()
-        deadline = time.monotonic() + 5.0
-        for conn in peers:
-            conn.finish_close(max(0.0, deadline - time.monotonic()))
+            conn.begin_close(flushed)
+        if not peers or not loop.running:
+            finish()

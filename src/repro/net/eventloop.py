@@ -1,16 +1,22 @@
 """Single-threaded I/O core: one selectors loop owns every socket.
 
-Each kernel — and each :class:`~repro.service.client.ServiceClient` —
-runs exactly one :class:`IOLoop`: a single thread owning a
+Each kernel, each :class:`~repro.service.client.ServiceClient` and the
+name server runs exactly one :class:`IOLoop`: a single thread owning a
 ``selectors.DefaultSelector`` (epoll on Linux, kqueue on BSD/macOS) that
-multiplexes the listener and *every* peer socket, both directions.
-Nothing else in :mod:`repro.net` or :mod:`repro.service` accepts, reads
-or writes a peer socket (the name-server client and the one-shot HELLO
-of the dial path keep their blocking calls).
+multiplexes the listener and *every* peer socket, both directions.  A
+worker kernel process turns its loop on its main thread
+(:meth:`IOLoop.run`); the console and a client turn theirs on a
+``dps-io`` thread of their own (:meth:`IOLoop.start`).  Nothing else in
+:mod:`repro.net` or :mod:`repro.service` accepts, reads or writes a peer
+socket; the name-server client keeps its blocking request/reply, and a
+dial's lookup is the one such call a loop makes.
 
 - **Accepts**: :meth:`IOLoop.add_listener` registers a listening socket;
   every connection it yields is handed to a callback on the loop thread,
   which normally adopts it with :meth:`IOLoop.add_connection`.
+- **Dials** are a state machine on the loop (:class:`EventLoopPeer`): a
+  name-server lookup, a non-blocking ``connect`` finished on
+  ``EVENT_WRITE``, and backoff timers until the dial deadline.
 - **Writes** are non-blocking vectored ``sendmsg`` calls
   (:class:`VectoredSender`), resuming partial writes with sliced
   ``memoryview``\\ s and registering for ``EVENT_WRITE`` only while the
@@ -50,8 +56,10 @@ CPython's own asyncio either; :class:`IOLoop` simply raises there.
 
 from __future__ import annotations
 
+import errno
 import heapq
 import itertools
+import os
 import selectors
 import socket
 import sys
@@ -64,14 +72,18 @@ from typing import Callable, List, Optional
 from ..serial.wire import FRAME_HEADER_BYTES, Segment, frame
 from ..serial.wire import _FRAME_HEADER  # shared header layout
 from .framing import DEFAULT_MAX_BATCH_BYTES, MAX_SENDMSG_SEGMENTS, \
-    FrameReader, _as_byte_views, send_message
-from .nameserver import NameServerError
-from .protocol import encode_shm_attach
+    FrameReader, _as_byte_views
+from .nameserver import NameServerError, UnknownKernel
+from .protocol import encode_hello, encode_shm_attach
 from .shm import ShmSender, host_fingerprint
 
-__all__ = ["IOLoop", "VectoredSender", "EventLoopPeer"]
+__all__ = ["IOLoop", "VectoredSender", "EventLoopPeer", "DialError"]
 
 _WAKE = b"\x00"
+
+#: First and longest pause between two dial attempts (doubling between).
+_DIAL_FIRST_DELAY = 0.02
+_DIAL_MAX_DELAY = 0.5
 
 #: Frames a peer may hold in its sender before ``_pump`` flushes inline
 #: instead of waiting for the loop's quiescent point (with the byte
@@ -81,6 +93,10 @@ _MAX_BATCH_FRAMES = 256
 #: The shortest ``select`` timeout the loop passes in; epoll counts in
 #: whole milliseconds and rounds up.
 _SELECT_RESOLUTION = 1e-3
+
+
+class DialError(ConnectionError):
+    """A peer kernel could not be reached before the deadline."""
 
 
 class VectoredSender:
@@ -233,6 +249,8 @@ class _Timer:
 class IOLoop:
     """One ``selectors`` event loop owning all of a kernel's socket I/O.
 
+    The loop thread is whichever thread turns it: :meth:`run` on the
+    caller's, :meth:`start` on a ``dps-io:<name>`` thread of its own.
     Everything that touches the selector runs on the loop thread; other
     threads hand work over with :meth:`call` (queue append + self-pipe
     wakeup).  Listeners are registered
@@ -266,11 +284,17 @@ class IOLoop:
         self._wake_pending = False
         self._in_select = False
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name=f"dps-io:{name}", daemon=True)
+        #: a thread turns the loop (or is about to: set by start())
+        self.running = False
+        self._stopping = False
+        self._thread: Optional[threading.Thread] = None
 
     # -- cross-thread interface ----------------------------------------
     def start(self) -> "IOLoop":
+        """Turn the loop on a ``dps-io:<name>`` thread of its own."""
+        self._thread = threading.Thread(
+            target=self.run, name=f"dps-io:{self.name}", daemon=True)
+        self.running = True
         self._thread.start()
         return self
 
@@ -280,6 +304,17 @@ class IOLoop:
 
     def on_loop_thread(self) -> bool:
         return threading.current_thread() is self._thread
+
+    def stop(self) -> None:
+        """Make :meth:`run` return after this pass; any thread."""
+        self._stopping = True
+        self._wake()
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        """Wait for a loop turning on another thread to stop."""
+        thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout)
 
     def call(self, fn: Callable[[], None]) -> None:
         """Run *fn* on the loop thread, soon; never blocks.
@@ -297,25 +332,18 @@ class IOLoop:
         # is safe — and avoids a GIL drop per call() under bursts.
         if self._in_select and not self._wake_pending:
             self._wake_pending = True
-            try:
-                self._wake_w.send(_WAKE)
-            except (BlockingIOError, OSError):
-                pass  # a wakeup is already queued, or we are closing
+            self._wake()
 
     def close(self) -> None:
         """Stop the loop and close every socket it still owns."""
         if self._closed:
             return
         self._closed = True
-        try:
-            self._wake_w.send(_WAKE)
-        except (BlockingIOError, OSError):
-            pass
-        if self._thread.is_alive() and not self.on_loop_thread():
-            self._thread.join(timeout=2.0)
+        self._wake()
+        self.join(timeout=2.0)
         # The loop returns as soon as it sees _closed, so calls queued
-        # just before (a peer's _teardown, which unlinks its shm arena)
-        # would never run: finish them here, as call() does from now on.
+        # just before (a peer's close, which unlinks its shm arena) would
+        # never run: finish them here, as call() does from now on.
         while self._pending:
             _guarded(self._pending.popleft())
         self._timers.clear()
@@ -460,7 +488,11 @@ class IOLoop:
         self.call(register)
 
     def remove_reader(self, fileobj) -> None:
-        self.call(lambda: self._unregister(fileobj))
+        """At once on the loop thread (which may then close it)."""
+        if self.on_loop_thread():
+            self._unregister(fileobj)
+        else:
+            self.call(lambda: self._unregister(fileobj))
 
     def _unregister(self, sock) -> None:
         try:
@@ -485,6 +517,12 @@ class IOLoop:
         self._pass_end[key] = fn
 
     # -- loop internals -------------------------------------------------
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(_WAKE)
+        except (BlockingIOError, OSError):
+            pass  # a wakeup is already queued, or we are closing
+
     def _on_wake(self) -> None:
         try:
             self._wake_r.recv(4096)
@@ -498,7 +536,17 @@ class IOLoop:
         # empty — the loop blocks in select() over queued work.
         self._wake_pending = False
 
-    def _run(self) -> None:
+    def run(self) -> None:
+        """Turn the loop on the calling thread until :meth:`stop` or
+        :meth:`close`."""
+        self._thread = threading.current_thread()
+        self.running, self._stopping = True, False
+        try:
+            self._turn()
+        finally:
+            self.running = False
+
+    def _turn(self) -> None:
         selector = self._selector
         pending = self._pending
         counter = None
@@ -532,7 +580,7 @@ class IOLoop:
                 self._in_select = True
             events = selector.select(0 if pending else timeout)
             self._in_select = False
-            if self._closed:
+            if self._closed or self._stopping:
                 return
             if counter is not None:
                 counter.inc()
@@ -554,10 +602,14 @@ class EventLoopPeer:
 
     :meth:`send` never blocks, from any thread: the message is either
     written to the socket right there or appended to the outbox for the
-    :class:`IOLoop` to flush.  The peer is dialed lazily (a transient
-    ``dps-dial`` thread owns the blocking resolve/connect/backoff, then
-    hands the non-blocking socket to the loop).  When the peer's
-    HELLO-time host fingerprint matches ours, messages with a segment of
+    :class:`IOLoop` to flush.  The peer is dialed lazily, on the loop: a
+    name-server lookup, a non-blocking ``connect`` whose outcome arrives
+    as ``EVENT_WRITE``, and — while the peer is not registered or not
+    listening yet — backoff timers on the loop's clock until
+    *dial_deadline*, when the dial fails with :class:`DialError`.
+    ``MSG_HELLO`` (and ``MSG_SHM_ATTACH``) are the first frames of the
+    sender, ahead of the outbox.  When the peer's registered host
+    fingerprint matches ours, messages with a segment of
     threshold size take the :mod:`~repro.net.shm` shared-memory lane
     whole and only their descriptor frames hit the TCP stack.  Transport
     errors are reported once through *on_error*, always on the loop thread;
@@ -601,10 +653,12 @@ class EventLoopPeer:
         self._sock: Optional[socket.socket] = None
         self._shm: Optional[ShmSender] = None
         self._dialing = False
+        self._dial_delay = _DIAL_FIRST_DELAY
+        self._dial_error: Optional[Exception] = None  # last attempt's
         self._failed = False
         self._closing = False
         self._write_registered = False
-        self._flushed = threading.Event()
+        self._on_flushed: Optional[Callable[[], None]] = None
 
     # -- any-thread interface ------------------------------------------
     def send(self, segments: List[Segment]) -> None:
@@ -637,20 +691,6 @@ class EventLoopPeer:
         if not self._scheduled:
             self._scheduled = True
             self._loop.call(self._pump)
-
-    def close(self, flush_timeout: float = 5.0) -> None:
-        """Flush what the loop can within *flush_timeout*, then close."""
-        self.begin_close()
-        self.finish_close(flush_timeout)
-
-    def begin_close(self) -> None:
-        """Start flushing; an owner closing many peers starts them all
-        before it waits on any (:meth:`ConnectionPool.close_all`)."""
-        self._loop.call(self._begin_close)
-
-    def finish_close(self, flush_timeout: float) -> None:
-        self._flushed.wait(timeout=flush_timeout)
-        self._loop.call(self._teardown)
 
     def _bulk(self, segments: List[Segment]) -> bool:
         """Whether a segment is large enough for the shm lane."""
@@ -700,17 +740,16 @@ class EventLoopPeer:
     def _pump(self) -> None:
         self._scheduled = False
         with self._write_lock:
-            if self._failed or (self._closing and self._flushed.is_set()):
+            if self._failed or self._loop.closed:
                 self._count_drops(self._drop_queued())
                 return
             if self._sock is None:
                 if not self._dialing:
                     self._dialing = True
-                    threading.Thread(
-                        target=self._dial,
-                        name=f"dps-dial:{self.peer_name}",
-                        daemon=True).start()
-                return  # _attach re-pumps once the dial lands
+                    self._loop.call_later(self._dial_deadline,
+                                          self._dial_expired)
+                    self._dial_attempt()
+                return  # _connected re-pumps once the dial lands
             self._drain_outbox()
             if self._write_registered:
                 # Socket buffer full: frames queue in the sender and
@@ -763,7 +802,7 @@ class EventLoopPeer:
                             .observe(frames / max(1, syscalls))
                     self._metrics.gauge("outbox_depth").set(0)
                 if self._closing:
-                    self._flushed.set()
+                    self._report_flushed()
             else:
                 self._set_write_interest(True)
                 self._report_partials()
@@ -792,55 +831,73 @@ class EventLoopPeer:
         except (KeyError, ValueError, OSError):  # pragma: no cover - teardown
             self._write_registered = False
 
-    def _dial(self) -> None:
-        """Transient thread: blocking resolve + connect + handshakes."""
-        from .connections import DialError, dial_kernel  # late: cycle
+    # -- the dial (loop thread) -------------------------------------------
+    def _dial_attempt(self) -> None:
+        """Look the peer up and start a non-blocking connect to it."""
+        if self._failed:
+            return  # the deadline passed, or the peer was closed
         try:
-            sock, meta = dial_kernel(
-                self._ns, self.peer_name, hello_from=self._hello_from,
-                deadline=self._dial_deadline, return_meta=True)
-        except (OSError, NameServerError, DialError) as exc:
-            # Bind now: `exc` is unbound once the except block exits.
-            self._loop.call(lambda err=exc: self._fail(err))
+            host, port, meta = self._ns.lookup_entry(self.peer_name)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        except (NameServerError, OSError) as exc:
+            self._dial_failed(exc)
             return
-        shm: Optional[ShmSender] = None
-        policy = self._transport
-        if (policy.shm_enabled
-                and meta.get("fingerprint") == host_fingerprint()):
-            try:
-                shm = ShmSender(policy.shm_arena_bytes, policy.shm_threshold,
-                                metrics=self._metrics)
-            except (OSError, ValueError):
-                shm = None  # no shm on this platform; TCP lane still works
-            if shm is not None:
-                try:
-                    # Must precede the first descriptor frame; the socket
-                    # is still blocking here and nothing else has been
-                    # queued on it, so FIFO is trivially preserved.
-                    send_message(sock, encode_shm_attach(shm.name, shm.size))
-                except OSError as exc:
-                    shm.destroy()
-                    sock.close()
-                    self._loop.call(lambda err=exc: self._fail(err))
-                    return
         sock.setblocking(False)
+        err = sock.connect_ex((host, port))
+        if err in (0, errno.EINPROGRESS):
+            self._loop._selector.register(
+                sock, selectors.EVENT_WRITE,
+                lambda: self._connected(sock, meta))
+        else:
+            sock.close()
+            self._dial_failed(OSError(err, os.strerror(err)))
 
-        def attach() -> None:
-            if self._failed or self._loop.closed:
+    def _connected(self, sock: socket.socket, meta: dict) -> None:
+        """``EVENT_WRITE`` on the connecting socket: the connect is done."""
+        self._loop._unregister(sock)
+        err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if err or self._failed:
+            sock.close()
+            if not self._failed:
+                self._dial_failed(OSError(err, os.strerror(err)))
+            return
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._write_lock:
+            self._sender.push(encode_hello(self._hello_from))
+            policy = self._transport
+            if (policy.shm_enabled
+                    and meta.get("fingerprint") == host_fingerprint()):
                 try:
-                    sock.close()
-                except OSError:
-                    pass
-                if shm is not None:
-                    shm.destroy()
-                return
-            with self._write_lock:
-                self._sock = sock
-                self._shm = shm
-                self._pump()
+                    self._shm = ShmSender(policy.shm_arena_bytes,
+                                          policy.shm_threshold,
+                                          metrics=self._metrics)
+                except (OSError, ValueError):
+                    pass  # no shm on this platform; the TCP lane works
+                else:
+                    # Before the first descriptor frame: right behind
+                    # HELLO, ahead of everything in the outbox.
+                    self._sender.push(encode_shm_attach(self._shm.name,
+                                                        self._shm.size))
+            self._sock = sock
+            self._pump()
 
-        self._loop.call(attach)
+    def _dial_failed(self, exc: Exception) -> None:
+        """Not registered or not listening yet: retry after a backoff."""
+        if not isinstance(exc, (UnknownKernel, ConnectionRefusedError)):
+            self._fail(exc)
+            return
+        self._dial_error = exc
+        self._loop.call_later(self._dial_delay, self._dial_attempt)
+        self._dial_delay = min(2 * self._dial_delay, _DIAL_MAX_DELAY)
 
+    def _dial_expired(self) -> None:
+        if self._sock is None and not self._failed:
+            exc = DialError(f"could not reach kernel {self.peer_name!r} "
+                            f"within {self._dial_deadline}s")
+            exc.__cause__ = self._dial_error
+            self._fail(exc)
+
+    # -- failure and close (loop thread) ---------------------------------
     def _fail(self, exc: Exception) -> None:
         with self._write_lock:
             if self._failed:
@@ -854,24 +911,30 @@ class EventLoopPeer:
                 # announced after a failure.
                 self._shm.reclaim_all()
             self._set_write_interest(False)
-            self._flushed.set()
+            self._report_flushed()
         if not self._closing:
             self._on_error(self.peer_name, exc)
 
-    def _begin_close(self) -> None:
+    def begin_close(self, on_flushed: Callable[[], None]) -> None:
+        """Start flushing before a close (loop thread): *on_flushed* runs
+        once everything queued is on the wire or the peer has failed."""
         with self._write_lock:
             self._closing = True
-            if self._failed or (self._sock is not None and not self._outbox
-                                and not self._sender.pending_frames):
-                self._flushed.set()
-                return
-            if self._sock is None and not self._dialing:
-                # Never dialed and nothing forced it: nothing to flush.
-                self._flushed.set()
-                return
-            self._pump()  # flush sets _flushed on drain (or _fail does)
+            self._on_flushed = on_flushed
+            if self._failed or not (self._outbox
+                                    or self._sender.pending_frames):
+                self._report_flushed()
+            else:
+                self._pump()  # dials if need be; _flush reports the drain
 
-    def _teardown(self) -> None:
+    def _report_flushed(self) -> None:
+        on_flushed, self._on_flushed = self._on_flushed, None
+        if on_flushed is not None:
+            on_flushed()
+
+    def close(self) -> None:
+        """Release the socket and the shm arena now, flushed or not (loop
+        thread); later sends are counted drops."""
         with self._write_lock:
             self._closing = True
             self._failed = True  # late sends become counted drops

@@ -2,22 +2,20 @@
 
 One *message* on the wire is a :func:`repro.serial.wire.frame` header
 (length prefix + protocol-version byte) followed by the payload bytes.
-:func:`send_message` transmits the payload as a scatter-gather segment
-list via vectored ``sendmsg`` calls, so large
-:func:`~repro.serial.wire.encode_segments` payloads (borrowed ndarray
-memoryviews) go from the array's own storage to the kernel socket buffer
-without ever being coalesced into an intermediate Python buffer — the
-"pointer-arithmetic serializer straight onto the wire" behaviour of the
-C++ library.  :func:`recv_message` reads exactly one message and returns
-an *owned* ``bytearray``, suitable for ``decode(copy=False)``.
+Payloads go out as scatter-gather segment lists via vectored ``sendmsg``
+calls, so large :func:`~repro.serial.wire.encode_segments` payloads
+(borrowed ndarray memoryviews) go from the array's own storage to the
+kernel socket buffer without ever being coalesced into an intermediate
+Python buffer — the "pointer-arithmetic serializer straight onto the
+wire" behaviour of the C++ library.
 
-The batched transport builds on two extensions: :func:`send_messages`
-flushes *many* framed messages through as few ``sendmsg`` calls as the
-platform allows (an outbox drained in one syscall instead of one syscall
-per frame), and :class:`FrameReader` turns each ``recv`` into every
-complete frame it delivered instead of exactly one.  Both preserve the
-frame format bit-for-bit — a batched sender interoperates with a
-frame-at-a-time receiver and vice versa.
+:func:`send_messages` flushes *many* framed messages through as few
+``sendmsg`` calls as the platform allows (an outbox drained in one
+syscall instead of one syscall per frame), and :class:`FrameReader`
+turns each ``recv`` into every complete frame it delivered, each an
+*owned* ``bytearray`` suitable for ``decode(copy=False)``.  The frame
+format is the same whichever way the frames were batched.  (The kernel's
+own non-blocking writer is :class:`~repro.net.eventloop.VectoredSender`.)
 """
 
 from __future__ import annotations
@@ -35,9 +33,7 @@ from ..serial.wire import (
 from ..serial.wire import _FRAME_HEADER  # shared header layout
 
 __all__ = [
-    "send_message",
     "send_messages",
-    "recv_message",
     "FrameReader",
     "MAX_SENDMSG_SEGMENTS",
     "DEFAULT_MAX_BATCH_BYTES",
@@ -64,28 +60,6 @@ def _as_byte_views(segments: List[Segment]) -> List[memoryview]:
     return views
 
 
-def send_message(sock: socket.socket,
-                 payload: Union[bytes, bytearray, memoryview, List[Segment]],
-                 ) -> int:
-    """Send one framed message; returns total bytes written.
-
-    *payload* is the message body — a single buffer or a scatter-gather
-    segment list (e.g. a protocol header followed by
-    ``encode_segments()`` output).  Segments are never coalesced; partial
-    sends are resumed with sliced views.
-    """
-    views = _as_byte_views(frame(payload))
-    total = sum(v.nbytes for v in views)
-    while views:
-        sent = sock.sendmsg(views[:MAX_SENDMSG_SEGMENTS])
-        while views and sent >= views[0].nbytes:
-            sent -= views[0].nbytes
-            views.pop(0)
-        if sent and views:
-            views[0] = views[0][sent:]
-    return total
-
-
 def send_messages(sock: socket.socket,
                   payloads: List[Union[bytes, bytearray, memoryview,
                                        List[Segment]]],
@@ -97,8 +71,8 @@ def send_messages(sock: socket.socket,
     chunks bounded by ``MAX_SENDMSG_SEGMENTS`` (below every platform's
     IOV_MAX) and *max_batch_bytes*; a segment larger than the byte budget
     still goes out whole (segments are never split except to resume a
-    partial send).  Frame boundaries on the wire are identical to calling
-    :func:`send_message` once per payload.  Returns
+    partial send).  Frame boundaries on the wire are identical to sending
+    each payload on its own.  Returns
     ``(total_bytes, syscalls)``.
     """
     views: List[memoryview] = []
@@ -125,46 +99,6 @@ def send_messages(sock: socket.socket,
     return total, syscalls
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytearray]:
-    """Read exactly *n* bytes; ``None`` on clean EOF before any byte."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        received = sock.recv_into(view[got:], n - got)
-        if received == 0:
-            if got == 0:
-                return None
-            raise WireError(
-                f"connection closed mid-message: got {got} of {n} bytes"
-            )
-        got += received
-    return buf
-
-
-def recv_message(sock: socket.socket) -> Optional[bytearray]:
-    """Read one framed message; returns its payload, or ``None`` on EOF.
-
-    The returned ``bytearray`` is freshly allocated and owned by the
-    caller, so tokens may be decoded out of it with ``copy=False``.
-    Raises :class:`~repro.serial.wire.WireError` on a version mismatch or
-    a connection that dies mid-message.
-    """
-    header = _recv_exact(sock, FRAME_HEADER_BYTES)
-    if header is None:
-        return None
-    length, version = _FRAME_HEADER.unpack_from(header)
-    if version != FRAME_VERSION:
-        raise WireError(
-            f"frame protocol version mismatch: got {version}, "
-            f"expected {FRAME_VERSION}"
-        )
-    payload = _recv_exact(sock, length)
-    if payload is None and length > 0:
-        raise WireError("connection closed between header and payload")
-    return payload if payload is not None else bytearray()
-
-
 class FrameReader:
     """Batch-aware framed-message reader for one stream socket.
 
@@ -174,11 +108,10 @@ class FrameReader:
     :meth:`recv_batch` instead decodes *every* complete frame each
     ``recv`` delivers.  Payloads are returned as freshly-allocated
     ``bytearray`` objects owned by the caller (``decode(copy=False)``
-    safe), exactly like :func:`recv_message`.
+    safe).
 
     Frames larger than the staging buffer are read straight into their
-    own destination buffer (one copy, no staging-buffer growth), so the
-    large-payload path stays as cheap as the frame-at-a-time reader.
+    own destination buffer (one copy, no staging-buffer growth).
     Every ``recv`` lands in one persistent staging buffer via
     ``recv_into`` — the reader itself allocates nothing per call beyond
     the frames it hands back.

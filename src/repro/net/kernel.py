@@ -12,8 +12,9 @@ kernel's :class:`~repro.net.eventloop.IOLoop` advances one inbox item at
 a time up to the item's next wait, and a wait is resumed from a loop
 callback (an admit gate opening, a ``call_later`` timer, a nested
 activation's result).  No OS thread per DPS thread: a worker kernel is
-its main thread and its loop.  Activations, result routing and failure
-surfacing come from :class:`~repro.runtime.threaded_engine.ThreadedEngine`,
+one thread, its main thread turning the loop.  Activations, result
+routing and failure surfacing come from
+:class:`~repro.runtime.threaded_engine.ThreadedEngine`,
 with the transport hooks overridden where the single-process engine
 assumes shared memory:
 
@@ -282,11 +283,17 @@ class DistributedKernel(ThreadedEngine):
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "DistributedKernel":
-        """Register with the name server and begin accepting peers."""
+        """:meth:`_open`, then turn the loop on a thread of its own; a
+        worker process turns it on its main (:func:`run_kernel_process`)."""
+        self._open()
+        self._io_loop.start()
+        return self
+
+    def _open(self) -> None:
+        """Register with the name server, accept peers, arm the timers."""
         self._ns.register(self.name, *self.address,
                           meta={"fingerprint": host_fingerprint(),
                                 "kernel": True})
-        self._io_loop.start()
         self._io_loop.add_listener(self._listener, self._on_accept)
         if self.heartbeat_interval > 0:
             self._io_loop.call_later(self.heartbeat_interval, self._beat)
@@ -298,7 +305,6 @@ class DistributedKernel(ThreadedEngine):
             # as close to SIGKILL as the process can do to itself.
             self._io_loop.call_later(self.faults.kill_after,
                                      lambda: os._exit(137))
-        return self
 
     def _beat(self) -> None:
         """Loop timer: renew the lease, reporting the tokens pending
@@ -337,10 +343,6 @@ class DistributedKernel(ThreadedEngine):
             for env in stale:
                 self.transmit(env)
         self._io_loop.call_later(RESEND_AFTER / 2, self._resend_stale)
-
-    def wait_for_shutdown(self) -> None:
-        """Block until a peer (normally the console) orders shutdown."""
-        self._shutdown_requested.wait()
 
     def request_shutdown(self, peer: str) -> None:
         """Ask *peer* to shut down (part of the console's exit barrier)."""
@@ -412,18 +414,25 @@ class DistributedKernel(ThreadedEngine):
             self.metrics.clear()
 
     def shutdown(self) -> None:
-        with self.lock:
-            if self._closed:
-                return
-            self._closed = True  # from here on no body starts or resumes
-        self._shutdown_requested.set()
-        self._pool.close_all()  # flush needs the loop still running
+        """:meth:`_stop` (a worker's ``MSG_SHUTDOWN`` ran it on its loop
+        already), then close the loop and the rest."""
+        if self._io_loop.closed:
+            return
+        self._stop()
         self._io_loop.close()
         # The loop closed the listener it adopted in start(); this
         # covers a kernel that was never started.
         self._listener.close()
         self._ns.close()
         self.scheduler.release_stalled()
+
+    def _stop(self) -> None:
+        """No body starts or resumes from here on; every peer channel is
+        flushed and closed, then the loop stops."""
+        with self.lock:
+            self._closed = True
+        self._shutdown_requested.set()
+        self._pool.close_all()
 
     # ------------------------------------------------------------------
     # the loop substrate: hosted DPS threads run on the I/O loop
@@ -1124,7 +1133,7 @@ class DistributedKernel(ThreadedEngine):
                 self._incoming_states[(cname, index)] = (epoch, thread)
                 self._state_cond.notify_all()
         elif kind == P.MSG_SHUTDOWN:
-            self._shutdown_requested.set()
+            self._stop()
         elif kind == P.MSG_HELLO:
             pass  # informational; connections are identified lazily
         else:  # pragma: no cover - decode_message already validates
@@ -1146,7 +1155,9 @@ def run_kernel_process(name: str, ordinal: int,
                        stream: Optional[StreamPolicy] = None) -> None:
     """Child-process main for one kernel (forked by MultiprocessEngine).
 
-    With *trace* set, the kernel records into a process-local tracer and
+    The kernel's loop runs on this thread, the process's only one, until
+    ``MSG_SHUTDOWN`` has flushed and closed every peer channel.  With
+    *trace* set, the kernel records into a process-local tracer and
     metrics registry; the console pulls both through ``MSG_TRACE_FLUSH``
     before the shutdown barrier and merges them into one timeline.
     """
@@ -1164,10 +1175,10 @@ def run_kernel_process(name: str, ordinal: int,
         stream=stream)
     for graph in graphs:
         kernel.register_graph(graph)
-    kernel.start()
+    kernel._open()
     if ready is not None:
         ready.set()
     try:
-        kernel.wait_for_shutdown()
+        kernel._io_loop.run()
     finally:
         kernel.shutdown()

@@ -5,9 +5,10 @@ central name server maps kernel names to listening addresses so peers can
 establish connections lazily, on the first token they need to ship.  This
 module provides both halves:
 
-- :class:`NameServer` — a small threaded TCP directory service speaking a
-  JSON-lines request/response protocol (one JSON object per ``\\n``-
-  terminated line).  Registrations are *owned by the registering
+- :class:`NameServer` — a small TCP directory service on one
+  :class:`~repro.net.eventloop.IOLoop`, speaking a JSON-lines
+  request/response protocol (one JSON object per ``\\n``-terminated
+  line) with every client.  Registrations are *owned by the registering
   connection*: when that connection drops, its names are removed.  A
   kernel that crashes therefore frees its name automatically, and a
   restarted kernel may re-register; a second registration while the first
@@ -24,7 +25,9 @@ module provides both halves:
   providing kernel dropped its registration (or stopped beating, when the
   caller passes ``max_age``) is filtered out of the listing.
 - :class:`NameServerClient` — a blocking client used by kernels to
-  register themselves and resolve peers.
+  register themselves and resolve peers.  The server waits on nothing,
+  so a client's request/reply is short; a kernel's loop makes one to
+  look a peer up when it dials.
 
 Both are deliberately boring: discovery is on the control path only
 (once per peer pair), so clarity wins over throughput here.  The data
@@ -48,6 +51,9 @@ __all__ = [
     "run_name_server",
 ]
 
+#: Bytes a name-server connection reads per readiness event.
+_RECV_BYTES = 1 << 16
+
 
 class NameServerError(RuntimeError):
     """Protocol or transport failure talking to the name server."""
@@ -62,23 +68,27 @@ class UnknownKernel(NameServerError):
 
 
 class NameServer:
-    """Threaded JSON-lines directory service.
+    """JSON-lines directory service: every client served from one loop.
 
     Construct with either a pre-bound listening socket (so the parent
     process can pick the port before forking the server) or a
-    ``(host, port)`` pair; ``port=0`` asks the OS for a free port.
+    ``(host, port)`` pair; ``port=0`` asks the OS for a free port.  Only
+    the loop thread touches the directory.  A client whose reply the
+    socket cannot take whole — one that does not read its replies — is
+    dropped with its registrations.
     """
 
     def __init__(self, sock: Optional[socket.socket] = None,
                  host: str = "127.0.0.1", port: int = 0):
+        from .eventloop import IOLoop  # late: its dial path imports us
         if sock is None:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             sock.bind((host, port))
             sock.listen(64)
-        self._sock = sock
         self.address: Tuple[str, int] = sock.getsockname()[:2]
-        self._lock = threading.Lock()
+        self._loop = IOLoop("nameserver")
+        self._loop.add_listener(sock, self._on_accept)
         #: name -> (host, port, owning connection, metadata dict)
         self._registry: Dict[str, Tuple[str, int, socket.socket, dict]] = {}
         #: name -> monotonic time of the last heartbeat (seeded at
@@ -93,29 +103,20 @@ class NameServer:
         #: connection); listed only while the provider's lease is live
         self._services: Dict[
             str, Tuple[str, List[str], List[str], socket.socket]] = {}
-        self._accept_thread: Optional[threading.Thread] = None
-        self._closed = False
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "NameServer":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="dps-nameserver", daemon=True)
-        self._accept_thread.start()
+        """Serve on a loop thread of its own."""
+        self._loop.start()
         return self
 
     def serve_forever(self) -> None:
-        """Accept clients on the calling thread until the socket closes."""
-        self._accept_loop()
+        """Serve on the calling thread (the name-server process's main)."""
+        self._loop.run()
 
     def stop(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        """Close the listener and every client connection."""
+        self._loop.close()
 
     def __enter__(self) -> "NameServer":
         return self.start()
@@ -123,43 +124,43 @@ class NameServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- server internals ------------------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return  # listener closed
-            threading.Thread(target=self._serve_client, args=(conn,),
-                             name="dps-nameserver-client",
-                             daemon=True).start()
+    # -- server internals (loop thread) ------------------------------------
+    def _on_accept(self, conn: socket.socket) -> None:
+        conn.setblocking(False)
+        received = bytearray()
 
-    def _serve_client(self, conn: socket.socket) -> None:
-        try:
-            reader = conn.makefile("r", encoding="utf-8", newline="\n")
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    request = json.loads(line)
-                    reply = self._handle(conn, request)
-                except Exception as exc:
-                    reply = {"ok": False, "error": f"bad request: {exc}"}
-                if reply is not None:
-                    conn.sendall((json.dumps(reply) + "\n").encode("utf-8"))
-        except OSError:
-            pass
-        finally:
-            self._drop_owner(conn)
+        def on_readable() -> None:
             try:
-                reader.close()
-            except (OSError, UnboundLocalError):
-                pass
-            try:
-                conn.close()
+                data = conn.recv(_RECV_BYTES)
+            except (BlockingIOError, InterruptedError):
+                return
             except OSError:
-                pass
+                data = b""
+            received.extend(data)
+            end = received.rfind(b"\n") + 1
+            replies = b"".join(self._answer(conn, line)
+                               for line in received[:end].split(b"\n"))
+            del received[:end]
+            try:
+                whole = conn.send(replies) == len(replies)
+            except OSError:  # EAGAIN included: the client reads nothing
+                whole = False
+            if not (data and whole):  # EOF, or replies left unread
+                self._loop.remove_reader(conn)
+                conn.close()
+                self._drop_owner(conn)
+
+        self._loop.add_reader(conn, on_readable)
+
+    def _answer(self, conn: socket.socket, line: bytes) -> bytes:
+        """The reply line to one request line (``b""``: none)."""
+        if not line.strip():
+            return b""
+        try:
+            reply = self._handle(conn, json.loads(line))
+        except Exception as exc:
+            reply = {"ok": False, "error": f"bad request: {exc}"}
+        return b"" if reply is None else (json.dumps(reply) + "\n").encode()
 
     def _handle(self, conn: socket.socket,
                 request: dict) -> Optional[dict]:
@@ -168,121 +169,107 @@ class NameServer:
             name = request["name"]
             host, port = request["host"], int(request["port"])
             meta = request.get("meta") or {}
-            with self._lock:
-                existing = self._registry.get(name)
-                if existing is not None and existing[2] is not conn:
-                    return {"ok": False, "error": "duplicate",
-                            "detail": f"kernel {name!r} is already registered"}
-                self._registry[name] = (host, port, conn, dict(meta))
-                self._beats[name] = time.monotonic()
+            existing = self._registry.get(name)
+            if existing is not None and existing[2] is not conn:
+                return {"ok": False, "error": "duplicate",
+                        "detail": f"kernel {name!r} is already registered"}
+            self._registry[name] = (host, port, conn, dict(meta))
+            self._beats[name] = time.monotonic()
             return {"ok": True}
         if op == "unregister":
             name = request["name"]
-            with self._lock:
-                existing = self._registry.get(name)
-                if existing is not None and existing[2] is conn:
-                    self._release(name)
+            existing = self._registry.get(name)
+            if existing is not None and existing[2] is conn:
+                self._release(name)
             return {"ok": True}
         if op == "heartbeat":
             # One-way: the sender does not read a reply (see the module
             # docstring), so none is sent, not even for an unknown name.
             name = request["name"]
             load = request.get("load")
-            with self._lock:
-                if name in self._registry:
-                    self._beats[name] = time.monotonic()
-                    if load is not None:
-                        self._loads[name] = int(load)
+            if name in self._registry:
+                self._beats[name] = time.monotonic()
+                if load is not None:
+                    self._loads[name] = int(load)
             return None
         if op == "loads":
             # Kernels only: service clients also hold registrations (for
             # reply routing) but are not cluster members — they must not
             # appear in depth polls or be mistaken for joining kernels.
-            with self._lock:
-                loads = {name: self._loads.get(name, 0)
-                         for name, entry in self._registry.items()
-                         if entry[3].get("kernel")}
+            loads = {name: self._loads.get(name, 0)
+                     for name, entry in self._registry.items()
+                     if entry[3].get("kernel")}
             return {"ok": True, "loads": loads}
         if op == "expired":
             max_age = float(request["max_age"])
             now = time.monotonic()
-            with self._lock:
-                expired = [{"name": name, "age": now - beat}
-                           for name, beat in self._beats.items()
-                           if now - beat > max_age]
+            expired = [{"name": name, "age": now - beat}
+                       for name, beat in self._beats.items()
+                       if now - beat > max_age]
             return {"ok": True, "expired": expired}
         if op == "lookup":
             name = request["name"]
-            with self._lock:
-                entry = self._registry.get(name)
+            entry = self._registry.get(name)
             if entry is None:
                 return {"ok": False, "error": "unknown",
                         "detail": f"no kernel registered as {name!r}"}
             return {"ok": True, "host": entry[0], "port": entry[1],
                     "meta": entry[3]}
         if op == "list":
-            with self._lock:
-                names = sorted(self._registry)
-            return {"ok": True, "names": names}
+            return {"ok": True, "names": sorted(self._registry)}
         if op == "register_service":
             service = request["service"]
             provider = request["provider"]
             in_types = [str(t) for t in request.get("in_types") or []]
             out_types = [str(t) for t in request.get("out_types") or []]
-            with self._lock:
-                existing = self._services.get(service)
-                if existing is not None and existing[3] is not conn:
-                    return {"ok": False, "error": "duplicate",
-                            "detail": f"service {service!r} is already "
-                                      f"registered by {existing[0]!r}"}
-                self._services[service] = (provider, in_types, out_types,
-                                           conn)
+            existing = self._services.get(service)
+            if existing is not None and existing[3] is not conn:
+                return {"ok": False, "error": "duplicate",
+                        "detail": f"service {service!r} is already "
+                                  f"registered by {existing[0]!r}"}
+            self._services[service] = (provider, in_types, out_types, conn)
             return {"ok": True}
         if op == "unregister_service":
             service = request["service"]
-            with self._lock:
-                existing = self._services.get(service)
-                if existing is not None and existing[3] is conn:
-                    del self._services[service]
+            existing = self._services.get(service)
+            if existing is not None and existing[3] is conn:
+                del self._services[service]
             return {"ok": True}
         if op == "services":
             max_age = request.get("max_age")
             now = time.monotonic()
-            with self._lock:
-                entries = []
-                for service in sorted(self._services):
-                    provider, in_types, out_types, _ = \
-                        self._services[service]
-                    beat = self._beats.get(provider)
-                    if beat is None:
-                        continue  # provider lease is gone
-                    if max_age is not None and now - beat > float(max_age):
-                        continue  # provider stopped beating
-                    entries.append({"service": service,
-                                    "provider": provider,
-                                    "in_types": in_types,
-                                    "out_types": out_types})
+            entries = []
+            for service in sorted(self._services):
+                provider, in_types, out_types, _ = self._services[service]
+                beat = self._beats.get(provider)
+                if beat is None:
+                    continue  # provider lease is gone
+                if max_age is not None and now - beat > float(max_age):
+                    continue  # provider stopped beating
+                entries.append({"service": service,
+                                "provider": provider,
+                                "in_types": in_types,
+                                "out_types": out_types})
             return {"ok": True, "services": entries}
         if op == "ping":
             return {"ok": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     def _release(self, name: str) -> None:
-        """Forget *name* and its lease (lock held)."""
+        """Forget *name* and its lease."""
         del self._registry[name]
         self._beats.pop(name, None)
         self._loads.pop(name, None)
 
     def _drop_owner(self, conn: socket.socket) -> None:
-        with self._lock:
-            dead = [name for name, entry in self._registry.items()
-                    if entry[2] is conn]
-            for name in dead:
-                self._release(name)
-            dead_services = [name for name, entry in self._services.items()
-                             if entry[3] is conn]
-            for name in dead_services:
-                del self._services[name]
+        dead = [name for name, entry in self._registry.items()
+                if entry[2] is conn]
+        for name in dead:
+            self._release(name)
+        dead_services = [name for name, entry in self._services.items()
+                         if entry[3] is conn]
+        for name in dead_services:
+            del self._services[name]
 
 
 def run_name_server(sock: socket.socket) -> None:
@@ -300,6 +287,8 @@ class NameServerClient:
     def __init__(self, address: Tuple[str, int], timeout: float = 10.0):
         self.address = address
         self._sock = socket.create_connection(address, timeout=timeout)
+        # A request right behind a one-way beat must not wait for its ack.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
         self._lock = threading.Lock()
 

@@ -4,10 +4,11 @@
 simulated and threaded ones) and the closest to the C++ runtime the
 paper describes: it forks **one OS process per logical node** named in
 the thread-collection mappings, each running a
-:class:`~repro.net.kernel.DistributedKernel` — the scheduler core with
-its operation bodies run on the kernel's I/O loop — plus a TCP
-name-server process for discovery.  Kernels find each other through the
-name server and dial lazily on the first token they ship; tokens travel
+:class:`~repro.net.kernel.DistributedKernel` on its main thread — the
+scheduler core, its operation bodies and every socket on the kernel's
+one I/O loop — plus a TCP name-server process, itself one loop thread,
+for discovery.  Kernels find each other through the name server and
+dial lazily, on their loops, on the first token they ship; tokens travel
 in the zero-copy wire format over framed scatter-gather sockets.
 
 The driver process hosts a *console kernel* (``"__driver__"``) that owns

@@ -322,10 +322,7 @@ class ServiceClient:
             self._pool.send(self.server, P.encode_svc_close(self.name))
         except Exception:
             pass  # console already gone
-        try:
-            self._pool.close_all()  # flush needs the loop still running
-        except Exception:
-            pass
+        self._pool.close_all()  # flushed on the loop, which then stops
         self._io_loop.close()  # closes the listener it adopted
         try:
             # Dropping the connection frees the name too, but only once

@@ -1,5 +1,6 @@
-"""The lock-free pool hot path and TransportPolicy resolution (the
-peer channel itself is covered in ``test_eventloop.py``)."""
+"""The lock-free pool hot path, the pool's close sequence and
+TransportPolicy resolution (the peer channel itself is covered in
+``test_eventloop.py``)."""
 
 import dataclasses
 import threading
@@ -13,6 +14,9 @@ from repro.net import (
     NameServerClient,
     TransportPolicy,
 )
+from repro.net.connections import CLOSE_DEADLINE
+
+from tests.net.test_timers import FakeClock, _settle
 
 
 @pytest.fixture
@@ -64,22 +68,26 @@ def test_policy_rejects_removed_knobs(removed):
 # ---------------------------------------------------------------------------
 
 class _StubConn:
-    def __init__(self, log=None):
+    """A channel whose flush the test reports (``flush``), or that
+    reports it at once (*flushes*)."""
+
+    def __init__(self, log=None, flushes=True):
         self.sent = []
         self.log = [] if log is None else log
+        self.flushes = flushes
+        self.flush = None
 
     def send(self, segments):
         self.sent.append(segments)
 
-    def close(self, flush_timeout=5.0):
-        self.closed_with = flush_timeout
-
-    def begin_close(self):
+    def begin_close(self, on_flushed):
         self.log.append("begin")
+        self.flush = on_flushed
+        if self.flushes:
+            on_flushed()
 
-    def finish_close(self, flush_timeout):
-        self.log.append("finish")
-        self.closed_with = flush_timeout
+    def close(self):
+        self.log.append("close")
 
 
 def test_pool_send_hot_path_does_not_take_the_lock(ns, loop):
@@ -107,6 +115,8 @@ def test_pool_send_hot_path_does_not_take_the_lock(ns, loop):
 
 
 def test_pool_creates_peer_once_then_caches(ns, loop):
+    """``close_all`` from another thread flushes and closes every channel
+    on the loop, which then stops."""
     with client(ns) as c:
         pool = ConnectionPool(c, loop=loop, hello_from="src",
                               on_error=lambda peer, exc: None,
@@ -120,27 +130,64 @@ def test_pool_creates_peer_once_then_caches(ns, loop):
         assert pool.peer_names() == ["peer"]
         pool.close_all()
         assert pool.peer_names() == []
+        assert stub.log == ["begin", "close"]
+        assert not loop.running
 
 
-def test_close_all_begins_every_close_before_waiting_on_any(ns, loop):
-    """N unreachable peers must cost one flush timeout, not N: every
-    peer starts flushing first, then all are waited on under one
-    deadline."""
+def test_close_all_begins_every_close_before_waiting_on_any(ns):
+    """N unreachable peers must cost one flush deadline, not N: every
+    channel starts flushing first, and those that have not reported
+    flushed when the one shared deadline passes are closed with the
+    rest — at that deadline on the loop's clock, not before."""
+    clock = FakeClock()
+    loop = IOLoop("close-all", clock=clock).start()
+    try:
+        with client(ns) as c:
+            pool = ConnectionPool(c, loop=loop, hello_from="src",
+                                  on_error=lambda peer, exc: None)
+            log = []
+            stubs = [_StubConn(log), _StubConn(log, flushes=False),
+                     _StubConn(log, flushes=False),
+                     _StubConn(log, flushes=False)]
+            pool._peers.update(zip("abcd", stubs))
+            loop.call(pool.close_all)
+            _settle(loop)
+            assert log == ["begin"] * 4
+            loop.call(stubs[1].flush)  # one of three flushes late
+            clock.advance(CLOSE_DEADLINE - 0.5, loop)
+            assert log == ["begin"] * 4 and loop.running
+            clock.now += 0.5
+            loop.call(lambda: None)  # wake it: the deadline is due
+            loop.join(timeout=5)
+            assert log == ["begin"] * 4 + ["close"] * 4
+            assert not loop.running
+            assert pool.peer_names() == []
+    finally:
+        loop.close()
+
+
+def test_close_all_closes_once_every_channel_has_flushed(ns, loop):
+    """No deadline is waited out when every channel reports flushed."""
     with client(ns) as c:
         pool = ConnectionPool(c, loop=loop, hello_from="src",
                               on_error=lambda peer, exc: None)
         log = []
-        stubs = [_StubConn(log) for _ in range(3)]
-        pool._peers.update(zip("abc", stubs))
-        pool.close_all()
-    assert log == ["begin"] * 3 + ["finish"] * 3
-    waits = [stub.closed_with for stub in stubs]
-    assert 0 < waits[2] <= waits[1] <= waits[0] <= 5.0
+        stubs = [_StubConn(log, flushes=False) for _ in range(2)]
+        pool._peers.update(zip("ab", stubs))
+        loop.call(pool.close_all)
+        _settle(loop)
+        loop.call(stubs[0].flush)
+        _settle(loop)
+        assert log == ["begin"] * 2 and loop.running
+        loop.call(stubs[1].flush)
+        loop.join(timeout=5)
+        assert log == ["begin"] * 2 + ["close"] * 2
+        assert not loop.running
 
 
 def test_pool_forget_drops_the_channel_without_flushing(ns, loop):
-    """A forgotten peer is closed without a flush wait (the caller may be
-    the loop thread) and the next send builds a fresh channel."""
+    """A forgotten peer is closed on the spot, unflushed (the caller is
+    the loop thread), and the next send builds a fresh channel."""
     with client(ns) as c:
         pool = ConnectionPool(c, loop=loop, hello_from="src",
                               on_error=lambda peer, exc: None,
@@ -148,7 +195,7 @@ def test_pool_forget_drops_the_channel_without_flushing(ns, loop):
         stub = pool._peers["peer"] = _StubConn()
         pool.forget("peer")
         pool.forget("never-dialed")
-        assert stub.closed_with == 0
+        assert stub.log == ["close"]
         assert pool.peer_names() == []
         assert pool.peer("peer") is not stub
         pool.close_all()

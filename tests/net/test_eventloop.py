@@ -35,8 +35,6 @@ from repro.net import (
     TransportPolicy,
     VectoredSender,
     host_fingerprint,
-    recv_message,
-    send_message,
     send_messages,
 )
 from repro.net.protocol import MSG_ACK, MSG_DATA, MSG_HELLO, MSG_SHM, \
@@ -61,6 +59,17 @@ def _wait_for(predicate, timeout=5.0, what="condition"):
     while not predicate():
         assert time.monotonic() < deadline, f"timed out waiting for {what}"
         time.sleep(0.01)
+
+
+def _recv_frames(sock, n):
+    """At least the next *n* frames on *sock*, as bytes; a new reader
+    each call, so the sender must not have sent more than that yet."""
+    reader, frames = FrameReader(sock), []
+    while len(frames) < n:
+        batch = reader.recv_batch()
+        assert batch is not None, "EOF"
+        frames.extend(bytes(f) for f in batch)
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +205,7 @@ def test_recv_ready_drains_only_what_is_there():
     assert reader.recv_ready() == ([], False)  # nothing yet, no block
     payloads = [b"a" * 10, b"b" * 2000, b"c" * 3]  # middle one oversized
     for p in payloads:
-        send_message(out_sock, [bytearray(p)])
+        send_messages(out_sock, [[bytearray(p)]])
     received = []
     _wait_for(lambda: (received.extend(reader.recv_ready()[0]) or
                        len(received) == len(payloads)),
@@ -231,7 +240,7 @@ def test_framereader_oversized_path_no_per_call_allocation_growth():
 
     def sender():
         for _ in range(warm + measured):
-            send_message(out_sock, [payload])
+            send_messages(out_sock, [[payload]])
         out_sock.close()
 
     thread = threading.Thread(target=sender)
@@ -327,7 +336,7 @@ def test_ioloop_add_connection_delivers_frames_then_eof():
         on_close=lambda exc: (closed.append(exc), finished.set()))
     payloads = [b"a" * 10, b"b" * 4000, b"c" * 2]  # middle one oversized
     for p in payloads:
-        send_message(out_sock, [bytearray(p)])
+        send_messages(out_sock, [[bytearray(p)]])
     out_sock.close()
     assert finished.wait(timeout=5)
     assert [bytes(g) for g in got] == payloads
@@ -375,11 +384,11 @@ def test_ioloop_add_listener_accepts_back_to_back_dials():
     loop.add_listener(listener, adopt)
     try:
         for i, sock in enumerate(dialed):
-            send_message(sock, [bytearray(b"dial-%d" % i)])
+            send_messages(sock, [[bytearray(b"dial-%d" % i)]])
         _wait_for(lambda: len(got) == n, what="a frame from every dial")
         assert sorted(got) == [b"dial-%d" % i for i in range(n)]
         listener.close()
-        send_message(dialed[0], [bytearray(b"after")])
+        send_messages(dialed[0], [[bytearray(b"after")]])
         _wait_for(lambda: b"after" in got, what="frame after listener close")
         ran = threading.Event()
         loop.call(ran.set)
@@ -462,12 +471,14 @@ class _Sink:
 
     def _run(self):
         self._accepted, _ = self.listener.accept()
-        assert recv_message(self._accepted) is not None  # HELLO
         reader = FrameReader(self._accepted)
+        hello = True
         while True:
             batch = reader.recv_batch()
             if batch is None:
                 return
+            if hello:
+                batch, hello = batch[1:], False
             self.frames.extend(bytes(f) for f in batch)
 
     def close(self):
@@ -536,7 +547,7 @@ def test_eventloop_peer_coalesces_at_quiescence(ns):
         assert fps.count and fps.total / fps.count > 1.0, (
             "a same-burst send batch should share a vectored flush")
     finally:
-        conn.close()
+        loop.call(conn.close)
         loop.close()
         sink.close()
         owner.close()
@@ -556,7 +567,7 @@ def test_eventloop_peer_control_frame_keeps_fifo_behind_data(ns):
                                    bytes(_data_frame(2)[0]),
                                    bytes(_control_frame()[0])]
     finally:
-        conn.close()
+        loop.call(conn.close)
         loop.close()
         sink.close()
         owner.close()
@@ -579,7 +590,7 @@ def test_eventloop_peer_idle_sends_are_written_by_the_caller(ns):
                                for i in range(n + 1)]
         assert wakeups.value == before, "an idle send woke the loop"
     finally:
-        conn.close()
+        loop.call(conn.close)
         loop.close()
         sink.close()
         owner.close()
@@ -608,15 +619,14 @@ def _small_buffer_peer(ns, name, metrics=None):
             conn.send(_data_frame(0))
             accepted, _ = listener.accept()
             try:
-                assert recv_message(accepted) is not None  # HELLO
-                assert bytes(recv_message(accepted)) == \
-                    bytes(_data_frame(0)[0])
+                assert _recv_frames(accepted, 2)[1:] == \
+                    [bytes(_data_frame(0)[0])]  # behind HELLO
                 _wait_for(conn._idle, what="dialed and idle")
                 conn._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
                                       4096)
                 yield loop, conn, accepted
             finally:
-                conn.close()
+                loop.call(conn.close)
                 accepted.close()
     finally:
         listener.close()
@@ -857,22 +867,37 @@ def test_eventloop_peer_bulk_send_goes_through_the_loop(ns):
     finally:
         if receiver is not None:
             receiver.close()
-        conn.close()
+        loop.call(conn.close)
         loop.close()
         sink.close()
         owner.close()
 
 
 def test_eventloop_peer_close_flushes_queued_frame(ns):
-    """close() right behind a send still delivers the frame: the flush
-    is waited for before the socket goes away."""
+    """A close right behind a burst still delivers it: ``begin_close``
+    reports flushed once the queued frames are on the wire, and only
+    then is the socket closed."""
     sink = _Sink()
     owner, loop, conn = _peer(ns, sink, "closer")
-    try:
+    flushed = threading.Event()
+
+    def burst_then_close():
+        # A message of shm-lane size always queues; the frame behind it
+        # queues too.
+        conn.send([bytearray([MSG_DATA])
+                   + bytes(TransportPolicy().shm_threshold)])
         conn.send(_data_frame(1))
-        conn.close(flush_timeout=5.0)
-        _wait_for(lambda: len(sink.frames) >= 2, what="flush on close")
-        assert sink.frames[1] == bytes(_data_frame(1)[0])
+        conn.begin_close(flushed.set)
+        early.append(flushed.is_set())  # the flush waits for the pass end
+
+    early = []
+    try:
+        loop.call(burst_then_close)
+        assert flushed.wait(timeout=5)
+        assert early == [False]
+        loop.call(conn.close)
+        _wait_for(lambda: len(sink.frames) >= 3, what="flush on close")
+        assert sink.frames[2] == bytes(_data_frame(1)[0])
     finally:
         loop.close()
         sink.close()
@@ -902,16 +927,10 @@ def test_eventloop_peer_coalesces_queued_messages(ns):
         # drain through one coalesced flush.
         owner.register("sink", *listener.getsockname()[:2])
         accepted, _ = listener.accept()
-        kind, name = decode_message(recv_message(accepted), {})
-        assert (kind, name) == (MSG_HELLO, "src")
-        reader = FrameReader(accepted)
-        received = []
-        while len(received) < len(payloads):
-            batch = reader.recv_batch()
-            assert batch is not None
-            received.extend(bytes(b) for b in batch)
+        hello, *received = _recv_frames(accepted, 1 + len(payloads))
+        assert decode_message(bytearray(hello), {}) == (MSG_HELLO, "src")
         assert received == payloads
-        conn.close()
+        loop.call(conn.close)
         accepted.close()
     listener.close()
     loop.close()
@@ -945,7 +964,7 @@ def test_eventloop_peer_failure_counts_drops_and_reports_once(ns):
             conn.send([bytearray(b"late")])
         _wait_for(lambda: metrics.counter("token_drops").value >= 4,
                   what="token_drops")
-        conn.close()
+        loop.call(conn.close)
     loop.close()
     assert len(errors) == 1 and errors[0][0] == "ghost"
     # "first" was still undelivered at failure time: it drops too.
@@ -979,7 +998,7 @@ def test_eventloop_peer_broken_pipe_reaches_on_error(ns):
             transport=TransportPolicy(shm_enabled=False), metrics=metrics)
         conn.send([bytearray(b"hello")])
         accepted, _ = listener.accept()
-        assert recv_message(accepted) is not None  # HELLO
+        _recv_frames(accepted, 1)  # HELLO
         # Kill the receiving side outright; subsequent writes must fail.
         accepted.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                             b"\x01\x00\x00\x00\x00\x00\x00\x00")
@@ -1003,6 +1022,6 @@ def test_eventloop_peer_broken_pipe_reaches_on_error(ns):
         _wait_for(lambda: drops.value >= already + 3, what="token_drops")
         assert drops.value == already + 3
         assert len(errors) == 1
-        conn.close()
+        loop.call(conn.close)
     listener.close()
     loop.close()

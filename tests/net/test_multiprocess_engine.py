@@ -3,6 +3,7 @@ scatter calls between applications in different processes, dead-kernel
 detection, lifecycle rules and thread-state persistence."""
 
 import os
+import socket
 import sys
 import threading
 import time
@@ -22,7 +23,10 @@ from repro.core import (
     SplitOperation,
     ThreadCollection,
 )
-from repro.net import DistributedKernel, NameServer
+from repro.net import CONSOLE_KERNEL, DistributedKernel, FrameReader, \
+    NameServer, NameServerClient, run_kernel_process, send_messages
+from repro.net import connections
+from repro.net import protocol as P
 from repro.runtime import MultiprocessEngine, ScheduleError
 from repro.serial import SimpleToken
 from repro.trace import MetricsRegistry
@@ -182,30 +186,87 @@ def counting_graph(name, worker_mapping="node02"):
     )
 
 
+def _threads(pid):
+    with open(f"/proc/{pid}/status") as status:
+        return int(next(line.split()[1] for line in status
+                        if line.startswith("Threads:")))
+
+
 def test_eventloop_mode_thread_census():
-    """The point of the I/O core and its timer queue: after a ring run
-    the console kernel owns exactly one ``dps-io:`` loop thread — no
-    accept, per-peer ``dps-send:``, per-connection ``dps-recv:`` or
-    ack-flush thread, and no engine thread polling children, leases or
-    queue depths — and each worker kernel process is main + ``dps-io``:
-    its DPS threads run on the loop, not on threads of their own."""
+    """The point of the I/O core and its timer queue: after its first
+    ring run the console kernel owns exactly one ``dps-io:`` loop thread
+    — no accept, per-peer ``dps-send:``, per-connection ``dps-recv:``,
+    ack-flush or dial thread (a dial in flight is loop state too), and
+    no engine thread polling children, leases or queue depths — and each
+    worker kernel process, like the name-server process, is one thread
+    turning its loop."""
     g = build_ring_graph(["node01", "node02", "node03", "node04"])
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(5)
     with MultiprocessEngine() as engine:
         engine.register_graph(g)
-        for _ in range(3):  # the first run's one-shot dial threads end
-            assert engine.run(g, RingJobToken(512, 4), timeout=60).blocks == 4
-        names = [t.name for t in threading.enumerate()]
-        assert sum(n.startswith("dps-io:") for n in names) == 1
-        for prefix in ("dps-accept:", "dps-send:", "dps-recv:",
-                       "dps-ackflush:", "dps-heartbeat", "dps-resend",
-                       "dps-liveness", "dps-autoscaler",
-                       "dps-kernel-monitor"):
-            assert not any(n.startswith(prefix) for n in names), prefix
+        assert engine.run(g, RingJobToken(512, 4), timeout=60).blocks == 4
+        console = engine._console
+        console._pool.send("late", P.encode_hello("census"))  # unregistered
+        passed = threading.Event()
+        console._io_loop.call(passed.set)  # behind the first dial attempt
+        assert passed.wait(timeout=5)
+        names = [t.name for t in threading.enumerate()
+                 if t.name.startswith("dps-")]
+        assert names == ["dps-io:__driver__"]
+        with NameServerClient(engine.ns_address) as owner:
+            owner.register("late", *listener.getsockname()[:2])
+            accepted, _ = listener.accept()  # a retry lands
+            reader, frames = FrameReader(accepted), []
+            while len(frames) < 2:  # its HELLO, then ours
+                frames.extend(reader.recv_batch())
         for name, proc in engine._kernel_procs.items():
-            with open(f"/proc/{proc.pid}/status") as status:
-                threads = int(next(line.split()[1] for line in status
-                                   if line.startswith("Threads:")))
-            assert threads <= 2, f"{name} runs {threads} threads"
+            assert _threads(proc.pid) == 1, name
+        assert _threads(engine._ns_proc.pid) == 1
+    accepted.close()
+    listener.close()
+
+
+def test_a_worker_flushes_before_it_closes_on_one_deadline(monkeypatch):
+    """``run_kernel_process`` turns the kernel's loop on its caller's
+    thread until ``MSG_SHUTDOWN``.  What the kernel queued before it — a
+    trace reply and a barrier reply to a console it has not dialed yet —
+    arrives, in order, before its sockets close; three peers it can never
+    reach cost one shared close deadline, not three."""
+    monkeypatch.setattr(connections, "CLOSE_DEADLINE", 0.5)
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(5)
+    with NameServer() as ns, NameServerClient(ns.address) as owner:
+        owner.register(CONSOLE_KERNEL, *listener.getsockname()[:2])
+        ready = threading.Event()
+        worker = threading.Thread(
+            target=run_kernel_process,
+            args=("node01", 1, ns.address, [CONSOLE_KERNEL, "node01"], []),
+            kwargs={"ready": ready})
+        worker.start()
+        assert ready.wait(timeout=10)
+        with socket.create_connection(owner.lookup("node01")) as sock:
+            t0 = time.monotonic()
+            send_messages(sock, [
+                P.encode_trace_flush(CONSOLE_KERNEL), P.encode_replay(7),
+                *(P.encode_trace_flush(f"ghost{i}") for i in range(3)),
+                P.encode_shutdown()])
+            accepted, _ = listener.accept()
+            accepted.settimeout(5)
+            reader, frames = FrameReader(accepted), []
+            while (batch := reader.recv_batch()) is not None:
+                frames.extend(P.decode_message(f, {})[0] for f in batch)
+            worker.join(timeout=10)
+            elapsed = time.monotonic() - t0
+        accepted.close()
+    listener.close()
+    assert not worker.is_alive()
+    assert frames == [P.MSG_HELLO, P.MSG_TRACE, P.MSG_REPLAY_DONE]
+    assert 0.5 <= elapsed < 1.5, f"returned after {elapsed:.2f}s"
 
 
 def test_remote_merge_acks_each_token_exactly_once():

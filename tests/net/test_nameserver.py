@@ -1,6 +1,8 @@
 """Name-server edge cases: duplicate registration, unknown lookup,
-re-registration after a kernel restart, and lazy-dial retry/backoff."""
+re-registration after a kernel restart, one loop serving every client,
+and the lazy dial's retry/backoff on its loop's clock."""
 
+import contextlib
 import json
 import socket
 import threading
@@ -9,16 +11,22 @@ import time
 import pytest
 
 from repro.net import (
+    DialError,
     DuplicateRegistration,
+    EventLoopPeer,
+    FrameReader,
+    IOLoop,
     NameServer,
     NameServerClient,
+    NameServerError,
+    TransportPolicy,
     UnknownKernel,
-    dial_kernel,
-    recv_message,
-    send_message,
+    send_messages,
 )
-from repro.net.connections import DialError
+from repro.net.eventloop import _DIAL_FIRST_DELAY
 from repro.net.protocol import MSG_HELLO, decode_message
+
+from tests.net.test_timers import FakeClock, _settle
 
 
 @pytest.fixture
@@ -111,39 +119,90 @@ def test_crash_unregisters_only_own_names(ns):
         assert c2.list() == ["kernelB"]
 
 
+@contextlib.contextmanager
+def _dialer(ns, name, deadline=15.0):
+    """A channel towards *name* on a loop whose clock moves only when the
+    test moves it: ``(clock, loop, conn, errors)``; *errors* collects
+    ``(clock time, exception)`` for each failure reported."""
+    clock = FakeClock()
+    loop = IOLoop(f"dial-{name}", clock=clock).start()
+    errors = []
+    c = client(ns)
+    conn = EventLoopPeer(
+        name, c, loop=loop, hello_from="tester",
+        on_error=lambda peer, exc: errors.append((clock.now, exc)),
+        dial_deadline=deadline, transport=TransportPolicy(shm_enabled=False))
+    try:
+        yield clock, loop, conn, errors
+    finally:
+        loop.call(conn.close)
+        loop.close()
+        c.close()
+
+
+def _until(loop, predicate):
+    """Let *loop* take passes until *predicate* holds (an outcome that
+    arrives as a readiness event, like a refused connect)."""
+    for _ in range(500):
+        _settle(loop)
+        if predicate():
+            return
+    raise AssertionError("the loop never got there")
+
+
+def _hello_then(listener, payload):
+    conn, _ = listener.accept()
+    conn.settimeout(5)
+    reader, frames = FrameReader(conn), []
+    try:
+        while len(frames) < 2:
+            frames.extend(reader.recv_batch())
+    finally:
+        conn.close()
+    assert decode_message(frames[0], {}) == (MSG_HELLO, "tester")
+    assert [bytes(f) for f in frames[1:]] == [payload]
+
+
 def test_dial_retry_backoff_on_late_registration(ns):
-    """dial_kernel keeps retrying while the peer has not registered yet —
-    the lazy-connection startup race of paper §4."""
+    """The dial keeps retrying while the peer has not registered yet —
+    the lazy-connection startup race of paper §4 — each retry a timer
+    on the loop's clock: nothing dials before the backoff has passed."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
-    host, port = listener.getsockname()[:2]
-    owner = client(ns)
-
-    def register_late():
-        time.sleep(0.3)
-        owner.register("latecomer", host, port)
-
-    threading.Thread(target=register_late, daemon=True).start()
-    with client(ns) as c:
-        t0 = time.monotonic()
-        sock = dial_kernel(c, "latecomer", hello_from="tester", deadline=10)
-        assert time.monotonic() - t0 >= 0.25  # actually waited for it
-        conn, _ = listener.accept()
-        kind, name = decode_message(recv_message(conn), {})
-        assert (kind, name) == (MSG_HELLO, "tester")
-        sock.close()
-        conn.close()
-    owner.close()
+    lookups = []
+    with client(ns) as owner, _dialer(ns, "latecomer") as (
+            clock, loop, conn, errors):
+        lookup = conn._ns.lookup_entry
+        conn._ns.lookup_entry = lambda name: (lookups.append(clock.now),
+                                              lookup(name))[1]
+        conn.send([bytearray(b"first")])
+        _settle(loop)
+        owner.register("latecomer", *listener.getsockname()[:2])
+        _settle(loop)
+        assert lookups == [0.0]
+        clock.advance(_DIAL_FIRST_DELAY, loop)
+        assert lookups == [0.0, _DIAL_FIRST_DELAY]
+        listener.settimeout(5)
+        _hello_then(listener, b"first")
+        assert not errors
     listener.close()
 
 
 def test_dial_gives_up_after_deadline(ns):
-    with client(ns) as c:
-        t0 = time.monotonic()
-        with pytest.raises(DialError, match="ghost"):
-            dial_kernel(c, "ghost", deadline=0.4)
-        assert 0.3 <= time.monotonic() - t0 < 5
+    """A peer that never registers fails the dial with DialError exactly
+    when the loop's clock reaches the deadline — and no real time has to
+    pass for it."""
+    with _dialer(ns, "ghost", deadline=1.0) as (clock, loop, conn, errors):
+        conn.send([bytearray(b"first")])
+        _settle(loop)
+        for _ in range(7):  # 0.125 ... 0.875: retrying, not failed
+            clock.advance(0.125, loop)
+        assert errors == []
+        clock.advance(0.125, loop)
+        assert [(t, type(exc)) for t, exc in errors] == [(1.0, DialError)]
+        assert "ghost" in str(errors[0][1])
+        assert isinstance(errors[0][1].__cause__, UnknownKernel)
 
 
 def test_dial_retries_refused_connection(ns):
@@ -155,26 +214,25 @@ def test_dial_retries_refused_connection(ns):
     host, port = probe.getsockname()[:2]
     probe.close()  # port is now registered but refusing connections
 
-    with client(ns) as owner, client(ns) as c:
+    with client(ns) as owner, _dialer(ns, "slowpoke") as (
+            clock, loop, conn, errors):
         owner.register("slowpoke", host, port)
+        conn.send([bytearray(b"first")])
+        _until(loop, lambda: isinstance(conn._dial_error,
+                                        ConnectionRefusedError))
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-
-        def listen_late():
-            time.sleep(0.3)
+        try:
             try:
                 listener.bind((host, port))
             except OSError:
-                return  # port got reused meanwhile; dial will time out
+                pytest.skip("ephemeral port was reused by another process")
             listener.listen(1)
-
-        threading.Thread(target=listen_late, daemon=True).start()
-        try:
-            sock = dial_kernel(c, "slowpoke", deadline=5)
-            sock.close()
-        except DialError:
-            pytest.skip("ephemeral port was reused by another process")
+            listener.settimeout(5)
+            clock.advance(_DIAL_FIRST_DELAY, loop)
+            _hello_then(listener, b"first")
         finally:
             listener.close()
+        assert not errors
 
 
 def test_send_recv_roundtrip_over_socket():
@@ -185,12 +243,13 @@ def test_send_recv_roundtrip_over_socket():
     out = socket.create_connection(listener.getsockname()[:2])
     conn, _ = listener.accept()
     try:
-        send_message(out, [bytearray(b"head"), b"-mid-", memoryview(b"tail")])
-        send_message(out, b"")
-        assert bytes(recv_message(conn)) == b"head-mid-tail"
-        assert bytes(recv_message(conn)) == b""
+        send_messages(out, [[bytearray(b"head"), b"-mid-",
+                             memoryview(b"tail")], b""])
         out.close()
-        assert recv_message(conn) is None  # clean EOF
+        reader, frames = FrameReader(conn), []
+        while (batch := reader.recv_batch()) is not None:  # to clean EOF
+            frames.extend(bytes(f) for f in batch)
+        assert frames == [b"head-mid-tail", b""]
     finally:
         conn.close()
         listener.close()
@@ -399,3 +458,94 @@ def test_server_sends_no_reply_to_a_heartbeat(ns):
         c.heartbeat("kernelA", load=5)
         assert c.lookup("kernelA") == ("127.0.0.1", 7001)
         assert c.loads() == {"kernelA": 5}
+
+
+# ---------------------------------------------------------------------------
+# one loop serves every client
+# ---------------------------------------------------------------------------
+
+def test_every_client_is_served_by_the_one_loop_thread():
+    """32 clients connected at once register, look each other up and
+    beat; the server adds one thread in all, its loop."""
+    before = set(threading.enumerate())
+    with NameServer() as ns:
+        clients = [client(ns) for _ in range(32)]
+        try:
+            for i, c in enumerate(clients):
+                c.register(f"k{i}", "127.0.0.1", 7000 + i,
+                           meta={"kernel": True})
+            for i, c in enumerate(clients):
+                j = (i + 1) % len(clients)
+                assert c.lookup(f"k{j}") == ("127.0.0.1", 7000 + j)
+                c.heartbeat(f"k{i}", load=i)
+                c.ping()  # behind the beat on the same connection
+            assert clients[0].loads() == {f"k{i}": i for i in range(32)}
+            added = set(threading.enumerate()) - before
+            assert [t.name for t in added] == ["dps-io:nameserver"]
+        finally:
+            for c in clients:
+                c.close()
+
+
+def _recv_line(sock):
+    data = b""
+    while not data.endswith(b"\n"):
+        chunk = sock.recv(4096)
+        assert chunk, "connection closed"
+        data += chunk
+    return data
+
+
+def test_a_request_split_across_segments_is_answered_once_whole(ns):
+    with socket.create_connection(ns.address, timeout=5) as raw, \
+            client(ns) as other:
+        raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        raw.sendall(b'{"op": "pi')
+        other.ping()  # the loop has read the first half by now
+        raw.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            raw.recv(1)
+        raw.settimeout(5)
+        raw.sendall(b'ng"}\n')
+        assert _recv_line(raw) == b'{"ok": true}\n'
+        other.ping()
+        raw.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            raw.recv(1)  # answered once
+
+
+def test_a_client_that_never_reads_its_replies_is_dropped(ns):
+    """Replies the socket cannot take whole drop the client that does not
+    read them, with its registrations; everyone else is still served."""
+    with client(ns) as other:
+        hog = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        hog.settimeout(10)
+        hog.connect(ns.address)
+        try:
+            hog.sendall(b'{"op": "register", "name": "hog", '
+                        b'"host": "127.0.0.1", "port": 7001}\n')
+            assert _recv_line(hog) == b'{"ok": true}\n'
+            assert other.lookup("hog") == ("127.0.0.1", 7001)
+            # From here on the hog reads nothing.  Each reply repeats
+            # the ~60 KB name: far more than the server may queue.
+            line = json.dumps({"op": "lookup",
+                               "name": "x" * 60_000}).encode() + b"\n"
+            with pytest.raises(OSError):  # the server hangs up
+                for _ in range(200):
+                    hog.sendall(line)
+            with pytest.raises(UnknownKernel):
+                other.lookup("hog")
+            other.register("hog", "127.0.0.1", 7002)
+            assert other.lookup("hog") == ("127.0.0.1", 7002)
+        finally:
+            hog.close()
+
+
+def test_stop_closes_connected_clients():
+    ns = NameServer().start()
+    with client(ns) as c:
+        c.register("kernelA", "127.0.0.1", 7001)
+        ns.stop()
+        with pytest.raises(NameServerError):
+            c.ping()

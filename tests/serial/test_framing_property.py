@@ -7,9 +7,8 @@ must be rejected rather than misparsed.
 
 The batched transport extensions get the same treatment: arbitrary
 interleavings of tiny and huge frames must round-trip through
-``send_messages()`` + ``FrameReader`` identically to the frame-at-a-time
-``send_message()``/``recv_message()`` path, in every sender/receiver
-pairing (the wire format is shared, so old and new endpoints
+``send_messages()`` + ``FrameReader`` identically to frames sent one at
+a time (the wire format is shared, so batched and unbatched endpoints
 interoperate).
 """
 
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.net import FrameReader, send_message, send_messages
+from repro.net import FrameReader, send_messages
 from repro.serial import (
     FRAME_HEADER_BYTES,
     FRAME_VERSION,
@@ -172,8 +171,8 @@ def test_send_messages_framereader_roundtrip(messages, max_batch_bytes):
 @_big
 @given(_messages)
 def test_send_messages_bytes_identical_to_frame_at_a_time(messages):
-    """The batched sender's wire bytes are bit-identical to one
-    send_message() call per payload — receivers cannot tell them apart."""
+    """The batched sender's wire bytes are bit-identical to sending one
+    framed payload at a time — receivers cannot tell them apart."""
     expected = b"".join(
         bytes(gather(frame([bytearray(s) for s in message])))
         for message in messages)
@@ -210,7 +209,7 @@ def test_framereader_interops_with_unbatched_sender(messages):
 
     def send_all(sock):
         for payload in payloads:
-            send_message(sock, payload)
+            sock.sendall(gather(frame(payload)))
 
     received = _exchange(payloads, send_all)
     assert [bytes(r) for r in received] == \

@@ -196,8 +196,7 @@ def test_client_runs_exactly_one_io_thread(tier):
     _, address, _ = tier
 
     def census():
-        return sorted(t.name for t in threading.enumerate()
-                      if not t.name.startswith("dps-dial:"))  # transient
+        return sorted(t.name for t in threading.enumerate())
 
     before = census()
     with ServiceClient(address, name="census-client") as client:
