@@ -13,12 +13,12 @@ dial deadline.
 Each peer gets one unidirectional send channel, an
 :class:`~repro.net.eventloop.EventLoopPeer`: posting a token to a remote
 kernel is one non-blocking ``sendmsg`` when the channel is idle and a
-queue append otherwise — never a network wait under the engine lock —
-and per-peer FIFO ordering is preserved (acks must not overtake the data
-tokens they answer).  The owner's single :class:`~repro.net.eventloop.IOLoop`
-drains every outbox with vectored writes; :class:`ConnectionPool` is the
-name → channel map.  :class:`TransportPolicy` holds the one choice the
-path leaves open (the shm lane).
+queue append otherwise — never a network wait — and per-peer FIFO
+ordering is preserved (acks must not overtake the data tokens they
+answer).  The owner's single :class:`~repro.net.eventloop.IOLoop` drains
+every outbox with vectored writes; :class:`ConnectionPool` is the name →
+channel map.  :class:`TransportPolicy` holds the one choice the path
+leaves open (the shm lane).
 """
 
 from __future__ import annotations

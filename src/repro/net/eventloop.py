@@ -37,7 +37,7 @@ dial's lookup is the one such call a loop makes.
   from any engine thread is a ``deque.append`` plus (at most) one
   one-byte ``send`` — :meth:`IOLoop.call` never blocks and never takes
   a lock, and a sending thread only ever *tries* the per-peer write
-  lock, so ``ConnectionPool.send`` stays safe under the engine lock.
+  lock, so ``ConnectionPool.send`` never waits for the loop.
   ``io_loop_wakeups`` counts loop iterations.
 - **Timers**: :meth:`IOLoop.call_later` is the owner's one timer queue
   (a heap whose earliest deadline bounds the ``select`` timeout, read
@@ -368,10 +368,11 @@ class IOLoop:
         """
         timer = _Timer(self._clock() + delay, next(self._timer_seq), fn,
                        self)
-        if not self._closed:
-            # Through the queue even on the loop thread: the wakeup makes
-            # the loop recompute its select timeout, and a zero-delay
-            # re-arm cannot starve the selector.
+        if delay > 0 and self.on_loop_thread():
+            heapq.heappush(self._timers, timer)  # read by the next pass
+        elif not self._closed:
+            # Through the queue: the wakeup makes the loop recompute its
+            # select timeout; a zero-delay re-arm cannot starve selects.
             self.call(lambda: heapq.heappush(self._timers, timer))
         return timer
 

@@ -12,8 +12,16 @@ kernel's :class:`~repro.net.eventloop.IOLoop` advances one inbox item at
 a time up to the item's next wait, and a wait is resumed from a loop
 callback (an admit gate opening, a ``call_later`` timer, a nested
 activation's result).  No OS thread per DPS thread: a worker kernel is
-one thread, its main thread turning the loop.  Activations, result
-routing and failure surfacing come from
+one thread, its main thread turning the loop.
+
+Every table of a kernel has one owner, its loop, so ``lock`` is a
+``nullcontext()`` as on ``SimController``.  The recovery and member
+barriers are control coroutines on the loop (``_drive``): each wait is a
+yield the matching callback resumes, each deadline a ``call_later`` on
+the kernel's clock.  Another thread hands a closure to the loop with
+``IOLoop.call`` and waits on a ``queue.SimpleQueue`` (``_hand_over``).
+
+Activations, result routing and failure surfacing come from
 :class:`~repro.runtime.threaded_engine.ThreadedEngine`,
 with the transport hooks overridden where the single-process engine
 assumes shared memory:
@@ -45,10 +53,11 @@ from __future__ import annotations
 
 import itertools
 import os
+import queue
 import socket
-import threading
 import time
-from collections import deque
+from collections import deque, namedtuple
+from contextlib import nullcontext
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, \
     Tuple
 
@@ -59,12 +68,12 @@ from ..core.ops import CallGraphRequest, ChargeRequest, PostRequest, \
 from ..core.routing import RoutingPolicy
 from ..core.threads import DpsThread, ThreadCollection
 from ..runtime.base import DataEnvelope, GroupFrame, KernelFailure, \
-    ScheduleError
+    RunResult, ScheduleError
 from ..runtime.threaded_engine import ThreadedEngine
 from ..serial import fastpath
 from ..serial.token import Token
 from ..serial.wire import WireError
-from .connections import ConnectionPool, TransportPolicy
+from .connections import CLOSE_DEADLINE, ConnectionPool, TransportPolicy
 from .eventloop import IOLoop
 from .framing import DEFAULT_RECV_BYTES
 from .nameserver import NameServerClient
@@ -150,6 +159,17 @@ class _Gate:
             waiter()
 
 
+#: What a control coroutine yields: resume me once ``ready()`` holds, or
+#: after *seconds* of the kernel's clock with ``expired()`` — an
+#: exception raised at the yield, or ``None`` to carry on.
+_Wait = namedtuple("_Wait", "ready seconds expired",
+                   defaults=(lambda: None,))
+
+#: The inbox marker of an instance leaving in a member change: ``_advance``
+#: reaches it once everything queued ahead of it has run.
+_EVICT = object()
+
+
 class DistributedKernel(ThreadedEngine):
     """A kernel process's share of the schedule, run on its I/O loop.
 
@@ -158,6 +178,9 @@ class DistributedKernel(ThreadedEngine):
     Anything else it waits for (a blocking call, a long computation)
     holds the loop, and with it every socket and timer of the kernel:
     the heartbeat that renews the kernel's lease included.
+
+    Only the loop thread reads or writes the kernel's state; the public
+    methods may be called from any other thread and hand over.
     """
 
     def __init__(self, name: str, ordinal: int,
@@ -177,6 +200,8 @@ class DistributedKernel(ThreadedEngine):
                  clock: Optional[Callable[[], float]] = None):
         super().__init__(policy=policy, tracer=tracer, metrics=metrics,
                          routing=routing, stream=stream)
+        #: The loop is the only thread that touches the tables.
+        self.lock = nullcontext()
         if clock is not None:
             #: Test seam: the substrate's ``now`` — journal ages and the
             #: I/O loop's timer deadlines all read this one clock.
@@ -197,10 +222,11 @@ class DistributedKernel(ThreadedEngine):
         self._group_counter = ordinal << KERNEL_ORDINAL_SHIFT
         #: Every kernel in the cluster (failure-broadcast fan-out).
         self._peer_names = [p for p in peers if p != name]
-        self._shutdown_requested = threading.Event()
-        # trace-merge barrier: collect_traces() waits here until every
-        # polled peer has answered with its MSG_TRACE reply
-        self._trace_cond = threading.Condition()
+        #: a peer dropping is the cluster going down, not a failure
+        self._shutdown_requested = False
+        #: parked control coroutines → (their wait, done, deadline timer)
+        self._waits: Dict[Any, tuple] = {}
+        #: peers whose MSG_TRACE reply collect_traces() still waits for
         self._trace_pending: set = set()
 
         # -- fault tolerance ------------------------------------------
@@ -209,45 +235,38 @@ class DistributedKernel(ThreadedEngine):
         #: non-leaf inputs; see :mod:`repro.net.recovery`.
         self.recover = recover
         self.heartbeat_interval = heartbeat_interval
-        # the member barrier's wait for the journal to drain (prune
-        # notifies it under the engine lock it already holds)
-        self._journal_drained = threading.Condition(self.lock)
         if recover:
+            # A member change waits for the journal to drain, resumed
+            # from a call of its own: the last prune is mid-apply_ack.
             self.scheduler.journal = TokenJournal(
-                on_drained=self._journal_drained.notify_all)
+                on_drained=lambda: self._waits
+                and self._io_loop.call(self._recheck))
             self.scheduler.dedup = ReplayDedup()
-        self._recovery_lock = threading.Lock()
         self._dead_kernels: set = set()
         self._recovered = False
         self._replayed_tokens = 0
         self._recovery_epoch = 0
-        # remap/replay barrier (console side), same shape as the
-        # trace-merge barrier above
-        self._recovery_cond = threading.Condition()
+        # the barrier in flight (console side): remap, replay or member
         self._barrier_epoch = 0
         self._barrier_pending: set = set()
         self._replay_counts: Dict[str, int] = {}
 
         # -- elastic membership ---------------------------------------
-        # Voluntary rebalances quiesce the console first: new
-        # activations park on this gate while a membership barrier is in
-        # flight, and the rebalance waits for in-flight activations to
-        # drain.  A body's graph call starts its activation on the loop
-        # and never passes the gate: the enclosing activation is already
-        # counted.
-        self._run_gate = threading.Condition()
+        # The run gate: while a rebalance holds it, callers' activations
+        # park here, and it waits for the active ones to drain (a body's
+        # graph call never passes the gate: its caller is counted).
         self._active_runs = 0
         self._rebalancing = False
+        self._parked: Deque[Callable[[], None]] = deque()
         #: Peers that retired gracefully; their connections breaking is
         #: expected, not a failure (and not a kernel-down event).
         self._retired_peers: set = set()
         #: Migrated thread state received over MSG_THREAD_STATE, keyed
         #: ``(collection_name, index)`` → ``(epoch, thread_obj)``; the
-        #: membership applier thread waits here for its expected gains.
-        self._state_cond = threading.Condition()
+        #: member change waits here for its expected gains.
         self._incoming_states: Dict[Tuple[str, int], Tuple[int, object]] = {}
-        # cumulative elastic counters (console side), mirrored into
-        # RunResult by the multiprocess engine
+        # cumulative elastic counters (console side), read into each
+        # RunResult by run_result
         self._rebalances = 0
         self._tokens_moved = 0
         self._rebalance_seconds = 0.0
@@ -319,30 +338,161 @@ class DistributedKernel(ThreadedEngine):
             return  # name server gone: the cluster is tearing down
         self._io_loop.call_later(self.heartbeat_interval, self._beat)
 
-    # ------------------------------------------------------------------
-    # run gate (quiesce point for voluntary rebalances)
-    # ------------------------------------------------------------------
-    def run(self, graph, token: Token, timeout: float = 60.0) -> Token:
-        with self._run_gate:
-            self._run_gate.wait_for(lambda: not self._rebalancing)
-            self._active_runs += 1
-        try:
-            return super().run(graph, token, timeout=timeout)
-        finally:
-            with self._run_gate:
-                self._active_runs -= 1
-                self._run_gate.notify_all()
-
     def _resend_stale(self) -> None:
         """Loop timer: re-deliver journal entries un-acked for
         ``RESEND_AFTER``, then re-arm."""
         journal = self.scheduler.journal
         if len(journal):
-            with self.lock:
-                stale = journal.stale(RESEND_AFTER, self.now())
-            for env in stale:
+            for env in journal.stale(RESEND_AFTER, self.now()):
                 self.transmit(env)
         self._io_loop.call_later(RESEND_AFTER / 2, self._resend_stale)
+
+    # ------------------------------------------------------------------
+    # the loop's own: off-loop callers hand over, waits are continuations
+    # ------------------------------------------------------------------
+    def _hand_over(self, start: Callable[[Callable], None]) -> Any:
+        """Run ``start(reply)`` on the loop and wait for the one value it
+        replies, then or from a later callback; an exception raised or
+        replied is raised here.  With no other thread turning the loop,
+        *start* runs at once and must reply at once."""
+        reply: "queue.SimpleQueue" = queue.SimpleQueue()
+
+        def step() -> None:
+            try:
+                start(reply.put)
+            except Exception as exc:
+                reply.put(exc)
+
+        loop = self._io_loop
+        if loop.running and not loop.on_loop_thread():
+            loop.call(step)
+        else:
+            step()
+            if reply.empty():
+                raise ScheduleError("a kernel's loop cannot wait on itself")
+        outcome = reply.get()
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def _call(self, fn: Callable[[], Any]) -> Any:
+        """What *fn* returns, run on the loop (any thread)."""
+        return self._hand_over(lambda reply: reply((fn(),)))[0]
+
+    def _drive(self, steps, done: Callable[[Any], None],
+               exc: Optional[Exception] = None) -> None:
+        """Run control coroutine *steps* to its next ``_Wait`` the way
+        :meth:`_step` runs a body.  A wait not ready yet parks it until
+        :meth:`_recheck` finds it ready or its deadline passes.  *done*
+        gets what it returns or the exception it raises."""
+        while True:
+            try:
+                wait = next(steps) if exc is None else steps.throw(exc)
+            except StopIteration as stop:
+                done(stop.value)
+                return
+            except Exception as err:
+                done(err)
+                return
+            exc = None
+            if wait.ready():
+                continue
+            if self._closed:
+                exc = ScheduleError("kernel is shut down")
+                continue
+            break
+
+        def expire() -> None:
+            if self._waits.pop(steps, None) is not None:
+                self._drive(steps, done, wait.expired())
+
+        self._waits[steps] = (wait, done,
+                              self._io_loop.call_later(wait.seconds, expire))
+
+    def _recheck(self) -> None:
+        """Resume each parked control coroutine whose wait is now ready
+        (called by what they wait on)."""
+        for steps, (wait, done, timer) in list(self._waits.items()):
+            if steps in self._waits and wait.ready():
+                del self._waits[steps]
+                timer.cancel()
+                self._drive(steps, done)
+
+    def _fails(self, what: str) -> Callable[[Any], None]:
+        """*done* of a coroutine the kernel starts for itself: what it
+        raises fails the engine, unless the kernel is shutting down."""
+        def done(outcome: Any) -> None:
+            if isinstance(outcome, Exception) and not self._closed:
+                self._record_failure(
+                    outcome if isinstance(outcome, KernelFailure)
+                    else KernelFailure(f"{what}: {outcome}"))
+        return done
+
+    # ------------------------------------------------------------------
+    # callers' activations, through the run gate
+    # ------------------------------------------------------------------
+    def run(self, graph, token: Token, timeout: float = 60.0) -> Token:
+        self.last_result = result = self.run_result(graph, token, timeout)
+        return result.token
+
+    def run_result(self, graph, token: Token,
+                   timeout: float = 60.0) -> RunResult:
+        """Run one activation from a thread other than the loop's: it
+        starts on the loop, and its outcome and the recovery and
+        rebalance counters come back from one loop instant."""
+        started = time.monotonic()
+
+        def start(reply: Callable[[Any], None]) -> None:
+            self._start_run(
+                self._resolve_entry(graph, token), token, timeout,
+                lambda outcome: reply(
+                    outcome if isinstance(outcome, BaseException) else
+                    RunResult(outcome, started, time.monotonic(),
+                              recovered=self._recovered,
+                              replayed_tokens=self._replayed_tokens,
+                              rebalances=self._rebalances,
+                              tokens_moved=self._tokens_moved)))
+
+        return self._hand_over(start)
+
+    def _start_run(self, graph: Flowgraph, token: Token, timeout: float,
+                   finish: Callable[[Any], None]) -> None:
+        """Start a caller's activation — ``run``'s, a service call's —
+        or park it while a rebalance holds the gate.  *finish* gets the
+        first of its result, the engine's failure and a timeout, once."""
+        if self._rebalancing:
+            self._parked.append(
+                lambda: self._start_run(graph, token, timeout, finish))
+            return
+        if self._failure is not None or self._closed:
+            error = ScheduleError("engine has failed or is shut down; "
+                                  "create a new one")
+            error.__cause__ = self._failure
+            finish(error)
+            return
+        ctx_id = None
+
+        def settle(outcome: Any) -> None:
+            if ctx_id not in self._results:
+                return  # settled already
+            timer.cancel()
+            self._retire(ctx_id)
+            self._active_runs -= 1
+            finish(outcome)
+            if self._waits:  # a rebalance may wait for the runs to drain
+                self._io_loop.call(self._recheck)
+
+        self._active_runs += 1
+        timer = self._io_loop.call_later(timeout, lambda: settle(
+            ScheduleError(f"graph {graph.name!r} did not complete within "
+                          f"{timeout}s; likely a routing bug or "
+                          f"flow-control deadlock")))
+        try:
+            ctx_id = self._activate(graph, token, settle)
+        except Exception as exc:
+            timer.cancel()
+            self._active_runs -= 1
+            finish(exc)
 
     def request_shutdown(self, peer: str) -> None:
         """Ask *peer* to shut down (part of the console's exit barrier)."""
@@ -356,40 +506,30 @@ class DistributedKernel(ThreadedEngine):
         """Pull every peer kernel's trace buffer and metrics into ours.
 
         Sends ``MSG_TRACE_FLUSH`` to each peer and blocks until all
-        replies arrive (or *timeout* passes).  Merged events keep their
-        originating kernel name in a ``pid`` field; metrics snapshots
-        fold into this kernel's registry.  Returns the peers that did
-        not answer in time (normally empty).
+        replies arrive (or *timeout* of the kernel's clock passes).
+        Merged events keep their originating kernel name in a ``pid``
+        field; metrics snapshots fold into this kernel's registry.
+        Returns the peers that did not answer in time (normally empty).
         """
+        steps = self._collect([p for p in peers if p != self.name], timeout)
+        return self._hand_over(lambda reply: self._drive(steps, reply))
+
+    def _collect(self, peers: List[str], timeout: float):
         self._fold_codec_counters()
-        peers = [p for p in peers if p != self.name]
         if not peers or (self.tracer is None and self.metrics is None):
             return []
-        with self._trace_cond:
-            self._trace_pending = set(peers)
+        self._trace_pending = set(peers)
         message = P.encode_trace_flush(self.name)
         for peer in peers:
-            try:
-                self._pool.send(peer, message)
-            except Exception:
-                with self._trace_cond:
-                    self._trace_pending.discard(peer)
-        with self._trace_cond:
-            self._trace_cond.wait_for(
-                lambda: not self._trace_pending, timeout=timeout)
-            missing = sorted(self._trace_pending)
-            self._trace_pending = set()
+            self._pool.send(peer, message)
+        yield _Wait(lambda: not self._trace_pending, timeout)
+        missing, self._trace_pending = sorted(self._trace_pending), set()
         return missing
 
     def _fold_codec_counters(self) -> None:
-        """Fold the wire codec's fast-path tallies into the registry.
-
-        The fastpath module keeps module-level counters (it sits below
-        the metrics layer); draining them here, right before a snapshot
-        leaves the process, surfaces ``codec_compiled_hits`` and
-        ``codec_fallbacks`` in the merged console registry without a
-        hot-path callback.
-        """
+        """Fold the wire codec's module-level fast-path tallies
+        (``codec_compiled_hits``, ``codec_fallbacks``) into the registry
+        right before a snapshot leaves the process: no hot-path callback."""
         if self.metrics is None:
             return
         for key, value in fastpath.take_counters().items():
@@ -401,11 +541,7 @@ class DistributedKernel(ThreadedEngine):
         self._fold_codec_counters()
         events = self.tracer.dump() if self.tracer is not None else []
         snapshot = self.metrics.snapshot() if self.metrics is not None else {}
-        try:
-            self._pool.send(reply_to, P.encode_trace(self.name, events,
-                                                     snapshot))
-        except Exception:
-            return  # requester is gone; nothing useful to do
+        self._pool.send(reply_to, P.encode_trace(self.name, events, snapshot))
         # The buffer now lives at the requester; avoid re-shipping the
         # same events if another flush arrives.
         if self.tracer is not None:
@@ -413,25 +549,40 @@ class DistributedKernel(ThreadedEngine):
         if self.metrics is not None:
             self.metrics.clear()
 
+    def leaving(self) -> None:
+        """From here on a peer's channel breaking or its process exiting
+        is the cluster shutting down, not a failure (any thread)."""
+        self._call(lambda: setattr(self, "_shutdown_requested", True))
+
     def shutdown(self) -> None:
-        """:meth:`_stop` (a worker's ``MSG_SHUTDOWN`` ran it on its loop
-        already), then close the loop and the rest."""
-        if self._io_loop.closed:
+        """:meth:`_stop` on the loop (a worker's ``MSG_SHUTDOWN`` ran it
+        there already), wait for the loop to flush and stop, then close
+        the loop and the rest."""
+        loop = self._io_loop
+        if loop.closed:
             return
-        self._stop()
-        self._io_loop.close()
+        self._call(self._stop)
+        loop.join(timeout=CLOSE_DEADLINE + 1.0)
+        loop.close()
         # The loop closed the listener it adopted in start(); this
         # covers a kernel that was never started.
         self._listener.close()
         self._ns.close()
-        self.scheduler.release_stalled()
 
     def _stop(self) -> None:
-        """No body starts or resumes from here on; every peer channel is
-        flushed and closed, then the loop stops."""
-        with self.lock:
-            self._closed = True
-        self._shutdown_requested.set()
+        """No body starts or resumes from here on, whoever still waits
+        is let go with an error, and every peer channel is flushed and
+        closed; then the loop stops."""
+        if self._closed:
+            return
+        self._closed = self._shutdown_requested = True
+        self.scheduler.release_stalled()
+        error = ScheduleError("kernel is shut down")
+        waits, self._waits = self._waits, {}
+        for steps, (_, done, _) in waits.items():
+            self._drive(steps, done, error)  # its timer finds it gone
+        for on_result in list(self._results.values()):
+            on_result(error)
         self._pool.close_all()
 
     # ------------------------------------------------------------------
@@ -444,16 +595,10 @@ class DistributedKernel(ThreadedEngine):
     new_gate = _Gate
 
     def open_gate(self, gate: _Gate) -> None:
-        # Any thread: release_stalled runs wherever a failure lands.
+        # From a call of its own: the opening ack is mid-apply_ack.
         self._io_loop.call(gate.open)
 
     def enqueue(self, handle: _LoopThread, item: Any) -> None:
-        """Queue *item* for *handle*, any thread: a handle is the loop's
-        alone, so another thread hands the item over with ``call``."""
-        if not self._io_loop.on_loop_thread():
-            if not self._io_loop.closed:
-                self._io_loop.call(lambda: self.enqueue(handle, item))
-            return
         handle.inbox.append(item)
         self._schedule(handle)
 
@@ -469,10 +614,9 @@ class DistributedKernel(ThreadedEngine):
         if handle.steps is not None or not handle.inbox or self._closed:
             return
         item = handle.inbox.popleft()
-        if isinstance(item, threading.Event):  # _evict_thread's marker
-            with self.lock:
-                self._workers.pop((id(handle.collection), handle.index), None)
-            item.set()
+        if item is _EVICT:  # everything queued ahead of it has run
+            self._workers.pop((id(handle.collection), handle.index), None)
+            self._recheck()
             return
         handle.steps = self.scheduler.handle(handle, item)
         self._step(handle, None)
@@ -525,14 +669,14 @@ class DistributedKernel(ThreadedEngine):
         self._step(handle, outcome)
 
     def _on_loop(self, fn: Callable[[Any], None]) -> Callable[[Any], None]:
-        """A result callback for any thread that runs *fn* on the loop."""
+        """A result callback that runs *fn* from a loop call of its own:
+        a local result lands in the middle of another handle's step."""
         return lambda item: self._io_loop.call(lambda: fn(item))
 
     def _retire(self, ctx_id: int, **fields: Any) -> None:
-        """Forget a body's nested activation: what it still hands back
-        (a duplicate queued behind its last item) is dropped."""
-        with self.lock:
-            self._results.pop(ctx_id, None)
+        """Forget an activation: what it still hands back (a duplicate
+        queued behind its last item) is dropped."""
+        self._results.pop(ctx_id, None)
         if self.tracer is not None:
             self.trace("activation_done", ctx=ctx_id, **fields)
 
@@ -584,20 +728,6 @@ class DistributedKernel(ThreadedEngine):
 
         ctx_id = self._activate(graph, step.token, self._on_loop(arrived))
 
-    def _evict_thread(self, collection: ThreadCollection,
-                      index: int) -> Optional[DpsThread]:
-        """Detach instance *index* once what is queued for it has run;
-        returns its thread object (``None`` if it never ran here).  Only
-        valid while the cluster is quiesced."""
-        with self.lock:
-            handle = self._workers.get((id(collection), index))
-        if handle is None:
-            return None
-        evicted = threading.Event()
-        self.enqueue(handle, evicted)
-        evicted.wait(timeout=10)
-        return handle.thread
-
     # ------------------------------------------------------------------
     # sending side: the substrate's transport hooks
     # ------------------------------------------------------------------
@@ -630,7 +760,6 @@ class DistributedKernel(ThreadedEngine):
         if origin_node == self.name:
             super().send_ack(graph_name, frame)
             return
-        # Never blocks — the caller holds the engine lock.
         self._pool.send(origin_node, P.encode_ack(
             graph_name, frame.opener, frame.opener_instance,
             frame.routed_instance, frame.group_id, frame.index))
@@ -672,17 +801,11 @@ class DistributedKernel(ThreadedEngine):
     def _propagate_failure(self, exc: BaseException) -> None:
         message = P.encode_failure(exc)
         for peer in self._peer_names:
-            try:
-                self._pool.send(peer, message)
-            except Exception:
-                pass  # best effort: the peer may already be gone
+            self._pool.send(peer, message)  # a gone peer: a counted drop
 
     def _on_peer_error(self, peer: str, exc: Exception) -> None:
-        if self._shutdown_requested.is_set():
-            return
-        with self._recovery_lock:
-            if peer in self._retired_peers:
-                return  # a graceful leaver's connection breaking is expected
+        if self._shutdown_requested or peer in self._retired_peers:
+            return  # a graceful leaver's connection breaking is expected
         if self.recover:
             # Dead-connection detection: the write side is the first to
             # see a broken pipe to a dead peer.  Declare the peer down
@@ -697,49 +820,39 @@ class DistributedKernel(ThreadedEngine):
     # ------------------------------------------------------------------
     def handle_kernel_down(self, name: str, reason: str = "",
                            propagate: bool = True) -> None:
-        """Declare kernel *name* dead (idempotent).
+        """Declare kernel *name* dead (idempotent; any thread).
 
         Without recovery the run fails fast with
         :class:`~repro.runtime.controller.KernelFailure`.  With recovery
         on, the console kernel orchestrates remap + replay; worker
         kernels forward the observation to the console.
         """
-        with self._recovery_lock:
-            if name in self._dead_kernels:
-                return
-            if name in self._retired_peers:
-                # Retire racing a heartbeat miss: the kernel already
-                # handed its state off and left the placement maps; a
-                # stale expiry observation must not trigger recovery.
+        def down() -> None:
+            # A retiree has handed its state off already: a heartbeat
+            # miss racing the retire must not trigger recovery.
+            if name in self._dead_kernels or name in self._retired_peers:
                 return
             self._dead_kernels.add(name)
-        if self._shutdown_requested.is_set():
-            return
-        if self.tracer is not None:
-            self.trace("kernel_down", kernel=name, reason=reason)
-        if self.metrics is not None:
-            self.metrics.counter("kernels_down").inc()
-        if not self.recover:
-            self._record_failure(KernelFailure(
-                f"kernel process {name!r} died unexpectedly ({reason})"),
-                propagate=propagate)
-            return
-        if self.name == CONSOLE_KERNEL:
-            # Orchestrate off the calling thread: normally the I/O loop
-            # (a peer error, a process sentinel, a liveness tick), and
-            # recovery blocks on cluster-wide barriers.
-            threading.Thread(target=self._recover_from_failure,
-                             args=(name,),
-                             name=f"dps-recover:{self.name}",
-                             daemon=True).start()
-        else:
-            try:
+            if self._shutdown_requested:
+                return
+            if self.tracer is not None:
+                self.trace("kernel_down", kernel=name, reason=reason)
+            if self.metrics is not None:
+                self.metrics.counter("kernels_down").inc()
+            if not self.recover:
+                self._record_failure(KernelFailure(
+                    f"kernel process {name!r} died unexpectedly ({reason})"),
+                    propagate=propagate)
+            elif self.name == CONSOLE_KERNEL:
+                self._drive(self._recover_from_failure(name), self._fails(
+                    f"recovery from dead kernel {name!r} failed"))
+            else:
                 self._pool.send(CONSOLE_KERNEL,
                                 P.encode_kernel_down(name, reason))
-            except Exception:
-                pass  # console's own liveness checks will catch it
 
-    def _recover_from_failure(self, dead: str) -> None:
+        self._call(down)
+
+    def _recover_from_failure(self, dead: str):
         """Console side: remap the dead kernel's instances, then replay.
 
         Two cluster-wide barriers, strictly ordered: every survivor must
@@ -747,74 +860,59 @@ class DistributedKernel(ThreadedEngine):
         replayed token could be routed to the dead kernel by a survivor
         still holding the old placements and be lost forever.
         """
-        try:
-            with self._recovery_lock:
-                survivors = [p for p in self._peer_names
-                             if p != dead and p not in self._dead_kernels]
-                self._recovery_epoch += 1
-                epoch = self._recovery_epoch
-            with self.lock:
-                graphs = list(self._graphs.values())
-                mapping = plan_remap(graphs, dead, survivors)
-                apply_remap(graphs, mapping)
-            if self.tracer is not None:
-                self.trace("remap", dead=dead,
-                           collections=sorted(mapping), epoch=epoch)
-            self._recovery_barrier("remap", epoch, survivors,
-                                   P.encode_remap(epoch, mapping, dead))
-            counts = self._recovery_barrier("replay", epoch, survivors,
-                                            P.encode_replay(epoch))
-            replayed = sum(counts.values()) + self._replay_local()
-            with self._recovery_lock:
-                self._recovered = True
-                self._replayed_tokens += replayed
-            if self.tracer is not None:
-                self.trace("replay", epoch=epoch, tokens=replayed)
-            if self.metrics is not None:
-                self.metrics.counter("tokens_replayed").inc(replayed)
-        except BaseException as exc:
-            failure = exc if isinstance(exc, KernelFailure) else \
-                KernelFailure(f"recovery from dead kernel {dead!r} "
-                              f"failed: {exc}")
-            self._record_failure(failure)
+        survivors = [p for p in self._peer_names
+                     if p != dead and p not in self._dead_kernels]
+        self._recovery_epoch += 1
+        epoch = self._recovery_epoch
+        graphs = list(self._graphs.values())
+        mapping = plan_remap(graphs, dead, survivors)
+        apply_remap(graphs, mapping)
+        if self.tracer is not None:
+            self.trace("remap", dead=dead,
+                       collections=sorted(mapping), epoch=epoch)
+        yield from self._barrier("remap", epoch, survivors,
+                                 P.encode_remap(epoch, mapping, dead))
+        counts = yield from self._barrier("replay", epoch, survivors,
+                                          P.encode_replay(epoch))
+        replayed = sum(counts.values()) + self._replay_local()
+        self._recovered = True
+        self._replayed_tokens += replayed
+        if self.tracer is not None:
+            self.trace("replay", epoch=epoch, tokens=replayed)
+        if self.metrics is not None:
+            self.metrics.counter("tokens_replayed").inc(replayed)
 
-    def _recovery_barrier(self, kind: str, epoch: int, peers: List[str],
-                          message, timeout: float = 10.0) -> Dict[str, int]:
-        with self._recovery_cond:
-            self._barrier_epoch = epoch
-            self._barrier_pending = set(peers)
-            self._replay_counts = {}
+    def _barrier(self, kind: str, epoch: int, peers: List[str], message,
+                 timeout: float = 10.0):
+        """Send *message* to *peers*, then wait for each one's
+        ``MSG_REMAP_OK`` / ``MSG_REPLAY_DONE`` for *epoch*; returns the
+        replay counts."""
+        self._barrier_epoch = epoch
+        self._barrier_pending = set(peers)
+        self._replay_counts = {}
         for peer in peers:
             self._pool.send(peer, message)
-        with self._recovery_cond:
-            if not self._recovery_cond.wait_for(
-                    lambda: not self._barrier_pending, timeout=timeout):
-                raise KernelFailure(
-                    f"recovery {kind} barrier timed out waiting for "
-                    f"{sorted(self._barrier_pending)} (cascading failure?)")
-            return dict(self._replay_counts)
+        yield _Wait(lambda: not self._barrier_pending, timeout,
+                    lambda: KernelFailure(
+                        f"recovery {kind} barrier timed out waiting for "
+                        f"{sorted(self._barrier_pending)} "
+                        f"(cascading failure?)"))
+        return dict(self._replay_counts)
 
     def _barrier_done(self, peer: str, epoch: int,
                       count: Optional[int] = None) -> None:
-        with self._recovery_cond:
-            if epoch != self._barrier_epoch:
-                return
-            if count is not None:
-                self._replay_counts[peer] = count
-            self._barrier_pending.discard(peer)
-            self._recovery_cond.notify_all()
+        if epoch != self._barrier_epoch:
+            return
+        if count is not None:
+            self._replay_counts[peer] = count
+        self._barrier_pending.discard(peer)
+        self._recheck()
 
     def _apply_remote_remap(self, epoch: int, mapping: Dict[str, List[str]],
                             dead: str) -> None:
-        with self._recovery_lock:
-            self._dead_kernels.add(dead)
-        with self.lock:
-            apply_remap(self._graphs.values(), mapping)
-        try:
-            self._pool.send(CONSOLE_KERNEL,
-                            P.encode_remap_ok(self.name, epoch))
-        except Exception:
-            pass
+        self._dead_kernels.add(dead)
+        apply_remap(self._graphs.values(), mapping)
+        self._pool.send(CONSOLE_KERNEL, P.encode_remap_ok(self.name, epoch))
 
     def _replay_local(self) -> int:
         """Re-deliver every journaled (un-acked) emission; routing is
@@ -822,16 +920,14 @@ class DistributedKernel(ThreadedEngine):
         journal = self.scheduler.journal
         if journal is None:
             return 0
-        with self.lock:
-            envs = journal.replay_all(self.now())
+        envs = journal.replay_all(self.now())
         for env in envs:
             self.transmit(env)
         return len(envs)
 
     def recovery_snapshot(self) -> Tuple[bool, int]:
         """``(recovered, replayed_tokens)`` so far on this kernel."""
-        with self._recovery_lock:
-            return self._recovered, self._replayed_tokens
+        return self._call(lambda: (self._recovered, self._replayed_tokens))
 
     # ------------------------------------------------------------------
     # elastic membership (voluntary join / retire)
@@ -842,47 +938,40 @@ class DistributedKernel(ThreadedEngine):
                   timeout: float = 30.0) -> int:
         """Console side: admit *joined* kernels and/or drain *retired*.
 
-        Quiesce-then-move, unlike the failure path: the console stops
-        admitting activations, waits for in-flight ones to drain, plans
-        a minimal-move rebalance over the new member set, and runs one
-        **member barrier** — every kernel (old, joining and retiring)
-        applies the new placements, ships the live thread state of
-        instances it loses straight to their new owners, and replies
-        ``MSG_REMAP_OK`` only once every instance it gains has arrived.
-        Retiring kernels hand their state off before leaving, so there
-        is no journal replay storm; a replay barrier still runs on joins
-        as an exactly-once backstop (it replays ~0 tokens when
-        quiesced).  Returns the number of thread instances moved.
+        Quiesce-then-move: the run gate parks new activations until the
+        active ones drain, then one **member barrier** — every kernel
+        applies the minimal-move placements, ships the thread state of
+        instances it loses to their new owners and answers once all it
+        gains has arrived — and, on joins, a ~0-token replay barrier as
+        the exactly-once backstop.  Returns the instances moved.
         """
-        joined = list(joined)
-        retired = list(retired)
+        steps = self._rebalance(list(joined), list(retired), depths,
+                                timeout)
+        return self._hand_over(lambda reply: self._drive(steps, reply))
+
+    def _rebalance(self, joined: List[str], retired: List[str],
+                   depths: Optional[Dict[str, int]], timeout: float):
         t0 = time.monotonic()
-        with self._run_gate:
-            self._rebalancing = True
-            if not self._run_gate.wait_for(lambda: self._active_runs == 0,
-                                           timeout=timeout):
-                self._rebalancing = False
-                self._run_gate.notify_all()
-                raise KernelFailure(
-                    f"rebalance timed out waiting for {self._active_runs} "
-                    f"active activation(s) to drain")
+        self._rebalancing = True
         try:
-            with self._recovery_lock:
-                current = [p for p in self._peer_names
-                           if p not in self._dead_kernels]
-                self._recovery_epoch += 1
-                epoch = self._recovery_epoch
+            yield _Wait(lambda: not self._active_runs, timeout, lambda:
+                        KernelFailure(f"rebalance timed out waiting for "
+                                      f"{self._active_runs} active "
+                                      f"activation(s) to drain"))
+            current = [p for p in self._peer_names
+                       if p not in self._dead_kernels]
+            self._recovery_epoch += 1
+            epoch = self._recovery_epoch
             members = sorted((set(current) | set(joined)) - set(retired)
                              - {self.name})
             if not members:
                 raise KernelFailure(
                     "rebalance would leave no execution kernels")
-            with self.lock:
-                graphs = list(self._graphs.values())
-                old_map = {coll.name: list(coll.placements)
-                           for coll in _unique_collections(graphs)}
-                mapping, moved = plan_rebalance(graphs, members,
-                                                depths=depths, joined=joined)
+            graphs = list(self._graphs.values())
+            old_map = {coll.name: list(coll.placements)
+                       for coll in _unique_collections(graphs)}
+            mapping, moved = plan_rebalance(graphs, members,
+                                            depths=depths, joined=joined)
             new_map = {name: list(mapping.get(name, places))
                        for name, places in old_map.items()}
             if self.tracer is not None:
@@ -894,121 +983,108 @@ class DistributedKernel(ThreadedEngine):
             # first token flows.
             barrier_peers = sorted((set(current) | set(joined))
                                    - {self.name})
-            self._recovery_barrier(
+            yield from self._barrier(
                 "member", epoch, barrier_peers,
                 P.encode_member(epoch, old_map, new_map, joined, retired),
                 timeout=timeout)
-            with self.lock:
-                apply_remap(graphs, mapping)
-            with self._recovery_lock:
-                self._peer_names = list(members)
-                self._retired_peers.update(retired)
+            apply_remap(graphs, mapping)
+            self._peer_names = list(members)
+            self._retired_peers.update(retired)
             if joined:
                 # Exactly-once backstop for the join path; quiesced
                 # journals make this a ~0-token barrier.
-                counts = self._recovery_barrier("replay", epoch, members,
-                                                P.encode_replay(epoch))
-                replayed = sum(counts.values()) + self._replay_local()
-                with self._recovery_lock:
-                    self._replayed_tokens += replayed
-            with self._recovery_lock:
-                self._rebalances += 1
-                self._tokens_moved += moved
-                self._rebalance_seconds += time.monotonic() - t0
+                counts = yield from self._barrier("replay", epoch, members,
+                                                  P.encode_replay(epoch))
+                self._replayed_tokens += sum(counts.values()) \
+                    + self._replay_local()
+            seconds = time.monotonic() - t0
+            self._rebalances += 1
+            self._tokens_moved += moved
+            self._rebalance_seconds += seconds
             if self.metrics is not None:
                 self.metrics.counter("rebalances").inc()
                 self.metrics.counter("tokens_moved").inc(moved)
-                self.metrics.histogram("rebalance_seconds").observe(
-                    time.monotonic() - t0)
+                self.metrics.histogram("rebalance_seconds").observe(seconds)
             return moved
         finally:
-            with self._run_gate:
-                self._rebalancing = False
-                self._run_gate.notify_all()
+            self._rebalancing = False
+            parked, self._parked = self._parked, deque()
+            for start in parked:
+                start()
 
     def _apply_membership(self, epoch: int, old_map: Dict[str, List[str]],
                           new_map: Dict[str, List[str]], joined: List[str],
-                          retired: List[str]) -> None:
-        """Worker side of the member barrier (runs on its own thread).
+                          retired: List[str]):
+        """Worker side of the member barrier.
 
-        The console has quiesced the cluster, so local inboxes drain to
-        empty and the journal prunes to nothing; after that this kernel
-        computes its losses and gains from the *shipped* placement maps
-        (its local graphs may be stale — a CLI joiner rebuilt them from
-        source), evicts and ships lost instances' thread objects, adopts
-        gained ones, and only then acknowledges the barrier.
+        The cluster is quiesced: once the journal drains, losses and
+        gains come from the *shipped* maps (a CLI joiner's graphs may be
+        stale); a lost instance is shipped once what is queued for it
+        has run, and the barrier is answered once every gain arrived.
         """
-        try:
-            journal = self.scheduler.journal
-            if journal is not None:
-                with self._journal_drained:
-                    self._journal_drained.wait_for(lambda: not len(journal),
-                                                   timeout=5.0)
-            with self.lock:
-                colls = {coll.name: coll for coll in
-                         _unique_collections(self._graphs.values())}
-            losses: List[Tuple[str, int, str]] = []
-            gains: set = set()
-            for name, old_places in old_map.items():
-                new_places = new_map.get(name, old_places)
-                for i, (old, new) in enumerate(zip(old_places, new_places)):
-                    if old == new:
-                        continue
-                    if old == self.name:
-                        losses.append((name, i, new))
-                    if new == self.name:
-                        gains.add((name, i))
-            with self._recovery_lock:
-                self._retired_peers.update(retired)
-                self._peer_names = sorted(
-                    (set(self._peer_names) | set(joined)) - set(retired)
-                    - {self.name})
-            for name, index, target in losses:
-                coll = colls.get(name)
-                thread = self._evict_thread(coll, index) \
-                    if coll is not None else None
-                self._pool.send(target, P.encode_thread_state(
-                    name, index, epoch, thread))
-            with self.lock:
-                apply_remap(self._graphs.values(), new_map)
-            if gains:
-                with self._state_cond:
-                    arrived = self._state_cond.wait_for(
-                        lambda: all(
-                            key in self._incoming_states
-                            and self._incoming_states[key][0] >= epoch
-                            for key in gains),
-                        timeout=20.0)
-                    states = {key: self._incoming_states.pop(key)[1]
-                              for key in gains
-                              if key in self._incoming_states}
-                if not arrived:
-                    raise KernelFailure(
-                        f"kernel {self.name!r} never received migrated "
-                        f"state for {sorted(gains - set(states))} "
-                        f"(donor died mid-rebalance?)")
-                for (name, index), thread in states.items():
-                    coll = colls.get(name)
-                    if coll is not None:
-                        self._adopt_thread(coll, index, thread)
-            if self.tracer is not None:
-                self.trace("member", epoch=epoch, lost=len(losses),
-                           gained=len(gains))
-            if self.metrics is not None and losses:
-                self.metrics.counter("tokens_moved").inc(len(losses))
-            self._pool.send(CONSOLE_KERNEL,
-                            P.encode_remap_ok(self.name, epoch))
-        except BaseException as exc:
-            failure = exc if isinstance(exc, KernelFailure) else \
-                KernelFailure(f"membership change failed on "
-                              f"{self.name!r}: {exc}")
-            self._record_failure(failure)
+        journal = self.scheduler.journal
+        if journal is not None:
+            yield _Wait(lambda: not len(journal), 5.0)
+        colls = {coll.name: coll for coll in
+                 _unique_collections(self._graphs.values())}
+        losses: List[Tuple[str, int, str]] = []
+        gains: set = set()
+        for name, old_places in old_map.items():
+            new_places = new_map.get(name, old_places)
+            for i, (old, new) in enumerate(zip(old_places, new_places)):
+                if old == new:
+                    continue
+                if old == self.name:
+                    losses.append((name, i, new))
+                if new == self.name:
+                    gains.add((name, i))
+        self._retired_peers.update(retired)
+        self._peer_names = sorted((set(self._peer_names) | set(joined))
+                                  - set(retired) - {self.name})
+        handles = {}
+        for name, index, _ in losses:
+            handle = self._workers.get((id(colls.get(name)), index))
+            if handle is not None:
+                self.enqueue(handle, _EVICT)
+                handles[name, index] = handle
+
+        def staying() -> List[str]:
+            return [f"{name}[{index}]" for (name, index), handle
+                    in handles.items() if _EVICT in handle.inbox]
+
+        yield _Wait(lambda: not staying(), 10.0, lambda: KernelFailure(
+            f"kernel {self.name!r} could not hand off {staying()}: what "
+            f"is queued for them did not run within 10s"))
+        for name, index, target in losses:
+            handle = handles.get((name, index))
+            self._pool.send(target, P.encode_thread_state(
+                name, index, epoch,
+                handle.thread if handle is not None else None))
+        apply_remap(self._graphs.values(), new_map)
+
+        def missing() -> List[Tuple[str, int]]:
+            return sorted(key for key in gains
+                          if self._incoming_states.get(key, (-1,))[0] < epoch)
+
+        yield _Wait(lambda: not missing(), 20.0, lambda: KernelFailure(
+            f"kernel {self.name!r} never received migrated state for "
+            f"{missing()} (donor died mid-rebalance?)"))
+        for name, index in gains:
+            _, thread = self._incoming_states.pop((name, index))
+            coll = colls.get(name)
+            if coll is not None:
+                self._adopt_thread(coll, index, thread)
+        if self.tracer is not None:
+            self.trace("member", epoch=epoch, lost=len(losses),
+                       gained=len(gains))
+        if self.metrics is not None and losses:
+            self.metrics.counter("tokens_moved").inc(len(losses))
+        self._pool.send(CONSOLE_KERNEL, P.encode_remap_ok(self.name, epoch))
 
     def rebalance_snapshot(self) -> Tuple[int, int, float]:
         """``(rebalances, tokens_moved, rebalance_seconds)`` so far."""
-        with self._recovery_lock:
-            return (self._rebalances, self._tokens_moved,
-                    self._rebalance_seconds)
+        return self._call(lambda: (self._rebalances, self._tokens_moved,
+                                   self._rebalance_seconds))
 
     # ------------------------------------------------------------------
     # receiving side
@@ -1040,7 +1116,7 @@ class DistributedKernel(ThreadedEngine):
     def _on_conn_close(self, state: _ConnState,
                        exc: Optional[Exception]) -> None:
         state.close()
-        if exc is None or self._shutdown_requested.is_set():
+        if exc is None or self._shutdown_requested:
             return
         if self.recover:
             # A broken inbound connection is anonymous (no peer name
@@ -1097,9 +1173,8 @@ class DistributedKernel(ThreadedEngine):
                 self.tracer.merge(events, pid=kernel_name)
             if self.metrics is not None and snapshot:
                 self.metrics.merge(snapshot)
-            with self._trace_cond:
-                self._trace_pending.discard(kernel_name)
-                self._trace_cond.notify_all()
+            self._trace_pending.discard(kernel_name)
+            self._recheck()
         elif kind == P.MSG_KERNEL_DOWN:
             name, reason = value
             self.handle_kernel_down(name, reason)
@@ -1108,11 +1183,8 @@ class DistributedKernel(ThreadedEngine):
             self._apply_remote_remap(epoch, mapping, dead)
         elif kind == P.MSG_REPLAY:
             count = self._replay_local()
-            try:
-                self._pool.send(CONSOLE_KERNEL,
-                                P.encode_replay_done(self.name, value, count))
-            except Exception:
-                pass  # console gone: barrier timeout handles it
+            self._pool.send(CONSOLE_KERNEL,
+                            P.encode_replay_done(self.name, value, count))
         elif kind == P.MSG_REPLAY_DONE:
             name, epoch, count = value
             self._barrier_done(name, epoch, count)
@@ -1120,18 +1192,12 @@ class DistributedKernel(ThreadedEngine):
             name, epoch = value
             self._barrier_done(name, epoch)
         elif kind == P.MSG_MEMBER:
-            epoch, old_map, new_map, joined, retired = value
-            # Off the I/O loop: applying a membership change blocks
-            # on journal drain and on migrated state from other kernels.
-            threading.Thread(target=self._apply_membership,
-                             args=(epoch, old_map, new_map, joined, retired),
-                             name=f"dps-member:{self.name}",
-                             daemon=True).start()
+            self._drive(self._apply_membership(*value), self._fails(
+                f"membership change failed on {self.name!r}"))
         elif kind == P.MSG_THREAD_STATE:
             cname, index, epoch, thread = value
-            with self._state_cond:
-                self._incoming_states[(cname, index)] = (epoch, thread)
-                self._state_cond.notify_all()
+            self._incoming_states[(cname, index)] = (epoch, thread)
+            self._recheck()
         elif kind == P.MSG_SHUTDOWN:
             self._stop()
         elif kind == P.MSG_HELLO:

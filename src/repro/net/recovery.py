@@ -131,10 +131,10 @@ class TokenJournal:
     ``(group_id, index)`` of the frame the emitting split pushed.
 
     Insertion-ordered, so scanning for stale entries stops at the first
-    fresh one.  Not thread-safe on its own — callers hold the engine
-    lock (recording happens next to ``SplitWindow.on_post``, pruning
+    fresh one.  Not thread-safe on its own — it lives on its kernel's
+    loop (recording happens next to ``SplitWindow.on_post``, pruning
     next to ``on_ack``, both already serialized).  *on_drained* is
-    called, under that lock, by the prune that removes the last entry.
+    called by the prune that removes the last entry.
     """
 
     __slots__ = ("_entries", "_on_drained")

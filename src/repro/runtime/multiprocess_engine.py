@@ -14,7 +14,10 @@ in the zero-copy wire format over framed scatter-gather sockets.
 The driver process hosts a *console kernel* (``"__driver__"``) that owns
 no thread instances; it only initiates activations and collects their
 results, so ``engine.run(graph, token)`` behaves exactly like the other
-engines and the example applications run unmodified.
+engines and the example applications run unmodified.  The console's
+state is its loop's: ``run`` hands the activation to the loop and waits
+for its ``RunResult``, read there as the activation completes, and
+the membership verbs hand their rebalance over the same way.
 
 Because each kernel is a separate interpreter, CPython's GIL no longer
 serializes compute: CPU-bound operations genuinely run in parallel
@@ -46,7 +49,7 @@ from ..net.kernel import CONSOLE_KERNEL, DistributedKernel, run_kernel_process
 from ..net.nameserver import run_name_server
 from ..net.recovery import FaultPolicy
 from ..serial.token import Token
-from .base import Engine, RunResult
+from .base import Engine
 from .controller import ScheduleError
 from .scaling import ScalingPolicy
 
@@ -342,9 +345,10 @@ class MultiprocessEngine(Engine):
     def _start_membership(self, op, *args) -> None:
         """Run what a tick decided on — :meth:`add_kernel`,
         :meth:`retire_kernel`, admitting a CLI joiner — on a one-shot
-        thread: each waits on a cluster barrier, which a timer callback
-        must never do.  One at a time; while one is in flight, ticks
-        start nothing."""
+        thread: each waits for its rebalance on the console's loop, and
+        :meth:`add_kernel` for a forked child to come up, which a timer
+        callback must never do.  One at a time; while one is in flight,
+        ticks start nothing."""
         if self._member_op is None or not self._member_op.is_alive():
             self._member_op = threading.Thread(
                 target=op, args=args, name="dps-membership", daemon=True)
@@ -527,8 +531,9 @@ class MultiprocessEngine(Engine):
         made under ``_proc_lock``: membership threads resize the table."""
         with self._proc_lock:
             procs = dict(self._kernel_procs)
+        dead = console._call(lambda: set(console._dead_kernels))
         return {name: proc for name, proc in procs.items()
-                if proc.is_alive() and name not in console._dead_kernels}
+                if proc.is_alive() and name not in dead}
 
     def shutdown(self) -> None:
         """Tear the cluster down: shutdown barrier, then the processes."""
@@ -547,7 +552,7 @@ class MultiprocessEngine(Engine):
                 except Exception:
                     pass  # observability must never block teardown
             # Stop treating peer errors as failures; we are leaving anyway.
-            console._shutdown_requested.set()
+            console.leaving()
             for name in asked:
                 try:
                     console.request_shutdown(name)
@@ -618,13 +623,5 @@ class MultiprocessEngine(Engine):
         elif graph.name not in self._graphs:
             self.register_graph(graph)
         console = self._ensure_started()
-        started = time.monotonic()
-        result = console.run(graph, token, timeout=timeout)
-        recovered, replayed = console.recovery_snapshot()
-        rebalances, tokens_moved, _ = console.rebalance_snapshot()
-        self.last_result = RunResult(result, started, time.monotonic(),
-                                     recovered=recovered,
-                                     replayed_tokens=replayed,
-                                     rebalances=rebalances,
-                                     tokens_moved=tokens_moved)
-        return result
+        self.last_result = result = console.run_result(graph, token, timeout)
+        return result.token

@@ -294,23 +294,6 @@ class ThreadedEngine(Engine):
             worker = self._workers.get((id(collection), index))
         return worker.thread if worker is not None else None
 
-    def _evict_thread(self, collection: ThreadCollection,
-                      index: int) -> Optional[DpsThread]:
-        """Stop instance *index*'s worker and surrender its thread object.
-
-        Only valid while the engine is quiesced (no active activations):
-        the worker drains whatever is already queued before stopping, but
-        nothing may be routing new tokens at it.  Returns ``None`` when
-        the instance was never activated here (no state to migrate).
-        """
-        with self.lock:
-            worker = self._workers.pop((id(collection), index), None)
-        if worker is None:
-            return None
-        worker.inbox.put(_STOP)
-        worker.os_thread.join(timeout=10)
-        return worker.thread
-
     def _adopt_thread(self, collection: ThreadCollection, index: int,
                       thread: Optional[DpsThread]) -> None:
         """Install a migrated thread object as instance *index*.

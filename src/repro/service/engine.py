@@ -25,7 +25,7 @@ The console-side protocol, implemented by :class:`ServiceKernel`:
    busy retries arrive under a new one.
 3. An admitted call is started as an activation on the console's I/O
    loop — at most ``max_concurrent`` in flight, later ones waiting in
-   admission order — through the same activation path as
+   admission order — through the run gate and start path of
    ``DistributedKernel.run`` (so the fault-tolerance machinery —
    heartbeats, remap, split-boundary replay — applies to service
    traffic unchanged).  Its result callback answers ``MSG_SVC_REPLY``
@@ -34,6 +34,10 @@ The console-side protocol, implemented by :class:`ServiceKernel`:
 4. ``drain_and_shutdown`` unpublishes the records, stops admitting
    (``draining`` sheds), waits for in-flight calls to finish, then
    tears the cluster down.
+
+Sessions, admission and the counters are the console loop's alone, like
+the rest of a kernel's state: the message plane runs on the loop, and
+``expose_service``, ``svc_drain`` and ``svc_stats`` hand over to it.
 
 Everything is observable: ``svc_calls`` / ``svc_shed`` /
 ``svc_duplicates`` counters, ``svc_sessions`` / ``svc_queue_depth`` /
@@ -45,7 +49,6 @@ timeline.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -53,7 +56,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from ..core.flowcontrol import SplitWindow
 from ..core.graph import Flowgraph
 from ..net import protocol as P
-from ..net.kernel import CONSOLE_KERNEL, DistributedKernel
+from ..net.kernel import CONSOLE_KERNEL, DistributedKernel, _Wait
 from ..net.recovery import ReplayDedup
 from ..runtime.controller import ScheduleError
 from ..runtime.multiprocess_engine import MultiprocessEngine
@@ -86,8 +89,6 @@ class ServiceKernel(DistributedKernel):
         self.admission = admission if admission is not None \
             else AdmissionPolicy()
         self.call_timeout = call_timeout
-        self._svc_lock = threading.Lock()
-        self._svc_idle = threading.Condition(self._svc_lock)
         self._svc_graphs: Dict[str, Flowgraph] = {}
         self._sessions: Dict[str, _Session] = {}
         self._session_counter = 0
@@ -108,33 +109,36 @@ class ServiceKernel(DistributedKernel):
     def expose_service(self, public_name: str, graph: Flowgraph) -> None:
         """Publish *graph* as *public_name* in the name server."""
         in_types, out_types = graph_signature(graph)
-        with self._svc_lock:
-            self._svc_graphs[public_name] = graph
+        self._call(lambda: self._svc_graphs.update({public_name: graph}))
         self._ns.register_service(public_name, self.name,
                                   in_types, out_types)
 
     def svc_drain(self, timeout: float = 30.0) -> bool:
-        """Stop admitting, let in-flight calls finish; True when empty."""
-        with self._svc_lock:
+        """Stop admitting, let in-flight calls finish; True when empty
+        (*timeout* is on the kernel's clock)."""
+        def drain() -> List[str]:
             self._svc_draining = True
-            services = list(self._svc_graphs)
-        for name in services:
+            return list(self._svc_graphs)
+
+        for name in self._call(drain):
             try:
                 self._ns.unregister_service(name)
             except Exception:
                 pass  # name server already gone: nothing left to unpublish
-        with self._svc_idle:
-            return self._svc_idle.wait_for(
-                lambda: self._svc_outstanding == 0, timeout=timeout)
+        steps = self._svc_drained(timeout)
+        return self._hand_over(lambda reply: self._drive(steps, reply))
+
+    def _svc_drained(self, timeout: float):
+        yield _Wait(lambda: not self._svc_outstanding, timeout)
+        return not self._svc_outstanding
 
     def svc_stats(self) -> Dict[str, object]:
-        with self._svc_lock:
-            return {
-                "services": sorted(self._svc_graphs),
-                "sessions": len(self._sessions),
-                "outstanding": self._svc_outstanding,
-                "draining": self._svc_draining,
-            }
+        return self._call(lambda: {
+            "services": sorted(self._svc_graphs),
+            "sessions": len(self._sessions),
+            "outstanding": self._svc_outstanding,
+            "draining": self._svc_draining,
+        })
 
     # ------------------------------------------------------------------
     # message plane
@@ -151,92 +155,80 @@ class ServiceKernel(DistributedKernel):
         else:
             super()._dispatch_message(kind, value)
 
-    def _svc_send(self, client: str, segments) -> None:
-        try:
-            self._pool.send(client, segments)
-        except Exception:
-            # The client vanished between admit and reply; its session
-            # is torn down by the writer-side _on_peer_error.
-            pass
-
     def _svc_open(self, client: str, requested: int) -> None:
-        with self._svc_lock:
-            session = self._sessions.get(client)
-            if session is None:
-                self._session_counter += 1
-                granted = self.admission.grant_window(requested)
-                session = _Session(client, self._session_counter, granted)
-                self._sessions[client] = session
-            if self.metrics is not None:
-                self.metrics.gauge("svc_sessions").set(len(self._sessions))
+        session = self._sessions.get(client)
+        if session is None:
+            self._session_counter += 1
+            granted = self.admission.grant_window(requested)
+            session = _Session(client, self._session_counter, granted)
+            self._sessions[client] = session
+        if self.metrics is not None:
+            self.metrics.gauge("svc_sessions").set(len(self._sessions))
         # Re-opening is idempotent: the same session (and window grant)
         # answers a retried OPEN, so a lost OPEN_OK cannot fork state.
-        self._svc_send(client, P.encode_svc_open_ok(
+        self._pool.send(client, P.encode_svc_open_ok(
             session.granted, session.session_id))
 
     def _svc_call(self, client: str, request_id: int, service: str,
                   token) -> None:
-        with self._svc_lock:
-            session = self._sessions.get(client)
-            if session is None:
-                self._svc_send(client, P.encode_svc_error(
-                    request_id,
-                    ScheduleError(f"no open session for client {client!r}; "
-                                  f"send MSG_SVC_OPEN first")))
-                return
-            # Dedup BEFORE any shed decision: a resend of an admitted id
-            # must be dropped (its original is executing or already
-            # answered), never re-executed and never answered BUSY.
-            if not self._svc_dedup.fresh(client, session.session_id,
-                                         request_id):
-                if self.metrics is not None:
-                    self.metrics.counter("svc_duplicates").inc()
-                return
-            graph = self._svc_graphs.get(service)
-            if graph is None:
-                known = sorted(self._svc_graphs)
-                self._svc_send(client, P.encode_svc_error(
-                    request_id,
-                    ScheduleError(f"unknown service {service!r}; "
-                                  f"registered: {known}")))
-                return
-            entry = graph.node(graph.entry)
-            if not entry.op_class.accepts(type(token)):
-                # Rejecting bad input here (not inside run()) keeps the
-                # error on the cheap protocol path: an exception raised
-                # by an operation poisons the whole run-to-completion
-                # engine, a signature mismatch must not.
-                self._svc_send(client, P.encode_svc_error(
-                    request_id,
-                    ScheduleError(
-                        f"service {service!r} does not accept "
-                        f"{type(token).__name__}")))
-                return
-            reason = None
-            if self._svc_draining:
-                reason = "draining"
-            elif not session.window.can_send:
-                reason = (f"session window full "
-                          f"({session.window.in_flight}/{session.granted})")
-            elif self._svc_outstanding >= self.admission.capacity:
-                reason = (f"at capacity ({self._svc_outstanding}/"
-                          f"{self.admission.capacity})")
-            if reason is None:
-                session.window.on_post(0)
-                self._svc_outstanding += 1
-                if self.metrics is not None:
-                    self.metrics.counter("svc_calls").inc()
-                self._svc_gauges()
-            else:
-                session.window.on_stall()
-                if self.metrics is not None:
-                    self.metrics.counter("svc_shed").inc()
+        session = self._sessions.get(client)
+        if session is None:
+            self._pool.send(client, P.encode_svc_error(
+                request_id,
+                ScheduleError(f"no open session for client {client!r}; "
+                              f"send MSG_SVC_OPEN first")))
+            return
+        # Dedup BEFORE any shed decision: a resend of an admitted id
+        # must be dropped (its original is executing or already
+        # answered), never re-executed and never answered BUSY.
+        if not self._svc_dedup.fresh(client, session.session_id,
+                                     request_id):
+            if self.metrics is not None:
+                self.metrics.counter("svc_duplicates").inc()
+            return
+        graph = self._svc_graphs.get(service)
+        if graph is None:
+            known = sorted(self._svc_graphs)
+            self._pool.send(client, P.encode_svc_error(
+                request_id,
+                ScheduleError(f"unknown service {service!r}; "
+                              f"registered: {known}")))
+            return
+        entry = graph.node(graph.entry)
+        if not entry.op_class.accepts(type(token)):
+            # Rejecting bad input here (not inside run()) keeps the
+            # error on the cheap protocol path: an exception raised
+            # by an operation poisons the whole run-to-completion
+            # engine, a signature mismatch must not.
+            self._pool.send(client, P.encode_svc_error(
+                request_id,
+                ScheduleError(
+                    f"service {service!r} does not accept "
+                    f"{type(token).__name__}")))
+            return
+        reason = None
+        if self._svc_draining:
+            reason = "draining"
+        elif not session.window.can_send:
+            reason = (f"session window full "
+                      f"({session.window.in_flight}/{session.granted})")
+        elif self._svc_outstanding >= self.admission.capacity:
+            reason = (f"at capacity ({self._svc_outstanding}/"
+                      f"{self.admission.capacity})")
         if reason is not None:
+            session.window.on_stall()
+            if self.metrics is not None:
+                self.metrics.counter("svc_shed").inc()
             if self.tracer is not None:
                 self.trace("svc_shed", client=client, request=request_id,
                            service=service, reason=reason)
-            self._svc_send(client, P.encode_svc_busy(request_id, reason))
+            self._pool.send(client, P.encode_svc_busy(request_id, reason))
             return
+        session.window.on_post(0)
+        self._svc_outstanding += 1
+        if self.metrics is not None:
+            self.metrics.counter("svc_calls").inc()
+        self._svc_gauges()
         if self.tracer is not None:
             self.trace("svc_call", client=client, request=request_id,
                        service=service)
@@ -253,37 +245,19 @@ class ServiceKernel(DistributedKernel):
                 max(0, self._svc_outstanding - limit))
 
     def _svc_start(self) -> None:
-        """Start waiting calls while fewer than ``max_concurrent`` run
-        (loop thread).  While a rebalance holds the run gate they keep
-        waiting here; :meth:`rebalance` starts them when it lets go."""
+        """Start waiting calls while fewer than ``max_concurrent`` run."""
         while self._svc_waiting \
                 and self._svc_running < self.admission.max_concurrent:
-            with self._run_gate:
-                if self._rebalancing:
-                    return
-                self._active_runs += 1
             self._svc_running += 1
             self._svc_run(*self._svc_waiting.popleft())
 
     def _svc_run(self, client: str, session: _Session, request_id: int,
                  service: str, graph: Flowgraph, token, t0: float) -> None:
-        """Start one admitted call's activation (loop thread).  The first
-        of its result, the engine's failure and ``call_timeout`` is the
-        reply; then the next waiting call starts."""
-        ctx_id = None
-        replied = False
-
+        """Start one admitted call's activation through the run gate.
+        The first of its result, the engine's failure and
+        ``call_timeout`` is the reply; then the next waiting call
+        starts."""
         def finish(outcome: Any) -> None:
-            nonlocal replied
-            if replied:
-                return
-            replied = True
-            timer.cancel()
-            with self.lock:
-                self._results.pop(ctx_id, None)
-            with self._run_gate:
-                self._active_runs -= 1
-                self._run_gate.notify_all()
             if isinstance(outcome, BaseException):
                 reply = P.encode_svc_error(request_id, outcome)
             else:
@@ -300,45 +274,25 @@ class ServiceKernel(DistributedKernel):
                            service=service, seconds=elapsed)
             # The books are closed before the reply leaves: a client that
             # has its answer finds the call gone from the console's stats.
-            with self._svc_idle:
-                self._svc_outstanding -= 1
-                try:
-                    session.window.on_ack(0)
-                except (RuntimeError, ValueError):
-                    pass  # session was dropped and replaced mid-call
-                self._svc_gauges()
-                self._svc_idle.notify_all()
+            self._svc_outstanding -= 1
+            try:
+                session.window.on_ack(0)
+            except (RuntimeError, ValueError):
+                pass  # session was dropped and replaced mid-call
+            self._svc_gauges()
             if self._sessions.get(client) is session:
                 # Not to a session closed meanwhile: its request ids
                 # mean something else to a successor of the same name.
-                self._svc_send(client, reply)
+                self._pool.send(client, reply)
             self._svc_running -= 1
             self._svc_start()
 
-        timer = self._io_loop.call_later(self.call_timeout, lambda: finish(
-            ScheduleError(f"service {service!r} did not complete within "
-                          f"{self.call_timeout}s")))
-        if self._failure is not None:
-            finish(ScheduleError(
-                "engine has failed; shut it down and create a new one"))
-            return
-        try:
-            ctx_id = self._activate(graph, token, self._on_loop(finish))
-        except Exception as exc:  # the caller's answer, not a loop error
-            finish(exc)
-
-    def rebalance(self, *args, **kwargs) -> int:
-        try:
-            return super().rebalance(*args, **kwargs)
-        finally:
-            # calls admitted meanwhile waited for the run gate
-            self._io_loop.call(self._svc_start)
+        self._start_run(graph, token, self.call_timeout, finish)
 
     def _svc_close(self, client: str) -> None:
-        with self._svc_lock:
-            dropped = self._sessions.pop(client, None)
-            if self.metrics is not None:
-                self.metrics.gauge("svc_sessions").set(len(self._sessions))
+        dropped = self._sessions.pop(client, None)
+        if self.metrics is not None:
+            self.metrics.gauge("svc_sessions").set(len(self._sessions))
         # The channel is bound to this session's listener; a later
         # session under the same name listens somewhere else.
         self._pool.forget(client)
@@ -348,9 +302,7 @@ class ServiceKernel(DistributedKernel):
     def _on_peer_error(self, peer: str, exc: Exception) -> None:
         # A broken client connection is a session drop, not a kernel
         # failure: it must never trigger cluster recovery or poison runs.
-        with self._svc_lock:
-            is_client = peer in self._sessions
-        if is_client:
+        if peer in self._sessions:
             self._svc_close(peer)
             return
         super()._on_peer_error(peer, exc)

@@ -171,25 +171,35 @@ def test_admission_deferred_while_barrier_in_flight():
         engine.run(graph, RingJobToken(256, 2), timeout=60)
         console = engine._console
         ghost = _GhostKernel(engine.ns_address)
+
+        def on_console(fn):  # the console's state is its loop's
+            return console._call(fn)
+
+        def tick():
+            on_console(lambda: engine._admit_external(console))
+
+        def gate(held):
+            on_console(lambda: setattr(console, "_rebalancing", held))
+
         try:
             calls = []
             console.rebalance = lambda **kw: calls.append(kw) or 0
 
-            console._rebalancing = True
-            engine._admit_external(console)
+            gate(True)
+            tick()
             assert engine._member_op is None  # deferred: nothing started
             assert ghost.name not in engine._external_kernels
 
             # The tick only decides; the barrier runs on a one-shot thread.
-            console._rebalancing = False
-            engine._admit_external(console)
+            gate(False)
+            tick()
             engine._member_op.join(timeout=10)
             assert not engine._member_op.is_alive()
             assert [c["joined"] for c in calls] == [[ghost.name]]
             assert ghost.name in engine._external_kernels
 
             # an admitted member is not a stranger: no double admission
-            engine._admit_external(console)
+            tick()
             assert len(calls) == 1
         finally:
             del console.rebalance  # restore the real method
@@ -231,10 +241,11 @@ def test_retire_racing_heartbeat_miss_does_not_trigger_recovery():
         engine.retire_kernel("node04")
 
         # the race, delivered by hand: a heartbeat-expiry observation
-        # for the kernel that just retired gracefully
+        # for the kernel that just retired gracefully (handed to the
+        # console's loop, like every read of its state below)
         console.handle_kernel_down("node04", "heartbeat lease expired")
 
-        assert "node04" not in console._dead_kernels
+        assert console._call(lambda: "node04" not in console._dead_kernels)
         done = engine.run(graph, RingJobToken(256, 4), timeout=60)
         result = engine.last_result
         assert done.blocks == 4

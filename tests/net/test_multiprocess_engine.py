@@ -2,6 +2,7 @@
 scatter calls between applications in different processes, dead-kernel
 detection, lifecycle rules and thread-state persistence."""
 
+import multiprocessing
 import os
 import socket
 import sys
@@ -27,6 +28,7 @@ from repro.net import CONSOLE_KERNEL, DistributedKernel, FrameReader, \
     NameServer, NameServerClient, run_kernel_process, send_messages
 from repro.net import connections
 from repro.net import protocol as P
+from repro.net.recovery import FaultPolicy
 from repro.runtime import MultiprocessEngine, ScheduleError
 from repro.serial import SimpleToken
 from repro.trace import MetricsRegistry
@@ -359,6 +361,65 @@ def test_caller_threads_and_the_loop_share_an_inbox():
     assert not errors
     assert len(totals) == callers * runs
     assert all(total == sum(i * i for i in range(n)) for n, total in totals)
+
+
+class _LoopOwned:
+    """A kernel's ``lock`` that counts each entry made off its loop."""
+
+    def __init__(self, kernel, strays):
+        self.kernel = kernel
+        self.strays = strays
+
+    def __enter__(self):
+        if not self.kernel._io_loop.on_loop_thread():
+            self.strays.value += 1
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_only_its_loop_touches_a_kernel(monkeypatch):
+    """A kernel's tables have one owner, its loop.  With the lock of the
+    console and of every forked worker swapped for a recorder, nothing
+    enters it from another thread: not four caller threads, not a
+    kernel killed mid-run and recovered, not a join and a retire."""
+    strays = multiprocessing.get_context("fork").RawValue("i", 0)
+    init = DistributedKernel.__init__
+
+    def owned(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.lock = _LoopOwned(self, strays)
+
+    monkeypatch.setattr(DistributedKernel, "__init__", owned)
+    graph = build_ring_graph(["node01", "node02", "node03", "node04"])
+    faults = FaultPolicy(kill_kernel="node03", kill_after_messages=5, seed=7)
+    blocks, errors = [], []
+
+    def call():
+        try:
+            for _ in range(3):
+                blocks.append(engine.run(graph, RingJobToken(512, 8),
+                                         timeout=60).blocks)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    with MultiprocessEngine(recover=True, faults=faults) as engine:
+        engine.register_graph(graph)
+        assert engine.run(graph, RingJobToken(4096, 32),
+                          timeout=120).blocks == 32
+        assert engine.last_result.recovered
+        callers = [threading.Thread(target=call) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+        assert not errors and blocks == [8] * 12
+        joiner = engine.add_kernel()
+        assert engine.run(graph, RingJobToken(512, 8), timeout=60).blocks == 8
+        engine.retire_kernel(joiner)
+        assert engine.run(graph, RingJobToken(512, 8), timeout=60).blocks == 8
+        assert engine.last_result.rebalances == 2
+    assert strays.value == 0
 
 
 def test_unloaded_ring_hop_costs_one_loop_wakeup():

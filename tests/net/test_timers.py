@@ -1,5 +1,6 @@
 """One clock, one timer queue: ``IOLoop.call_later`` under an injected
-clock, and the kernel jobs that run on it.
+clock, and the kernel jobs that run on it — down to the recovery and
+member barriers, whose deadlines are timers on the kernel's clock.
 
 Everything here is driven by a clock that moves only when the test
 moves it — no test waits out a real interval.  After moving the clock a
@@ -15,7 +16,8 @@ from repro.core import ConstantRoute, FlowControlPolicy, Flowgraph, \
     FlowgraphNode, LeafOperation, ThreadCollection
 from repro.net import DistributedKernel, IOLoop, NameServer
 from repro.net import protocol as P
-from repro.net.kernel import RESEND_AFTER
+from repro.net.kernel import CONSOLE_KERNEL, RESEND_AFTER
+from repro.runtime import KernelFailure
 from repro.trace import MetricsRegistry
 
 from tests.net.test_multiprocess_engine import MpCollect, MpCount, MpFan, \
@@ -423,3 +425,137 @@ def test_a_parked_body_does_not_hold_its_kernel():
         finally:
             for k in kernels:
                 k.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# the recovery and member barriers: continuations on the kernels' loops
+# ---------------------------------------------------------------------------
+
+def _console(ns, clock, graph):
+    """A console kernel for a :func:`_kernel_pair`, on the same clock."""
+    console = DistributedKernel(CONSOLE_KERNEL, 0, ns.address,
+                                ["node01", "node02"], recover=True,
+                                clock=clock)
+    console.register_graph(graph)
+    return console.start()
+
+
+def test_member_barrier_moves_an_instance_without_a_thread():
+    """Retiring node01 moves its split instance to node02.  Each kernel's
+    share of the member barrier — the eviction, the shipped state, the
+    adoption — runs on its loop: no thread is started for it, and the
+    instance on node02 that stays keeps its state."""
+    clock = FakeClock()
+    with NameServer() as ns:
+        graph, kernels = _kernel_pair(ns, clock, "member", window=2)
+        console = _console(ns, clock, graph)
+        node02 = kernels[1]
+        adopted = []
+        adopt = node02._adopt_thread
+
+        def adopting(collection, index, thread):
+            adopted.append((collection.name, index,
+                            node02._io_loop.on_loop_thread(),
+                            threading.active_count()))
+            adopt(collection, index, thread)
+
+        node02._adopt_thread = adopting
+        try:
+            assert console.run(graph, MpJob(3), timeout=30).total == 6
+            before = threading.active_count()
+            assert console.rebalance(retired=["node01"]) == 1
+            assert adopted == [("member-split", 0, True, before)]
+            assert threading.active_count() == before
+            # the split now runs on node02; the counter there carried on
+            assert console.run(graph, MpJob(3), timeout=30).total == 4 + 5 + 6
+            assert console.rebalance_snapshot()[:2] == (1, 1)
+        finally:
+            for kernel in (console, *kernels):
+                kernel.shutdown()
+
+
+def test_recovery_barrier_times_out_on_the_kernel_clock():
+    """A survivor that never answers ``MSG_REMAP`` fails the console's
+    remap barrier at exactly 10 s of the kernel's clock."""
+    clock = FakeClock()
+    with NameServer() as ns:
+        graph, kernels = _kernel_pair(ns, clock, "remap", window=2)
+        console = _console(ns, clock, graph)
+        node02 = kernels[1]
+        remapped = threading.Event()
+        dispatch = node02._dispatch_message
+
+        def deaf(kind, value):
+            if kind == P.MSG_REMAP:
+                remapped.set()
+                return
+            dispatch(kind, value)
+
+        node02._dispatch_message = deaf
+
+        def failure():
+            return console._call(lambda: console._failure)
+
+        try:
+            console.handle_kernel_down("node01", "declared dead by the test")
+            assert remapped.wait(timeout=10)
+            clock.advance(9.5, console._io_loop)
+            assert failure() is None
+            clock.advance(0.5, console._io_loop)
+            assert isinstance(failure(), KernelFailure)
+            assert "remap barrier timed out waiting for ['node02']" \
+                in str(failure())
+        finally:
+            for kernel in (console, *kernels):
+                kernel.shutdown()
+
+
+def test_an_instance_parked_in_a_sleep_is_not_shipped(monkeypatch):
+    """A member change hands an instance off only once everything queued
+    for it has run.  One parked in a ``sleep`` past the deadline is not
+    shipped half-run: at exactly 10 s of the kernel's clock the barrier
+    fails with a :class:`KernelFailure` naming it, and no state leaves."""
+    clock = FakeClock()
+    nap = Flowgraph(FlowgraphNode(
+        Nap, ThreadCollection(MpMain, "evict-nap").map("node01"))
+        .as_builder(), "evict-nap")
+    shipped = []
+    encode = P.encode_thread_state
+    monkeypatch.setattr(P, "encode_thread_state",
+                        lambda *state: shipped.append(state) or encode(*state))
+    with NameServer() as ns:
+        graph, kernels = _kernel_pair(ns, clock, "evict", window=2)
+        node01 = kernels[0]
+        node01.register_graph(nap)
+        outcome = []
+
+        def sleeper():
+            try:
+                outcome.append(node01.run(nap, MpJob(30), timeout=60))
+            except KernelFailure as exc:
+                outcome.append(exc)
+
+        def failure():
+            return node01._call(lambda: node01._failure)
+
+        _napping.clear()
+        caller = threading.Thread(target=sleeper)
+        caller.start()
+        try:
+            assert _napping.wait(timeout=10)
+            member = (1, {"evict-nap": ["node01"]}, {"evict-nap": ["node02"]},
+                      [], [])
+            node01._call(
+                lambda: node01._dispatch_message(P.MSG_MEMBER, member))
+            clock.advance(9.5, node01._io_loop)
+            assert failure() is None and shipped == []
+            clock.advance(0.5, node01._io_loop)
+            assert isinstance(failure(), KernelFailure)
+            assert "evict-nap[0]" in str(failure())
+            caller.join(timeout=10)
+            assert outcome == [failure()]
+            assert shipped == []
+        finally:
+            for kernel in kernels:
+                kernel.shutdown()
+            caller.join(timeout=10)

@@ -202,8 +202,13 @@ class _ResizingConsole:
     def __init__(self, engine):
         self.engine = engine
         self.pulls = []
-        self._shutdown_requested = threading.Event()
         self._dead_kernels = set()
+
+    def _call(self, fn):
+        return fn()
+
+    def leaving(self):
+        pass
 
     def collect_traces(self, peers, timeout=5.0):
         seen = []
