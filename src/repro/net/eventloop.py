@@ -27,9 +27,10 @@ dial's lookup is the one such call a loop makes.
   (:meth:`EventLoopPeer.send`): a message with nothing queued ahead of
   it leaves when it is made, one ``sendmsg`` on the thread that made
   it — the loop thread included, where a kernel's operation bodies
-  run; a backlog, a bulk message and a blocked socket queue on the
-  peer's outbox, flushed as one vectored write at the loop's quiescent
-  point (:meth:`IOLoop.at_pass_end`).
+  run — whatever its size (a bulk one as its shm-lane descriptor); a
+  backlog and a blocked or undialed socket queue on the peer's outbox,
+  flushed as one vectored write at the loop's quiescent point
+  (:meth:`IOLoop.at_pass_end`).
 - **Reads** are readiness-driven: adopted connections register for
   ``EVENT_READ`` and feed :meth:`~repro.net.framing.FrameReader.recv_ready`
   batches straight into the owner's dispatch path.
@@ -665,25 +666,26 @@ class EventLoopPeer:
     def send(self, segments: List[Segment]) -> None:
         """Send one message.
 
-        One rule, whichever thread calls: a small message with nothing
-        queued ahead of it on an attached, unblocked socket leaves when
-        it is made, one ``sendmsg`` on the calling thread
-        (:meth:`_write_now`) — an operation body's output on the loop
-        thread, an activation's entry token on its caller's.  Holding
+        One rule, whichever thread calls and whatever the size: a
+        message with nothing queued ahead of it on an attached,
+        unblocked socket leaves when it is made, one ``sendmsg`` on the
+        calling thread (:meth:`_write_now`) — an operation body's output
+        on the loop thread, an activation's entry token on its caller's.
+        A bulk message is first copied into the shm arena under the
+        write lock, and what leaves is its descriptor frame.  Holding
         it back for frames that may follow makes the next kernel wait
         for the batch, so a window of tokens moves down a pipeline as
         one convoy instead of overlapping the hops; handing it to the
         loop from another thread adds a thread hand-off to the hop.
-        Everything else — a backlog, a blocked or undialed socket, a
-        segment of shm-lane size (the arena copy is made where the
-        outbox drains) — queues on the outbox, and the loop flushes it
-        at its quiescent point as one vectored write.
+        A backlog and a blocked or undialed socket queue on the outbox
+        instead (its drain makes the arena copies), and the loop
+        flushes it at its quiescent point as one vectored write.
         """
-        if self._idle() \
-                and not self._bulk(segments) \
-                and self._write_lock.acquire(blocking=False):
+        if self._idle() and self._write_lock.acquire(blocking=False):
             try:
                 if self._idle():  # still true now that we own the writer
+                    if self._shm is not None and self._bulk(segments):
+                        segments = self._shm.rewrite(segments)
                     self._write_now(segments)
                     return
             finally:
@@ -694,7 +696,8 @@ class EventLoopPeer:
             self._loop.call(self._pump)
 
     def _bulk(self, segments: List[Segment]) -> bool:
-        """Whether a segment is large enough for the shm lane."""
+        """Whether a segment is large enough for the shm lane: the
+        cheap check that keeps a small message off the arena path."""
         threshold = self._transport.shm_threshold
         return any(
             (seg.nbytes if isinstance(seg, memoryview) else len(seg))

@@ -3,7 +3,7 @@
 ``MultiprocessEngine`` forks every kernel onto the local machine, yet
 the TCP lane round-trips each payload through the socket buffers — two
 copies that a same-host peer does not need.  This module gives each
-peer connection an optional ``multiprocessing.shared_memory`` arena: a
+peer connection an optional POSIX shared-memory arena: a
 message with any segment at or above a size threshold is copied once,
 whole (header and payloads, contiguous), into one arena block, and only
 a ``(block_offset, length)`` descriptor travels over TCP (``MSG_SHM``).
@@ -11,6 +11,13 @@ Messages below the threshold stay inline on the existing zero-copy
 path.  Co-location is detected at HELLO time by comparing
 :func:`host_fingerprint` values published through the name server, so a
 genuinely distributed deployment silently keeps the plain TCP lane.
+
+**Naming.**  The sender creates the arena under a fresh ``psm_*`` name
+and the receiver unlinks that name as soon as it has mapped it: the
+mappings outlive the name, and a kernel killed with ``SIGKILL`` leaves
+nothing in ``/dev/shm`` behind it.  Neither side goes through the
+standard library's shared-memory class, whose resource tracker would be
+one more process per kernel, outliving it.
 
 **Ownership.**  A block belongs to exactly one side at a time, and one
 state byte in front of it says which: the sender writes ``1`` before
@@ -41,14 +48,14 @@ from __future__ import annotations
 
 import mmap
 import os
+import secrets
 import socket as _socket
 import weakref
-from multiprocessing import shared_memory
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-try:  # the receiver maps the arena itself, see ShmReceiver
+try:  # shm_open / shm_unlink, without multiprocessing's resource tracker
     import _posixshmem
 except ImportError:  # pragma: no cover - non-POSIX: the lane stays off
     _posixshmem = None
@@ -83,7 +90,7 @@ def host_fingerprint() -> str:
 class ShmSender:
     """The sending half of one connection's shared-memory arena.
 
-    A first-fit allocator over one ``SharedMemory`` block: ``_live``
+    A first-fit allocator over one shared-memory block: ``_live``
     lists the blocks not yet seen released, sorted by offset, and every
     allocation first forgets the ones whose flag has cleared — in
     whatever order the receiver let go of them.  Single-producer
@@ -94,11 +101,26 @@ class ShmSender:
     def __init__(self, arena_bytes: int, threshold: int, metrics=None):
         if _posixshmem is None:  # pragma: no cover - non-POSIX
             raise OSError("no POSIX shared memory on this platform")
-        self._shm = shared_memory.SharedMemory(create=True, size=arena_bytes)
-        self.name = self._shm.name
-        self.size = self._shm.size  # may be page-rounded above arena_bytes
+        while True:
+            self.name = "psm_" + secrets.token_hex(4)
+            try:
+                fd = _posixshmem.shm_open(
+                    "/" + self.name, os.O_RDWR | os.O_CREAT | os.O_EXCL,
+                    mode=0o600)
+                break
+            except FileExistsError:  # pragma: no cover - a name clash
+                pass
+        try:
+            os.ftruncate(fd, arena_bytes)
+            self._arena = mmap.mmap(fd, arena_bytes)
+        except (OSError, ValueError):
+            _posixshmem.shm_unlink("/" + self.name)
+            raise
+        finally:
+            os.close(fd)
+        self.size = len(self._arena)
         self.threshold = threshold
-        self._buf = self._shm.buf
+        self._buf = memoryview(self._arena)
         #: (start, end) of the blocks still out, sorted by start.
         self._live: List[Tuple[int, int]] = []
         self._metrics = metrics
@@ -163,31 +185,24 @@ class ShmSender:
         self._live.clear()
 
     def destroy(self) -> None:
-        """Close and unlink the arena (creator owns the name)."""
+        """Unmap the arena and unlink its name, unless the receiver
+        already has."""
+        self._buf.release()
+        self._arena.close()
         try:
-            self._buf.release()
-        except BufferError:  # pragma: no cover - no sub-views are retained
-            pass
-        try:
-            self._shm.close()
-        except (OSError, BufferError):
-            pass
-        try:
-            self._shm.unlink()
-        except OSError:
+            _posixshmem.shm_unlink("/" + self.name)
+        except FileNotFoundError:
             pass
 
 
 class ShmReceiver:
     """The receiving half: map a peer's arena and lend its blocks out.
 
-    The arena is mapped directly (``shm_open`` + ``mmap``), not through
-    ``SharedMemory``: an attachment must not register with the resource
-    tracker (cleanup belongs to the creator alone), and the mapping has
-    to outlive :meth:`close` for as long as a borrowed block is in use,
-    which ``SharedMemory.close`` / ``__del__`` would refuse with a
-    ``BufferError``.  Every borrowed view keeps the ``mmap`` object
-    alive; it is unmapped when the last reference to it goes.
+    The arena is mapped directly (``shm_open`` + ``mmap``) and its name
+    unlinked at once, so it is gone from ``/dev/shm`` however either
+    side ends.  The mapping has to outlive :meth:`close` for as long as
+    a borrowed block is in use: every borrowed view keeps the ``mmap``
+    object alive, and it is unmapped when the last reference to it goes.
     """
 
     def __init__(self, name: str, size: int):
@@ -196,6 +211,10 @@ class ShmReceiver:
             self._arena: Optional[mmap.mmap] = mmap.mmap(fd, 0)
         finally:
             os.close(fd)
+        try:
+            _posixshmem.shm_unlink("/" + name)
+        except FileNotFoundError:  # the sender is already gone
+            pass
         if len(self._arena) < size:
             raise ValueError(
                 f"shm arena {name!r} smaller than announced: "

@@ -501,13 +501,11 @@ def _control_frame():
     return [bytearray([MSG_ACK]) + b"ack"]
 
 
-def _peer(ns, sink, name, metrics=None, transport=None, meta=None):
-    """A dialed-and-idle peer towards *sink*: ``(owner, loop, conn)``.
-
-    Data frame 0 has arrived when this returns (behind the shm attach
-    frame when *meta* and *transport* put the sink on the shm lane), and
-    the loop is back in ``select``.
-    """
+def _undialed_peer(ns, sink, name, metrics=None, transport=None,
+                   meta=None):
+    """A peer towards *sink* that has sent nothing, so has not dialed
+    yet: ``(owner, loop, conn)``.  Whatever one loop callback sends on
+    it queues behind the dial its first send starts — a real backlog."""
     owner = NameServerClient(ns.address)
     owner.register(name, *sink.address, meta=meta)
     loop = IOLoop(f"peer-{name}", metrics=metrics).start()
@@ -517,6 +515,18 @@ def _peer(ns, sink, name, metrics=None, transport=None, meta=None):
         name, NameServerClient(ns.address), loop=loop, hello_from="src",
         on_error=lambda peer, exc: None,
         transport=transport, metrics=metrics)
+    return owner, loop, conn
+
+
+def _peer(ns, sink, name, metrics=None, transport=None, meta=None):
+    """A dialed-and-idle peer towards *sink*: ``(owner, loop, conn)``.
+
+    Data frame 0 has arrived when this returns (behind the shm attach
+    frame when *meta* and *transport* put the sink on the shm lane), and
+    the loop is back in ``select``.
+    """
+    owner, loop, conn = _undialed_peer(ns, sink, name, metrics, transport,
+                                       meta)
     conn.send(_data_frame(0))
     _wait_for(lambda: bytes(_data_frame(0)[0]) in sink.frames,
               what="dial + first frame")
@@ -528,17 +538,18 @@ def test_eventloop_peer_coalesces_at_quiescence(ns):
     quiescent point, so a burst of sends lands as one multi-frame
     syscall episode — with no timer involved.  A send on an idle peer
     leaves at once, from the loop thread too; here the burst queues
-    behind a message of shm-lane size, which the outbox always takes."""
+    behind the dial its first send starts, whatever the sizes."""
     metrics = MetricsRegistry()
     sink = _Sink()
-    owner, loop, conn = _peer(ns, sink, "quiesce", metrics=metrics)
+    owner, loop, conn = _undialed_peer(ns, sink, "quiesce", metrics=metrics)
     try:
         n = 8
         bulk = [bytearray([MSG_DATA])
                 + bytes(TransportPolicy().shm_threshold)]
-        # All sends happen inside one loop callback, so their pumps
-        # drain in the same burst and the pass-end flush sees them all.
-        burst = [bulk] + [_data_frame(i) for i in range(1, n + 1)]
+        # All sends happen inside one loop callback, so they all queue
+        # before the dial lands and the pass-end flush sees them all.
+        burst = [_data_frame(0), bulk] + [_data_frame(i)
+                                          for i in range(1, n + 1)]
         loop.call(lambda: [conn.send(m) for m in burst])
         _wait_for(lambda: len(sink.frames) >= n + 2, what="burst frames")
         assert sink.frames == [bytes(_data_frame(0)[0]), bytes(bulk[0])] + [
@@ -833,40 +844,104 @@ def test_eventloop_peer_keeps_each_producers_order(ns):
         sys.setswitchinterval(interval)
 
 
-def test_eventloop_peer_bulk_send_goes_through_the_loop(ns):
-    """A message with a segment of ``shm_threshold`` size is left to
-    the loop even on an idle peer; it travels as a descriptor frame into
-    the arena announced by ``MSG_SHM_ATTACH``, and a small send right
-    behind it does not overtake it."""
+def _shm_peer(ns, sink, name, metrics, arena_bytes):
+    """:func:`_peer` on the shm lane (threshold 1 KiB), dialed and idle,
+    with the arena its ``MSG_SHM_ATTACH`` announced mapped by a
+    receiver: ``(owner, loop, conn, receiver)``."""
+    owner, loop, conn = _peer(
+        ns, sink, name, metrics=metrics,
+        transport=TransportPolicy(shm_threshold=1024,
+                                  shm_arena_bytes=arena_bytes),
+        meta={"fingerprint": host_fingerprint()})
+    kind, (arena, size) = decode_message(bytearray(sink.frames[0]), {})
+    assert kind == MSG_SHM_ATTACH
+    _wait_for(conn._idle, what="dialed and idle")
+    return owner, loop, conn, ShmReceiver(arena, size)
+
+
+def _bulk_message(payload):
+    return [bytearray([MSG_DATA]), memoryview(payload)]
+
+
+def _borrowed(receiver, descriptor_frame):
+    """The message bytes a ``MSG_SHM`` frame names in *receiver*'s arena."""
+    kind, (block, length) = decode_message(bytearray(descriptor_frame), {})
+    assert kind == MSG_SHM
+    return bytes(receiver.borrow(block, length))
+
+
+def test_eventloop_peer_bulk_send_is_written_by_the_caller(ns):
+    """A message with a segment of ``shm_threshold`` size leaves an idle
+    peer when it is made, like any other: copied into the arena, and
+    its ``MSG_SHM`` descriptor written by the thread that made it — the
+    test thread without waking the loop, a loop callback within its own
+    pass.  A small send right behind it does not overtake it."""
     metrics = MetricsRegistry()
     sink = _Sink()
-    owner, loop, conn = _peer(
-        ns, sink, "shm-direct", metrics=metrics,
-        transport=TransportPolicy(shm_threshold=1024,
-                                  shm_arena_bytes=1 << 16),
-        meta={"fingerprint": host_fingerprint()})
-    receiver = None
+    owner, loop, conn, receiver = _shm_peer(ns, sink, "shm-direct",
+                                            metrics, arena_bytes=1 << 16)
     try:
-        kind, (arena, size) = decode_message(bytearray(sink.frames[0]), {})
-        assert kind == MSG_SHM_ATTACH
-        receiver = ShmReceiver(arena, size)
-        before = metrics.counter("io_loop_wakeups").value
-        payload = bytes(range(256)) * 16
-        conn.send([bytearray([MSG_DATA]), memoryview(payload)])
+        wakeups = metrics.counter("io_loop_wakeups")
+        before = wakeups.value
+        first = bytes(range(256)) * 16
+        conn.send(_bulk_message(first))
+        assert conn._idle(), "the bulk send was queued"
         conn.send(_data_frame(1))
         _wait_for(lambda: len(sink.frames) >= 4, what="descriptor frame")
-        assert metrics.counter("io_loop_wakeups").value > before
+        assert wakeups.value == before, "a bulk send woke the loop"
+
+        second = bytes(reversed(range(256))) * 16
+        written = []
+
+        def on_loop():
+            conn.send(_bulk_message(second))
+            written.append(conn._idle())
+            conn.send(_data_frame(2))
+
+        loop.call(on_loop)
+        _wait_for(lambda: len(sink.frames) >= 6, what="loop descriptor")
+        assert written == [True], "the loop's bulk send was queued"
+        assert wakeups.value <= before + 1  # the callback's own pass
+
         assert sink.frames[3] == bytes(_data_frame(1)[0])
-        kind, (block, length) = decode_message(
-            bytearray(sink.frames[2]), {})
-        assert kind == MSG_SHM
-        assert length == 1 + len(payload)  # header and payload, one block
-        assert bytes(receiver.borrow(block, length)) == \
-            bytes([MSG_DATA]) + payload
-        assert metrics.counter("shm_bytes_bypassed").value == length
+        assert sink.frames[5] == bytes(_data_frame(2)[0])
+        # header and payload, one block each
+        assert _borrowed(receiver, sink.frames[2]) == bytes([MSG_DATA]) + first
+        assert _borrowed(receiver, sink.frames[4]) == \
+            bytes([MSG_DATA]) + second
+        assert metrics.counter("shm_bytes_bypassed").value == \
+            2 * (1 + len(first))
     finally:
-        if receiver is not None:
-            receiver.close()
+        receiver.close()
+        loop.call(conn.close)
+        loop.close()
+        sink.close()
+        owner.close()
+
+
+def test_eventloop_peer_bulk_send_goes_inline_when_the_arena_is_full(ns):
+    """An arena with room for two blocks, neither released: the third
+    bulk send from an idle peer goes inline over TCP, byte-exact and in
+    order, and only the first two count as bypassed."""
+    metrics = MetricsRegistry()
+    sink = _Sink()
+    payloads = [bytes([i]) * 4096 for i in range(1, 4)]
+    block = 1 + 1 + 4096  # state byte, MSG_DATA byte, payload
+    owner, loop, conn, receiver = _shm_peer(
+        ns, sink, "shm-full", metrics, arena_bytes=2 * block + block // 2)
+    try:
+        for payload in payloads:
+            conn.send(_bulk_message(payload))
+        conn.send(_data_frame(1))
+        _wait_for(lambda: len(sink.frames) >= 6, what="all four frames")
+        assert sink.frames[4] == bytes([MSG_DATA]) + payloads[2]  # inline
+        assert sink.frames[5] == bytes(_data_frame(1)[0])
+        for frame_bytes, payload in zip(sink.frames[2:4], payloads):
+            assert _borrowed(receiver, frame_bytes) == \
+                bytes([MSG_DATA]) + payload
+        assert metrics.counter("shm_bytes_bypassed").value == 2 * (block - 1)
+    finally:
+        receiver.close()
         loop.call(conn.close)
         loop.close()
         sink.close()
@@ -878,17 +953,17 @@ def test_eventloop_peer_close_flushes_queued_frame(ns):
     reports flushed once the queued frames are on the wire, and only
     then is the socket closed."""
     sink = _Sink()
-    owner, loop, conn = _peer(ns, sink, "closer")
+    owner, loop, conn = _undialed_peer(ns, sink, "closer")
     flushed = threading.Event()
 
     def burst_then_close():
-        # A message of shm-lane size always queues; the frame behind it
-        # queues too.
+        # The first send starts the dial; everything queues behind it.
+        conn.send(_data_frame(0))
         conn.send([bytearray([MSG_DATA])
                    + bytes(TransportPolicy().shm_threshold)])
         conn.send(_data_frame(1))
         conn.begin_close(flushed.set)
-        early.append(flushed.is_set())  # the flush waits for the pass end
+        early.append(flushed.is_set())  # the flush waits for the dial
 
     early = []
     try:

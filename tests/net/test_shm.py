@@ -7,6 +7,7 @@ cross-process path is covered by ``test_shm_ring.py``, the multiprocess
 smoke and the cross-engine integration tests.
 """
 
+import os
 import queue
 import random
 import sys
@@ -286,10 +287,24 @@ def test_rewrite_counts_bypassed_bytes():
         sender.destroy()
 
 
-def test_receiver_rejects_undersized_arena(lane):
-    sender, _ = lane
-    with pytest.raises(ValueError, match="smaller than announced"):
-        ShmReceiver(sender.name, sender.size + (1 << 20))
+def test_receiver_rejects_undersized_arena():
+    # No receiver of its own first: that would have unlinked the name.
+    sender = ShmSender(arena_bytes=1 << 16, threshold=256)
+    try:
+        with pytest.raises(ValueError, match="smaller than announced"):
+            ShmReceiver(sender.name, sender.size + (1 << 20))
+    finally:
+        sender.destroy()
+
+
+def test_receiver_unlinks_the_name_it_maps(lane):
+    """The name is gone once the receiver has the arena mapped; the
+    mapping still shares the sender's pages, and destroy() tolerates
+    the missing name."""
+    sender, receiver = lane
+    assert not os.path.exists(f"/dev/shm/{sender.name}")
+    placed = _place(sender, b"still shared")
+    assert bytes(receiver.borrow(*placed)) == b"still shared"
 
 
 @pytest.mark.parametrize("block, length", [

@@ -9,6 +9,7 @@ byte — once as blocks arrive, and once after holding the whole group
 the other hops keep reusing theirs).
 """
 
+import os
 import zlib
 
 import numpy as np
@@ -155,11 +156,23 @@ def test_patterned_ring_identical_with_lane_on_and_off(sink, lane_hops):
     assert bypassed >= 20 * lane_hops * ARENA_BYTES, bypassed
 
 
+def _arenas():
+    try:
+        return {name for name in os.listdir("/dev/shm")
+                if name.startswith("psm_")}
+    except OSError:  # pragma: no cover - no /dev/shm: nothing to leak
+        return set()
+
+
 def test_patterned_ring_survives_kernel_kill_on_the_lane():
     """node03 dies holding borrowed blocks of node02's arena and with
     blocks of its own arena out at node04; replay refills the ring and
-    the sink sees every block once, byte-exact."""
+    the sink sees every block once, byte-exact.  The killed kernel
+    never destroys its arenas, yet none is left once the engine is
+    down: each receiver unlinked its name when it mapped it."""
+    before = _arenas()
     faults = FaultPolicy(kill_kernel="node03", kill_after_messages=150)
     done, result = run_pattern_ring(recover=True, faults=faults)
     assert result.recovered is True and result.replayed_tokens > 0
     assert done == EXPECTED
+    assert _arenas() - before == set()
