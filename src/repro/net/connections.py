@@ -23,7 +23,6 @@ leaves open (the shm lane).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -58,10 +57,10 @@ class TransportPolicy:
 class ConnectionPool:
     """All of one owner's outgoing peer channels, drained by its *loop*.
 
-    The hot path — :meth:`send` to an already-dialed peer — is a single
-    lock-free dict probe (GIL-atomic; the map itself changes only under
-    the lock).  The lock is taken only to create a connection on first
-    use, to :meth:`forget` one and at close.
+    Like its channels, the pool is its loop thread's alone and takes no
+    lock: a sender elsewhere hands its :meth:`send` over with
+    :meth:`IOLoop.call`.  Only :meth:`close_all` may be called from
+    another thread, and it hands itself over.
     """
 
     def __init__(self, ns: NameServerClient, *, loop: IOLoop,
@@ -79,45 +78,38 @@ class ConnectionPool:
         self._transport = transport
         self._metrics = metrics
         self._trace = trace
-        self._lock = threading.Lock()
         self._peers: Dict[str, EventLoopPeer] = {}
 
     def peer(self, name: str) -> EventLoopPeer:
-        with self._lock:
-            conn = self._peers.get(name)
-            if conn is None:
-                conn = self._peers[name] = EventLoopPeer(
-                    name, self._ns, loop=self._loop,
-                    hello_from=self._hello_from,
-                    on_error=self._on_error,
-                    dial_deadline=self._dial_deadline,
-                    transport=self._transport,
-                    metrics=self._metrics,
-                    trace=self._trace)
-            return conn
+        conn = self._peers.get(name)
+        if conn is None:
+            conn = self._peers[name] = EventLoopPeer(
+                name, self._ns, loop=self._loop,
+                hello_from=self._hello_from,
+                on_error=self._on_error,
+                dial_deadline=self._dial_deadline,
+                transport=self._transport,
+                metrics=self._metrics,
+                trace=self._trace)
+        return conn
 
     def send(self, name: str, segments: List[Segment]) -> None:
         """Send to peer *name* (:meth:`EventLoopPeer.send`)."""
-        conn = self._peers.get(name)
-        if conn is None:
-            conn = self.peer(name)
-        conn.send(segments)
+        self.peer(name).send(segments)
 
     def forget(self, name: str) -> None:
         """Drop the channel to *name*; the next send resolves it afresh.
 
         For a peer that is gone while its name may come back at another
         address (a re-opened service client): the cached channel stays
-        bound to the old listener.  Nothing is flushed (loop thread).
+        bound to the old listener.  Nothing is flushed.
         """
-        with self._lock:
-            conn = self._peers.pop(name, None)
+        conn = self._peers.pop(name, None)
         if conn is not None:
             conn.close()
 
     def peer_names(self) -> List[str]:
-        with self._lock:
-            return list(self._peers)
+        return list(self._peers)
 
     def close_all(self) -> None:
         """Flush every channel, then close them all and stop the loop.
@@ -133,9 +125,8 @@ class ConnectionPool:
             loop.call(self.close_all)
             loop.join(timeout=CLOSE_DEADLINE + 1.0)
             return
-        with self._lock:
-            peers = list(self._peers.values())
-            self._peers.clear()
+        peers = list(self._peers.values())
+        self._peers.clear()
         left = len(peers)
         done = False
 

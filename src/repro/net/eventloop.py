@@ -23,30 +23,30 @@ dial's lookup is the one such call a loop makes.
   kernel socket buffer is full — natural backpressure that is
   *observable*: a blocked peer's queued frames show up in the
   ``outbox_depth`` gauge, and every short write increments
-  ``partial_writes``.  One rule picks the writing thread
-  (:meth:`EventLoopPeer.send`): a message with nothing queued ahead of
-  it leaves when it is made, one ``sendmsg`` on the thread that made
-  it — the loop thread included, where a kernel's operation bodies
-  run — whatever its size (a bulk one as its shm-lane descriptor); a
-  backlog and a blocked or undialed socket queue on the peer's outbox,
-  flushed as one vectored write at the loop's quiescent point
-  (:meth:`IOLoop.at_pass_end`).
+  ``partial_writes``.  Only the loop thread writes a peer socket, and
+  one rule picks the moment (:meth:`EventLoopPeer.send`): a message with
+  nothing queued ahead of it leaves in the pass that made it, one
+  ``sendmsg`` — whatever its size (a bulk one as its shm-lane
+  descriptor); a backlog and a blocked or undialed socket queue on the
+  peer's outbox, flushed as one vectored write at the loop's quiescent
+  point (:meth:`IOLoop.at_pass_end`).  A sender that does not run on
+  the loop hands its send over with :meth:`IOLoop.call`.
 - **Reads** are readiness-driven: adopted connections register for
   ``EVENT_READ`` and feed :meth:`~repro.net.framing.FrameReader.recv_ready`
   batches straight into the owner's dispatch path.
 - **Wakeups** use a ``socketpair`` self-pipe: handing work to the loop
-  from any engine thread is a ``deque.append`` plus (at most) one
+  from any other thread is a ``deque.append`` plus (at most) one
   one-byte ``send`` — :meth:`IOLoop.call` never blocks and never takes
-  a lock, and a sending thread only ever *tries* the per-peer write
-  lock, so ``ConnectionPool.send`` never waits for the loop.
-  ``io_loop_wakeups`` counts loop iterations.
+  a lock.  ``io_loop_wakeups`` counts loop iterations.
 - **Timers**: :meth:`IOLoop.call_later` is the owner's one timer queue
   (a heap whose earliest deadline bounds the ``select`` timeout, read
-  from an injected clock; a deadline under a millisecond away is polled
-  for, since epoll would round it up to one).  Whatever an owner does
-  "every so often" — heartbeat, resend aging, liveness and autoscale
-  ticks, a body's ``sleep`` — is a timer here, not a thread; a callback
-  must never wait on another process.
+  from an injected clock).  epoll counts in whole milliseconds and
+  rounds a timeout up, so the loop sleeps for the whole milliseconds
+  left to the deadline in epoll and for the rest in ``select(2)`` on
+  the epoll descriptor, which counts in microseconds.  Whatever an
+  owner does "every so often" — heartbeat, resend aging, liveness and
+  autoscale ticks, a body's ``sleep`` — is a timer here, not a thread;
+  a callback must never wait on another process.
 - **Queued calls** run one pass's worth at a time: what a call queues in
   turn waits for the next pass, so timers and reads interleave with a
   chain of calls (a DPS thread working through its inbox).
@@ -60,7 +60,9 @@ from __future__ import annotations
 import errno
 import heapq
 import itertools
+import math
 import os
+import select
 import selectors
 import socket
 import sys
@@ -91,9 +93,9 @@ _DIAL_MAX_DELAY = 0.5
 #: budget, this bounds queued memory).
 _MAX_BATCH_FRAMES = 256
 
-#: The shortest ``select`` timeout the loop passes in; epoll counts in
-#: whole milliseconds and rounds up.
-_SELECT_RESOLUTION = 1e-3
+#: ``select`` timeouts per second: epoll counts in whole milliseconds
+#: and rounds a timeout up.
+_SELECT_TICKS = 1000
 
 
 class DialError(ConnectionError):
@@ -112,8 +114,8 @@ class VectoredSender:
     :meth:`pump` resumes mid-frame; frame bytes on the wire are
     identical to the blocking :func:`~repro.net.framing.send_messages`.
 
-    Single-writer: whoever pushes or pumps holds the owning peer's
-    write lock.  The class itself owns no socket, which keeps it
+    Single-writer: only the owning peer's loop thread pushes or pumps.
+    The class itself owns no socket, which keeps it
     drivable by property tests with a mock whose ``sendmsg`` accepts
     arbitrary byte counts.
     """
@@ -556,11 +558,6 @@ class IOLoop:
             counter = self._metrics.counter("io_loop_wakeups")
         while True:
             timeout = self._run_timers() if self._timers else None
-            if timeout is not None and timeout < _SELECT_RESOLUTION:
-                # epoll rounds a timeout up to whole milliseconds: a timer
-                # due sooner is polled for (serving I/O meanwhile), never
-                # slept for a millisecond.
-                timeout = 0
             # Never block while work is queued: a call() racing the
             # flag/byte handoff above can leave pending non-empty with
             # no wake byte in flight for at most one pass.  _in_select
@@ -580,7 +577,20 @@ class IOLoop:
                 for fn in hooks:
                     _guarded(fn)
                 self._in_select = True
-            events = selector.select(0 if pending else timeout)
+            if pending:
+                timeout = 0
+            elif timeout is not None:
+                # epoll rounds a timeout up to whole milliseconds: it
+                # sleeps for the whole ones left, and what is left under
+                # a millisecond is slept by select(2), which counts in
+                # microseconds, on the epoll descriptor (readable once an
+                # event is ready), so a timer never fires up to a
+                # millisecond late and I/O still wakes the loop.
+                whole = math.floor(timeout * _SELECT_TICKS) / _SELECT_TICKS
+                if not whole:
+                    select.select([selector], [], [], timeout)
+                timeout = whole
+            events = selector.select(timeout)
             self._in_select = False
             if self._closed or self._stopping:
                 return
@@ -600,11 +610,13 @@ class IOLoop:
 
 
 class EventLoopPeer:
-    """Send-only channel to one peer kernel.
+    """Send-only channel to one peer kernel, owned by one loop thread.
 
-    :meth:`send` never blocks, from any thread: the message is either
-    written to the socket right there or appended to the outbox for the
-    :class:`IOLoop` to flush.  The peer is dialed lazily, on the loop: a
+    Only the :class:`IOLoop`'s thread touches it, so it takes no lock; a
+    sender elsewhere hands its :meth:`send` over with :meth:`IOLoop.call`.
+    :meth:`send` never blocks: the message is either written to the
+    socket right there or appended to the outbox for the loop to flush.
+    The peer is dialed lazily, on the loop: a
     name-server lookup, a non-blocking ``connect`` whose outcome arrives
     as ``EVENT_WRITE``, and — while the peer is not registered or not
     listening yet — backoff timers on the loop's clock until
@@ -645,12 +657,6 @@ class EventLoopPeer:
         self._outbox: deque = deque()
         self._scheduled = False
         self._sender = VectoredSender()
-        # Single-writer guard for the sender, the shm arena and the
-        # socket's write side.  The loop thread takes it blockingly;
-        # sending threads only ever *try* it and never wait for the loop
-        # while holding it, so it cannot deadlock.  Re-entrant because
-        # the loop-side steps nest (_on_writable -> _flush -> _fail).
-        self._write_lock = threading.RLock()
         self._partial_writes_reported = 0
         self._sock: Optional[socket.socket] = None
         self._shm: Optional[ShmSender] = None
@@ -662,34 +668,25 @@ class EventLoopPeer:
         self._write_registered = False
         self._on_flushed: Optional[Callable[[], None]] = None
 
-    # -- any-thread interface ------------------------------------------
     def send(self, segments: List[Segment]) -> None:
-        """Send one message.
+        """Send one message (loop thread).
 
-        One rule, whichever thread calls and whatever the size: a
-        message with nothing queued ahead of it on an attached,
-        unblocked socket leaves when it is made, one ``sendmsg`` on the
-        calling thread (:meth:`_write_now`) — an operation body's output
-        on the loop thread, an activation's entry token on its caller's.
-        A bulk message is first copied into the shm arena under the
-        write lock, and what leaves is its descriptor frame.  Holding
-        it back for frames that may follow makes the next kernel wait
-        for the batch, so a window of tokens moves down a pipeline as
-        one convoy instead of overlapping the hops; handing it to the
-        loop from another thread adds a thread hand-off to the hop.
-        A backlog and a blocked or undialed socket queue on the outbox
+        A message with nothing queued ahead of it on an attached,
+        unblocked socket leaves when it is made, one ``sendmsg`` in the
+        pass that made it (:meth:`_write_now`); a bulk one is first
+        placed in the shm arena, and what leaves is its descriptor
+        frame.  Holding it back for frames that may follow makes the
+        next kernel wait for the batch, so a window of tokens moves down
+        a pipeline as one convoy instead of overlapping the hops.  A
+        backlog and a blocked or undialed socket queue on the outbox
         instead (its drain makes the arena copies), and the loop
         flushes it at its quiescent point as one vectored write.
         """
-        if self._idle() and self._write_lock.acquire(blocking=False):
-            try:
-                if self._idle():  # still true now that we own the writer
-                    if self._shm is not None and self._bulk(segments):
-                        segments = self._shm.rewrite(segments)
-                    self._write_now(segments)
-                    return
-            finally:
-                self._write_lock.release()
+        if self._idle():
+            if self._shm is not None and self._bulk(segments):
+                segments = self._shm.rewrite(segments)
+            self._write_now(segments)
+            return
         self._outbox.append(segments)
         if not self._scheduled:
             self._scheduled = True
@@ -711,12 +708,14 @@ class EventLoopPeer:
                 and not self._failed and not self._closing)
 
     def _write_now(self, segments: List[Segment]) -> None:
-        """Write one message on the calling thread (write lock held):
-        one ``sendmsg`` of the frame header and the segments as given.
-        What the socket does not take — a short write, ``EAGAIN``, or a
-        message with more segments than one call may carry — goes to
-        the sender with its byte offset and the loop finishes it; the
-        queued remainder keeps later sends behind it.
+        """Write one message now: one ``sendmsg`` of the frame header
+        and the segments as given.  What the socket does not take — a
+        short write, ``EAGAIN``, or a message with more segments than
+        one call may carry — goes to the sender with its byte offset and
+        a later call finishes it; the queued remainder keeps later sends
+        behind it.  The failure and the flush are deferred with
+        :meth:`IOLoop.call` so that neither runs inside the operation's
+        ``emit`` that sent: ``on_error`` reroutes the owner's state.
         """
         iov = frame(segments)
         sent = 0
@@ -726,8 +725,7 @@ class EventLoopPeer:
             except BlockingIOError:
                 pass
             except OSError as exc:
-                # Queued whole; _fail (selector, on_error: loop thread
-                # only) drops and counts it.
+                # Queued whole; _fail drops and counts it.
                 self._sender.push(segments)
                 self._loop.call(lambda err=exc: self._fail(err))
                 return
@@ -740,43 +738,40 @@ class EventLoopPeer:
         self._sender.push(segments, sent)
         self._loop.call(self._flush)
 
-    # -- loop-thread internals -----------------------------------------
     def _pump(self) -> None:
         self._scheduled = False
-        with self._write_lock:
-            if self._failed or self._loop.closed:
-                self._count_drops(self._drop_queued())
-                return
-            if self._sock is None:
-                if not self._dialing:
-                    self._dialing = True
-                    self._loop.call_later(self._dial_deadline,
-                                          self._dial_expired)
-                    self._dial_attempt()
-                return  # _connected re-pumps once the dial lands
-            self._drain_outbox()
-            if self._write_registered:
-                # Socket buffer full: frames queue in the sender and
-                # _on_writable resumes the flush.
-                return
-            sender = self._sender
-            if (sender.pending_bytes >= DEFAULT_MAX_BATCH_BYTES
-                    or sender.pending_frames >= _MAX_BATCH_FRAMES):
-                # Budget hit: flush inline to bound queued memory.
-                self._flush()
-            else:
-                # Flush at the loop's next quiescent point, not inline:
-                # the rest of the burst (reads, operation bodies, later
-                # pumps) runs first, and frames those queue ride the
-                # same vectored write.  Latency cost is
-                # the burst remainder — the loop was busy anyway —
-                # against one syscall per wakeup; this is where the
-                # event loop gets the natural backpressure batching of a
-                # blocking writer.
-                self._loop.at_pass_end(self, self._flush)
+        if self._failed or self._loop.closed:
+            self._count_drops(self._drop_queued())
+            return
+        if self._sock is None:
+            if not self._dialing:
+                self._dialing = True
+                self._loop.call_later(self._dial_deadline,
+                                      self._dial_expired)
+                self._dial_attempt()
+            return  # _connected re-pumps once the dial lands
+        self._drain_outbox()
+        if self._write_registered:
+            # Socket buffer full: frames queue in the sender and
+            # _on_writable resumes the flush.
+            return
+        sender = self._sender
+        if (sender.pending_bytes >= DEFAULT_MAX_BATCH_BYTES
+                or sender.pending_frames >= _MAX_BATCH_FRAMES):
+            # Budget hit: flush inline to bound queued memory.
+            self._flush()
+        else:
+            # Flush at the loop's next quiescent point, not inline: the
+            # rest of the burst (reads, operation bodies, later pumps)
+            # runs first, and frames those queue ride the same vectored
+            # write.  Latency cost is the burst remainder — the loop was
+            # busy anyway — against one syscall per wakeup; this is
+            # where the event loop gets the natural backpressure
+            # batching of a blocking writer.
+            self._loop.at_pass_end(self, self._flush)
 
     def _drain_outbox(self) -> None:
-        """Move queued messages into the sender, in order (lock held)."""
+        """Move queued messages into the sender, in order."""
         sender = self._sender
         outbox = self._outbox
         shm = self._shm
@@ -787,40 +782,38 @@ class EventLoopPeer:
             sender.push(message)
 
     def _flush(self) -> None:
-        """Push the sender's queued frames to the socket (loop thread)."""
-        with self._write_lock:
-            if self._failed or self._sock is None or self._write_registered:
-                return  # a pass-end hook may outlive a same-pass fail/detach
-            try:
-                drained = self._sender.pump(self._sock)
-            except OSError as exc:
-                self._fail(exc)
-                return
-            if drained:
-                self._set_write_interest(False)
-                self._report_partials()
-                frames, syscalls = self._sender.take_episode()
-                if self._metrics is not None:
-                    if frames:
-                        self._metrics.histogram("frames_per_syscall") \
-                            .observe(frames / max(1, syscalls))
-                    self._metrics.gauge("outbox_depth").set(0)
-                if self._closing:
-                    self._report_flushed()
-            else:
-                self._set_write_interest(True)
-                self._report_partials()
-                if self._metrics is not None:
-                    # Write-blocked: surface the backlog as backpressure
-                    # so queue-depth dashboards see the stalled peer.
-                    self._metrics.gauge("outbox_depth").set(
-                        self._sender.pending_frames + len(self._outbox))
+        """Push the sender's queued frames to the socket."""
+        if self._failed or self._sock is None or self._write_registered:
+            return  # a pass-end hook may outlive a same-pass fail/detach
+        try:
+            drained = self._sender.pump(self._sock)
+        except OSError as exc:
+            self._fail(exc)
+            return
+        if drained:
+            self._set_write_interest(False)
+            self._report_partials()
+            frames, syscalls = self._sender.take_episode()
+            if self._metrics is not None:
+                if frames:
+                    self._metrics.histogram("frames_per_syscall") \
+                        .observe(frames / max(1, syscalls))
+                self._metrics.gauge("outbox_depth").set(0)
+            if self._closing:
+                self._report_flushed()
+        else:
+            self._set_write_interest(True)
+            self._report_partials()
+            if self._metrics is not None:
+                # Write-blocked: surface the backlog as backpressure so
+                # queue-depth dashboards see the stalled peer.
+                self._metrics.gauge("outbox_depth").set(
+                    self._sender.pending_frames + len(self._outbox))
 
     def _on_writable(self) -> None:
-        with self._write_lock:
-            self._drain_outbox()
-            self._set_write_interest(False)
-            self._flush()
+        self._drain_outbox()
+        self._set_write_interest(False)
+        self._flush()
 
     def _set_write_interest(self, on: bool) -> None:
         if on == self._write_registered or self._sock is None:
@@ -835,7 +828,7 @@ class EventLoopPeer:
         except (KeyError, ValueError, OSError):  # pragma: no cover - teardown
             self._write_registered = False
 
-    # -- the dial (loop thread) -------------------------------------------
+    # -- the dial -----------------------------------------------------------
     def _dial_attempt(self) -> None:
         """Look the peer up and start a non-blocking connect to it."""
         if self._failed:
@@ -866,24 +859,23 @@ class EventLoopPeer:
                 self._dial_failed(OSError(err, os.strerror(err)))
             return
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with self._write_lock:
-            self._sender.push(encode_hello(self._hello_from))
-            policy = self._transport
-            if (policy.shm_enabled
-                    and meta.get("fingerprint") == host_fingerprint()):
-                try:
-                    self._shm = ShmSender(policy.shm_arena_bytes,
-                                          policy.shm_threshold,
-                                          metrics=self._metrics)
-                except (OSError, ValueError):
-                    pass  # no shm on this platform; the TCP lane works
-                else:
-                    # Before the first descriptor frame: right behind
-                    # HELLO, ahead of everything in the outbox.
-                    self._sender.push(encode_shm_attach(self._shm.name,
-                                                        self._shm.size))
-            self._sock = sock
-            self._pump()
+        self._sender.push(encode_hello(self._hello_from))
+        policy = self._transport
+        if (policy.shm_enabled
+                and meta.get("fingerprint") == host_fingerprint()):
+            try:
+                self._shm = ShmSender(policy.shm_arena_bytes,
+                                      policy.shm_threshold,
+                                      metrics=self._metrics)
+            except (OSError, ValueError):
+                pass  # no shm on this platform; the TCP lane works
+            else:
+                # Before the first descriptor frame: right behind HELLO,
+                # ahead of everything in the outbox.
+                self._sender.push(encode_shm_attach(self._shm.name,
+                                                    self._shm.size))
+        self._sock = sock
+        self._pump()
 
     def _dial_failed(self, exc: Exception) -> None:
         """Not registered or not listening yet: retry after a backoff."""
@@ -901,35 +893,31 @@ class EventLoopPeer:
             exc.__cause__ = self._dial_error
             self._fail(exc)
 
-    # -- failure and close (loop thread) ---------------------------------
+    # -- failure and close --------------------------------------------------
     def _fail(self, exc: Exception) -> None:
-        with self._write_lock:
-            if self._failed:
-                return
-            self._failed = True
-            self._count_drops(self._drop_queued())
-            if self._shm is not None:
-                # The peer is gone, or will never see the descriptors
-                # just dropped: take every block back.  Safe here — we
-                # hold the arena's write lock and nothing is placed or
-                # announced after a failure.
-                self._shm.reclaim_all()
-            self._set_write_interest(False)
-            self._report_flushed()
+        if self._failed:
+            return
+        self._failed = True
+        self._count_drops(self._drop_queued())
+        if self._shm is not None:
+            # The peer is gone, or will never see the descriptors just
+            # dropped: take every block back.  Safe here — nothing is
+            # placed or announced after a failure.
+            self._shm.reclaim_all()
+        self._set_write_interest(False)
+        self._report_flushed()
         if not self._closing:
             self._on_error(self.peer_name, exc)
 
     def begin_close(self, on_flushed: Callable[[], None]) -> None:
-        """Start flushing before a close (loop thread): *on_flushed* runs
-        once everything queued is on the wire or the peer has failed."""
-        with self._write_lock:
-            self._closing = True
-            self._on_flushed = on_flushed
-            if self._failed or not (self._outbox
-                                    or self._sender.pending_frames):
-                self._report_flushed()
-            else:
-                self._pump()  # dials if need be; _flush reports the drain
+        """Start flushing before a close: *on_flushed* runs once
+        everything queued is on the wire or the peer has failed."""
+        self._closing = True
+        self._on_flushed = on_flushed
+        if self._failed or not (self._outbox or self._sender.pending_frames):
+            self._report_flushed()
+        else:
+            self._pump()  # dials if need be; _flush reports the drain
 
     def _report_flushed(self) -> None:
         on_flushed, self._on_flushed = self._on_flushed, None
@@ -937,14 +925,13 @@ class EventLoopPeer:
             on_flushed()
 
     def close(self) -> None:
-        """Release the socket and the shm arena now, flushed or not (loop
-        thread); later sends are counted drops."""
-        with self._write_lock:
-            self._closing = True
-            self._failed = True  # late sends become counted drops
-            self._set_write_interest(False)
-            sock, self._sock = self._sock, None
-            shm, self._shm = self._shm, None
+        """Release the socket and the shm arena now, flushed or not;
+        later sends are counted drops."""
+        self._closing = True
+        self._failed = True  # late sends become counted drops
+        self._set_write_interest(False)
+        sock, self._sock = self._sock, None
+        shm, self._shm = self._shm, None
         if sock is not None:
             try:
                 sock.close()

@@ -495,8 +495,10 @@ class DistributedKernel(ThreadedEngine):
             finish(exc)
 
     def request_shutdown(self, peer: str) -> None:
-        """Ask *peer* to shut down (part of the console's exit barrier)."""
-        self._pool.send(peer, P.encode_shutdown())
+        """Ask *peer* to shut down (part of the console's exit barrier;
+        any thread)."""
+        message = P.encode_shutdown()
+        self._io_loop.call(lambda: self._pool.send(peer, message))
 
     # ------------------------------------------------------------------
     # trace aggregation (console side)

@@ -93,9 +93,9 @@ class ShmSender:
     A first-fit allocator over one shared-memory block: ``_live``
     lists the blocks not yet seen released, sorted by offset, and every
     allocation first forgets the ones whose flag has cleared — in
-    whatever order the receiver let go of them.  Single-producer
-    (whoever holds the owning peer's write lock); the receiver only
-    ever clears flags, so no locking is needed in here.
+    whatever order the receiver let go of them.  Single-producer (the
+    owning peer's loop thread); the receiver only ever clears flags, so
+    no locking is needed in here.
     """
 
     def __init__(self, arena_bytes: int, threshold: int, metrics=None):

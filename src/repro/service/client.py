@@ -20,19 +20,25 @@ Failure semantics mirror the admission protocol:
 - ``MSG_SVC_BUSY`` raises :class:`ServiceBusy`; :meth:`ServiceClient.call`
   retries with exponential backoff under a **new** request id (the shed
   burned the old one).
-- A lost frame is recovered by *resending the same id* after
-  ``resend_after`` seconds of silence; the console's dedup drops the
-  duplicate if the original was admitted, so a call is never executed
-  twice (exactly-once).
+- A lost frame is recovered by *resending the same id* every
+  ``resend_after`` seconds of silence, a timer on the client's loop; the
+  console's dedup drops the duplicate if the original was admitted, so a
+  call is never executed twice (exactly-once).
 - A broken connection or console failure settles every pending call
   with :class:`~repro.runtime.controller.KernelFailure`, which
   :meth:`ServiceClient.call` also retries — the resident cluster may
   just be remapping around a dead kernel.
 - ``MSG_SVC_ERROR`` re-raises the remote exception in the caller.
+
+Threads: the client's wire side and its table of pending calls belong
+to its one I/O loop.  A caller encodes on its own thread, hands the
+send to the loop with :meth:`IOLoop.call` and blocks on its own
+primitives: the session semaphore, the open event, a call's event.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import socket
 import threading
@@ -47,6 +53,7 @@ from ..net.kernel import CONSOLE_KERNEL
 from ..net.nameserver import NameServerClient, NameServerError
 from ..runtime.controller import KernelFailure
 from ..serial.token import Token
+from ..serial.wire import Segment
 
 __all__ = ["ServiceBusy", "ServiceCall", "ServiceClient", "ServiceError",
            "ServiceTimeout"]
@@ -68,16 +75,15 @@ class ServiceCall:
     """One in-flight graph call; settled on the client's I/O loop."""
 
     def __init__(self, client: "ServiceClient", request_id: int,
-                 service: str, token: Token):
+                 service: str, message: List[Segment]):
         self._client = client
         self.request_id = request_id
         self.service = service
-        self._token = token
+        self._message = message
         self._event = threading.Event()
         self._kind: Optional[str] = None
         self._value = None
-        self._released = False
-        self._sent_at = time.monotonic()
+        self._resend = None  # the armed resend timer (loop thread)
 
     def _settle(self, kind: str, value) -> None:
         self._kind = kind
@@ -89,28 +95,21 @@ class ServiceCall:
         """Block for the reply.
 
         With *resend_after*, the request is retransmitted under the
-        **same** id after that many seconds of silence — safe against
-        double execution because admitted ids are deduplicated
-        server-side; this is the lost-frame recovery path, distinct
-        from the new-id retry that follows a shed.
+        **same** id every that many seconds until it settles — a timer
+        on the client's loop — safe against double execution because
+        admitted ids are deduplicated server-side; this is the
+        lost-frame recovery path, distinct from the new-id retry that
+        follows a shed.
         """
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._client._forget(self)
-                raise ServiceTimeout(
-                    f"no reply for request {self.request_id} "
-                    f"({self.service!r}) within {timeout}s")
-            wait = remaining if resend_after is None else min(
-                remaining, max(0.0, resend_after
-                               - (time.monotonic() - self._sent_at)))
-            if self._event.wait(timeout=max(wait, 0.001)):
-                break
-            if resend_after is not None and \
-                    time.monotonic() - self._sent_at >= resend_after:
-                self._client._resend(self)
-                self._sent_at = time.monotonic()
+        client = self._client
+        if resend_after is not None:
+            client._io_loop.call(
+                lambda: client._resend_every(self, resend_after))
+        if not self._event.wait(timeout):
+            client._forget(self)
+            raise ServiceTimeout(
+                f"no reply for request {self.request_id} "
+                f"({self.service!r}) within {timeout}s")
         if self._kind == "ok":
             return self._value
         if self._kind == "busy":
@@ -136,9 +135,10 @@ class ServiceClient:
         self.window: Optional[int] = None
         self.busy_retries = 0
         self.failure_retries = 0
-        self._lock = threading.Lock()
+        #: calls awaiting their reply, by request id (loop thread)
         self._pending: Dict[int, ServiceCall] = {}
-        self._request_counter = 0
+        self._request_ids = itertools.count(1)
+        #: session window, made by the loop when the console grants it
         self._slots: Optional[threading.BoundedSemaphore] = None
         self._open_event = threading.Event()
         self._failure: Optional[BaseException] = None
@@ -170,18 +170,12 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def open(self, timeout: float = 10.0) -> int:
         """Open the session; returns the granted window.  Idempotent."""
-        if self._slots is not None:
-            return self.window or 0
-        self._pool.send(self.server,
-                        P.encode_svc_open(self.name,
-                                          self._requested_window))
-        if not self._open_event.wait(timeout=timeout):
-            raise ServiceTimeout(
-                f"service console {self.server!r} did not answer "
-                f"MSG_SVC_OPEN within {timeout}s")
-        with self._lock:
-            if self._slots is None:
-                self._slots = threading.BoundedSemaphore(self.window or 1)
+        if not self._open_event.is_set():
+            self._send(P.encode_svc_open(self.name, self._requested_window))
+            if not self._open_event.wait(timeout=timeout):
+                raise ServiceTimeout(
+                    f"service console {self.server!r} did not answer "
+                    f"MSG_SVC_OPEN within {timeout}s")
         return self.window or 0
 
     def discover(self, max_age: Optional[float] = None) -> List[dict]:
@@ -199,19 +193,21 @@ class ServiceClient:
         failure = self._failure
         if failure is not None:
             raise failure
-        assert self._slots is not None
         self._slots.acquire()
-        with self._lock:
-            self._request_counter += 1
-            call = ServiceCall(self, self._request_counter, service, token)
-            self._pending[call.request_id] = call
-        try:
-            self._pool.send(self.server, P.encode_svc_call(
-                self.name, call.request_id, service, token))
-        except Exception as exc:
-            self._forget(call)
-            raise KernelFailure(
-                f"send to service console failed: {exc}") from exc
+        request_id = next(self._request_ids)
+        call = ServiceCall(self, request_id, service, P.encode_svc_call(
+            self.name, request_id, service, token))
+
+        def issue() -> None:
+            # In the table before it is sent: no reply can beat it there.
+            if self._failure is not None:
+                self._release(call)
+                call._settle("error", self._failure)
+                return
+            self._pending[request_id] = call
+            self._pool.send(self.server, call._message)
+
+        self._io_loop.call(issue)
         return call
 
     def call(self, service: str, token: Token, timeout: float = 30.0,
@@ -241,23 +237,36 @@ class ServiceClient:
                 time.sleep(min(1.0, backoff * (2 ** attempt)))
                 attempt += 1
 
-    def _resend(self, call: ServiceCall) -> None:
-        """Retransmit under the SAME id (server dedup absorbs it)."""
-        try:
-            self._pool.send(self.server, P.encode_svc_call(
-                self.name, call.request_id, call.service, call._token))
-        except Exception:
-            pass  # the pool error callback settles the call
+    def _send(self, message: List[Segment]) -> None:
+        """Send *message* to the console from the loop (any thread)."""
+        self._io_loop.call(lambda: self._pool.send(self.server, message))
+
+    def _resend_every(self, call: ServiceCall, after: float) -> None:
+        """Retransmit *call* under the SAME id every *after* seconds
+        until it settles (loop thread; server dedup absorbs it)."""
+        def resend() -> None:
+            self._pool.send(self.server, call._message)
+            call._resend = self._io_loop.call_later(after, resend)
+
+        if call._resend is not None:
+            call._resend.cancel()
+        if self._pending.get(call.request_id) is call:
+            call._resend = self._io_loop.call_later(after, resend)
 
     def _forget(self, call: ServiceCall) -> None:
-        with self._lock:
-            self._pending.pop(call.request_id, None)
-        self._release(call)
+        """Drop a call its caller stopped waiting for (any thread)."""
+        def forget() -> None:
+            if self._pending.pop(call.request_id, None) is call:
+                self._release(call)
+
+        self._io_loop.call(forget)
 
     def _release(self, call: ServiceCall) -> None:
-        if not call._released and self._slots is not None:
-            call._released = True
-            self._slots.release()
+        """A call just left the table: its window slot and its resend
+        timer go with it (loop thread)."""
+        if call._resend is not None:
+            call._resend.cancel()
+        self._slots.release()
 
     # ------------------------------------------------------------------
     # receive path
@@ -281,12 +290,13 @@ class ServiceClient:
             granted, session_id = value
             self.window = granted
             self.session_id = session_id
+            if self._slots is None:
+                self._slots = threading.BoundedSemaphore(granted or 1)
             self._open_event.set()
             return
         if kind in (P.MSG_SVC_REPLY, P.MSG_SVC_BUSY, P.MSG_SVC_ERROR):
             request_id, payload = value
-            with self._lock:
-                call = self._pending.pop(request_id, None)
+            call = self._pending.pop(request_id, None)
             if call is None:
                 return  # late duplicate reply for a forgotten call
             self._release(call)
@@ -304,9 +314,8 @@ class ServiceClient:
 
     def _fail(self, exc: BaseException) -> None:
         self._failure = exc
-        with self._lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
+        pending = list(self._pending.values())
+        self._pending.clear()
         for call in pending:
             self._release(call)
             call._settle("error", exc)
@@ -318,10 +327,7 @@ class ServiceClient:
         if self._closed:
             return
         self._closed = True
-        try:
-            self._pool.send(self.server, P.encode_svc_close(self.name))
-        except Exception:
-            pass  # console already gone
+        self._send(P.encode_svc_close(self.name))
         self._pool.close_all()  # flushed on the loop, which then stops
         self._io_loop.close()  # closes the listener it adopted
         try:

@@ -1,4 +1,4 @@
-"""The lock-free pool hot path, the pool's close sequence and
+"""The loop-owned pool, the pool's close sequence and
 TransportPolicy resolution (the peer channel itself is covered in
 ``test_eventloop.py``)."""
 
@@ -16,7 +16,7 @@ from repro.net import (
 )
 from repro.net.connections import CLOSE_DEADLINE
 
-from tests.net.test_timers import FakeClock, _settle
+from tests.net.test_timers import FakeClock, _on_loop, _settle
 
 
 @pytest.fixture
@@ -90,28 +90,25 @@ class _StubConn:
         self.log.append("close")
 
 
-def test_pool_send_hot_path_does_not_take_the_lock(ns, loop):
-    """Once a peer connection exists, ``send`` must not touch the pool
-    lock — the engine calls it with its own lock held, and PR 2 paid a
-    lock acquire per token here."""
+def test_pool_takes_no_lock_and_sends_on_its_loop(ns, loop):
+    """The pool is its loop thread's alone: it holds no lock, and a send
+    handed to the loop reaches the cached channel there."""
     with client(ns) as c:
         pool = ConnectionPool(c, loop=loop, hello_from="src",
                               on_error=lambda peer, exc: None)
+        assert not [v for v in vars(pool).values()
+                    if isinstance(v, type(threading.Lock()))]
         stub = _StubConn()
         pool._peers["peer"] = stub
-        done = threading.Event()
+        writers = []
 
-        def hot_send():
+        def send():
+            writers.append(threading.current_thread().name)
             pool.send("peer", [bytearray(b"x")])
-            done.set()
 
-        with pool._lock:  # a slow first-dial in another thread
-            worker = threading.Thread(target=hot_send)
-            worker.start()
-            assert done.wait(timeout=2), \
-                "pool.send blocked on the pool lock for a cached peer"
-        worker.join()
+        _on_loop(loop, send)
         assert stub.sent == [[bytearray(b"x")]]
+        assert writers == ["dps-io:pool-test"]
 
 
 def test_pool_creates_peer_once_then_caches(ns, loop):
@@ -123,11 +120,11 @@ def test_pool_creates_peer_once_then_caches(ns, loop):
                               dial_deadline=0.1)
         stub = _StubConn()
         pool._peers["peer"] = stub
-        assert pool.peer("peer") is stub
-        pool.send("peer", [b"a"])
-        pool.send("peer", [b"b"])
+        assert _on_loop(loop, lambda: pool.peer("peer")) is stub
+        _on_loop(loop, lambda: pool.send("peer", [b"a"]))
+        _on_loop(loop, lambda: pool.send("peer", [b"b"]))
         assert stub.sent == [[b"a"], [b"b"]]
-        assert pool.peer_names() == ["peer"]
+        assert _on_loop(loop, pool.peer_names) == ["peer"]
         pool.close_all()
         assert pool.peer_names() == []
         assert stub.log == ["begin", "close"]
@@ -193,9 +190,9 @@ def test_pool_forget_drops_the_channel_without_flushing(ns, loop):
                               on_error=lambda peer, exc: None,
                               dial_deadline=0.1)
         stub = pool._peers["peer"] = _StubConn()
-        pool.forget("peer")
-        pool.forget("never-dialed")
+        _on_loop(loop, lambda: pool.forget("peer"))
+        _on_loop(loop, lambda: pool.forget("never-dialed"))
         assert stub.log == ["close"]
-        assert pool.peer_names() == []
-        assert pool.peer("peer") is not stub
+        assert _on_loop(loop, pool.peer_names) == []
+        assert _on_loop(loop, lambda: pool.peer("peer")) is not stub
         pool.close_all()

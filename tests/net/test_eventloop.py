@@ -1,10 +1,12 @@
 """The selectors I/O core: vectored partial-write resumption, loop
 wakeups, readiness-driven accepts and reads, pass-end flush coalescing
-and event-loop peers — including the one rule that picks which thread
-writes a message (the caller when the peer is idle, the loop otherwise).
+and event-loop peers — including the one rule that picks when a message
+is written (in the pass that made it when the peer is idle, at the
+loop's flush otherwise).  Only a loop thread touches a peer, so the test
+thread sends through :func:`_on_loop`.
 
 The hypothesis suites drive :class:`~repro.net.eventloop.VectoredSender`
-and the caller-thread write of :class:`~repro.net.eventloop.EventLoopPeer`
+and the direct write of :class:`~repro.net.eventloop.EventLoopPeer`
 against a mock socket whose ``sendmsg`` accepts an arbitrary byte count
 per call (or raises ``EAGAIN``): whatever the kernel does to our writes,
 the byte stream must stay bit-identical to the blocking sender's — frame
@@ -41,6 +43,8 @@ from repro.net.protocol import MSG_ACK, MSG_DATA, MSG_HELLO, MSG_SHM, \
     MSG_SHM_ATTACH, decode_message
 from repro.serial import FRAME_HEADER_BYTES, WireError, frame, gather
 from repro.trace import MetricsRegistry
+
+from tests.net.test_timers import _on_loop
 
 
 @pytest.fixture
@@ -527,7 +531,7 @@ def _peer(ns, sink, name, metrics=None, transport=None, meta=None):
     """
     owner, loop, conn = _undialed_peer(ns, sink, name, metrics, transport,
                                        meta)
-    conn.send(_data_frame(0))
+    _on_loop(loop, lambda: conn.send(_data_frame(0)))
     _wait_for(lambda: bytes(_data_frame(0)[0]) in sink.frames,
               what="dial + first frame")
     return owner, loop, conn
@@ -570,9 +574,8 @@ def test_eventloop_peer_control_frame_keeps_fifo_behind_data(ns):
     sink = _Sink()
     owner, loop, conn = _peer(ns, sink, "fifo")
     try:
-        conn.send(_data_frame(1))
-        conn.send(_data_frame(2))
-        conn.send(_control_frame())
+        _on_loop(loop, lambda: [conn.send(m) for m in (
+            _data_frame(1), _data_frame(2), _control_frame())])
         _wait_for(lambda: len(sink.frames) >= 4, what="data then control")
         assert sink.frames[1:] == [bytes(_data_frame(1)[0]),
                                    bytes(_data_frame(2)[0]),
@@ -584,22 +587,37 @@ def test_eventloop_peer_control_frame_keeps_fifo_behind_data(ns):
         owner.close()
 
 
-def test_eventloop_peer_idle_sends_are_written_by_the_caller(ns):
-    """Back-to-back sends from a non-loop thread on an idle peer go out
-    on that thread: they arrive in order and the loop never wakes."""
+def test_eventloop_peer_idle_sends_are_written_in_the_pass_that_made_them(
+        ns):
+    """Back-to-back sends in one loop callback on an idle peer each go
+    out at once, one ``sendmsg`` apiece: they arrive in order and the
+    loop wakes for nothing but the callback's own pass."""
     metrics = MetricsRegistry()
     sink = _Sink()
     owner, loop, conn = _peer(ns, sink, "direct", metrics=metrics)
     try:
         wakeups = metrics.counter("io_loop_wakeups")
+        fps = metrics.histogram("frames_per_syscall")
         before = wakeups.value
         n = 50
-        for i in range(1, n + 1):
-            conn.send(_data_frame(i))
+
+        def burst():
+            # The baseline is read on the loop: the dial's flush may
+            # record its batch after frame 0 has landed.
+            baseline = fps.count, fps.total
+            idle = []
+            for i in range(1, n + 1):
+                conn.send(_data_frame(i))
+                idle.append(conn._idle())
+            return baseline, idle
+
+        (observed, sent), idle = _on_loop(loop, burst)
+        assert idle == [True] * n, "an idle send queued"
         _wait_for(lambda: len(sink.frames) >= n + 1, what="direct frames")
         assert sink.frames == [bytes(_data_frame(i)[0])
                                for i in range(n + 1)]
-        assert wakeups.value == before, "an idle send woke the loop"
+        assert (fps.count - observed, fps.total - sent) == (n, n)
+        assert wakeups.value <= before + 1, "an idle send woke the loop"
     finally:
         loop.call(conn.close)
         loop.close()
@@ -611,7 +629,7 @@ def test_eventloop_peer_idle_sends_are_written_by_the_caller(ns):
 def _small_buffer_peer(ns, name, metrics=None):
     """A dialed, idle peer with 4 KiB socket buffers each way whose
     receiving end nobody reads but the test: ``(loop, conn, accepted)``.
-    No message counts as bulk, so every idle send is the caller's."""
+    No message counts as bulk, so no send takes the shm lane."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     listener.bind(("127.0.0.1", 0))
@@ -627,7 +645,7 @@ def _small_buffer_peer(ns, name, metrics=None):
                 transport=TransportPolicy(shm_enabled=False,
                                           shm_threshold=1 << 30),
                 metrics=metrics)
-            conn.send(_data_frame(0))
+            _on_loop(loop, lambda: conn.send(_data_frame(0)))
             accepted, _ = listener.accept()
             try:
                 assert _recv_frames(accepted, 2)[1:] == \
@@ -646,19 +664,20 @@ def _small_buffer_peer(ns, name, metrics=None):
 
 
 def test_eventloop_peer_caller_short_write_resumes_on_the_loop(ns):
-    """A caller-thread write the socket only partly accepts hands its
-    remainder to the loop (``EVENT_WRITE``); the remainder and every
+    """A direct write the socket only partly accepts leaves its
+    remainder to a later pass (``EVENT_WRITE``); the remainder and every
     later send arrive bit-identical and in order."""
     metrics = MetricsRegistry()
     with _small_buffer_peer(ns, "slow", metrics) as (loop, conn, accepted):
         # Nobody is reading: far more than both socket buffers hold.
         big = bytes(range(256)) * 4096
-        conn.send([bytearray([MSG_DATA]), memoryview(big)])
+        _on_loop(loop, lambda: conn.send([bytearray([MSG_DATA]),
+                                          memoryview(big)]))
         _wait_for(lambda: conn._write_registered, what="EVENT_WRITE")
         assert metrics.counter("partial_writes").value >= 1
         later = [_data_frame(i) for i in range(1, 6)]
-        for message in later:
-            conn.send(message)  # queued behind the blocked remainder
+        # queued behind the blocked remainder
+        _on_loop(loop, lambda: [conn.send(m) for m in later])
         reader = FrameReader(accepted)
         received = []
         while len(received) < 1 + len(later):
@@ -716,7 +735,7 @@ _write_decisions = st.lists(st.one_of(
                 min_size=1, max_size=8),
        _write_decisions)
 def test_caller_write_is_one_sendmsg_and_exact(sends, decisions):
-    """The caller-thread write is one ``sendmsg`` of header + segments;
+    """The direct write is one ``sendmsg`` of header + segments;
     whatever the socket makes of it — EAGAIN, one byte, a cut inside the
     header, a message with more segments than one call may carry — the
     bytes the socket takes equal ``send_messages``' for the same
@@ -752,13 +771,13 @@ def test_caller_write_is_one_sendmsg_and_exact(sends, decisions):
 
 
 def test_eventloop_peer_keeps_each_producers_order(ns):
-    """Four producer threads plus the loop thread, all sending to one
-    peer at once, those the pattern picks starting while the peer is
-    write-blocked: their first frames queue behind the backlog, the
-    others start while it drains and go out directly once it has, so the
-    direct and the queued path interleave.  Whichever thread ends up
-    writing, every producer's frames arrive in its own order, none lost
-    and none duplicated."""
+    """Four producer threads handing their sends to the loop, plus the
+    loop itself, all sending to one peer at once, those the pattern
+    picks starting while the peer is write-blocked: their first frames
+    queue behind the backlog, the others start while it drains and go
+    out directly once it has, so the direct and the queued path
+    interleave.  Every producer's frames arrive in its own order, none
+    lost and none duplicated."""
     producers, per_producer = 4, 200
     filler = [bytearray([MSG_ACK]), memoryview(bytes(1 << 20))]
     rounds = itertools.count()
@@ -779,7 +798,8 @@ def test_eventloop_peer_keeps_each_producers_order(ns):
 
             def produce(producer):
                 for seq in range(per_producer):
-                    conn.send(tagged(round_no, producer, seq))
+                    message = tagged(round_no, producer, seq)
+                    _on_loop(loop, lambda: conn.send(message))
                     if seq == per_producer // 2:
                         halfway[producer].set()
 
@@ -798,7 +818,8 @@ def test_eventloop_peer_keeps_each_producers_order(ns):
                 thread.start()
                 return thread
 
-            conn.send(filler)  # nobody reads: both socket buffers fill
+            # nobody reads: both socket buffers fill
+            _on_loop(loop, lambda: conn.send(filler))
             _wait_for(lambda: conn._write_registered, what="EVENT_WRITE")
             threads = [start(p) for p in range(producers + 1) if blocked[p]]
             for p in range(producers + 1):
@@ -836,7 +857,7 @@ def test_eventloop_peer_keeps_each_producers_order(ns):
         run()
 
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # force interleavings inside send()
+    sys.setswitchinterval(1e-5)  # force interleavings of the hand-overs
     try:
         with _small_buffer_peer(ns, "mixed") as (loop, conn, accepted):
             check(loop, conn, FrameReader(accepted))
@@ -870,38 +891,34 @@ def _borrowed(receiver, descriptor_frame):
     return bytes(receiver.borrow(block, length))
 
 
-def test_eventloop_peer_bulk_send_is_written_by_the_caller(ns):
+def test_eventloop_peer_bulk_send_is_written_in_the_pass_that_made_them(
+        ns):
     """A message with a segment of ``shm_threshold`` size leaves an idle
     peer when it is made, like any other: copied into the arena, and
-    its ``MSG_SHM`` descriptor written by the thread that made it — the
-    test thread without waking the loop, a loop callback within its own
-    pass.  A small send right behind it does not overtake it."""
+    its ``MSG_SHM`` descriptor written in the loop pass that made it,
+    with no wakeup beyond that pass.  A small send right behind it does
+    not overtake it."""
     metrics = MetricsRegistry()
     sink = _Sink()
     owner, loop, conn, receiver = _shm_peer(ns, sink, "shm-direct",
                                             metrics, arena_bytes=1 << 16)
     try:
         wakeups = metrics.counter("io_loop_wakeups")
-        before = wakeups.value
         first = bytes(range(256)) * 16
-        conn.send(_bulk_message(first))
-        assert conn._idle(), "the bulk send was queued"
-        conn.send(_data_frame(1))
-        _wait_for(lambda: len(sink.frames) >= 4, what="descriptor frame")
-        assert wakeups.value == before, "a bulk send woke the loop"
-
         second = bytes(reversed(range(256))) * 16
-        written = []
+        for i, payload in enumerate((first, second), 1):
+            before = wakeups.value
 
-        def on_loop():
-            conn.send(_bulk_message(second))
-            written.append(conn._idle())
-            conn.send(_data_frame(2))
+            def burst():
+                conn.send(_bulk_message(payload))
+                idle = conn._idle()
+                conn.send(_data_frame(i))
+                return idle
 
-        loop.call(on_loop)
-        _wait_for(lambda: len(sink.frames) >= 6, what="loop descriptor")
-        assert written == [True], "the loop's bulk send was queued"
-        assert wakeups.value <= before + 1  # the callback's own pass
+            assert _on_loop(loop, burst), "the bulk send was queued"
+            _wait_for(lambda: len(sink.frames) >= 2 + 2 * i,
+                      what="descriptor frame")
+            assert wakeups.value <= before + 1  # the callback's own pass
 
         assert sink.frames[3] == bytes(_data_frame(1)[0])
         assert sink.frames[5] == bytes(_data_frame(2)[0])
@@ -930,9 +947,8 @@ def test_eventloop_peer_bulk_send_goes_inline_when_the_arena_is_full(ns):
     owner, loop, conn, receiver = _shm_peer(
         ns, sink, "shm-full", metrics, arena_bytes=2 * block + block // 2)
     try:
-        for payload in payloads:
-            conn.send(_bulk_message(payload))
-        conn.send(_data_frame(1))
+        _on_loop(loop, lambda: [conn.send(m) for m in [
+            *map(_bulk_message, payloads), _data_frame(1)]])
         _wait_for(lambda: len(sink.frames) >= 6, what="all four frames")
         assert sink.frames[4] == bytes([MSG_DATA]) + payloads[2]  # inline
         assert sink.frames[5] == bytes(_data_frame(1)[0])
@@ -995,8 +1011,8 @@ def test_eventloop_peer_coalesces_queued_messages(ns):
             transport=TransportPolicy(shm_enabled=False),
             metrics=metrics)
         payloads = [b"%03d" % i * 10 for i in range(20)]
-        for p in payloads:
-            conn.send([bytearray(p)])
+        _on_loop(loop, lambda: [conn.send([bytearray(p)])
+                                for p in payloads])
         # Register only now: the dial retry loop guarantees every message
         # above is still queued when the connection lands, so they all
         # drain through one coalesced flush.
@@ -1033,10 +1049,11 @@ def test_eventloop_peer_failure_counts_drops_and_reports_once(ns):
             "ghost", c, loop=loop, hello_from="src", on_error=on_error,
             dial_deadline=0.2, metrics=metrics,
             trace=lambda kind, **fields: events.append((kind, fields)))
-        conn.send([bytearray(b"first")])  # triggers the failing dial
+        # triggers the failing dial
+        _on_loop(loop, lambda: conn.send([bytearray(b"first")]))
         assert failed.wait(timeout=10)
-        for _ in range(3):
-            conn.send([bytearray(b"late")])
+        _on_loop(loop, lambda: [conn.send([bytearray(b"late")])
+                                for _ in range(3)])
         _wait_for(lambda: metrics.counter("token_drops").value >= 4,
                   what="token_drops")
         loop.call(conn.close)
@@ -1052,9 +1069,9 @@ def test_eventloop_peer_failure_counts_drops_and_reports_once(ns):
 def test_eventloop_peer_broken_pipe_reaches_on_error(ns):
     """Writer-side BrokenPipeError propagates through on_error — the
     hook DistributedKernel routes into idempotent handle_kernel_down.
-    The sends below find the peer idle, so it is the *calling* thread's
-    write that first sees the broken pipe: on_error must still fire
-    exactly once and on the loop thread, and later sends are counted
+    The sends below find the peer idle, so it is a direct write, inside
+    the send, that first sees the broken pipe: on_error must still fire
+    exactly once, on the loop thread, and later sends are counted
     drops."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
@@ -1071,7 +1088,7 @@ def test_eventloop_peer_broken_pipe_reaches_on_error(ns):
                 errors.append((peer, exc, threading.current_thread().name)),
                 failed.set()),
             transport=TransportPolicy(shm_enabled=False), metrics=metrics)
-        conn.send([bytearray(b"hello")])
+        _on_loop(loop, lambda: conn.send([bytearray(b"hello")]))
         accepted, _ = listener.accept()
         _recv_frames(accepted, 1)  # HELLO
         # Kill the receiving side outright; subsequent writes must fail.
@@ -1080,7 +1097,7 @@ def test_eventloop_peer_broken_pipe_reaches_on_error(ns):
         accepted.close()
         deadline = time.monotonic() + 10
         while not failed.is_set() and time.monotonic() < deadline:
-            conn.send([bytearray(b"x" * 4096)])
+            _on_loop(loop, lambda: conn.send([bytearray(b"x" * 4096)]))
             time.sleep(0.01)
         assert failed.wait(timeout=1)
         assert errors and errors[0][0] == "dying"
@@ -1092,8 +1109,8 @@ def test_eventloop_peer_broken_pipe_reaches_on_error(ns):
         drops = metrics.counter("token_drops")
         assert drops.value >= 1  # the frame whose write broke the pipe
         already = drops.value
-        for _ in range(3):
-            conn.send([bytearray(b"late")])
+        _on_loop(loop, lambda: [conn.send([bytearray(b"late")])
+                                for _ in range(3)])
         _wait_for(lambda: drops.value >= already + 3, what="token_drops")
         assert drops.value == already + 3
         assert len(errors) == 1

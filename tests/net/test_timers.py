@@ -47,6 +47,24 @@ def _settle(loop):
     assert passed.wait(timeout=5), "the loop is stuck in a callback"
 
 
+def _on_loop(loop, fn):
+    """Hand *fn* to *loop*, wait for the pass that runs it and return
+    what it returned: how a test thread sends, since only a loop thread
+    touches a peer channel or a pool."""
+    done, out = threading.Event(), []
+
+    def step():
+        try:
+            out.append(fn())
+        finally:
+            done.set()
+
+    loop.call(step)
+    assert done.wait(timeout=5), "the loop is stuck in a callback"
+    assert out, "the callback raised"
+    return out[0]
+
+
 # ---------------------------------------------------------------------------
 # IOLoop.call_later
 # ---------------------------------------------------------------------------
@@ -193,9 +211,10 @@ class _RecordingSelector:
 
 def test_sub_millisecond_timer_is_polled_for_not_slept_for():
     """epoll rounds a ``select`` timeout up to whole milliseconds, so a
-    timer due in under 1 ms is waited out with ``select(0)`` — I/O and
-    queued calls still served — and no timeout in (0, 1 ms) is ever
-    passed in.  A deadline a millisecond or more away is slept for."""
+    timer due in under 1 ms is waited out by ``select(2)`` on the epoll
+    descriptor and then collected with ``select(0)`` — I/O and queued
+    calls still served — and no timeout in (0, 1 ms) is ever passed in.  A deadline a millisecond or more away is slept for in
+    whole milliseconds, the rest polled for: 2.3 ms away asks for 2."""
     clock = FakeClock()
     loop = IOLoop("submilli", clock=clock)
     selector = loop._selector = _RecordingSelector(loop._selector)
@@ -214,6 +233,12 @@ def test_sub_millisecond_timer_is_polled_for_not_slept_for():
         assert selector.timeouts[-1] == pytest.approx(2e-3)
         clock.advance(2e-3, loop)
         assert fired == ["soon", "later"]
+        loop.call_later(2.3e-3, lambda: fired.append("odd"))
+        _settle(loop)
+        _settle(loop)
+        assert selector.timeouts[-1] == pytest.approx(2e-3)
+        clock.advance(2.3e-3, loop)
+        assert fired == ["soon", "later", "odd"]
     finally:
         loop.close()
     assert not [t for t in selector.timeouts if t and t < 1e-3]

@@ -315,6 +315,48 @@ def test_service_metrics_populated(tier):
     assert stats["outstanding"] == 0
 
 
+def test_only_a_loop_thread_writes_a_socket(monkeypatch):
+    """Every ``sendmsg`` in this process — two clients' opens, calls from
+    two caller threads, a resent call, closes, the console's replies and
+    its shutdown requests — is made by a ``dps-io:`` loop thread: a
+    caller hands its send over and never writes a socket itself."""
+    writers = []
+    sendmsg = socket.socket.sendmsg
+
+    def recording(self, *args):
+        writers.append(threading.current_thread().name)
+        return sendmsg(self, *args)
+
+    monkeypatch.setattr(socket.socket, "sendmsg", recording)
+    metrics = MetricsRegistry()
+    engine = ServiceEngine(admission=ADMISSION, metrics=metrics)
+    engine.expose(build_tier_graph("tier.writers"), "echo")
+    address = engine.serve()
+    try:
+        with ServiceClient(address) as c1, ServiceClient(address) as c2:
+            texts = {}
+
+            def calls(client, tag):
+                texts[tag] = [client.call("echo", TierJob(f"{tag} {i}"),
+                                          timeout=30).text for i in range(4)]
+
+            callers = [threading.Thread(target=calls, args=(c, tag))
+                       for c, tag in ((c1, "one"), (c2, "two"))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            assert texts == {tag: [f"{tag} {i}".upper() for i in range(4)]
+                             for tag in ("one", "two")}
+            resent = c1.call_async("echo", TierJob("slow resent"))
+            assert resent.result(30, resend_after=0.05).text == "SLOW RESENT"
+            assert metrics.counter("svc_duplicates").value > 0
+    finally:
+        engine.shutdown()
+    assert writers
+    assert {w for w in writers if not w.startswith("dps-io:")} == set()
+
+
 def test_drain_sheds_then_shutdown():
     """A draining console sheds new calls with reason 'draining', lets
     in-flight ones finish, and tears down cleanly."""
