@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..simkernel import Event, Process, Simulator
+from ..simkernel import Event, Simulator
 from .node import Node
 
 __all__ = ["NetworkSpec", "Network", "Message"]
@@ -142,16 +142,22 @@ class Network:
         time before the event triggers.  ``tx_extra`` / ``rx_extra`` add
         per-message inline costs to the NIC occupancy (the DPS
         communication-layer overhead).
+
+        The message in flight is a chain of callbacks started with
+        :meth:`~repro.simkernel.Simulator.call` — transmit-NIC grant,
+        transmit time, latency, receive-NIC grant, receive time, then
+        delivery — each on the event a generator process would have
+        waited for, so every step fires in the same heap slot.
         """
         if nbytes < 0:
             raise ValueError("message size must be >= 0")
         sim = self.sim
         msg = Message(src.name, dst.name, nbytes, payload, sent_at=sim.now)
         done = Event(sim)
+        flight = _Flight(sim, msg, on_delivered, done)
         if src is dst:
             self.local_messages += 1
-            Process(sim, _local_xfer(sim, self.spec.local_delay, msg,
-                                     on_delivered, done), "local")
+            sim.call(flight.hand_over, self.spec.local_delay)
             return done
 
         self.messages_sent += 1
@@ -169,36 +175,60 @@ class Network:
             recv_oh = self.spec.recv_overhead
             latency = self.spec.latency
             wire = self.spec.wire_time(nbytes)
-        Process(sim, _remote_xfer(sim, src, dst, send_oh + tx_extra + wire,
-                                  latency, recv_oh + rx_extra + wire, msg,
-                                  on_delivered, done), "xfer")
+        sim.call(flight.send, src, dst, send_oh + tx_extra + wire, latency,
+                 recv_oh + rx_extra + wire)
         return done
 
 
-def _local_xfer(sim, delay, msg, on_delivered, done):
-    yield sim.timeout(delay)
-    msg.delivered_at = sim.now
-    if on_delivered:
-        on_delivered(msg)
-    done.succeed(msg)
+class _Flight:
+    """A message in flight: one callback per event a generator process
+    would have waited for, registered in the same order."""
 
+    __slots__ = ("sim", "msg", "on_delivered", "done", "dst", "tx_time",
+                 "latency", "rx_time")
 
-def _remote_xfer(sim, src, dst, tx_time, latency, rx_time, msg,
-                 on_delivered, done):
-    tx = src.nic_tx.request()
-    yield tx
-    try:
-        yield sim.timeout(tx_time)
-    finally:
-        tx.release()
-    yield sim.timeout(latency)
-    rx = dst.nic_rx.request()
-    yield rx
-    try:
-        yield sim.timeout(rx_time)
-    finally:
-        rx.release()
-    msg.delivered_at = sim.now
-    if on_delivered:
-        on_delivered(msg)
-    done.succeed(msg)
+    def __init__(self, sim: Simulator, msg: Message,
+                 on_delivered: Optional[Callable[[Message], None]],
+                 done: Event):
+        self.sim = sim
+        self.msg = msg
+        self.on_delivered = on_delivered
+        self.done = done
+
+    def hand_over(self, delay: float) -> None:
+        """Intra-node: a pointer pass costing *delay*."""
+        self.sim.timeout(delay).add_callback(self._deliver)
+
+    def send(self, src: Node, dst: Node, tx_time: float, latency: float,
+             rx_time: float) -> None:
+        """Across the switch: transmit NIC, wire latency, receive NIC."""
+        self.dst = dst
+        self.tx_time = tx_time
+        self.latency = latency
+        self.rx_time = rx_time
+        src.nic_tx.request().add_callback(self._transmit)
+
+    # A NIC grant's value is its request; each busy period's timeout
+    # carries that request on to the callback that releases it.
+    def _transmit(self, tx: Event) -> None:
+        self.sim.timeout(self.tx_time, tx).add_callback(self._sent)
+
+    def _sent(self, ev: Event) -> None:
+        ev.value.release()
+        self.sim.timeout(self.latency).add_callback(self._arrived)
+
+    def _arrived(self, _: Event) -> None:
+        self.dst.nic_rx.request().add_callback(self._receive)
+
+    def _receive(self, rx: Event) -> None:
+        self.sim.timeout(self.rx_time, rx).add_callback(self._received)
+
+    def _received(self, ev: Event) -> None:
+        ev.value.release()
+        self._deliver(ev)
+
+    def _deliver(self, _: Event) -> None:
+        self.msg.delivered_at = self.sim.now
+        if self.on_delivered:
+            self.on_delivered(self.msg)
+        self.done.succeed(self.msg)

@@ -236,7 +236,7 @@ class SimController:
     open_gate = staticmethod(Event.succeed)
 
     def enqueue(self, ts: _ThreadState, item: Any) -> None:
-        ts.inbox.put(item)
+        ts.inbox.put_nowait(item)
 
     def transmit(self, env: DataEnvelope) -> None:
         dest = env.graph.node(env.node_id).collection.node_of(env.instance)

@@ -37,7 +37,7 @@ from ..core.routing import RoutingPolicy
 from ..net.recovery import _unique_collections, plan_rebalance
 from ..serial.token import Token
 from ..serial.wire import decode, encode_segments, gather, measure
-from ..simkernel import Event, Process, Simulator
+from ..simkernel import Event, Simulator
 from .base import (
     DATA_HEADER_BYTES,
     DataEnvelope,
@@ -64,34 +64,6 @@ class _Activation:
     delivered: int = 0
     total: Optional[int] = None
     graph_name: str = ""
-
-
-def _local_post(engine: "SimEngine", env: DataEnvelope, src_node, dest_node,
-                dest: str):
-    yield engine.cluster.network.transfer(src_node, dest_node, 0)
-    engine.controllers[dest].receive(env)
-
-
-def _remote_send(engine: "SimEngine", env: DataEnvelope, payload, src: str,
-                 dest: str, src_node, dest_node, nbytes: int, extra: float,
-                 connect: float):
-    yield engine.cluster.network.transfer(
-        src_node, dest_node, nbytes,
-        tx_extra=extra + connect, rx_extra=extra,
-    )
-    if payload is not None:
-        # The replacement token is a round-trip through this very buffer,
-        # so the memoized wire size stays exact.
-        env.token = decode(payload, copy=False)
-    if engine.tracer is not None:
-        engine.trace("token_send", src=src, dest=dest, nbytes=nbytes)
-    engine.controllers[dest].receive(env)
-
-
-def _ctl_send(engine: "SimEngine", src_node, dest_node, nbytes: int,
-              dest: str, message: Any):
-    yield engine.cluster.network.transfer(src_node, dest_node, nbytes)
-    engine.controllers[dest].receive(message)
 
 
 class SimEngine(Engine):
@@ -267,14 +239,7 @@ class SimEngine(Engine):
         if act.scatter:
             act.received += 1
 
-            def deliver_one(sim=self.sim):
-                if from_node != act.driver_node:
-                    nbytes = self._wire_size(token) + DATA_HEADER_BYTES
-                    yield self.cluster.network.transfer(
-                        self.cluster.node(from_node),
-                        self.cluster.node(act.driver_node),
-                        nbytes,
-                    )
+            def deliver_one():
                 if needs_ack:
                     # consumed at the caller: return the opener's credit
                     self.controllers[act.driver_node].send_ack(
@@ -283,26 +248,32 @@ class SimEngine(Engine):
                 act.delivered += 1
                 self._maybe_finish_scatter(act)
 
-            self.sim.spawn(deliver_one(), name=f"scatter:{ctx_id}")
+            self.sim.call(self._carry_result, token, from_node,
+                          act.driver_node, deliver_one)
             return
 
         act.done = True
 
-        def deliver(sim=self.sim):
-            if from_node != act.driver_node:
-                nbytes = self._wire_size(token) + DATA_HEADER_BYTES
-                yield self.cluster.network.transfer(
-                    self.cluster.node(from_node),
-                    self.cluster.node(act.driver_node),
-                    nbytes,
-                )
+        def deliver():
             self.trace("activation_done", ctx=ctx_id)
             if act.wrap_result:
-                act.event.succeed(RunResult(token, act.started_at, sim.now))
+                act.event.succeed(RunResult(token, act.started_at,
+                                            self.sim.now))
             else:
                 act.event.succeed(token)
 
-        self.sim.spawn(deliver(), name=f"result:{ctx_id}")
+        self.sim.call(self._carry_result, token, from_node, act.driver_node,
+                      deliver)
+
+    def _carry_result(self, token: Token, src: str, dest: str, then) -> None:
+        """Move a result token back to its caller's node, then run *then*."""
+        if src == dest:
+            then()
+            return
+        nbytes = self._wire_size(token) + DATA_HEADER_BYTES
+        self.cluster.network.transfer(
+            self.cluster.node(src), self.cluster.node(dest), nbytes,
+        ).add_callback(lambda _: then())
 
     def scatter_total(self, ctx_id: int, total: int) -> None:
         """The remote scatter opener announced its group size."""
@@ -336,8 +307,7 @@ class SimEngine(Engine):
         dest_node = self.cluster.node(dest)
         if src == dest:
             # Zero-copy pointer pass (paper §4): negligible local cost.
-            Process(self.sim, _local_post(self, env, src_node, dest_node, dest),
-                    "post")
+            self.sim.call(self._send, src_node, dest_node, 0, dest, env)
             return
 
         if self.serialize_payloads:
@@ -369,18 +339,33 @@ class SimEngine(Engine):
         if conn_key not in self._connected:
             self._connected.add(conn_key)
             connect = self.cluster.network.spec.connect_overhead
-        Process(self.sim,
-                _remote_send(self, env, payload, src, dest, src_node,
-                             dest_node, nbytes, extra, connect),
-                "send")
+        self.sim.call(self._send, src_node, dest_node, nbytes, dest, env,
+                      extra + connect, extra, payload, src)
 
     def send_control(self, src: str, dest: str, nbytes: int, message: Any) -> None:
         """Move a small control message (ack / group total)."""
-        src_node = self.cluster.node(src)
-        dest_node = self.cluster.node(dest)
-        Process(self.sim,
-                _ctl_send(self, src_node, dest_node, nbytes, dest, message),
-                "ctl")
+        self.sim.call(self._send, self.cluster.node(src),
+                      self.cluster.node(dest), nbytes, dest, message)
+
+    def _send(self, src_node, dest_node, nbytes: int, dest: str, message: Any,
+              tx_extra: float = 0.0, rx_extra: float = 0.0, payload=None,
+              src: Optional[str] = None) -> None:
+        """Put *message* on the network; the controller of *dest* receives
+        it when the transfer completes.  A data envelope sent remotely
+        (*src* given) is traced and, when it travelled as *payload*
+        bytes, decoded on arrival."""
+        def arrived(_):
+            if payload is not None:
+                # The replacement token is a round-trip through this very
+                # buffer, so the memoized wire size stays exact.
+                message.token = decode(payload, copy=False)
+            if src is not None and self.tracer is not None:
+                self.trace("token_send", src=src, dest=dest, nbytes=nbytes)
+            self.controllers[dest].receive(message)
+
+        self.cluster.network.transfer(
+            src_node, dest_node, nbytes, tx_extra=tx_extra, rx_extra=rx_extra,
+        ).add_callback(arrived)
 
     # ------------------------------------------------------------------
     # driving

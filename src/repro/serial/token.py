@@ -93,6 +93,19 @@ class ComplexToken(Token):
 
 
 def _approx_nbytes(value: Any) -> int:
+    # Exact types first: a token's fields dict, its str keys and its
+    # scalars take a few identity tests; anything else (an IntEnum,
+    # np.int32, a Token) falls through to the isinstance chain below.
+    cls = type(value)
+    if cls is dict:
+        return (sum(map(_approx_nbytes, value))
+                + sum(map(_approx_nbytes, value.values())))
+    if cls is str:
+        return len(value.encode("utf-8"))
+    if cls is int or cls is float:
+        return 8
+    if cls is Buffer:
+        return value.nbytes
     if value is None or isinstance(value, bool):
         return 1
     if isinstance(value, (int, float, np.integer, np.floating)):

@@ -17,8 +17,25 @@ scheduling overhead pipeline frameworks live or die on:
   store their sole callback inline instead of allocating a list;
 - :meth:`Simulator.spawn` starts generators through a slotted
   :class:`_Resume` heap entry rather than a bootstrap :class:`Event`;
-- triggered-and-delivered :class:`Timeout` objects are recycled through a
-  small pool when (and only when) nothing else references them.
+- :meth:`Simulator.call` runs a plain function in the heap slot where a
+  spawned process would have started, so a short-lived activity (a
+  message in flight) is a chain of callbacks, not a generator process.
+
+Why a callback chain fires in the same order as the process it replaces:
+
+- ``Process(sim, gen)`` pushes its bootstrap at ``(now, URGENT, seq)``;
+  ``sim.call(fn)`` pushes its :class:`_Call` at the same key, so the
+  first step runs in the identical slot;
+- ``yield ev`` registers the process's resume as ``ev``'s callback, or
+  resumes at once if ``ev`` was already processed; ``ev.add_callback(fn)``
+  does exactly the same;
+- what disappears is only entries at the current time that nobody
+  observes — a finished process's completion event, and the put event
+  :meth:`~repro.simkernel.Store.put_nowait` skips — and ``seq`` is
+  monotone, so dropping them leaves the relative order of every other
+  entry, and the final clock, intact;
+- an exception raised inside a callback leaves :meth:`Simulator.run`
+  directly, where an unjoined process's failure was re-raised there.
 
 The DPS runtime (:mod:`repro.runtime.sim_engine`) builds node controllers,
 network links and operation executions on top of these primitives.
@@ -27,7 +44,6 @@ network links and operation executions on top of these primitives.
 from __future__ import annotations
 
 import heapq
-import sys
 from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -48,11 +64,6 @@ _PENDING = object()
 NORMAL = 1
 #: Priority used for urgent (kernel-internal) events.
 URGENT = 0
-
-#: Maximum number of recycled Timeout objects kept per simulator.
-_TIMEOUT_POOL_CAP = 256
-
-_getrefcount = getattr(sys, "getrefcount", None)
 
 
 class SimulationError(RuntimeError):
@@ -83,14 +94,13 @@ class Event:
     once delivery has happened.  This avoids a list allocation per event.
     """
 
-    __slots__ = ("sim", "_callbacks", "_value", "_ok", "_scheduled", "_processed")
+    __slots__ = ("sim", "_callbacks", "_value", "_ok", "_processed")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self._callbacks: Any = None
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
-        self._scheduled = False
         self._processed = False
 
     # -- state -----------------------------------------------------------
@@ -123,9 +133,6 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        # Inlined _schedule: the pending-value guard above already rules
-        # out double scheduling for plain events.
-        self._scheduled = True
         sim = self.sim
         sim._seq += 1
         heapq.heappush(sim._heap, (sim._now, priority, sim._seq, self))
@@ -139,7 +146,6 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self._scheduled = True
         sim = self.sim
         sim._seq += 1
         heapq.heappush(sim._heap, (sim._now, priority, sim._seq, self))
@@ -163,18 +169,6 @@ class Event:
         else:
             self._callbacks = [cbs, fn]
 
-    def _process_callbacks(self) -> None:
-        cbs = self._callbacks
-        self._callbacks = None
-        self._processed = True
-        if cbs is None:
-            return
-        if type(cbs) is list:
-            for fn in cbs:
-                fn(self)
-        else:
-            cbs(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "pending" if not self.triggered else ("ok" if self._ok else "failed")
         return f"<{type(self).__name__} {state} at t={self.sim.now:.6g}>"
@@ -188,39 +182,46 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # Inlined Event.__init__ + Simulator._schedule: a timeout is born
-        # triggered, so it goes straight onto the heap.
+        # Inlined Event.__init__: a timeout is born triggered, so it goes
+        # straight onto the heap.
         self.sim = sim
         self._callbacks = None
         self._value = value
         self._ok = True
-        self._scheduled = True
         self._processed = False
         sim._seq += 1
         heapq.heappush(sim._heap, (sim._now + delay, NORMAL, sim._seq, self))
 
 
 class _Resume:
-    """A slotted heap entry that resumes a process directly.
+    """A slotted heap entry that resumes a process directly, pushed at
+    ``(now, URGENT)`` when created.
 
     Used for the spawn bootstrap and for interrupts: it duck-types the
-    slice of the :class:`Event` interface that :meth:`Process._resume`
-    and the scheduler touch, without the callback machinery or the heap
-    bookkeeping of a full event.
+    ``_ok`` / ``_value`` slice of the :class:`Event` interface that
+    :meth:`Process._resume` reads, without the callback machinery of a
+    full event.
     """
 
-    __slots__ = ("_proc", "_ok", "_value", "_scheduled")
-
-    _callbacks = None
+    __slots__ = ("_proc", "_ok", "_value")
 
     def __init__(self, proc: "Process", ok: bool, value: Any):
         self._proc = proc
         self._ok = ok
         self._value = value
-        self._scheduled = False
+        sim = proc.sim
+        sim._seq += 1
+        heapq.heappush(sim._heap, (sim._now, URGENT, sim._seq, self))
 
-    def _process_callbacks(self) -> None:
-        self._proc._resume(self)
+
+class _Call:
+    """A slotted heap entry that runs ``fn(*args)`` (:meth:`Simulator.call`)."""
+
+    __slots__ = ("_fn", "_args")
+
+    def __init__(self, fn: Callable[..., Any], args: tuple):
+        self._fn = fn
+        self._args = args
 
 
 class Process(Event):
@@ -240,7 +241,6 @@ class Process(Event):
         self._callbacks = None
         self._value = _PENDING
         self._ok = None
-        self._scheduled = False
         self._processed = False
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
@@ -249,10 +249,8 @@ class Process(Event):
         # allocation per yield.
         self._bound_resume = self._resume
         # Bootstrap fast path: start the generator at the current time
-        # without allocating a full Event (inlined _schedule).
-        sim._seq += 1
-        heapq.heappush(sim._heap, (sim._now, URGENT, sim._seq,
-                                   _Resume(self, True, None)))
+        # without allocating a full Event.
+        _Resume(self, True, None)
 
     @property
     def is_alive(self) -> bool:
@@ -267,7 +265,7 @@ class Process(Event):
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt terminated process {self.name!r}")
-        self.sim._schedule(0.0, _Resume(self, False, Interrupt(cause)), URGENT)
+        _Resume(self, False, Interrupt(cause))
 
     def _resume(self, event: Event) -> None:
         if not self.is_alive:  # e.g. interrupted then event fired anyway
@@ -409,7 +407,6 @@ class Simulator:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self._timeout_pool: list[Timeout] = []
 
     # -- clock -----------------------------------------------------------
     @property
@@ -429,24 +426,17 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that succeeds after *delay* time units."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay}")
-            t = pool.pop()
-            t._callbacks = None
-            t._value = value
-            t._ok = True
-            t._scheduled = True
-            t._processed = False
-            self._seq += 1
-            heapq.heappush(self._heap, (self._now + delay, NORMAL, self._seq, t))
-            return t
         return Timeout(self, delay, value)
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from generator *gen*."""
         return Process(self, gen, name)
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` in the heap slot a spawned process starts in."""
+        self._seq += 1
+        heapq.heappush(self._heap,
+                       (self._now, URGENT, self._seq, _Call(fn, args)))
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -455,30 +445,6 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, delay: float, event: Event, priority: int = NORMAL) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} scheduled twice")
-        event._scheduled = True
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
-
-    def _recycle(self, event: Event) -> None:
-        """Pool a delivered Timeout iff nothing else references it.
-
-        Callers pass the freshly-popped, already-processed heap event.
-        The refcount check (this frame's local + getrefcount's argument
-        = 2) proves no process or user code still holds the object, so
-        reuse can never be observed.  CPython-specific; a no-op
-        elsewhere.
-        """
-        if (
-            type(event) is Timeout
-            and _getrefcount is not None
-            and len(self._timeout_pool) < _TIMEOUT_POOL_CAP
-            and _getrefcount(event) == 3  # caller local + our arg + getrefcount arg
-        ):
-            self._timeout_pool.append(event)
-
     def step(self) -> bool:
         """Process the next event. Returns False when the queue is empty.
 
@@ -492,16 +458,14 @@ class Simulator:
             raise SimulationError("time went backwards")
         self._now = time
         cls = type(event)
-        if cls is Timeout:
-            event._process_callbacks()
-            self._recycle(event)
-            return True
         if cls is _Resume:
             event._proc._resume(event)
             return True
-        # Inlined _process_callbacks (no subclass overrides it).  A falsy
-        # cbs (no waiters) on a failed process means nobody will see the
-        # exception — surface it here.
+        if cls is _Call:
+            event._fn(*event._args)
+            return True
+        # Deliver to the callbacks.  A falsy cbs (no waiters) on a failed
+        # process means nobody will see the exception — surface it here.
         cbs = event._callbacks
         event._callbacks = None
         event._processed = True
@@ -532,22 +496,19 @@ class Simulator:
         pop = heapq.heappop
         while heap:
             if until is not None and heap[0][0] > until:
-                self._now = until
-                return self._now
+                break
             time, _prio, _seq, event = pop(heap)
             self._now = time
             cls = type(event)
-            if cls is Timeout:
-                # Fast path: timeouts cannot be unobserved failures.
-                event._process_callbacks()
-                self._recycle(event)
-                continue
             if cls is _Resume:
                 # Fast path: spawn bootstraps and interrupts resume their
                 # process directly — no callback machinery to run.
                 event._proc._resume(event)
                 continue
-            # Inlined _process_callbacks (no subclass overrides it).
+            if cls is _Call:
+                event._fn(*event._args)
+                continue
+            # Deliver to the callbacks (every other kind of entry).
             cbs = event._callbacks
             event._callbacks = None
             event._processed = True
@@ -562,6 +523,7 @@ class Simulator:
                 # surface it instead of silently swallowing the crash.
                 raise event._value
         if until is not None and until > self._now:
-            # The heap drained before the horizon: idle time still passes.
+            # Idle time up to the horizon still passes; the clock never
+            # moves backwards to an *until* already behind it.
             self._now = until
         return self._now

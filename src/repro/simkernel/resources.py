@@ -30,7 +30,6 @@ class StorePut(Event):
         self._callbacks = None
         self._value = _PENDING
         self._ok = None
-        self._scheduled = False
         self._processed = False
         self.item = item
 
@@ -45,7 +44,6 @@ class StoreGet(Event):
         self._callbacks = None
         self._value = _PENDING
         self._ok = None
-        self._scheduled = False
         self._processed = False
         self.filter = filter
 
@@ -98,6 +96,20 @@ class Store:
         self._dispatch()
         return ev
 
+    def put_nowait(self, item: Any) -> None:
+        """Queue *item* now, without the event :meth:`put` returns (for a
+        putter that never waits); a full store raises SimulationError."""
+        if self._putters or len(self.items) >= self.capacity:
+            raise SimulationError(f"store {self.name!r} is full")
+        getters = self._getters
+        if getters and not self.items and getters[0].filter is None:
+            # what _dispatch would do: the first getter takes the item
+            getters.popleft().succeed(item)
+            return
+        self.items.append(item)
+        if getters:
+            self._dispatch()
+
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Request an item; returns an event succeeding with the item."""
         ev = StoreGet(self.sim, filter)
@@ -108,7 +120,8 @@ class Store:
             ev.succeed(self.items.popleft())
             return ev
         self._getters.append(ev)
-        self._dispatch()
+        if self.items:  # with none, a putter cannot be waiting either
+            self._dispatch()
         return ev
 
     def try_get(self) -> tuple[bool, Any]:
@@ -172,7 +185,6 @@ class Request(Event):
         self._callbacks = None
         self._value = _PENDING
         self._ok = None
-        self._scheduled = False
         self._processed = False
         self.resource = resource
         self.released = False
@@ -201,10 +213,10 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._users: set[Request] = set()
+        #: granted requests, each with the time it was granted (for the
+        #: busy integral); insertion order keeps utilization() exact
+        self._users: dict[Request, float] = {}
         self._queue: deque[Request] = deque()
-        # Cumulative busy integral for utilization metrics.
-        self._busy_since: dict[Request, float] = {}
         self.busy_time = 0.0
 
     @property
@@ -223,8 +235,7 @@ class Resource:
         # Fast path: free slot and an empty queue — grant immediately
         # (exactly what _grant would do after the append).
         if not self._queue and len(self._users) < self.capacity:
-            self._users.add(req)
-            self._busy_since[req] = self.sim.now
+            self._users[req] = self.sim.now
             req.succeed(req)
             return req
         self._queue.append(req)
@@ -237,8 +248,7 @@ class Resource:
             return
         if req in self._users:
             req.released = True
-            self._users.discard(req)
-            self.busy_time += self.sim.now - self._busy_since.pop(req)
+            self.busy_time += self.sim.now - self._users.pop(req)
             self._grant()
         elif req in self._queue:
             req.released = True
@@ -249,8 +259,7 @@ class Resource:
     def _grant(self) -> None:
         while self._queue and len(self._users) < self.capacity:
             req = self._queue.popleft()
-            self._users.add(req)
-            self._busy_since[req] = self.sim.now
+            self._users[req] = self.sim.now
             req.succeed(req)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
@@ -258,5 +267,5 @@ class Resource:
         t = self.sim.now if elapsed is None else elapsed
         if t <= 0:
             return 0.0
-        inflight = sum(self.sim.now - s for s in self._busy_since.values())
+        inflight = sum(self.sim.now - s for s in self._users.values())
         return (self.busy_time + inflight) / (t * self.capacity)

@@ -155,3 +155,25 @@ def test_prelaunch_skips_launch_delay():
     warm.prelaunch()
     t_warm = warm.run(g2, StringToken("x")).makespan
     assert t_warm < t_cold
+
+
+def test_a_message_in_flight_creates_no_process(monkeypatch):
+    """Messages travel as callbacks on the event heap: twice the ring
+    blocks spawn exactly as many processes (the thread loops alone)."""
+    from repro.apps.ring import run_dps_ring
+    from repro.simkernel import Process
+
+    created = [0]
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    counts = []
+    for n_blocks in (50, 100):
+        created[0] = 0
+        run_dps_ring(paper_cluster(4), 1000, n_blocks * 1000)
+        counts.append(created[0])
+    assert counts[0] == counts[1]

@@ -259,6 +259,44 @@ def test_run_until_stops_clock():
     assert sim.now == 3.5
 
 
+def test_run_until_behind_the_clock_leaves_it_where_it_is():
+    """Regression: ``run(until=u)`` with ``u < now`` and events still
+    queued returned *u* and set the clock back to it."""
+    sim = Simulator()
+    log = []
+    sim.timeout(12.0).add_callback(lambda _: log.append(("queued", sim.now)))
+    sim.run(until=10.5)
+    assert sim.run(until=5.0) == 10.5
+    assert sim.now == 10.5
+    sim.timeout(1.0).add_callback(lambda _: log.append(("armed", sim.now)))
+    sim.run()
+    assert log == [("armed", 11.5), ("queued", 12.0)]
+
+
+def test_call_runs_in_the_slot_of_a_spawned_process():
+    """``sim.call`` takes the ``(now, URGENT, seq)`` key a spawn's
+    bootstrap takes, ahead of a NORMAL event triggered in the same
+    instant, under ``run()`` and under a loop of ``step()``."""
+    for drive in ("run", "step"):
+        sim = Simulator()
+        order = []
+
+        def proc(name):
+            order.append(name)
+            yield sim.timeout(0)
+
+        sim.spawn(proc("A"))
+        sim.call(order.append, "B")
+        sim.spawn(proc("C"))
+        sim.event().succeed().add_callback(lambda _: order.append("D"))
+        if drive == "run":
+            sim.run()
+        else:
+            while sim.step():
+                pass
+        assert order == ["A", "B", "C", "D"], drive
+
+
 def test_run_until_advances_clock_when_heap_drains_early():
     """Regression: a workload that finishes before *until* must still
     leave the clock at *until*, not at the last event time."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import Resource, Simulator, Store
+from repro.simkernel import Resource, SimulationError, Simulator, Store
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,28 @@ def test_store_try_get():
     sim.run()
     ok, item = store.try_get()
     assert ok and item == "z"
+
+
+def test_store_put_nowait_hands_over_without_an_event():
+    sim = Simulator()
+    store = Store(sim, capacity=2)
+    got = []
+
+    def getter(sim, filter=None):
+        got.append((yield store.get(filter)))
+
+    sim.spawn(getter(sim))
+    sim.spawn(getter(sim, filter=lambda item: item == "c"))
+    sim.run()
+    store.put_nowait("a")
+    store.put_nowait("b")
+    store.put_nowait("c")
+    sim.run()
+    assert got == ["a", "c"] and list(store.items) == ["b"]
+    store.put_nowait("d")
+    with pytest.raises(SimulationError, match="full"):
+        store.put_nowait("e")
+    assert sim.peek() == float("inf")  # no put event was ever scheduled
 
 
 def test_store_len_and_counts():
