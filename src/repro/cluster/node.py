@@ -9,7 +9,8 @@ resources used by :class:`~repro.cluster.network.Network`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from ..simkernel import Resource, Simulator
 
@@ -67,21 +68,26 @@ class Node:
     def name(self) -> str:
         return self.spec.name
 
-    def compute_seconds(self, seconds: float):
-        """Process: occupy one CPU for *seconds* of virtual time."""
+    def compute(self, seconds: float, then: Callable[[], None]) -> None:
+        """Occupy one CPU for *seconds* of virtual time, then call
+        ``then()`` once the CPU is released.
+
+        The chain a process would wait through — request, timeout,
+        release — as one callback per event and no event of its own, so
+        nothing lands between the release and ``then()``.
+        """
         if seconds < 0:
             raise ValueError("compute time must be >= 0")
-        req = self.cpu.request()
-        yield req
-        try:
-            yield self.sim.timeout(seconds)
-            self.compute_time += seconds
-        finally:
-            req.release()
 
-    def compute_flops(self, flops: float):
-        """Process: occupy one CPU for ``flops / spec.flops`` seconds."""
-        return self.compute_seconds(flops / self.spec.flops)
+        def done(ev) -> None:
+            self.compute_time += seconds
+            ev.value.release()
+            then()
+
+        # A CPU grant's value is its request; the timeout carries it on
+        # to the callback that releases it.
+        self.cpu.request().add_callback(
+            lambda req: self.sim.timeout(seconds, req).add_callback(done))
 
     def seconds_for_flops(self, flops: float) -> float:
         """Virtual duration of a computation of *flops* on this node."""

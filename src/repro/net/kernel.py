@@ -5,12 +5,12 @@ threads whose collections are mapped onto its node name (kernel names
 *are* logical node names, matching the paper's "kernels are named so that
 applications do not need to be aware of the machines they are running
 on").  It is the third scheduler substrate (:mod:`repro.runtime.scheduler`),
-built the way :class:`~repro.runtime.controller.SimController` is: a
-hosted DPS thread is a handle — an inbox deque and the
-``Scheduler.handle()`` generator of the item in progress — that the
-kernel's :class:`~repro.net.eventloop.IOLoop` advances one inbox item at
-a time up to the item's next wait, and a wait is resumed from a loop
-callback (an admit gate opening, a ``call_later`` timer, a nested
+and it hosts a DPS thread exactly as
+:class:`~repro.runtime.controller.SimController` does: as a
+:class:`~repro.runtime.scheduler.ThreadHandle` stepped by
+``Scheduler.step``.  The kernel supplies what the stepper calls: ``soon``
+is an ``IOLoop.call``, and ``wait`` arms the loop callback that resumes
+a body (an admit gate opening, a ``call_later`` timer, a nested
 activation's result).  No OS thread per DPS thread: a worker kernel is
 one thread, its main thread turning the loop.
 
@@ -69,6 +69,7 @@ from ..core.routing import RoutingPolicy
 from ..core.threads import DpsThread, ThreadCollection
 from ..runtime.base import DataEnvelope, GroupFrame, KernelFailure, \
     RunResult, ScheduleError
+from ..runtime.scheduler import ThreadHandle
 from ..runtime.threaded_engine import ThreadedEngine
 from ..serial import fastpath
 from ..serial.token import Token
@@ -112,31 +113,6 @@ class _ConnState:
             shm_rx.close()
 
 
-class _LoopThread:
-    """One hosted DPS thread: an inbox and the inbox item in progress,
-    touched by the kernel's loop thread only."""
-
-    __slots__ = ("collection", "index", "thread", "node_name", "inbox",
-                 "steps", "scheduled")
-
-    def __init__(self, collection: ThreadCollection, index: int,
-                 thread: Optional[DpsThread] = None):
-        self.collection = collection
-        self.index = index
-        self.thread = (thread if thread is not None
-                       else collection.make_thread(index))
-        self.node_name = collection.node_of(index)
-        self.inbox: Deque[Any] = deque()
-        #: ``Scheduler.handle()`` of the item in progress, running or
-        #: parked at a wait; ``None`` while the thread is idle
-        self.steps = None
-        #: an ``_advance`` of this thread is queued on the loop
-        self.scheduled = False
-
-    def depth(self) -> int:
-        return len(self.inbox)
-
-
 class _Gate:
     """The admit gate of a stalled post, on the loop.
 
@@ -165,7 +141,7 @@ class _Gate:
 _Wait = namedtuple("_Wait", "ready seconds expired",
                    defaults=(lambda: None,))
 
-#: The inbox marker of an instance leaving in a member change: ``_advance``
+#: The inbox marker of an instance leaving in a member change: ``admit``
 #: reaches it once everything queued ahead of it has run.
 _EVICT = object()
 
@@ -382,7 +358,7 @@ class DistributedKernel(ThreadedEngine):
     def _drive(self, steps, done: Callable[[Any], None],
                exc: Optional[Exception] = None) -> None:
         """Run control coroutine *steps* to its next ``_Wait`` the way
-        :meth:`_step` runs a body.  A wait not ready yet parks it until
+        ``Scheduler.step`` runs a body.  A wait not ready yet parks it until
         :meth:`_recheck` finds it ready or its deadline passes.  *done*
         gets what it returns or the exception it raises."""
         while True:
@@ -591,8 +567,11 @@ class DistributedKernel(ThreadedEngine):
     # the loop substrate: hosted DPS threads run on the I/O loop
     # ------------------------------------------------------------------
     def _new_worker(self, collection: ThreadCollection, index: int,
-                    thread: Optional[DpsThread] = None) -> _LoopThread:
-        return _LoopThread(collection, index, thread)
+                    thread: Optional[DpsThread] = None) -> ThreadHandle:
+        handle = ThreadHandle(collection, index, collection.node_of(index),
+                              thread)
+        self.scheduler.start(handle)
+        return handle
 
     new_gate = _Gate
 
@@ -600,75 +579,56 @@ class DistributedKernel(ThreadedEngine):
         # From a call of its own: the opening ack is mid-apply_ack.
         self._io_loop.call(gate.open)
 
-    def enqueue(self, handle: _LoopThread, item: Any) -> None:
-        handle.inbox.append(item)
-        self._schedule(handle)
+    def enqueue(self, handle: ThreadHandle, item: Any) -> None:
+        self.scheduler.post(handle, item)
 
-    def _schedule(self, handle: _LoopThread) -> None:
-        """Queue an ``_advance`` for an idle handle with input."""
-        if handle.inbox and handle.steps is None and not handle.scheduled:
-            handle.scheduled = True
-            self._io_loop.call(lambda: self._advance(handle))
+    def soon(self, fn: Callable[..., None], *args: Any) -> None:
+        self._io_loop.call(lambda: fn(*args))
 
-    def _advance(self, handle: _LoopThread) -> None:
-        """Loop callback: start *handle*'s next inbox item if it is idle."""
-        handle.scheduled = False
-        if handle.steps is not None or not handle.inbox or self._closed:
-            return
-        item = handle.inbox.popleft()
+    def admit(self, handle: ThreadHandle, item: Any) -> bool:
+        """May *item* start on *handle*?  Nothing starts once the kernel
+        is shut down, and ``_EVICT`` ends the handle."""
+        if self._closed:
+            return False
         if item is _EVICT:  # everything queued ahead of it has run
             self._workers.pop((id(handle.collection), handle.index), None)
             self._recheck()
-            return
-        handle.steps = self.scheduler.handle(handle, item)
-        self._step(handle, None)
+            return False
+        return True
 
-    def _step(self, handle: _LoopThread, outcome: Any) -> None:
-        """Run *handle*'s item in progress up to its next wait or its end
-        (loop thread).  A wait is resumed by a callback; a raising body
-        fails the engine."""
-        steps = handle.steps
-        try:
-            while True:
-                try:
-                    body, step = steps.send(outcome)
-                except StopIteration:
-                    break
-                outcome = None
-                if isinstance(step, ChargeRequest):
-                    continue  # virtual cost, meaningless on real threads
-                resume = lambda value=None: self._resume(handle, value)
-                if isinstance(step, _Gate):
-                    if self._failure is not None or self._closed:
-                        # released, not admitted: no ack is coming
-                        handle.steps = None
-                        return
-                    if step.opened:
-                        continue
-                    step.waiter = resume
-                elif isinstance(step, SleepRequest):
-                    self._io_loop.call_later(step.seconds, resume)
-                elif isinstance(step, CallGraphRequest):
-                    self._call_graph(step, resume)
-                else:
-                    self._call_scatter(step, body, resume)
-                return
-        except BaseException as exc:
-            handle.steps = None
-            self._record_failure(exc)
-            return
-        # Done: an idle handle must not keep its last token (arrays
-        # decoded in place hold a block of the sender's shm arena).
-        handle.steps = None
-        self._schedule(handle)
+    def wait(self, handle: ThreadHandle, body, step) -> bool:
+        """Arm the loop callback that resumes *handle* after *step*: the
+        gate's waiter, a ``call_later`` timer, a nested activation's
+        result.  ``True``: go on at once."""
+        if isinstance(step, ChargeRequest):
+            return True  # virtual cost, meaningless on real threads
+        resume = lambda value=None: self._resume(handle, value)
+        if isinstance(step, _Gate):
+            if self._failure is not None or self._closed:
+                # released, not admitted: no ack is coming
+                handle.steps = None
+                return False
+            if step.opened:
+                return True
+            step.waiter = resume
+        elif isinstance(step, SleepRequest):
+            self._io_loop.call_later(step.seconds, resume)
+        elif isinstance(step, CallGraphRequest):
+            self._call_graph(step, resume)
+        else:
+            self._call_scatter(step, body, resume)
+        return False
 
-    def _resume(self, handle: _LoopThread, outcome: Any) -> None:
-        """Continue *handle*'s parked item with *outcome* (loop thread).
-        A body parked when the engine failed or shut down is dropped."""
+    def _resume(self, handle: ThreadHandle, outcome: Any) -> None:
+        """Continue *handle*'s parked item with *outcome*.  A body parked
+        when the engine failed or shut down is dropped."""
         if self._failure is not None or self._closed:
             handle.steps = None
-            return
-        self._step(handle, outcome)
+        else:
+            self.scheduler.step(handle, outcome)
+
+    def body_failed(self, exc: BaseException) -> None:
+        self._record_failure(exc)
 
     def _on_loop(self, fn: Callable[[Any], None]) -> Callable[[Any], None]:
         """A result callback that runs *fn* from a loop call of its own:
@@ -1052,7 +1012,8 @@ class DistributedKernel(ThreadedEngine):
 
         def staying() -> List[str]:
             return [f"{name}[{index}]" for (name, index), handle
-                    in handles.items() if _EVICT in handle.inbox]
+                    in handles.items() if self._workers.get(
+                        (id(handle.collection), handle.index)) is handle]
 
         yield _Wait(lambda: not staying(), 10.0, lambda: KernelFailure(
             f"kernel {self.name!r} could not hand off {staying()}: what "

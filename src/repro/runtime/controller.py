@@ -2,12 +2,38 @@
 
 Each controller hosts the DPS thread instances mapped to its node and
 one :class:`~repro.runtime.scheduler.Scheduler` sequencing them.  A DPS
-thread is a sequential event loop (one simulated process) draining an
-inbox; the scheduler decides what each envelope means, this module says
-what waiting costs in virtual time: compute charges occupy the node's
-CPU resource, sleeps and stalled posts are simulation events, messages
-cross the modelled network.  No locking is needed — the simulation
-kernel runs one process at a time.
+thread is a :class:`~repro.runtime.scheduler.ThreadHandle` the scheduler
+steps through its inbox; this module says what waiting costs in virtual
+time: compute charges occupy the node's CPU resource, sleeps and stalled
+posts are simulation events, messages cross the modelled network.  No
+locking is needed — the simulation kernel runs one callback at a time —
+and no process is spawned: a thread, a wait and a lazy launch are
+callbacks on the event heap.
+
+Why the virtual times are those of a generator process per thread
+draining a simkernel store as its inbox (``yield inbox.get()``, then
+the item's waits), entry for entry:
+
+- the process's spawn bootstrap ran at ``(now, URGENT)``;
+  ``sim.call(scheduler.start, handle)`` takes the same key;
+- ``inbox.get()`` with stock succeeded at ``(now, NORMAL)`` and took the
+  item then; :meth:`soon` pushes the same entry, a succeeded
+  :class:`~repro.simkernel.Event`, and the scheduler pops the item then,
+  so ``queue_depth`` reads what the store's length read;
+- a put that handed its item to a parked get is ``Scheduler.post`` on
+  an idle handle, with the same entry; a put to a busy thread created
+  no entry, and an append creates none;
+- ``yield ev`` is ``ev.add_callback``, which resumes at once if ``ev``
+  was already processed, as the process did;
+- :meth:`~repro.cluster.node.Node.compute` is the request → timeout →
+  release chain ``compute_seconds`` waited through, and it releases the
+  CPU before the body continues;
+- a lazy launch's process waited on one timeout created in its
+  bootstrap slot; ``sim.call`` then ``sim.timeout`` does the same;
+- what disappears is an interrupt's ``_Resume`` and a finished
+  process's completion, both unobserved; the interrupts came only at
+  quiescence (``fail_node``, ``remap``), and ``seq`` is monotone, so
+  every other entry keeps its order.
 """
 
 from __future__ import annotations
@@ -22,7 +48,7 @@ from ..core.ops import (
     SleepRequest,
 )
 from ..core.threads import DpsThread, ThreadCollection
-from ..simkernel import Event, Interrupt, Store
+from ..simkernel import Event
 from .base import (
     ACK_BYTES,
     GROUP_TOTAL_BYTES,
@@ -32,7 +58,7 @@ from .base import (
     KernelFailure,
     ScheduleError,
 )
-from .scheduler import Scheduler
+from .scheduler import Scheduler, ThreadHandle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim_engine import SimEngine
@@ -40,32 +66,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["SimController", "ScheduleError", "KernelFailure"]
 
 
-class _ThreadState:
-    """One DPS thread instance living on this controller's node."""
-
-    __slots__ = ("collection", "index", "thread", "node_name", "inbox",
-                 "proc")
-
-    def __init__(self, controller: "SimController",
-                 collection: ThreadCollection, index: int,
-                 thread: Optional[DpsThread] = None):
-        self.collection = collection
-        self.index = index
-        self.thread = thread if thread is not None \
-            else collection.make_thread(index)
-        self.node_name = controller.node_name
-        self.inbox: Store = Store(controller.engine.sim,
-                                  name=f"{collection.name}[{index}]")
-        self.proc = controller.engine.sim.spawn(
-            controller._thread_loop(self),
-            name=f"{controller.node_name}:{collection.name}[{index}]",
-        )
-
-
 class SimController:
     """Scheduler substrate for one node of the simulated cluster."""
 
-    #: the simulation kernel runs one process at a time
+    #: the simulation kernel runs one callback at a time
     lock = nullcontext()
 
     def __init__(self, engine: "SimEngine", node_name: str):
@@ -76,67 +80,40 @@ class SimController:
         # group ids and admit gates come straight from the engine
         self.next_group_id = engine.next_group_id
         self.new_gate = engine.sim.event
-        self._threads: Dict[Tuple[int, int], _ThreadState] = {}
+        self.enqueue = self.scheduler.post
+        self._threads: Dict[Tuple[int, int], ThreadHandle] = {}
         self._launched: set = set()
         self._launching: Dict[str, List[Any]] = {}
 
     # ------------------------------------------------------------------
     # thread management
     # ------------------------------------------------------------------
-    def thread_state(self, collection: ThreadCollection,
-                     index: int) -> _ThreadState:
+    def thread_handle(self, collection: ThreadCollection,
+                      index: int) -> ThreadHandle:
         key = (id(collection), index)
-        ts = self._threads.get(key)
-        if ts is None:
+        handle = self._threads.get(key)
+        if handle is None:
             if collection.node_of(index) != self.node_name:
                 raise ScheduleError(
                     f"thread {collection.name}[{index}] is mapped to "
                     f"{collection.node_of(index)}, not {self.node_name}"
                 )
-            ts = self._threads[key] = _ThreadState(self, collection, index)
-        return ts
+            handle = self._threads[key] = self._host(collection, index)
+        return handle
+
+    def _host(self, collection: ThreadCollection, index: int,
+              thread: Optional[DpsThread] = None) -> ThreadHandle:
+        """A new hosted thread, started in the slot a spawned process
+        would have started in."""
+        handle = ThreadHandle(collection, index, self.node_name, thread)
+        self.engine.sim.call(self.scheduler.start, handle)
+        return handle
 
     def thread(self, collection: ThreadCollection,
                index: int) -> Optional[DpsThread]:
         """The thread object of instance *index*, if it ever ran here."""
-        ts = self._threads.get((id(collection), index))
-        return ts.thread if ts is not None else None
-
-    def _thread_loop(self, ts: _ThreadState):
-        scheduler = self.scheduler
-        while True:
-            try:
-                item = yield ts.inbox.get()
-            except Interrupt:
-                return  # thread evicted (collection remapped)
-            steps = scheduler.handle(ts, item)
-            outcome = None
-            while True:
-                try:
-                    body, step = steps.send(outcome)
-                except StopIteration:
-                    break
-                outcome = yield from self.perform(body, step)
-
-    def perform(self, body, step):
-        """Wait out one scheduler step in virtual time."""
-        if isinstance(step, ChargeRequest):
-            seconds = step.seconds + (
-                step.flops / self.node.spec.flops if step.flops else 0.0)
-            if seconds > 0:
-                yield from self.node.compute_seconds(seconds)
-        elif isinstance(step, Event):
-            yield step  # the admit gate of a stalled post
-        elif isinstance(step, SleepRequest):
-            yield self.engine.sim.timeout(step.seconds)
-        elif isinstance(step, CallGraphRequest):
-            return (yield self.engine.start_call(
-                step.graph_name, step.token, self.node_name))
-        else:  # ScatterCallRequest
-            return (yield self.engine.start_scatter(
-                step.graph_name, step.token, self.node_name,
-                on_token=lambda tok: self.scheduler.emit(
-                    body, PostRequest(tok))))
+        handle = self._threads.get((id(collection), index))
+        return handle.thread if handle is not None else None
 
     # ------------------------------------------------------------------
     # dynamic remapping (runtime reshaping, paper §2/§6)
@@ -144,45 +121,39 @@ class SimController:
     def evict_thread(self, collection: ThreadCollection, index: int):
         """Detach a quiescent thread for migration; returns the thread
         object, or None if it never ran here."""
-        ts = self._threads.get((id(collection), index))
-        if ts is None:
+        handle = self._threads.get((id(collection), index))
+        if handle is None:
             return None
-        if len(ts.inbox) or ts.inbox.waiting_putters:
+        if handle.inbox:
             raise ScheduleError(
                 f"cannot migrate {collection.name}[{index}]: envelopes "
                 f"still queued; remap only quiescent schedules"
             )
         self.discard_thread(collection, index)
-        return ts.thread
+        return handle.thread
 
     def discard_thread(self, collection: ThreadCollection,
                        index: int) -> bool:
         """Drop instance *index* and whatever state it holds."""
-        ts = self._threads.pop((id(collection), index), None)
-        if ts is None:
-            return False
-        if ts.proc.is_alive:
-            ts.proc.interrupt("discarded")
-        return True
+        return self._threads.pop((id(collection), index), None) is not None
 
     def adopt_thread(self, collection: ThreadCollection, index: int,
                      thread) -> None:
-        """Install a migrated thread object and start its loop here."""
+        """Install a migrated thread object and start stepping it here."""
         key = (id(collection), index)
         if key in self._threads:
             raise ScheduleError(
                 f"{collection.name}[{index}] already lives on {self.node_name}"
             )
         thread.node_name = self.node_name
-        self._threads[key] = _ThreadState(self, collection, index, thread)
+        self._threads[key] = self._host(collection, index, thread)
 
     def fail(self) -> int:
         """Node crash: lose every thread and the launched applications."""
-        lost = list(self._threads.values())
-        for ts in lost:
-            self.discard_thread(ts.collection, ts.index)
+        lost = len(self._threads)
+        self._threads.clear()
         self._launched.clear()
-        return len(lost)
+        return lost
 
     # ------------------------------------------------------------------
     # inbound paths (called by the engine at message delivery time)
@@ -200,23 +171,26 @@ class SimController:
                 buffer.append(message)
                 return
             self._launching[app] = [message]
-            self.engine.sim.spawn(
-                self._launch(app), name=f"launch:{app}@{self.node_name}"
-            )
+            self.engine.sim.call(self._launch, app)
             return
         self._dispatch(message)
 
-    def _launch(self, app: str):
-        yield self.engine.sim.timeout(self.node.spec.launch_delay)
+    def _launch(self, app: str) -> None:
+        """Start *app* here: what arrived for it is dispatched once the
+        node's launch delay has passed."""
+        self.engine.sim.timeout(self.node.spec.launch_delay, app) \
+            .add_callback(self._launched_app)
+
+    def _launched_app(self, ev: Event) -> None:
+        app = ev.value
         self._launched.add(app)
-        buffered = self._launching.pop(app)
-        for message in buffered:
+        for message in self._launching.pop(app):
             self._dispatch(message)
 
     def _dispatch(self, message: Any) -> None:
         if isinstance(message, DataEnvelope):
             node = message.graph.node(message.node_id)
-            self.enqueue(self.thread_state(node.collection, message.instance),
+            self.enqueue(self.thread_handle(node.collection, message.instance),
                          message)
         elif isinstance(message, AckMessage):
             self.scheduler.apply_ack(message.graph_name, message.opener,
@@ -235,8 +209,45 @@ class SimController:
 
     open_gate = staticmethod(Event.succeed)
 
-    def enqueue(self, ts: _ThreadState, item: Any) -> None:
-        ts.inbox.put_nowait(item)
+    def soon(self, fn, *args) -> None:
+        """Run ``fn(*args)`` at ``(now, NORMAL)``, the slot an inbox get
+        with stock succeeded in."""
+        self.engine.sim.event().succeed().add_callback(lambda _: fn(*args))
+
+    def wait(self, handle: ThreadHandle, body, step) -> bool:
+        """Arm the simulation event that resumes *handle* after *step*;
+        ``True``: a charge of no time, go on at once."""
+        resume = self.scheduler.step
+        if isinstance(step, ChargeRequest):
+            seconds = step.seconds + (
+                step.flops / self.node.spec.flops if step.flops else 0.0)
+            if seconds <= 0:
+                return True
+            self.node.compute(seconds, lambda: resume(handle, None))
+            return False
+        engine = self.engine
+        if isinstance(step, Event):
+            event = step  # the admit gate of a stalled post
+        elif isinstance(step, SleepRequest):
+            event = engine.sim.timeout(step.seconds)
+        elif isinstance(step, CallGraphRequest):
+            event = engine.start_call(step.graph_name, step.token,
+                                      self.node_name)
+        else:  # ScatterCallRequest
+            event = engine.start_scatter(
+                step.graph_name, step.token, self.node_name,
+                on_token=lambda tok: self.scheduler.emit(
+                    body, PostRequest(tok)))
+        event.add_callback(lambda ev: resume(handle, ev.value))
+        return False
+
+    @staticmethod
+    def admit(handle: ThreadHandle, item: Any) -> bool:
+        return True  # a simulated thread refuses no item
+
+    @staticmethod
+    def body_failed(exc: BaseException) -> None:
+        raise exc  # out of Simulator.run, as an unjoined process's did
 
     def transmit(self, env: DataEnvelope) -> None:
         dest = env.graph.node(env.node_id).collection.node_of(env.instance)
@@ -272,9 +283,9 @@ class SimController:
         # simulator plays the role of the heartbeat-fed gauge the real
         # runtime consults.
         host = self.engine.controllers.get(collection.node_of(index))
-        ts = host._threads.get((id(collection), index)) \
+        handle = host._threads.get((id(collection), index)) \
             if host is not None else None
-        return len(ts.inbox) if ts is not None else 0
+        return len(handle.inbox) if handle is not None else 0
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -18,18 +18,26 @@ members (DESIGN.md §3 tabulates what each one is on each engine):
 post), ``enqueue(thread, group)``, ``transmit(env)``,
 ``send_ack(graph_name, frame)``, ``send_group_total(graph, merge_id,
 group_id, total)``, ``deliver_result(body, token, frame, needs_ack)``,
-``scatter_total(body, total)``, ``queue_depth(collection, index)`` and
-``perform(body, step)``.
+``scatter_total(body, total)`` and ``queue_depth(collection, index)``.
 
 A thread handle exposes ``collection``, ``index``, ``thread`` (the
-:class:`DpsThread` object) and ``node_name`` (its placement); its loop
-passes every item it dequeues to :meth:`Scheduler.handle`.  That is a
-generator yielding ``(body, step)`` only where a body must *wait* — for
-the gate of a stalled post, a ``ChargeRequest``, a ``SleepRequest``, a
-graph call or a scatter call — and taking the step's outcome back.  The
-substrate alone decides how waiting happens (a simulation event, a
-blocking call, a loop callback that resumes the generator) and who runs
-next.
+:class:`DpsThread` object) and ``node_name`` (its placement), and every
+item it dequeues goes to :meth:`Scheduler.handle`.  That is a generator
+yielding ``(body, step)`` only where a body must *wait* — for the gate
+of a stalled post, a ``ChargeRequest``, a ``SleepRequest``, a graph call
+or a scatter call — and taking the step's outcome back.
+
+The two single-owner substrates, the simulator and a kernel's I/O loop,
+host a DPS thread as a :class:`ThreadHandle` that this module steps
+(:meth:`Scheduler.start`, :meth:`~Scheduler.post`,
+:meth:`~Scheduler.step`): an item leaves the inbox when it is
+scheduled, runs up to its next wait, and is resumed from a callback.
+Such a substrate supplies four more members: ``soon(fn, *args)`` (run
+later, in order), ``wait(handle, body, step)`` (arm the callback that
+resumes the wait and return ``False``, or return ``True`` to go on at
+once), ``admit(handle, item)`` (may this item start?) and
+``body_failed(exc)``.  ``ThreadedEngine`` keeps an OS thread per DPS
+thread instead, blocking it in its own ``perform(body, step)``.
 """
 
 from __future__ import annotations
@@ -53,12 +61,40 @@ from ..core.streams import is_streaming_opener
 from ..serial.token import Token
 from .base import DataEnvelope, GroupFrame, ScheduleError
 
-__all__ = ["Scheduler", "MAX_STALE_GROUPS"]
+__all__ = ["Scheduler", "ThreadHandle", "MAX_STALE_GROUPS"]
 
 #: Bound on remembered group totals for groups this scheduler never saw
 #: (a total is broadcast to every host of the merge collection, the
 #: group lands on one); the oldest untouched entries are pruned beyond it.
 MAX_STALE_GROUPS = 10_000
+
+
+class ThreadHandle:
+    """One DPS thread hosted on a single-owner substrate: an inbox and
+    the :meth:`Scheduler.handle` generator of the item in progress."""
+
+    __slots__ = ("collection", "index", "thread", "node_name", "inbox",
+                 "steps", "idle")
+
+    def __init__(self, collection, index: int, node_name: str,
+                 thread=None):
+        self.collection = collection
+        self.index = index
+        # An adopted thread object (live state migrated from another
+        # node) replaces a freshly constructed one.
+        self.thread = (thread if thread is not None
+                       else collection.make_thread(index))
+        self.node_name = node_name
+        #: items not scheduled yet
+        self.inbox: Deque[Any] = deque()
+        #: ``handle()`` of the item in progress, running or parked at a
+        #: wait; ``None`` between items
+        self.steps = None
+        #: waiting for input: the next post is scheduled at once
+        self.idle = False
+
+    def depth(self) -> int:
+        return len(self.inbox)
 
 
 class _Group:
@@ -148,7 +184,62 @@ class Scheduler:
         self.dedup = None
 
     # ------------------------------------------------------------------
-    # inbound: what a thread's loop dequeued
+    # stepping a hosted thread (the single-owner substrates)
+    # ------------------------------------------------------------------
+    def start(self, handle: ThreadHandle) -> None:
+        """Begin stepping *handle*: schedule its first item or wait for
+        one."""
+        self._take(handle)
+
+    def post(self, handle: ThreadHandle, item: Any) -> None:
+        """Give *handle* an item: scheduled at once if the thread waits
+        for input, else queued behind what it has."""
+        if handle.idle:
+            handle.idle = False
+            self.sub.soon(self._begin, handle, item)
+        else:
+            handle.inbox.append(item)
+
+    def _take(self, handle: ThreadHandle) -> None:
+        # Between items.  An idle handle must not keep its last token
+        # (arrays decoded in place hold a block of the sender's shm
+        # arena), and the next item leaves the inbox as it is scheduled.
+        handle.steps = None
+        if handle.inbox:
+            self.sub.soon(self._begin, handle, handle.inbox.popleft())
+        else:
+            handle.idle = True
+
+    def _begin(self, handle: ThreadHandle, item: Any) -> None:
+        if self.sub.admit(handle, item):
+            handle.steps = self.handle(handle, item)
+            self.step(handle, None)
+
+    def step(self, handle: ThreadHandle, outcome: Any) -> None:
+        """Run *handle*'s item in progress up to its next wait, or to its
+        end and on to the next item.  *outcome* is what the wait it was
+        parked at gave back; the substrate's ``wait`` arms the callback
+        that calls this again.  A raising body goes to ``body_failed``,
+        and its thread takes no more items."""
+        steps = handle.steps
+        wait = self.sub.wait
+        try:
+            while True:
+                try:
+                    body, request = steps.send(outcome)
+                except StopIteration:
+                    break
+                outcome = None
+                if not wait(handle, body, request):
+                    return
+        except BaseException as exc:
+            handle.steps = None
+            self.sub.body_failed(exc)
+            return
+        self._take(handle)
+
+    # ------------------------------------------------------------------
+    # inbound: what a thread dequeued
     # ------------------------------------------------------------------
     def handle(self, thread, item):
         """Wait steps for one inbox item: a data envelope, or a parked
@@ -281,7 +372,7 @@ class Scheduler:
 
         *value* is the input token that starts the body, or what its
         pending ``next_token()`` returns when it is resumed.  Runs inside
-        the owning thread's loop, so the DPS thread is busy for the
+        the owning thread's step, so the DPS thread is busy for the
         duration (sequential thread semantics).  Returns when the body
         finishes or parks on ``next_token()``.
         """
@@ -329,7 +420,7 @@ class Scheduler:
                 with self.sub.lock:
                     to_send = self._next_input(group)
                     if group.parked:
-                        return  # the thread loop regains control
+                        return  # the thread takes its next item
             elif isinstance(request, (ChargeRequest, CallGraphRequest)):
                 to_send = yield body, request
             elif isinstance(request, SleepRequest):

@@ -1,30 +1,24 @@
 """Deterministic discrete-event simulation kernel.
 
-The substrate under the DPS simulated-cluster runtime: generator-based
-processes, a virtual clock, FIFO stores and counting resources.
+The substrate under the DPS simulated-cluster runtime: a virtual clock,
+events, generator-based processes, plain callbacks on the event heap and
+counting resources.
 """
 
 from .events import (
-    AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
     Timeout,
 )
-from .resources import Resource, Store
+from .resources import Resource
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "SimulationError",
     "Simulator",
-    "Store",
     "Timeout",
 ]

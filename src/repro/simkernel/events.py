@@ -30,8 +30,7 @@ Why a callback chain fires in the same order as the process it replaces:
   resumes at once if ``ev`` was already processed; ``ev.add_callback(fn)``
   does exactly the same;
 - what disappears is only entries at the current time that nobody
-  observes — a finished process's completion event, and the put event
-  :meth:`~repro.simkernel.Store.put_nowait` skips — and ``seq`` is
+  observes — a finished process's completion event — and ``seq`` is
   monotone, so dropping them leaves the relative order of every other
   entry, and the final clock, intact;
 - an exception raised inside a callback leaves :meth:`Simulator.run`
@@ -45,16 +44,13 @@ from __future__ import annotations
 
 import heapq
 from types import GeneratorType
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Simulator",
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
-    "AnyOf",
-    "AllOf",
     "SimulationError",
 ]
 
@@ -68,17 +64,6 @@ URGENT = 0
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. double trigger)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -194,21 +179,20 @@ class Timeout(Event):
 
 
 class _Resume:
-    """A slotted heap entry that resumes a process directly, pushed at
+    """A slotted heap entry that starts a spawned process, pushed at
     ``(now, URGENT)`` when created.
 
-    Used for the spawn bootstrap and for interrupts: it duck-types the
-    ``_ok`` / ``_value`` slice of the :class:`Event` interface that
-    :meth:`Process._resume` reads, without the callback machinery of a
-    full event.
+    It duck-types the ``_ok`` / ``_value`` slice of the :class:`Event`
+    interface that :meth:`Process._resume` reads, without the callback
+    machinery of a full event.
     """
 
-    __slots__ = ("_proc", "_ok", "_value")
+    __slots__ = ("_proc",)
+    _ok = True
+    _value = None
 
-    def __init__(self, proc: "Process", ok: bool, value: Any):
+    def __init__(self, proc: "Process"):
         self._proc = proc
-        self._ok = ok
-        self._value = value
         sim = proc.sim
         sim._seq += 1
         heapq.heappush(sim._heap, (sim._now, URGENT, sim._seq, self))
@@ -232,7 +216,7 @@ class Process(Event):
     return value becomes the event value, an uncaught exception fails it.
     """
 
-    __slots__ = ("name", "_gen", "_waiting_on", "_bound_resume")
+    __slots__ = ("name", "_gen", "_bound_resume")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         if type(gen) is not GeneratorType and not hasattr(gen, "send"):
@@ -244,62 +228,31 @@ class Process(Event):
         self._processed = False
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
         # One bound method for the process's whole life instead of one
         # allocation per yield.
         self._bound_resume = self._resume
         # Bootstrap fast path: start the generator at the current time
         # without allocating a full Event.
-        _Resume(self, True, None)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not terminated."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a terminated process is an error; interrupting a
-        process blocked on an event detaches it from that event.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt terminated process {self.name!r}")
-        _Resume(self, False, Interrupt(cause))
+        _Resume(self)
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:  # e.g. interrupted then event fired anyway
-            return
-        waited = self._waiting_on
-        self._waiting_on = None
-        sim = self.sim
-        sim._active_process = self
         try:
             if event._ok:
                 target = self._gen.send(event._value)
             else:
-                exc = event._value
-                if isinstance(exc, Interrupt) and waited is not None:
-                    # Detach from the event we were waiting on so a later
-                    # trigger does not resume us twice.
-                    _discard_callback(waited, self._bound_resume)
-                target = self._gen.throw(exc)
+                target = self._gen.throw(event._value)
         except StopIteration as stop:
-            sim._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            sim._active_process = None
             self.fail(exc)
             return
-        sim._active_process = None
         tcls = type(target)
         if tcls is Timeout or tcls is Event or isinstance(target, Event):
-            if target.sim is not sim:
+            if target.sim is not self.sim:
                 self._gen.close()
                 self.fail(SimulationError("yielded event belongs to another simulator"))
                 return
-            self._waiting_on = target
             # Inlined single-waiter subscription (the hot path: every
             # transfer/timeout yield has exactly this one waiter).
             if target._processed:
@@ -316,74 +269,6 @@ class Process(Event):
                 f"must yield Event instances"
             )
         )
-
-
-def _discard_callback(event: Event, fn: Callable) -> None:
-    cbs = event._callbacks
-    if cbs is None:
-        return
-    if type(cbs) is list:
-        try:
-            cbs.remove(fn)
-        except ValueError:
-            pass
-    elif cbs == fn:
-        event._callbacks = None
-
-
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = list(events)
-        for ev in self._events:
-            if ev.sim is not sim:
-                raise SimulationError("all events must belong to the same simulator")
-        self._remaining = len(self._events)
-        if not self._events:
-            self.succeed({})
-        else:
-            for ev in self._events:
-                ev.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers when the first of its events triggers.
-
-    The value is a dict mapping the triggered event(s) to their values.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-        else:
-            self.succeed({event: event._value})
-
-
-class AllOf(_Condition):
-    """Triggers when all of its events have triggered."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({ev: ev._value for ev in self._events})
 
 
 class Simulator:
@@ -406,18 +291,12 @@ class Simulator:
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
 
     # -- clock -----------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
@@ -437,12 +316,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap,
                        (self._now, URGENT, self._seq, _Call(fn, args)))
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def step(self) -> bool:
@@ -501,8 +374,8 @@ class Simulator:
             self._now = time
             cls = type(event)
             if cls is _Resume:
-                # Fast path: spawn bootstraps and interrupts resume their
-                # process directly — no callback machinery to run.
+                # Fast path: a spawn bootstrap starts its process
+                # directly — no callback machinery to run.
                 event._proc._resume(event)
                 continue
             if cls is _Call:

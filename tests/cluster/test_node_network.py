@@ -73,14 +73,14 @@ def test_cluster_unknown_node():
 def test_compute_seconds_advances_clock():
     sim, cluster = make_cluster(1)
     node = cluster.node("node01")
+    done = []
 
-    def proc(sim):
-        yield from node.compute_seconds(3.0)
-
-    sim.spawn(proc(sim))
+    node.compute(3.0, lambda: done.append((sim.now, node.cpu.count)))
     sim.run()
     assert sim.now == 3.0
     assert node.compute_time == 3.0
+    # the CPU is released before the continuation runs
+    assert done == [(3.0, 0)]
 
 
 def test_compute_flops_uses_node_rate():
@@ -89,10 +89,7 @@ def test_compute_flops_uses_node_rate():
     cluster = Cluster(sim, spec)
     node = cluster.node("n")
 
-    def proc(sim):
-        yield from node.compute_flops(250.0)
-
-    sim.spawn(proc(sim))
+    node.compute(node.seconds_for_flops(250.0), lambda: None)
     sim.run()
     assert sim.now == pytest.approx(2.5)
 
@@ -102,14 +99,16 @@ def test_biprocessor_runs_two_jobs_in_parallel():
     node = cluster.node("node01")  # 2 cpus
     ends = []
 
-    def proc(sim):
-        yield from node.compute_seconds(5.0)
-        ends.append(sim.now)
-
     for _ in range(3):
-        sim.spawn(proc(sim))
+        node.compute(5.0, lambda: ends.append(sim.now))
     sim.run()
     assert ends == [5.0, 5.0, 10.0]
+
+
+def test_compute_rejects_negative_time():
+    sim, cluster = make_cluster(1)
+    with pytest.raises(ValueError, match=">= 0"):
+        cluster.node("node01").compute(-1.0, lambda: None)
 
 
 # ---------------------------------------------------------------------------

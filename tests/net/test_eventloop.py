@@ -673,8 +673,12 @@ def test_eventloop_peer_caller_short_write_resumes_on_the_loop(ns):
         big = bytes(range(256)) * 4096
         _on_loop(loop, lambda: conn.send([bytearray([MSG_DATA]),
                                           memoryview(big)]))
-        _wait_for(lambda: conn._write_registered, what="EVENT_WRITE")
-        assert metrics.counter("partial_writes").value >= 1
+        # Both read on the loop: its flush sets the write interest before
+        # it reports the partial write.
+        _wait_for(lambda: _on_loop(loop, lambda: conn._write_registered),
+                  what="EVENT_WRITE")
+        assert _on_loop(
+            loop, lambda: metrics.counter("partial_writes").value) >= 1
         later = [_data_frame(i) for i in range(1, 6)]
         # queued behind the blocked remainder
         _on_loop(loop, lambda: [conn.send(m) for m in later])

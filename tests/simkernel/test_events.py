@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.simkernel import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.simkernel import SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -189,61 +183,6 @@ def test_process_yielding_non_event_fails():
         sim.run()
 
 
-def test_interrupt_waiting_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-            log.append("overslept")
-        except Interrupt as i:
-            log.append(("interrupted", sim.now, i.cause))
-
-    def interrupter(sim, target):
-        yield sim.timeout(5.0)
-        target.interrupt("wake up")
-
-    p = sim.spawn(sleeper(sim))
-    sim.spawn(interrupter(sim, p))
-    sim.run()
-    assert log == [("interrupted", 5.0, "wake up")]
-
-
-def test_interrupt_terminated_process_is_error():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    p = sim.spawn(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        log.append(sim.now)
-
-    def interrupter(sim, target):
-        yield sim.timeout(5.0)
-        target.interrupt()
-
-    p = sim.spawn(sleeper(sim))
-    sim.spawn(interrupter(sim, p))
-    sim.run()
-    assert log == [6.0]
-
-
 def test_run_until_stops_clock():
     sim = Simulator()
     log = []
@@ -316,36 +255,6 @@ def test_run_until_advances_clock_with_empty_heap():
     final = sim.run(until=2.0)
     assert final == 2.0
     assert sim.now == 2.0
-
-
-def test_any_of_first_wins():
-    sim = Simulator()
-    got = []
-
-    def proc(sim):
-        a = sim.timeout(5.0, value="slow")
-        b = sim.timeout(2.0, value="fast")
-        result = yield AnyOf(sim, [a, b])
-        got.append((sim.now, sorted(result.values())))
-
-    sim.spawn(proc(sim))
-    sim.run()
-    assert got == [(2.0, ["fast"])]
-
-
-def test_all_of_waits_for_all():
-    sim = Simulator()
-    got = []
-
-    def proc(sim):
-        a = sim.timeout(5.0, value="a")
-        b = sim.timeout(2.0, value="b")
-        result = yield AllOf(sim, [a, b])
-        got.append((sim.now, sorted(result.values())))
-
-    sim.spawn(proc(sim))
-    sim.run()
-    assert got == [(5.0, ["a", "b"])]
 
 
 def test_spawn_requires_generator():

@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Resource,
-    SimulationError,
-    Simulator,
-    Store,
-)
+from repro.simkernel import Resource, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -59,130 +50,6 @@ def test_sequential_process_time_is_sum(legs):
 
 
 # ---------------------------------------------------------------------------
-# condition events
-# ---------------------------------------------------------------------------
-
-def test_any_of_empty_succeeds_immediately():
-    sim = Simulator()
-    done = []
-
-    def proc(sim):
-        result = yield AnyOf(sim, [])
-        done.append(result)
-
-    sim.spawn(proc(sim))
-    sim.run()
-    assert done == [{}]
-
-
-def test_all_of_propagates_failure():
-    sim = Simulator()
-    caught = []
-
-    def failer(sim):
-        yield sim.timeout(1.0)
-        raise RuntimeError("child died")
-
-    def waiter(sim, p):
-        try:
-            yield AllOf(sim, [p, sim.timeout(5.0)])
-        except RuntimeError as e:
-            caught.append(str(e))
-
-    p = sim.spawn(failer(sim))
-    sim.spawn(waiter(sim, p))
-    sim.run()
-    assert caught == ["child died"]
-
-
-def test_condition_rejects_foreign_events():
-    sim1, sim2 = Simulator(), Simulator()
-    with pytest.raises(SimulationError, match="same simulator"):
-        AnyOf(sim1, [sim2.timeout(1.0)])
-
-
-# ---------------------------------------------------------------------------
-# store edge cases
-# ---------------------------------------------------------------------------
-
-def test_store_cancel_get():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def impatient(sim):
-        req = store.get()
-        yield sim.timeout(1.0)
-        store.cancel_get(req)
-
-    def patient(sim):
-        item = yield store.get()
-        got.append(item)
-
-    def putter(sim):
-        yield sim.timeout(2.0)
-        yield store.put("late")
-
-    sim.spawn(impatient(sim))
-    sim.spawn(patient(sim))
-    sim.spawn(putter(sim))
-    sim.run()
-    # the canceled getter never consumed the item
-    assert got == ["late"]
-
-
-def test_store_filter_skips_getter_until_match():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def even_getter(sim):
-        item = yield store.get(filter=lambda x: x % 2 == 0)
-        got.append(("even", item, sim.now))
-
-    def any_getter(sim):
-        item = yield store.get()
-        got.append(("any", item, sim.now))
-
-    def putter(sim):
-        yield sim.timeout(1.0)
-        yield store.put(3)     # matches only the unfiltered getter
-        yield sim.timeout(1.0)
-        yield store.put(4)     # now the even getter fires
-
-    sim.spawn(even_getter(sim))
-    sim.spawn(any_getter(sim))
-    sim.spawn(putter(sim))
-    sim.run()
-    assert ("any", 3, 1.0) in got
-    assert ("even", 4, 2.0) in got
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 100), min_size=1, max_size=50),
-       st.integers(1, 10))
-def test_bounded_store_preserves_fifo(items, capacity):
-    sim = Simulator()
-    store = Store(sim, capacity=capacity)
-    got = []
-
-    def producer(sim):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(sim):
-        for _ in items:
-            item = yield store.get()
-            got.append(item)
-            yield sim.timeout(0.1)
-
-    sim.spawn(producer(sim))
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert got == items
-
-
-# ---------------------------------------------------------------------------
 # resources under churn
 # ---------------------------------------------------------------------------
 
@@ -206,35 +73,3 @@ def test_resource_never_exceeds_capacity(capacity, n_workers):
     assert high_water[0] <= capacity
     assert res.count == 0
     assert res.queued == 0
-
-
-def test_interrupt_while_holding_resource_releases_in_finally():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def holder(sim):
-        req = res.request()
-        yield req
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            order.append("interrupted")
-        finally:
-            req.release()
-
-    def second(sim):
-        req = res.request()
-        yield req
-        order.append(("second got it", sim.now))
-        req.release()
-
-    def interrupter(sim, p):
-        yield sim.timeout(2.0)
-        p.interrupt()
-
-    p = sim.spawn(holder(sim))
-    sim.spawn(second(sim))
-    sim.spawn(interrupter(sim, p))
-    sim.run()
-    assert order == ["interrupted", ("second got it", 2.0)]
