@@ -4,7 +4,7 @@
 Builds the split-compute-merge flow graph of section 3 of the paper —
 convert a string to uppercase by splitting it into characters — and runs
 it twice: on the simulated 4-node cluster (virtual time, deterministic)
-and on real OS threads (actual concurrency).
+and in real time on the threaded engine's I/O loop.
 
 Run:  python examples/quickstart.py
 """
@@ -62,7 +62,7 @@ def main() -> None:
     print()
     print(message_summary(tracer))
 
-    # --- real threads: same graph code, actual OS threads -----------------
+    # --- real time: same graph code, stepped on one I/O loop -------------
     with ThreadedEngine() as tengine:
         graph2 = build_graph()
         out = tengine.run(graph2, StringToken(text))

@@ -16,7 +16,7 @@ Builds a small telemetry pipeline with the first-class stream API
   engine regardless of arrival order.
 
 The example runs the pipeline three times: on the simulated engine, on
-real OS threads (identical window checksums), and once more overloaded
+the threaded engine (identical window checksums), and once more overloaded
 behind a tiny lossy credit window to show load shedding.
 
 Run:  python examples/streaming_pipeline.py

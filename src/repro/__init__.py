@@ -6,8 +6,8 @@ clusters: compositional split-compute-merge flow graphs with stream
 operations, dynamic thread-collection mapping, implicit pipelining and
 overlap of computation and communication, flow control, and parallel
 services — executed on a deterministic simulated cluster
-(:class:`~repro.runtime.SimEngine`, virtual time), on real OS threads
-(:class:`~repro.runtime.ThreadedEngine`), or on one OS process per
+(:class:`~repro.runtime.SimEngine`, virtual time), in real time on one
+I/O loop (:class:`~repro.runtime.ThreadedEngine`), or on one OS process per
 logical node over TCP (:class:`~repro.runtime.MultiprocessEngine`).
 All three share the :class:`~repro.runtime.Engine` API — build them
 uniformly with :func:`~repro.runtime.create_engine` and attach a

@@ -142,7 +142,7 @@ def _demo(make_engine, engine_kind: str,
         print(activity_timeline(tracer, width=60))
     elif engine_kind == "threaded":
         print(f"output: {out.text!r}")
-        print(f"wall time: {wall * 1e3:.1f} ms on OS threads (1 process)")
+        print(f"wall time: {wall * 1e3:.1f} ms on one I/O loop (1 process)")
     else:
         print(f"output: {out.text!r}")
         print(f"wall time: {wall * 1e3:.1f} ms across kernel processes "
@@ -369,7 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--engine", choices=["sim", "threaded", "multiprocess"],
         default="sim",
         help="engine for 'demo'/'ring'/'stream': simulated cluster "
-             "(default), OS threads, or one OS process per node over TCP",
+             "(default), one I/O loop, or one OS process per node over TCP",
     )
     parser.add_argument(
         "--trace", metavar="FILE", default=None,

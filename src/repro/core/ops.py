@@ -94,7 +94,7 @@ class SleepRequest(_Request):
 
     On the simulated engine this advances virtual time without occupying
     the node's CPU resource (the thread is idle, not computing); on the
-    real-execution engines it is a wall-clock sleep of the OS thread.
+    real-execution engines it is a timer on the engine's I/O loop.
     Unbounded :class:`~repro.core.streams.StreamSource` bodies use it to
     pace their arrival process identically under both clocks.
     """

@@ -576,6 +576,7 @@ class IOLoop:
                 self._pass_end.clear()
                 for fn in hooks:
                     _guarded(fn)
+                hooks = fn = None
                 self._in_select = True
             if pending:
                 timeout = 0
@@ -607,6 +608,10 @@ class IOLoop:
                 except IndexError:  # pragma: no cover - closed mid-pass
                     break
                 _guarded(fn)
+            # An idle loop keeps no call it ran alive: a kernel's call may
+            # close over a token whose arrays borrow a block of the
+            # sender's shm arena.
+            fn = None
 
 
 class EventLoopPeer:

@@ -4,30 +4,17 @@ One :class:`DistributedKernel` runs in each OS process and hosts the DPS
 threads whose collections are mapped onto its node name (kernel names
 *are* logical node names, matching the paper's "kernels are named so that
 applications do not need to be aware of the machines they are running
-on").  It is the third scheduler substrate (:mod:`repro.runtime.scheduler`),
-and it hosts a DPS thread exactly as
-:class:`~repro.runtime.controller.SimController` does: as a
-:class:`~repro.runtime.scheduler.ThreadHandle` stepped by
-``Scheduler.step``.  The kernel supplies what the stepper calls: ``soon``
-is an ``IOLoop.call``, and ``wait`` arms the loop callback that resumes
-a body (an admit gate opening, a ``call_later`` timer, a nested
-activation's result).  No OS thread per DPS thread: a worker kernel is
-one thread, its main thread turning the loop.
+on").  It is :class:`~repro.runtime.threaded_engine.ThreadedEngine`, the
+loop substrate of the scheduler core, with a TCP transport: a worker
+kernel is one thread, its main thread turning the loop that steps every
+hosted DPS thread.  The recovery and member barriers are control
+coroutines on that loop (``_drive``): each wait is a yield the matching
+callback resumes, each deadline a ``call_later`` on the kernel's clock.
 
-Every table of a kernel has one owner, its loop, so ``lock`` is a
-``nullcontext()`` as on ``SimController``.  The recovery and member
-barriers are control coroutines on the loop (``_drive``): each wait is a
-yield the matching callback resumes, each deadline a ``call_later`` on
-the kernel's clock.  Another thread hands a closure to the loop with
-``IOLoop.call`` and waits on a ``queue.SimpleQueue`` (``_hand_over``).
-
-Activations, result routing and failure surfacing come from
-:class:`~repro.runtime.threaded_engine.ThreadedEngine`,
-with the transport hooks overridden where the single-process engine
-assumes shared memory:
+The kernel overrides these members of the engine:
 
 ====================  =================================================
-hook                  distributed behaviour
+member                distributed behaviour
 ====================  =================================================
 ``transmit``          envelopes for instances on another kernel are
                       protocol-encoded and queued on that peer's lazy
@@ -42,6 +29,10 @@ hook                  distributed behaviour
                       ``ctx_origin`` kernel
 ``_propagate_failure``  local body exceptions are broadcast so every
                       kernel's callers fail fast instead of hanging
+``admit``             an instance leaving in a member change ends at
+                      its ``_EVICT`` marker
+``_start_run``        a caller's activation passes the run gate
+``_stop``             shutdown flushes and closes every peer channel
 ====================  =================================================
 
 Activation and group ids are made globally unique by starting each
@@ -53,20 +44,15 @@ from __future__ import annotations
 
 import itertools
 import os
-import queue
 import socket
 import time
 from collections import deque, namedtuple
-from contextlib import nullcontext
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, \
     Tuple
 
 from ..core.flowcontrol import FlowControlPolicy, StreamPolicy
 from ..core.graph import Flowgraph
-from ..core.ops import CallGraphRequest, ChargeRequest, PostRequest, \
-    ScatterCallRequest, SleepRequest
 from ..core.routing import RoutingPolicy
-from ..core.threads import DpsThread, ThreadCollection
 from ..runtime.base import DataEnvelope, GroupFrame, KernelFailure, \
     RunResult, ScheduleError
 from ..runtime.scheduler import ThreadHandle
@@ -113,28 +99,6 @@ class _ConnState:
             shm_rx.close()
 
 
-class _Gate:
-    """The admit gate of a stalled post, on the loop.
-
-    As with ``threading.Event``, an opening that comes before the wait
-    is not lost.  Both happen on the loop thread (``open_gate`` hands an
-    opening over with ``IOLoop.call``); the waiter is the parked body's
-    resume callback.
-    """
-
-    __slots__ = ("opened", "waiter")
-
-    def __init__(self) -> None:
-        self.opened = False
-        self.waiter: Optional[Callable[[], None]] = None
-
-    def open(self) -> None:
-        self.opened = True
-        waiter, self.waiter = self.waiter, None
-        if waiter is not None:
-            waiter()
-
-
 #: What a control coroutine yields: resume me once ``ready()`` holds, or
 #: after *seconds* of the kernel's clock with ``expired()`` — an
 #: exception raised at the yield, or ``None`` to carry on.
@@ -149,14 +113,9 @@ _EVICT = object()
 class DistributedKernel(ThreadedEngine):
     """A kernel process's share of the schedule, run on its I/O loop.
 
-    On a multiprocess kernel a body waits only through the requests it
-    yields — a stalled post, ``sleep``, ``call_graph``, ``call_scatter``.
-    Anything else it waits for (a blocking call, a long computation)
-    holds the loop, and with it every socket and timer of the kernel:
-    the heartbeat that renews the kernel's lease included.
-
-    Only the loop thread reads or writes the kernel's state; the public
-    methods may be called from any other thread and hand over.
+    A body that holds the loop (a blocking call, a long computation)
+    holds every socket and timer of the kernel with it: the heartbeat
+    that renews the kernel's lease included.
     """
 
     def __init__(self, name: str, ordinal: int,
@@ -174,19 +133,17 @@ class DistributedKernel(ThreadedEngine):
                  routing: Optional[RoutingPolicy] = None,
                  stream: Optional[StreamPolicy] = None,
                  clock: Optional[Callable[[], float]] = None):
-        super().__init__(policy=policy, tracer=tracer, metrics=metrics,
-                         routing=routing, stream=stream)
-        #: The loop is the only thread that touches the tables.
-        self.lock = nullcontext()
+        if ordinal < 0:
+            raise ValueError("kernel ordinal must be >= 0")
+        self.name = name
         if clock is not None:
             #: Test seam: the substrate's ``now`` — journal ages and the
             #: I/O loop's timer deadlines all read this one clock.
             self.now = clock
+        super().__init__(policy=policy, tracer=tracer, metrics=metrics,
+                         routing=routing, stream=stream)
         self.transport = transport if transport is not None \
             else TransportPolicy()
-        if ordinal < 0:
-            raise ValueError("kernel ordinal must be >= 0")
-        self.name = name
         self.ordinal = ordinal
         self._origin_name = name
         #: Trace events recorded in this process carry the kernel name, so
@@ -262,17 +219,17 @@ class DistributedKernel(ThreadedEngine):
         self._listener.listen(64)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
 
-        # I/O core: one selectors loop thread accepting on the listener
-        # and multiplexing every peer socket, both directions; its timer
-        # queue runs everything this kernel does "every so often".
-        self._io_loop = IOLoop(name, metrics=metrics, clock=self.now)
-
         self._ns = NameServerClient(ns_address)
         self._pool = ConnectionPool(
             self._ns, loop=self._io_loop, hello_from=name,
             on_error=self._on_peer_error,
             dial_deadline=dial_deadline, transport=self.transport,
             metrics=metrics, trace=self.trace if tracer is not None else None)
+
+    def _new_loop(self) -> IOLoop:
+        # One selectors loop accepting on the listener and multiplexing
+        # every peer socket; start() turns it, or a worker's main thread.
+        return IOLoop(self.name, metrics=self.metrics, clock=self.now)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -324,37 +281,8 @@ class DistributedKernel(ThreadedEngine):
         self._io_loop.call_later(RESEND_AFTER / 2, self._resend_stale)
 
     # ------------------------------------------------------------------
-    # the loop's own: off-loop callers hand over, waits are continuations
+    # control coroutines: waits are continuations on the loop
     # ------------------------------------------------------------------
-    def _hand_over(self, start: Callable[[Callable], None]) -> Any:
-        """Run ``start(reply)`` on the loop and wait for the one value it
-        replies, then or from a later callback; an exception raised or
-        replied is raised here.  With no other thread turning the loop,
-        *start* runs at once and must reply at once."""
-        reply: "queue.SimpleQueue" = queue.SimpleQueue()
-
-        def step() -> None:
-            try:
-                start(reply.put)
-            except Exception as exc:
-                reply.put(exc)
-
-        loop = self._io_loop
-        if loop.running and not loop.on_loop_thread():
-            loop.call(step)
-        else:
-            step()
-            if reply.empty():
-                raise ScheduleError("a kernel's loop cannot wait on itself")
-        outcome = reply.get()
-        if isinstance(outcome, BaseException):
-            raise outcome
-        return outcome
-
-    def _call(self, fn: Callable[[], Any]) -> Any:
-        """What *fn* returns, run on the loop (any thread)."""
-        return self._hand_over(lambda reply: reply((fn(),)))[0]
-
     def _drive(self, steps, done: Callable[[Any], None],
                exc: Optional[Exception] = None) -> None:
         """Run control coroutine *steps* to its next ``_Wait`` the way
@@ -434,41 +362,21 @@ class DistributedKernel(ThreadedEngine):
     def _start_run(self, graph: Flowgraph, token: Token, timeout: float,
                    finish: Callable[[Any], None]) -> None:
         """Start a caller's activation — ``run``'s, a service call's —
-        or park it while a rebalance holds the gate.  *finish* gets the
-        first of its result, the engine's failure and a timeout, once."""
+        through the run gate: parked while a rebalance holds it, and
+        counted while it runs, so a rebalance can wait for it."""
         if self._rebalancing:
             self._parked.append(
                 lambda: self._start_run(graph, token, timeout, finish))
             return
-        if self._failure is not None or self._closed:
-            error = ScheduleError("engine has failed or is shut down; "
-                                  "create a new one")
-            error.__cause__ = self._failure
-            finish(error)
-            return
-        ctx_id = None
 
-        def settle(outcome: Any) -> None:
-            if ctx_id not in self._results:
-                return  # settled already
-            timer.cancel()
-            self._retire(ctx_id)
+        def settled(outcome: Any) -> None:
             self._active_runs -= 1
             finish(outcome)
             if self._waits:  # a rebalance may wait for the runs to drain
                 self._io_loop.call(self._recheck)
 
         self._active_runs += 1
-        timer = self._io_loop.call_later(timeout, lambda: settle(
-            ScheduleError(f"graph {graph.name!r} did not complete within "
-                          f"{timeout}s; likely a routing bug or "
-                          f"flow-control deadlock")))
-        try:
-            ctx_id = self._activate(graph, token, settle)
-        except Exception as exc:
-            timer.cancel()
-            self._active_runs -= 1
-            finish(exc)
+        super()._start_run(graph, token, timeout, settled)
 
     def request_shutdown(self, peer: str) -> None:
         """Ask *peer* to shut down (part of the console's exit barrier;
@@ -548,147 +456,30 @@ class DistributedKernel(ThreadedEngine):
         self._ns.close()
 
     def _stop(self) -> None:
-        """No body starts or resumes from here on, whoever still waits
-        is let go with an error, and every peer channel is flushed and
-        closed; then the loop stops."""
+        """The engine's stop, and then every control coroutine is let go
+        with an error and every peer channel is flushed and closed; then
+        the loop stops."""
         if self._closed:
             return
-        self._closed = self._shutdown_requested = True
-        self.scheduler.release_stalled()
+        self._shutdown_requested = True
+        super()._stop()
         error = ScheduleError("kernel is shut down")
         waits, self._waits = self._waits, {}
         for steps, (_, done, _) in waits.items():
             self._drive(steps, done, error)  # its timer finds it gone
-        for on_result in list(self._results.values()):
-            on_result(error)
         self._pool.close_all()
 
     # ------------------------------------------------------------------
-    # the loop substrate: hosted DPS threads run on the I/O loop
+    # the loop substrate is ThreadedEngine's; a member change evicts
     # ------------------------------------------------------------------
-    def _new_worker(self, collection: ThreadCollection, index: int,
-                    thread: Optional[DpsThread] = None) -> ThreadHandle:
-        handle = ThreadHandle(collection, index, collection.node_of(index),
-                              thread)
-        self.scheduler.start(handle)
-        return handle
-
-    new_gate = _Gate
-
-    def open_gate(self, gate: _Gate) -> None:
-        # From a call of its own: the opening ack is mid-apply_ack.
-        self._io_loop.call(gate.open)
-
-    def enqueue(self, handle: ThreadHandle, item: Any) -> None:
-        self.scheduler.post(handle, item)
-
-    def soon(self, fn: Callable[..., None], *args: Any) -> None:
-        self._io_loop.call(lambda: fn(*args))
-
     def admit(self, handle: ThreadHandle, item: Any) -> bool:
-        """May *item* start on *handle*?  Nothing starts once the kernel
-        is shut down, and ``_EVICT`` ends the handle."""
-        if self._closed:
-            return False
-        if item is _EVICT:  # everything queued ahead of it has run
+        """``_EVICT`` ends *handle* once everything queued ahead of it
+        has run; any other item is the engine's to admit."""
+        if item is _EVICT and not self._closed:
             self._workers.pop((id(handle.collection), handle.index), None)
             self._recheck()
             return False
-        return True
-
-    def wait(self, handle: ThreadHandle, body, step) -> bool:
-        """Arm the loop callback that resumes *handle* after *step*: the
-        gate's waiter, a ``call_later`` timer, a nested activation's
-        result.  ``True``: go on at once."""
-        if isinstance(step, ChargeRequest):
-            return True  # virtual cost, meaningless on real threads
-        resume = lambda value=None: self._resume(handle, value)
-        if isinstance(step, _Gate):
-            if self._failure is not None or self._closed:
-                # released, not admitted: no ack is coming
-                handle.steps = None
-                return False
-            if step.opened:
-                return True
-            step.waiter = resume
-        elif isinstance(step, SleepRequest):
-            self._io_loop.call_later(step.seconds, resume)
-        elif isinstance(step, CallGraphRequest):
-            self._call_graph(step, resume)
-        else:
-            self._call_scatter(step, body, resume)
-        return False
-
-    def _resume(self, handle: ThreadHandle, outcome: Any) -> None:
-        """Continue *handle*'s parked item with *outcome*.  A body parked
-        when the engine failed or shut down is dropped."""
-        if self._failure is not None or self._closed:
-            handle.steps = None
-        else:
-            self.scheduler.step(handle, outcome)
-
-    def body_failed(self, exc: BaseException) -> None:
-        self._record_failure(exc)
-
-    def _on_loop(self, fn: Callable[[Any], None]) -> Callable[[Any], None]:
-        """A result callback that runs *fn* from a loop call of its own:
-        a local result lands in the middle of another handle's step."""
-        return lambda item: self._io_loop.call(lambda: fn(item))
-
-    def _retire(self, ctx_id: int, **fields: Any) -> None:
-        """Forget an activation: what it still hands back (a duplicate
-        queued behind its last item) is dropped."""
-        self._results.pop(ctx_id, None)
-        if self.tracer is not None:
-            self.trace("activation_done", ctx=ctx_id, **fields)
-
-    def _call_graph(self, step: CallGraphRequest,
-                    resume: Callable[[Any], None]) -> None:
-        """Start the activation a body's ``call_graph`` asks for; *resume*
-        gets its result token (or the engine's failure)."""
-        graph = self._resolve_entry(step.graph_name, step.token)
-
-        def arrived(item: Any) -> None:
-            if ctx_id in self._results:
-                self._retire(ctx_id)
-                resume(item)
-
-        ctx_id = self._activate(graph, step.token, self._on_loop(arrived))
-
-    def _call_scatter(self, step: ScatterCallRequest, body,
-                      resume: Callable[[Any], None]) -> None:
-        """Start a body's ``call_scatter``: each output is posted as
-        *body*'s own as it arrives, and *resume* gets the group total
-        once every output is in."""
-        graph = self.graph(step.graph_name)
-        if not graph.scatter:
-            raise ScheduleError(
-                f"graph {step.graph_name!r} is not a scatter graph")
-        posted, total = 0, None
-
-        def arrived(item: Any) -> None:
-            nonlocal posted, total
-            if ctx_id not in self._results:
-                return
-            if isinstance(item, BaseException):
-                self._retire(ctx_id)
-                resume(item)  # the engine failed: the body is dropped
-                return
-            if isinstance(item, Token):
-                try:
-                    self.scheduler.emit(body, PostRequest(item))
-                except BaseException as exc:  # the body's post raised
-                    self._retire(ctx_id)
-                    self._record_failure(exc)
-                    return
-                posted += 1
-            else:
-                total = item
-            if total is not None and posted >= total:
-                self._retire(ctx_id, scatter=True)
-                resume(total)
-
-        ctx_id = self._activate(graph, step.token, self._on_loop(arrived))
+        return super().admit(handle, item)
 
     # ------------------------------------------------------------------
     # sending side: the substrate's transport hooks

@@ -1,7 +1,7 @@
 """The shared engine contract, runtime envelopes and applications.
 
 :class:`Engine` is the base every execution engine derives from — the
-simulated cluster, the OS-thread engine and the multiprocess kernel
+simulated cluster, the threaded engine and the multiprocess kernel
 cluster all share one public surface: graph/application registration
 (``register_graph``/``register_app``/``graph``), the
 ``run``/``shutdown``/context-manager lifecycle, and uniform

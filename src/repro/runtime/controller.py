@@ -38,7 +38,6 @@ the item's waits), entry for entry:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.ops import (
@@ -68,9 +67,6 @@ __all__ = ["SimController", "ScheduleError", "KernelFailure"]
 
 class SimController:
     """Scheduler substrate for one node of the simulated cluster."""
-
-    #: the simulation kernel runs one callback at a time
-    lock = nullcontext()
 
     def __init__(self, engine: "SimEngine", node_name: str):
         self.engine = engine

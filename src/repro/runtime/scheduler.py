@@ -8,17 +8,19 @@ collections instantiated by the application."*
 :class:`Scheduler` is that object.  It owns the merge-group table, the
 flow-control windows with their deferred posts, and the routes, and it is
 the only interpreter of the effect requests operation bodies yield
-(:mod:`repro.core.ops`).  Clocks, queues, sockets and OS threads belong
-to a **substrate** — :class:`~repro.runtime.controller.SimController`,
+(:mod:`repro.core.ops`).  Clocks, queues, sockets and loops belong to a
+**substrate** — :class:`~repro.runtime.controller.SimController`,
 :class:`~repro.runtime.threaded_engine.ThreadedEngine` or
 :class:`~repro.net.kernel.DistributedKernel` — reached through a dozen
 members (DESIGN.md §3 tabulates what each one is on each engine):
-``lock`` (re-entrant, guards the tables), ``now()``, ``next_group_id()``,
-``new_gate()`` / ``open_gate(gate)`` (the admit gate of one stalled
-post), ``enqueue(thread, group)``, ``transmit(env)``,
-``send_ack(graph_name, frame)``, ``send_group_total(graph, merge_id,
-group_id, total)``, ``deliver_result(body, token, frame, needs_ack)``,
+``now()``, ``next_group_id()``, ``new_gate()`` / ``open_gate(gate)``
+(the admit gate of one stalled post), ``enqueue(thread, group)``,
+``transmit(env)``, ``send_ack(graph_name, frame)``,
+``send_group_total(graph, merge_id, group_id, total)``,
+``deliver_result(body, token, frame, needs_ack)``,
 ``scatter_total(body, total)`` and ``queue_depth(collection, index)``.
+A substrate's tables have one owner, the simulator or the engine's I/O
+loop, so the scheduler takes no lock.
 
 A thread handle exposes ``collection``, ``index``, ``thread`` (the
 :class:`DpsThread` object) and ``node_name`` (its placement), and every
@@ -27,17 +29,15 @@ yielding ``(body, step)`` only where a body must *wait* — for the gate
 of a stalled post, a ``ChargeRequest``, a ``SleepRequest``, a graph call
 or a scatter call — and taking the step's outcome back.
 
-The two single-owner substrates, the simulator and a kernel's I/O loop,
-host a DPS thread as a :class:`ThreadHandle` that this module steps
-(:meth:`Scheduler.start`, :meth:`~Scheduler.post`,
+Every substrate hosts a DPS thread as a :class:`ThreadHandle` that this
+module steps (:meth:`Scheduler.start`, :meth:`~Scheduler.post`,
 :meth:`~Scheduler.step`): an item leaves the inbox when it is
 scheduled, runs up to its next wait, and is resumed from a callback.
-Such a substrate supplies four more members: ``soon(fn, *args)`` (run
-later, in order), ``wait(handle, body, step)`` (arm the callback that
-resumes the wait and return ``False``, or return ``True`` to go on at
-once), ``admit(handle, item)`` (may this item start?) and
-``body_failed(exc)``.  ``ThreadedEngine`` keeps an OS thread per DPS
-thread instead, blocking it in its own ``perform(body, step)``.
+A substrate supplies four more members for this: ``soon(fn, *args)``
+(run later, in order), ``wait(handle, body, step)`` (arm the callback
+that resumes the wait and return ``False``, or return ``True`` to go on
+at once), ``admit(handle, item)`` (may this item start?) and
+``body_failed(exc)``.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ MAX_STALE_GROUPS = 10_000
 
 
 class ThreadHandle:
-    """One DPS thread hosted on a single-owner substrate: an inbox and
-    the :meth:`Scheduler.handle` generator of the item in progress."""
+    """One DPS thread hosted on a substrate: an inbox and the
+    :meth:`Scheduler.handle` generator of the item in progress."""
 
     __slots__ = ("collection", "index", "thread", "node_name", "inbox",
                  "steps", "idle")
@@ -92,9 +92,6 @@ class ThreadHandle:
         self.steps = None
         #: waiting for input: the next post is scheduled at once
         self.idle = False
-
-    def depth(self) -> int:
-        return len(self.inbox)
 
 
 class _Group:
@@ -184,7 +181,7 @@ class Scheduler:
         self.dedup = None
 
     # ------------------------------------------------------------------
-    # stepping a hosted thread (the single-owner substrates)
+    # stepping a hosted thread
     # ------------------------------------------------------------------
     def start(self, handle: ThreadHandle) -> None:
         """Begin stepping *handle*: schedule its first item or wait for
@@ -276,63 +273,57 @@ class Scheduler:
                                   env.token)
             return
         frame = env.top_frame()
-        with self.sub.lock:
-            if self.dedup is not None and self._replayed(env):
-                return  # replayed duplicate; the original was acked
-            group = self._groups.get(frame.group_id)
-            if group is None:
-                group = self._groups[frame.group_id] = _Group(frame.group_id)
-            if group.instance is None:
-                group.instance = env.instance
-                group.node_id = env.node_id
-                group.parent_frames = env.frames[:-1]
-                group.thread = thread
-            elif group.instance != env.instance \
-                    or group.node_id != env.node_id:
-                raise ScheduleError(
-                    f"group {frame.group_id} routed to multiple merge "
-                    f"instances ({group.node_id}/{group.instance} and "
-                    f"{env.node_id}/{env.instance}); routing functions must "
-                    f"send all tokens of one group to the same thread"
-                )
-            elif group.parent_frames != env.frames[:-1]:
-                raise ScheduleError(
-                    f"group {frame.group_id} tokens carry inconsistent "
-                    f"enclosing frames"
-                )
-            group.received += 1
-            first = group.body is None
-            if first:
-                group.consumed += 1
-                self._ack(env, thread)
-            else:
-                group.buffer.append(env)
-        if first:
+        if self.dedup is not None and self._replayed(env):
+            return  # replayed duplicate; the original was acked
+        group = self._groups.get(frame.group_id)
+        if group is None:
+            group = self._groups[frame.group_id] = _Group(frame.group_id)
+        if group.instance is None:
+            group.instance = env.instance
+            group.node_id = env.node_id
+            group.parent_frames = env.frames[:-1]
+            group.thread = thread
+        elif group.instance != env.instance \
+                or group.node_id != env.node_id:
+            raise ScheduleError(
+                f"group {frame.group_id} routed to multiple merge "
+                f"instances ({group.node_id}/{group.instance} and "
+                f"{env.node_id}/{env.instance}); routing functions must "
+                f"send all tokens of one group to the same thread"
+            )
+        elif group.parent_frames != env.frames[:-1]:
+            raise ScheduleError(
+                f"group {frame.group_id} tokens carry inconsistent "
+                f"enclosing frames"
+            )
+        group.received += 1
+        if group.body is None:
+            group.consumed += 1
+            self._ack(env, thread)
             group.body = self.make_body(env, node, thread, group)
             yield from self.drive(group.body, env.token)
         else:
+            group.buffer.append(env)
             yield from self.poke_group(group)
 
     def _replayed(self, env: DataEnvelope) -> bool:
         frame = env.top_frame()
-        with self.sub.lock:
-            return not self.dedup.fresh((env.graph.name, env.node_id),
-                                        frame.group_id, frame.index)
+        return not self.dedup.fresh((env.graph.name, env.node_id),
+                                    frame.group_id, frame.index)
 
     def poke_group(self, group: _Group):
         """Resume *group*'s merge/stream body if it is parked and can make
         progress (a token or the group total has just arrived)."""
-        with self.sub.lock:
-            if not group.parked:
-                return
-            value = self._next_input(group)
-            if group.parked:
-                return
+        if not group.parked:
+            return
+        value = self._next_input(group)
+        if group.parked:
+            return
         yield from self.drive(group.body, value)
 
     def _next_input(self, group: _Group) -> Optional[Token]:
         """The group's next token, ``None`` once it is drained — or, with
-        ``group.parked`` set, because nothing has arrived yet (lock held)."""
+        ``group.parked`` set, because nothing has arrived yet."""
         group.parked = False
         if group.buffer:
             env = group.buffer.popleft()
@@ -417,10 +408,9 @@ class Scheduler:
                 if group is None:
                     raise ScheduleError(
                         "next_token() outside a merge/stream body")
-                with self.sub.lock:
-                    to_send = self._next_input(group)
-                    if group.parked:
-                        return  # the thread takes its next item
+                to_send = self._next_input(group)
+                if group.parked:
+                    return  # the thread takes its next item
             elif isinstance(request, (ChargeRequest, CallGraphRequest)):
                 to_send = yield body, request
             elif isinstance(request, SleepRequest):
@@ -478,14 +468,13 @@ class Scheduler:
             )
         group = body.group
         if group is not None:
-            with self.sub.lock:
-                if not group.completed:
-                    raise ScheduleError(
-                        f"{op_name} returned before consuming its whole "
-                        f"group (consumed {group.consumed} of "
-                        f"{'unknown' if group.total is None else group.total})"
-                    )
-                del self._groups[group.group_id]
+            if not group.completed:
+                raise ScheduleError(
+                    f"{op_name} returned before consuming its whole "
+                    f"group (consumed {group.consumed} of "
+                    f"{'unknown' if group.total is None else group.total})"
+                )
+            del self._groups[group.group_id]
         if body.opens_group:
             if body.posted == 0:
                 raise ScheduleError(
@@ -519,23 +508,22 @@ class Scheduler:
         if succ is None:
             self._emit_result(body, token)
             return
-        with self.sub.lock:
-            window = None
-            if body.opens_group:
-                if body.out_group_id is None:
-                    body.out_group_id = self.sub.next_group_id()
-                window = self.window_for(body)
-            seq = body.posted
-            body.posted += 1
-            if window is not None and (
-                    not window.can_send or self._pending.get(body.window_key)):
-                # Routing is deferred until the window admits the token,
-                # so feedback-driven routes see up-to-date counters — the
-                # paper routes "to those processing nodes which have
-                # previously posted data objects to the merge operation".
-                self._defer(body, req, succ, seq, window)
-                return
-            env = self._route(body, token, succ, seq, window)
+        window = None
+        if body.opens_group:
+            if body.out_group_id is None:
+                body.out_group_id = self.sub.next_group_id()
+            window = self.window_for(body)
+        seq = body.posted
+        body.posted += 1
+        if window is not None and (
+                not window.can_send or self._pending.get(body.window_key)):
+            # Routing is deferred until the window admits the token,
+            # so feedback-driven routes see up-to-date counters — the
+            # paper routes "to those processing nodes which have
+            # previously posted data objects to the merge operation".
+            self._defer(body, req, succ, seq, window)
+            return
+        env = self._route(body, token, succ, seq, window)
         self.sub.transmit(env)
 
     def _emit_result(self, body: _Body, token: Token) -> None:
@@ -598,7 +586,7 @@ class Scheduler:
 
     def _route(self, body: _Body, token: Token, succ: int, seq: int,
                window: Optional[CreditWindow]) -> DataEnvelope:
-        """Route *token* to a thread instance and wrap it (lock held)."""
+        """Route *token* to a thread instance and wrap it."""
         instance = self.route_for(body.graph, succ, window)(token)
         frames = body.base_frames
         if body.opens_group:
@@ -661,7 +649,7 @@ class Scheduler:
     # feedback: acks and group totals
     # ------------------------------------------------------------------
     def _ack(self, env: DataEnvelope, thread) -> None:
-        """Acknowledge one consumed token to its opener (lock held)."""
+        """Acknowledge one consumed token to its opener."""
         frame = env.top_frame()
         engine = self.engine
         if engine.tracer is not None:
@@ -680,32 +668,30 @@ class Scheduler:
         lived on a kernel that has since been replaced) is dropped.
         """
         key = (graph_name, opener, opener_instance)
-        with self.sub.lock:
-            if self.journal is not None and group_id:
-                self.journal.prune(group_id, index)
-            window = self._windows.get(key)
-            if window is None:
-                return
-            window.on_ack(routed_instance)
-            queue = self._pending.get(key)
-            while queue and window.can_send:
-                body, req, succ, seq = queue.popleft()
-                self.sub.transmit(
-                    self._route(body, req.token, succ, seq, window))
-                gate, req._admit_event = req._admit_event, None
-                if gate is not None:
-                    self.sub.open_gate(gate)
-            if queue is not None and not queue:
-                del self._pending[key]
+        if self.journal is not None and group_id:
+            self.journal.prune(group_id, index)
+        window = self._windows.get(key)
+        if window is None:
+            return
+        window.on_ack(routed_instance)
+        queue = self._pending.get(key)
+        while queue and window.can_send:
+            body, req, succ, seq = queue.popleft()
+            self.sub.transmit(
+                self._route(body, req.token, succ, seq, window))
+            gate, req._admit_event = req._admit_event, None
+            if gate is not None:
+                self.sub.open_gate(gate)
+        if queue is not None and not queue:
+            del self._pending[key]
 
     def release_stalled(self) -> None:
         """Open the gate of every stalled post: the substrate has failed
         or is shutting down, and no ack will ever admit them."""
-        with self.sub.lock:
-            for queue in self._pending.values():
-                for _, req, _, _ in queue:
-                    if req._admit_event is not None:
-                        self.sub.open_gate(req._admit_event)
+        for queue in self._pending.values():
+            for _, req, _, _ in queue:
+                if req._admit_event is not None:
+                    self.sub.open_gate(req._admit_event)
 
     def close_group(self, body: _Body) -> None:
         """Announce how many tokens the group *body* opened contains."""
@@ -722,33 +708,29 @@ class Scheduler:
 
     def apply_group_total(self, group_id: int, total: int) -> None:
         """Record a group's total; wake its merge body if parked."""
-        with self.sub.lock:
-            group = self._groups.get(group_id)
-            if group is None:
-                # no token has arrived yet (or never will, here): the
-                # first token finds the total when it creates the body
-                group = self._groups[group_id] = _Group(group_id)
-                self._stale_totals.append(group_id)
-                while len(self._stale_totals) > MAX_STALE_GROUPS:
-                    stale = self._groups.get(self._stale_totals.popleft())
-                    if stale is not None and stale.received == 0:
-                        del self._groups[stale.group_id]
-            group.total = total
-            if group.parked:
-                self.sub.enqueue(group.thread, group)
+        group = self._groups.get(group_id)
+        if group is None:
+            # no token has arrived yet (or never will, here): the
+            # first token finds the total when it creates the body
+            group = self._groups[group_id] = _Group(group_id)
+            self._stale_totals.append(group_id)
+            while len(self._stale_totals) > MAX_STALE_GROUPS:
+                stale = self._groups.get(self._stale_totals.popleft())
+                if stale is not None and stale.received == 0:
+                    del self._groups[stale.group_id]
+        group.total = total
+        if group.parked:
+            self.sub.enqueue(group.thread, group)
 
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
     def open_groups(self) -> List[_Group]:
         """Unfinished merge groups that received at least one token."""
-        with self.sub.lock:
-            return [g for g in self._groups.values() if g.received]
+        return [g for g in self._groups.values() if g.received]
 
     def pending_posts(self) -> int:
-        with self.sub.lock:
-            return sum(len(q) for q in self._pending.values())
+        return sum(len(q) for q in self._pending.values())
 
     def window_stats(self) -> Dict[Tuple[str, int, int], CreditWindow]:
-        with self.sub.lock:
-            return dict(self._windows)
+        return dict(self._windows)

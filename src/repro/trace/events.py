@@ -1,6 +1,6 @@
 """The engine-agnostic trace event vocabulary.
 
-Every execution engine — simulated cluster, OS threads, multiprocess
+Every execution engine — simulated cluster, one I/O loop, multiprocess
 kernels over TCP — emits the same event kinds, so one analysis/reporting
 stack (:mod:`repro.trace.timeline`, the Chrome-trace export, the parity
 tests) works against any of them.  Timestamps differ in *base* only:

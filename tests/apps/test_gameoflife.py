@@ -1,6 +1,7 @@
 """Tests for the distributed Game of Life (Fig. 7–9 application)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -112,9 +113,13 @@ def test_improved_graph_serves_a_late_neighbour_the_old_border(monkeypatch):
     collected = threading.Event()
 
     def staggered_split(self, tok):
-        # band 1 starts only after band 0 has finished the iteration
+        # band 1 starts only after band 0 has finished the iteration;
+        # the split waits without holding the engine's loop
         self.post(gol_module.GolExchangeCmd(0))
-        assert collected.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while not collected.is_set():
+            assert time.monotonic() < deadline
+            yield self.sleep(0.001)
         self.post(gol_module.GolExchangeCmd(1))
 
     def noting_collect(self, tok):

@@ -1,6 +1,7 @@
 """Tests for the distributed block LU factorization (Fig. 11–15)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -122,8 +123,12 @@ def test_lu_straggler_column_gets_the_panel_as_factored(monkeypatch):
 
     def slow_trsm(self, tok):
         if (tok.k, tok.j) == (0, 3):
-            # hold column 3 at stage 0 until stage 2 has flipped column 1
-            assert flipped.wait(timeout=30)
+            # hold column 3 at stage 0 until stage 2 has flipped column 1,
+            # without holding the engine's loop
+            deadline = time.monotonic() + 30
+            while not flipped.is_set():
+                assert time.monotonic() < deadline
+                yield self.sleep(0.001)
         return (yield from trsm(self, tok))
 
     def noting_flip(self, tok):

@@ -1,5 +1,5 @@
 """Cross-engine equivalence: the same application code must produce the
-same *results* on the simulated cluster and on real OS threads.
+same *results* on the simulated cluster and in real time.
 
 This is the central guarantee of the two-engine design (DESIGN.md §2):
 operations, graphs, routing and flow control are engine-agnostic; only

@@ -30,6 +30,7 @@ from repro.net import connections
 from repro.net import protocol as P
 from repro.net.recovery import FaultPolicy
 from repro.runtime import MultiprocessEngine, ScheduleError
+from repro.runtime.scheduler import Scheduler
 from repro.serial import SimpleToken
 from repro.trace import MetricsRegistry
 
@@ -363,34 +364,28 @@ def test_caller_threads_and_the_loop_share_an_inbox():
     assert all(total == sum(i * i for i in range(n)) for n, total in totals)
 
 
-class _LoopOwned:
-    """A kernel's ``lock`` that counts each entry made off its loop."""
-
-    def __init__(self, kernel, strays):
-        self.kernel = kernel
-        self.strays = strays
-
-    def __enter__(self):
-        if not self.kernel._io_loop.on_loop_thread():
-            self.strays.value += 1
-
-    def __exit__(self, *exc):
-        return False
+def _loop_owned(entry, counts):
+    """A scheduler entry point that counts its calls, and apart those
+    made off its kernel's loop."""
+    def entered(self, *args, **kwargs):
+        counts[0] += 1
+        if not self.sub._io_loop.on_loop_thread():
+            counts[1] += 1
+        return entry(self, *args, **kwargs)
+    return entered
 
 
 def test_only_its_loop_touches_a_kernel(monkeypatch):
-    """A kernel's tables have one owner, its loop.  With the lock of the
-    console and of every forked worker swapped for a recorder, nothing
-    enters it from another thread: not four caller threads, not a
-    kernel killed mid-run and recovered, not a join and a retire."""
-    strays = multiprocessing.get_context("fork").RawValue("i", 0)
-    init = DistributedKernel.__init__
-
-    def owned(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.lock = _LoopOwned(self, strays)
-
-    monkeypatch.setattr(DistributedKernel, "__init__", owned)
+    """A kernel's tables have one owner, its loop.  With every entry
+    into the scheduler of the console and of every forked worker
+    recording the calls made from another thread, none is made: not by
+    four caller threads, not by a kernel killed mid-run and recovered,
+    not by a join and a retire."""
+    counts = multiprocessing.get_context("fork").RawArray("l", 2)
+    for name in ("start", "post", "step", "emit", "apply_ack",
+                 "apply_group_total", "release_stalled"):
+        monkeypatch.setattr(Scheduler, name,
+                            _loop_owned(getattr(Scheduler, name), counts))
     graph = build_ring_graph(["node01", "node02", "node03", "node04"])
     faults = FaultPolicy(kill_kernel="node03", kill_after_messages=5, seed=7)
     blocks, errors = [], []
@@ -419,7 +414,8 @@ def test_only_its_loop_touches_a_kernel(monkeypatch):
         engine.retire_kernel(joiner)
         assert engine.run(graph, RingJobToken(512, 8), timeout=60).blocks == 8
         assert engine.last_result.rebalances == 2
-    assert strays.value == 0
+    entries, strays = counts
+    assert entries > 0 and strays == 0
 
 
 def test_unloaded_ring_hop_costs_one_loop_wakeup():

@@ -9,6 +9,7 @@ test wakes the loop (:func:`_settle`), as arming any timer would.
 
 import os
 import threading
+import weakref
 
 import pytest
 
@@ -192,6 +193,32 @@ def test_idle_loop_with_a_far_timer_does_not_spin():
         assert wakeups.value == before
     finally:
         loop.close()
+
+
+def test_an_idle_loop_lets_go_of_the_last_call_it_ran():
+    """A loop keeps no call it has run once the pass is over, so an idle
+    one holds none while it blocks: a kernel's call closes over a token,
+    whose arrays may borrow a block of the sender's shm arena.  Turned
+    on this thread, the loop runs the call in one pass, and a timer
+    looks in the next."""
+    class Payload:
+        pass
+
+    loop = IOLoop("forget")
+    payload = Payload()
+    alive = weakref.ref(payload)
+    seen = []
+
+    def look():
+        seen.append(alive() is not None)
+        loop.stop()
+
+    loop.call_later(0, look)
+    loop.call(lambda payload=payload: None)
+    del payload
+    loop.run()
+    loop.close()
+    assert seen == [False]
 
 
 class _RecordingSelector:

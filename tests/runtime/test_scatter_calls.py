@@ -243,7 +243,7 @@ def test_sequential_scatter_calls():
 
 
 # ---------------------------------------------------------------------------
-# engine parity: the same scatter code on real OS threads
+# engine parity: the same scatter code in real time
 # ---------------------------------------------------------------------------
 
 def test_scatter_on_threaded_engine():

@@ -69,7 +69,6 @@ class Silent(Fan):
 
 
 _burst_done = threading.Event()
-_release = threading.Event()
 
 
 class Burst(Fan):
@@ -90,8 +89,7 @@ class Echo(LeafOperation):
 
 class Hold(Echo):
     def execute(self, tok):
-        _release.wait(10)
-        self.post(tok)
+        pass  # keeps its token, and with it the opener window's credit
 
 
 class WrongPoster(Echo):
@@ -154,12 +152,10 @@ def pipeline(name, split=Fan, leaf=Echo, merge=Sum, merge_route=ConstantRoute,
 def run_twice_overlapping(kind, engine, graph, token):
     """Two activations of *graph* sharing the opener's window."""
     if kind == "sim":
-        _release.set()
         engine.start(graph, token)
         engine.start(graph, token)
         engine.run_to_completion()
         return
-    _release.clear()
     _burst_done.clear()
     first = threading.Thread(
         target=lambda: pytest.raises(ScheduleError, engine.run, graph, token))
@@ -168,7 +164,6 @@ def run_twice_overlapping(kind, engine, graph, token):
         assert _burst_done.wait(10)
         engine.run(graph, token, timeout=10)
     finally:
-        _release.set()
         first.join(10)
 
 

@@ -276,8 +276,9 @@ def test_failed_engine_fails_fast_on_next_run():
 
 def test_failed_run_does_not_strand_a_stalled_worker():
     """The split is parked on an admit gate when the leaf fails; no ack
-    will ever open it.  The failure releases it, so shutdown() joins
-    every worker instead of timing out on one and leaking its thread."""
+    will ever open it.  The failure releases it: its handle lets go of
+    the body, and shutdown() stops the loop at once instead of timing
+    out on it and leaking its thread."""
     class TGatedFan(SplitOperation):
         in_types = (TJob,)
         out_types = (TItem,)
@@ -304,13 +305,16 @@ def test_failed_run_does_not_strand_a_stalled_worker():
     )
     with pytest.raises(ValueError, match="leaf failed"):
         engine.run(g, TJob(5), timeout=10)
-    threads = [w.os_thread for w in engine._workers.values()]
-    assert len(threads) == 2
+    handles = list(engine._workers.values())
+    assert len(handles) == 2
+    loop_thread = engine._io_loop._thread
     t0 = time.monotonic()
     engine.shutdown()
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"shutdown took {elapsed:.3f}s"
-    assert not any(t.is_alive() for t in threads)
+    assert not loop_thread.is_alive()
+    (split,) = [h for h in handles if h.collection is main]
+    assert split.steps is None
 
 
 def test_idle_worker_lets_go_of_its_last_token():
@@ -336,8 +340,28 @@ def test_idle_worker_lets_go_of_its_last_token():
     )
     with engine:
         assert engine.run(g, TJob(3)).total == 5
-        deadline = time.monotonic() + 5
-        while any(ref() is not None for ref in refs):
-            assert time.monotonic() < deadline, "the idle worker kept a token"
-            time.sleep(0.001)
+        engine._call(lambda: None)  # the loop has finished the run's pass
+        assert all(ref() is None for ref in refs), \
+            "the idle worker kept a token"
     assert len(refs) == 3
+
+
+def test_one_os_thread_hosts_every_dps_thread():
+    """Every DPS thread is a handle on the engine's one loop: a run over
+    five of them on three logical nodes starts one OS thread, and
+    shutdown stops it."""
+    before = threading.active_count()
+    engine = ThreadedEngine()
+    main = ThreadCollection(TMain, "one-main").map("hostA")
+    work = ThreadCollection(TWork, "one-work").map("hostB*2 hostC*2")
+    g = Flowgraph(
+        FlowgraphNode(TFan, main)
+        >> FlowgraphNode(TSquare, work, RoundRobinRoute)
+        >> FlowgraphNode(TCollect, main),
+        "one-loop",
+    )
+    assert engine.run(g, TJob(8)).total == sum(i * i for i in range(8))
+    assert len(engine._workers) == 5
+    assert threading.active_count() == before + 1
+    engine.shutdown()
+    assert threading.active_count() == before
