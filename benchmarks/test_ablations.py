@@ -190,23 +190,22 @@ def test_ablation_local_delivery(benchmark):
     paper's multi-kernel-per-host debugging pays loopback + full
     serialization; separate machines pay the physical wire."""
     from repro.apps.strings import StringToken, build_uppercase_graph
-    from repro.runtime.kernel import KernelEnvironment, KernelSpec
 
-    def run_layout(kernels, worker_mapping):
-        env = KernelEnvironment(kernels)
-        graph, *_ = build_uppercase_graph(kernels[0].name, worker_mapping)
-        env.engine.register_graph(graph)
-        env.engine.prelaunch()
-        return env.engine.run(graph, StringToken("y" * 120)).makespan
+    def run_layout(nodes, worker_mapping):
+        engine = SimEngine(ClusterSpec(nodes))
+        graph, *_ = build_uppercase_graph(nodes[0].name, worker_mapping)
+        engine.register_graph(graph)
+        engine.prelaunch()
+        return engine.run(graph, StringToken("y" * 120)).makespan
 
     def sweep():
-        same_kernel = run_layout([KernelSpec("k1", host="pc")], "k1*2")
+        same_kernel = run_layout((NodeSpec("k1", host="pc"),), "k1*2")
         debug = run_layout(
-            [KernelSpec("k1", host="pc"), KernelSpec("k2", host="pc")],
+            (NodeSpec("k1", host="pc"), NodeSpec("k2", host="pc")),
             "k2*2",
         )
         wire = run_layout(
-            [KernelSpec("k1", host="pc1"), KernelSpec("k2", host="pc2")],
+            (NodeSpec("k1", host="pc1"), NodeSpec("k2", host="pc2")),
             "k2*2",
         )
         return same_kernel, debug, wire

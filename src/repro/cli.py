@@ -269,7 +269,6 @@ def _join(args) -> int:
     Blocks until the cluster orders shutdown (Ctrl-C to leave early —
     the cluster then treats it as a failure and recovers).
     """
-    import threading
     import zlib
 
     import numpy as np
@@ -303,8 +302,7 @@ def _join(args) -> int:
     ordinal = 1_000_000 + (zlib.crc32(name.encode("utf-8")) % 1_000_000)
     print(f"joining cluster at {address[0]}:{address[1]} as {name!r} "
           f"(ordinal {ordinal}); Ctrl-C to leave")
-    run_kernel_process(name, ordinal, address, peers, graphs,
-                       ready=threading.Event(), recover=True,
+    run_kernel_process(name, ordinal, address, peers, graphs, recover=True,
                        heartbeat_interval=0.25)
     return 0
 

@@ -702,8 +702,10 @@ class DistributedKernel(ThreadedEngine):
                                 timeout)
         return self._hand_over(lambda reply: self._drive(steps, reply))
 
-    def _rebalance(self, joined: List[str], retired: List[str],
-                   depths: Optional[Dict[str, int]], timeout: float):
+    def _rebalance(self, joined: Iterable[str] = (),
+                   retired: Iterable[str] = (),
+                   depths: Optional[Dict[str, int]] = None,
+                   timeout: float = 30.0):
         t0 = time.monotonic()
         self._rebalancing = True
         try:
@@ -976,7 +978,10 @@ def run_kernel_process(name: str, ordinal: int,
     """Child-process main for one kernel (forked by MultiprocessEngine).
 
     The kernel's loop runs on this thread, the process's only one, until
-    ``MSG_SHUTDOWN`` has flushed and closed every peer channel.  With
+    ``MSG_SHUTDOWN`` has flushed and closed every peer channel.  *ready*,
+    the write end of a pipe, gets one message once the kernel has
+    registered and is closed; end-of-file without it tells the parent
+    the kernel exited first.  With
     *trace* set, the kernel records into a process-local tracer and
     metrics registry; the console pulls both through ``MSG_TRACE_FLUSH``
     before the shutdown barrier and merges them into one timeline.
@@ -997,7 +1002,8 @@ def run_kernel_process(name: str, ordinal: int,
         kernel.register_graph(graph)
     kernel._open()
     if ready is not None:
-        ready.set()
+        ready.send_bytes(b"ready")
+        ready.close()
     try:
         kernel._io_loop.run()
     finally:

@@ -1,4 +1,4 @@
-"""Execution engines and runtime environment for DPS schedules."""
+"""Execution engines for DPS schedules."""
 
 from typing import Union
 
@@ -19,7 +19,6 @@ from .base import (
 )
 from .checkpoint import Checkpoint, CheckpointManager
 from .controller import KernelFailure, ScheduleError, SimController
-from .kernel import KernelEnvironment, KernelSpec, NameServer
 from .multiprocess_engine import MultiprocessEngine
 from .scaling import ScalingPolicy
 from .sim_engine import SimEngine
@@ -33,10 +32,7 @@ __all__ = [
     "CheckpointManager",
     "Engine",
     "FaultPolicy",
-    "KernelEnvironment",
     "KernelFailure",
-    "KernelSpec",
-    "NameServer",
     "DATA_HEADER_BYTES",
     "DataEnvelope",
     "ENGINE_KINDS",

@@ -16,8 +16,9 @@ no thread instances; it only initiates activations and collects their
 results, so ``engine.run(graph, token)`` behaves exactly like the other
 engines and the example applications run unmodified.  The console's
 state is its loop's: ``run`` hands the activation to the loop and waits
-for its ``RunResult``, read there as the activation completes, and
-the membership verbs hand their rebalance over the same way.
+for its ``RunResult``, read there as the activation completes.  Joins,
+retires and admissions are control coroutines on the same loop, one at
+a time, so the process table is the loop's too.
 
 Because each kernel is a separate interpreter, CPython's GIL no longer
 serializes compute: CPU-bound operations genuinely run in parallel
@@ -27,25 +28,26 @@ Child processes are created with the ``fork`` start method so that
 graphs, operation classes and thread classes defined anywhere (including
 test function scopes) are inherited without pickling; the engine
 therefore requires a platform with ``fork`` (Linux, macOS under the fork
-method) and must fork the kernels *before* the console kernel starts its
-I/O loop.  The engine itself starts no standing thread: child exits
-(process sentinels), lease expiry and autoscale decisions are readers
-and timers on that loop.
+method) and forks the first kernels *before* the console kernel starts
+its I/O loop; a joiner is forked on that loop.  The engine starts no
+thread: a child's ready pipe and exit sentinel are readers on that loop,
+and lease expiry and autoscale decisions are timers there.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import threading
+import multiprocessing.connection
 import time
 import weakref
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.flowcontrol import FlowControlPolicy, StreamPolicy
 from ..core.graph import Flowgraph
 from ..core.routing import RoutingPolicy
 from ..net.connections import TransportPolicy
-from ..net.kernel import CONSOLE_KERNEL, DistributedKernel, run_kernel_process
+from ..net.kernel import CONSOLE_KERNEL, DistributedKernel, _Wait, \
+    run_kernel_process
 from ..net.nameserver import run_name_server
 from ..net.recovery import FaultPolicy
 from ..serial.token import Token
@@ -74,6 +76,20 @@ def _reap_processes(procs: List[multiprocessing.process.BaseProcess]) -> None:
                 proc.join(timeout=2)
         except Exception:
             pass  # best-effort: reaping must never raise during teardown
+
+
+def _once_readable(console: DistributedKernel, fd: int,
+                   fn: Callable[[], None]) -> None:
+    """Call *fn* on the console's loop the first time *fd* is readable,
+    then resume the control coroutines whose wait that satisfied."""
+    loop = console._io_loop
+
+    def readable() -> None:
+        loop.remove_reader(fd)
+        fn()
+        console._recheck()
+
+    loop.add_reader(fd, readable)
 
 
 class MultiprocessEngine(Engine):
@@ -124,11 +140,9 @@ class MultiprocessEngine(Engine):
         #: autoscaling stays off and membership changes only happen
         #: through explicit :meth:`add_kernel`/:meth:`retire_kernel`.
         self.scaling = scaling
-        # elastic membership bookkeeping, guarded by _proc_lock (the
-        # console's loop, membership threads and user calls race on these)
-        self._proc_lock = threading.Lock()
-        #: one-shot thread of the membership operation a tick started
-        self._member_op: Optional[threading.Thread] = None
+        # Membership bookkeeping and the process table are the console
+        # loop's once it runs.  One membership operation at a time:
+        self._member_busy = False
         self._last_scale_change = 0.0
         self._next_ordinal = 1
         self._retired: set = set()
@@ -217,11 +231,9 @@ class MultiprocessEngine(Engine):
             self._next_ordinal = len(kernels) + 1
             forked = [(name, self._fork_kernel(name, ordinal, peers))
                       for ordinal, name in enumerate(kernels, start=1)]
-            for name, (_, ready) in forked:
-                if not ready.wait(timeout=self.startup_timeout):
-                    raise ScheduleError(
-                        f"kernel process {name!r} failed to start within "
-                        f"{self.startup_timeout}s")
+            for name, (proc, ready) in forked:
+                ready.poll(self.startup_timeout)  # no loop runs yet
+                self._check_ready(name, proc, ready)
 
             console = self._make_console(ns_address, peers)
             for graph in graphs:
@@ -232,8 +244,6 @@ class MultiprocessEngine(Engine):
             self.shutdown()
             raise
 
-        # No standing engine thread: process exits, lease expiry and
-        # scaling decisions are readers and timers on the console's loop.
         for name, proc in self._kernel_procs.items():
             self._watch(console, name, proc)
         if self.heartbeat_interval > 0:
@@ -246,21 +256,39 @@ class MultiprocessEngine(Engine):
         return console
 
     def _fork_kernel(self, name: str, ordinal: int, peers: List[str]):
-        """Fork one kernel process; returns it with its ready event."""
-        ready = self._mp.Event()
+        """Fork one kernel process; returns it with the read end of its
+        ready pipe, which the kernel writes once it has registered."""
+        ready, ready_w = self._mp.Pipe(duplex=False)
         proc = self._mp.Process(
             target=run_kernel_process,
             args=(name, ordinal, self.ns_address, peers,
-                  list(self._graphs.values()), self.policy, ready,
+                  list(self._graphs.values()), self.policy, ready_w,
                   self.tracer is not None or self.metrics is not None,
                   self.transport, self.recover, self.faults,
                   self.heartbeat_interval, self.routing, self.stream),
             name=f"dps-kernel:{name}", daemon=True)
         proc.start()
-        with self._proc_lock:
-            self._kernel_procs[name] = proc
-            self._orphans.append(proc)
+        ready_w.close()  # the child's now: end-of-file means it exited
+        self._kernel_procs[name] = proc
+        self._orphans.append(proc)
         return proc, ready
+
+    def _check_ready(self, name: str, proc, ready) -> None:
+        """Raise unless *proc* said it is ready on *ready*, which by now
+        is readable or has timed out; a kernel that is not is reaped."""
+        try:
+            if ready.poll():
+                ready.recv_bytes()
+                return
+            problem = f"failed to start within {self.startup_timeout}s"
+        except EOFError:
+            problem = "exited before it was ready"
+        finally:
+            ready.close()
+        _reap_processes([proc])
+        self._kernel_procs.pop(name, None)
+        raise ScheduleError(f"kernel process {name!r} {problem} "
+                            f"(exitcode {proc.exitcode})")
 
     def _make_console(self, ns_address, peers) -> DistributedKernel:
         """Build the driver-side console kernel (ServiceEngine overrides
@@ -278,17 +306,13 @@ class MultiprocessEngine(Engine):
             routing=self.routing, stream=self.stream)
 
     def _watch(self, console: DistributedKernel, name: str, proc) -> None:
-        """Report *proc*'s exit to the console: the process sentinel is
-        a reader on the console's loop."""
-        loop = console._io_loop
-
+        """Report *proc*'s exit to the console (a retire waits for it)."""
         def exited() -> None:
-            loop.remove_reader(proc.sentinel)
             if name not in self._retired and not self._closed:
                 console.handle_kernel_down(
                     name, f"exitcode {proc.exitcode}", propagate=False)
 
-        loop.add_reader(proc.sentinel, exited)
+        _once_readable(console, proc.sentinel, exited)
 
     def _liveness_tick(self) -> None:
         """Console-loop timer: poll the name server's heartbeat leases.
@@ -308,7 +332,7 @@ class MultiprocessEngine(Engine):
         except Exception:
             return  # name server is gone: teardown in progress
         self._admit_external(console)
-        members = self.members()
+        members = self._members()
         for entry in expired:
             name = entry["name"]
             # Leases of non-members expire too: the console registers
@@ -332,27 +356,44 @@ class MultiprocessEngine(Engine):
         """Heartbeat-reported queue depths per kernel, or ``None`` when
         the name server cannot be reached (rebalance then falls back to
         load-oblivious spreading)."""
-        console = self._console
-        if console is None:
-            return None
         try:
-            depths = console._ns.loads()
+            depths = self._console._ns.loads()
         except Exception:
             return None
         depths.pop(CONSOLE_KERNEL, None)
         return depths
 
-    def _start_membership(self, op, *args) -> None:
-        """Run what a tick decided on — :meth:`add_kernel`,
-        :meth:`retire_kernel`, admitting a CLI joiner — on a one-shot
-        thread: each waits for its rebalance on the console's loop, and
-        :meth:`add_kernel` for a forked child to come up, which a timer
-        callback must never do.  One at a time; while one is in flight,
-        ticks start nothing."""
-        if self._member_op is None or not self._member_op.is_alive():
-            self._member_op = threading.Thread(
-                target=op, args=args, name="dps-membership", daemon=True)
-            self._member_op.start()
+    def _start_membership(self, console: DistributedKernel, steps) -> None:
+        """Drive what a tick decided on, unless a membership operation is
+        in flight: then a later tick decides again.  What it raises is
+        dropped (mid-recovery or teardown; a later tick retries)."""
+        if not self._member_busy:
+            console._drive(self._in_turn(console, steps),
+                           lambda outcome: None)
+
+    def _in_turn(self, console: DistributedKernel, steps):
+        """Run membership coroutine *steps* once no other one is in
+        flight: two at once would share the console's member barrier."""
+        while self._member_busy:  # that one's own deadlines bound it
+            yield _Wait(lambda: not self._member_busy, 1.0)
+        self._member_busy = True
+        try:
+            return (yield from steps)
+        finally:
+            self._member_busy = False
+            console._io_loop.call(console._recheck)
+
+    def _membership(self, op: Callable, *args) -> Any:
+        """Run ``op(console, *args)`` on the console's loop after any
+        membership operation in flight, and wait for its outcome.  A
+        join's fork holds that loop while it lasts; a call from the
+        loop's own thread is refused."""
+        console = self._ensure_started()
+        if console._io_loop.on_loop_thread():
+            raise ScheduleError("a membership operation cannot be called "
+                                "from the console's own loop")
+        steps = self._in_turn(console, op(console, *args))
+        return console._hand_over(lambda reply: console._drive(steps, reply))
 
     def _admit_external(self, console: DistributedKernel) -> None:
         """Admit CLI joiners: any kernel registered with our name server
@@ -365,29 +406,29 @@ class MultiprocessEngine(Engine):
         period for membership.
         """
         registered = set(self._poll_depths() or ())
-        with self._proc_lock:
-            strangers = sorted(registered - set(self._kernel_procs)
-                               - self._external_kernels - self._retired)
+        strangers = sorted(registered - set(self._kernel_procs)
+                           - self._external_kernels - self._retired)
         if strangers and not (console._rebalancing or console._dead_kernels):
-            self._start_membership(self._admit, console, strangers)
+            self._start_membership(console, self._admit(console, strangers))
 
-    def _admit(self, console: DistributedKernel,
-               strangers: List[str]) -> None:
+    def _admit(self, console: DistributedKernel, strangers: List[str]):
         for name in strangers:
             try:
-                console.rebalance(joined=[name], depths=self._poll_depths())
+                yield from console._rebalance(joined=[name],
+                                              depths=self._poll_depths())
             except Exception:
                 continue  # joiner died before admission; retry or forget
-            with self._proc_lock:
-                self._external_kernels.add(name)
+            self._external_kernels.add(name)
 
     def members(self) -> Tuple[str, ...]:
         """Live kernel names (sorted), excluding the console."""
         if self._console is None:
             return tuple(self.kernel_names)
-        with self._proc_lock:
-            live = (set(self._kernel_procs) | self._external_kernels) \
-                - self._retired
+        return self._console._call(self._members)
+
+    def _members(self) -> Tuple[str, ...]:
+        live = (set(self._kernel_procs) | self._external_kernels) \
+            - self._retired
         return tuple(sorted(live))
 
     def add_kernel(self, node_name: Optional[str] = None) -> str:
@@ -398,33 +439,37 @@ class MultiprocessEngine(Engine):
         in-flight activations, ships the migrating thread instances (and
         their state) over, and replays journaled split boundaries — the
         next :meth:`run` produces bit-identical results on the grown
-        cluster.  Returns the new kernel's name.
+        cluster.  Returns the new kernel's name.  Waits for any
+        membership operation in flight (see :meth:`_membership`).
         """
-        console = self._ensure_started()
-        with self._proc_lock:
-            if node_name is None:
-                i = 1
-                used = set(self._kernel_procs) | self._external_kernels \
-                    | self._retired | set(self.kernel_names)
-                while f"node{i:02d}" in used:
-                    i += 1
-                node_name = f"node{i:02d}"
-            elif (node_name in self._kernel_procs
-                    or node_name in self._external_kernels):
-                raise ValueError(f"kernel {node_name!r} is already a member")
-            ordinal = self._next_ordinal
-            self._next_ordinal += 1
+        return self._membership(self._join, node_name)
+
+    def _join(self, console: DistributedKernel, node_name: Optional[str]):
+        if node_name is None:
+            i = 1
+            used = set(self._kernel_procs) | self._external_kernels \
+                | self._retired | set(self.kernel_names)
+            while f"node{i:02d}" in used:
+                i += 1
+            node_name = f"node{i:02d}"
+        elif (node_name in self._kernel_procs
+                or node_name in self._external_kernels):
+            raise ValueError(f"kernel {node_name!r} is already a member")
+        ordinal = self._next_ordinal
+        self._next_ordinal += 1
         proc, ready = self._fork_kernel(
-            node_name, ordinal, [CONSOLE_KERNEL, *self.members(), node_name])
-        if not ready.wait(timeout=self.startup_timeout):
-            _reap_processes([proc])
-            with self._proc_lock:
-                self._kernel_procs.pop(node_name, None)
-            raise ScheduleError(
-                f"joining kernel {node_name!r} failed to start within "
-                f"{self.startup_timeout}s")
+            node_name, ordinal, [CONSOLE_KERNEL, *self._members(), node_name])
+        # Ready or exited, the pipe turns readable; it may close only
+        # once its reader has fired (or was removed: timed out).
+        fired: List[bool] = []
+        _once_readable(console, ready.fileno(), lambda: fired.append(True))
+        yield _Wait(lambda: bool(fired), self.startup_timeout)
+        if not fired:
+            console._io_loop.remove_reader(ready.fileno())
+        self._check_ready(node_name, proc, ready)
         self._watch(console, node_name, proc)
-        console.rebalance(joined=[node_name], depths=self._poll_depths())
+        yield from console._rebalance(joined=[node_name],
+                                      depths=self._poll_depths())
         return node_name
 
     def retire_kernel(self, node_name: str) -> int:
@@ -433,32 +478,29 @@ class MultiprocessEngine(Engine):
         The console quiesces, migrates the kernel's thread instances
         (with state) onto the survivors, and only then orders the
         process to exit — no journal replay, no recovery storm.  Returns
-        the number of thread instances that moved off.
+        the number of thread instances that moved off.  Waits for any
+        membership operation in flight (see :meth:`_membership`).
         """
-        console = self._ensure_started()
-        with self._proc_lock:
-            proc = self._kernel_procs.get(node_name)
-            external = node_name in self._external_kernels
-        if proc is None and not external:
+        return self._membership(self._retire, node_name)
+
+    def _retire(self, console: DistributedKernel, node_name: str):
+        proc = self._kernel_procs.get(node_name)
+        if proc is None and node_name not in self._external_kernels:
             raise ValueError(
                 f"unknown kernel {node_name!r}; members: "
-                f"{list(self.members())}")
-        moved = console.rebalance(retired=[node_name],
-                                  depths=self._poll_depths())
+                f"{list(self._members())}")
+        moved = yield from console._rebalance(retired=[node_name],
+                                              depths=self._poll_depths())
         # Mark retired BEFORE ordering shutdown so the exit sentinel and
         # the liveness tick treat the exit as voluntary, not a failure.
-        with self._proc_lock:
-            self._retired.add(node_name)
-            self._external_kernels.discard(node_name)
-        try:
-            console.request_shutdown(node_name)
-        except Exception:
-            pass  # already gone; the rebalance has moved everything off
-        if proc is not None:
-            proc.join(timeout=10)
-            _reap_processes([proc])
-            with self._proc_lock:
-                self._kernel_procs.pop(node_name, None)
+        self._retired.add(node_name)
+        self._external_kernels.discard(node_name)
+        console.request_shutdown(node_name)
+        if proc is not None:  # woken by the exit sentinel's reader
+            yield _Wait(lambda: bool(multiprocessing.connection.wait(
+                [proc.sentinel], 0)), 10.0)
+            _reap_processes([proc])  # still there after 10 s: killed
+            self._kernel_procs.pop(node_name, None)
         return moved
 
     def _autoscale_tick(self) -> None:
@@ -477,38 +519,30 @@ class MultiprocessEngine(Engine):
         depths = self._poll_depths()
         if depths is None:
             return
-        with self._proc_lock:
-            shrink_candidates = [k for k in self._elastic_kernels
-                                 if k in self._kernel_procs
-                                 and k not in self._retired]
-        decision = self.scaling.decide(len(self.members()), depths,
+        shrink_candidates = [k for k in self._elastic_kernels
+                             if k in self._kernel_procs
+                             and k not in self._retired]
+        decision = self.scaling.decide(len(self._members()), depths,
                                        self._last_scale_change,
                                        time.monotonic())
         # (a no-op while an earlier operation is still in flight)
         if decision == "grow":
-            self._start_membership(self._grow)
+            self._start_membership(console, self._grow(console))
         elif decision == "shrink" and shrink_candidates:
-            self._start_membership(self._shrink, shrink_candidates[-1])
+            self._start_membership(
+                console, self._shrink(console, shrink_candidates[-1]))
         console._io_loop.call_later(max(self.heartbeat_interval, 0.05),
                                     self._autoscale_tick)
 
-    def _grow(self) -> None:
-        try:
-            name = self.add_kernel()
-        except Exception:
-            return  # mid-recovery or teardown; a later tick decides again
-        with self._proc_lock:
-            self._elastic_kernels.append(name)
+    def _grow(self, console: DistributedKernel):
+        name = yield from self._join(console, None)
+        self._elastic_kernels.append(name)
         self._last_scale_change = time.monotonic()
 
-    def _shrink(self, name: str) -> None:
-        try:
-            self.retire_kernel(name)
-        except Exception:
-            return
-        with self._proc_lock:
-            if name in self._elastic_kernels:
-                self._elastic_kernels.remove(name)
+    def _shrink(self, console: DistributedKernel, name: str):
+        yield from self._retire(console, name)
+        if name in self._elastic_kernels:
+            self._elastic_kernels.remove(name)
         self._last_scale_change = time.monotonic()
 
     def collect_traces(self, timeout: float = 5.0) -> List[str]:
@@ -528,12 +562,19 @@ class MultiprocessEngine(Engine):
         """Kernels that can still answer the console: running and not
         declared down.  Asking one that exited or hangs makes the
         console dial a name nobody holds and wait out a timeout.  A copy
-        made under ``_proc_lock``: membership threads resize the table."""
-        with self._proc_lock:
-            procs = dict(self._kernel_procs)
-        dead = console._call(lambda: set(console._dead_kernels))
-        return {name: proc for name, proc in procs.items()
-                if proc.is_alive() and name not in dead}
+        made on the console's loop, where a join or retire resizes the
+        table."""
+        return console._call(lambda: {
+            name: proc for name, proc in self._kernel_procs.items()
+            if proc.is_alive() and name not in console._dead_kernels})
+
+    def _procs(self) -> Dict[str, multiprocessing.process.BaseProcess]:
+        """A copy of the process table, made on the console's loop once
+        there is one."""
+        console = self._console
+        if console is None:
+            return dict(self._kernel_procs)
+        return console._call(lambda: dict(self._kernel_procs))
 
     def shutdown(self) -> None:
         """Tear the cluster down: shutdown barrier, then the processes."""
@@ -563,9 +604,7 @@ class MultiprocessEngine(Engine):
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
         # Whoever is left was never asked (no console; exited or hung)
         # or is deaf to it.
-        with self._proc_lock:
-            leftover = list(self._kernel_procs.values())
-        _reap_processes(leftover)
+        _reap_processes(list(self._procs().values()))
         if console is not None:
             console.shutdown()
             self._console = None
@@ -594,11 +633,12 @@ class MultiprocessEngine(Engine):
         :class:`~repro.runtime.controller.KernelFailure`.  Returns the
         number of thread instances that lived on the killed kernel.
         """
-        proc = self._kernel_procs.get(node_name)
+        procs = self._procs()
+        proc = procs.get(node_name)
         if proc is None:
             raise ValueError(
                 f"unknown kernel {node_name!r}; running kernels: "
-                f"{sorted(self._kernel_procs)}")
+                f"{sorted(procs)}")
         lost = 0
         seen = set()
         for graph in self._graphs.values():

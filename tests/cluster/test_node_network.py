@@ -247,6 +247,14 @@ def test_loopback_between_co_hosted_nodes():
     assert cluster2.network.loopback_messages == 0
     assert t_loopback < t_wire  # loopback is faster than the physical wire
 
+    sim3 = Simulator()
+    cluster3 = Cluster(sim3, spec)
+    cluster3.network.transfer(cluster3.node("k1"), cluster3.node("k1"),
+                              100_000)
+    t_same_node = sim3.run()
+    # same node (a pointer pass) < loopback < physical wire
+    assert t_same_node < t_loopback < t_wire
+
 
 def test_tx_extra_occupies_sender_nic():
     sim, cluster = make_cluster(2, bandwidth=1e6, latency=0.0,

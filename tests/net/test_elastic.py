@@ -13,6 +13,7 @@ and a retire racing the liveness loop's heartbeat-expiry observation.
 
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from repro.apps.gameoflife import DistributedGameOfLife, life_step
 from repro.apps.ring import RingJobToken, build_ring_graph
 from repro.net.kernel import CONSOLE_KERNEL
 from repro.net.nameserver import NameServerClient
-from repro.runtime import KernelFailure, MultiprocessEngine
+from repro.runtime import KernelFailure, MultiprocessEngine, ScheduleError
+from repro.runtime import multiprocess_engine
 
 RING_NODES = ["node01", "node02", "node03", "node04"]
 BLOCK_BYTES = 1024
@@ -113,6 +115,87 @@ def test_membership_argument_errors():
             engine.retire_kernel("node99")
 
 
+def test_a_kernel_that_exits_before_it_is_ready_fails_at_once(monkeypatch):
+    """A kernel that exits before it registers closes its ready pipe:
+    the first start and a join both fail at once with its exit code,
+    not after ``startup_timeout`` (30 s by default)."""
+    real = multiprocess_engine.run_kernel_process
+    doomed = {"node02"}
+
+    def run_or_exit(name, *args, **kwargs):
+        if name in doomed:
+            raise SystemExit(3)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocess_engine, "run_kernel_process",
+                        run_or_exit)
+    graph = build_ring_graph(["node01", "node02"])
+    with MultiprocessEngine() as engine:
+        engine.register_graph(graph)
+        t0 = time.monotonic()
+        with pytest.raises(ScheduleError, match=r"'node02' exited before "
+                           r"it was ready \(exitcode 3\)"):
+            engine.run(graph, RingJobToken(256, 2), timeout=60)
+        assert time.monotonic() - t0 < 2.0
+
+    doomed = {"node03"}
+    with MultiprocessEngine() as engine:
+        engine.register_graph(graph)
+        engine.run(graph, RingJobToken(256, 2), timeout=60)
+        t0 = time.monotonic()
+        with pytest.raises(ScheduleError, match=r"'node03' exited before "
+                           r"it was ready \(exitcode 3\)"):
+            engine.add_kernel("node03")
+        assert time.monotonic() - t0 < 2.0
+        assert engine.members() == ("node01", "node02")
+        assert engine.run(graph, RingJobToken(256, 2), timeout=60).blocks == 2
+
+
+def test_overlapping_retires_do_not_share_a_member_barrier():
+    """Two retires called while a run is in flight take their turns on
+    the console's loop: neither barrier's replies are dropped as stale
+    (the second would otherwise restart the barrier the first waits
+    on), and the run keeps every block."""
+    graph = build_ring_graph(RING_NODES)
+    with MultiprocessEngine() as engine:
+        engine.register_graph(graph)
+        engine.run(graph, RingJobToken(256, 4), timeout=60)
+        console = engine._console
+        replies, dropped = [], []
+        barrier_done = console._barrier_done
+
+        def spy(peer, epoch, count=None):  # runs on the console's loop
+            replies.append(peer)
+            if epoch != console._barrier_epoch:
+                dropped.append((peer, epoch))
+            barrier_done(peer, epoch, count)
+
+        console._call(lambda: setattr(console, "_barrier_done", spy))
+        outcomes = {}
+
+        def call(key, fn, *args):
+            outcomes[key] = fn(*args)
+
+        run = threading.Thread(target=call, args=(
+            "run", engine.run, graph, RingJobToken(256, 3000), 120))
+        run.start()
+        while not console._call(lambda: console._active_runs):
+            time.sleep(0.001)
+        retires = [threading.Thread(target=call, args=(
+            name, engine.retire_kernel, name)) for name in
+            ("node03", "node04")]
+        for thread in retires:
+            thread.start()
+        for thread in (run, *retires):
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+
+        assert replies and not dropped
+        assert outcomes["run"].blocks == 3000
+        assert outcomes["node03"] >= 1 and outcomes["node04"] >= 1
+        assert engine.members() == ("node01", "node02")
+
+
 # ---------------------------------------------------------------------------
 # lease edge cases
 # ---------------------------------------------------------------------------
@@ -182,28 +265,40 @@ def test_admission_deferred_while_barrier_in_flight():
             on_console(lambda: setattr(console, "_rebalancing", held))
 
         try:
-            calls = []
-            console.rebalance = lambda **kw: calls.append(kw) or 0
+            calls, threads = [], []
+
+            def moved_nothing():
+                return 0
+                yield
+
+            def recorded(joined=(), retired=(), depths=None, timeout=30.0):
+                # where the rebalance is made; the coroutine moves nothing
+                calls.append({"joined": joined, "retired": retired})
+                threads.append(threading.current_thread().name)
+                return moved_nothing()
+
+            console._rebalance = recorded
 
             gate(True)
             tick()
-            assert engine._member_op is None  # deferred: nothing started
+            assert not calls  # deferred: nothing started
             assert ghost.name not in engine._external_kernels
 
-            # The tick only decides; the barrier runs on a one-shot thread.
+            # The tick decides, and the admission runs on the console's
+            # loop, as a coroutine its tick drives.
             gate(False)
             tick()
-            engine._member_op.join(timeout=10)
-            assert not engine._member_op.is_alive()
+            assert threads == ["dps-io:__driver__"]
             assert [c["joined"] for c in calls] == [[ghost.name]]
-            assert ghost.name in engine._external_kernels
+            assert ghost.name in on_console(
+                lambda: set(engine._external_kernels))
 
             # an admitted member is not a stranger: no double admission
             tick()
             assert len(calls) == 1
         finally:
-            del console.rebalance  # restore the real method
-            engine._retired.add(ghost.name)  # keep teardown quiet
+            del console._rebalance  # restore the real method
+            on_console(lambda: engine._retired.add(ghost.name))  # quiet
             ghost.close()
 
 

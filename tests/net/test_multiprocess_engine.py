@@ -245,13 +245,13 @@ def test_a_worker_flushes_before_it_closes_on_one_deadline(monkeypatch):
     listener.settimeout(5)
     with NameServer() as ns, NameServerClient(ns.address) as owner:
         owner.register(CONSOLE_KERNEL, *listener.getsockname()[:2])
-        ready = threading.Event()
+        ready, ready_w = multiprocessing.Pipe(duplex=False)
         worker = threading.Thread(
             target=run_kernel_process,
             args=("node01", 1, ns.address, [CONSOLE_KERNEL, "node01"], []),
-            kwargs={"ready": ready})
+            kwargs={"ready": ready_w})
         worker.start()
-        assert ready.wait(timeout=10)
+        assert ready.poll(10) and ready.recv_bytes()
         with socket.create_connection(owner.lookup("node01")) as sock:
             t0 = time.monotonic()
             send_messages(sock, [

@@ -8,7 +8,6 @@ that was never shut down has a ``weakref.finalize`` backstop.
 """
 
 import multiprocessing
-import threading
 import time
 
 import pytest
@@ -194,9 +193,9 @@ class _ExitingProc:
 
 
 class _ResizingConsole:
-    """Console stand-in whose trace pull walks its peers while a second
-    thread grows the engine's kernel table under ``_proc_lock`` — what
-    a membership thread's ``add_kernel`` does mid-run."""
+    """Console stand-in whose trace pull walks its peers and grows the
+    engine's kernel table between two of them — what a join on the
+    console's loop does between two of the loop's callbacks."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -213,17 +212,10 @@ class _ResizingConsole:
         seen = []
         for peer in peers:
             if not seen:
-                grower = threading.Thread(target=self._grow)
-                grower.start()
-                grower.join(timeout=10)
-                assert not grower.is_alive(), "pull held _proc_lock"
+                self.engine._kernel_procs["late"] = _ExitingProc()
             seen.append(peer)
         self.pulls.append(seen)
         return []
-
-    def _grow(self):
-        with self.engine._proc_lock:
-            self.engine._kernel_procs["late"] = _ExitingProc()
 
     def request_shutdown(self, name):
         pass

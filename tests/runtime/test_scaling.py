@@ -78,19 +78,23 @@ def test_autoscaler_grows_and_shrinks_only_elastic_kernels():
         depths = {"value": {n: 20 for n in nodes}}
         engine._poll_depths = lambda: dict(depths["value"])
 
+        def elastic():  # the autoscaler's bookkeeping is the loop's
+            return engine._console._call(
+                lambda: list(engine._elastic_kernels))
+
         deadline = time.time() + 15
-        while not engine._elastic_kernels and time.time() < deadline:
+        while not elastic() and time.time() < deadline:
             time.sleep(0.05)
-        assert engine._elastic_kernels, "autoscaler never grew"
-        grown = list(engine._elastic_kernels)
+        assert elastic(), "autoscaler never grew"
+        grown = elastic()
         assert len(grown) == 1  # capped by max_kernels=3
         assert set(engine.members()) == set(nodes) | set(grown)
 
         depths["value"] = {n: 0 for n in engine.members()}
         deadline = time.time() + 15
-        while engine._elastic_kernels and time.time() < deadline:
+        while elastic() and time.time() < deadline:
             time.sleep(0.05)
-        assert not engine._elastic_kernels, "autoscaler never shrank"
+        assert not elastic(), "autoscaler never shrank"
         # only its own join retired; the seed topology is untouched
         assert set(engine.members()) == set(nodes)
 
