@@ -1,128 +1,25 @@
-"""Tests for the kernel/name-server runtime environment (paper §4)."""
-
-import pytest
+"""Tests for kernels co-hosted on one machine (paper §4's debug setup)."""
 
 from repro.apps.strings import StringToken, build_uppercase_graph
-from repro.cluster import NetworkSpec
-from repro.runtime.kernel import (
-    KernelEnvironment,
-    KernelSpec,
-    NameServer,
-    cluster_from_kernels,
-)
+from repro.cluster import ClusterSpec, NetworkSpec, NodeSpec
+from repro.runtime.sim_engine import SimEngine
 
 
-# ---------------------------------------------------------------------------
-# name server
-# ---------------------------------------------------------------------------
-
-def test_register_and_lookup():
-    ns = NameServer()
-    ns.register(KernelSpec("k1", host="pc1"))
-    ns.register(KernelSpec("k2", host="pc1"))
-    assert ns.lookup("k1").host == "pc1"
-    assert ns.kernels() == ["k1", "k2"]
-    assert ns.kernels_on("pc1") == ["k1", "k2"]
-    assert len(ns) == 2
-
-
-def test_duplicate_name_conflicts():
-    ns = NameServer()
-    ns.register(KernelSpec("k1", host="pc1"))
-    ns.register(KernelSpec("k1", host="pc1"))  # idempotent re-register
-    with pytest.raises(ValueError, match="already registered"):
-        ns.register(KernelSpec("k1", host="pc2"))
-
-
-def test_unregister_removes_node():
-    ns = NameServer()
-    ns.register(KernelSpec("k1"))
-    ns.unregister("k1")
-    ns.unregister("k1")  # idempotent
-    with pytest.raises(KeyError, match="no kernel named"):
-        ns.lookup("k1")
-
-
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec("")
-
-
-# ---------------------------------------------------------------------------
-# cluster construction
-# ---------------------------------------------------------------------------
-
-def test_cluster_from_kernels_hosts():
-    spec = cluster_from_kernels([
-        KernelSpec("k1", host="pc1"),
-        KernelSpec("k2", host="pc1"),
-        KernelSpec("k3", host="pc2"),
-    ])
-    hosts = {n.name: n.host for n in spec.nodes}
-    assert hosts == {"k1": "pc1", "k2": "pc1", "k3": "pc2"}
-
-
-def test_cluster_from_kernels_empty():
-    with pytest.raises(ValueError):
-        cluster_from_kernels([])
-
-
-# ---------------------------------------------------------------------------
-# kernel environment
-# ---------------------------------------------------------------------------
-
-def test_debug_environment_runs_application():
-    env = KernelEnvironment.debug(3)
-    graph, *_ = build_uppercase_graph(
-        env.mapping_for("kernel01"),
-        env.mapping_for("kernel02", "kernel03"),
-    )
-    result = env.engine.run(graph, StringToken("debug kernels"))
-    assert result.token.text == "DEBUG KERNELS"
-    # inter-kernel traffic went over loopback, not the physical wire
-    assert env.engine.cluster.network.loopback_messages > 0
-
-
-def test_mapping_for_rejects_unknown_kernel():
-    env = KernelEnvironment.debug(2)
-    with pytest.raises(KeyError, match="no kernel"):
-        env.mapping_for("kernel09")
+def _makespan(nodes, main, workers):
+    engine = SimEngine(ClusterSpec(nodes=tuple(nodes), network=NetworkSpec()))
+    graph, *_ = build_uppercase_graph(main, workers)
+    return engine.run(graph, StringToken("x" * 64)).makespan
 
 
 def test_loopback_faster_than_wire_but_not_free():
     """Co-hosted kernels communicate via loopback: faster than the wire,
     slower than a same-kernel pointer pass (the debugging trade-off)."""
-    def run_env(kernels):
-        env = KernelEnvironment(kernels)
-        graph, *_ = build_uppercase_graph(
-            kernels[0].name, " ".join(k.name for k in kernels[1:])
-        )
-        return env.engine.run(graph, StringToken("x" * 64)).makespan
-
-    two_hosts = run_env([KernelSpec("a", host="pc1"),
-                         KernelSpec("b", host="pc2")])
-    one_host = run_env([KernelSpec("a", host="pc"),
-                        KernelSpec("b", host="pc")])
-    same_kernel = run_env([KernelSpec("a", host="pc")]) if False else None
+    two_hosts = _makespan([NodeSpec("a", host="pc1"),
+                           NodeSpec("b", host="pc2")], "a", "b")
+    one_host = _makespan([NodeSpec("a", host="pc"),
+                          NodeSpec("b", host="pc")], "a", "b")
     assert one_host < two_hosts
 
     # a single kernel (pointer passes only) is faster still
-    env = KernelEnvironment([KernelSpec("solo", host="pc")])
-    graph, *_ = build_uppercase_graph("solo", "solo")
-    solo = env.engine.run(graph, StringToken("x" * 64)).makespan
+    solo = _makespan([NodeSpec("solo", host="pc")], "solo", "solo")
     assert solo < one_host
-
-
-def test_debug_environment_enforces_serialization():
-    """The debugging point of multiple kernels per host: tokens really
-    cross the wire format between kernels."""
-    env = KernelEnvironment.debug(2)
-    assert env.engine.serialize_payloads  # wire-format round trips happen
-    graph, *_ = build_uppercase_graph("kernel01", "kernel02")
-    result = env.engine.run(graph, StringToken("serialize me"))
-    assert result.token.text == "SERIALIZE ME"
-
-
-def test_environment_validation():
-    with pytest.raises(ValueError):
-        KernelEnvironment.debug(0)
