@@ -114,7 +114,7 @@ def test_pool_send_hot_path_rate(benchmark):
             pass
 
     loop = IOLoop("bench").start()
-    pool = ConnectionPool(None, loop=loop, hello_from="bench",
+    pool = ConnectionPool(None, loop=loop,
                           on_error=lambda peer, exc: None)
     pool._peers["peer"] = NullConn()
     payload = [bytearray(b"x" * 64)]

@@ -73,7 +73,7 @@ _ENGINE_COMMANDS = ("demo", "ring", "stream", "serve")
 
 #: The engine flags, by argparse dest.
 _ENGINE_FLAGS = ("no_shm", "routing", "min_kernels", "max_kernels",
-                 "kill_kernel", "drop_rate", "delay_ms", "fault_seed")
+                 "kill_kernel", "drop_rate", "fault_seed")
 
 
 def _engine_opts(args) -> dict:
@@ -100,8 +100,7 @@ def _engine_opts(args) -> dict:
                     max_kernels=args.max_kernels)
     if scaling:
         opts["scaling"] = ScalingPolicy(**scaling)
-    faults = given(drop_rate=args.drop_rate, delay_ms=args.delay_ms,
-                   seed=args.fault_seed)
+    faults = given(drop_rate=args.drop_rate, seed=args.fault_seed)
     if args.kill_kernel is not None:
         (faults["kill_kernel"], faults["kill_after"],
          faults["kill_after_messages"]) = FaultPolicy.parse_kill(
@@ -264,8 +263,9 @@ def _join(args) -> int:
     Rebuilds the serving application's graphs locally (the same
     parameters the ``serve`` command used, so graph and collection names
     line up), registers with the cluster's name server, and serves: the
-    resident engine's liveness tick spots the new lease, runs a
-    voluntary rebalance onto this kernel, and starts shipping it work.
+    resident engine's liveness tick spots the new kernel's first beat,
+    runs a voluntary rebalance onto this kernel, and starts shipping it
+    work.
     Blocks until the cluster orders shutdown (Ctrl-C to leave early —
     the cluster then treats it as a failure and recovers).
     """
@@ -282,7 +282,7 @@ def _join(args) -> int:
     address = ("127.0.0.1", args.ns_port)
     ns = NameServerClient(address)
     try:
-        peers = sorted(set(ns.loads()) | {CONSOLE_KERNEL, name})
+        peers = sorted(set(ns.kernels()) | {CONSOLE_KERNEL, name})
     finally:
         ns.close()
 
@@ -414,11 +414,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "received data frame with probability P in [0,1); "
              "deterministic per kernel from --fault-seed (multiprocess "
              "engine)",
-    )
-    eng.add_argument(
-        "--delay-ms", type=float, metavar="MS", default=None,
-        help="faults=FaultPolicy(delay_ms=MS): delay each received data "
-             "frame by up to MS milliseconds (multiprocess engine)",
     )
     eng.add_argument(
         "--fault-seed", type=int, metavar="N", default=None,

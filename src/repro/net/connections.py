@@ -64,7 +64,6 @@ class ConnectionPool:
     """
 
     def __init__(self, ns: NameServerClient, *, loop: IOLoop,
-                 hello_from: str,
                  on_error: Callable[[str, Exception], None],
                  dial_deadline: float = 15.0,
                  transport: Optional[TransportPolicy] = None,
@@ -72,7 +71,6 @@ class ConnectionPool:
                  trace: Optional[Callable] = None):
         self._ns = ns
         self._loop = loop
-        self._hello_from = hello_from
         self._on_error = on_error
         self._dial_deadline = dial_deadline
         self._transport = transport
@@ -85,7 +83,6 @@ class ConnectionPool:
         if conn is None:
             conn = self._peers[name] = EventLoopPeer(
                 name, self._ns, loop=self._loop,
-                hello_from=self._hello_from,
                 on_error=self._on_error,
                 dial_deadline=self._dial_deadline,
                 transport=self._transport,

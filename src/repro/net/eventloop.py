@@ -8,8 +8,11 @@ worker kernel process turns its loop on its main thread
 (:meth:`IOLoop.run`); the console and a client turn theirs on a
 ``dps-io`` thread of their own (:meth:`IOLoop.start`).  Nothing else in
 :mod:`repro.net` or :mod:`repro.service` accepts, reads or writes a peer
-socket; the name-server client keeps its blocking request/reply, and a
-dial's lookup is the one such call a loop makes.
+socket.  The name-server client keeps its blocking request/reply and
+belongs to its owner's loop; a loop makes such a call for a dial's
+lookup, for a service's publication and withdrawal (``expose_service``
+and ``svc_drain``, on the console's loop) and for a client's
+``discover`` (on the client's loop), and for nothing else.
 
 - **Accepts**: :meth:`IOLoop.add_listener` registers a listening socket;
   every connection it yields is handed to a callback on the loop thread,
@@ -44,9 +47,9 @@ dial's lookup is the one such call a loop makes.
   rounds a timeout up, so the loop sleeps for the whole milliseconds
   left to the deadline in epoll and for the rest in ``select(2)`` on
   the epoll descriptor, which counts in microseconds.  Whatever an
-  owner does "every so often" — heartbeat, resend aging, liveness and
+  owner does "every so often" — beat, resend aging, liveness and
   autoscale ticks, a body's ``sleep`` — is a timer here, not a thread;
-  a callback must never wait on another process.
+  a callback waits on no other process but the name server.
 - **Queued calls** run one pass's worth at a time: what a call queues in
   turn waits for the next pass, so timers and reads interleave with a
   chain of calls (a DPS thread working through its inbox).
@@ -77,7 +80,7 @@ from ..serial.wire import _FRAME_HEADER  # shared header layout
 from .framing import DEFAULT_MAX_BATCH_BYTES, MAX_SENDMSG_SEGMENTS, \
     FrameReader, _as_byte_views
 from .nameserver import NameServerError, UnknownKernel
-from .protocol import encode_hello, encode_shm_attach
+from .protocol import encode_shm_attach
 from .shm import ShmSender, host_fingerprint
 
 __all__ = ["IOLoop", "VectoredSender", "EventLoopPeer", "DialError"]
@@ -626,9 +629,9 @@ class EventLoopPeer:
     as ``EVENT_WRITE``, and — while the peer is not registered or not
     listening yet — backoff timers on the loop's clock until
     *dial_deadline*, when the dial fails with :class:`DialError`.
-    ``MSG_HELLO`` (and ``MSG_SHM_ATTACH``) are the first frames of the
-    sender, ahead of the outbox.  When the peer's registered host
-    fingerprint matches ours, messages with a segment of
+    When the peer's registered host fingerprint matches ours,
+    ``MSG_SHM_ATTACH`` is the sender's first frame, ahead of the outbox,
+    and from then on messages with a segment of
     threshold size take the :mod:`~repro.net.shm` shared-memory lane
     whole and only their descriptor frames hit the TCP stack.  Transport
     errors are reported once through *on_error*, always on the loop thread;
@@ -642,7 +645,6 @@ class EventLoopPeer:
     """
 
     def __init__(self, peer_name: str, ns, *, loop: IOLoop,
-                 hello_from: str,
                  on_error: Callable[[str, Exception], None],
                  dial_deadline: float = 15.0,
                  transport=None,
@@ -652,7 +654,6 @@ class EventLoopPeer:
         self.peer_name = peer_name
         self._ns = ns
         self._loop = loop
-        self._hello_from = hello_from
         self._on_error = on_error
         self._dial_deadline = dial_deadline
         self._transport = transport if transport is not None \
@@ -864,7 +865,6 @@ class EventLoopPeer:
                 self._dial_failed(OSError(err, os.strerror(err)))
             return
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sender.push(encode_hello(self._hello_from))
         policy = self._transport
         if (policy.shm_enabled
                 and meta.get("fingerprint") == host_fingerprint()):
@@ -875,8 +875,8 @@ class EventLoopPeer:
             except (OSError, ValueError):
                 pass  # no shm on this platform; the TCP lane works
             else:
-                # Before the first descriptor frame: right behind HELLO,
-                # ahead of everything in the outbox.
+                # Before the first descriptor frame: ahead of
+                # everything in the outbox.
                 self._sender.push(encode_shm_attach(self._shm.name,
                                                     self._shm.size))
         self._sock = sock

@@ -114,8 +114,8 @@ class DistributedKernel(ThreadedEngine):
     """A kernel process's share of the schedule, run on its I/O loop.
 
     A body that holds the loop (a blocking call, a long computation)
-    holds every socket and timer of the kernel with it: the heartbeat
-    that renews the kernel's lease included.
+    holds every socket and timer of the kernel with it: the beat that
+    tells the console it is alive included.
     """
 
     def __init__(self, name: str, ordinal: int,
@@ -161,6 +161,10 @@ class DistributedKernel(ThreadedEngine):
         self._waits: Dict[Any, tuple] = {}
         #: peers whose MSG_TRACE reply collect_traces() still waits for
         self._trace_pending: set = set()
+        #: (console side) each kernel's last beat-reported queue depth,
+        #: and who beat since the liveness tick last looked
+        self._loads: Dict[str, int] = {}
+        self._beaten: set = set()
 
         # -- fault tolerance ------------------------------------------
         #: With recovery on, this kernel journals its windowed emissions
@@ -207,7 +211,7 @@ class DistributedKernel(ThreadedEngine):
         self.faults = faults if faults is not None else FaultPolicy()
         self._fault_rng = None
         self._kill_after_messages: Optional[int] = None
-        if self.faults.drop_rate or self.faults.delay_ms:
+        if self.faults.drop_rate:
             self._fault_rng = self.faults.rng_for(name)
         if self.faults.kills(name):
             self._kill_after_messages = self.faults.kill_after_messages
@@ -221,8 +225,7 @@ class DistributedKernel(ThreadedEngine):
 
         self._ns = NameServerClient(ns_address)
         self._pool = ConnectionPool(
-            self._ns, loop=self._io_loop, hello_from=name,
-            on_error=self._on_peer_error,
+            self._ns, loop=self._io_loop, on_error=self._on_peer_error,
             dial_deadline=dial_deadline, transport=self.transport,
             metrics=metrics, trace=self.trace if tracer is not None else None)
 
@@ -259,16 +262,12 @@ class DistributedKernel(ThreadedEngine):
                                      lambda: os._exit(137))
 
     def _beat(self) -> None:
-        """Loop timer: renew the lease, reporting the tokens pending
-        across this kernel's inboxes, then re-arm.  The beat is a
-        one-way write: a wedged name server cannot stall this loop."""
+        """Loop timer: tell the console this kernel is alive, with the
+        tokens pending across its inboxes, then re-arm."""
         depth = self.queue_depth()
         if self.metrics is not None:
             self.metrics.gauge("queue_depth_total").set(depth)
-        try:
-            self._ns.heartbeat(self.name, load=depth)
-        except Exception:
-            return  # name server gone: the cluster is tearing down
+        self._pool.send(CONSOLE_KERNEL, P.encode_beat(self.name, depth))
         self._io_loop.call_later(self.heartbeat_interval, self._beat)
 
     def _resend_stale(self) -> None:
@@ -540,8 +539,7 @@ class DistributedKernel(ThreadedEngine):
             return
         if needs_ack:
             self.send_ack(body.graph.name, frame)
-        kind = P.MSG_SCATTER_RESULT if body.graph.scatter else P.MSG_RESULT
-        self._pool.send(origin, P.encode_result(kind, body.ctx_id, token))
+        self._pool.send(origin, P.encode_result(body.ctx_id, token))
 
     def scatter_total(self, body, total: int) -> None:
         origin = body.ctx_origin
@@ -876,7 +874,7 @@ class DistributedKernel(ThreadedEngine):
             return
         if self.recover:
             # A broken inbound connection is anonymous (no peer name
-            # here); liveness is owned by the heartbeat/sentinel
+            # here); liveness is owned by the beat/sentinel
             # machinery and the named write-side _on_peer_error.
             return
         self._record_failure(KernelFailure(
@@ -892,18 +890,13 @@ class DistributedKernel(ThreadedEngine):
                         self._kill_after_messages:
                     os._exit(137)
             rng = self._fault_rng
-            if rng is not None:
-                # Injection applies to data frames only — dropping acks
-                # or barrier messages would test the injector, not the
-                # recovery protocol.
-                if self.faults.drop_rate and \
-                        rng.random() < self.faults.drop_rate:
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "frames_dropped_injected").inc()
-                    return
-                if self.faults.delay_ms:
-                    time.sleep(rng.random() * self.faults.delay_ms / 1000.0)
+            # Injection applies to data frames only — dropping acks or
+            # barrier messages would test the injector, not the recovery
+            # protocol.
+            if rng is not None and rng.random() < self.faults.drop_rate:
+                if self.metrics is not None:
+                    self.metrics.counter("frames_dropped_injected").inc()
+                return
             env: DataEnvelope = value
             node = env.graph.node(env.node_id)
             self.enqueue(self._worker_for(node.collection, env.instance), env)
@@ -914,8 +907,7 @@ class DistributedKernel(ThreadedEngine):
         elif kind == P.MSG_GROUP_TOTAL:
             group_id, total = value
             self.scheduler.apply_group_total(group_id, total)
-        elif kind in (P.MSG_RESULT, P.MSG_SCATTER_RESULT,
-                      P.MSG_SCATTER_TOTAL):
+        elif kind in (P.MSG_RESULT, P.MSG_SCATTER_TOTAL):
             # A caller that gave up (timeout, failure) has left no
             # queue; its late arrivals are dropped, not an error here.
             self._result_arrived(*value, late_ok=True)
@@ -956,8 +948,10 @@ class DistributedKernel(ThreadedEngine):
             self._recheck()
         elif kind == P.MSG_SHUTDOWN:
             self._stop()
-        elif kind == P.MSG_HELLO:
-            pass  # informational; connections are identified lazily
+        elif kind == P.MSG_BEAT:
+            name, load = value
+            self._loads[name] = load
+            self._beaten.add(name)
         else:  # pragma: no cover - decode_message already validates
             raise WireError(f"unhandled message kind {kind}")
 

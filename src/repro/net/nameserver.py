@@ -12,22 +12,17 @@ module provides both halves:
   connection*: when that connection drops, its names are removed.  A
   kernel that crashes therefore frees its name automatically, and a
   restarted kernel may re-register; a second registration while the first
-  owner is still alive is refused.  Registrations double as *heartbeat
-  leases*: kernels beat periodically (``op=heartbeat``, the one request
-  that gets no reply — a kernel beats from its I/O loop, which must
-  never wait on this server) and the console
-  asks for lease-expired kernels (``op=expired``) — a hung process keeps
-  its TCP connection alive but stops beating, which connection-drop
-  detection alone would miss.  Beyond kernel addresses the directory also
-  carries *service records* — named flow graphs a resident service tier
-  exposes, each with its token-type signature — listed through the
-  ``services`` RPC with the same lease semantics: a service whose
-  providing kernel dropped its registration (or stopped beating, when the
-  caller passes ``max_age``) is filtered out of the listing.
+  owner is still alive is refused.  Beyond kernel addresses the directory
+  also carries *service records* — named flow graphs a resident service
+  tier exposes, each with its token-type signature — listed through the
+  ``services`` RPC while their providing kernel is registered.  It is a
+  directory only: whether a kernel is alive is the console's to judge,
+  from the beats the kernels send it (``MSG_BEAT``).
 - :class:`NameServerClient` — a blocking client used by kernels to
   register themselves and resolve peers.  The server waits on nothing,
   so a client's request/reply is short; a kernel's loop makes one to
-  look a peer up when it dials.
+  look a peer up when it dials, the console's to publish or withdraw a
+  service.
 
 Both are deliberately boring: discovery is on the control path only
 (once per peer pair), so clarity wins over throughput here.  The data
@@ -38,8 +33,6 @@ from __future__ import annotations
 
 import json
 import socket
-import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -91,16 +84,8 @@ class NameServer:
         self._loop.add_listener(sock, self._on_accept)
         #: name -> (host, port, owning connection, metadata dict)
         self._registry: Dict[str, Tuple[str, int, socket.socket, dict]] = {}
-        #: name -> monotonic time of the last heartbeat (seeded at
-        #: registration so a kernel is never "expired" before it could
-        #: have beaten once)
-        self._beats: Dict[str, float] = {}
-        #: name -> last reported queue depth (piggybacked on heartbeats;
-        #: dropped with the lease).  Feeds adaptive remap planning and
-        #: the autoscaler.
-        self._loads: Dict[str, int] = {}
         #: service name -> (provider kernel, in_types, out_types, owning
-        #: connection); listed only while the provider's lease is live
+        #: connection); listed only while the provider is registered
         self._services: Dict[
             str, Tuple[str, List[str], List[str], socket.socket]] = {}
 
@@ -153,17 +138,16 @@ class NameServer:
         self._loop.add_reader(conn, on_readable)
 
     def _answer(self, conn: socket.socket, line: bytes) -> bytes:
-        """The reply line to one request line (``b""``: none)."""
+        """The reply line to one request line (``b""`` to a blank one)."""
         if not line.strip():
             return b""
         try:
             reply = self._handle(conn, json.loads(line))
         except Exception as exc:
             reply = {"ok": False, "error": f"bad request: {exc}"}
-        return b"" if reply is None else (json.dumps(reply) + "\n").encode()
+        return (json.dumps(reply) + "\n").encode()
 
-    def _handle(self, conn: socket.socket,
-                request: dict) -> Optional[dict]:
+    def _handle(self, conn: socket.socket, request: dict) -> dict:
         op = request.get("op")
         if op == "register":
             name = request["name"]
@@ -174,39 +158,19 @@ class NameServer:
                 return {"ok": False, "error": "duplicate",
                         "detail": f"kernel {name!r} is already registered"}
             self._registry[name] = (host, port, conn, dict(meta))
-            self._beats[name] = time.monotonic()
             return {"ok": True}
         if op == "unregister":
             name = request["name"]
             existing = self._registry.get(name)
             if existing is not None and existing[2] is conn:
-                self._release(name)
+                del self._registry[name]
             return {"ok": True}
-        if op == "heartbeat":
-            # One-way: the sender does not read a reply (see the module
-            # docstring), so none is sent, not even for an unknown name.
-            name = request["name"]
-            load = request.get("load")
-            if name in self._registry:
-                self._beats[name] = time.monotonic()
-                if load is not None:
-                    self._loads[name] = int(load)
-            return None
-        if op == "loads":
-            # Kernels only: service clients also hold registrations (for
-            # reply routing) but are not cluster members — they must not
-            # appear in depth polls or be mistaken for joining kernels.
-            loads = {name: self._loads.get(name, 0)
-                     for name, entry in self._registry.items()
-                     if entry[3].get("kernel")}
-            return {"ok": True, "loads": loads}
-        if op == "expired":
-            max_age = float(request["max_age"])
-            now = time.monotonic()
-            expired = [{"name": name, "age": now - beat}
-                       for name, beat in self._beats.items()
-                       if now - beat > max_age]
-            return {"ok": True, "expired": expired}
+        if op == "kernels":
+            # Service clients also hold registrations (for reply
+            # routing) but are not kernels.
+            return {"ok": True, "kernels": sorted(
+                name for name, entry in self._registry.items()
+                if entry[3].get("kernel"))}
         if op == "lookup":
             name = request["name"]
             entry = self._registry.get(name)
@@ -236,16 +200,11 @@ class NameServer:
                 del self._services[service]
             return {"ok": True}
         if op == "services":
-            max_age = request.get("max_age")
-            now = time.monotonic()
             entries = []
             for service in sorted(self._services):
                 provider, in_types, out_types, _ = self._services[service]
-                beat = self._beats.get(provider)
-                if beat is None:
-                    continue  # provider lease is gone
-                if max_age is not None and now - beat > float(max_age):
-                    continue  # provider stopped beating
+                if provider not in self._registry:
+                    continue  # the provider is gone
                 entries.append({"service": service,
                                 "provider": provider,
                                 "in_types": in_types,
@@ -255,17 +214,11 @@ class NameServer:
             return {"ok": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
-    def _release(self, name: str) -> None:
-        """Forget *name* and its lease."""
-        del self._registry[name]
-        self._beats.pop(name, None)
-        self._loads.pop(name, None)
-
     def _drop_owner(self, conn: socket.socket) -> None:
         dead = [name for name, entry in self._registry.items()
                 if entry[2] is conn]
         for name in dead:
-            self._release(name)
+            del self._registry[name]
         dead_services = [name for name, entry in self._services.items()
                          if entry[3] is conn]
         for name in dead_services:
@@ -278,28 +231,25 @@ def run_name_server(sock: socket.socket) -> None:
 
 
 class NameServerClient:
-    """Blocking JSON-lines client; one per kernel, thread-safe.
+    """Blocking JSON-lines client; one per kernel, its owner's loop's
+    alone (a call from elsewhere is handed over to that loop, or made
+    before the loop starts or after it closes).
 
-    The client's TCP connection *is* the lease on every name it
-    registers — keep it open for the kernel's lifetime.
+    The client's TCP connection owns every name it registers — keep it
+    open for the kernel's lifetime.
     """
 
     def __init__(self, address: Tuple[str, int], timeout: float = 10.0):
         self.address = address
         self._sock = socket.create_connection(address, timeout=timeout)
-        # A request right behind a one-way beat must not wait for its ack.
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
-        self._lock = threading.Lock()
 
     def _call(self, request: dict) -> dict:
-        with self._lock:
-            try:
-                self._sock.sendall(
-                    (json.dumps(request) + "\n").encode("utf-8"))
-                line = self._reader.readline()
-            except OSError as exc:
-                raise NameServerError(f"name server unreachable: {exc}") from exc
+        try:
+            self._sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
+            line = self._reader.readline()
+        except OSError as exc:
+            raise NameServerError(f"name server unreachable: {exc}") from exc
         if not line:
             raise NameServerError("name server closed the connection")
         reply = json.loads(line)
@@ -339,6 +289,10 @@ class NameServerClient:
     def list(self) -> List[str]:
         return list(self._call({"op": "list"})["names"])
 
+    def kernels(self) -> List[str]:
+        """Registered kernel names (sorted), service clients left out."""
+        return list(self._call({"op": "kernels"})["kernels"])
+
     def register_service(self, service: str, provider: str,
                          in_types: Tuple[str, ...] = (),
                          out_types: Tuple[str, ...] = ()) -> None:
@@ -353,51 +307,10 @@ class NameServerClient:
         """Withdraw a service record this connection registered."""
         self._call({"op": "unregister_service", "service": service})
 
-    def services(self, max_age: Optional[float] = None) -> List[dict]:
-        """Registered services whose provider lease is live; each entry is
-        ``{"service", "provider", "in_types", "out_types"}``.  With
-        *max_age*, providers that have not beaten for that many seconds
-        are filtered out as well."""
-        request: dict = {"op": "services"}
-        if max_age is not None:
-            request["max_age"] = float(max_age)
-        return list(self._call(request)["services"])
-
-    def heartbeat(self, name: str, load: Optional[int] = None) -> None:
-        """Renew *name*'s liveness lease, optionally reporting its
-        current queue depth (total pending tokens across local thread
-        inboxes) for adaptive routing/scaling decisions.
-
-        One-way and non-blocking — a kernel calls this from its I/O
-        loop: the line is written and nothing is read back.  A beat that
-        finds another request in flight on this connection is skipped
-        (the lease outlives several missed beats); a server that has
-        stopped reading raises once the socket buffer is full.
-        """
-        request: dict = {"op": "heartbeat", "name": name}
-        if load is not None:
-            request["load"] = int(load)
-        line = (json.dumps(request) + "\n").encode("utf-8")
-        if not self._lock.acquire(blocking=False):
-            return
-        try:
-            if self._sock.send(line, socket.MSG_DONTWAIT) != len(line):
-                raise BlockingIOError("send buffer full")
-        except OSError as exc:
-            raise NameServerError(f"name server unreachable: {exc}") from exc
-        finally:
-            self._lock.release()
-
-    def loads(self) -> Dict[str, int]:
-        """Last heartbeat-reported queue depth per registered kernel
-        (``0`` for kernels that never reported one)."""
-        return dict(self._call({"op": "loads"})["loads"])
-
-    def expired(self, max_age: float) -> List[dict]:
-        """Registered kernels that have not beaten for *max_age* seconds;
-        each entry is ``{"name": ..., "age": seconds_since_last_beat}``."""
-        return list(self._call({"op": "expired",
-                                "max_age": max_age})["expired"])
+    def services(self) -> List[dict]:
+        """Registered services whose provider is registered; each entry
+        is ``{"service", "provider", "in_types", "out_types"}``."""
+        return list(self._call({"op": "services"})["services"])
 
     def ping(self) -> bool:
         self._call({"op": "ping"})
@@ -405,7 +318,7 @@ class NameServerClient:
 
     def close(self) -> None:
         # The makefile() reader holds a reference on the fd — close it
-        # too, or the server never sees EOF and the lease never expires.
+        # too, or the server never sees EOF and the names stay taken.
         try:
             self._reader.close()
         except OSError:

@@ -28,12 +28,10 @@ from ..serial.token import Token
 from ..serial.wire import Segment, WireError, decode, encode_segments
 
 __all__ = [
-    "MSG_HELLO",
     "MSG_DATA",
     "MSG_ACK",
     "MSG_GROUP_TOTAL",
     "MSG_RESULT",
-    "MSG_SCATTER_RESULT",
     "MSG_SCATTER_TOTAL",
     "MSG_FAILURE",
     "MSG_SHUTDOWN",
@@ -55,8 +53,8 @@ __all__ = [
     "MSG_SVC_CLOSE",
     "MSG_MEMBER",
     "MSG_THREAD_STATE",
+    "MSG_BEAT",
     "AckWire",
-    "encode_hello",
     "encode_data",
     "encode_ack",
     "encode_group_total",
@@ -82,16 +80,15 @@ __all__ = [
     "encode_svc_close",
     "encode_member",
     "encode_thread_state",
+    "encode_beat",
     "decode_message",
     "RemoteFailure",
 ]
 
-MSG_HELLO = 0
 MSG_DATA = 1
 MSG_ACK = 2
 MSG_GROUP_TOTAL = 3
-MSG_RESULT = 4
-MSG_SCATTER_RESULT = 5
+MSG_RESULT = 4  # a depth-0 result or a scatter output
 MSG_SCATTER_TOTAL = 6
 MSG_FAILURE = 7
 MSG_SHUTDOWN = 8
@@ -100,7 +97,7 @@ MSG_SHUTDOWN = 8
 MSG_TRACE_FLUSH = 9
 #: Kernel → console: one kernel's buffered trace events and metrics.
 MSG_TRACE = 10
-# 11 is unassigned; decode_message rejects it as an unknown kind.
+# 0, 5 and 11 are unassigned; decode_message rejects them.
 #: Sender → receiver: a shared-memory arena (name, size) now carries this
 #: connection's large payloads; sent once, before the first MSG_SHM.
 MSG_SHM_ATTACH = 12
@@ -151,6 +148,9 @@ MSG_MEMBER = 26
 #: state, engine-reference-free by the DPS execution model) or ``None``
 #: when the instance was never activated on the donor.
 MSG_THREAD_STATE = 27
+#: Kernel → console, every heartbeat interval: ``(kernel_name, load)``,
+#: *load* being the tokens pending across the kernel's inboxes.
+MSG_BEAT = 28
 
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
@@ -194,12 +194,6 @@ def _pack_str(out: bytearray, s: str) -> None:
     raw = s.encode("utf-8")
     out += _U16.pack(len(raw))
     out += raw
-
-
-def encode_hello(kernel_name: str) -> List[Segment]:
-    head = bytearray(_U8.pack(MSG_HELLO))
-    _pack_str(head, kernel_name)
-    return [head]
 
 
 def encode_data(env: DataEnvelope, reg: TokenRegistry = registry) -> List[Segment]:
@@ -251,12 +245,10 @@ def encode_group_total(group_id: int, total: int) -> List[Segment]:
     return [head]
 
 
-def encode_result(kind: int, ctx_id: int, token: Token,
+def encode_result(ctx_id: int, token: Token,
                   reg: TokenRegistry = registry) -> List[Segment]:
-    """A depth-0 result (MSG_RESULT) or scatter output (MSG_SCATTER_RESULT)."""
-    if kind not in (MSG_RESULT, MSG_SCATTER_RESULT):
-        raise ValueError(f"not a result message kind: {kind}")
-    head = bytearray(_U8.pack(kind))
+    """A depth-0 result or a scatter output."""
+    head = bytearray(_U8.pack(MSG_RESULT))
     head += _U64.pack(ctx_id)
     return [head, *encode_segments(token, reg)]
 
@@ -363,6 +355,13 @@ def encode_thread_state(collection_name: str, index: int, epoch: int,
     return [head]
 
 
+def encode_beat(kernel_name: str, load: int) -> List[Segment]:
+    head = bytearray(_U8.pack(MSG_BEAT))
+    _pack_str(head, kernel_name)
+    head += _U32.pack(load)
+    return [head]
+
+
 def encode_svc_open(client_name: str, window: int = 0) -> List[Segment]:
     """Open a service session; ``window=0`` asks for the server default."""
     head = bytearray(_U8.pack(MSG_SVC_OPEN))
@@ -439,7 +438,8 @@ def decode_message(payload: "bytes | bytearray | memoryview",
     ``value`` depends on the kind: a :class:`DataEnvelope` (token borrowed
     from *payload* — the caller must own the buffer), an :class:`AckWire`,
     ``(group_id, total)``, ``(ctx_id, token)``, ``(ctx_id, total)``, an
-    exception instance, a kernel name (hello), or ``None`` (shutdown).
+    exception instance, ``(kernel_name, load)`` (beat), or ``None``
+    (shutdown).
     """
     view = memoryview(payload)
     if view.nbytes < 1:
@@ -484,10 +484,10 @@ def decode_message(payload: "bytes | bytearray | memoryview",
     if kind == MSG_GROUP_TOTAL:
         group_id, total = _U64_PAIR.unpack_from(view, offset)
         return MSG_GROUP_TOTAL, (group_id, total)
-    if kind in (MSG_RESULT, MSG_SCATTER_RESULT):
+    if kind == MSG_RESULT:
         (ctx_id,) = _U64.unpack_from(view, offset)
         token = decode(view[offset + 8:], reg, copy=False)
-        return kind, (ctx_id, token)
+        return MSG_RESULT, (ctx_id, token)
     if kind == MSG_SCATTER_TOTAL:
         ctx_id, total = _U64_PAIR.unpack_from(view, offset)
         return MSG_SCATTER_TOTAL, (ctx_id, total)
@@ -501,9 +501,6 @@ def decode_message(payload: "bytes | bytearray | memoryview",
         return MSG_FAILURE, exc
     if kind == MSG_SHUTDOWN:
         return MSG_SHUTDOWN, None
-    if kind == MSG_HELLO:
-        name, _ = _unpack_str(view, offset)
-        return MSG_HELLO, name
     if kind == MSG_TRACE_FLUSH:
         reply_to, _ = _unpack_str(view, offset)
         return MSG_TRACE_FLUSH, reply_to
@@ -585,4 +582,8 @@ def decode_message(payload: "bytes | bytearray | memoryview",
             raise WireError(
                 f"undecodable thread-state message: {err}") from None
         return MSG_THREAD_STATE, (collection_name, index, epoch, thread)
+    if kind == MSG_BEAT:
+        name, offset = _unpack_str(view, offset)
+        (load,) = _U32.unpack_from(view, offset)
+        return MSG_BEAT, (name, load)
     raise WireError(f"unknown protocol message kind {kind}")

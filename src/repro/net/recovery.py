@@ -25,7 +25,7 @@ Three pieces, all engine-agnostic and individually testable:
   deterministic, and their outputs carry the same frame, so duplicates
   die at the next non-leaf hop.
 - :class:`FaultPolicy` + :func:`plan_remap`/:func:`apply_remap` —
-  deterministic chaos injection (kill / drop / delay from a seed) and the
+  deterministic chaos injection (kill / drop from a seed) and the
   placement arithmetic that moves a dead kernel's thread instances onto
   survivors via the existing :meth:`ThreadCollection.map_nodes` machinery.
 
@@ -66,8 +66,8 @@ class FaultPolicy:
     Frozen so one policy object can be shared across forked kernel
     processes without synchronization; every random decision comes from
     a per-kernel :class:`random.Random` seeded from ``(kernel name,
-    seed)``, so a given policy produces the same kill/drop/delay
-    schedule on every run.
+    seed)``, so a given policy produces the same kill/drop schedule on
+    every run.
     """
 
     #: Kernel (logical node) name to kill, or ``None`` for no kill.
@@ -81,16 +81,11 @@ class FaultPolicy:
     #: Control messages (acks, group totals, remap/replay barriers) are
     #: never dropped — only :data:`~repro.net.protocol.MSG_DATA`.
     drop_rate: float = 0.0
-    #: Upper bound of a uniform random delay added before dispatching
-    #: each received data frame.
-    delay_ms: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in [0, 1): {self.drop_rate}")
-        if self.delay_ms < 0.0:
-            raise ValueError(f"delay_ms must be >= 0: {self.delay_ms}")
         if self.kill_kernel is not None and (
                 self.kill_after is None and self.kill_after_messages is None):
             raise ValueError(
@@ -99,8 +94,7 @@ class FaultPolicy:
 
     @property
     def enabled(self) -> bool:
-        return (self.kill_kernel is not None or self.drop_rate > 0.0
-                or self.delay_ms > 0.0)
+        return self.kill_kernel is not None or self.drop_rate > 0.0
 
     def kills(self, kernel_name: str) -> bool:
         return self.kill_kernel == kernel_name

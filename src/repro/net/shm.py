@@ -8,7 +8,7 @@ message with any segment at or above a size threshold is copied once,
 whole (header and payloads, contiguous), into one arena block, and only
 a ``(block_offset, length)`` descriptor travels over TCP (``MSG_SHM``).
 Messages below the threshold stay inline on the existing zero-copy
-path.  Co-location is detected at HELLO time by comparing
+path.  Co-location is detected at dial time by comparing
 :func:`host_fingerprint` values published through the name server, so a
 genuinely distributed deployment silently keeps the plain TCP lane.
 

@@ -31,7 +31,9 @@ therefore requires a platform with ``fork`` (Linux, macOS under the fork
 method) and forks the first kernels *before* the console kernel starts
 its I/O loop; a joiner is forked on that loop.  The engine starts no
 thread: a child's ready pipe and exit sentinel are readers on that loop,
-and lease expiry and autoscale decisions are timers there.
+and liveness and autoscale decisions are timers there, reading one table
+of the ``MSG_BEAT`` frames (name, queue depth) the kernels send the
+console.  The name server is a directory only.
 """
 
 from __future__ import annotations
@@ -149,9 +151,11 @@ class MultiprocessEngine(Engine):
         #: Kernels the autoscaler added — the only ones it may retire
         #: (seed kernels and user-added ones are never scaled away).
         self._elastic_kernels: List[str] = []
-        #: CLI joiners: kernels that registered with our name server
-        #: from outside this process (no local Process handle).
+        #: CLI joiners: kernels that beat to our console from outside
+        #: this process (no local Process handle).
         self._external_kernels: set = set()
+        #: member -> liveness ticks in a row that saw no beat from it
+        self._misses: Dict[str, int] = {}
         #: Requested name-server port; 0 picks an ephemeral one.  The
         #: resolved ``(host, port)`` lands in :attr:`ns_address` once the
         #: cluster is up, so external clients can be pointed at it.
@@ -257,7 +261,8 @@ class MultiprocessEngine(Engine):
 
     def _fork_kernel(self, name: str, ordinal: int, peers: List[str]):
         """Fork one kernel process; returns it with the read end of its
-        ready pipe, which the kernel writes once it has registered."""
+        ready pipe, which the kernel writes once it has registered.  It
+        becomes a member once :meth:`_check_ready` has seen that."""
         ready, ready_w = self._mp.Pipe(duplex=False)
         proc = self._mp.Process(
             target=run_kernel_process,
@@ -269,16 +274,17 @@ class MultiprocessEngine(Engine):
             name=f"dps-kernel:{name}", daemon=True)
         proc.start()
         ready_w.close()  # the child's now: end-of-file means it exited
-        self._kernel_procs[name] = proc
         self._orphans.append(proc)
         return proc, ready
 
     def _check_ready(self, name: str, proc, ready) -> None:
-        """Raise unless *proc* said it is ready on *ready*, which by now
-        is readable or has timed out; a kernel that is not is reaped."""
+        """Enter *proc* as a member if it said it is ready on *ready*,
+        which by now is readable or has timed out; raise otherwise, once
+        it is reaped."""
         try:
             if ready.poll():
                 ready.recv_bytes()
+                self._kernel_procs[name] = proc
                 return
             problem = f"failed to start within {self.startup_timeout}s"
         except EOFError:
@@ -286,7 +292,6 @@ class MultiprocessEngine(Engine):
         finally:
             ready.close()
         _reap_processes([proc])
-        self._kernel_procs.pop(name, None)
         raise ScheduleError(f"kernel process {name!r} {problem} "
                             f"(exitcode {proc.exitcode})")
 
@@ -315,53 +320,43 @@ class MultiprocessEngine(Engine):
         _once_readable(console, proc.sentinel, exited)
 
     def _liveness_tick(self) -> None:
-        """Console-loop timer: poll the name server's heartbeat leases.
+        """Console-loop timer: a member that no beat reached for
+        ``heartbeat_miss_limit`` ticks in a row is declared down.
 
-        Process sentinels catch dead kernels; this catches *hung*
-        ones — a wedged process keeps its TCP registration alive but
-        stops beating, which connection-drop detection cannot see.
-        The poll is a loopback request/reply that depends on no kernel's
-        loop; when it fails the tick does not re-arm.
+        Exit sentinels catch dead kernels; this catches *hung* ones,
+        which keep their sockets open.  Misses are ticks, not seconds: a
+        console loop held up (by a joiner's fork, say) is not charged to
+        the kernels.
         """
         console = self._console
         if console is None or self._closed:
             return
-        try:
-            expired = console._ns.expired(
-                self.heartbeat_interval * self.heartbeat_miss_limit)
-        except Exception:
-            return  # name server is gone: teardown in progress
+        beaten, console._beaten = console._beaten, set()
         self._admit_external(console)
-        members = self._members()
-        for entry in expired:
-            name = entry["name"]
-            # Leases of non-members expire too: the console registers
-            # but never beats (it is the observer), nor do retirees.
-            if name not in members or name in console._dead_kernels:
+        misses: Dict[str, int] = {}
+        for name in self._members():
+            if name in beaten or name in console._dead_kernels:
                 continue
-            if self.metrics is not None:
-                self.metrics.counter("heartbeats_missed").inc(
-                    max(1, int(entry["age"] / self.heartbeat_interval)))
-            console.handle_kernel_down(
-                name, f"heartbeat lease expired "
-                      f"({entry['age']:.2f}s since last beat)",
-                propagate=False)
+            misses[name] = missed = self._misses.get(name, 0) + 1
+            if missed == self.heartbeat_miss_limit:
+                if self.metrics is not None:
+                    self.metrics.counter("heartbeats_missed").inc(missed)
+                console.handle_kernel_down(
+                    name, f"no beat in {missed} liveness ticks",
+                    propagate=False)
+        self._misses = misses
         console._io_loop.call_later(self.heartbeat_interval,
                                     self._liveness_tick)
 
     # ------------------------------------------------------------------
     # elastic membership
     # ------------------------------------------------------------------
-    def _poll_depths(self) -> Optional[Dict[str, int]]:
-        """Heartbeat-reported queue depths per kernel, or ``None`` when
-        the name server cannot be reached (rebalance then falls back to
-        load-oblivious spreading)."""
-        try:
-            depths = self._console._ns.loads()
-        except Exception:
-            return None
-        depths.pop(CONSOLE_KERNEL, None)
-        return depths
+    def _poll_depths(self) -> Dict[str, int]:
+        """The queue depth each live kernel last beat to the console."""
+        console = self._console
+        return {name: load for name, load in console._loads.items()
+                if name not in self._retired
+                and name not in console._dead_kernels}
 
     def _start_membership(self, console: DistributedKernel, steps) -> None:
         """Drive what a tick decided on, unless a membership operation is
@@ -396,17 +391,16 @@ class MultiprocessEngine(Engine):
         return console._hand_over(lambda reply: console._drive(steps, reply))
 
     def _admit_external(self, console: DistributedKernel) -> None:
-        """Admit CLI joiners: any kernel registered with our name server
-        that this engine did not fork (``repro.cli join --ns ...``).
+        """Admit CLI joiners: any kernel beating to the console that
+        this engine did not fork (``repro.cli join --ns ...``).
 
         Admission runs the same voluntary rebalance as
         :meth:`add_kernel`; it is skipped while a rebalance or failure
         recovery is already in flight and retried on the next liveness
-        tick — a kernel registering mid-barrier simply waits one lease
-        period for membership.
+        tick — a kernel beating mid-barrier simply waits a tick for
+        membership.
         """
-        registered = set(self._poll_depths() or ())
-        strangers = sorted(registered - set(self._kernel_procs)
+        strangers = sorted(set(console._loads) - set(self._kernel_procs)
                            - self._external_kernels - self._retired)
         if strangers and not (console._rebalancing or console._dead_kernels):
             self._start_membership(console, self._admit(console, strangers))
@@ -417,7 +411,9 @@ class MultiprocessEngine(Engine):
                 yield from console._rebalance(joined=[name],
                                               depths=self._poll_depths())
             except Exception:
-                continue  # joiner died before admission; retry or forget
+                # Not admitted: forgotten, unless it beats again.
+                console._loads.pop(name, None)
+                continue
             self._external_kernels.add(name)
 
     def members(self) -> Tuple[str, ...]:
@@ -504,21 +500,18 @@ class MultiprocessEngine(Engine):
         return moved
 
     def _autoscale_tick(self) -> None:
-        """Console-loop timer: drive :class:`ScalingPolicy` from
-        heartbeat queue depths.
+        """Console-loop timer: drive :class:`ScalingPolicy` from the
+        beat-reported queue depths.
 
         Growth forks fresh kernels; shrink retires only kernels the
         autoscaler added (never seed kernels or explicit
         :meth:`add_kernel` joins), so autoscaling can always fall back
-        to the user's topology.  Does not re-arm once the name server
-        stops answering.
+        to the user's topology.
         """
         console = self._console
         if console is None or self._closed:
             return
         depths = self._poll_depths()
-        if depths is None:
-            return
         shrink_candidates = [k for k in self._elastic_kernels
                              if k in self._kernel_procs
                              and k not in self._retired]
@@ -608,11 +601,11 @@ class MultiprocessEngine(Engine):
         if console is not None:
             console.shutdown()
             self._console = None
-        if self._ns_proc is not None:
-            _reap_processes([self._ns_proc])
-            self._ns_proc = None
-        # Everything is reaped; the GC/exit finalizer has nothing to do.
+        # The name server and a joiner not ready yet are left; once they
+        # are reaped the GC/exit finalizer has nothing to do.
+        _reap_processes(self._orphans)
         self._orphans.clear()
+        self._ns_proc = None
 
     def __enter__(self) -> "MultiprocessEngine":
         return self

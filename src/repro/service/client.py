@@ -30,16 +30,18 @@ Failure semantics mirror the admission protocol:
   just be remapping around a dead kernel.
 - ``MSG_SVC_ERROR`` re-raises the remote exception in the caller.
 
-Threads: the client's wire side and its table of pending calls belong
-to its one I/O loop.  A caller encodes on its own thread, hands the
-send to the loop with :meth:`IOLoop.call` and blocks on its own
-primitives: the session semaphore, the open event, a call's event.
+Threads: the client's wire side, its name-server client and its table
+of pending calls belong to its one I/O loop.  A caller encodes on its
+own thread, hands the send (or the name-server request) to the loop
+with :meth:`IOLoop.call` and blocks on its own primitives: the session
+semaphore, the open event, a call's event, a reply queue.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import queue
 import socket
 import threading
 import time
@@ -161,8 +163,8 @@ class ServiceClient:
         self._io_loop = IOLoop(self.name).start()
         self._io_loop.add_listener(self._listener, self._on_accept)
         self._pool = ConnectionPool(
-            self._ns, loop=self._io_loop, hello_from=self.name,
-            on_error=self._on_pool_error, dial_deadline=dial_deadline,
+            self._ns, loop=self._io_loop, on_error=self._on_pool_error,
+            dial_deadline=dial_deadline,
             transport=TransportPolicy(shm_enabled=False))
 
     # ------------------------------------------------------------------
@@ -178,9 +180,22 @@ class ServiceClient:
                     f"MSG_SVC_OPEN within {timeout}s")
         return self.window or 0
 
-    def discover(self, max_age: Optional[float] = None) -> List[dict]:
-        """Live service records from the name server (lease-filtered)."""
-        return self._ns.services(max_age=max_age)
+    def discover(self) -> List[dict]:
+        """The service records in the name server whose provider is
+        registered, read on the client's loop."""
+        reply: "queue.SimpleQueue" = queue.SimpleQueue()
+
+        def read() -> None:
+            try:
+                reply.put(self._ns.services())
+            except Exception as exc:
+                reply.put(exc)
+
+        self._io_loop.call(read)
+        records = reply.get()
+        if isinstance(records, Exception):
+            raise records
+        return records
 
     # ------------------------------------------------------------------
     # calls
@@ -304,8 +319,8 @@ class ServiceClient:
                           P.MSG_SVC_BUSY: "busy",
                           P.MSG_SVC_ERROR: "error"}[kind], payload)
             return
-        # HELLO and any broadcast traffic a console might fan out are
-        # irrelevant to a session client.
+        # Any broadcast traffic a console might fan out is irrelevant
+        # to a session client.
 
     def _on_pool_error(self, peer: str, exc: Exception) -> None:
         if not self._closed:

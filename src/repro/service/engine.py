@@ -107,24 +107,29 @@ class ServiceKernel(DistributedKernel):
     # publication / lifecycle
     # ------------------------------------------------------------------
     def expose_service(self, public_name: str, graph: Flowgraph) -> None:
-        """Publish *graph* as *public_name* in the name server."""
+        """Publish *graph* as *public_name* in the name server, from the
+        loop, whose name-server client it is."""
         in_types, out_types = graph_signature(graph)
-        self._call(lambda: self._svc_graphs.update({public_name: graph}))
-        self._ns.register_service(public_name, self.name,
-                                  in_types, out_types)
+
+        def expose() -> None:
+            self._svc_graphs[public_name] = graph
+            self._ns.register_service(public_name, self.name,
+                                      in_types, out_types)
+
+        self._call(expose)
 
     def svc_drain(self, timeout: float = 30.0) -> bool:
         """Stop admitting, let in-flight calls finish; True when empty
         (*timeout* is on the kernel's clock)."""
-        def drain() -> List[str]:
+        def drain() -> None:
             self._svc_draining = True
-            return list(self._svc_graphs)
+            for name in self._svc_graphs:
+                try:
+                    self._ns.unregister_service(name)
+                except Exception:
+                    pass  # name server gone: nothing left to unpublish
 
-        for name in self._call(drain):
-            try:
-                self._ns.unregister_service(name)
-            except Exception:
-                pass  # name server already gone: nothing left to unpublish
+        self._call(drain)
         steps = self._svc_drained(timeout)
         return self._hand_over(lambda reply: self._drive(steps, reply))
 

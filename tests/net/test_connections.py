@@ -94,7 +94,7 @@ def test_pool_takes_no_lock_and_sends_on_its_loop(ns, loop):
     """The pool is its loop thread's alone: it holds no lock, and a send
     handed to the loop reaches the cached channel there."""
     with client(ns) as c:
-        pool = ConnectionPool(c, loop=loop, hello_from="src",
+        pool = ConnectionPool(c, loop=loop,
                               on_error=lambda peer, exc: None)
         assert not [v for v in vars(pool).values()
                     if isinstance(v, type(threading.Lock()))]
@@ -115,7 +115,7 @@ def test_pool_creates_peer_once_then_caches(ns, loop):
     """``close_all`` from another thread flushes and closes every channel
     on the loop, which then stops."""
     with client(ns) as c:
-        pool = ConnectionPool(c, loop=loop, hello_from="src",
+        pool = ConnectionPool(c, loop=loop,
                               on_error=lambda peer, exc: None,
                               dial_deadline=0.1)
         stub = _StubConn()
@@ -140,7 +140,7 @@ def test_close_all_begins_every_close_before_waiting_on_any(ns):
     loop = IOLoop("close-all", clock=clock).start()
     try:
         with client(ns) as c:
-            pool = ConnectionPool(c, loop=loop, hello_from="src",
+            pool = ConnectionPool(c, loop=loop,
                                   on_error=lambda peer, exc: None)
             log = []
             stubs = [_StubConn(log), _StubConn(log, flushes=False),
@@ -166,7 +166,7 @@ def test_close_all_begins_every_close_before_waiting_on_any(ns):
 def test_close_all_closes_once_every_channel_has_flushed(ns, loop):
     """No deadline is waited out when every channel reports flushed."""
     with client(ns) as c:
-        pool = ConnectionPool(c, loop=loop, hello_from="src",
+        pool = ConnectionPool(c, loop=loop,
                               on_error=lambda peer, exc: None)
         log = []
         stubs = [_StubConn(log, flushes=False) for _ in range(2)]
@@ -186,7 +186,7 @@ def test_pool_forget_drops_the_channel_without_flushing(ns, loop):
     """A forgotten peer is closed on the spot, unflushed (the caller is
     the loop thread), and the next send builds a fresh channel."""
     with client(ns) as c:
-        pool = ConnectionPool(c, loop=loop, hello_from="src",
+        pool = ConnectionPool(c, loop=loop,
                               on_error=lambda peer, exc: None,
                               dial_deadline=0.1)
         stub = pool._peers["peer"] = _StubConn()

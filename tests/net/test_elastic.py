@@ -6,9 +6,10 @@ to a static cluster — the member barrier ships live thread state to the
 new owners, retirees drain before exiting (no replay storm), and the
 RunResult counters report what moved.
 
-The lease edge cases ride along: admission deferred while a barrier is
-in flight, a joiner whose lease dies before it acknowledges the remap,
-and a retire racing the liveness loop's heartbeat-expiry observation.
+The liveness edge cases ride along: admission deferred while a barrier
+is in flight, a joiner that dies before it acknowledges the remap, a
+retire racing a declared heartbeat miss, and the console's miss count
+itself — ticks of its own loop, from the moment a kernel is ready.
 """
 
 import socket
@@ -20,10 +21,13 @@ import pytest
 
 from repro.apps.gameoflife import DistributedGameOfLife, life_step
 from repro.apps.ring import RingJobToken, build_ring_graph
+from repro.net import protocol as P
+from repro.net.framing import send_messages
 from repro.net.kernel import CONSOLE_KERNEL
 from repro.net.nameserver import NameServerClient
 from repro.runtime import KernelFailure, MultiprocessEngine, ScheduleError
 from repro.runtime import multiprocess_engine
+from repro.trace import MetricsRegistry
 
 RING_NODES = ["node01", "node02", "node03", "node04"]
 BLOCK_BYTES = 1024
@@ -197,13 +201,14 @@ def test_overlapping_retires_do_not_share_a_member_barrier():
 
 
 # ---------------------------------------------------------------------------
-# lease edge cases
+# liveness edge cases
 # ---------------------------------------------------------------------------
 
 class _GhostKernel:
-    """A name-server registration with a listener that never speaks the
-    kernel protocol: the shape of a joiner that wedges (or dies) between
-    registering and acknowledging the member barrier."""
+    """A name-server registration and one beat to the console, with a
+    listener that never speaks the kernel protocol: the shape of a
+    joiner that wedges (or dies) between making itself known and
+    acknowledging the member barrier."""
 
     def __init__(self, ns_address, name="ghost"):
         self.name = name
@@ -217,6 +222,9 @@ class _GhostKernel:
         self._ns = NameServerClient(ns_address)
         host, port = self._listener.getsockname()
         self._ns.register(name, host, port, meta={"kernel": True})
+        # A kernel makes itself known by beating to the console.
+        self._beat = socket.create_connection(self._ns.lookup(CONSOLE_KERNEL))
+        send_messages(self._beat, [P.encode_beat(name, 0)])
 
     def _accept_loop(self):
         while True:
@@ -227,14 +235,12 @@ class _GhostKernel:
             self._accepted.append(conn)  # accept, then stay silent
 
     def close(self):
-        try:
-            self._ns.close()  # drop the lease
-        except Exception:
-            pass
-        try:
-            self._listener.close()
-        except Exception:
-            pass
+        # Closing the name-server client drops the name.
+        for resource in (self._ns, self._beat, self._listener):
+            try:
+                resource.close()
+            except Exception:
+                pass
         for conn in self._accepted:
             try:
                 conn.close()
@@ -257,6 +263,11 @@ def test_admission_deferred_while_barrier_in_flight():
 
         def on_console(fn):  # the console's state is its loop's
             return console._call(fn)
+
+        deadline = time.monotonic() + 10
+        while not on_console(lambda: ghost.name in console._loads):
+            assert time.monotonic() < deadline, "the beat never arrived"
+            time.sleep(0.01)
 
         def tick():
             on_console(lambda: engine._admit_external(console))
@@ -346,3 +357,102 @@ def test_retire_racing_heartbeat_miss_does_not_trigger_recovery():
         assert done.blocks == 4
     assert result.recovered is False
     assert result.replayed_tokens == 0
+
+
+def test_a_member_silent_for_the_miss_limit_is_declared_down_once():
+    """The console's liveness tick counts, per member, the ticks in a row
+    that saw no beat: the ``heartbeat_miss_limit``-th declares the
+    member down, once; one beat starts the count over; dead and retired
+    kernels are not counted, and their depths are not read."""
+    metrics = MetricsRegistry()
+    graph = build_ring_graph(RING_NODES)
+    # heartbeat_interval=0: no kernel beats and no tick runs but the
+    # test's own, driven on the console's loop with injected beats.
+    with MultiprocessEngine(heartbeat_interval=0, heartbeat_miss_limit=3,
+                            metrics=metrics) as engine:
+        engine.register_graph(graph)
+        engine.run(graph, RingJobToken(256, 2), timeout=60)
+        engine.heartbeat_interval = 3600.0  # a tick re-arms; none comes due
+        console = engine._console
+        down = []
+        declare = console.handle_kernel_down
+
+        def recording(name, *args, **kwargs):
+            down.append(name)
+            declare(name, *args, **kwargs)
+
+        console.handle_kernel_down = recording
+
+        def tick(*beating):
+            def on_loop():
+                for name in beating:
+                    console._dispatch_message(P.MSG_BEAT, (name, 0))
+                engine._liveness_tick()
+                return list(down)
+            return console._call(on_loop)
+
+        console._call(lambda: (console._dead_kernels.add("node03"),
+                               engine._retired.add("node04")))
+        assert tick("node02", "node03", "node04") == []
+        # the depths feed rebalancing and the autoscaler: live kernels'
+        assert console._call(engine._poll_depths) == {"node02": 0}
+        assert tick("node02") == []
+        assert tick() == ["node01"]  # the third silent tick
+        assert tick("node02") == ["node01"]  # once: it is dead now
+        assert tick() == ["node01"]
+        assert tick("node02") == ["node01"]  # one beat starts over
+        assert tick() == ["node01"]
+        assert tick() == ["node01"]
+        assert tick() == ["node01", "node02"]
+        assert tick() == ["node01", "node02"]
+        assert metrics.counter("heartbeats_missed").value == 6
+
+
+def test_a_slow_joiner_is_not_declared_down_before_it_is_ready(
+        monkeypatch):
+    """A joiner becomes a member when it says it is ready, not when it
+    is forked: a child that takes 1 s to start is not counted by the
+    liveness tick meanwhile (0.05 s x 4 ticks would declare it down),
+    and the next run recovers nothing."""
+    real = multiprocess_engine.run_kernel_process
+
+    def slow_start(name, *args, **kwargs):
+        if name == "node05":
+            time.sleep(1.0)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocess_engine, "run_kernel_process",
+                        slow_start)
+    graph = build_ring_graph(["node01", "node02"])
+    with MultiprocessEngine(recover=True, heartbeat_interval=0.05,
+                            heartbeat_miss_limit=4) as engine:
+        engine.register_graph(graph)
+        engine.run(graph, RingJobToken(256, 2), timeout=60)
+        assert engine.add_kernel("node05") == "node05"
+        done = engine.run(graph, RingJobToken(256, 4), timeout=60)
+        result = engine.last_result
+        console = engine._console
+        dead = console._call(lambda: set(console._dead_kernels))
+    assert done.blocks == 4
+    assert result.recovered is False
+    assert dead == set()
+
+
+def test_a_held_console_does_not_count_its_own_delay():
+    """Misses are ticks of the console's loop, not seconds: a console
+    held for 1 s (0.05 s x 4 of wall clock, four times over) fires one
+    late tick, and no kernel is declared down for the console's own
+    delay."""
+    metrics = MetricsRegistry()
+    graph = build_ring_graph(["node01", "node02"])
+    with MultiprocessEngine(recover=True, heartbeat_interval=0.05,
+                            heartbeat_miss_limit=4,
+                            metrics=metrics) as engine:
+        engine.register_graph(graph)
+        engine.run(graph, RingJobToken(256, 2), timeout=60)
+        engine._console._call(lambda: time.sleep(1.0))
+        done = engine.run(graph, RingJobToken(256, 4), timeout=60)
+        result = engine.last_result
+    assert done.blocks == 4
+    assert result.recovered is False
+    assert metrics.counter("kernels_down").value == 0

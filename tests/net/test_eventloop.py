@@ -39,7 +39,7 @@ from repro.net import (
     host_fingerprint,
     send_messages,
 )
-from repro.net.protocol import MSG_ACK, MSG_DATA, MSG_HELLO, MSG_SHM, \
+from repro.net.protocol import MSG_ACK, MSG_DATA, MSG_SHM, \
     MSG_SHM_ATTACH, decode_message
 from repro.serial import FRAME_HEADER_BYTES, WireError, frame, gather
 from repro.trace import MetricsRegistry
@@ -476,13 +476,10 @@ class _Sink:
     def _run(self):
         self._accepted, _ = self.listener.accept()
         reader = FrameReader(self._accepted)
-        hello = True
         while True:
             batch = reader.recv_batch()
             if batch is None:
                 return
-            if hello:
-                batch, hello = batch[1:], False
             self.frames.extend(bytes(f) for f in batch)
 
     def close(self):
@@ -516,7 +513,7 @@ def _undialed_peer(ns, sink, name, metrics=None, transport=None,
     if transport is None:
         transport = TransportPolicy(shm_enabled=False)
     conn = EventLoopPeer(
-        name, NameServerClient(ns.address), loop=loop, hello_from="src",
+        name, NameServerClient(ns.address), loop=loop,
         on_error=lambda peer, exc: None,
         transport=transport, metrics=metrics)
     return owner, loop, conn
@@ -640,7 +637,7 @@ def _small_buffer_peer(ns, name, metrics=None):
         with client(ns) as owner, client(ns) as c:
             owner.register(name, *listener.getsockname()[:2])
             conn = EventLoopPeer(
-                name, c, loop=loop, hello_from="src",
+                name, c, loop=loop,
                 on_error=lambda peer, exc: errors.append((peer, exc)),
                 transport=TransportPolicy(shm_enabled=False,
                                           shm_threshold=1 << 30),
@@ -648,8 +645,8 @@ def _small_buffer_peer(ns, name, metrics=None):
             _on_loop(loop, lambda: conn.send(_data_frame(0)))
             accepted, _ = listener.accept()
             try:
-                assert _recv_frames(accepted, 2)[1:] == \
-                    [bytes(_data_frame(0)[0])]  # behind HELLO
+                assert _recv_frames(accepted, 1) == \
+                    [bytes(_data_frame(0)[0])]
                 _wait_for(conn._idle, what="dialed and idle")
                 conn._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
                                       4096)
@@ -753,7 +750,7 @@ def test_caller_write_is_one_sendmsg_and_exact(sends, decisions):
     loop = IOLoop("by-hand", metrics=metrics)  # this test is its thread
     sock = _FlakySocket(decisions)
     conn = EventLoopPeer(
-        "mock", None, loop=loop, hello_from="src",
+        "mock", None, loop=loop,
         on_error=lambda peer, exc: errors.append(exc),
         transport=TransportPolicy(shm_enabled=False, shm_threshold=1 << 30),
         metrics=metrics)
@@ -1010,7 +1007,7 @@ def test_eventloop_peer_coalesces_queued_messages(ns):
     loop = IOLoop("peer-test", metrics=metrics).start()
     with client(ns) as owner, client(ns) as c:
         conn = EventLoopPeer(
-            "sink", c, loop=loop, hello_from="src",
+            "sink", c, loop=loop,
             on_error=lambda peer, exc: errors.append((peer, exc)),
             transport=TransportPolicy(shm_enabled=False),
             metrics=metrics)
@@ -1022,8 +1019,7 @@ def test_eventloop_peer_coalesces_queued_messages(ns):
         # drain through one coalesced flush.
         owner.register("sink", *listener.getsockname()[:2])
         accepted, _ = listener.accept()
-        hello, *received = _recv_frames(accepted, 1 + len(payloads))
-        assert decode_message(bytearray(hello), {}) == (MSG_HELLO, "src")
+        received = _recv_frames(accepted, len(payloads))
         assert received == payloads
         loop.call(conn.close)
         accepted.close()
@@ -1050,7 +1046,7 @@ def test_eventloop_peer_failure_counts_drops_and_reports_once(ns):
 
     with client(ns) as c:
         conn = EventLoopPeer(
-            "ghost", c, loop=loop, hello_from="src", on_error=on_error,
+            "ghost", c, loop=loop, on_error=on_error,
             dial_deadline=0.2, metrics=metrics,
             trace=lambda kind, **fields: events.append((kind, fields)))
         # triggers the failing dial
@@ -1087,14 +1083,14 @@ def test_eventloop_peer_broken_pipe_reaches_on_error(ns):
     with client(ns) as owner, client(ns) as c:
         owner.register("dying", *listener.getsockname()[:2])
         conn = EventLoopPeer(
-            "dying", c, loop=loop, hello_from="src",
+            "dying", c, loop=loop,
             on_error=lambda peer, exc: (
                 errors.append((peer, exc, threading.current_thread().name)),
                 failed.set()),
             transport=TransportPolicy(shm_enabled=False), metrics=metrics)
         _on_loop(loop, lambda: conn.send([bytearray(b"hello")]))
         accepted, _ = listener.accept()
-        _recv_frames(accepted, 1)  # HELLO
+        _recv_frames(accepted, 1)  # the first message
         # Kill the receiving side outright; subsequent writes must fail.
         accepted.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                             b"\x01\x00\x00\x00\x00\x00\x00\x00")

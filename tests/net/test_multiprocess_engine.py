@@ -212,7 +212,7 @@ def test_eventloop_mode_thread_census():
         engine.register_graph(g)
         assert engine.run(g, RingJobToken(512, 4), timeout=60).blocks == 4
         console = engine._console
-        console._pool.send("late", P.encode_hello("census"))  # unregistered
+        console._pool.send("late", P.encode_shutdown())  # unregistered
         passed = threading.Event()
         console._io_loop.call(passed.set)  # behind the first dial attempt
         assert passed.wait(timeout=5)
@@ -223,7 +223,7 @@ def test_eventloop_mode_thread_census():
             owner.register("late", *listener.getsockname()[:2])
             accepted, _ = listener.accept()  # a retry lands
             reader, frames = FrameReader(accepted), []
-            while len(frames) < 2:  # its HELLO, then ours
+            while not frames:
                 frames.extend(reader.recv_batch())
         for name, proc in engine._kernel_procs.items():
             assert _threads(proc.pid) == 1, name
@@ -268,7 +268,7 @@ def test_a_worker_flushes_before_it_closes_on_one_deadline(monkeypatch):
         accepted.close()
     listener.close()
     assert not worker.is_alive()
-    assert frames == [P.MSG_HELLO, P.MSG_TRACE, P.MSG_REPLAY_DONE]
+    assert frames == [P.MSG_TRACE, P.MSG_REPLAY_DONE]
     assert 0.5 <= elapsed < 1.5, f"returned after {elapsed:.2f}s"
 
 

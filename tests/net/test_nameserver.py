@@ -24,7 +24,6 @@ from repro.net import (
     send_messages,
 )
 from repro.net.eventloop import _DIAL_FIRST_DELAY
-from repro.net.protocol import MSG_HELLO, decode_message
 
 from tests.net.test_timers import FakeClock, _settle
 
@@ -129,7 +128,7 @@ def _dialer(ns, name, deadline=15.0):
     errors = []
     c = client(ns)
     conn = EventLoopPeer(
-        name, c, loop=loop, hello_from="tester",
+        name, c, loop=loop,
         on_error=lambda peer, exc: errors.append((clock.now, exc)),
         dial_deadline=deadline, transport=TransportPolicy(shm_enabled=False))
     try:
@@ -150,17 +149,16 @@ def _until(loop, predicate):
     raise AssertionError("the loop never got there")
 
 
-def _hello_then(listener, payload):
+def _receives(listener, payload):
     conn, _ = listener.accept()
     conn.settimeout(5)
     reader, frames = FrameReader(conn), []
     try:
-        while len(frames) < 2:
+        while not frames:
             frames.extend(reader.recv_batch())
     finally:
         conn.close()
-    assert decode_message(frames[0], {}) == (MSG_HELLO, "tester")
-    assert [bytes(f) for f in frames[1:]] == [payload]
+    assert [bytes(f) for f in frames] == [payload]
 
 
 def test_dial_retry_backoff_on_late_registration(ns):
@@ -184,7 +182,7 @@ def test_dial_retry_backoff_on_late_registration(ns):
         clock.advance(_DIAL_FIRST_DELAY, loop)
         assert lookups == [0.0, _DIAL_FIRST_DELAY]
         listener.settimeout(5)
-        _hello_then(listener, b"first")
+        _receives(listener, b"first")
         assert not errors
     listener.close()
 
@@ -229,7 +227,7 @@ def test_dial_retries_refused_connection(ns):
             listener.listen(1)
             listener.settimeout(5)
             clock.advance(_DIAL_FIRST_DELAY, loop)
-            _hello_then(listener, b"first")
+            _receives(listener, b"first")
         finally:
             listener.close()
         assert not errors
@@ -262,7 +260,6 @@ def test_send_recv_roundtrip_over_socket():
 def test_services_empty(ns):
     with client(ns) as c:
         assert c.services() == []
-        assert c.services(max_age=0.1) == []
 
 
 def test_service_record_roundtrip(ns):
@@ -284,25 +281,11 @@ def test_service_record_roundtrip(ns):
 
 
 def test_service_without_live_provider_is_filtered(ns):
-    """A record whose provider never registered (or whose lease already
-    dropped) must not be listed — clients would dial a ghost."""
+    """A record whose provider never registered (or whose registration
+    already dropped) must not be listed — clients would dial a ghost."""
     with client(ns) as c:
         c.register_service("orphan", "nobody")
         assert c.services() == []
-
-
-def test_service_lease_expires_with_provider_heartbeat(ns):
-    with client(ns) as c:
-        c.register("console", "127.0.0.1", 7001)
-        c.register_service("gol.read", "console")
-        assert [r["service"] for r in c.services(max_age=5.0)] \
-            == ["gol.read"]
-        time.sleep(0.15)
-        # provider stopped beating longer than max_age ago -> filtered
-        assert c.services(max_age=0.1) == []
-        c.heartbeat("console")
-        assert [r["service"] for r in c.services(max_age=0.1)] \
-            == ["gol.read"]
 
 
 def test_service_dropped_with_owner_connection(ns):
@@ -390,74 +373,30 @@ def test_registration_meta_roundtrip(ns):
         assert c.lookup("kernelA") == ("127.0.0.1", 7001)
 
 
-def test_loads_reports_only_kernel_registrations(ns):
-    """``loads`` feeds depth-aware rebalancing and CLI-joiner admission:
-    it must list kernel-flagged registrations (default depth 0) and hide
-    service clients, which register only for reply routing."""
+def test_kernels_lists_only_kernel_registrations(ns):
+    """``kernels`` is a CLI joiner's peer list: kernel-flagged
+    registrations, without the service clients, which register only for
+    reply routing."""
     with client(ns) as c:
-        c.register("kernelA", "127.0.0.1", 7001, meta={"kernel": True})
         c.register("kernelB", "127.0.0.1", 7002, meta={"kernel": True})
+        c.register("kernelA", "127.0.0.1", 7001, meta={"kernel": True})
         c.register("svc-client-1", "127.0.0.1", 7003)  # reply socket
-        assert c.loads() == {"kernelA": 0, "kernelB": 0}
-
-        c.heartbeat("kernelA", load=7)
-        c.heartbeat("svc-client-1", load=99)  # ignored by loads()
-        assert c.loads() == {"kernelA": 7, "kernelB": 0}
+        assert c.kernels() == ["kernelA", "kernelB"]
 
 
-def test_loads_lease_drops_with_connection(ns):
-    """A joiner's depth report dies with its lease: once the connection
-    closes the kernel must vanish from ``loads`` so admission and
-    rebalancing stop seeing it."""
+def test_kernels_drop_with_connection(ns):
+    """A kernel whose connection closes leaves ``kernels``: a joiner
+    must not list a dead peer."""
     c1 = client(ns)
     c1.register("kernelA", "127.0.0.1", 7001, meta={"kernel": True})
     with client(ns) as c2:
         c2.register("kernelB", "127.0.0.1", 7002, meta={"kernel": True})
-        c2.heartbeat("kernelB", load=3)
-        assert c2.loads() == {"kernelA": 0, "kernelB": 3}
+        assert c2.kernels() == ["kernelA", "kernelB"]
         c1.close()
         deadline = time.time() + 5
-        while "kernelA" in c2.loads() and time.time() < deadline:
+        while "kernelA" in c2.kernels() and time.time() < deadline:
             time.sleep(0.02)
-        assert c2.loads() == {"kernelB": 3}
-
-
-def test_heartbeat_is_one_way_against_a_listener_that_never_answers():
-    """A kernel beats from its I/O loop, so the beat must not wait on
-    the server: it writes its line and reads nothing back."""
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    # Short timeout: a heartbeat that read a reply would raise after it.
-    c = NameServerClient(listener.getsockname()[:2], timeout=0.5)
-    conn, _ = listener.accept()
-    try:
-        c.heartbeat("kernelA", load=3)
-        line = conn.makefile("r", encoding="utf-8").readline()
-        assert json.loads(line) == {"op": "heartbeat", "name": "kernelA",
-                                    "load": 3}
-        # A beat that finds a request in flight on the connection is
-        # skipped, not queued behind it.
-        conn.setblocking(False)
-        with c._lock:
-            c.heartbeat("kernelA")
-        with pytest.raises(BlockingIOError):
-            conn.recv(1)
-    finally:
-        c.close()
-        conn.close()
-        listener.close()
-
-
-def test_server_sends_no_reply_to_a_heartbeat(ns):
-    """Not even for a name it does not know: the next request on the
-    connection must read its own reply, not a stale one."""
-    with client(ns) as c:
-        c.register("kernelA", "127.0.0.1", 7001, meta={"kernel": True})
-        c.heartbeat("nosuch", load=1)
-        c.heartbeat("kernelA", load=5)
-        assert c.lookup("kernelA") == ("127.0.0.1", 7001)
-        assert c.loads() == {"kernelA": 5}
+        assert c2.kernels() == ["kernelB"]
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +404,8 @@ def test_server_sends_no_reply_to_a_heartbeat(ns):
 # ---------------------------------------------------------------------------
 
 def test_every_client_is_served_by_the_one_loop_thread():
-    """32 clients connected at once register, look each other up and
-    beat; the server adds one thread in all, its loop."""
+    """32 clients connected at once register and look each other up; the
+    server adds one thread in all, its loop."""
     before = set(threading.enumerate())
     with NameServer() as ns:
         clients = [client(ns) for _ in range(32)]
@@ -477,9 +416,8 @@ def test_every_client_is_served_by_the_one_loop_thread():
             for i, c in enumerate(clients):
                 j = (i + 1) % len(clients)
                 assert c.lookup(f"k{j}") == ("127.0.0.1", 7000 + j)
-                c.heartbeat(f"k{i}", load=i)
-                c.ping()  # behind the beat on the same connection
-            assert clients[0].loads() == {f"k{i}": i for i in range(32)}
+                c.ping()
+            assert clients[0].kernels() == sorted(f"k{i}" for i in range(32))
             added = set(threading.enumerate()) - before
             assert [t.name for t in added] == ["dps-io:nameserver"]
         finally:

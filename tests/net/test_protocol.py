@@ -126,19 +126,13 @@ def test_group_total_roundtrip():
     assert value == ((5 << 40) + 2, 1234)
 
 
-@pytest.mark.parametrize("msg_kind", [P.MSG_RESULT, P.MSG_SCATTER_RESULT])
-def test_result_roundtrip(msg_kind):
+def test_result_roundtrip():
     token = ProtoChunk(9, np.linspace(0, 1, 5))
-    kind, (ctx_id, out) = roundtrip(P.encode_result(msg_kind, 42, token), {})
-    assert kind == msg_kind
+    kind, (ctx_id, out) = roundtrip(P.encode_result(42, token), {})
+    assert kind == P.MSG_RESULT
     assert ctx_id == 42
     assert out.idx == 9
     assert np.array_equal(out.data.array, token.data.array)
-
-
-def test_encode_result_rejects_other_kinds():
-    with pytest.raises(ValueError):
-        P.encode_result(P.MSG_ACK, 1, ProtoJob())
 
 
 def test_scatter_total_roundtrip():
@@ -165,8 +159,12 @@ def test_unpicklable_failure_degrades_to_remote_failure():
 
 
 def test_hello_and_shutdown_roundtrip():
-    assert roundtrip(P.encode_hello("kernelX"), {}) == (P.MSG_HELLO, "kernelX")
     assert roundtrip(P.encode_shutdown(), {}) == (P.MSG_SHUTDOWN, None)
+
+
+def test_beat_roundtrip():
+    assert roundtrip(P.encode_beat("kernelX", 17), {}) == \
+        (P.MSG_BEAT, ("kernelX", 17))
 
 
 def test_unknown_kind_rejected():

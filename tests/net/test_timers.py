@@ -8,6 +8,7 @@ test wakes the loop (:func:`_settle`), as arming any timer would.
 """
 
 import os
+import queue
 import threading
 import weakref
 
@@ -393,35 +394,54 @@ class _WedgeableNameServer(NameServer):
         return super()._handle(conn, request)
 
 
+def _beats_at(console):
+    """The names in the ``MSG_BEAT`` frames *console* dispatches, as a
+    queue the test thread reads."""
+    beats = queue.SimpleQueue()
+    dispatch = console._dispatch_message
+
+    def counting(kind, value):
+        if kind == P.MSG_BEAT:
+            beats.put(value[0])
+        dispatch(kind, value)
+
+    console._dispatch_message = counting
+    return beats
+
+
 def test_wedged_name_server_does_not_stall_kernel_io():
     """Rule one of the loop: a worker kernel's loop never waits on the
-    name server.  The heartbeat is a one-way write, so with every reply
-    withheld the beats still go out and a windowed run over
-    already-dialed peers still finishes."""
+    name server.  A beat travels to the console on the kernel's own
+    channel, so with every name-server reply withheld the beats still
+    arrive and a windowed run over already-dialed peers still
+    finishes."""
     clock = FakeClock()
     interval = 0.25
     with _WedgeableNameServer() as ns:
         graph, kernels = _kernel_pair(ns, clock, "wedged", window=2,
                                       heartbeat_interval=interval)
+        console = _console(ns, clock, graph)
+        beats = _beats_at(console)
+        loops = [k._io_loop for k in kernels]
         split_side = kernels[0]
-        beats = []
-        for kernel in kernels:
-            kernel._ns.heartbeat = (
-                lambda *a, _beat=kernel._ns.heartbeat, **kw:
-                (beats.append(a[0]), _beat(*a, **kw))[1])
         try:
             assert split_side.run(graph, MpJob(3), timeout=30).total == 6
+            # The first beats dial the console, a lookup each.
+            clock.advance(interval, *loops)
+            assert sorted(beats.get(timeout=5) for _ in kernels) == \
+                ["node01", "node02"]
             ns.wedged.set()
-            for beat in (1, 2):
+            for _ in range(2):
                 # _settle fails if a beat waits for the withheld reply
-                clock.advance(interval, *(k._io_loop for k in kernels))
-                assert sorted(beats) == sorted(["node01", "node02"] * beat)
+                clock.advance(interval, *loops)
+                assert sorted(beats.get(timeout=5) for _ in kernels) == \
+                    ["node01", "node02"]
             # 5 s: under the name-server client's 10 s socket timeout
             total = split_side.run(graph, MpJob(8), timeout=5).total
             assert total == sum(range(4, 12))
         finally:
             ns.unwedge.set()
-            for kernel in kernels:
+            for kernel in (*kernels, console):
                 kernel.shutdown()
 
 
@@ -445,8 +465,8 @@ class Nap(LeafOperation):
 def test_a_parked_body_does_not_hold_its_kernel():
     """A DPS thread parked in a ``sleep`` leaves its kernel free: while
     it sleeps, another DPS thread of the same kernel completes a run and
-    the heartbeat fires.  The sleep ends when the kernel's clock says so,
-    not the wall clock."""
+    its beat reaches the console.  The sleep ends when the kernel's clock
+    says so, not the wall clock."""
     clock = FakeClock()
     interval = 0.25
     nap = Flowgraph(FlowgraphNode(
@@ -455,12 +475,10 @@ def test_a_parked_body_does_not_hold_its_kernel():
     with NameServer() as ns:
         graph, kernels = _kernel_pair(ns, clock, "parked", window=2,
                                       heartbeat_interval=interval)
+        console = _console(ns, clock, graph)
+        beats = _beats_at(console)
         kernel = kernels[0]
         kernel.register_graph(nap)
-        beats = []
-        kernel._ns.heartbeat = (
-            lambda *a, _beat=kernel._ns.heartbeat, **kw:
-            (beats.append(a[0]), _beat(*a, **kw))[1])
         napped = []
         sleeper = threading.Thread(target=lambda: napped.append(
             kernel.run(nap, MpJob(30), timeout=60).total))
@@ -469,13 +487,14 @@ def test_a_parked_body_does_not_hold_its_kernel():
             assert _napping.wait(timeout=10)
             assert kernel.run(graph, MpJob(3), timeout=30).total == 6
             clock.advance(interval, kernel._io_loop)
-            assert beats == ["node01"]
+            while beats.get(timeout=5) != "node01":
+                pass  # node02 beats too, whenever its loop wakes
             assert napped == [] and sleeper.is_alive()
             clock.advance(30, kernel._io_loop)
             sleeper.join(timeout=10)
             assert napped == [30]
         finally:
-            for k in kernels:
+            for k in (*kernels, console):
                 k.shutdown()
 
 

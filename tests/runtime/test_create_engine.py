@@ -61,11 +61,11 @@ def test_non_none_faults_rejected_outside_multiprocess():
 
 def test_multiprocess_accepts_recovery_options():
     engine = create_engine("multiprocess", recover=True,
-                           faults=FaultPolicy(delay_ms=1.0),
+                           faults=FaultPolicy(drop_rate=0.1),
                            heartbeat_interval=0.5, heartbeat_miss_limit=2)
     try:
         assert engine.recover is True
-        assert engine.faults.delay_ms == 1.0
+        assert engine.faults.drop_rate == 0.1
         assert engine.heartbeat_interval == 0.5
     finally:
         engine.shutdown()

@@ -55,16 +55,14 @@ FLAG_TABLE = [
       "recover": True}),
     (["--drop-rate", "0.25"],
      {"faults": FaultPolicy(drop_rate=0.25), "recover": True}),
-    (["--delay-ms", "2"], {"faults": FaultPolicy(delay_ms=2.0)}),
     (["--fault-seed", "7"], {"faults": FaultPolicy(seed=7)}),
     (["--no-shm", "--routing", "queue_depth", "--max-kernels", "5",
-      "--kill-kernel", "node03@#5", "--drop-rate", "0.1", "--delay-ms", "1",
-      "--fault-seed", "7"],
+      "--kill-kernel", "node03@#5", "--drop-rate", "0.1", "--fault-seed", "7"],
      {"transport": TransportPolicy(shm_enabled=False),
       "routing": RoutingPolicy(kind="queue_depth"),
       "scaling": ScalingPolicy(max_kernels=5),
       "faults": FaultPolicy(kill_kernel="node03", kill_after_messages=5,
-                            drop_rate=0.1, delay_ms=1.0, seed=7),
+                            drop_rate=0.1, seed=7),
       "recover": True}),
 ]
 
@@ -144,7 +142,6 @@ def test_commands_that_build_no_engine_take_no_engine_flags(capsys, argv):
     (["--kill-kernel", "node03"], "kill spec"),
     (["--kill-kernel", "node03@#soon"], "invalid literal"),
     (["--drop-rate", "1.5"], "drop_rate"),
-    (["--delay-ms", "-1"], "delay_ms"),
 ])
 def test_out_of_range_flag_value_is_a_usage_error(capsys, flags, names):
     err = _usage_error(["ring", "--engine", "multiprocess", *flags], capsys)
