@@ -145,7 +145,7 @@ def _demo(make_engine, engine_kind: str,
     else:
         print(f"output: {out.text!r}")
         print(f"wall time: {wall * 1e3:.1f} ms across kernel processes "
-              f"[{', '.join(kernels or [])}] + name server")
+              f"[{', '.join(kernels or [])}] + console")
     if trace_path is not None:
         _export_trace(tracer, trace_path)
 

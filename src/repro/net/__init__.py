@@ -31,7 +31,6 @@ from .nameserver import (
     NameServerClient,
     NameServerError,
     UnknownKernel,
-    run_name_server,
 )
 from .recovery import (
     FaultPolicy,
@@ -68,6 +67,5 @@ __all__ = [
     "host_fingerprint",
     "plan_remap",
     "run_kernel_process",
-    "run_name_server",
     "send_messages",
 ]

@@ -1,18 +1,19 @@
 """Single-threaded I/O core: one selectors loop owns every socket.
 
-Each kernel, each :class:`~repro.service.client.ServiceClient` and the
-name server runs exactly one :class:`IOLoop`: a single thread owning a
+Each kernel and each :class:`~repro.service.client.ServiceClient` runs
+exactly one :class:`IOLoop`: a single thread owning a
 ``selectors.DefaultSelector`` (epoll on Linux, kqueue on BSD/macOS) that
 multiplexes the listener and *every* peer socket, both directions.  A
 worker kernel process turns its loop on its main thread
 (:meth:`IOLoop.run`); the console and a client turn theirs on a
-``dps-io`` thread of their own (:meth:`IOLoop.start`).  Nothing else in
+``dps-io`` thread of their own (:meth:`IOLoop.start`).  The console's
+loop also answers the name server's directory.  Nothing else in
 :mod:`repro.net` or :mod:`repro.service` accepts, reads or writes a peer
 socket.  The name-server client keeps its blocking request/reply and
-belongs to its owner's loop; a loop makes such a call for a dial's
-lookup, for a service's publication and withdrawal (``expose_service``
-and ``svc_drain``, on the console's loop) and for a client's
-``discover`` (on the client's loop), and for nothing else.
+belongs to its owner's loop; a loop makes such a call for a worker
+kernel's dial lookup and for a client's ``discover`` (on the client's
+loop), and for nothing else.  The console's own name-service calls are
+plain calls on the directory its loop hosts.
 
 - **Accepts**: :meth:`IOLoop.add_listener` registers a listening socket;
   every connection it yields is handed to a callback on the loop thread,
@@ -49,7 +50,8 @@ and ``svc_drain``, on the console's loop) and for a client's
   the epoll descriptor, which counts in microseconds.  Whatever an
   owner does "every so often" — beat, resend aging, liveness and
   autoscale ticks, a body's ``sleep`` — is a timer here, not a thread;
-  a callback waits on no other process but the name server.
+  a callback waits on no other process but the console, for a lookup
+  in its directory.
 - **Queued calls** run one pass's worth at a time: what a call queues in
   turn waits for the next pass, so timers and reads interleave with a
   chain of calls (a DPS thread working through its inbox).

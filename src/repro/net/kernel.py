@@ -132,7 +132,9 @@ class DistributedKernel(ThreadedEngine):
                  heartbeat_interval: float = 0.0,
                  routing: Optional[RoutingPolicy] = None,
                  stream: Optional[StreamPolicy] = None,
-                 clock: Optional[Callable[[], float]] = None):
+                 clock: Optional[Callable[[], float]] = None,
+                 loop: Optional[IOLoop] = None,
+                 ns: Optional[NameServerClient] = None):
         if ordinal < 0:
             raise ValueError("kernel ordinal must be >= 0")
         self.name = name
@@ -140,6 +142,10 @@ class DistributedKernel(ThreadedEngine):
             #: Test seam: the substrate's ``now`` — journal ages and the
             #: I/O loop's timer deadlines all read this one clock.
             self.now = clock
+        if loop is not None:
+            #: Seam: the loop to run on, made by the caller (the console
+            #: shares its own with the directory it hosts).
+            self._new_loop = lambda: loop
         super().__init__(policy=policy, tracer=tracer, metrics=metrics,
                          routing=routing, stream=stream)
         self.transport = transport if transport is not None \
@@ -223,7 +229,8 @@ class DistributedKernel(ThreadedEngine):
         self._listener.listen(64)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
 
-        self._ns = NameServerClient(ns_address)
+        #: Seam: the name-service client (the console's is in process)
+        self._ns = ns if ns is not None else NameServerClient(ns_address)
         self._pool = ConnectionPool(
             self._ns, loop=self._io_loop, on_error=self._on_peer_error,
             dial_deadline=dial_deadline, transport=self.transport,

@@ -17,12 +17,15 @@ module provides both halves:
   tier exposes, each with its token-type signature — listed through the
   ``services`` RPC while their providing kernel is registered.  It is a
   directory only: whether a kernel is alive is the console's to judge,
-  from the beats the kernels send it (``MSG_BEAT``).
+  from the beats the kernels send it (``MSG_BEAT``).  A
+  :class:`~repro.runtime.multiprocess_engine.MultiprocessEngine` hosts
+  it on its console kernel's loop, which waits on no other process.
 - :class:`NameServerClient` — a blocking client used by kernels to
   register themselves and resolve peers.  The server waits on nothing,
-  so a client's request/reply is short; a kernel's loop makes one to
-  look a peer up when it dials, the console's to publish or withdraw a
-  service.
+  so a client's request/reply is short; a worker kernel's loop makes one
+  to look a peer up when it dials.  The directory's own loop asks it
+  through :meth:`NameServer.client` instead: the same calls, answered
+  in process.
 
 Both are deliberately boring: discovery is on the control path only
 (once per peer pair), so clarity wins over throughput here.  The data
@@ -41,7 +44,6 @@ __all__ = [
     "NameServerError",
     "DuplicateRegistration",
     "UnknownKernel",
-    "run_name_server",
 ]
 
 #: Bytes a name-server connection reads per readiness event.
@@ -63,16 +65,20 @@ class UnknownKernel(NameServerError):
 class NameServer:
     """JSON-lines directory service: every client served from one loop.
 
-    Construct with either a pre-bound listening socket (so the parent
-    process can pick the port before forking the server) or a
-    ``(host, port)`` pair; ``port=0`` asks the OS for a free port.  Only
-    the loop thread touches the directory.  A client whose reply the
-    socket cannot take whole — one that does not read its replies — is
-    dropped with its registrations.
+    Construct with either a pre-bound listening socket (so the engine
+    can pick the port before it forks the kernels) or a ``(host, port)``
+    pair; ``port=0`` asks the OS for a free port.  Given a *loop* — the
+    console kernel's — the directory is hosted there, and the loop's
+    owner turns and closes it (the listener with it); without one it
+    makes its own, turned by :meth:`start`.  Only the loop thread
+    touches the directory.  A client whose reply the socket cannot take
+    whole — one that does not read its replies — is dropped with its
+    registrations.
     """
 
     def __init__(self, sock: Optional[socket.socket] = None,
-                 host: str = "127.0.0.1", port: int = 0):
+                 host: str = "127.0.0.1", port: int = 0,
+                 loop=None):
         from .eventloop import IOLoop  # late: its dial path imports us
         if sock is None:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -80,14 +86,15 @@ class NameServer:
             sock.bind((host, port))
             sock.listen(64)
         self.address: Tuple[str, int] = sock.getsockname()[:2]
-        self._loop = IOLoop("nameserver")
+        self._loop = loop if loop is not None else IOLoop("nameserver")
         self._loop.add_listener(sock, self._on_accept)
-        #: name -> (host, port, owning connection, metadata dict)
-        self._registry: Dict[str, Tuple[str, int, socket.socket, dict]] = {}
-        #: service name -> (provider kernel, in_types, out_types, owning
-        #: connection); listed only while the provider is registered
+        #: name -> (host, port, owner, metadata dict); the owner is a
+        #: client's connection, or an in-process client
+        self._registry: Dict[str, Tuple[str, int, object, dict]] = {}
+        #: service name -> (provider kernel, in_types, out_types, owner);
+        #: listed only while the provider is registered
         self._services: Dict[
-            str, Tuple[str, List[str], List[str], socket.socket]] = {}
+            str, Tuple[str, List[str], List[str], object]] = {}
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "NameServer":
@@ -95,9 +102,11 @@ class NameServer:
         self._loop.start()
         return self
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the name-server process's main)."""
-        self._loop.run()
+    def client(self) -> "NameServerClient":
+        """An in-process client of this directory, for its loop's owner:
+        its requests are answered by plain calls on the loop's thread,
+        and it owns what it registers until :meth:`~NameServerClient.close`."""
+        return _LocalClient(self)
 
     def stop(self) -> None:
         """Close the listener and every client connection."""
@@ -147,7 +156,9 @@ class NameServer:
             reply = {"ok": False, "error": f"bad request: {exc}"}
         return (json.dumps(reply) + "\n").encode()
 
-    def _handle(self, conn: socket.socket, request: dict) -> dict:
+    def _handle(self, conn, request: dict) -> dict:
+        """The reply to *request* from *conn*, the owner of what it
+        registers."""
         op = request.get("op")
         if op == "register":
             name = request["name"]
@@ -178,7 +189,7 @@ class NameServer:
                 return {"ok": False, "error": "unknown",
                         "detail": f"no kernel registered as {name!r}"}
             return {"ok": True, "host": entry[0], "port": entry[1],
-                    "meta": entry[3]}
+                    "meta": dict(entry[3])}
         if op == "list":
             return {"ok": True, "names": sorted(self._registry)}
         if op == "register_service":
@@ -207,14 +218,14 @@ class NameServer:
                     continue  # the provider is gone
                 entries.append({"service": service,
                                 "provider": provider,
-                                "in_types": in_types,
-                                "out_types": out_types})
+                                "in_types": list(in_types),
+                                "out_types": list(out_types)})
             return {"ok": True, "services": entries}
         if op == "ping":
             return {"ok": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
-    def _drop_owner(self, conn: socket.socket) -> None:
+    def _drop_owner(self, conn) -> None:
         dead = [name for name, entry in self._registry.items()
                 if entry[2] is conn]
         for name in dead:
@@ -223,11 +234,6 @@ class NameServer:
                          if entry[3] is conn]
         for name in dead_services:
             del self._services[name]
-
-
-def run_name_server(sock: socket.socket) -> None:
-    """Child-process main: serve the directory on a pre-bound socket."""
-    NameServer(sock=sock).serve_forever()
 
 
 class NameServerClient:
@@ -244,7 +250,8 @@ class NameServerClient:
         self._sock = socket.create_connection(address, timeout=timeout)
         self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
 
-    def _call(self, request: dict) -> dict:
+    def _exchange(self, request: dict) -> dict:
+        """Send *request*, wait for the server's reply (the transport)."""
         try:
             self._sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
             line = self._reader.readline()
@@ -252,7 +259,10 @@ class NameServerClient:
             raise NameServerError(f"name server unreachable: {exc}") from exc
         if not line:
             raise NameServerError("name server closed the connection")
-        reply = json.loads(line)
+        return json.loads(line)
+
+    def _call(self, request: dict) -> dict:
+        reply = self._exchange(request)
         if reply.get("ok"):
             return reply
         error = reply.get("error", "")
@@ -337,3 +347,20 @@ class NameServerClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class _LocalClient(NameServerClient):
+    """:meth:`NameServer.client`: the same calls, answered in process by
+    the directory it was made for, on that directory's loop (or before
+    the loop turns, or after it closed).  The client itself owns what it
+    registers, as a connection does."""
+
+    def __init__(self, server: NameServer):
+        self.address = server.address
+        self._server = server
+
+    def _exchange(self, request: dict) -> dict:
+        return self._server._handle(self, request)
+
+    def close(self) -> None:
+        self._server._drop_owner(self)

@@ -6,10 +6,10 @@ paper describes: it forks **one OS process per logical node** named in
 the thread-collection mappings, each running a
 :class:`~repro.net.kernel.DistributedKernel` on its main thread — the
 scheduler core, its operation bodies and every socket on the kernel's
-one I/O loop — plus a TCP name-server process, itself one loop thread,
-for discovery.  Kernels find each other through the name server and
-dial lazily, on their loops, on the first token they ship; tokens travel
-in the zero-copy wire format over framed scatter-gather sockets.
+one I/O loop — and nothing else.  Kernels find each other through the
+name server and dial lazily, on their loops, on the first token they
+ship; tokens travel in the zero-copy wire format over framed
+scatter-gather sockets.
 
 The driver process hosts a *console kernel* (``"__driver__"``) that owns
 no thread instances; it only initiates activations and collects their
@@ -18,7 +18,9 @@ engines and the example applications run unmodified.  The console's
 state is its loop's: ``run`` hands the activation to the loop and waits
 for its ``RunResult``, read there as the activation completes.  Joins,
 retires and admissions are control coroutines on the same loop, one at
-a time, so the process table is the loop's too.
+a time, so the process table is the loop's too.  So is the name
+server's directory: the kernels and service clients reach it over TCP
+at :attr:`ns_address`, the console by plain calls.
 
 Because each kernel is a separate interpreter, CPython's GIL no longer
 serializes compute: CPU-bound operations genuinely run in parallel
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import socket
 import time
 import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -48,9 +51,10 @@ from ..core.flowcontrol import FlowControlPolicy, StreamPolicy
 from ..core.graph import Flowgraph
 from ..core.routing import RoutingPolicy
 from ..net.connections import TransportPolicy
+from ..net.eventloop import IOLoop
 from ..net.kernel import CONSOLE_KERNEL, DistributedKernel, _Wait, \
     run_kernel_process
-from ..net.nameserver import run_name_server
+from ..net.nameserver import NameServer, NameServerClient
 from ..net.recovery import FaultPolicy
 from ..serial.token import Token
 from .base import Engine
@@ -68,8 +72,8 @@ def _reap_processes(procs: List[multiprocessing.process.BaseProcess]) -> None:
     :func:`weakref.finalize` callback: it fires when the engine is
     garbage-collected without :meth:`MultiprocessEngine.shutdown` — e.g.
     a KeyboardInterrupt or an exception mid-startup — and again at
-    interpreter exit, so an aborted run cannot orphan the name-server
-    process and leak its port.
+    interpreter exit, so an aborted run cannot orphan a kernel process,
+    which holds the name-service listener it inherited and so the port.
     """
     for proc in procs:
         try:
@@ -163,7 +167,6 @@ class MultiprocessEngine(Engine):
         self.ns_address: Optional[Tuple[str, int]] = None
         self._console: Optional[DistributedKernel] = None
         self._kernel_procs: Dict[str, multiprocessing.process.BaseProcess] = {}
-        self._ns_proc: Optional[multiprocessing.process.BaseProcess] = None
         self._closed = False
         # Every forked child is appended here; the finalizer reaps
         # whatever shutdown() did not get to (GC after an exception,
@@ -205,28 +208,21 @@ class MultiprocessEngine(Engine):
         if not kernels:
             raise ScheduleError("registered graphs map no thread collections")
 
-        import socket as _socket
-        ns_sock = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
-        ns_sock.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
+        ns_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        ns_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         ns_sock.bind(("127.0.0.1", self.ns_port))
         ns_sock.listen(64)
-        ns_address = ns_sock.getsockname()[:2]
-        self.ns_address = (ns_address[0], ns_address[1])
-        # Bind in the parent, serve in the child: the port is known before
-        # any kernel starts, so there is no registration race to retry.
-        self._ns_proc = self._mp.Process(
-            target=run_name_server, args=(ns_sock,),
-            name="dps-nameserver", daemon=True)
-        self._ns_proc.start()
-        self._orphans.append(self._ns_proc)
-        ns_sock.close()
+        # Bound before any kernel forks: the kernels know where to
+        # register, and wait in the backlog until the console's loop
+        # turns and answers them.
+        self.ns_address = ns_sock.getsockname()[:2]
 
         # From here on any failure — a kernel that never comes up, a
         # KeyboardInterrupt while waiting, a console that cannot dial —
-        # must tear down what was already forked, or the name-server
-        # process outlives the run and leaks its port.
+        # must tear down what was already forked: a kernel inherits the
+        # listener, so one left over keeps the port.
+        loop = None
         try:
-            graphs = list(self._graphs.values())
             peers = [CONSOLE_KERNEL, *kernels]
             # Fork the kernels BEFORE the console kernel spins up its
             # I/O loop — forking a multi-threaded parent is where the
@@ -235,21 +231,30 @@ class MultiprocessEngine(Engine):
             self._next_ordinal = len(kernels) + 1
             forked = [(name, self._fork_kernel(name, ordinal, peers))
                       for ordinal, name in enumerate(kernels, start=1)]
-            for name, (proc, ready) in forked:
-                ready.poll(self.startup_timeout)  # no loop runs yet
-                self._check_ready(name, proc, ready)
 
-            console = self._make_console(ns_address, peers)
-            for graph in graphs:
+            # The directory is answered on the console's loop, which
+            # adopts the listener (and closes it when it closes).
+            loop = IOLoop(CONSOLE_KERNEL, metrics=self.metrics)
+            directory = NameServer(ns_sock, loop=loop)
+            console = self._make_console(self.ns_address, peers,
+                                         loop=loop, ns=directory.client())
+            for graph in self._graphs.values():
                 console.register_graph(graph)
             console.start()
             self._console = console
+            # A kernel is ready once it registered, through that loop.
+            for name, (proc, ready) in forked:
+                ready.poll(self.startup_timeout)
+                console._call(lambda: self._check_ready(console, name,
+                                                        proc, ready))
         except BaseException:
+            if loop is None:
+                ns_sock.close()
+            elif self._console is None:
+                loop.close()
             self.shutdown()
             raise
 
-        for name, proc in self._kernel_procs.items():
-            self._watch(console, name, proc)
         if self.heartbeat_interval > 0:
             console._io_loop.call_later(self.heartbeat_interval,
                                         self._liveness_tick)
@@ -277,14 +282,16 @@ class MultiprocessEngine(Engine):
         self._orphans.append(proc)
         return proc, ready
 
-    def _check_ready(self, name: str, proc, ready) -> None:
-        """Enter *proc* as a member if it said it is ready on *ready*,
-        which by now is readable or has timed out; raise otherwise, once
-        it is reaped."""
+    def _check_ready(self, console: DistributedKernel, name: str, proc,
+                     ready) -> None:
+        """Enter *proc* as a member, watched, if it said it is ready on
+        *ready*, which by now is readable or has timed out; raise
+        otherwise, once it is reaped.  On the console's loop."""
         try:
             if ready.poll():
                 ready.recv_bytes()
                 self._kernel_procs[name] = proc
+                self._watch(console, name, proc)
                 return
             problem = f"failed to start within {self.startup_timeout}s"
         except EOFError:
@@ -295,8 +302,10 @@ class MultiprocessEngine(Engine):
         raise ScheduleError(f"kernel process {name!r} {problem} "
                             f"(exitcode {proc.exitcode})")
 
-    def _make_console(self, ns_address, peers) -> DistributedKernel:
-        """Build the driver-side console kernel (ServiceEngine overrides
+    def _make_console(self, ns_address, peers, loop: IOLoop,
+                      ns: NameServerClient) -> DistributedKernel:
+        """Build the driver-side console kernel on *loop*, reaching the
+        directory that loop hosts through *ns* (ServiceEngine overrides
         this to substitute its session-aware subclass).
 
         The console records straight into the engine-level tracer and
@@ -308,7 +317,7 @@ class MultiprocessEngine(Engine):
             policy=self.policy, dial_deadline=self.dial_deadline,
             tracer=self.tracer, metrics=self.metrics,
             transport=self.transport, recover=self.recover,
-            routing=self.routing, stream=self.stream)
+            routing=self.routing, stream=self.stream, loop=loop, ns=ns)
 
     def _watch(self, console: DistributedKernel, name: str, proc) -> None:
         """Report *proc*'s exit to the console (a retire waits for it)."""
@@ -462,8 +471,7 @@ class MultiprocessEngine(Engine):
         yield _Wait(lambda: bool(fired), self.startup_timeout)
         if not fired:
             console._io_loop.remove_reader(ready.fileno())
-        self._check_ready(node_name, proc, ready)
-        self._watch(console, node_name, proc)
+        self._check_ready(console, node_name, proc, ready)
         yield from console._rebalance(joined=[node_name],
                                       depths=self._poll_depths())
         return node_name
@@ -601,11 +609,11 @@ class MultiprocessEngine(Engine):
         if console is not None:
             console.shutdown()
             self._console = None
-        # The name server and a joiner not ready yet are left; once they
-        # are reaped the GC/exit finalizer has nothing to do.
+        # A kernel that never became a member (a joiner not ready yet, a
+        # seed of a failed start) is left; once it is reaped the GC/exit
+        # finalizer has nothing to do.
         _reap_processes(self._orphans)
         self._orphans.clear()
-        self._ns_proc = None
 
     def __enter__(self) -> "MultiprocessEngine":
         return self

@@ -39,6 +39,7 @@ semaphore, the open event, a call's event, a reply queue.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import queue
@@ -152,11 +153,15 @@ class ServiceClient:
         self._listener.listen(8)
         self.address = self._listener.getsockname()[:2]
 
-        self._ns = NameServerClient(ns_address)
-        # Register WITHOUT a host fingerprint: the console then dials
-        # back over plain TCP (no shared-memory lane handshake with a
-        # non-kernel process).
-        self._ns.register(self.name, *self.address)
+        with contextlib.ExitStack() as refused:  # closes both if raised
+            refused.callback(self._listener.close)
+            self._ns = NameServerClient(ns_address)
+            refused.callback(self._ns.close)
+            # Register WITHOUT a host fingerprint: the console then dials
+            # back over plain TCP (no shared-memory lane handshake with a
+            # non-kernel process).
+            self._ns.register(self.name, *self.address)
+            refused.pop_all()
         # One I/O loop accepts the console's dial-back, reads replies
         # and drains the send side.  The client is a leaf talker, not a
         # kernel: no shm lane.

@@ -107,8 +107,8 @@ class ServiceKernel(DistributedKernel):
     # publication / lifecycle
     # ------------------------------------------------------------------
     def expose_service(self, public_name: str, graph: Flowgraph) -> None:
-        """Publish *graph* as *public_name* in the name server, from the
-        loop, whose name-server client it is."""
+        """Publish *graph* as *public_name* in the directory the
+        console's loop hosts, from that loop."""
         in_types, out_types = graph_signature(graph)
 
         def expose() -> None:
@@ -124,10 +124,7 @@ class ServiceKernel(DistributedKernel):
         def drain() -> None:
             self._svc_draining = True
             for name in self._svc_graphs:
-                try:
-                    self._ns.unregister_service(name)
-                except Exception:
-                    pass  # name server gone: nothing left to unpublish
+                self._ns.unregister_service(name)
 
         self._call(drain)
         steps = self._svc_drained(timeout)
@@ -343,13 +340,14 @@ class ServiceEngine(MultiprocessEngine):
         self._exposed: Dict[str, Flowgraph] = {}
         self._serving = False
 
-    def _make_console(self, ns_address, peers) -> DistributedKernel:
+    def _make_console(self, ns_address, peers, loop,
+                      ns) -> DistributedKernel:
         return ServiceKernel(
             CONSOLE_KERNEL, 0, ns_address, peers,
             policy=self.policy, dial_deadline=self.dial_deadline,
             tracer=self.tracer, metrics=self.metrics,
             transport=self.transport, recover=self.recover,
-            routing=self.routing,
+            routing=self.routing, loop=loop, ns=ns,
             admission=self.admission, call_timeout=self.call_timeout)
 
     # ------------------------------------------------------------------

@@ -24,8 +24,9 @@ from repro.core import (
     SplitOperation,
     ThreadCollection,
 )
-from repro.net import CONSOLE_KERNEL, DistributedKernel, FrameReader, \
-    NameServer, NameServerClient, run_kernel_process, send_messages
+from repro.net import CONSOLE_KERNEL, DistributedKernel, \
+    DuplicateRegistration, FrameReader, NameServer, NameServerClient, \
+    run_kernel_process, send_messages
 from repro.net import connections
 from repro.net import protocol as P
 from repro.net.recovery import FaultPolicy
@@ -201,8 +202,9 @@ def test_eventloop_mode_thread_census():
     — no accept, per-peer ``dps-send:``, per-connection ``dps-recv:``,
     ack-flush or dial thread (a dial in flight is loop state too), and
     no engine thread polling children, leases or queue depths — and each
-    worker kernel process, like the name-server process, is one thread
-    turning its loop."""
+    worker kernel process is one thread turning its loop.  The kernels
+    are the only children: the directory is answered on the console's
+    loop, not by a process of its own."""
     g = build_ring_graph(["node01", "node02", "node03", "node04"])
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
@@ -227,9 +229,41 @@ def test_eventloop_mode_thread_census():
                 frames.extend(reader.recv_batch())
         for name, proc in engine._kernel_procs.items():
             assert _threads(proc.pid) == 1, name
-        assert _threads(engine._ns_proc.pid) == 1
+        children = multiprocessing.active_children()
+        assert children and all(child.name.startswith("dps-kernel:")
+                                for child in children), children
     accepted.close()
     listener.close()
+
+
+def test_a_killed_kernel_leaves_the_directory():
+    """The directory on the console's loop drops a kernel's name when its
+    name-service connection does: a killed kernel is no longer listed."""
+    g = build_ring_graph(["node01", "node02"])
+    with MultiprocessEngine() as engine:
+        engine.register_graph(g)
+        assert engine.run(g, RingJobToken(512, 2), timeout=60).blocks == 2
+        with NameServerClient(engine.ns_address) as ns:
+            assert ns.kernels() == [CONSOLE_KERNEL, "node01", "node02"]
+            engine.fail_node("node02")
+            deadline = time.monotonic() + 10
+            while "node02" in ns.kernels() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert ns.kernels() == [CONSOLE_KERNEL, "node01"]
+
+
+def test_the_console_owns_its_name_over_tcp():
+    """The console registers through its in-process client, which owns
+    the name as a connection would: a TCP client cannot take it, and a
+    lookup over TCP finds the console's listener."""
+    g = build_ring_graph(["node01", "node02"])
+    with MultiprocessEngine() as engine:
+        engine.register_graph(g)
+        assert engine.run(g, RingJobToken(512, 2), timeout=60).blocks == 2
+        with NameServerClient(engine.ns_address) as ns:
+            with pytest.raises(DuplicateRegistration):
+                ns.register(CONSOLE_KERNEL, "127.0.0.1", 1)
+            assert ns.lookup(CONSOLE_KERNEL) == engine._console.address
 
 
 def test_a_worker_flushes_before_it_closes_on_one_deadline(monkeypatch):

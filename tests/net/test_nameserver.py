@@ -25,7 +25,7 @@ from repro.net import (
 )
 from repro.net.eventloop import _DIAL_FIRST_DELAY
 
-from tests.net.test_timers import FakeClock, _settle
+from tests.net.test_timers import FakeClock, _on_loop, _settle
 
 
 @pytest.fixture
@@ -397,6 +397,29 @@ def test_kernels_drop_with_connection(ns):
         while "kernelA" in c2.kernels() and time.time() < deadline:
             time.sleep(0.02)
         assert c2.kernels() == ["kernelB"]
+
+
+def test_an_in_process_client_owns_its_names_as_a_connection_does():
+    """``NameServer.client()`` (the console's, on the directory's own
+    loop) runs the same rules as a TCP client: its name is refused to
+    others until it closes, and a lookup hands out a copy, never the
+    directory's entry."""
+    server = NameServer()
+    local = server.client()
+    # before the loop turns, as the console registers in its start()
+    local.register("kernelA", "127.0.0.1", 7001, meta={"kernel": True})
+    _, _, meta = local.lookup_entry("kernelA")
+    meta["kernel"] = False
+    assert local.lookup_entry("kernelA") == \
+        ("127.0.0.1", 7001, {"kernel": True})
+    with server, client(server) as remote:
+        with pytest.raises(DuplicateRegistration, match="kernelA"):
+            remote.register("kernelA", "127.0.0.1", 7002)
+        assert remote.lookup("kernelA") == ("127.0.0.1", 7001)
+        _on_loop(server._loop, local.close)
+        remote.register("kernelA", "127.0.0.1", 7002)
+        assert _on_loop(server._loop, lambda: local.lookup("kernelA")) \
+            == ("127.0.0.1", 7002)
 
 
 # ---------------------------------------------------------------------------

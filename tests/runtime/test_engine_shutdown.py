@@ -1,13 +1,15 @@
 """Shutdown reaps every forked process — even on interrupted startup.
 
-Regression suite for the orphaned name-server bug: a failure (or ^C)
-after the name-server process forked but before the console was up used
-to leak a ``dps-nameserver`` process holding its port.  Every path out
-of ``_ensure_started`` must now reap the whole brood, and a GC'd engine
-that was never shut down has a ``weakref.finalize`` backstop.
+Regression suite for the orphaned-process bug: a failure (or ^C) after
+the first child forked but before the console was up used to leak a
+process holding the name-service port.  Every path out of
+``_ensure_started`` must now reap the whole brood and free the port
+(each kernel inherits the listener), and a GC'd engine that was never
+shut down has a ``weakref.finalize`` backstop.
 """
 
 import multiprocessing
+import socket
 import time
 
 import pytest
@@ -30,20 +32,25 @@ def _assert_all_dead(procs):
         assert not proc.is_alive(), f"{proc.name} leaked"
 
 
+def _assert_port_free(address):
+    """Nothing listens on *address* any more: it can be bound again."""
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind(address)
+        sock.listen(1)
+
+
 class _KernelForkRefused:
     """mp-context wrapper whose kernel Process() calls explode — the
-    name server has already forked by then."""
+    name-service listener is bound by then."""
 
     def __init__(self, real):
         self._real = real
-        self.created = []
 
     def Process(self, *args, **kwargs):
         if kwargs.get("name", "").startswith("dps-kernel"):
             raise RuntimeError("fork refused (injected)")
-        proc = self._real.Process(*args, **kwargs)
-        self.created.append(proc)
-        return proc
+        return self._real.Process(*args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self._real, name)
@@ -56,17 +63,18 @@ def test_failed_kernel_fork_reaps_name_server():
     engine._mp = wrapper
     with pytest.raises(RuntimeError, match="fork refused"):
         engine.run(engine._graphs["reap.fork"], StringToken("x"))
-    assert engine._ns_proc is None
-    assert wrapper.created, "the name server never forked: test is vacuous"
-    _assert_all_dead(wrapper.created)
+    assert engine.ns_address, "the listener was never bound: test is vacuous"
+    _assert_port_free(engine.ns_address)
     assert not engine._orphans
+    assert not multiprocessing.active_children()
 
 
 class _InterruptBeforeConsole(MultiprocessEngine):
     """^C arriving after every kernel process forked, before the console
-    kernel exists — the worst spot for the old leak."""
+    kernel exists — the worst spot for the old leak, and by now the
+    console's loop has adopted the listener."""
 
-    def _make_console(self, ns_address, peers):
+    def _make_console(self, *args, **kwargs):
         self.forked = list(self._orphans)
         raise KeyboardInterrupt
 
@@ -76,10 +84,10 @@ def test_interrupt_during_startup_reaps_all_processes():
     engine.register_graph(_graph("reap.sigint"))
     with pytest.raises(KeyboardInterrupt):
         engine.run(engine._graphs["reap.sigint"], StringToken("x"))
-    # name server + one kernel had forked by the time the "signal" hit
-    assert len(engine.forked) == 2
+    # the one kernel had forked by the time the "signal" hit
+    assert len(engine.forked) == 1
     _assert_all_dead(engine.forked)
-    assert engine._ns_proc is None
+    _assert_port_free(engine.ns_address)
     assert not engine._orphans
 
 
@@ -162,6 +170,23 @@ def test_ns_port_is_a_multiprocess_option():
     engine.shutdown()
     with pytest.raises(ValueError, match="'ns_port' is a multiprocess"):
         create_engine("sim", ns_port=7780)
+
+
+def test_a_fixed_ns_port_serves_again_right_after_shutdown():
+    """Every kernel that inherited the name-service listener is reaped by
+    ``shutdown()``: the next engine on the same fixed port starts."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    for life in range(2):
+        engine = MultiprocessEngine(ns_port=port)
+        engine.register_graph(_graph(f"reap.port{life}"))
+        try:
+            assert engine.run(engine._graphs[f"reap.port{life}"],
+                              StringToken("ab")).text == "AB"
+            assert engine.ns_address == ("127.0.0.1", port)
+        finally:
+            engine.shutdown()
 
 
 def test_ns_address_resolves_on_start():

@@ -6,9 +6,11 @@ sessions over TCP.  Admission numbers are deliberately tiny
 (2 executing + 2 queued) so overload is easy to provoke.
 """
 
+import gc
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -22,7 +24,8 @@ from repro.core import (
     SplitOperation,
     ThreadCollection,
 )
-from repro.net import NameServerClient, UnknownKernel
+from repro.net import DuplicateRegistration, NameServerClient, \
+    UnknownKernel
 from repro.runtime import ScheduleError
 from repro.serial import SimpleToken
 from repro.service import (
@@ -255,6 +258,22 @@ def test_failed_open_leaves_nothing_behind(tier):
         assert "dps-io:jilted" not in {t.name for t in threading.enumerate()}
         with pytest.raises(UnknownKernel):
             ns.lookup("jilted")
+
+
+def test_a_taken_name_leaves_no_socket_open(tier):
+    """A client whose registration is refused closes its listener and
+    its name-service connection before the error leaves the
+    constructor: nothing is left for the collector to warn about."""
+    _, address, _ = tier
+    with NameServerClient(address) as ns:
+        ns.register("taken", "127.0.0.1", 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(DuplicateRegistration):
+                ServiceClient(address, name="taken")
+            gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
 
 
 def test_overload_sheds_with_busy(tier):
