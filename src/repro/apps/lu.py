@@ -26,6 +26,12 @@ solves); virtual time is charged through the cost models, optionally
 scaled (``scale=α`` prices every operation as if the matrix were ``α·n``
 — the benches factor a real 1024² matrix while reproducing the virtual
 timing of the paper's 4096² runs; see DESIGN.md §2).
+
+Importing this module needs numpy alone.  scipy is needed once an LU
+application is built: :class:`DistributedLU` imports ``scipy.linalg``
+in the building process, before any engine forks its kernels, so the
+kernels inherit it and no operation body is a kernel's first importer.
+A process that builds no LU application never loads scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ import time
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..cluster import costs
 from ..core import (
@@ -431,6 +436,7 @@ class LUTrsm(_LUOp, LeafOperation):
         _apply_pivots(tail, pivots)
         l_kk = panel[:r, :]
         top = tail[:r, :]
+        from scipy.linalg import solve_triangular  # loaded by DistributedLU
         tail[:r, :] = solve_triangular(l_kk, top, lower=True, unit_diagonal=True)
         # pivot application (memcpy) + triangular solve
         yield self.charge_seconds(
@@ -693,6 +699,9 @@ class DistributedLU:
             raise ValueError(f"matrix size {n} not divisible by s={s}")
         if not worker_nodes:
             raise ValueError("need at least one worker node")
+        # Here, not at module top: a kernel forked after this inherits
+        # scipy, and a process that builds no LU never loads it.
+        import scipy.linalg  # noqa: F401
         self.engine = engine
         self.a0 = a
         self.n, self.s, self.r = n, s, n // s

@@ -586,6 +586,11 @@ class MultiprocessEngine(Engine):
         asked = {}
         if console is not None:
             asked = self._answering(console)
+            # CLI joiners have no Process handle here, but are members
+            # all the same: left unasked, one outlives the cluster.
+            joiners = console._call(lambda: sorted(
+                self._external_kernels - self._retired
+                - console._dead_kernels))
             if self.tracer is not None or self.metrics is not None:
                 # Pull per-kernel trace buffers into the engine tracer
                 # BEFORE ordering shutdown, while every peer still answers.
@@ -595,7 +600,7 @@ class MultiprocessEngine(Engine):
                     pass  # observability must never block teardown
             # Stop treating peer errors as failures; we are leaving anyway.
             console.leaving()
-            for name in asked:
+            for name in [*asked, *joiners]:
                 try:
                     console.request_shutdown(name)
                 except Exception:

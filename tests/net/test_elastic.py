@@ -12,14 +12,21 @@ retire racing a declared heartbeat miss, and the console's miss count
 itself — ticks of its own loop, from the moment a kernel is ready.
 """
 
+import itertools
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
+from repro.apps import gameoflife
 from repro.apps.gameoflife import DistributedGameOfLife, life_step
+from repro.apps.gol_service import GameOfLifeService
 from repro.apps.ring import RingJobToken, build_ring_graph
 from repro.net import protocol as P
 from repro.net.framing import send_messages
@@ -456,3 +463,47 @@ def test_a_held_console_does_not_count_its_own_delay():
     assert done.blocks == 4
     assert result.recovered is False
     assert metrics.counter("kernels_down").value == 0
+
+
+def test_a_cli_joiner_exits_when_the_cluster_shuts_down(monkeypatch):
+    """A ``repro.cli join`` kernel has no Process handle in the engine it
+    joined; ``shutdown()`` must still ask it to stop, or it outlives the
+    cluster."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    rows, cols, workers, seed = 16, 16, 2, 7
+    world = np.random.default_rng(seed).integers(
+        0, 2, size=(rows, cols), dtype=np.uint8)
+    # The joiner rebuilds the service in a fresh interpreter, as its
+    # first: number this one the same, whatever this process built.
+    monkeypatch.setattr(gameoflife, "_instance_counter", itertools.count(1))
+    engine = MultiprocessEngine(ns_port=port)
+    gol = GameOfLifeService(engine, world,
+                            [f"node{i + 1:02d}" for i in range(workers)])
+    joiner = None
+    try:
+        gol.load()
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        joiner = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "join", "--ns-port",
+             str(port), "--name", "node05", "--world", str(rows), str(cols),
+             "--workers", str(workers), "--seed", str(seed)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        deadline = time.monotonic() + 30.0
+        while "node05" not in engine.members():
+            assert joiner.poll() is None, joiner.stderr.read().decode()
+            assert time.monotonic() < deadline, "node05 never admitted"
+            time.sleep(0.05)
+        assert np.array_equal(gol.read_block(0, 0, rows, cols), world)
+    finally:
+        engine.shutdown()
+        if joiner is not None:
+            try:
+                code = joiner.wait(timeout=10)
+            finally:
+                joiner.kill()  # a no-op once it has exited
+                joiner.wait()
+                joiner.stderr.close()
+    assert code == 0
