@@ -69,6 +69,9 @@ class FlowgraphNode:
         #: execute() is a generator yielding effect requests (vs a plain
         #: function run atomically); fixed per class, read per token.
         self.generator_body = inspect.isgeneratorfunction(op_class.execute)
+        #: the class overrides cost(); a plain body of one that does not
+        #: charges nothing, so the scheduler skips the call
+        self.declares_cost = op_class.cost is not Operation.cost
 
     @property
     def kind(self) -> str:

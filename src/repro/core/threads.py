@@ -115,23 +115,27 @@ class ThreadCollection:
     def is_mapped(self) -> bool:
         return self._placements is not None
 
-    @property
-    def placements(self) -> List[str]:
-        """Node name per thread index."""
+    def _mapped(self) -> List[str]:
+        """The placements list itself (not a copy); raises if unmapped."""
         if self._placements is None:
             raise RuntimeError(
                 f"thread collection {self.name!r} is not mapped; call "
                 f".map('nodeA*2 nodeB') or .map_nodes([...]) first"
             )
-        return list(self._placements)
+        return self._placements
+
+    @property
+    def placements(self) -> List[str]:
+        """Node name per thread index (a copy)."""
+        return list(self._mapped())
 
     @property
     def thread_count(self) -> int:
-        return len(self.placements)
+        return len(self._mapped())
 
     def node_of(self, index: int) -> str:
         """The node hosting thread *index*."""
-        placements = self.placements
+        placements = self._mapped()
         if not 0 <= index < len(placements):
             raise IndexError(
                 f"thread index {index} out of range for collection "

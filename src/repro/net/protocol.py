@@ -25,7 +25,8 @@ from ..core.graph import Flowgraph
 from ..runtime.base import DataEnvelope, GroupFrame
 from ..serial.registry import TokenRegistry, registry
 from ..serial.token import Token
-from ..serial.wire import Segment, WireError, decode, encode_segments
+from ..serial.wire import (Segment, WireError, _cached, _str_head, decode,
+                           encode_segments)
 
 __all__ = [
     "MSG_DATA",
@@ -190,10 +191,14 @@ class AckWire:
 # encoding
 # ---------------------------------------------------------------------------
 
+#: string -> ``u16 length | UTF-8``: a data message names its graph, its
+#: activation's origin kernel and each frame's opener kernel, the same
+#: few strings on every message (bounded like the codec's own caches)
+_STR_HEADS: Dict[str, bytes] = {}
+
+
 def _pack_str(out: bytearray, s: str) -> None:
-    raw = s.encode("utf-8")
-    out += _U16.pack(len(raw))
-    out += raw
+    out += _STR_HEADS.get(s) or _cached(_STR_HEADS, s, _str_head(s))
 
 
 def encode_data(env: DataEnvelope, reg: TokenRegistry = registry) -> List[Segment]:
@@ -427,7 +432,7 @@ def encode_svc_close(client_name: str) -> List[Segment]:
 def _unpack_str(view: memoryview, offset: int) -> Tuple[str, int]:
     (n,) = _U16.unpack_from(view, offset)
     offset += 2
-    return str(view[offset:offset + n], "utf-8"), offset + n
+    return view[offset:offset + n].tobytes().decode(), offset + n
 
 
 def decode_message(payload: "bytes | bytearray | memoryview",
@@ -467,8 +472,8 @@ def decode_message(payload: "bytes | bytearray | memoryview",
                                      routed_instance))
         token = decode(view[offset:], reg, copy=False)
         return MSG_DATA, DataEnvelope(token, graph, node_id, instance,
-                                      ctx_id, tuple(frames),
-                                      ctx_origin=ctx_origin or None)
+                                      ctx_id, tuple(frames), None,
+                                      ctx_origin or None)
     if kind == MSG_ACK:
         graph_name, offset = _unpack_str(view, offset)
         opener, opener_instance, routed_instance, group_id, index = \

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from ..core.flowcontrol import FlowControlPolicy, StreamPolicy
 from ..core.graph import Flowgraph
@@ -74,9 +74,12 @@ class KernelFailure(ScheduleError, ConnectionError):
     """
 
 
-@dataclass(frozen=True)
-class GroupFrame:
-    """One level of split-merge nesting attached to a token."""
+class GroupFrame(NamedTuple):
+    """One level of split-merge nesting attached to a token.
+
+    A named tuple: every decoded data message and every split post builds
+    one, so its constructor is on the per-token path.
+    """
 
     group_id: int
     #: Emission index within the group (0-based).

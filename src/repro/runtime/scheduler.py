@@ -382,9 +382,10 @@ class Scheduler:
                     )
                 # Plain body: charge the declared cost, then run atomically
                 # (compute first, outputs leave when ready).
-                charge = op.cost(value)
-                if charge.seconds or charge.flops:
-                    yield body, charge
+                if body.node.declares_cost:
+                    charge = op.cost(value)
+                    if charge.seconds or charge.flops:
+                        yield body, charge
                 op.execute(value)
                 self.finish_body(body)
                 return
@@ -537,10 +538,8 @@ class Scheduler:
                 if body.out_group_id is None:
                     body.out_group_id = self.sub.next_group_id()
                 frame = GroupFrame(
-                    group_id=body.out_group_id, index=body.posted,
-                    opener=body.node_id, opener_instance=body.thread.index,
-                    origin_node=body.thread.node_name, routed_instance=0,
-                )
+                    body.out_group_id, body.posted, body.node_id,
+                    body.thread.index, body.thread.node_name, 0)
             elif body.base_frames:
                 frame = body.base_frames[-1]
         elif body.base_frames and not body.opens_group:
@@ -559,7 +558,10 @@ class Scheduler:
         """Queue a post behind its saturated window, or shed it."""
         queue = self._pending.setdefault(body.window_key, deque())
         if window.shedding == "block":
-            req._admit_event = self.sub.new_gate()
+            # Only a generator body can yield the post and wait at its
+            # gate; a plain body's deferred post just queues.
+            if body.node.generator_body:
+                req._admit_event = self.sub.new_gate()
         elif len(queue) >= (window.window or 1):
             # Lossy modes never stall the poster: their requests carry no
             # gate and the queue is capped at the window size.
@@ -591,10 +593,8 @@ class Scheduler:
         frames = body.base_frames
         if body.opens_group:
             frames = frames + (GroupFrame(
-                group_id=body.out_group_id, index=seq, opener=body.node_id,
-                opener_instance=body.thread.index,
-                origin_node=body.thread.node_name, routed_instance=instance,
-            ),)
+                body.out_group_id, seq, body.node_id, body.thread.index,
+                body.thread.node_name, instance),)
         env = DataEnvelope(token, body.graph, succ, instance, body.ctx_id,
                            frames, ctx_origin=body.ctx_origin)
         if window is not None:

@@ -64,13 +64,10 @@ _compiled_decode: Optional[Callable] = None
 
 # -- wire bindings (installed by wire.py at the bottom of its body) ---------
 
-_U8 = struct.Struct("<B")
-_U32 = struct.Struct("<I")
-
 _np = None
 _Buffer = None
 _Vector = None
-_WireError = Exception
+_array_head = None
 _decode_ndarray = None
 _segment_threshold = 1 << 30
 
@@ -84,18 +81,12 @@ def _encode_array(arr) -> bytes:
     unserializable arrays (object dtype, >255 dims) match the pure path
     exactly: the same exception types escape from either visitor.
     """
-    if arr.dtype.hasobject:
-        raise _WireError("object-dtype arrays are not serializable")
+    head = _array_head(arr)
     contiguous = arr if arr.flags.c_contiguous \
         else _np.ascontiguousarray(arr)
     if contiguous.nbytes >= _segment_threshold:
         raise _Unsupported
-    dtype_str = contiguous.dtype.str.encode("ascii")
-    parts = [_U8.pack(len(dtype_str)), dtype_str, _U8.pack(arr.ndim)]
-    for dim in arr.shape:
-        parts.append(_U32.pack(dim))
-    parts.append(contiguous.tobytes())
-    return b"".join(parts)
+    return head + contiguous.tobytes()
 
 
 def _decode_array(src, offset: int, copy: int, as_buffer: int):
@@ -116,12 +107,12 @@ def _decode_array(src, offset: int, copy: int, as_buffer: int):
 
 def _bind(wire_ns: Dict[str, Any]) -> None:
     """Receive the generic codec's internals (called from ``wire.py``)."""
-    global _np, _Buffer, _Vector, _WireError, _decode_ndarray
+    global _np, _Buffer, _Vector, _array_head, _decode_ndarray
     global _segment_threshold, _compiled_encode, _compiled_decode
     _np = wire_ns["np"]
     _Buffer = wire_ns["Buffer"]
     _Vector = wire_ns["Vector"]
-    _WireError = wire_ns["WireError"]
+    _array_head = wire_ns["_array_head"]
     _decode_ndarray = wire_ns["_decode_ndarray"]
     _segment_threshold = wire_ns["_SEGMENT_THRESHOLD"]
     if _compiled_mod is not None:

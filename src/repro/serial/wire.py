@@ -80,6 +80,9 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+# tag byte + scalar in one pack, for the dict loop's inline fields
+_TAGGED_I64 = struct.Struct("<Bq")
+_TAGGED_F64 = struct.Struct("<Bd")
 
 #: ndarray payloads at least this large are emitted as borrowed
 #: memoryview segments instead of being copied into the header stream.
@@ -147,6 +150,42 @@ Segment = Union[bytearray, memoryview]
 
 
 # ---------------------------------------------------------------------------
+# per-type caches
+# ---------------------------------------------------------------------------
+#
+# The visitor's per-type work — a field name's UTF-8 head, an array's
+# dtype string and dims, a message's name head — is a pure function of
+# the type, so it is done once and looked up after.  A miss runs the same
+# code that fills the entry, which is why the bytes cannot differ from an
+# uncached encode.  What depends on the *value* is checked on every value:
+# ``hasobject`` (an object-bearing structured dtype can share ``.str``
+# with a plain one) and the key type (only an exact ``str`` key is looked
+# up, so a look-alike key cannot hit a cached name).
+
+#: Entries per cache; a full cache is emptied before its next insert.
+#: Threads that miss at once may each insert, overshooting the cap by one
+#: entry per thread; no lock is needed, since every entry is a pure
+#: function of its key.
+_CACHE_CAP = 4096
+
+#: field name -> ``u16 length | UTF-8``, as written before its value
+_KEY_HEADS: dict[str, bytes] = {}
+#: (dtype, shape) -> ``u8 dtype_len | dtype | u8 ndim | u32 dims...``
+_ARRAY_HEADS: dict[tuple, bytes] = {}
+#: ndarray header bytes -> (dtype, shape, count, nbytes)
+_ARRAY_LAYOUTS: dict[bytes, tuple] = {}
+#: registered name -> ``MAGIC | u16 name_len | name``
+_MESSAGE_HEADS: dict[bytes, bytes] = {}
+
+
+def _cached(cache: dict, key: Any, value: Any) -> Any:
+    if len(cache) >= _CACHE_CAP:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+# ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
 
@@ -173,11 +212,12 @@ def encode_segments(token: Token, reg: TokenRegistry = registry) -> List[Segment
         fast = _fastpath.try_encode(token, name)
         if fast is not None:
             return [fast]
-    head = bytearray(MAGIC)
-    head += _U16.pack(len(name))
-    head += name
+    head = _MESSAGE_HEADS.get(name)
+    if head is None:
+        head = _cached(_MESSAGE_HEADS, name,
+                       MAGIC + _U16.pack(len(name)) + name)
     parts: List[Segment] = []
-    tail = _encode_value(parts, head, token.fields())
+    tail = _encode_value(parts, bytearray(head), token.fields())
     if tail:
         parts.append(tail)
     return parts
@@ -218,10 +258,7 @@ def frame(payload: "bytes | bytearray | memoryview | List[Segment]") -> List[Seg
     copying the payload.  The header is ``u32 payload_length | u8
     version`` (:data:`FRAME_VERSION`).
     """
-    if isinstance(payload, list):
-        segments: List[Segment] = list(payload)
-    else:
-        segments = [payload]  # type: ignore[list-item]
+    segments = payload if isinstance(payload, list) else [payload]
     total = 0
     for seg in segments:
         total += seg.nbytes if type(seg) is memoryview else len(seg)
@@ -312,15 +349,16 @@ def decode(
         token = _fastpath.try_decode(data, reg, copy)
         if token is not None:
             return token
-    view = memoryview(data)
-    if view[:4] != MAGIC:
+    view = data if type(data) is memoryview else memoryview(data)
+    if view[:4].tobytes() != MAGIC:
         raise WireError("bad magic; not a DPS wire message")
     (name_len,) = _U16.unpack_from(view, 4)
-    offset = 6
-    name = str(view[offset : offset + name_len], "utf-8")
-    offset += name_len
-    cls = reg.lookup(name)
-    fields, offset = _decode_value(view, offset, copy)
+    offset = 6 + name_len
+    cls = reg.lookup(view[6:offset].tobytes().decode())
+    if view[offset] == _T_DICT:
+        fields, offset = _decode_dict(view, offset + 1, copy)
+    else:
+        fields, offset = _decode_value(view, offset, copy)
     if offset != len(view):
         raise WireError(f"trailing garbage: {len(view) - offset} bytes")
     obj = cls.__new__(cls)
@@ -401,6 +439,8 @@ def _encode_value(parts: List[Segment], tail: bytearray, value: Any) -> bytearra
     # subclasses and numpy scalars fall through to the isinstance chain
     # below with identical semantics.
     cls = type(value)
+    if cls is dict:
+        return _encode_dict(parts, tail, value)
     if cls is str:
         raw = value.encode("utf-8")
         tail += _TAG_STR
@@ -409,8 +449,7 @@ def _encode_value(parts: List[Segment], tail: bytearray, value: Any) -> bytearra
         return tail
     if cls is int:
         if _INT64_MIN <= value <= _INT64_MAX:
-            tail += _TAG_INT64
-            tail += _I64.pack(value)
+            tail += _TAGGED_I64.pack(_T_INT64, value)
         else:
             raw = str(value).encode("ascii")
             tail += _TAG_BIGINT
@@ -418,20 +457,14 @@ def _encode_value(parts: List[Segment], tail: bytearray, value: Any) -> bytearra
             tail += raw
         return tail
     if cls is float:
-        tail += _TAG_FLOAT64
-        tail += _F64.pack(value)
+        tail += _TAGGED_F64.pack(_T_FLOAT64, value)
         return tail
-    if cls is dict:
-        tail += _TAG_DICT
-        tail += _U32.pack(len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise WireError(f"dict keys must be str, got {type(key).__name__}")
-            raw = key.encode("utf-8")
-            tail += _U16.pack(len(raw))
-            tail += raw
-            tail = _encode_value(parts, tail, item)
-        return tail
+    if cls is Buffer:
+        tail += _TAG_BUFFER
+        return _encode_ndarray(parts, tail, value.array)
+    if cls is np.ndarray:
+        tail += _TAG_NDARRAY
+        return _encode_ndarray(parts, tail, value)
     if value is None:
         tail += b"\x00"
     elif value is False:
@@ -441,16 +474,14 @@ def _encode_value(parts: List[Segment], tail: bytearray, value: Any) -> bytearra
     elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         iv = int(value)
         if _INT64_MIN <= iv <= _INT64_MAX:
-            tail += _TAG_INT64
-            tail += _I64.pack(iv)
+            tail += _TAGGED_I64.pack(_T_INT64, iv)
         else:
             raw = str(iv).encode("ascii")
             tail += _TAG_BIGINT
             tail += _U32.pack(len(raw))
             tail += raw
     elif isinstance(value, (float, np.floating)):
-        tail += _TAG_FLOAT64
-        tail += _F64.pack(float(value))
+        tail += _TAGGED_F64.pack(_T_FLOAT64, float(value))
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         tail += _TAG_STR
@@ -483,15 +514,7 @@ def _encode_value(parts: List[Segment], tail: bytearray, value: Any) -> bytearra
         for item in value:
             tail = _encode_value(parts, tail, item)
     elif isinstance(value, dict):
-        tail += _TAG_DICT
-        tail += _U32.pack(len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise WireError(f"dict keys must be str, got {type(key).__name__}")
-            raw = key.encode("utf-8")
-            tail += _U16.pack(len(raw))
-            tail += raw
-            tail = _encode_value(parts, tail, item)
+        tail = _encode_dict(parts, tail, value)
     elif isinstance(value, Token):
         name = registry.name_bytes_of(type(value))
         tail += _TAG_TOKEN
@@ -507,23 +530,67 @@ def _encode_value(parts: List[Segment], tail: bytearray, value: Any) -> bytearra
     return tail
 
 
-def _encode_ndarray(parts: List[Segment], tail: bytearray, arr: np.ndarray) -> bytearray:
-    if arr.dtype.hasobject:
+def _str_head(s: str) -> bytes:
+    """``u16 length | UTF-8``: how a field name, and the protocol's graph
+    and kernel names, go on the wire."""
+    raw = s.encode("utf-8")
+    return _U16.pack(len(raw)) + raw
+
+
+def _encode_dict(parts: List[Segment], tail: bytearray, value: dict) -> bytearray:
+    # A token's fields: int64, float64 and Buffer values are written here
+    # without a visitor call per field.
+    tail += _TAG_DICT
+    tail += _U32.pack(len(value))
+    heads = _KEY_HEADS
+    for key, item in value.items():
+        if type(key) is str:
+            head = heads.get(key)
+            if head is None:
+                head = _cached(heads, key, _str_head(key))
+        elif isinstance(key, str):
+            head = _str_head(key)
+        else:
+            raise WireError(f"dict keys must be str, got {type(key).__name__}")
+        tail += head
+        cls = type(item)
+        if cls is int and _INT64_MIN <= item <= _INT64_MAX:
+            tail += _TAGGED_I64.pack(_T_INT64, item)
+        elif cls is float:
+            tail += _TAGGED_F64.pack(_T_FLOAT64, item)
+        elif cls is Buffer:
+            tail += _TAG_BUFFER
+            tail = _encode_ndarray(parts, tail, item.array)
+        else:
+            tail = _encode_value(parts, tail, item)
+    return tail
+
+
+def _array_head(arr: np.ndarray) -> bytes:
+    """*arr*'s ``u8 dtype_len | dtype | u8 ndim | u32 dims...`` header."""
+    dtype = arr.dtype
+    if dtype.hasobject:
         raise WireError("object-dtype arrays are not serializable")
+    key = (dtype, arr.shape)
+    head = _ARRAY_HEADS.get(key)
+    if head is None:
+        dtype_str = dtype.str.encode("ascii")
+        head = _U8.pack(len(dtype_str)) + dtype_str + _U8.pack(arr.ndim)
+        for dim in arr.shape:
+            head += _U32.pack(dim)
+        _cached(_ARRAY_HEADS, key, head)
+    return head
+
+
+def _encode_ndarray(parts: List[Segment], tail: bytearray, arr: np.ndarray) -> bytearray:
+    tail += _array_head(arr)
     contiguous = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
-    dtype_str = contiguous.dtype.str.encode("ascii")
-    tail += _U8.pack(len(dtype_str))
-    tail += dtype_str
-    tail += _U8.pack(arr.ndim)
-    for dim in arr.shape:
-        tail += _U32.pack(dim)
     if contiguous.nbytes >= _SEGMENT_THRESHOLD:
         # Zero-copy: borrow the array's storage as a raw-byte view.  The
         # memoryview keeps ``contiguous`` alive, so a compacting copy made
         # for a non-contiguous input survives until the segment is used.
-        if tail:
-            parts.append(tail)
-            tail = bytearray()
+        parts.append(tail)
+        tail = bytearray()
         parts.append(memoryview(contiguous.reshape(-1).view(np.uint8)))
     else:
         tail += contiguous.tobytes()
@@ -542,7 +609,7 @@ def _decode_value(view: memoryview, offset: int, copy: bool = True) -> tuple[Any
     if tag == _T_STR:
         (n,) = _U32.unpack_from(view, offset)
         offset += 4
-        return str(view[offset : offset + n], "utf-8"), offset + n
+        return view[offset : offset + n].tobytes().decode(), offset + n
     if tag == _T_INT64:
         (v,) = _I64.unpack_from(view, offset)
         return v, offset + 8
@@ -550,17 +617,7 @@ def _decode_value(view: memoryview, offset: int, copy: bool = True) -> tuple[Any
         (v,) = _F64.unpack_from(view, offset)
         return v, offset + 8
     if tag == _T_DICT:
-        (n,) = _U32.unpack_from(view, offset)
-        offset += 4
-        result: dict[str, Any] = {}
-        for _ in range(n):
-            (klen,) = _U16.unpack_from(view, offset)
-            offset += 2
-            key = str(view[offset : offset + klen], "utf-8")
-            offset += klen
-            value, offset = _decode_value(view, offset, copy)
-            result[key] = value
-        return result, offset
+        return _decode_dict(view, offset, copy)
     if tag == _T_NONE:
         return None, offset
     if tag == _T_FALSE:
@@ -578,9 +635,8 @@ def _decode_value(view: memoryview, offset: int, copy: bool = True) -> tuple[Any
     if tag == _T_NDARRAY:
         return _decode_ndarray(view, offset, copy)
     if tag == _T_BUFFER:
-        arr, offset = _decode_ndarray(view, offset, copy)
         buf = Buffer.__new__(Buffer)
-        buf.array = arr
+        buf.array, offset = _decode_ndarray(view, offset, copy)
         return buf, offset
     if tag == _T_VECTOR:
         (n,) = _U32.unpack_from(view, offset)
@@ -601,7 +657,7 @@ def _decode_value(view: memoryview, offset: int, copy: bool = True) -> tuple[Any
     if tag == _T_TOKEN:
         (nlen,) = _U16.unpack_from(view, offset)
         offset += 2
-        name = str(view[offset : offset + nlen], "utf-8")
+        name = view[offset : offset + nlen].tobytes().decode()
         offset += nlen
         cls = registry.lookup(name)
         fields, offset = _decode_value(view, offset, copy)
@@ -611,18 +667,40 @@ def _decode_value(view: memoryview, offset: int, copy: bool = True) -> tuple[Any
     raise WireError(f"unknown wire tag {tag}")
 
 
-#: dtype-string -> np.dtype, so the hot decode path never re-parses a
-#: dtype spec it has seen before (dtype objects are immutable).
-_DTYPE_CACHE: dict[bytes, np.dtype] = {}
+def _decode_dict(view: memoryview, offset: int, copy: bool) -> tuple[dict, int]:
+    # A token's fields: int64, float64 and Buffer values are read here
+    # without a visitor call per field.
+    (n,) = _U32.unpack_from(view, offset)
+    offset += 4
+    result: dict[str, Any] = {}
+    for _ in range(n):
+        (klen,) = _U16.unpack_from(view, offset)
+        offset += 2
+        key = view[offset : offset + klen].tobytes().decode()
+        offset += klen
+        tag = view[offset]
+        if tag == _T_INT64:
+            (result[key],) = _I64.unpack_from(view, offset + 1)
+            offset += 9
+        elif tag == _T_FLOAT64:
+            (result[key],) = _F64.unpack_from(view, offset + 1)
+            offset += 9
+        elif tag == _T_BUFFER:
+            buf = result[key] = Buffer.__new__(Buffer)
+            buf.array, offset = _decode_ndarray(view, offset + 1, copy)
+        else:
+            result[key], offset = _decode_value(view, offset, copy)
+    return result, offset
 
 
-def _decode_ndarray(view: memoryview, offset: int, copy: bool = True) -> tuple[np.ndarray, int]:
+def _array_layout(view: memoryview, offset: int) -> tuple[tuple, int]:
+    """Parse the ndarray header at *offset*: its layout
+    ``(dtype, shape, count, nbytes)`` and end offset.  *count* is ``None``
+    for a sub-array dtype or a zero itemsize, which only a damaged header
+    names."""
     dlen = view[offset]
     offset += 1
-    key = bytes(view[offset : offset + dlen])
-    dtype = _DTYPE_CACHE.get(key)
-    if dtype is None:
-        dtype = _DTYPE_CACHE[key] = np.dtype(key.decode("ascii"))
+    dtype = np.dtype(str(view[offset : offset + dlen], "ascii"))
     offset += dlen
     ndim = view[offset]
     offset += 1
@@ -633,11 +711,36 @@ def _decode_ndarray(view: memoryview, offset: int, copy: bool = True) -> tuple[n
         offset += 4
         shape.append(dim)
         count *= dim
-    nbytes = count * dtype.itemsize
-    arr = np.frombuffer(view[offset : offset + nbytes], dtype=dtype).reshape(shape)
+    layout = (dtype, tuple(shape),
+              None if dtype.shape or not dtype.itemsize else count,
+              count * dtype.itemsize)
+    return layout, offset
+
+
+def _decode_ndarray(view: memoryview, offset: int, copy: bool = True) -> tuple[np.ndarray, int]:
+    # The layout is looked up by the header's bytes; a header cut short
+    # cannot equal a cached whole one, so it misses and the parse raises.
+    ndim_at = offset + 1 + view[offset]
+    layout = None
+    if ndim_at < len(view):
+        end = ndim_at + 1 + 4 * view[ndim_at]
+        layout = _ARRAY_LAYOUTS.get(view[offset:end].tobytes())
+    if layout is None:
+        layout, end = _array_layout(view, offset)
+        _cached(_ARRAY_LAYOUTS, view[offset:end].tobytes(), layout)
+    dtype, shape, count, nbytes = layout
+    if count is not None and end + nbytes <= len(view):
+        arr = np.frombuffer(view, dtype, count, end)
+        if len(shape) != 1:
+            arr = arr.reshape(shape)
+    else:
+        # A short payload, a sub-array dtype or a zero itemsize: the
+        # slice read fails (or folds the dtype's dims into *shape*) as it
+        # always has.
+        arr = np.frombuffer(view[end : end + nbytes], dtype=dtype).reshape(shape)
     if copy:
         arr = arr.copy()
-    return arr, offset + nbytes
+    return arr, end + nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -650,3 +753,4 @@ def _decode_ndarray(view: memoryview, offset: int, copy: bool = True) -> tuple[n
 from . import fastpath as _fastpath  # noqa: E402
 
 _fastpath._bind(globals())
+

@@ -71,6 +71,35 @@ def test_collection_unmapped_raises():
         tc.thread_count
 
 
+def test_collection_lookups_do_not_copy_placements():
+    """thread_count and node_of read the placements in place (routing
+    asks several times per hop); placements still hands out a copy, and
+    every accessor of an unmapped collection raises the same error."""
+
+    class CountingList(list):
+        copies = 0
+
+        def __iter__(self):
+            CountingList.copies += 1
+            return super().__iter__()
+
+    tc = ThreadCollection(ComputeThread, "proc").map("a*2 b")
+    tc._placements = CountingList(tc._placements)
+    assert tc.thread_count == 3 and tc.node_of(2) == "b"
+    assert CountingList.copies == 0
+    copy = tc.placements
+    assert CountingList.copies == 1
+    copy.append("c")
+    assert tc.thread_count == 3
+    unmapped = ThreadCollection(ComputeThread, "idle")
+    for probe in (lambda: unmapped.placements,
+                  lambda: unmapped.thread_count,
+                  lambda: unmapped.node_of(0)):
+        with pytest.raises(RuntimeError,
+                           match="thread collection 'idle' is not mapped"):
+            probe()
+
+
 def test_collection_make_thread_sets_runtime_fields():
     tc = ThreadCollection(ComputeThread, "proc").map("a b")
     t = tc.make_thread(1)

@@ -25,6 +25,7 @@ from repro.core import (
     StreamPolicy,
     ThreadCollection,
 )
+from repro.apps.strings import StringToken, build_uppercase_graph
 from repro.core.ops import NextTokenRequest
 from repro.runtime import ScheduleError, SimEngine, ThreadedEngine
 from repro.runtime import scheduler as scheduler_module
@@ -228,6 +229,46 @@ def test_stalls_count_waits_not_deferrals(kind):
             if kind == "sim" else engine.scheduler
         (window,) = scheduler.window_stats().values()
     assert window.total_posted == 6 and window.stalls == 0
+
+
+def spy_gates(monkeypatch, engine):
+    """Every admit gate *engine*'s scheduler makes, in order."""
+    made = []
+    real = engine.new_gate
+
+    def new_gate():
+        made.append(real())
+        return made[-1]
+
+    monkeypatch.setattr(engine, "new_gate", new_gate)
+    return made
+
+
+def test_plain_split_posts_make_no_admit_gates(monkeypatch):
+    """A plain body cannot wait at a gate, so its deferred posts get
+    none: 198 of the uppercase split's 200 posts queue behind a window
+    of 2, and no ack opens a gate nobody waits at."""
+    graph, _, _ = build_uppercase_graph("node01", "node02 node03",
+                                        name="gates-uppercase")
+    text = "".join(chr(ord("a") + i % 26) for i in range(200))
+    with ThreadedEngine(policy=FlowControlPolicy(window=2)) as engine:
+        gates = spy_gates(monkeypatch, engine)
+        assert engine.run(graph, StringToken(text)).text == text.upper()
+        (window,) = engine.scheduler.window_stats().values()
+    assert gates == []
+    assert window.total_posted == 200 and window.stalls == 0
+
+
+def test_generator_post_still_waits_at_its_gate(monkeypatch):
+    """A yielded post behind a full window still stalls at its gate and
+    is admitted by the ack."""
+    graph = pipeline("gates-lockstep", split=LockStepFan)
+    with ThreadedEngine(policy=FlowControlPolicy(window=1)) as engine:
+        gates = spy_gates(monkeypatch, engine)
+        assert engine.run(graph, JobTok(6)).total == sum(range(6))
+        (window,) = engine.scheduler.window_stats().values()
+    assert len(gates) == window.stalls == 5
+    assert all(gate.opened for gate in gates)
 
 
 def test_threads_substrate_prunes_stale_group_totals(monkeypatch):

@@ -14,7 +14,11 @@ properties reduce to pure round trips); they hold either way.  The
 hex-literal pins at the bottom hold the wire format itself still.
 """
 
+import hashlib
 import struct
+import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,11 +27,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
 from repro.apps.gol_service import GolReadRequest
-from repro.apps.ring import RingJobToken
+from repro.apps.ring import RingBlockToken, RingJobToken, build_ring_graph
 from repro.apps.stream_pipeline import StreamItemToken
-from repro.serial import (Buffer, ComplexToken, SimpleToken, Vector, WireError,
-                          decode, encode)
+from repro.net import protocol as P
+from repro.runtime.base import DataEnvelope, GroupFrame
+from repro.serial import (Buffer, ComplexToken, SimpleToken, TokenRegistry,
+                          Vector, WireError, decode, encode, encode_segments,
+                          gather)
 from repro.serial import fastpath
+from repro.serial import wire as W
+from repro.serial.token import TokenMeta
 from repro.serial.wire import _SEGMENT_THRESHOLD
 
 
@@ -100,40 +109,35 @@ payloads = st.recursive(
 )
 
 
-def _pure_encode(tok):
-    mode = fastpath.get_codec()
-    fastpath.set_codec("pure")
+@contextmanager
+def _codec(mode):
+    """Run the block under codec tier *mode* (``auto`` | ``pure``)."""
+    before = fastpath.get_codec()
+    fastpath.set_codec(mode)
     try:
-        return encode(tok)
+        yield
     finally:
-        fastpath.set_codec(mode)
+        fastpath.set_codec(before)
+
+
+def _pure_encode(tok):
+    with _codec("pure"):
+        return encode(tok)
 
 
 def _fast_encode(tok):
-    mode = fastpath.get_codec()
-    fastpath.set_codec("auto")
-    try:
+    with _codec("auto"):
         return encode(tok)
-    finally:
-        fastpath.set_codec(mode)
 
 
 def _pure_decode(data):
-    mode = fastpath.get_codec()
-    fastpath.set_codec("pure")
-    try:
+    with _codec("pure"):
         return decode(data)
-    finally:
-        fastpath.set_codec(mode)
 
 
 def _fast_decode(data):
-    mode = fastpath.get_codec()
-    fastpath.set_codec("auto")
-    try:
+    with _codec("auto"):
         return decode(data)
-    finally:
-        fastpath.set_codec(mode)
 
 
 @settings(max_examples=200, deadline=None)
@@ -316,3 +320,209 @@ def test_workload_token_wire_pins(tok, pinned):
         assert enc(tok).hex() == pinned
     for dec in (_fast_decode, _pure_decode):
         assert dec(bytes.fromhex(pinned)).fields() == tok.fields()
+
+
+# Captured at the commit before the visitor cached field-name heads,
+# array headers and array layouts: the hot messages' bytes did not move.
+def _sha(data):
+    return hashlib.sha256(bytes(data)).hexdigest()
+
+
+def _ring_block(nbytes, seq, n_blocks, modulus):
+    payload = (np.arange(nbytes) % modulus).astype(np.uint8)
+    return RingBlockToken(Buffer(payload), seq, n_blocks)
+
+
+def test_ring_block_wire_pin():
+    """The ring's 512 B block, the message ``ring_small`` ships."""
+    tok = _ring_block(512, 7, 2000, 251)
+    for enc in (_fast_encode, _pure_encode):
+        assert _sha(enc(tok)) == (
+            "f5b6c8df24dbcb4648c607298bd723c1d880b38aca264f9b8c217ca1e3d30d1b")
+    for dec in (_fast_decode, _pure_decode):
+        back = dec(_pure_encode(tok))
+        assert (back.seq, back.n_blocks) == (7, 2000)
+        assert np.array_equal(back.data.array, tok.data.array)
+
+
+def test_segment_path_wire_pin():
+    """A block at or above the scatter threshold: a borrowed segment."""
+    tok = _ring_block(4096, 11, 500, 253)
+    for mode in ("auto", "pure"):
+        with _codec(mode):
+            segments = encode_segments(tok)
+        assert len(segments) == 3 and type(segments[1]) is memoryview
+        assert _sha(b"".join(segments)) == (
+            "696e58916c0da8701e5832951a70e2a3a39726cbf8af404b9cddedf2b8a12989")
+
+
+def test_2d_float64_array_wire_pin():
+    arr = np.arange(6, dtype=np.float64).reshape(2, 3) * 0.5
+    pinned = ("445053320b00506172697479546f6b656e0d0100000007007061796c6f61"
+              "6408033c66380202000000030000000000000000000000000000000000e0"
+              "3f000000000000f03f000000000000f83f00000000000000400000000000"
+              "000440")
+    for enc in (_fast_encode, _pure_encode):
+        assert enc(ParityToken(arr)).hex() == pinned
+    for dec in (_fast_decode, _pure_decode):
+        back = dec(bytes.fromhex(pinned)).payload
+        assert back.shape == (2, 3) and np.array_equal(back, arr)
+
+
+def test_data_message_wire_pin():
+    """A whole ``MSG_DATA`` message: envelope ids, one group frame, the
+    activation's origin kernel and the ring block."""
+    graph = build_ring_graph(["node00", "node01", "node02", "node03"])
+    frame = GroupFrame((3 << 40) + 9, 4, 0, 0, "node00", 1)
+    env = DataEnvelope(_ring_block(512, 7, 2000, 251), graph, 2, 1,
+                       (2 << 40) + 17, (frame,), ctx_origin="__driver__")
+    for mode in ("auto", "pure"):
+        with _codec(mode):
+            wire = gather(P.encode_data(env))
+            kind, back = P.decode_message(bytearray(wire),
+                                          {graph.name: graph})
+        assert _sha(wire) == (
+            "cb1bd8d15808c47e4612f201432225c8001a52aaeffc47b9938af48811910807")
+        assert kind == P.MSG_DATA and back.graph is graph
+        assert (back.node_id, back.instance, back.ctx_id, back.ctx_origin) \
+            == (2, 1, (2 << 40) + 17, "__driver__")
+        assert back.frames == (frame,)
+        assert back.token.seq == 7
+        assert np.array_equal(back.token.data.array, env.token.data.array)
+
+
+# ---------------------------------------------------------------------------
+# the visitor's per-type caches: what a hit must not skip
+# ---------------------------------------------------------------------------
+
+def test_object_dtype_rejected_after_plain_dtype_with_same_str():
+    plain = np.zeros(2, dtype=[("a", "i8"), ("b", "i8")])
+    boxed = np.zeros(2, dtype=[("a", "O"), ("b", "i8")])
+    assert plain.dtype.str == boxed.dtype.str == "|V16"
+    for enc in (_fast_encode, _pure_encode):
+        enc(ParityToken(plain))
+        enc(ParityToken([Buffer(plain)]))
+        for payload in (boxed, Buffer(boxed), [boxed], [Buffer(boxed)]):
+            with pytest.raises(WireError, match="object-dtype"):
+                enc(ParityToken(payload))
+
+
+class LookAlikeKey:
+    """Hashes and compares like the field name ``"seq"``."""
+
+    def __hash__(self):
+        return hash("seq")
+
+    def __eq__(self, other):
+        return other == "seq"
+
+
+def test_lookalike_key_rejected_after_cached_field_name():
+    for enc in (_fast_encode, _pure_encode):
+        enc(ParityToken({"seq": 1}))
+        with pytest.raises(WireError, match="dict keys must be str"):
+            enc(ParityToken({LookAlikeKey(): 1}))
+
+
+def test_every_cache_stays_at_or_below_its_cap():
+    """10 000 messages, each with a new token name, field name, array
+    shape and kernel name: every cache was filled past its cap and
+    holds no more than it."""
+    caches = {
+        "field-name heads": W._KEY_HEADS,
+        "array headers": W._ARRAY_HEADS,
+        "array layouts": W._ARRAY_LAYOUTS,
+        "message heads": W._MESSAGE_HEADS,
+        "protocol strings": P._STR_HEADS,
+    }
+    seen = dict.fromkeys(caches, 0)
+    reg = TokenRegistry()
+    with _codec("pure"):
+        for i in range(10_000):
+            cls = TokenMeta(f"CacheProbe{i}", (ComplexToken,), {},
+                            register=False)
+            reg.register(cls)
+            tok = cls()
+            setattr(tok, f"field{i}", np.zeros((0, i + 1), np.uint8))
+            back = decode(encode(tok, reg), reg)
+            assert getattr(back, f"field{i}").shape == (0, i + 1)
+            P.encode_beat(f"kernel{i}", 0)
+            for name, cache in caches.items():
+                seen[name] = max(seen[name], len(cache))
+    for name, cache in caches.items():
+        assert seen[name] == W._CACHE_CAP, name
+        assert len(cache) <= W._CACHE_CAP, name
+
+
+def test_caches_shared_by_threads_keep_round_trips_exact():
+    """Threads encoding and decoding new names and shapes at once, with a
+    short switch interval: every message round-trips exactly, and racing
+    misses overshoot a cache's cap by at most one entry per thread."""
+    threads, per_thread = 4, 3 * W._CACHE_CAP // 4
+    failures = []
+
+    def work(t):
+        try:
+            for i in range(per_thread):
+                name = f"t{t}-{i}"
+                arr = np.full((1, t * per_thread + i + 1), t, np.int16)
+                back = decode(encode(ParityToken({name: arr, "i": i})))
+                if back.payload["i"] != i \
+                        or not np.array_equal(back.payload[name], arr):
+                    failures.append(name)
+        except Exception as exc:  # reported below, not lost in the thread
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _codec("pure"):
+            workers = [threading.Thread(target=work, args=(t,))
+                       for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert failures == []
+    for cache in (W._KEY_HEADS, W._ARRAY_HEADS, W._ARRAY_LAYOUTS):
+        assert len(cache) <= W._CACHE_CAP + threads
+
+
+def test_truncated_array_payload_raises_as_before_first_and_cached():
+    """A payload cut short raises ``ValueError`` (the slice read's
+    error) whether its layout is parsed now or looked up."""
+    wire = _pure_encode(
+        ParityToken(np.arange(21, dtype=np.float64).reshape(3, 7)))
+    at = wire.index(b"<f8") - 1
+    header = wire[at:at + 1 + 3 + 1 + 8]
+    huge = header[:-8] + b"\xff" * 8  # dims (2**32 - 1, 2**32 - 1)
+    for damaged in (wire[:-3], wire[:-8], wire[:at] + huge + wire[-5:]):
+        for dec in (_fast_decode, _pure_decode):
+            W._ARRAY_LAYOUTS.clear()
+            for sight in ("first", "cached"):
+                with pytest.raises(ValueError) as caught:
+                    dec(damaged)
+                assert type(caught.value) is ValueError, sight
+            assert len(W._ARRAY_LAYOUTS) == 1
+
+
+def test_damaged_dtype_headers_read_as_before():
+    """A damaged header can name a sub-array dtype (``4f2``), whose dims
+    fold into the declared shape, or a zero itemsize (``|V,``), which
+    cannot be counted: both read as the slice read always did."""
+    def message(dtype, dim, payload):
+        body = (b"\x08" + bytes([len(dtype)]) + dtype + b"\x01"
+                + struct.pack("<I", dim) + payload)
+        name = b"ParityToken"
+        return (b"DPS2" + struct.pack("<H", len(name)) + name + b"\x0d"
+                + struct.pack("<I", 1) + struct.pack("<H", 7) + b"payload"
+                + body)
+    for dec in (_fast_decode, _pure_decode):
+        assert dec(message(b"4f2", 0, b"")).payload.shape == (0,)
+        with pytest.raises(ValueError):
+            dec(message(b"4f2", 2, bytes(16)))
+        with pytest.raises(ValueError, match="itemsize is 0"):
+            dec(message(b"|V,", 2, b""))
