@@ -704,9 +704,11 @@ class EventLoopPeer:
         """Whether a segment is large enough for the shm lane: the
         cheap check that keeps a small message off the arena path."""
         threshold = self._transport.shm_threshold
-        return any(
-            (seg.nbytes if isinstance(seg, memoryview) else len(seg))
-            >= threshold for seg in segments)
+        for seg in segments:
+            if (seg.nbytes if type(seg) is memoryview else len(seg)) \
+                    >= threshold:
+                return True
+        return False
 
     def _idle(self) -> bool:
         """Attached, healthy, and nothing queued ahead of a new message."""

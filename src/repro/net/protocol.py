@@ -25,8 +25,7 @@ from ..core.graph import Flowgraph
 from ..runtime.base import DataEnvelope, GroupFrame
 from ..serial.registry import TokenRegistry, registry
 from ..serial.token import Token
-from ..serial.wire import (Segment, WireError, _cached, _str_head, decode,
-                           encode_segments)
+from ..serial.wire import Segment, WireError, decode, encode_segments
 
 __all__ = [
     "MSG_DATA",
@@ -191,14 +190,10 @@ class AckWire:
 # encoding
 # ---------------------------------------------------------------------------
 
-#: string -> ``u16 length | UTF-8``: a data message names its graph, its
-#: activation's origin kernel and each frame's opener kernel, the same
-#: few strings on every message (bounded like the codec's own caches)
-_STR_HEADS: Dict[str, bytes] = {}
-
-
 def _pack_str(out: bytearray, s: str) -> None:
-    out += _STR_HEADS.get(s) or _cached(_STR_HEADS, s, _str_head(s))
+    raw = s.encode("utf-8")
+    out += _U16.pack(len(raw))
+    out += raw
 
 
 def encode_data(env: DataEnvelope, reg: TokenRegistry = registry) -> List[Segment]:

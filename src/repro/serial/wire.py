@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import struct
 from enum import IntEnum
+from math import prod
 from typing import Any, List, Union
 
 import numpy as np
@@ -80,7 +81,7 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
-# tag byte + scalar in one pack, for the dict loop's inline fields
+# tag byte + scalar in one pack
 _TAGGED_I64 = struct.Struct("<Bq")
 _TAGGED_F64 = struct.Struct("<Bd")
 
@@ -154,13 +155,14 @@ Segment = Union[bytearray, memoryview]
 # ---------------------------------------------------------------------------
 #
 # The visitor's per-type work — a field name's UTF-8 head, an array's
-# dtype string and dims, a message's name head — is a pure function of
-# the type, so it is done once and looked up after.  A miss runs the same
-# code that fills the entry, which is why the bytes cannot differ from an
-# uncached encode.  What depends on the *value* is checked on every value:
-# ``hasobject`` (an object-bearing structured dtype can share ``.str``
-# with a plain one) and the key type (only an exact ``str`` key is looked
-# up, so a look-alike key cannot hit a cached name).
+# dtype string, a message's name head — is a pure function of the type,
+# so it is done once and looked up after.  A miss runs the same code that
+# fills the entry, which is why the bytes cannot differ from an uncached
+# encode.  What depends on the *value* is done for every value: an
+# array's dims are packed and parsed per message (payload lengths vary),
+# ``hasobject`` is checked before any lookup (an object-bearing
+# structured dtype can share ``.str`` with a plain one) and only an exact
+# ``str`` key is looked up, so a look-alike key cannot hit a cached name.
 
 #: Entries per cache; a full cache is emptied before its next insert.
 #: Threads that miss at once may each insert, overshooting the cap by one
@@ -170,10 +172,11 @@ _CACHE_CAP = 4096
 
 #: field name -> ``u16 length | UTF-8``, as written before its value
 _KEY_HEADS: dict[str, bytes] = {}
-#: (dtype, shape) -> ``u8 dtype_len | dtype | u8 ndim | u32 dims...``
-_ARRAY_HEADS: dict[tuple, bytes] = {}
-#: ndarray header bytes -> (dtype, shape, count, nbytes)
-_ARRAY_LAYOUTS: dict[bytes, tuple] = {}
+#: dtype -> ``u8 dtype_len | dtype``, the start of an ndarray header
+_DTYPE_HEADS: dict[np.dtype, bytes] = {}
+#: dtype string on the wire -> np.dtype, so decode never re-parses a
+#: dtype spec it has seen before (dtype objects are immutable)
+_DTYPE_CACHE: dict[bytes, np.dtype] = {}
 #: registered name -> ``MAGIC | u16 name_len | name``
 _MESSAGE_HEADS: dict[bytes, bytes] = {}
 
@@ -531,15 +534,12 @@ def _encode_value(parts: List[Segment], tail: bytearray, value: Any) -> bytearra
 
 
 def _str_head(s: str) -> bytes:
-    """``u16 length | UTF-8``: how a field name, and the protocol's graph
-    and kernel names, go on the wire."""
+    """``u16 length | UTF-8``: how a field name goes on the wire."""
     raw = s.encode("utf-8")
     return _U16.pack(len(raw)) + raw
 
 
 def _encode_dict(parts: List[Segment], tail: bytearray, value: dict) -> bytearray:
-    # A token's fields: int64, float64 and Buffer values are written here
-    # without a visitor call per field.
     tail += _TAG_DICT
     tail += _U32.pack(len(value))
     heads = _KEY_HEADS
@@ -553,16 +553,7 @@ def _encode_dict(parts: List[Segment], tail: bytearray, value: dict) -> bytearra
         else:
             raise WireError(f"dict keys must be str, got {type(key).__name__}")
         tail += head
-        cls = type(item)
-        if cls is int and _INT64_MIN <= item <= _INT64_MAX:
-            tail += _TAGGED_I64.pack(_T_INT64, item)
-        elif cls is float:
-            tail += _TAGGED_F64.pack(_T_FLOAT64, item)
-        elif cls is Buffer:
-            tail += _TAG_BUFFER
-            tail = _encode_ndarray(parts, tail, item.array)
-        else:
-            tail = _encode_value(parts, tail, item)
+        tail = _encode_value(parts, tail, item)
     return tail
 
 
@@ -571,14 +562,14 @@ def _array_head(arr: np.ndarray) -> bytes:
     dtype = arr.dtype
     if dtype.hasobject:
         raise WireError("object-dtype arrays are not serializable")
-    key = (dtype, arr.shape)
-    head = _ARRAY_HEADS.get(key)
+    head = _DTYPE_HEADS.get(dtype)
     if head is None:
         dtype_str = dtype.str.encode("ascii")
-        head = _U8.pack(len(dtype_str)) + dtype_str + _U8.pack(arr.ndim)
-        for dim in arr.shape:
-            head += _U32.pack(dim)
-        _cached(_ARRAY_HEADS, key, head)
+        head = _cached(_DTYPE_HEADS, dtype,
+                       _U8.pack(len(dtype_str)) + dtype_str)
+    head += _U8.pack(arr.ndim)
+    for dim in arr.shape:
+        head += _U32.pack(dim)
     return head
 
 
@@ -616,6 +607,12 @@ def _decode_value(view: memoryview, offset: int, copy: bool = True) -> tuple[Any
     if tag == _T_FLOAT64:
         (v,) = _F64.unpack_from(view, offset)
         return v, offset + 8
+    if tag == _T_BUFFER:
+        buf = Buffer.__new__(Buffer)
+        buf.array, offset = _decode_ndarray(view, offset, copy)
+        return buf, offset
+    if tag == _T_NDARRAY:
+        return _decode_ndarray(view, offset, copy)
     if tag == _T_DICT:
         return _decode_dict(view, offset, copy)
     if tag == _T_NONE:
@@ -632,12 +629,6 @@ def _decode_value(view: memoryview, offset: int, copy: bool = True) -> tuple[Any
         (n,) = _U32.unpack_from(view, offset)
         offset += 4
         return int(str(view[offset : offset + n], "ascii")), offset + n
-    if tag == _T_NDARRAY:
-        return _decode_ndarray(view, offset, copy)
-    if tag == _T_BUFFER:
-        buf = Buffer.__new__(Buffer)
-        buf.array, offset = _decode_ndarray(view, offset, copy)
-        return buf, offset
     if tag == _T_VECTOR:
         (n,) = _U32.unpack_from(view, offset)
         offset += 4
@@ -668,8 +659,6 @@ def _decode_value(view: memoryview, offset: int, copy: bool = True) -> tuple[Any
 
 
 def _decode_dict(view: memoryview, offset: int, copy: bool) -> tuple[dict, int]:
-    # A token's fields: int64, float64 and Buffer values are read here
-    # without a visitor call per field.
     (n,) = _U32.unpack_from(view, offset)
     offset += 4
     result: dict[str, Any] = {}
@@ -678,69 +667,31 @@ def _decode_dict(view: memoryview, offset: int, copy: bool) -> tuple[dict, int]:
         offset += 2
         key = view[offset : offset + klen].tobytes().decode()
         offset += klen
-        tag = view[offset]
-        if tag == _T_INT64:
-            (result[key],) = _I64.unpack_from(view, offset + 1)
-            offset += 9
-        elif tag == _T_FLOAT64:
-            (result[key],) = _F64.unpack_from(view, offset + 1)
-            offset += 9
-        elif tag == _T_BUFFER:
-            buf = result[key] = Buffer.__new__(Buffer)
-            buf.array, offset = _decode_ndarray(view, offset + 1, copy)
-        else:
-            result[key], offset = _decode_value(view, offset, copy)
+        result[key], offset = _decode_value(view, offset, copy)
     return result, offset
 
 
-def _array_layout(view: memoryview, offset: int) -> tuple[tuple, int]:
-    """Parse the ndarray header at *offset*: its layout
-    ``(dtype, shape, count, nbytes)`` and end offset.  *count* is ``None``
-    for a sub-array dtype or a zero itemsize, which only a damaged header
-    names."""
+def _decode_ndarray(view: memoryview, offset: int, copy: bool = True) -> tuple[np.ndarray, int]:
     dlen = view[offset]
     offset += 1
-    dtype = np.dtype(str(view[offset : offset + dlen], "ascii"))
+    key = bytes(view[offset : offset + dlen])
+    dtype = _DTYPE_CACHE.get(key)
+    if dtype is None:
+        dtype = _cached(_DTYPE_CACHE, key, np.dtype(key.decode("ascii")))
     offset += dlen
     ndim = view[offset]
     offset += 1
-    shape = []
-    count = 1
-    for _ in range(ndim):
-        (dim,) = _U32.unpack_from(view, offset)
-        offset += 4
-        shape.append(dim)
-        count *= dim
-    layout = (dtype, tuple(shape),
-              None if dtype.shape or not dtype.itemsize else count,
-              count * dtype.itemsize)
-    return layout, offset
-
-
-def _decode_ndarray(view: memoryview, offset: int, copy: bool = True) -> tuple[np.ndarray, int]:
-    # The layout is looked up by the header's bytes; a header cut short
-    # cannot equal a cached whole one, so it misses and the parse raises.
-    ndim_at = offset + 1 + view[offset]
-    layout = None
-    if ndim_at < len(view):
-        end = ndim_at + 1 + 4 * view[ndim_at]
-        layout = _ARRAY_LAYOUTS.get(view[offset:end].tobytes())
-    if layout is None:
-        layout, end = _array_layout(view, offset)
-        _cached(_ARRAY_LAYOUTS, view[offset:end].tobytes(), layout)
-    dtype, shape, count, nbytes = layout
-    if count is not None and end + nbytes <= len(view):
-        arr = np.frombuffer(view, dtype, count, end)
-        if len(shape) != 1:
-            arr = arr.reshape(shape)
-    else:
-        # A short payload, a sub-array dtype or a zero itemsize: the
-        # slice read fails (or folds the dtype's dims into *shape*) as it
-        # always has.
-        arr = np.frombuffer(view[end : end + nbytes], dtype=dtype).reshape(shape)
+    shape = struct.unpack_from(f"<{ndim}I", view, offset)
+    offset += 4 * ndim
+    nbytes = prod(shape) * dtype.itemsize
+    arr = np.frombuffer(view[offset : offset + nbytes], dtype=dtype)
+    if arr.shape != shape:
+        # n-D, a payload cut short (the reshape raises) or a sub-array
+        # dtype, whose dims a damaged header can fold into *shape*
+        arr = arr.reshape(shape)
     if copy:
         arr = arr.copy()
-    return arr, end + nbytes
+    return arr, offset + nbytes
 
 
 # ---------------------------------------------------------------------------

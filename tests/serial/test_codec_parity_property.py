@@ -322,8 +322,8 @@ def test_workload_token_wire_pins(tok, pinned):
         assert dec(bytes.fromhex(pinned)).fields() == tok.fields()
 
 
-# Captured at the commit before the visitor cached field-name heads,
-# array headers and array layouts: the hot messages' bytes did not move.
+# Captured at the commit before the visitor cached field-name heads and
+# dtype heads: the hot messages' bytes did not move.
 def _sha(data):
     return hashlib.sha256(bytes(data)).hexdigest()
 
@@ -425,15 +425,14 @@ def test_lookalike_key_rejected_after_cached_field_name():
 
 
 def test_every_cache_stays_at_or_below_its_cap():
-    """10 000 messages, each with a new token name, field name, array
-    shape and kernel name: every cache was filled past its cap and
-    holds no more than it."""
+    """10 000 messages, each with a new token name, field name and array
+    dtype: every cache was filled past its cap and holds no more than
+    it."""
     caches = {
         "field-name heads": W._KEY_HEADS,
-        "array headers": W._ARRAY_HEADS,
-        "array layouts": W._ARRAY_LAYOUTS,
+        "dtype heads": W._DTYPE_HEADS,
+        "wire dtypes": W._DTYPE_CACHE,
         "message heads": W._MESSAGE_HEADS,
-        "protocol strings": P._STR_HEADS,
     }
     seen = dict.fromkeys(caches, 0)
     reg = TokenRegistry()
@@ -443,10 +442,10 @@ def test_every_cache_stays_at_or_below_its_cap():
                             register=False)
             reg.register(cls)
             tok = cls()
-            setattr(tok, f"field{i}", np.zeros((0, i + 1), np.uint8))
+            setattr(tok, f"field{i}", np.zeros((0, i + 1), f"V{i + 1}"))
             back = decode(encode(tok, reg), reg)
+            assert getattr(back, f"field{i}").dtype == np.dtype(f"V{i + 1}")
             assert getattr(back, f"field{i}").shape == (0, i + 1)
-            P.encode_beat(f"kernel{i}", 0)
             for name, cache in caches.items():
                 seen[name] = max(seen[name], len(cache))
     for name, cache in caches.items():
@@ -455,7 +454,7 @@ def test_every_cache_stays_at_or_below_its_cap():
 
 
 def test_caches_shared_by_threads_keep_round_trips_exact():
-    """Threads encoding and decoding new names and shapes at once, with a
+    """Threads encoding and decoding new names and dtypes at once, with a
     short switch interval: every message round-trips exactly, and racing
     misses overshoot a cache's cap by at most one entry per thread."""
     threads, per_thread = 4, 3 * W._CACHE_CAP // 4
@@ -465,7 +464,8 @@ def test_caches_shared_by_threads_keep_round_trips_exact():
         try:
             for i in range(per_thread):
                 name = f"t{t}-{i}"
-                arr = np.full((1, t * per_thread + i + 1), t, np.int16)
+                arr = np.full((1, i % 5 + 1), name.encode(),
+                              f"S{t * per_thread + i + 1}")
                 back = decode(encode(ParityToken({name: arr, "i": i})))
                 if back.payload["i"] != i \
                         or not np.array_equal(back.payload[name], arr):
@@ -487,32 +487,49 @@ def test_caches_shared_by_threads_keep_round_trips_exact():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert failures == []
-    for cache in (W._KEY_HEADS, W._ARRAY_HEADS, W._ARRAY_LAYOUTS):
+    for cache in (W._KEY_HEADS, W._DTYPE_HEADS, W._DTYPE_CACHE):
         assert len(cache) <= W._CACHE_CAP + threads
+
+
+def test_array_lengths_vary_under_one_cached_dtype():
+    """The dtype head is cached, the dims are not: records of one dtype
+    whose count changes from message to message round-trip each with its
+    own shape, 1-D and 2-D."""
+    for enc, dec in ((_fast_encode, _fast_decode),
+                     (_pure_encode, _pure_decode)):
+        for n in (3, 0, 7, 3, 1):
+            for arr in (np.arange(2 * n, dtype=np.int32).reshape(n, 2),
+                        np.arange(n, dtype=np.int32)):
+                back = dec(enc(ParityToken(Buffer(arr)))).payload.array
+                assert back.shape == arr.shape
+                assert np.array_equal(back, arr)
 
 
 def test_truncated_array_payload_raises_as_before_first_and_cached():
     """A payload cut short raises ``ValueError`` (the slice read's
-    error) whether its layout is parsed now or looked up."""
-    wire = _pure_encode(
-        ParityToken(np.arange(21, dtype=np.float64).reshape(3, 7)))
-    at = wire.index(b"<f8") - 1
-    header = wire[at:at + 1 + 3 + 1 + 8]
-    huge = header[:-8] + b"\xff" * 8  # dims (2**32 - 1, 2**32 - 1)
-    for damaged in (wire[:-3], wire[:-8], wire[:at] + huge + wire[-5:]):
-        for dec in (_fast_decode, _pure_decode):
-            W._ARRAY_LAYOUTS.clear()
-            for sight in ("first", "cached"):
-                with pytest.raises(ValueError) as caught:
-                    dec(damaged)
-                assert type(caught.value) is ValueError, sight
-            assert len(W._ARRAY_LAYOUTS) == 1
+    error) whether its dtype is parsed now or looked up, 2-D or 1-D (a
+    1-D array skips the reshape only when its length is whole)."""
+    for shape in ((3, 7), (21,)):
+        wire = _pure_encode(
+            ParityToken(np.arange(21, dtype=np.float64).reshape(shape)))
+        at = wire.index(b"<f8") - 1
+        dims = 4 * len(shape)
+        header = wire[at:at + 1 + 3 + 1 + dims]
+        huge = header[:-dims] + b"\xff" * dims  # every dim 2**32 - 1
+        for damaged in (wire[:-3], wire[:-8], wire[:at] + huge + wire[-5:]):
+            for dec in (_fast_decode, _pure_decode):
+                W._DTYPE_CACHE.clear()
+                for sight in ("first", "cached"):
+                    with pytest.raises(ValueError) as caught:
+                        dec(damaged)
+                    assert type(caught.value) is ValueError, (shape, sight)
+                assert len(W._DTYPE_CACHE) == 1
 
 
 def test_damaged_dtype_headers_read_as_before():
     """A damaged header can name a sub-array dtype (``4f2``), whose dims
     fold into the declared shape, or a zero itemsize (``|V,``), which
-    cannot be counted: both read as the slice read always did."""
+    cannot be counted: both read as they always have."""
     def message(dtype, dim, payload):
         body = (b"\x08" + bytes([len(dtype)]) + dtype + b"\x01"
                 + struct.pack("<I", dim) + payload)
