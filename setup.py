@@ -1,56 +1,14 @@
 """Build script: packaging metadata lives in pyproject.toml.
 
-The only thing defined here is the optional C fast path for the wire
-codec (``repro.serial._wirec``).  The build is strictly best-effort:
-``optional=True`` plus a tolerant ``build_ext`` mean a missing compiler,
-missing Python headers or any compile error produce a warning and a
-pure-Python install — importing :mod:`repro` never requires the
-extension (``repro.serial.fastpath`` falls back automatically, and the
-no-compiler CI job pins that).  Set ``REPRO_NO_EXT=1`` to skip the
-extension build entirely.
+The one thing defined here is the optional compiled visitor for the wire
+codec (``repro.serial._wirec``).  ``optional=True`` makes setuptools turn
+a failed compile (no compiler, no Python headers) into a warning and a
+pure-Python install: importing :mod:`repro` never requires the extension.
 """
 
-import os
-import sys
-
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class optional_build_ext(build_ext):
-    """Swallow any extension build failure; the pure path covers it."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # pragma: no cover - compiler-dependent
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:  # pragma: no cover - compiler-dependent
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        print(
-            f"WARNING: building repro.serial._wirec failed ({exc!r}); "
-            "continuing with the pure-Python wire codec",
-            file=sys.stderr,
-        )
-
-
-ext_modules = []
-cmdclass = {}
-if os.environ.get("REPRO_NO_EXT", "0") != "1":
-    ext_modules.append(
-        Extension(
-            "repro.serial._wirec",
-            sources=["src/repro/serial/_wirec.c"],
-            optional=True,
-        )
-    )
-    cmdclass["build_ext"] = optional_build_ext
-
-setup(ext_modules=ext_modules, cmdclass=cmdclass)
+setup(ext_modules=[
+    Extension("repro.serial._wirec", sources=["src/repro/serial/_wirec.c"],
+              optional=True),
+])

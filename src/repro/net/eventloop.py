@@ -583,6 +583,11 @@ class IOLoop:
                     _guarded(fn)
                 hooks = fn = None
                 self._in_select = True
+            # A stop or close whose wake byte this pass's _on_wake has
+            # already drained shows only in its flag: check it before
+            # blocking, not only once select() returns.
+            if self._closed or self._stopping:
+                return
             if pending:
                 timeout = 0
             elif timeout is not None:

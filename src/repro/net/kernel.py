@@ -57,9 +57,8 @@ from ..runtime.base import DataEnvelope, GroupFrame, KernelFailure, \
     RunResult, ScheduleError
 from ..runtime.scheduler import ThreadHandle
 from ..runtime.threaded_engine import ThreadedEngine
-from ..serial import fastpath
 from ..serial.token import Token
-from ..serial.wire import WireError
+from ..serial.wire import WireError, take_codec_counters
 from .connections import CLOSE_DEADLINE, ConnectionPool, TransportPolicy
 from .eventloop import IOLoop
 from .framing import DEFAULT_RECV_BYTES
@@ -424,7 +423,7 @@ class DistributedKernel(ThreadedEngine):
         right before a snapshot leaves the process: no hot-path callback."""
         if self.metrics is None:
             return
-        for key, value in fastpath.take_counters().items():
+        for key, value in take_codec_counters().items():
             if value:
                 self.metrics.counter(key).inc(value)
 

@@ -1,7 +1,6 @@
 """Serialization substrate: tokens, containers, registry, wire format."""
 
 from .containers import Buffer, Vector
-from .fastpath import codec_in_use, compiled_available, get_codec, set_codec
 from .registry import TokenRegistry, registry
 from .token import ComplexToken, SimpleToken, Token, TokenMeta
 from .wire import (
@@ -9,6 +8,7 @@ from .wire import (
     FRAME_VERSION,
     MAGIC,
     WireError,
+    codec_in_use,
     decode,
     encode,
     encode_into,
@@ -33,7 +33,6 @@ __all__ = [
     "Vector",
     "WireError",
     "codec_in_use",
-    "compiled_available",
     "decode",
     "encode",
     "encode_into",
@@ -41,9 +40,7 @@ __all__ = [
     "encoded_size",
     "frame",
     "gather",
-    "get_codec",
     "measure",
     "registry",
-    "set_codec",
     "unframe",
 ]

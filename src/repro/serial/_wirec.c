@@ -15,7 +15,7 @@
  * everything it does accept (pinned by the parity property suite).
  *
  * The module is built best-effort (`optional=True` in setup.py) and
- * loaded best-effort (`repro.serial.fastpath`): importing `repro` never
+ * loaded best-effort (`repro.serial.wire`): importing `repro` never
  * requires a C compiler.
  */
 
@@ -733,34 +733,18 @@ wirec_setup(PyObject *self, PyObject *args)
                           &vector_cls, &ndarray_cls, &encode_array,
                           &decode_array))
         return NULL;
-    Py_XDECREF(state.unsupported);
-    Py_XDECREF(state.buffer_cls);
-    Py_XDECREF(state.vector_cls);
-    Py_XDECREF(state.ndarray_cls);
-    Py_XDECREF(state.encode_array);
-    Py_XDECREF(state.decode_array);
-    Py_INCREF(unsupported);
-    Py_INCREF(buffer_cls);
-    Py_INCREF(vector_cls);
-    Py_INCREF(ndarray_cls);
-    Py_INCREF(encode_array);
-    Py_INCREF(decode_array);
-    state.unsupported = unsupported;
-    state.buffer_cls = buffer_cls;
-    state.vector_cls = vector_cls;
-    state.ndarray_cls = ndarray_cls;
-    state.encode_array = encode_array;
-    state.decode_array = decode_array;
-    if (state.str_items == NULL) {
+    Py_XSETREF(state.unsupported, Py_NewRef(unsupported));
+    Py_XSETREF(state.buffer_cls, Py_NewRef(buffer_cls));
+    Py_XSETREF(state.vector_cls, Py_NewRef(vector_cls));
+    Py_XSETREF(state.ndarray_cls, Py_NewRef(ndarray_cls));
+    Py_XSETREF(state.encode_array, Py_NewRef(encode_array));
+    Py_XSETREF(state.decode_array, Py_NewRef(decode_array));
+    if (state.str_items == NULL)
         state.str_items = PyUnicode_InternFromString("items");
-        if (state.str_items == NULL)
-            return NULL;
-    }
-    if (state.str_array == NULL) {
+    if (state.str_array == NULL)
         state.str_array = PyUnicode_InternFromString("array");
-        if (state.str_array == NULL)
-            return NULL;
-    }
+    if (state.str_items == NULL || state.str_array == NULL)
+        return NULL;
     state_ready = 1;
     Py_RETURN_NONE;
 }

@@ -60,6 +60,7 @@ __all__ = [
     "measure",
     "unframe",
     "WireError",
+    "codec_in_use",
     "MAGIC",
     "FRAME_VERSION",
     "FRAME_HEADER_BYTES",
@@ -208,13 +209,19 @@ def encode_segments(token: Token, reg: TokenRegistry = registry) -> List[Segment
     *borrowing* the arrays' storage — mutating those arrays before the
     segments are consumed changes the message.
     """
+    global _compiled_hits, _fallbacks
     if not isinstance(token, Token):
         raise WireError(f"can only encode Token instances, got {type(token).__name__}")
     name = reg.name_bytes_of(type(token))
-    if _fastpath.enabled:
-        fast = _fastpath.try_encode(token, name)
-        if fast is not None:
-            return [fast]
+    if _compiled_encode is not None:
+        try:
+            # the whole message as one writable ``bytearray`` segment
+            out = _compiled_encode(name, token.fields())
+        except _Unsupported:
+            _fallbacks += 1
+        else:
+            _compiled_hits += 1
+            return [out]
     head = _MESSAGE_HEADS.get(name)
     if head is None:
         head = _cached(_MESSAGE_HEADS, name,
@@ -348,11 +355,21 @@ def decode(
     borrowed from a read-only source (e.g. ``bytes``) are read-only;
     borrowing from a ``bytearray`` yields writable aliasing arrays.
     """
-    if _fastpath.enabled:
-        token = _fastpath.try_decode(data, reg, copy)
-        if token is not None:
-            return token
+    global _compiled_hits, _fallbacks
     view = data if type(data) is memoryview else memoryview(data)
+    if _compiled_decode is not None:
+        try:
+            # malformed input misses too: the pure visitor below then
+            # raises the canonical error
+            name, fields = _compiled_decode(view, copy)
+        except _Unsupported:
+            _fallbacks += 1
+        else:
+            cls = reg.lookup(name)
+            obj = cls.__new__(cls)
+            obj.__dict__ = fields
+            _compiled_hits += 1
+            return obj
     if view[:4].tobytes() != MAGIC:
         raise WireError("bad magic; not a DPS wire message")
     (name_len,) = _U16.unpack_from(view, 4)
@@ -695,13 +712,71 @@ def _decode_ndarray(view: memoryview, offset: int, copy: bool = True) -> tuple[n
 
 
 # ---------------------------------------------------------------------------
-# fast-path hookup
+# compiled visitor
 # ---------------------------------------------------------------------------
-# The fastpath module receives the generic visitors' internals here and
-# binds the optional compiled extension.  Imported at the bottom so every
-# name above is already defined; fastpath never imports wire back.
+#
+# ``_wirec``, an optional C extension built by ``setup.py``, encodes the
+# common value subset.  A message it cannot reproduce bit-identically
+# raises ``_Unsupported`` and takes the pure visitor above whole, so the
+# bytes do not depend on the tier.  Without it both bound functions are
+# ``None``.
 
-from . import fastpath as _fastpath  # noqa: E402
 
-_fastpath._bind(globals())
+class _Unsupported(Exception):
+    """The compiled visitor cannot reproduce this message; use the pure one."""
 
+
+def _encode_array(arr: np.ndarray) -> bytes:
+    """Inline ndarray header + payload, mirroring ``_encode_ndarray``.
+
+    Arrays at or above the segment threshold become borrowed segments,
+    which only the pure visitor builds: :class:`_Unsupported`.  An
+    unserializable array raises what the pure visitor raises.
+    """
+    head = _array_head(arr)
+    contiguous = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+    if contiguous.nbytes >= _SEGMENT_THRESHOLD:
+        raise _Unsupported
+    return head + contiguous.tobytes()
+
+
+def _decode_array(src, offset: int, copy: int, as_buffer: int):
+    """Decode one ndarray/Buffer payload for the compiled visitor."""
+    view = src if type(src) is memoryview else memoryview(src)
+    try:
+        arr, offset = _decode_ndarray(view, offset, bool(copy))
+    except (struct.error, ValueError):
+        # Malformed header/payload: the pure re-decode raises the
+        # canonical error from the identical position.
+        raise _Unsupported from None
+    if as_buffer:
+        buf = Buffer.__new__(Buffer)
+        buf.array = arr
+        return buf, offset
+    return arr, offset
+
+
+try:
+    from . import _wirec
+except ImportError:
+    _compiled_encode = _compiled_decode = None
+else:  # pragma: no cover - needs the built extension
+    _wirec.setup(_Unsupported, Buffer, Vector, np.ndarray,
+                 _encode_array, _decode_array)
+    _compiled_encode, _compiled_decode = _wirec.encode_token, _wirec.decode_token
+
+_compiled_hits = _fallbacks = 0
+
+
+def codec_in_use() -> str:
+    """The visitor messages take first: ``compiled`` or ``pure``."""
+    return "pure" if _compiled_encode is None else "compiled"
+
+
+def take_codec_counters() -> dict[str, int]:
+    """Drain the compiled visitor's tallies (metrics fold points call this)."""
+    global _compiled_hits, _fallbacks
+    out = {"codec_compiled_hits": _compiled_hits,
+           "codec_fallbacks": _fallbacks}
+    _compiled_hits = _fallbacks = 0
+    return out

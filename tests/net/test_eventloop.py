@@ -329,6 +329,38 @@ def test_ioloop_no_lost_wakeup_under_reentrant_calls():
         loop.close()
 
 
+def test_ioloop_stop_between_select_and_wake_drain_ends_the_loop():
+    """Regression: a stop (or close) whose wake byte lands after the
+    loop's post-select check but before the same pass drains the
+    self-pipe lost its wakeup; the next select() blocked for good and
+    the loop thread leaked.  A reader readied ahead of the pipe runs in
+    exactly that gap and stops the loop from there."""
+    loop = IOLoop("stop-race").start()
+    ours, theirs = socket.socketpair()
+    entered, release = threading.Event(), threading.Event()
+
+    def on_readable():
+        ours.recv(64)
+        if not entered.is_set():
+            entered.set()  # 1st pass: hold the loop while both get ready
+            release.wait(5)
+        else:
+            loop.stop()  # 2nd pass: the wake drain comes after this
+
+    try:
+        loop.add_reader(ours, on_readable)
+        theirs.send(b"a")
+        assert entered.wait(5)
+        theirs.send(b"b")  # the reader is ready again, ahead of ...
+        loop._wake()  # ... the self-pipe, so it runs first next pass
+        release.set()
+        loop.join(timeout=5)
+        assert not loop.running, "stop lost its wakeup"
+    finally:
+        loop.close()
+        theirs.close()
+
+
 def test_ioloop_add_connection_delivers_frames_then_eof():
     loop = IOLoop("rx").start()
     out_sock, in_sock = socket.socketpair()

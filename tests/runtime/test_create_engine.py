@@ -1,5 +1,6 @@
 """create_engine(): uniform options, helpful rejection of the rest."""
 
+import os
 import subprocess
 import sys
 
@@ -130,8 +131,12 @@ def test_retired_env_names_are_inert(monkeypatch):
     assert engine.recover is False
     assert engine.scaling is None
     # the codec tier follows from what imported, not from a variable
-    fresh = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.serial import fastpath; print(fastpath.get_codec())"],
-        capture_output=True, text=True, check=True)
-    assert fresh.stdout.strip() == "auto"
+    probe = [sys.executable, "-c",
+             "from repro.serial import codec_in_use; print(codec_in_use())"]
+    hostile = subprocess.run(probe, capture_output=True, text=True,
+                             check=True)
+    clean_env = {k: v for k, v in os.environ.items() if k not in RETIRED_ENV}
+    clean = subprocess.run(probe, capture_output=True, text=True, check=True,
+                           env=clean_env)
+    assert hostile.stdout == clean.stdout
+    assert clean.stdout.strip() in ("compiled", "pure")

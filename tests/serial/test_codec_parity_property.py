@@ -1,24 +1,25 @@
 """Property suite pinning fast/pure codec byte-identity.
 
-The fast path (the optional compiled visitor, selected by
-:mod:`repro.serial.fastpath`) must be invisible on the wire: for every
-payload the bytes it emits equal the pure visitor's bytes, and a
-message encoded by either side decodes identically on the other.  These
-tests drive both directions over arbitrary payload trees — including
-the kinds the compiled visitor cannot handle, where the total-fallback
-rule must kick in rather than diverge.
+The fast path (the optional compiled visitor ``repro.serial._wirec``,
+bound by :mod:`repro.serial.wire` when it imports) must be invisible on
+the wire: for every payload the bytes it emits equal the pure visitor's
+bytes, and a message encoded by either side decodes identically on the
+other.  These tests drive both directions over arbitrary payload trees
+— including the kinds the compiled visitor cannot handle, where the
+total-fallback rule must kick in rather than diverge.
 
-Run twice by the codec-parity CI job: once with the compiled extension
-built, once without (``auto`` is then the pure visitor and the parity
+Run twice by the codec CI job: once with the compiled extension built,
+once without (the fast path is then the pure visitor and the parity
 properties reduce to pure round trips); they hold either way.  The
 hex-literal pins at the bottom hold the wire format itself still.
 """
 
 import hashlib
+import importlib.util
 import struct
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -32,9 +33,8 @@ from repro.apps.stream_pipeline import StreamItemToken
 from repro.net import protocol as P
 from repro.runtime.base import DataEnvelope, GroupFrame
 from repro.serial import (Buffer, ComplexToken, SimpleToken, TokenRegistry,
-                          Vector, WireError, decode, encode, encode_segments,
-                          gather)
-from repro.serial import fastpath
+                          Vector, WireError, codec_in_use, decode, encode,
+                          encode_segments, gather)
 from repro.serial import wire as W
 from repro.serial.token import TokenMeta
 from repro.serial.wire import _SEGMENT_THRESHOLD
@@ -110,34 +110,36 @@ payloads = st.recursive(
 
 
 @contextmanager
-def _codec(mode):
-    """Run the block under codec tier *mode* (``auto`` | ``pure``)."""
-    before = fastpath.get_codec()
-    fastpath.set_codec(mode)
+def _pure():
+    """Run the block on the pure visitor: unbind the compiled one."""
+    bound = W._compiled_encode, W._compiled_decode
+    W._compiled_encode = W._compiled_decode = None
     try:
         yield
     finally:
-        fastpath.set_codec(before)
+        W._compiled_encode, W._compiled_decode = bound
+
+
+@pytest.fixture
+def pure_visitor():
+    """The whole test on the pure visitor."""
+    with _pure():
+        yield
 
 
 def _pure_encode(tok):
-    with _codec("pure"):
-        return encode(tok)
-
-
-def _fast_encode(tok):
-    with _codec("auto"):
+    with _pure():
         return encode(tok)
 
 
 def _pure_decode(data):
-    with _codec("pure"):
+    with _pure():
         return decode(data)
 
 
-def _fast_decode(data):
-    with _codec("auto"):
-        return decode(data)
+#: the fast path: the compiled visitor where it is bound, else the pure one
+_fast_encode = encode
+_fast_decode = decode
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,26 +275,22 @@ def test_fast_output_is_writable_tail():
 
 
 def test_selection_is_compiled_or_pure():
-    """``auto`` probes the compiled visitor only when it is bound; with
-    no extension it is the pure visitor and nothing is counted."""
-    compiled = fastpath.compiled_available()
+    """The compiled visitor binds whenever the extension is there and is
+    probed only while bound; unbound, every message takes the pure
+    visitor and nothing is counted."""
+    compiled = importlib.util.find_spec("repro.serial._wirec") is not None
+    assert codec_in_use() == ("compiled" if compiled else "pure")
     tok = AllScalarToken(3, 4.0, False, None)
-    fastpath.take_counters()
+    W.take_codec_counters()
     _fast_decode(_fast_encode(tok))
     _fast_encode(ParityToken(np.zeros(_SEGMENT_THRESHOLD, dtype=np.uint8)))
-    assert fastpath.take_counters() == {
+    assert W.take_codec_counters() == {
         "codec_compiled_hits": 2 if compiled else 0,
         "codec_fallbacks": 1 if compiled else 0}
-    _pure_decode(_pure_encode(tok))
-    assert not any(fastpath.take_counters().values())
-    mode = fastpath.get_codec()
-    try:
-        fastpath.set_codec("auto")
-        assert fastpath.codec_in_use() == ("compiled" if compiled else "pure")
-        fastpath.set_codec("pure")
-        assert fastpath.codec_in_use() == "pure"
-    finally:
-        fastpath.set_codec(mode)
+    with _pure():
+        assert codec_in_use() == "pure"
+        decode(encode(tok))
+    assert not any(W.take_codec_counters().values())
 
 
 # Captured at the commit before the struct-plan tier was deleted (where
@@ -348,8 +346,8 @@ def test_ring_block_wire_pin():
 def test_segment_path_wire_pin():
     """A block at or above the scatter threshold: a borrowed segment."""
     tok = _ring_block(4096, 11, 500, 253)
-    for mode in ("auto", "pure"):
-        with _codec(mode):
+    for tier in (nullcontext(), _pure()):
+        with tier:
             segments = encode_segments(tok)
         assert len(segments) == 3 and type(segments[1]) is memoryview
         assert _sha(b"".join(segments)) == (
@@ -376,8 +374,8 @@ def test_data_message_wire_pin():
     frame = GroupFrame((3 << 40) + 9, 4, 0, 0, "node00", 1)
     env = DataEnvelope(_ring_block(512, 7, 2000, 251), graph, 2, 1,
                        (2 << 40) + 17, (frame,), ctx_origin="__driver__")
-    for mode in ("auto", "pure"):
-        with _codec(mode):
+    for tier in (nullcontext(), _pure()):
+        with tier:
             wire = gather(P.encode_data(env))
             kind, back = P.decode_message(bytearray(wire),
                                           {graph.name: graph})
@@ -424,7 +422,7 @@ def test_lookalike_key_rejected_after_cached_field_name():
             enc(ParityToken({LookAlikeKey(): 1}))
 
 
-def test_every_cache_stays_at_or_below_its_cap():
+def test_every_cache_stays_at_or_below_its_cap(pure_visitor):
     """10 000 messages, each with a new token name, field name and array
     dtype: every cache was filled past its cap and holds no more than
     it."""
@@ -436,24 +434,23 @@ def test_every_cache_stays_at_or_below_its_cap():
     }
     seen = dict.fromkeys(caches, 0)
     reg = TokenRegistry()
-    with _codec("pure"):
-        for i in range(10_000):
-            cls = TokenMeta(f"CacheProbe{i}", (ComplexToken,), {},
-                            register=False)
-            reg.register(cls)
-            tok = cls()
-            setattr(tok, f"field{i}", np.zeros((0, i + 1), f"V{i + 1}"))
-            back = decode(encode(tok, reg), reg)
-            assert getattr(back, f"field{i}").dtype == np.dtype(f"V{i + 1}")
-            assert getattr(back, f"field{i}").shape == (0, i + 1)
-            for name, cache in caches.items():
-                seen[name] = max(seen[name], len(cache))
+    for i in range(10_000):
+        cls = TokenMeta(f"CacheProbe{i}", (ComplexToken,), {},
+                        register=False)
+        reg.register(cls)
+        tok = cls()
+        setattr(tok, f"field{i}", np.zeros((0, i + 1), f"V{i + 1}"))
+        back = decode(encode(tok, reg), reg)
+        assert getattr(back, f"field{i}").dtype == np.dtype(f"V{i + 1}")
+        assert getattr(back, f"field{i}").shape == (0, i + 1)
+        for name, cache in caches.items():
+            seen[name] = max(seen[name], len(cache))
     for name, cache in caches.items():
         assert seen[name] == W._CACHE_CAP, name
         assert len(cache) <= W._CACHE_CAP, name
 
 
-def test_caches_shared_by_threads_keep_round_trips_exact():
+def test_caches_shared_by_threads_keep_round_trips_exact(pure_visitor):
     """Threads encoding and decoding new names and dtypes at once, with a
     short switch interval: every message round-trips exactly, and racing
     misses overshoot a cache's cap by at most one entry per thread."""
@@ -476,13 +473,12 @@ def test_caches_shared_by_threads_keep_round_trips_exact():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with _codec("pure"):
-            workers = [threading.Thread(target=work, args=(t,))
-                       for t in range(threads)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(60)
+        workers = [threading.Thread(target=work, args=(t,))
+                   for t in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
