@@ -82,7 +82,7 @@ from ..serial.wire import _FRAME_HEADER  # shared header layout
 from .framing import DEFAULT_MAX_BATCH_BYTES, MAX_SENDMSG_SEGMENTS, \
     FrameReader, _as_byte_views
 from .nameserver import NameServerError, UnknownKernel
-from .protocol import encode_shm_attach
+from .protocol import MSG_SHM_ATTACH, encode_control
 from .shm import ShmSender, host_fingerprint
 
 __all__ = ["IOLoop", "VectoredSender", "EventLoopPeer", "DialError"]
@@ -886,8 +886,8 @@ class EventLoopPeer:
             else:
                 # Before the first descriptor frame: ahead of
                 # everything in the outbox.
-                self._sender.push(encode_shm_attach(self._shm.name,
-                                                    self._shm.size))
+                self._sender.push(encode_control(
+                    MSG_SHM_ATTACH, self._shm.name, self._shm.size))
         self._sock = sock
         self._pump()
 

@@ -273,7 +273,8 @@ class DistributedKernel(ThreadedEngine):
         depth = self.queue_depth()
         if self.metrics is not None:
             self.metrics.gauge("queue_depth_total").set(depth)
-        self._pool.send(CONSOLE_KERNEL, P.encode_beat(self.name, depth))
+        self._pool.send(CONSOLE_KERNEL,
+                        P.encode_control(P.MSG_BEAT, self.name, depth))
         self._io_loop.call_later(self.heartbeat_interval, self._beat)
 
     def _resend_stale(self) -> None:
@@ -386,7 +387,7 @@ class DistributedKernel(ThreadedEngine):
     def request_shutdown(self, peer: str) -> None:
         """Ask *peer* to shut down (part of the console's exit barrier;
         any thread)."""
-        message = P.encode_shutdown()
+        message = P.encode_control(P.MSG_SHUTDOWN)
         self._io_loop.call(lambda: self._pool.send(peer, message))
 
     # ------------------------------------------------------------------
@@ -410,7 +411,7 @@ class DistributedKernel(ThreadedEngine):
         if not peers or (self.tracer is None and self.metrics is None):
             return []
         self._trace_pending = set(peers)
-        message = P.encode_trace_flush(self.name)
+        message = P.encode_control(P.MSG_TRACE_FLUSH, self.name)
         for peer in peers:
             self._pool.send(peer, message)
         yield _Wait(lambda: not self._trace_pending, timeout)
@@ -432,7 +433,8 @@ class DistributedKernel(ThreadedEngine):
         self._fold_codec_counters()
         events = self.tracer.dump() if self.tracer is not None else []
         snapshot = self.metrics.snapshot() if self.metrics is not None else {}
-        self._pool.send(reply_to, P.encode_trace(self.name, events, snapshot))
+        self._pool.send(reply_to, P.encode_control(
+            P.MSG_TRACE, self.name, events, snapshot))
         # The buffer now lives at the requester; avoid re-shipping the
         # same events if another flush arrives.
         if self.tracer is not None:
@@ -552,11 +554,11 @@ class DistributedKernel(ThreadedEngine):
         if origin is None or origin == self.name:
             super().scatter_total(body, total)
         else:
-            self._pool.send(origin,
-                            P.encode_scatter_total(body.ctx_id, total))
+            self._pool.send(origin, P.encode_control(
+                P.MSG_SCATTER_TOTAL, body.ctx_id, total))
 
     def _propagate_failure(self, exc: BaseException) -> None:
-        message = P.encode_failure(exc)
+        message = P.encode_control(P.MSG_FAILURE, exc)
         for peer in self._peer_names:
             self._pool.send(peer, message)  # a gone peer: a counted drop
 
@@ -604,8 +606,8 @@ class DistributedKernel(ThreadedEngine):
                 self._drive(self._recover_from_failure(name), self._fails(
                     f"recovery from dead kernel {name!r} failed"))
             else:
-                self._pool.send(CONSOLE_KERNEL,
-                                P.encode_kernel_down(name, reason))
+                self._pool.send(CONSOLE_KERNEL, P.encode_control(
+                    P.MSG_KERNEL_DOWN, name, reason))
 
         self._call(down)
 
@@ -627,10 +629,10 @@ class DistributedKernel(ThreadedEngine):
         if self.tracer is not None:
             self.trace("remap", dead=dead,
                        collections=sorted(mapping), epoch=epoch)
-        yield from self._barrier("remap", epoch, survivors,
-                                 P.encode_remap(epoch, mapping, dead))
-        counts = yield from self._barrier("replay", epoch, survivors,
-                                          P.encode_replay(epoch))
+        yield from self._barrier("remap", epoch, survivors, P.encode_control(
+            P.MSG_REMAP, epoch, mapping, dead))
+        counts = yield from self._barrier(
+            "replay", epoch, survivors, P.encode_control(P.MSG_REPLAY, epoch))
         replayed = sum(counts.values()) + self._replay_local()
         self._recovered = True
         self._replayed_tokens += replayed
@@ -669,7 +671,8 @@ class DistributedKernel(ThreadedEngine):
                             dead: str) -> None:
         self._dead_kernels.add(dead)
         apply_remap(self._graphs.values(), mapping)
-        self._pool.send(CONSOLE_KERNEL, P.encode_remap_ok(self.name, epoch))
+        self._pool.send(CONSOLE_KERNEL, P.encode_control(
+            P.MSG_REMAP_OK, self.name, epoch))
 
     def _replay_local(self) -> int:
         """Re-deliver every journaled (un-acked) emission; routing is
@@ -744,7 +747,8 @@ class DistributedKernel(ThreadedEngine):
                                    - {self.name})
             yield from self._barrier(
                 "member", epoch, barrier_peers,
-                P.encode_member(epoch, old_map, new_map, joined, retired),
+                P.encode_control(P.MSG_MEMBER, epoch, old_map, new_map,
+                                 list(joined), list(retired)),
                 timeout=timeout)
             apply_remap(graphs, mapping)
             self._peer_names = list(members)
@@ -752,8 +756,9 @@ class DistributedKernel(ThreadedEngine):
             if joined:
                 # Exactly-once backstop for the join path; quiesced
                 # journals make this a ~0-token barrier.
-                counts = yield from self._barrier("replay", epoch, members,
-                                                  P.encode_replay(epoch))
+                counts = yield from self._barrier(
+                    "replay", epoch, members,
+                    P.encode_control(P.MSG_REPLAY, epoch))
                 self._replayed_tokens += sum(counts.values()) \
                     + self._replay_local()
             seconds = time.monotonic() - t0
@@ -817,8 +822,8 @@ class DistributedKernel(ThreadedEngine):
             f"is queued for them did not run within 10s"))
         for name, index, target in losses:
             handle = handles.get((name, index))
-            self._pool.send(target, P.encode_thread_state(
-                name, index, epoch,
+            self._pool.send(target, P.encode_control(
+                P.MSG_THREAD_STATE, name, index, epoch,
                 handle.thread if handle is not None else None))
         apply_remap(self._graphs.values(), new_map)
 
@@ -839,7 +844,8 @@ class DistributedKernel(ThreadedEngine):
                        gained=len(gains))
         if self.metrics is not None and losses:
             self.metrics.counter("tokens_moved").inc(len(losses))
-        self._pool.send(CONSOLE_KERNEL, P.encode_remap_ok(self.name, epoch))
+        self._pool.send(CONSOLE_KERNEL, P.encode_control(
+            P.MSG_REMAP_OK, self.name, epoch))
 
     def rebalance_snapshot(self) -> Tuple[int, int, float]:
         """``(rebalances, tokens_moved, rebalance_seconds)`` so far."""
@@ -907,9 +913,7 @@ class DistributedKernel(ThreadedEngine):
             node = env.graph.node(env.node_id)
             self.enqueue(self._worker_for(node.collection, env.instance), env)
         elif kind == P.MSG_ACK:
-            self.scheduler.apply_ack(
-                value.graph_name, value.opener, value.opener_instance,
-                value.routed_instance, value.group_id, value.index)
+            self.scheduler.apply_ack(*value)
         elif kind == P.MSG_GROUP_TOTAL:
             group_id, total = value
             self.scheduler.apply_group_total(group_id, total)
@@ -918,9 +922,9 @@ class DistributedKernel(ThreadedEngine):
             # queue; its late arrivals are dropped, not an error here.
             self._result_arrived(*value, late_ok=True)
         elif kind == P.MSG_FAILURE:
-            self._record_failure(value, propagate=False)
+            self._record_failure(*value, propagate=False)
         elif kind == P.MSG_TRACE_FLUSH:
-            self._ship_trace(value)
+            self._ship_trace(*value)
         elif kind == P.MSG_TRACE:
             kernel_name, events, snapshot = value
             if self.tracer is not None and events:
@@ -936,9 +940,10 @@ class DistributedKernel(ThreadedEngine):
             epoch, mapping, dead = value
             self._apply_remote_remap(epoch, mapping, dead)
         elif kind == P.MSG_REPLAY:
+            (epoch,) = value
             count = self._replay_local()
-            self._pool.send(CONSOLE_KERNEL,
-                            P.encode_replay_done(self.name, value, count))
+            self._pool.send(CONSOLE_KERNEL, P.encode_control(
+                P.MSG_REPLAY_DONE, self.name, epoch, count))
         elif kind == P.MSG_REPLAY_DONE:
             name, epoch, count = value
             self._barrier_done(name, epoch, count)

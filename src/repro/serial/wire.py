@@ -70,7 +70,7 @@ MAGIC = b"DPS2"
 
 #: Protocol version carried by every :func:`frame` header.  Bump on any
 #: incompatible change to the framing layout or the message body format.
-FRAME_VERSION = 1
+FRAME_VERSION = 2
 
 #: Wire size of the frame header: u32 payload length + u8 version.
 FRAME_HEADER_BYTES = 5

@@ -178,7 +178,8 @@ class ServiceClient:
     def open(self, timeout: float = 10.0) -> int:
         """Open the session; returns the granted window.  Idempotent."""
         if not self._open_event.is_set():
-            self._send(P.encode_svc_open(self.name, self._requested_window))
+            self._send(P.encode_control(
+                P.MSG_SVC_OPEN, self.name, self._requested_window))
             if not self._open_event.wait(timeout=timeout):
                 raise ServiceTimeout(
                     f"service console {self.server!r} did not answer "
@@ -347,7 +348,7 @@ class ServiceClient:
         if self._closed:
             return
         self._closed = True
-        self._send(P.encode_svc_close(self.name))
+        self._send(P.encode_control(P.MSG_SVC_CLOSE, self.name))
         self._pool.close_all()  # flushed on the loop, which then stops
         self._io_loop.close()  # closes the listener it adopted
         try:

@@ -153,7 +153,7 @@ class ServiceKernel(DistributedKernel):
             client, request_id, service, token = value
             self._svc_call(client, request_id, service, token)
         elif kind == P.MSG_SVC_CLOSE:
-            self._svc_close(value)
+            self._svc_close(*value)
         else:
             super()._dispatch_message(kind, value)
 
@@ -168,15 +168,15 @@ class ServiceKernel(DistributedKernel):
             self.metrics.gauge("svc_sessions").set(len(self._sessions))
         # Re-opening is idempotent: the same session (and window grant)
         # answers a retried OPEN, so a lost OPEN_OK cannot fork state.
-        self._pool.send(client, P.encode_svc_open_ok(
-            session.granted, session.session_id))
+        self._pool.send(client, P.encode_control(
+            P.MSG_SVC_OPEN_OK, session.granted, session.session_id))
 
     def _svc_call(self, client: str, request_id: int, service: str,
                   token) -> None:
         session = self._sessions.get(client)
         if session is None:
-            self._pool.send(client, P.encode_svc_error(
-                request_id,
+            self._pool.send(client, P.encode_control(
+                P.MSG_SVC_ERROR, request_id,
                 ScheduleError(f"no open session for client {client!r}; "
                               f"send MSG_SVC_OPEN first")))
             return
@@ -191,8 +191,8 @@ class ServiceKernel(DistributedKernel):
         graph = self._svc_graphs.get(service)
         if graph is None:
             known = sorted(self._svc_graphs)
-            self._pool.send(client, P.encode_svc_error(
-                request_id,
+            self._pool.send(client, P.encode_control(
+                P.MSG_SVC_ERROR, request_id,
                 ScheduleError(f"unknown service {service!r}; "
                               f"registered: {known}")))
             return
@@ -202,8 +202,8 @@ class ServiceKernel(DistributedKernel):
             # error on the cheap protocol path: an exception raised
             # by an operation poisons the whole run-to-completion
             # engine, a signature mismatch must not.
-            self._pool.send(client, P.encode_svc_error(
-                request_id,
+            self._pool.send(client, P.encode_control(
+                P.MSG_SVC_ERROR, request_id,
                 ScheduleError(
                     f"service {service!r} does not accept "
                     f"{type(token).__name__}")))
@@ -224,7 +224,8 @@ class ServiceKernel(DistributedKernel):
             if self.tracer is not None:
                 self.trace("svc_shed", client=client, request=request_id,
                            service=service, reason=reason)
-            self._pool.send(client, P.encode_svc_busy(request_id, reason))
+            self._pool.send(client, P.encode_control(
+                P.MSG_SVC_BUSY, request_id, reason))
             return
         session.window.on_post(0)
         self._svc_outstanding += 1
@@ -261,12 +262,14 @@ class ServiceKernel(DistributedKernel):
         starts."""
         def finish(outcome: Any) -> None:
             if isinstance(outcome, BaseException):
-                reply = P.encode_svc_error(request_id, outcome)
+                reply = P.encode_control(P.MSG_SVC_ERROR, request_id,
+                                         outcome)
             else:
                 try:
                     reply = P.encode_svc_reply(request_id, outcome)
                 except Exception as exc:
-                    reply = P.encode_svc_error(request_id, exc)
+                    reply = P.encode_control(P.MSG_SVC_ERROR,
+                                             request_id, exc)
             elapsed = time.monotonic() - t0
             if self.metrics is not None:
                 self.metrics.histogram(

@@ -231,7 +231,7 @@ class _GhostKernel:
         self._ns.register(name, host, port, meta={"kernel": True})
         # A kernel makes itself known by beating to the console.
         self._beat = socket.create_connection(self._ns.lookup(CONSOLE_KERNEL))
-        send_messages(self._beat, [P.encode_beat(name, 0)])
+        send_messages(self._beat, [P.encode_control(P.MSG_BEAT, name, 0)])
 
     def _accept_loop(self):
         while True:

@@ -819,81 +819,95 @@ def test_eventloop_peer_keeps_each_producers_order(ns):
         return [bytearray([MSG_DATA])
                 + b"%d:%d:%d" % (round_no, producer, seq)]
 
-    def check(loop, conn, reader):
-        @settings(deadline=None, max_examples=8)
-        @given(st.lists(st.booleans(), min_size=producers + 1,
-                        max_size=producers + 1))
-        def run(blocked):
-            # blocked[p]: producer p (the last is the loop thread) starts
-            # while the peer is write-blocked
-            round_no = next(rounds)
-            halfway = [threading.Event() for _ in range(producers + 1)]
+    def exchange(loop, conn, reader, blocked, round_no, threads):
+        # blocked[p]: producer p (the last is the loop thread) starts
+        # while the peer is write-blocked
+        halfway = [threading.Event() for _ in range(producers + 1)]
 
-            def produce(producer):
-                for seq in range(per_producer):
-                    message = tagged(round_no, producer, seq)
-                    _on_loop(loop, lambda: conn.send(message))
-                    if seq == per_producer // 2:
-                        halfway[producer].set()
-
-            def produce_on_loop(seq=0):
-                conn.send(tagged(round_no, producers, seq))
+        def produce(producer):
+            for seq in range(per_producer):
+                message = tagged(round_no, producer, seq)
+                _on_loop(loop, lambda: conn.send(message))
                 if seq == per_producer // 2:
-                    halfway[producers].set()
-                if seq + 1 < per_producer:
-                    loop.call(lambda: produce_on_loop(seq + 1))
+                    halfway[producer].set()
 
-            def start(producer):
-                if producer == producers:
-                    loop.call(produce_on_loop)
-                    return None
-                thread = threading.Thread(target=produce, args=(producer,))
-                thread.start()
-                return thread
+        def produce_on_loop(seq=0):
+            conn.send(tagged(round_no, producers, seq))
+            if seq == per_producer // 2:
+                halfway[producers].set()
+            if seq + 1 < per_producer:
+                loop.call(lambda: produce_on_loop(seq + 1))
 
-            # nobody reads: both socket buffers fill
-            _on_loop(loop, lambda: conn.send(filler))
-            _wait_for(lambda: conn._write_registered, what="EVENT_WRITE")
-            threads = [start(p) for p in range(producers + 1) if blocked[p]]
-            for p in range(producers + 1):
-                assert not blocked[p] or halfway[p].wait(timeout=30)
-            assert conn._write_registered  # all of that queued
+        def start(producer):
+            if producer == producers:
+                loop.call(produce_on_loop)
+                return
+            thread = threading.Thread(target=produce, args=(producer,))
+            threads.append(thread)
+            thread.start()
 
-            received = []
-            total = 1 + (producers + 1) * per_producer
+        # nobody reads: both socket buffers fill
+        _on_loop(loop, lambda: conn.send(filler))
+        _wait_for(lambda: conn._write_registered, what="EVENT_WRITE")
+        for p in range(producers + 1):
+            if blocked[p]:
+                start(p)
+        for p in range(producers + 1):
+            assert not blocked[p] or halfway[p].wait(timeout=30)
+        assert conn._write_registered  # all of that queued
 
-            def read():
-                while len(received) < total:
-                    batch = reader.recv_batch()
-                    if batch is None:
-                        return
-                    received.extend(bytes(b) for b in batch)
+        received = []
+        total = 1 + (producers + 1) * per_producer
 
-            collector = threading.Thread(target=read)
-            collector.start()
-            threads += [start(p) for p in range(producers + 1)
-                        if not blocked[p]]
-            for thread in threads + [collector]:
-                if thread is not None:
+        def read():
+            while len(received) < total:
+                batch = reader.recv_batch()
+                if batch is None:
+                    return
+                received.extend(bytes(b) for b in batch)
+
+        collector = threading.Thread(target=read)
+        threads.append(collector)
+        collector.start()
+        for p in range(producers + 1):
+            if not blocked[p]:
+                start(p)
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(received) == total
+        assert received[0] == b"".join(bytes(s) for s in filler)
+        seen = {}
+        for payload in received[1:]:
+            r, producer, seq = map(int, payload[1:].split(b":"))
+            assert r == round_no
+            seen.setdefault(producer, []).append(seq)
+        assert seen == {p: list(range(per_producer))
+                        for p in range(producers + 1)}
+
+    @settings(deadline=None, max_examples=8)
+    @given(st.lists(st.booleans(), min_size=producers + 1,
+                    max_size=producers + 1))
+    def run(blocked):
+        # Each example has a connection of its own, and leaves no thread
+        # behind on it: closing the peer ends the collector at EOF and
+        # turns what a producer still sends into counted drops.
+        round_no = next(rounds)
+        with _small_buffer_peer(ns, f"mixed-{round_no}") as \
+                (loop, conn, accepted):
+            threads = []
+            try:
+                exchange(loop, conn, FrameReader(accepted), blocked,
+                         round_no, threads)
+            finally:
+                _on_loop(loop, conn.close)
+                for thread in threads:
                     thread.join(timeout=30)
-                    assert not thread.is_alive()
-            assert len(received) == total
-            assert received[0] == b"".join(bytes(s) for s in filler)
-            seen = {}
-            for payload in received[1:]:
-                r, producer, seq = map(int, payload[1:].split(b":"))
-                assert r == round_no
-                seen.setdefault(producer, []).append(seq)
-            assert seen == {p: list(range(per_producer))
-                            for p in range(producers + 1)}
-
-        run()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # force interleavings of the hand-overs
     try:
-        with _small_buffer_peer(ns, "mixed") as (loop, conn, accepted):
-            check(loop, conn, FrameReader(accepted))
+        run()
     finally:
         sys.setswitchinterval(interval)
 

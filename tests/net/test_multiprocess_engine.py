@@ -214,7 +214,8 @@ def test_eventloop_mode_thread_census():
         engine.register_graph(g)
         assert engine.run(g, RingJobToken(512, 4), timeout=60).blocks == 4
         console = engine._console
-        console._pool.send("late", P.encode_shutdown())  # unregistered
+        console._pool.send("late",  # unregistered
+                           P.encode_control(P.MSG_SHUTDOWN))
         passed = threading.Event()
         console._io_loop.call(passed.set)  # behind the first dial attempt
         assert passed.wait(timeout=5)
@@ -289,9 +290,11 @@ def test_a_worker_flushes_before_it_closes_on_one_deadline(monkeypatch):
         with socket.create_connection(owner.lookup("node01")) as sock:
             t0 = time.monotonic()
             send_messages(sock, [
-                P.encode_trace_flush(CONSOLE_KERNEL), P.encode_replay(7),
-                *(P.encode_trace_flush(f"ghost{i}") for i in range(3)),
-                P.encode_shutdown()])
+                P.encode_control(P.MSG_TRACE_FLUSH, CONSOLE_KERNEL),
+                P.encode_control(P.MSG_REPLAY, 7),
+                *(P.encode_control(P.MSG_TRACE_FLUSH, f"ghost{i}")
+                  for i in range(3)),
+                P.encode_control(P.MSG_SHUTDOWN)])
             accepted, _ = listener.accept()
             accepted.settimeout(5)
             reader, frames = FrameReader(accepted), []

@@ -366,7 +366,8 @@ def test_kernel_keeps_a_token_across_connection_close(capfd):
             kernel._dispatch_message = lambda kind, value: held.append(value)
             state = _ConnState()
             kernel._process_frames(state, [
-                bytearray(gather(P.encode_shm_attach(name, sender.size))),
+                bytearray(gather(P.encode_control(
+                    P.MSG_SHM_ATTACH, name, sender.size))),
                 bytearray(gather(sender.rewrite(P.encode_data(env))))])
             with pytest.raises(WireError, match="not published"):
                 kernel._process_frames(state, [bytearray(gather(

@@ -591,9 +591,14 @@ def test_an_instance_parked_in_a_sleep_is_not_shipped(monkeypatch):
         Nap, ThreadCollection(MpMain, "evict-nap").map("node01"))
         .as_builder(), "evict-nap")
     shipped = []
-    encode = P.encode_thread_state
-    monkeypatch.setattr(P, "encode_thread_state",
-                        lambda *state: shipped.append(state) or encode(*state))
+    encode = P.encode_control
+
+    def spy(kind, *fields):
+        if kind == P.MSG_THREAD_STATE:
+            shipped.append(fields)
+        return encode(kind, *fields)
+
+    monkeypatch.setattr(P, "encode_control", spy)
     with NameServer() as ns:
         graph, kernels = _kernel_pair(ns, clock, "evict", window=2)
         node01 = kernels[0]

@@ -120,13 +120,6 @@ def _pure():
         W._compiled_encode, W._compiled_decode = bound
 
 
-@pytest.fixture
-def pure_visitor():
-    """The whole test on the pure visitor."""
-    with _pure():
-        yield
-
-
 def _pure_encode(tok):
     with _pure():
         return encode(tok)
@@ -387,6 +380,42 @@ def test_data_message_wire_pin():
         assert back.frames == (frame,)
         assert back.token.seq == 7
         assert np.array_equal(back.token.data.array, env.token.data.array)
+
+
+_BLOCK_HEX = ("445053320e0052696e67426c6f636b546f6b656e0d030000000400646174"
+              "6109037c753101080000000001020304050607030073657103030000000000"
+              "000008006e5f626c6f636b73030a00000000000000")
+
+
+def _small_block():
+    return _ring_block(8, 3, 10, 251)
+
+
+# The other six packed kinds, each captured before the control kinds
+# moved to the token codec: their bytes did not move.
+@pytest.mark.parametrize("message, pinned, value", [
+    (lambda: P.encode_ack("ring", 2, 1, 3, (5 << 40) + 9, 4),
+     "02040072696e6702000000010000000300000009000000000500000400"
+     "0000", ("ring", 2, 1, 3, (5 << 40) + 9, 4)),
+    (lambda: P.encode_group_total((5 << 40) + 2, 1234),
+     "030200000000050000d204000000000000", ((5 << 40) + 2, 1234)),
+    (lambda: P.encode_result((2 << 40) + 17, _small_block()),
+     "041100000000020000" + _BLOCK_HEX, ((2 << 40) + 17, _small_block())),
+    (lambda: P.encode_shm_data(4096, 65536),
+     "0d001000000000000000000100", (4096, 65536)),
+    (lambda: P.encode_svc_call("client-1", 42, "gol.read", _small_block()),
+     "150800636c69656e742d312a000000000000000800676f6c2e72656164"
+     + _BLOCK_HEX, ("client-1", 42, "gol.read", _small_block())),
+    (lambda: P.encode_svc_reply(43, _small_block()),
+     "162b00000000000000" + _BLOCK_HEX, (43, _small_block())),
+], ids=["ack", "group_total", "result", "shm", "svc_call", "svc_reply"])
+def test_packed_message_wire_pin(message, pinned, value):
+    for tier in (nullcontext(), _pure()):
+        with tier:
+            wire = gather(message())
+            kind, back = P.decode_message(bytearray(wire), {})
+        assert wire.hex() == pinned
+        assert kind == wire[0] and back == value
 
 
 # ---------------------------------------------------------------------------

@@ -62,15 +62,15 @@ def test_policy_is_frozen():
 # ---------------------------------------------------------------------------
 
 def test_svc_open_roundtrip():
-    kind, value = roundtrip(P.encode_svc_open("client-1", 6))
+    kind, value = roundtrip(P.encode_control(P.MSG_SVC_OPEN, "client-1", 6))
     assert kind == P.MSG_SVC_OPEN
     assert value == ("client-1", 6)
-    kind, value = roundtrip(P.encode_svc_open("client-2"))
+    kind, value = roundtrip(P.encode_control(P.MSG_SVC_OPEN, "client-2", 0))
     assert value == ("client-2", 0)  # 0 = ask for the server default
 
 
 def test_svc_open_ok_roundtrip():
-    kind, value = roundtrip(P.encode_svc_open_ok(8, 7 << 33))
+    kind, value = roundtrip(P.encode_control(P.MSG_SVC_OPEN_OK, 8, 7 << 33))
     assert kind == P.MSG_SVC_OPEN_OK
     assert value == (8, 7 << 33)
 
@@ -95,13 +95,15 @@ def test_svc_reply_roundtrip():
 
 
 def test_svc_busy_roundtrip():
-    kind, value = roundtrip(P.encode_svc_busy(44, "at capacity (6/6)"))
+    kind, value = roundtrip(
+        P.encode_control(P.MSG_SVC_BUSY, 44, "at capacity (6/6)"))
     assert kind == P.MSG_SVC_BUSY
     assert value == (44, "at capacity (6/6)")
 
 
 def test_svc_error_roundtrip_rebuilds_exception():
-    kind, value = roundtrip(P.encode_svc_error(45, ValueError("bad block")))
+    kind, value = roundtrip(
+        P.encode_control(P.MSG_SVC_ERROR, 45, ValueError("bad block")))
     assert kind == P.MSG_SVC_ERROR
     request_id, exc = value
     assert request_id == 45
@@ -113,17 +115,17 @@ def test_svc_error_unpicklable_falls_back():
     class Weird(Exception):
         pass  # local class: unpicklable in the receiving process
 
-    kind, (request_id, exc) = roundtrip(P.encode_svc_error(
-        46, Weird("local detail")))
+    kind, (request_id, exc) = roundtrip(P.encode_control(
+        P.MSG_SVC_ERROR, 46, Weird("local detail")))
     assert kind == P.MSG_SVC_ERROR and request_id == 46
     assert isinstance(exc, Exception)
     assert "local detail" in str(exc) or "Weird" in str(exc)
 
 
 def test_svc_close_roundtrip():
-    kind, value = roundtrip(P.encode_svc_close("client-1"))
+    kind, value = roundtrip(P.encode_control(P.MSG_SVC_CLOSE, "client-1"))
     assert kind == P.MSG_SVC_CLOSE
-    assert value == "client-1"
+    assert value == ("client-1",)
 
 
 def test_svc_kinds_do_not_collide():
