@@ -151,6 +151,12 @@ class ThreadCollection:
         thread.collection_name = self.name
         return thread
 
+    def rebuild_thread(self, state: dict) -> DpsThread:
+        """A thread of this class holding *state*; ``__init__`` does not run."""
+        thread = self.thread_class.__new__(self.thread_class)
+        thread.__dict__.update(state)
+        return thread
+
     def __repr__(self) -> str:
         mapped = self._placements if self._placements else "unmapped"
         return f"<ThreadCollection {self.name!r} {mapped}>"

@@ -204,8 +204,8 @@ class DistributedKernel(ThreadedEngine):
         #: expected, not a failure (and not a kernel-down event).
         self._retired_peers: set = set()
         #: Migrated thread state received over MSG_THREAD_STATE, keyed
-        #: ``(collection_name, index)`` → ``(epoch, thread_obj)``; the
-        #: member change waits here for its expected gains.
+        #: ``(collection_name, index)`` → ``(epoch, state dict or None)``;
+        #: the member change waits here for its expected gains.
         self._incoming_states: Dict[Tuple[str, int], Tuple[int, object]] = {}
         # cumulative elastic counters (console side), read into each
         # RunResult by run_result
@@ -822,9 +822,13 @@ class DistributedKernel(ThreadedEngine):
             f"is queued for them did not run within 10s"))
         for name, index, target in losses:
             handle = handles.get((name, index))
-            self._pool.send(target, P.encode_control(
-                P.MSG_THREAD_STATE, name, index, epoch,
-                handle.thread if handle is not None else None))
+            try:
+                self._pool.send(target, P.encode_control(
+                    P.MSG_THREAD_STATE, name, index, epoch,
+                    vars(handle.thread) if handle is not None else None))
+            except WireError as err:
+                raise KernelFailure(f"kernel {self.name!r} cannot ship "
+                                    f"{name}[{index}]: {err}") from None
         apply_remap(self._graphs.values(), new_map)
 
         def missing() -> List[Tuple[str, int]]:
@@ -835,10 +839,10 @@ class DistributedKernel(ThreadedEngine):
             f"kernel {self.name!r} never received migrated state for "
             f"{missing()} (donor died mid-rebalance?)"))
         for name, index in gains:
-            _, thread = self._incoming_states.pop((name, index))
+            _, state = self._incoming_states.pop((name, index))
             coll = colls.get(name)
-            if coll is not None:
-                self._adopt_thread(coll, index, thread)
+            if coll is not None and state is not None:
+                self._adopt_thread(coll, index, coll.rebuild_thread(state))
         if self.tracer is not None:
             self.trace("member", epoch=epoch, lost=len(losses),
                        gained=len(gains))
@@ -954,8 +958,8 @@ class DistributedKernel(ThreadedEngine):
             self._drive(self._apply_membership(*value), self._fails(
                 f"membership change failed on {self.name!r}"))
         elif kind == P.MSG_THREAD_STATE:
-            cname, index, epoch, thread = value
-            self._incoming_states[(cname, index)] = (epoch, thread)
+            cname, index, epoch, state = value
+            self._incoming_states[(cname, index)] = (epoch, state)
             self._recheck()
         elif kind == P.MSG_SHUTDOWN:
             self._stop()

@@ -15,22 +15,23 @@ with a one-byte message kind.  Two layouts follow it:
   writes them all and one branch of :func:`decode_message` reads them.
 
 Every kind decodes to a ``(kind, value)`` pair, *value* being a
-:class:`DataEnvelope` for ``MSG_DATA`` and a tuple otherwise.  Pickle
-is used only where an object graph has to cross: a failure's exception
-and a migrating thread's state.
+:class:`DataEnvelope` for ``MSG_DATA`` and a tuple otherwise.  The
+codec is the only format: an exception crosses as its class's module and
+qualname, ``args`` and text, and a migrating thread as its ``__dict__``.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
+import sys
+from types import ModuleType
 from typing import Any, Dict, List, Tuple
 
 from ..core.graph import Flowgraph
 from ..runtime.base import DataEnvelope, GroupFrame
 from ..serial.registry import TokenRegistry, registry
 from ..serial.token import Token
-from ..serial.wire import Segment, WireError, decode, encode_segments
+from ..serial.wire import Segment, WireError, decode, encode_segments, measure
 
 __all__ = [
     "MSG_DATA",
@@ -69,7 +70,6 @@ __all__ = [
     "encode_svc_call",
     "encode_svc_reply",
     "encode_control",
-    "pickled_exception",
     "decode_message",
     "RemoteFailure",
 ]
@@ -124,10 +124,10 @@ MSG_SVC_CLOSE = 25
 #: compute which thread instances it loses and gains without trusting
 #: local state.
 MSG_MEMBER = 26
-#: Kernel → kernel: a migrating thread instance's live state, the evicted
-#: :class:`~repro.core.threads.DpsThread` (plain user state, free of
-#: engine references by the DPS execution model) or ``None`` when the
-#: instance was never activated on the donor.
+#: Kernel → kernel: a migrating thread instance's live state, the
+#: ``__dict__`` of the evicted :class:`~repro.core.threads.DpsThread`
+#: (plain user state, free of engine references by the DPS execution
+#: model) or ``None`` when the instance was never activated on the donor.
 MSG_THREAD_STATE = 27
 #: Kernel → console, every heartbeat interval; *load* is the tokens
 #: pending across the kernel's inboxes.
@@ -170,7 +170,7 @@ _U64_PAIR = struct.Struct("<QQ")   # (group_id, total)
 
 
 class RemoteFailure(RuntimeError):
-    """Stand-in for a remote exception that could not be unpickled."""
+    """Stand-in for a remote exception that could not be rebuilt here."""
 
 
 class ControlFields(Token):
@@ -259,41 +259,40 @@ def encode_svc_reply(request_id: int, token: Token,
     return [head, *encode_segments(token, reg)]
 
 
-def pickled_exception(exc: BaseException) -> bytes:
-    """*exc* pickled, or a :class:`RemoteFailure` naming it when the
-    receiving side could not rebuild it from those bytes."""
+def _exception_fields(exc: BaseException) -> tuple:
+    """*exc* as ``(module, qualname, args, text)``, ``args`` ``None``
+    if the codec refuses them."""
+    cls, args = type(exc), exc.args
     try:
-        raw = pickle.dumps(exc)
-        pickle.loads(raw)  # ensure the receiving side can rebuild it
+        measure(ControlFields(args))
+    except (WireError, RecursionError):
+        args = None
+    return cls.__module__, cls.__qualname__, args, f"{cls.__name__}: {exc}"
+
+
+def _rebuilt_exception(fields: Any) -> BaseException:
+    """``cls(*args)`` for an Exception class reached from ``sys.modules``
+    by namespaces alone (no import, no ``__getattr__``); else RemoteFailure."""
+    module, qualname, args, text = (
+        fields if type(fields) is tuple and len(fields) == 4 else (None,) * 4)
+    if not (type(module) is type(qualname) is type(text) is str
+            and (args is None or type(args) is tuple)):
+        raise WireError(f"exception field {fields!r} is not "
+                        f"(module, qualname, args, text)")
+    cls: Any = sys.modules.get(module)
+    for name in qualname.split("."):
+        cls = (cls.__dict__.get(name)
+               if issubclass(type(cls), (ModuleType, type)) else None)
+    try:
+        if issubclass(type(cls), type) and issubclass(cls, Exception):
+            return cls(*args)  # args None: a TypeError, caught below
     except Exception:
-        raw = pickle.dumps(RemoteFailure(f"{type(exc).__name__}: {exc}"))
-    return raw
+        pass
+    return RemoteFailure(text)
 
 
-def _rebuilt_exception(raw: bytes) -> BaseException:
-    try:
-        exc = pickle.loads(raw)
-    except Exception as err:
-        return RemoteFailure(f"undecodable remote failure: {err}")
-    if not isinstance(exc, BaseException):
-        return RemoteFailure(f"remote failure payload {exc!r}")
-    return exc
-
-
-def _rebuilt_thread(raw: bytes) -> Any:
-    try:
-        return pickle.loads(raw)
-    except Exception as err:
-        raise WireError(f"undecodable thread state: {err}") from None
-
-
-#: control kinds with one field that crosses as pickled bytes:
-#: kind -> (its position, pickle it, rebuild it)
-_PICKLED = {
-    MSG_FAILURE: (0, pickled_exception, _rebuilt_exception),
-    MSG_SVC_ERROR: (1, pickled_exception, _rebuilt_exception),
-    MSG_THREAD_STATE: (3, pickle.dumps, _rebuilt_thread),
-}
+#: control kinds with an exception field: kind -> its position
+_EXCEPTION_AT = {MSG_FAILURE: 0, MSG_SVC_ERROR: 1}
 
 
 def encode_control(kind: int, *fields: Any) -> List[Segment]:
@@ -303,10 +302,9 @@ def encode_control(kind: int, *fields: Any) -> List[Segment]:
     if names is None or len(fields) != len(names):
         raise WireError(f"control kind {kind} takes fields {names}, "
                         f"got {len(fields)} values")
-    pickled = _PICKLED.get(kind)
-    if pickled is not None:
-        i, dump, _ = pickled
-        fields = (*fields[:i], dump(fields[i]), *fields[i + 1:])
+    i = _EXCEPTION_AT.get(kind)
+    if i is not None:
+        fields = (*fields[:i], _exception_fields(fields[i]), *fields[i + 1:])
     return [bytearray(_U8.pack(kind)), *encode_segments(ControlFields(fields))]
 
 
@@ -390,10 +388,14 @@ def decode_message(payload: "bytes | bytearray | memoryview",
         if type(values) is not tuple or len(values) != len(names):
             raise WireError(f"control kind {kind} wants a ControlFields "
                             f"body of {len(names)} fields, got {body!r}")
-        pickled = _PICKLED.get(kind)
-        if pickled is not None:
-            i, _, rebuild = pickled
-            values = (*values[:i], rebuild(values[i]), *values[i + 1:])
+        i = _EXCEPTION_AT.get(kind)
+        if i is not None:
+            values = (*values[:i], _rebuilt_exception(values[i]),
+                      *values[i + 1:])
+        elif kind == MSG_THREAD_STATE and not (
+                values[3] is None or type(values[3]) is dict):
+            raise WireError(f"thread state must be a dict or None, "
+                            f"got {type(values[3]).__name__}")
         return kind, values
     except WireError:
         raise

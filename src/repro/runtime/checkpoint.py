@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.threads import DpsThread, ThreadCollection
+from ..core.threads import ThreadCollection
 from .base import DATA_HEADER_BYTES
 from .controller import ScheduleError
 from .sim_engine import SimEngine
@@ -47,7 +47,6 @@ _checkpoint_ids = itertools.count(1)
 class _ThreadSnapshot:
     collection: ThreadCollection
     index: int
-    thread_class: type
     state: dict
     nbytes: int
     storage_node: str
@@ -109,8 +108,7 @@ class CheckpointManager:
                 state = copy.deepcopy(thread.__dict__)
                 nbytes = thread.state_nbytes() + DATA_HEADER_BYTES
                 snap = _ThreadSnapshot(
-                    collection, index, type(thread), state, nbytes,
-                    next(storage_cycle),
+                    collection, index, state, nbytes, next(storage_cycle),
                 )
                 plan.append((node, snap))
                 ckpt.snapshots.append(snap)
@@ -161,10 +159,7 @@ class CheckpointManager:
                 controller = self.engine.controllers[target]
                 # discard whatever lives there now (stale or lazily created)
                 controller.discard_thread(snap.collection, snap.index)
-                thread: DpsThread = snap.thread_class.__new__(snap.thread_class)
-                thread.__dict__.update(copy.deepcopy(snap.state))
-                thread.index = snap.index
-                thread.collection_name = snap.collection.name
+                thread = snap.collection.rebuild_thread(copy.deepcopy(snap.state))
                 controller.adopt_thread(snap.collection, snap.index, thread)
                 report["restored"] += 1
                 report["bytes"] += snap.nbytes

@@ -281,15 +281,8 @@ class ThreadedEngine(Engine):
         return worker.thread if worker is not None else None
 
     def _adopt_thread(self, collection: ThreadCollection, index: int,
-                      thread: Optional[DpsThread]) -> None:
-        """Install a migrated thread object as instance *index*.
-
-        ``None`` means the donor never activated the instance; the worker
-        is then created lazily with fresh state on first delivery, as
-        usual.
-        """
-        if thread is None:
-            return
+                      thread: DpsThread) -> None:
+        """Install a migrated thread object as instance *index*."""
         thread.node_name = collection.node_of(index)
         key = (id(collection), index)
         if key in self._workers:

@@ -70,7 +70,7 @@ MAGIC = b"DPS2"
 
 #: Protocol version carried by every :func:`frame` header.  Bump on any
 #: incompatible change to the framing layout or the message body format.
-FRAME_VERSION = 2
+FRAME_VERSION = 3
 
 #: Wire size of the frame header: u32 payload length + u8 version.
 FRAME_HEADER_BYTES = 5
@@ -354,37 +354,45 @@ def decode(
     alive and unmodified for as long as the decoded token lives.  Arrays
     borrowed from a read-only source (e.g. ``bytes``) are read-only;
     borrowing from a ``bytearray`` yields writable aliasing arrays.
+    Malformed input raises :class:`WireError` and nothing else.
     """
     global _compiled_hits, _fallbacks
-    view = data if type(data) is memoryview else memoryview(data)
-    if _compiled_decode is not None:
-        try:
-            # malformed input misses too: the pure visitor below then
-            # raises the canonical error
-            name, fields = _compiled_decode(view, copy)
-        except _Unsupported:
-            _fallbacks += 1
+    try:
+        view = data if type(data) is memoryview else memoryview(data)
+        if _compiled_decode is not None:
+            try:
+                # malformed input misses too: the pure visitor below then
+                # raises the canonical error
+                name, fields = _compiled_decode(view, copy)
+            except _Unsupported:
+                _fallbacks += 1
+            else:
+                cls = reg.lookup(name)
+                obj = cls.__new__(cls)
+                obj.__dict__ = fields
+                _compiled_hits += 1
+                return obj
+        if view[:4].tobytes() != MAGIC:
+            raise WireError("bad magic; not a DPS wire message")
+        (name_len,) = _U16.unpack_from(view, 4)
+        offset = 6 + name_len
+        cls = reg.lookup(view[6:offset].tobytes().decode())
+        if view[offset] == _T_DICT:
+            fields, offset = _decode_dict(view, offset + 1, copy)
         else:
-            cls = reg.lookup(name)
-            obj = cls.__new__(cls)
-            obj.__dict__ = fields
-            _compiled_hits += 1
-            return obj
-    if view[:4].tobytes() != MAGIC:
-        raise WireError("bad magic; not a DPS wire message")
-    (name_len,) = _U16.unpack_from(view, 4)
-    offset = 6 + name_len
-    cls = reg.lookup(view[6:offset].tobytes().decode())
-    if view[offset] == _T_DICT:
-        fields, offset = _decode_dict(view, offset + 1, copy)
-    else:
-        fields, offset = _decode_value(view, offset, copy)
-    if offset != len(view):
-        raise WireError(f"trailing garbage: {len(view) - offset} bytes")
-    obj = cls.__new__(cls)
-    # The fields dict is freshly built by the decoder — adopt it outright.
-    obj.__dict__ = fields
-    return obj
+            fields, offset = _decode_value(view, offset, copy)
+        if offset != len(view):
+            raise WireError(f"trailing garbage: {len(view) - offset} bytes")
+        obj = cls.__new__(cls)
+        # The fields dict is freshly built by the decoder — adopt it outright.
+        obj.__dict__ = fields
+        return obj
+    except WireError:
+        raise
+    except (struct.error, IndexError, KeyError, TypeError, ValueError,
+            RecursionError, SyntaxError) as err:
+        # truncated, garbled, nested past the stack, or a dtype numpy rejects
+        raise WireError(f"malformed wire message: {err}") from None
 
 
 # ---------------------------------------------------------------------------

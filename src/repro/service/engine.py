@@ -29,7 +29,7 @@ The console-side protocol, implemented by :class:`ServiceKernel`:
    ``DistributedKernel.run`` (so the fault-tolerance machinery —
    heartbeats, remap, split-boundary replay — applies to service
    traffic unchanged).  Its result callback answers ``MSG_SVC_REPLY``
-   on success or ``MSG_SVC_ERROR`` with the pickled exception on
+   on success or ``MSG_SVC_ERROR`` with the exception on
    failure or timeout.
 4. ``drain_and_shutdown`` unpublishes the records, stops admitting
    (``draining`` sheds), waits for in-flight calls to finish, then

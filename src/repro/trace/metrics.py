@@ -136,7 +136,7 @@ class MetricsRegistry:
 
     # -- aggregation ----------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """A picklable plain-dict view (for the wire / for reports).
+        """A plain-dict view the token codec carries (for the wire / reports).
 
         Series at their zero state (never touched, or untouched since
         :meth:`clear`) are left out: ``clear`` keeps the instruments, and

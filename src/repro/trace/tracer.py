@@ -79,7 +79,7 @@ class Tracer:
         return n
 
     def dump(self) -> List[Tuple[float, str, Dict[str, Any]]]:
-        """The buffer as picklable plain tuples (wire-friendly)."""
+        """The buffer as plain tuples the token codec carries."""
         return [(ev.time, ev.kind, ev.fields) for ev in self.events]
 
     def __len__(self) -> int:

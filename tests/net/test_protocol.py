@@ -1,6 +1,8 @@
 """Round-trips for every kernel-to-kernel protocol message."""
 
-import pickle
+import os
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -65,8 +67,12 @@ class ProtoMerge(MergeOperation):
         yield self.post(ProtoJob())
 
 
-@pytest.fixture
-def graph():
+class ProtoOuter:
+    class Inner(ValueError):
+        """An exception class reached through a class namespace."""
+
+
+def proto_graph():
     main = ThreadCollection(ProtoThread, "pmain").map("nodeA")
     work = ThreadCollection(ProtoThread, "pwork").map("nodeB nodeC")
     g = Flowgraph(
@@ -76,6 +82,11 @@ def graph():
         "proto-graph",
     )
     return g
+
+
+@pytest.fixture
+def graph():
+    return proto_graph()
 
 
 def roundtrip(segments, graphs):
@@ -157,14 +168,106 @@ def test_unpicklable_failure_degrades_to_remote_failure():
     assert "Local" in str(exc) and "nested detail" in str(exc)
 
 
-def test_undecodable_failure_degrades_to_remote_failure():
-    """The receiving side's fallback: bytes that do not unpickle, or
-    unpickle to something other than an exception."""
-    for raw, text in ((b"not a pickle", "undecodable remote failure"),
-                      (pickle.dumps(["a list"]), "remote failure payload")):
-        wire = bytes([P.MSG_FAILURE]) + encode(P.ControlFields((raw,)))
-        kind, (exc,) = P.decode_message(wire, {})
-        assert isinstance(exc, P.RemoteFailure) and text in str(exc)
+def test_nested_exception_class_rebuilt():
+    kind, (exc,) = roundtrip(
+        P.encode_control(P.MSG_FAILURE, ProtoOuter.Inner("deep", 2)), {})
+    assert type(exc) is ProtoOuter.Inner and exc.args == ("deep", 2)
+
+
+def test_failure_args_the_codec_rejects_cross_as_text():
+    kind, (exc,) = roundtrip(
+        P.encode_control(P.MSG_FAILURE, ValueError({1: "int key"})), {})
+    assert isinstance(exc, P.RemoteFailure)
+    assert str(exc) == "ValueError: {1: 'int key'}"
+
+
+# ---------------------------------------------------------------------------
+# the exception rebuild is a trust boundary: sys.modules, namespaces only
+# ---------------------------------------------------------------------------
+
+def _failure_from(module, qualname, args=("detail",)):
+    """What a peer's hand-made ``MSG_FAILURE`` decodes to."""
+    wire = bytes([P.MSG_FAILURE]) + encode(
+        P.ControlFields(((module, qualname, args, "Forged: detail"),)))
+    kind, (exc,) = P.decode_message(wire, {})
+    assert kind == P.MSG_FAILURE
+    return exc
+
+
+def test_failure_never_imports_a_module(tmp_path, monkeypatch):
+    (tmp_path / "dps_never_imported.py").write_text(
+        "class Boom(Exception):\n    pass\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    exc = _failure_from("dps_never_imported", "Boom")
+    assert isinstance(exc, P.RemoteFailure) and str(exc) == "Forged: detail"
+    assert "dps_never_imported" not in sys.modules
+
+
+def test_failure_never_calls_a_module_getattr(monkeypatch):
+    calls = []
+    lazy = types.ModuleType("dps_lazy_module")
+
+    def module_getattr(name):
+        calls.append(name)
+        return ValueError
+
+    lazy.__getattr__ = module_getattr
+    monkeypatch.setitem(sys.modules, lazy.__name__, lazy)
+    assert lazy.Boom is ValueError and calls == ["Boom"]  # the hook is live
+    calls.clear()
+    for qualname in ("Boom", "Boom.Inner", "__getattr__"):
+        assert isinstance(_failure_from(lazy.__name__, qualname),
+                          P.RemoteFailure)
+    assert calls == []
+
+
+@pytest.mark.parametrize("module, qualname", [
+    ("builtins", "SystemExit"),
+    ("builtins", "KeyboardInterrupt"),
+    ("builtins", "BaseException"),
+    ("os", "system"),
+    ("builtins", "print"),
+])
+def test_failure_of_no_exception_class_is_refused(module, qualname,
+                                                   monkeypatch):
+    called = []
+    monkeypatch.setattr(os, "system", lambda *args: called.append(args))
+    exc = _failure_from(module, qualname, args=("echo forged",))
+    assert isinstance(exc, P.RemoteFailure) and called == []
+
+
+def test_failure_of_a_locals_class_is_refused():
+    class Local(Exception):
+        pass
+
+    assert "<locals>" in Local.__qualname__
+    assert isinstance(_failure_from(__name__, Local.__qualname__),
+                      P.RemoteFailure)
+
+
+def test_failure_whose_args_do_not_fit_the_class_degrades():
+    exc = _failure_from("builtins", "UnicodeDecodeError")
+    assert isinstance(exc, P.RemoteFailure)
+    assert isinstance(_failure_from("builtins", "ValueError", None),
+                      P.RemoteFailure)
+
+
+@pytest.mark.parametrize("field", [
+    b"not an exception",
+    ("builtins", "ValueError", ("x",)),
+    ("builtins", "ValueError", ("x",), "ValueError: x", 0),
+    ("builtins", 5, ("x",), "ValueError: x"),
+    ("builtins", "ValueError", ["x"], "ValueError: x"),
+    ("builtins", "ValueError", ("x",), None),
+    ["builtins", "ValueError", ("x",), "ValueError: x"],
+], ids=["bytes", "short", "long", "int-qualname", "list-args", "no-text",
+        "list"])
+def test_failure_field_of_the_wrong_shape_rejected(field):
+    for kind, body in ((P.MSG_FAILURE, (field,)),
+                       (P.MSG_SVC_ERROR, (45, field))):
+        wire = bytes([kind]) + encode(P.ControlFields(body))
+        with pytest.raises(WireError, match="is not .module, qualname"):
+            P.decode_message(wire, {})
 
 
 def test_shutdown_and_replay_decode_to_tuples():
@@ -182,7 +285,7 @@ def _migrant():
     thread = ProtoThread()
     thread.index, thread.collection_name = 1, "pwork"
     thread.seen = [3, 4]
-    return thread
+    return vars(thread)
 
 
 #: one sample field tuple per control kind
@@ -222,8 +325,6 @@ _NAMES = {value: name for name, value in vars(P).items()
 def _same(a, b):
     if isinstance(a, BaseException):
         return type(a) is type(b) and a.args == b.args
-    if isinstance(a, ProtoThread):
-        return type(a) is type(b) and vars(a) == vars(b)
     return type(a) is type(b) and a == b
 
 
@@ -237,7 +338,7 @@ def test_control_table_covers_every_kind_but_the_seven_packed():
         assert len(fields) == len(P.CONTROL_FIELDS[kind]), _NAMES[kind]
     # the control bodies changed format: an older build is refused at
     # the frame header instead of misparsing them
-    assert FRAME_VERSION == 2
+    assert FRAME_VERSION == 3
 
 
 @pytest.mark.parametrize("tier", ["default", "pure"])
@@ -275,6 +376,62 @@ def test_control_body_of_the_wrong_shape_rejected(body):
     wire = bytes([P.MSG_BEAT]) + encode(body)
     with pytest.raises(WireError, match="wants a ControlFields body"):
         P.decode_message(wire, {})
+
+
+@pytest.mark.parametrize("state", [
+    [("seen", [3, 4])], "seen", ProtoJob(3),
+], ids=["list", "str", "token"])
+def test_thread_state_must_be_a_dict_or_none(state):
+    wire = bytes([P.MSG_THREAD_STATE]) + encode(
+        P.ControlFields(("pwork", 1, 4, state)))
+    with pytest.raises(WireError, match="thread state must be a dict"):
+        P.decode_message(wire, {})
+    assert roundtrip(P.encode_control(P.MSG_THREAD_STATE, "pwork", 1, 4,
+                                      None), {}) == \
+        (P.MSG_THREAD_STATE, ("pwork", 1, 4, None))
+
+
+def _same_state(a, b):
+    """Equal by exact type and value, arrays by dtype, shape and bytes."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_state, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k])
+                                            for k in a)
+    return a == b
+
+
+def test_gol_exchange_thread_migrates_attribute_for_attribute():
+    """A GoL band thread after a few generations crosses as its
+    ``__dict__`` and comes back the same object state: every attribute
+    of the same type (no numpy scalar turned Python scalar) and value."""
+    from repro.apps.gameoflife import DistributedGameOfLife, \
+        GolExchangeThread
+    from repro.runtime import ThreadedEngine
+
+    world = np.random.default_rng(7).integers(0, 2, (12, 10), np.uint8)
+    with ThreadedEngine() as engine:
+        gol = DistributedGameOfLife(engine, world, ["node01", "node02"])
+        gol.load()
+        gol.step(improved=True)
+        gol.step()
+        coll = gol._exchange
+        state = engine._call(lambda: dict(vars(engine.thread(coll, 1))))
+    assert {"band", "row_start", "ghost_top", "ghost_bottom", "_served",
+            "_held", "index", "node_name", "collection_name"} <= set(state)
+    kind, (name, index, epoch, back) = roundtrip(P.encode_control(
+        P.MSG_THREAD_STATE, coll.name, 1, 2, state), {})
+    assert (kind, name, index, epoch) == (P.MSG_THREAD_STATE, coll.name, 1, 2)
+    thread = coll.rebuild_thread(back)
+    assert type(thread) is GolExchangeThread
+    for key, value in state.items():
+        assert _same_state(value, getattr(thread, key)), key
+    assert thread.band.flags.writeable
 
 
 def test_unknown_kind_rejected():

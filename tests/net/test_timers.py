@@ -635,3 +635,36 @@ def test_an_instance_parked_in_a_sleep_is_not_shipped(monkeypatch):
             for kernel in kernels:
                 kernel.shutdown()
             caller.join(timeout=10)
+
+
+def test_thread_state_the_codec_rejects_fails_the_member_change_at_once():
+    """An instance whose state the token codec rejects (int dict keys,
+    the shape of an LU worker's) cannot migrate.  The donor ends the
+    member change with a :class:`KernelFailure` naming the instance and
+    the codec's reason as soon as it tries to ship it: the kernel clock
+    never moves, so no barrier deadline is waited out."""
+    clock = FakeClock()
+    with NameServer() as ns:
+        graph, kernels = _kernel_pair(ns, clock, "lu-shape", window=2)
+        node01 = kernels[0]
+        split = graph.collections()[0]
+        try:
+            assert node01.run(graph, MpJob(3), timeout=30).total == 6
+            node01._call(lambda: setattr(node01.thread(split, 0), "rows",
+                                         {1: [0.5, 0.25]}))
+            member = (1, {split.name: ["node01"]}, {split.name: ["node02"]},
+                      [], [])
+            node01._call(
+                lambda: node01._dispatch_message(P.MSG_MEMBER, member))
+            for _ in range(100):
+                _settle(node01._io_loop)
+                failure = node01._call(lambda: node01._failure)
+                if failure is not None:
+                    break
+            assert isinstance(failure, KernelFailure)
+            assert "lu-shape-split[0]" in str(failure)
+            assert "dict keys must be str, got int" in str(failure)
+            assert clock.now == 0.0
+        finally:
+            for kernel in kernels:
+                kernel.shutdown()

@@ -531,9 +531,10 @@ def test_array_lengths_vary_under_one_cached_dtype():
 
 
 def test_truncated_array_payload_raises_as_before_first_and_cached():
-    """A payload cut short raises ``ValueError`` (the slice read's
-    error) whether its dtype is parsed now or looked up, 2-D or 1-D (a
-    1-D array skips the reshape only when its length is whole)."""
+    """A payload cut short raises ``WireError`` (wrapping the slice
+    read's ``ValueError``) whether its dtype is parsed now or looked up,
+    2-D or 1-D (a 1-D array skips the reshape only when its length is
+    whole)."""
     for shape in ((3, 7), (21,)):
         wire = _pure_encode(
             ParityToken(np.arange(21, dtype=np.float64).reshape(shape)))
@@ -545,9 +546,9 @@ def test_truncated_array_payload_raises_as_before_first_and_cached():
             for dec in (_fast_decode, _pure_decode):
                 W._DTYPE_CACHE.clear()
                 for sight in ("first", "cached"):
-                    with pytest.raises(ValueError) as caught:
+                    with pytest.raises(WireError) as caught:
                         dec(damaged)
-                    assert type(caught.value) is ValueError, (shape, sight)
+                    assert type(caught.value) is WireError, (shape, sight)
                 assert len(W._DTYPE_CACHE) == 1
 
 
